@@ -290,20 +290,40 @@ def _pref_a_ratio(m, q, a, b):
     )
 
 
-def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, ratio_fn=_pref_a_ratio):
-    """Eigencoefficient values at a spectral point as exact-exponent
-    mpmath floats: prefactor accumulated alongside the backward-recurrence
-    polynomial sequence, so neither factor over- or underflows."""
-    seq = spectral_sequence(p, branch, j, m_max)
+def _times_prefactor(seq, p: QParams, ratio_fn):
+    """seq[m] times the prefactor pref_m, accumulated as the product of
+    consecutive ratios pref_{m+1}/pref_m, so neither factor over- or
+    underflows."""
     out = []
     with mpmath.workdps(_COEFF_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         pref = mpmath.mpf(1)
-        for m in range(m_max + 1):
-            out.append(pref * seq[m])
-            if m < m_max:
+        for m, v in enumerate(seq):
+            out.append(pref * v)
+            if m < len(seq) - 1:
                 pref *= ratio_fn(m, q, a, b)
     return out
+
+
+def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, ratio_fn=_pref_a_ratio):
+    """Eigencoefficient values at a spectral point as exact-exponent
+    mpmath floats, from the backward-recurrence polynomial sequence."""
+    return _times_prefactor(spectral_sequence(p, branch, j, m_max), p, ratio_fn)
+
+
+def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int):
+    """Eigencoefficients a_0..a_{m_max} at the spectral point of index
+    j >= m_max, from the forward three-term recurrence.
+
+    The polynomial sequence becomes the minimal solution of the
+    recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
+    degree j forward steps keep the relative accuracy that the backward
+    route buys with a sweep seeded beyond m_max + j."""
+    with mpmath.workdps(_COEFF_DPS):
+        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
+        lam = (a if branch == "a" else b) * q ** (j + 1)
+        seq = big_q_laguerre_recurrence(m_max, lam, QParams(q=q, a=a, b=b))
+    return _times_prefactor(seq, p, _pref_a_ratio)
 
 
 def _mpf_to_float_array(values, what: str) -> np.ndarray:
@@ -346,7 +366,11 @@ def _a_coeff_mpf_cached(p: QParams, branch: str, j: int, m_max: int):
 
 def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int):
     """(sign, log10|a_m|) arrays of the eigencoefficients at the spectral
-    point of the given branch/index, m = 0..m_max."""
+    point of the given branch/index, m = 0..m_max: forward recurrence
+    when every degree is at most the spectral index, backward
+    minimal-solution recurrence otherwise."""
+    if j >= m_max:
+        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max))
     return _signed_logs(_a_coeff_mpf_cached(p, branch, j, m_max))
 
 
@@ -625,15 +649,6 @@ def _psi_phi_mpf_cached(p: QParams, branch: str, j: int, m_max: int):
     phi = _spectral_coeff_mpf(p, branch, j, m_max, _pref_phi_ratio)
     _PSI_PHI_CACHE[key] = (psi, phi)
     return psi, phi
-
-
-def _psi_phi_logs(p: QParams, branch: str, j: int, m_max: int):
-    """Signed log10 coefficient arrays of the two eigenvector families at
-    a spectral point."""
-    psi, phi = _psi_phi_mpf_cached(p, branch, j, m_max)
-    s_psi, l_psi = _signed_logs(psi)
-    s_phi, l_phi = _signed_logs(phi)
-    return s_psi, l_psi, s_phi, l_phi
 
 
 def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> tuple:

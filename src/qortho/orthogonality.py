@@ -429,21 +429,52 @@ def verify_dual_orthogonality(
     return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
-def _rows_branch_sum(branch: str, i: int, j: int, p: QParams, t: Truncation):
+class _RowTable:
+    """Coefficient rows of one spectral branch for the unitarity-rows
+    sums.  Row n holds the signed logs of a_0..a_K(lam_n) and
+    2 log10 c_n; rows are built on first use, in order of n, and shared by
+    every (i, j) pair with max(i, j) <= K that is summed with the table."""
+
+    def __init__(self, branch: str, K: int, p: QParams, t: Truncation):
+        self.branch, self.K, self.p, self.t = branch, K, p, t
+        self._cfun = normalization_c if branch == "a" else normalization_cprime
+        self._rows: list = []
+
+    def row(self, n: int) -> tuple:
+        while len(self._rows) <= n:
+            k = len(self._rows)
+            s, l = _a_coeff_logs(self.p, self.branch, k, self.K)
+            self._rows.append((s, l, 2.0 * math.log10(self._cfun(k, self.p, self.t))))
+        return self._rows[n]
+
+
+def _row_tables(p: QParams, t: Truncation, K: int) -> tuple:
+    return _RowTable("a", K, p, t), _RowTable("b", K, p, t)
+
+
+def _rows_branch_sum(table: _RowTable, i: int, j: int, t: Truncation):
     """sum_n c_n^2 a_i(lam_n) a_j(lam_n) over one spectral branch, with
     the terms formed from extended-precision coefficient logs."""
-    deg = max(i, j)
-    cfun = normalization_c if branch == "a" else normalization_cprime
 
     def term(n: int) -> float:
-        s, l = _a_coeff_logs(p, branch, n, deg)
-        cn = cfun(n, p, t)
-        lg = l[i] + l[j] + 2.0 * math.log10(cn)
+        s, l, lc = table.row(n)
+        lg = l[i] + l[j] + lc
         if lg == -math.inf or lg < -300:
             return 0.0
         return s[i] * s[j] * 10.0**lg
 
     return _certified_sum(term, t, hard_cap=700)
+
+
+def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
+    if i < 0 or j < 0:
+        raise DomainError("row indices must be nonnegative")
+    sum_a, used_a, tail_a = _rows_branch_sum(tables[0], i, j, t)
+    sum_b, used_b, tail_b = _rows_branch_sum(tables[1], i, j, t)
+    rhs = 1.0 if i == j else 0.0
+    return _finalize(
+        "unitarity-rows", p, (i, j), sum_a + sum_b, rhs, used_a + used_b, tail_a + tail_b, tolerance
+    )
 
 
 def verify_unitarity(
@@ -463,15 +494,7 @@ def verify_unitarity(
     the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
     rowcol = RowCol(rowcol)
     if rowcol is RowCol.ROWS:
-        if i < 0 or j < 0:
-            raise DomainError("row indices must be nonnegative")
-        sum_a, used_a, tail_a = _rows_branch_sum("a", i, j, p, t)
-        sum_b, used_b, tail_b = _rows_branch_sum("b", i, j, p, t)
-        lhs = sum_a + sum_b
-        rhs = 1.0 if i == j else 0.0
-        return _finalize(
-            "unitarity-rows", p, (i, j), lhs, rhs, used_a + used_b, tail_a + tail_b, tolerance
-        )
+        return _verify_rows(i, j, p, t, tolerance, _row_tables(p, t, max(i, j)))
     spec1 = _branch_of_label(i)
     spec2 = _branch_of_label(j)
     ci = _c_of_label(i, p, t)
@@ -666,8 +689,9 @@ def run_identity_checks(
     elif identity == "sears":
         reports.append(verify_identity_3637(p, t, tolerance))
     elif identity == "unitarity":
+        tables = _row_tables(p, t, index_max)
         for i, j in pairs_upper:
-            reports.append(verify_unitarity(RowCol.ROWS, i, j, p, t, tolerance))
+            reports.append(_verify_rows(i, j, p, t, tolerance, tables))
         for i, j in zpairs:
             reports.append(verify_unitarity(RowCol.COLUMNS, i, j, p, t, tolerance))
     elif identity == "dual":

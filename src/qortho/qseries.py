@@ -23,7 +23,6 @@ __all__ = [
     "QParams",
     "NeumaierSum",
     "q_pochhammer",
-    "q_pochhammer_multi",
     "q_pochhammer_inf",
     "q_number",
     "phi_2_1",
@@ -187,14 +186,6 @@ def q_pochhammer(a, q, n: int):
     for _ in range(n):
         out = out * (1 - aqk)
         aqk = aqk * q
-    return out
-
-
-def q_pochhammer_multi(params, q, n: int):
-    """(a_1, ..., a_k; q)_n as a single product."""
-    out = 1
-    for a in params:
-        out = out * q_pochhammer(a, q, n)
     return out
 
 

@@ -257,6 +257,31 @@ class TestReports:
         b = run_identity_checks("dual", P1, T, index_max=3)
         assert a == b
 
+    def test_rows_sweep_matches_standalone(self):
+        # the sweep shares one coefficient table per branch across all
+        # pairs; a standalone call builds its own, with K = max(i, j), so
+        # the two switch from the backward to the forward route at
+        # different spectral indices
+        reports = run_identity_checks("unitarity", P2, T, index_max=5)
+        sweep = [r for r in reports if r.identity_id == "unitarity-rows"]
+        assert len(sweep) == 21
+        for r in sweep:
+            assert r == verify_unitarity(RowCol.ROWS, *r.indices, P2, T), r.indices
+
+    def test_unitarity_independent_of_history(self, monkeypatch):
+        from qortho import operators, polynomials
+
+        for module, name in [
+            (operators, "_A_COEFF_CACHE"),
+            (operators, "_PSI_PHI_CACHE"),
+            (polynomials, "_MILLER_CACHE"),
+        ]:
+            monkeypatch.setattr(module, name, {})
+        cold = run_identity_checks("unitarity", P2, T, index_max=3)
+        assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
+        run_identity_checks("dual", P2, T, index_max=3)
+        assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
+
     def test_sorted_by_identity_and_indices(self):
         reports = run_identity_checks("dual", P1, T, index_max=2)
         keys = [(r.identity_id, r.indices) for r in reports]
