@@ -290,19 +290,26 @@ def _pref_a_ratio(m, q, a, b):
     )
 
 
-def _times_prefactor(seq, p: QParams, ratio_fn):
-    """seq[m] times the prefactor pref_m, accumulated as the product of
-    consecutive ratios pref_{m+1}/pref_m, so neither factor over- or
-    underflows."""
+def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
+    """pref_0..pref_m_max as the sequential product of consecutive ratios
+    pref_{m+1}/pref_m, so no factor over- or underflows; n-independent,
+    so one list serves every spectral point of a parameter set."""
     out = []
     with mpmath.workdps(_COEFF_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         pref = mpmath.mpf(1)
-        for m, v in enumerate(seq):
-            out.append(pref * v)
-            if m < len(seq) - 1:
+        for m in range(m_max + 1):
+            out.append(pref)
+            if m < m_max:
                 pref *= ratio_fn(m, q, a, b)
     return out
+
+
+def _times_prefactor(seq, p: QParams, ratio_fn):
+    """seq[m] times the prefactor pref_m."""
+    prefs = _prefactors(p, len(seq) - 1, ratio_fn)
+    with mpmath.workdps(_COEFF_DPS):
+        return [pref * v for pref, v in zip(prefs, seq)]
 
 
 def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, ratio_fn=_pref_a_ratio):
@@ -311,19 +318,22 @@ def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, ratio_fn=_p
     return _times_prefactor(spectral_sequence(p, branch, j, m_max), p, ratio_fn)
 
 
-def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int):
+def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
-    j >= m_max, from the forward three-term recurrence.
+    j >= m_max, from the forward three-term recurrence; prefs is
+    `_prefactors(p, m_max)`, built here when not given.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
     degree j forward steps keep the relative accuracy that the backward
     route buys with a sweep seeded beyond m_max + j."""
+    if prefs is None:
+        prefs = _prefactors(p, m_max)
     with mpmath.workdps(_COEFF_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         lam = (a if branch == "a" else b) * q ** (j + 1)
         seq = big_q_laguerre_recurrence(m_max, lam, QParams(q=q, a=a, b=b))
-    return _times_prefactor(seq, p, _pref_a_ratio)
+        return [pref * v for pref, v in zip(prefs, seq)]
 
 
 def _mpf_to_float_array(values, what: str) -> np.ndarray:
@@ -364,13 +374,14 @@ def _a_coeff_mpf_cached(p: QParams, branch: str, j: int, m_max: int):
     return out
 
 
-def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int):
+def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None):
     """(sign, log10|a_m|) arrays of the eigencoefficients at the spectral
     point of the given branch/index, m = 0..m_max: forward recurrence
-    when every degree is at most the spectral index, backward
-    minimal-solution recurrence otherwise."""
+    (with the optional shared `_prefactors(p, m_max)` list) when every
+    degree is at most the spectral index, backward minimal-solution
+    recurrence otherwise."""
     if j >= m_max:
-        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max))
+        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs))
     return _signed_logs(_a_coeff_mpf_cached(p, branch, j, m_max))
 
 

@@ -38,6 +38,7 @@ from qortho.polynomials import big_q_laguerre_recurrence, q_meixner
 from qortho.operators import (
     _a_coeff_logs,
     _a_coeff_mpf_cached,
+    _prefactors,
     _psi_phi_mpf_cached,
     normalization_c,
     normalization_cprime,
@@ -433,17 +434,19 @@ class _RowTable:
     """Coefficient rows of one spectral branch for the unitarity-rows
     sums.  Row n holds the signed logs of a_0..a_K(lam_n) and
     2 log10 c_n; rows are built on first use, in order of n, and shared by
-    every (i, j) pair with max(i, j) <= K that is summed with the table."""
+    every (i, j) pair with max(i, j) <= K that is summed with the table.
+    The n-independent prefactors pref_0..pref_K are built once with it."""
 
     def __init__(self, branch: str, K: int, p: QParams, t: Truncation):
         self.branch, self.K, self.p, self.t = branch, K, p, t
         self._cfun = normalization_c if branch == "a" else normalization_cprime
+        self._prefs = _prefactors(p, K)
         self._rows: list = []
 
     def row(self, n: int) -> tuple:
         while len(self._rows) <= n:
             k = len(self._rows)
-            s, l = _a_coeff_logs(self.p, self.branch, k, self.K)
+            s, l = _a_coeff_logs(self.p, self.branch, k, self.K, self._prefs)
             self._rows.append((s, l, 2.0 * math.log10(self._cfun(k, self.p, self.t))))
         return self._rows[n]
 
@@ -495,10 +498,12 @@ def verify_unitarity(
     rowcol = RowCol(rowcol)
     if rowcol is RowCol.ROWS:
         return _verify_rows(i, j, p, t, tolerance, _row_tables(p, t, max(i, j)))
+    return _verify_columns(i, j, p, t, tolerance, _c_of_label(i, p, t), _c_of_label(j, p, t))
+
+
+def _verify_columns(i: int, j: int, p: QParams, t: Truncation, tolerance: float, ci: float, cj: float):
     spec1 = _branch_of_label(i)
     spec2 = _branch_of_label(j)
-    ci = _c_of_label(i, p, t)
-    cj = _c_of_label(j, p, t)
     value, used, tail = _bilinear_sum(_a_coeff_mpf_cached, p, spec1, spec2, t)
     lhs = ci * cj * value
     rhs = 1.0 if i == j else 0.0
@@ -516,6 +521,10 @@ def verify_biorthogonality(
     <Psi_m, Phi_n> = delta_mn over integer labels covering both spectral
     branches, computed as the coefficient inner product scaled by the
     normalization constants."""
+    return _verify_biortho(m, n, p, t, tolerance, _c_of_label(m, p, t), _c_of_label(n, p, t))
+
+
+def _verify_biortho(m: int, n: int, p: QParams, t: Truncation, tolerance: float, cm: float, cn: float):
     spec1 = _branch_of_label(m)
     spec2 = _branch_of_label(n)
 
@@ -530,8 +539,6 @@ def verify_biorthogonality(
             break
         m_cut = min(2 * m_cut, m_cap)
 
-    cm = _c_of_label(m, p, t)
-    cn = _c_of_label(n, p, t)
     lhs = cm * cn * value
     rhs = 1.0 if m == n else 0.0
     return _finalize("biortho", p, (m, n), lhs, rhs, used, cm * cn * tail, tolerance)
@@ -541,22 +548,42 @@ def verify_biorthogonality(
 # q-Meixner orthogonality relations
 
 
-def _meixner_weighted_sum(first, second, n, n2, p, t: Truncation, use_mp: bool = False):
+class _MeixnerTable:
+    """Values M_n(q^-m; first, -second/first; q) of one q-Meixner
+    parameterization, evaluated on first use and kept by (n, m) for every
+    (n, n2) pair summed with the table.  The scalars are those of p, or
+    mpmath floats when mp is set; an mp table's values take the working
+    precision of the calls that fill them, so build and read it inside one
+    workdps block."""
+
+    def __init__(self, first, second, p: QParams, t: Truncation, mp: bool = False):
+        num = mpmath.mpf if mp else (lambda x: x)
+        self.q, self.first, self.second = num(p.q), num(first), num(second)
+        self.c = -self.second / self.first
+        self.t = t
+        self._values: dict = {}
+
+    def __call__(self, n: int, m: int):
+        key = (n, m)
+        if key not in self._values:
+            self._values[key] = q_meixner(n, m, self.first, self.c, self.q, self.t)
+        return self._values[key]
+
+
+def _meixner_weighted_sum(table: _MeixnerTable, n: int, n2: int, t: Truncation):
     """sum_m (first*q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second*q;q)_m (q;q)_m)
-    M_n(q^-m) M_n2(q^-m) with both polynomials in the (first, -second/first)
-    parameterization."""
-    q = mpmath.mpf(p.q) if use_mp else p.q
-    fa = mpmath.mpf(first) if use_mp else first
-    sa = mpmath.mpf(second) if use_mp else second
-    state = {"w": 1.0 * q / q, "n": -1}
+    M_n(q^-m) M_n2(q^-m) with both polynomials read from the table of the
+    (first, -second/first) parameterization."""
+    q, fa, sa = table.q, table.first, table.second
+    state = {"w": 1.0 * q / q}
 
     def term(m: int) -> float:
         w = state["w"]
         if not w > 0:
             raise DomainError("orthogonality weight lost positivity")
-        v1 = q_meixner(n, m, fa, -sa / fa, q, t)
-        v2 = q_meixner(n2, m, fa, -sa / fa, q, t) if n2 != n else v1
-        state["w"] = w * (1 - fa * q ** (m + 1)) * (-sa / fa) * q**m / (
+        v1 = table(n, m)
+        v2 = table(n2, m)
+        state["w"] = w * (1 - fa * q ** (m + 1)) * table.c * q**m / (
             (1 - sa * q ** (m + 1)) * (1 - q ** (m + 1))
         )
         return w * v1 * v2
@@ -576,6 +603,14 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
     )
 
 
+def _verify_meixner(
+    identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _MeixnerTable
+):
+    lhs, used, tail = _meixner_weighted_sum(table, n, n2, t)
+    rhs = _meixner_rhs(table.first, table.second, n, p, t) if n == n2 else 0.0
+    return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
+
+
 def verify_meixner_orthogonality(
     n: int,
     n2: int,
@@ -585,9 +620,7 @@ def verify_meixner_orthogonality(
 ) -> VerificationReport:
     """The classical q-Meixner orthogonality, realized here by the
     positive-parameter family M_n(q^-m; a, -b/a; q)."""
-    lhs, used, tail = _meixner_weighted_sum(p.a, p.b, n, n2, p, t)
-    rhs = _meixner_rhs(p.a, p.b, n, p, t) if n == n2 else 0.0
-    return _finalize("meixner", p, (n, n2), lhs, rhs, used, tail, tolerance)
+    return _verify_meixner("meixner", n, n2, p, t, tolerance, _MeixnerTable(p.a, p.b, p, t))
 
 
 def verify_negative_b_meixner_orthogonality(
@@ -599,9 +632,28 @@ def verify_negative_b_meixner_orthogonality(
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
     M_n(q^-m; b, -a/b; q) with b < 0."""
-    lhs, used, tail = _meixner_weighted_sum(p.b, p.a, n, n2, p, t)
-    rhs = _meixner_rhs(p.b, p.a, n, p, t) if n == n2 else 0.0
-    return _finalize("meixner-negb", p, (n, n2), lhs, rhs, used, tail, tolerance)
+    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _MeixnerTable(p.b, p.a, p, t))
+
+
+_EQ_ZERO_RETRY_DPS = 40
+
+
+class _EqZeroTables:
+    """The two families of the eq-zero sums, M_n(q^-m; a, -b/a) and
+    M_n2(q^-m; b, -a/b), as a pair of float tables and a pair of
+    extended-precision tables for the retry, built on its first use."""
+
+    def __init__(self, p: QParams, t: Truncation):
+        self.p, self.t = p, t
+        self.double = (_MeixnerTable(p.a, p.b, p, t), _MeixnerTable(p.b, p.a, p, t))
+        self._extended = None
+
+    def extended(self) -> tuple:
+        """The mpmath pair; call inside workdps(_EQ_ZERO_RETRY_DPS)."""
+        if self._extended is None:
+            p, t = self.p, self.t
+            self._extended = (_MeixnerTable(p.a, p.b, p, t, mp=True), _MeixnerTable(p.b, p.a, p, t, mp=True))
+        return self._extended
 
 
 def verify_Eq_zero_identity(
@@ -620,28 +672,29 @@ def verify_Eq_zero_identity(
     -q^-j, which is why the alternating sum cancels exactly.  Computed
     with compensated summation; retried at extended precision if the
     64-bit residual exceeds tolerance."""
+    return _verify_eq_zero(n, n2, p, t, tolerance, _EqZeroTables(p, t))
 
-    def run(use_mp: bool):
-        q = mpmath.mpf(p.q) if use_mp else p.q
-        a = mpmath.mpf(p.a) if use_mp else p.a
-        b = mpmath.mpf(p.b) if use_mp else p.b
+
+def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, tables: _EqZeroTables):
+    def run(table_a: _MeixnerTable, table_b: _MeixnerTable):
+        q = table_a.q
         state = {"w": 1.0 * q / q}
 
         def term(m: int) -> float:
             w = state["w"]
-            v1 = q_meixner(n, m, a, -b / a, q, t)
-            v2 = q_meixner(n2, m, b, -a / b, q, t)
+            v1 = table_a(n, m)
+            v2 = table_b(n2, m)
             state["w"] = -w * q**m / (1 - q ** (m + 1))
             return w * v1 * v2
 
         return _certified_sum(term, t)
 
-    lhs, used, tail = run(use_mp=False)
+    lhs, used, tail = run(*tables.double)
     note = "every term reduces to E_q at a zero -q^-j"
     scale = 1.0 + abs(lhs)
     if abs(lhs) > tolerance * scale and tail <= tolerance * scale:
-        with mpmath.workdps(40):
-            lhs, used, tail = run(use_mp=True)
+        with mpmath.workdps(_EQ_ZERO_RETRY_DPS):
+            lhs, used, tail = run(*tables.extended())
         note += "; retried at extended precision"
     return _finalize("eq-zero", p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
 
@@ -692,8 +745,9 @@ def run_identity_checks(
         tables = _row_tables(p, t, index_max)
         for i, j in pairs_upper:
             reports.append(_verify_rows(i, j, p, t, tolerance, tables))
+        cs = {label: _c_of_label(label, p, t) for label in zlabels}
         for i, j in zpairs:
-            reports.append(verify_unitarity(RowCol.COLUMNS, i, j, p, t, tolerance))
+            reports.append(_verify_columns(i, j, p, t, tolerance, cs[i], cs[j]))
     elif identity == "dual":
         for i, j in pairs_upper:
             reports.append(verify_dual_orthogonality(DualPair.FF, i, j, p, t, tolerance))
@@ -701,17 +755,21 @@ def run_identity_checks(
         for i, j in grid_full:
             reports.append(verify_dual_orthogonality(DualPair.FG, i, j, p, t, tolerance))
     elif identity == "meixner":
+        table = _MeixnerTable(p.a, p.b, p, t)
         for i, j in pairs_upper:
-            reports.append(verify_meixner_orthogonality(i, j, p, t, tolerance))
+            reports.append(_verify_meixner("meixner", i, j, p, t, tolerance, table))
     elif identity == "meixner-negb":
+        table = _MeixnerTable(p.b, p.a, p, t)
         for i, j in pairs_upper:
-            reports.append(verify_negative_b_meixner_orthogonality(i, j, p, t, tolerance))
+            reports.append(_verify_meixner("meixner-negb", i, j, p, t, tolerance, table))
     elif identity == "eq-zero":
+        eq_tables = _EqZeroTables(p, t)
         for i, j in grid_full:
-            reports.append(verify_Eq_zero_identity(i, j, p, t, tolerance))
+            reports.append(_verify_eq_zero(i, j, p, t, tolerance, eq_tables))
     elif identity == "biortho":
+        cs = {label: _c_of_label(label, p, t) for label in zlabels}
         for i, j in zpairs:
-            reports.append(verify_biorthogonality(i, j, p, t, tolerance))
+            reports.append(_verify_biortho(i, j, p, t, tolerance, cs[i], cs[j]))
     else:
         raise DomainError(f"unknown identity family: {identity!r}")
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 BASE = [sys.executable, "-m", "qortho"]
 
@@ -249,3 +250,20 @@ class TestCommands:
         rec = payload["records"][0]
         assert rec["status"] == "pass"
         assert rec["residual"] <= 1e-14
+
+
+class TestGoldenOutput:
+    # a reference output of this command; an engine change that moves any
+    # digit of any record shows up here (CHANGES.md says when the file may
+    # be regenerated)
+    GOLDEN = Path(__file__).parent / "data" / "verify_all_index3_q0.5_a0.5_b-0.7.csv"
+
+    def test_verify_all_csv_matches_golden_bytes(self):
+        res = subprocess.run(
+            BASE
+            + ["verify", "--identity", "all", "--index-max", "3", "--format", "csv", "--no-timestamp"]
+            + ["--q", "0.5", "--a", "0.5", "--b", "-0.7"],
+            capture_output=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == self.GOLDEN.read_bytes()

@@ -22,6 +22,8 @@ T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 PARAMS = [P1, P2]
+# eq-zero retries 44 of its 81 pairs here at index-max 8
+P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
 
 
 class TestBigLaguerreOrthogonality:
@@ -204,9 +206,9 @@ class TestMeixnerOrthogonality:
     def test_negb_is_parameter_swap_of_meixner(self):
         # swapping (a, b) -> (b, a) in the positive-parameter verifier
         # reproduces the negative-parameter sum exactly
-        from qortho.orthogonality import _meixner_weighted_sum
+        from qortho.orthogonality import _MeixnerTable, _meixner_weighted_sum
 
-        lhs_negb, _, _ = _meixner_weighted_sum(P1.b, P1.a, 1, 2, P1, T)
+        lhs_negb, _, _ = _meixner_weighted_sum(_MeixnerTable(P1.b, P1.a, P1, T), 1, 2, T)
         r = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
         assert r.lhs == lhs_negb
 
@@ -281,6 +283,85 @@ class TestReports:
         assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
         run_identity_checks("dual", P2, T, index_max=3)
         assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
+
+    # the q-Meixner sweeps share one table of M_n(q^-m) values per
+    # parameterization (eq-zero also a 40-digit pair for its retries); a
+    # standalone call builds its own, so every record must match field for
+    # field, the retried ones included
+    MEIXNER_STANDALONE = {
+        "meixner": verify_meixner_orthogonality,
+        "meixner-negb": verify_negative_b_meixner_orthogonality,
+        "eq-zero": verify_Eq_zero_identity,
+    }
+
+    @pytest.mark.parametrize("family", ["meixner", "meixner-negb", "eq-zero"])
+    @pytest.mark.parametrize(
+        "p",
+        PARAMS + [P_RETRY, QParams(q=0.95, a=0.9, b=-3.0)],
+        ids=["p1", "p2", "retry", "q0.95"],
+    )
+    def test_meixner_sweep_matches_standalone(self, family, p):
+        sweep = run_identity_checks(family, p, T, index_max=8)
+        assert len(sweep) == (81 if family == "eq-zero" else 45)
+        standalone = self.MEIXNER_STANDALONE[family]
+        for r in sweep:
+            assert r == standalone(*r.indices, p, T), r.indices
+        if family == "eq-zero" and p is P_RETRY:
+            assert sum("retried" in r.note for r in sweep) == 44
+
+    def test_eq_zero_retry_sweep_matches_standalone(self):
+        # a tolerance below double-precision rounding sends about half the
+        # pairs through the shared 40-digit tables
+        sweep = run_identity_checks("eq-zero", P1, T, index_max=8, tolerance=1e-15)
+        assert sum("retried" in r.note for r in sweep) == 43
+        for r in sweep:
+            assert r == verify_Eq_zero_identity(*r.indices, P1, T, 1e-15), r.indices
+
+    @pytest.mark.parametrize("family", ["unitarity", "biortho"])
+    def test_label_constant_sweep_matches_standalone(self, family):
+        # the sweep computes each label's normalization constant once
+        sweep = [r for r in run_identity_checks(family, P2, T, index_max=3) if r.identity_id != "unitarity-rows"]
+        assert len(sweep) == 36
+        for r in sweep:
+            if family == "biortho":
+                assert r == verify_biorthogonality(*r.indices, P2, T), r.indices
+            else:
+                assert r == verify_unitarity(RowCol.COLUMNS, *r.indices, P2, T), r.indices
+
+    def test_eq_zero_matches_literal_per_pair_sum(self):
+        # reference: the per-pair loop with every q-Meixner value evaluated
+        # afresh, the retry in 40-digit scalars made inside workdps(40)
+        import mpmath
+
+        from qortho.orthogonality import _certified_sum
+        from qortho.polynomials import q_meixner
+
+        def literal(n, n2, mp):
+            q, a, b = (mpmath.mpf(x) if mp else x for x in (P_RETRY.q, P_RETRY.a, P_RETRY.b))
+            state = {"w": 1.0 * q / q}
+
+            def term(m):
+                w = state["w"]
+                state["w"] = -w * q**m / (1 - q ** (m + 1))
+                return w * q_meixner(n, m, a, -b / a, q, T) * q_meixner(n2, m, b, -a / b, q, T)
+
+            return _certified_sum(term, T)
+
+        for r in run_identity_checks("eq-zero", P_RETRY, T, index_max=8):
+            if "retried" in r.note:
+                with mpmath.workdps(40):
+                    lhs, used, tail = literal(*r.indices, mp=True)
+            else:
+                lhs, used, tail = literal(*r.indices, mp=False)
+            assert (r.lhs, r.terms_used, r.tail_estimate) == (float(lhs), used, float(tail)), r.indices
+
+    def test_meixner_families_independent_of_history(self):
+        cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}
+        for fam in self.MEIXNER_STANDALONE:
+            assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
+        for fam in reversed(list(self.MEIXNER_STANDALONE)):
+            run_identity_checks("dual", P_RETRY, T, index_max=2)
+            assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
 
     def test_sorted_by_identity_and_indices(self):
         reports = run_identity_checks("dual", P1, T, index_max=2)
