@@ -261,7 +261,6 @@ def _tail_mass(tri: Tridiagonal, lam: float) -> float:
 
 def _spectrum_reports(cfg: RunConfig) -> list:
     p = cfg.params()
-    t = cfg.truncation()
     n_extreme = 10
     exact = spectrum_points(p, max(30, n_extreme)).merged_by_magnitude()[:n_extreme]
     reports = []

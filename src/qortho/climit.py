@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 from qortho.qseries import DomainError, QParams, Truncation
-from qortho.polynomials import classical_laguerre
+from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.orthogonality import VerificationReport
 
 __all__ = [
@@ -85,19 +85,6 @@ def fit_rate(gaps, errs, floor: float = 1e-14):
     return slope, c_fit
 
 
-def _recurrence_value(n: int, x, a, b, q):
-    """P_n(x; a, b; q) by upward recurrence with raw parameters."""
-    prev = 0 * q
-    cur = 1 + q * 0
-    for k in range(n):
-        d = -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
-        nxt = ((x - d) * cur + a * b * q ** (k + 1) * (1 - q**k) * prev) / (
-            (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
-        )
-        prev, cur = cur, nxt
-    return cur
-
-
 def limit_polynomial_check(
     n: int,
     x: float,
@@ -122,11 +109,10 @@ def limit_polynomial_check(
         if gap < EXTENDED_PRECISION_GAP:
             with mpmath.workdps(40):
                 qm = mpmath.mpf(q)
-                val = float(
-                    _recurrence_value(n, mpmath.mpf(x), qm**sweep.alpha, qm**sweep.beta / (qm - 1), qm)
-                )
+                pm = QParams(q=qm, a=qm**sweep.alpha, b=qm**sweep.beta / (qm - 1))
+                val = float(big_q_laguerre_recurrence(n, mpmath.mpf(x), pm)[n])
         else:
-            val = float(_recurrence_value(n, x, sweep.a_of(q), sweep.b_of(q), q))
+            val = float(big_q_laguerre_recurrence(n, x, QParams(q=q, a=sweep.a_of(q), b=sweep.b_of(q)))[n])
         gaps.append(gap)
         errs.append(abs(val - target))
         values.append(val)
@@ -274,7 +260,7 @@ def _q_monomial_tridiagonal(k: int, q: float, a: float, b: float) -> tuple:
     (sub, diag, super) = (coefficient of x^(k-1), x^k, x^(k+1))."""
     mab = -a * b
     qk = q**k
-    diag = q ** (k + 1) * (a + a * b + b) - a * b * q ** (2 * k + 1) * (1 + q)
+    diag = _recurrence_d(k, a, b, q)
     sub = math.sqrt(mab) * a**0.25 * q ** ((k + 1) / 2.0) * (1 - qk) * math.sqrt(1 - b * qk)
     sup = (
         math.sqrt(mab)

@@ -29,6 +29,7 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
+    _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
     spectral_sequence,
@@ -188,8 +189,7 @@ def build_generator_matrices(p: QParams, dim: int) -> GeneratorMatrices:
 
 
 def _a_diag(p: QParams, n: np.ndarray) -> np.ndarray:
-    q, a, b = p.q, p.a, p.b
-    return q ** (n + 1) * (a + a * b + b) - a * b * q ** (2 * n + 1) * (1 + q)
+    return _recurrence_d(n, p.a, p.b, p.q)
 
 
 def build_A(p: QParams, dim: int) -> Tridiagonal:

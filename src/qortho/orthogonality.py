@@ -17,6 +17,7 @@ sequences before being accumulated in floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -173,6 +174,49 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
 
 
 # ---------------------------------------------------------------------------
+# sweep-owned pair tables: every identity over the spectral index or over m
+# is a sum over k of term(i, j, k), and one table serves every (i, j) pair of
+# a sweep
+
+
+class _PairSum:
+    """A table whose pair_sum(i, j, t) is the certified sum over k of
+    term(i, j, k)."""
+
+    hard_cap = 2000
+
+    def pair_sum(self, i: int, j: int, t: Truncation):
+        return _certified_sum(lambda k: self.term(i, j, k), t, self.hard_cap)
+
+
+class _PairTable(_PairSum):
+    """The weighted bilinear family sum_k w_k u(i, k) v(j, k).
+
+    The weights are built on first use, in order of k, from w0 and the
+    recurrence w_(k+1) = step(k, w_k); u and v (v defaults to u) are value
+    functions (i, k) -> value that keep their own memo.  A positive
+    family's weights are checked as they are read."""
+
+    def __init__(self, w0, step, u, v=None, positive: bool = True):
+        self._weights = [w0]
+        self._step = step
+        self._u = u
+        self._v = u if v is None else v
+        self._positive = positive
+
+    def weight(self, k: int):
+        while len(self._weights) <= k:
+            self._weights.append(self._step(len(self._weights) - 1, self._weights[-1]))
+        w = self._weights[k]
+        if self._positive and not w > 0:
+            raise DomainError("orthogonality weight lost positivity")
+        return w
+
+    def term(self, i: int, j: int, k: int):
+        return self.weight(k) * self._u(i, k) * self._v(j, k)
+
+
+# ---------------------------------------------------------------------------
 # constants shared by the closed-form sides
 
 
@@ -255,10 +299,11 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
 # the q-integral orthogonality of the polynomial family
 
 
-def _spectral_weighted_sum(branch: str, m: int, m2: int, p: QParams, t: Truncation):
-    """sum_n w_n P_m(lam_n) P_m2(lam_n) over one spectral branch, with
-    w_n = (q^(n+1); q)_inf (c q^(n+1)/d; q)_inf / (c q^(n+1); q)_inf q^n
-    for branch value c and opposite value d."""
+def _spectral_table(branch: str, K: int, p: QParams, t: Truncation) -> _PairTable:
+    """P_0..P_K at the spectral points lam_n = c q^(n+1) of one branch,
+    with the weights w_n = (q^(n+1); q)_inf (c q^(n+1)/d; q)_inf /
+    (c q^(n+1); q)_inf q^n for branch value c and opposite value d.  Row n
+    is one forward recurrence, built on first use."""
     q = p.q
     c, d = (p.a, p.b) if branch == "a" else (p.b, p.a)
     w0 = (
@@ -266,22 +311,30 @@ def _spectral_weighted_sum(branch: str, m: int, m2: int, p: QParams, t: Truncati
         * q_pochhammer_inf(c * q / d, q, t)
         / q_pochhammer_inf(c * q, q, t)
     )
-    deg = max(m, m2)
-    state = {"w": w0, "n": -1}
+    rows: list = []
 
-    def term(n: int) -> float:
-        if n != state["n"] + 1:  # _certified_sum iterates sequentially
-            raise RuntimeError("nonsequential term access")
-        state["n"] = n
-        w = state["w"]
-        if not w > 0:
-            raise DomainError("orthogonality weight lost positivity")
-        lam = c * q ** (n + 1)
-        pv = big_q_laguerre_recurrence(deg, lam, p)
-        state["w"] = w * q * (1 - c * q ** (n + 1)) / ((1 - q ** (n + 1)) * (1 - c * q ** (n + 1) / d))
-        return w * pv[m] * pv[m2]
+    def value(m: int, n: int):
+        while len(rows) <= n:
+            rows.append(big_q_laguerre_recurrence(K, c * q ** (len(rows) + 1), p))
+        return rows[n][m]
 
-    return _certified_sum(term, t)
+    def step(n: int, w):
+        return w * q * (1 - c * q ** (n + 1)) / ((1 - q ** (n + 1)) * (1 - c * q ** (n + 1) / d))
+
+    return _PairTable(w0, step, value)
+
+
+def _branch_tables(make, K: int, p: QParams, t: Truncation) -> tuple:
+    """The a-branch and the b-branch table of a sum over spectral points."""
+    return make("a", K, p, t), make("b", K, p, t)
+
+
+def _two_branch_sum(tables: tuple, i: int, j: int, t: Truncation, scale_b: float = 1.0):
+    """The pair sum of the a-branch table plus scale_b times that of the
+    b-branch table: (value, terms used, tail)."""
+    sum_a, used_a, tail_a = tables[0].pair_sum(i, j, t)
+    sum_b, used_b, tail_b = tables[1].pair_sum(i, j, t)
+    return sum_a + scale_b * sum_b, used_a + used_b, tail_a + abs(scale_b) * tail_b
 
 
 def verify_big_laguerre_orthogonality(
@@ -294,10 +347,11 @@ def verify_big_laguerre_orthogonality(
     """Orthogonality of the polynomial family over its two-branch
     discrete measure: the weighted sums over both spectral branches
     against the closed-form norm times a Kronecker delta."""
-    sum_a, used_a, tail_a = _spectral_weighted_sum("a", m, m2, p, t)
-    sum_b, used_b, tail_b = _spectral_weighted_sum("b", m, m2, p, t)
-    lhs = sum_a - (p.b / p.a) * sum_b
-    tail = tail_a + abs(p.b / p.a) * tail_b
+    return _verify_big_laguerre(m, m2, p, t, tolerance, _branch_tables(_spectral_table, max(m, m2), p, t))
+
+
+def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
+    lhs, used, tail = _two_branch_sum(tables, m, m2, t, -p.b / p.a)
     rhs = 0.0
     if m == m2:
         rhs = (
@@ -307,9 +361,7 @@ def verify_big_laguerre_orthogonality(
             * (-p.a * p.b) ** m
             * p.q ** (m * (m + 3) / 2.0)
         )
-    return _finalize(
-        "big-laguerre", p, (m, m2), lhs, rhs, used_a + used_b, tail, tolerance
-    )
+    return _finalize("big-laguerre", p, (m, m2), lhs, rhs, used, tail, tolerance)
 
 
 def verify_identity_3637(
@@ -321,10 +373,7 @@ def verify_identity_3637(
     checked against its closed-form product value, with the equivalent
     basic-series form evaluated as a cross-check."""
     q, a, b = p.q, p.a, p.b
-    sum_a, used_a, tail_a = _spectral_weighted_sum("a", 0, 0, p, t)
-    sum_b, used_b, tail_b = _spectral_weighted_sum("b", 0, 0, p, t)
-    lhs = sum_a - (b / a) * sum_b
-    tail = tail_a + abs(b / a) * tail_b
+    lhs, used, tail = _two_branch_sum(_branch_tables(_spectral_table, 0, p, t), 0, 0, t, -b / a)
     rhs = _kc(p, t)
 
     # equivalent form: prefactored 2phi1 evaluations at argument q
@@ -341,7 +390,7 @@ def verify_identity_3637(
     )
     cross = float(abs(lhs - lhs_phi))
     note = f"basic-series form agrees to {cross:.3e}"
-    rep = _finalize("sears", p, (0, 0), lhs, rhs, used_a + used_b, tail, tolerance, note)
+    rep = _finalize("sears", p, (0, 0), lhs, rhs, used, tail, tolerance, note)
     if cross > 1e-11 * (1.0 + abs(lhs)) and rep.status == "pass":
         rep = replace(rep, status="fail", passed=False, note=note + " (cross-check failed)")
     return rep
@@ -378,24 +427,26 @@ def _bilinear_terms(vals1, vals2) -> list:
     return out
 
 
-def _bilinear_sum(
-    coeff_fn,
-    p: QParams,
-    spec1: tuple,
-    spec2: tuple,
-    t: Truncation,
-    m_cap: int = 320,
-):
-    """Certified sum over m of coeff(spec1)[m] * coeff(spec2)[m]."""
+# largest basis cut-off of the bilinear sums over m
+_M_CAP = 320
+
+
+def _bilinear_sum(coeff1, coeff2, t: Truncation):
+    """Certified sum over m of coeff1(m_cut)[m] * coeff2(m_cut)[m], where
+    coeff(m_cut) returns the coefficients 0..m_cut of one side; m_cut
+    doubles from 48 up to _M_CAP until the tail is certified."""
     m_cut = 48
     while True:
-        vals1 = coeff_fn(p, spec1[0], spec1[1], m_cut)
-        vals2 = coeff_fn(p, spec2[0], spec2[1], m_cut) if spec2 != spec1 else vals1
-        arr = _bilinear_terms(vals1, vals2)
+        arr = _bilinear_terms(coeff1(m_cut), coeff2(m_cut))
         value, used, tail = _certified_sum(lambda m: arr[m], t, hard_cap=m_cut)
-        if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= m_cap:
+        if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= _M_CAP:
             return value, used, tail
-        m_cut = min(2 * m_cut, m_cap)
+        m_cut = min(2 * m_cut, _M_CAP)
+
+
+def _a_coeffs(p: QParams, spec: tuple):
+    """m_cut -> eigencoefficients a_0..a_m_cut at spec = (branch, index)."""
+    return lambda m_cut: _a_coeff_mpf_cached(p, *spec, m_cut)
 
 
 def verify_dual_orthogonality(
@@ -426,16 +477,19 @@ def verify_dual_orthogonality(
     else:
         spec1, spec2 = ("a", n), ("b", n2)
         rhs = 0.0
-    lhs, used, tail = _bilinear_sum(_a_coeff_mpf_cached, p, spec1, spec2, t)
+    lhs, used, tail = _bilinear_sum(_a_coeffs(p, spec1), _a_coeffs(p, spec2), t)
     return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
-class _RowTable:
+class _RowTable(_PairSum):
     """Coefficient rows of one spectral branch for the unitarity-rows
-    sums.  Row n holds the signed logs of a_0..a_K(lam_n) and
-    2 log10 c_n; rows are built on first use, in order of n, and shared by
-    every (i, j) pair with max(i, j) <= K that is summed with the table.
-    The n-independent prefactors pref_0..pref_K are built once with it."""
+    sums sum_n c_n^2 a_i(lam_n) a_j(lam_n).  Row n holds the signed logs of
+    a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them in log
+    form; rows are built on first use, in order of n, and shared by every
+    (i, j) pair with max(i, j) <= K.  The n-independent prefactors
+    pref_0..pref_K are built once with the table."""
+
+    hard_cap = 700
 
     def __init__(self, branch: str, K: int, p: QParams, t: Truncation):
         self.branch, self.K, self.p, self.t = branch, K, p, t
@@ -450,34 +504,20 @@ class _RowTable:
             self._rows.append((s, l, 2.0 * math.log10(self._cfun(k, self.p, self.t))))
         return self._rows[n]
 
-
-def _row_tables(p: QParams, t: Truncation, K: int) -> tuple:
-    return _RowTable("a", K, p, t), _RowTable("b", K, p, t)
-
-
-def _rows_branch_sum(table: _RowTable, i: int, j: int, t: Truncation):
-    """sum_n c_n^2 a_i(lam_n) a_j(lam_n) over one spectral branch, with
-    the terms formed from extended-precision coefficient logs."""
-
-    def term(n: int) -> float:
-        s, l, lc = table.row(n)
+    def term(self, i: int, j: int, n: int) -> float:
+        s, l, lc = self.row(n)
         lg = l[i] + l[j] + lc
         if lg == -math.inf or lg < -300:
             return 0.0
         return s[i] * s[j] * 10.0**lg
 
-    return _certified_sum(term, t, hard_cap=700)
-
 
 def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
-    sum_a, used_a, tail_a = _rows_branch_sum(tables[0], i, j, t)
-    sum_b, used_b, tail_b = _rows_branch_sum(tables[1], i, j, t)
+    lhs, used, tail = _two_branch_sum(tables, i, j, t)
     rhs = 1.0 if i == j else 0.0
-    return _finalize(
-        "unitarity-rows", p, (i, j), sum_a + sum_b, rhs, used_a + used_b, tail_a + tail_b, tolerance
-    )
+    return _finalize("unitarity-rows", p, (i, j), lhs, rhs, used, tail, tolerance)
 
 
 def verify_unitarity(
@@ -497,14 +537,12 @@ def verify_unitarity(
     the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
     rowcol = RowCol(rowcol)
     if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, p, t, tolerance, _row_tables(p, t, max(i, j)))
+        return _verify_rows(i, j, p, t, tolerance, _branch_tables(_RowTable, max(i, j), p, t))
     return _verify_columns(i, j, p, t, tolerance, _c_of_label(i, p, t), _c_of_label(j, p, t))
 
 
 def _verify_columns(i: int, j: int, p: QParams, t: Truncation, tolerance: float, ci: float, cj: float):
-    spec1 = _branch_of_label(i)
-    spec2 = _branch_of_label(j)
-    value, used, tail = _bilinear_sum(_a_coeff_mpf_cached, p, spec1, spec2, t)
+    value, used, tail = _bilinear_sum(_a_coeffs(p, _branch_of_label(i)), _a_coeffs(p, _branch_of_label(j)), t)
     lhs = ci * cj * value
     rhs = 1.0 if i == j else 0.0
     return _finalize("unitarity-columns", p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
@@ -527,18 +565,11 @@ def verify_biorthogonality(
 def _verify_biortho(m: int, n: int, p: QParams, t: Truncation, tolerance: float, cm: float, cn: float):
     spec1 = _branch_of_label(m)
     spec2 = _branch_of_label(n)
-
-    m_cut = 48
-    m_cap = 320
-    while True:
-        psi_vals = _psi_phi_mpf_cached(p, spec1[0], spec1[1], m_cut)[0]
-        phi_vals = _psi_phi_mpf_cached(p, spec2[0], spec2[1], m_cut)[1]
-        arr = _bilinear_terms(psi_vals, phi_vals)
-        value, used, tail = _certified_sum(lambda k: arr[k], t, hard_cap=m_cut)
-        if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= m_cap:
-            break
-        m_cut = min(2 * m_cut, m_cap)
-
+    value, used, tail = _bilinear_sum(
+        lambda m_cut: _psi_phi_mpf_cached(p, *spec1, m_cut)[0],
+        lambda m_cut: _psi_phi_mpf_cached(p, *spec2, m_cut)[1],
+        t,
+    )
     lhs = cm * cn * value
     rhs = 1.0 if m == n else 0.0
     return _finalize("biortho", p, (m, n), lhs, rhs, used, cm * cn * tail, tolerance)
@@ -548,47 +579,38 @@ def _verify_biortho(m: int, n: int, p: QParams, t: Truncation, tolerance: float,
 # q-Meixner orthogonality relations
 
 
-class _MeixnerTable:
-    """Values M_n(q^-m; first, -second/first; q) of one q-Meixner
-    parameterization, evaluated on first use and kept by (n, m) for every
-    (n, n2) pair summed with the table.  The scalars are those of p, or
-    mpmath floats when mp is set; an mp table's values take the working
-    precision of the calls that fill them, so build and read it inside one
-    workdps block."""
+def _meixner_values(first, second, q, t: Truncation):
+    """(n, m) -> M_n(q^-m; first, -second/first; q), each value evaluated
+    on first use and kept.  The scalars are floats or mpmath floats; an
+    mpmath memo's values take the working precision of the calls that fill
+    it, so build and read it inside one workdps block."""
+    c = -second / first
+    values: dict = {}
 
-    def __init__(self, first, second, p: QParams, t: Truncation, mp: bool = False):
-        num = mpmath.mpf if mp else (lambda x: x)
-        self.q, self.first, self.second = num(p.q), num(first), num(second)
-        self.c = -self.second / self.first
-        self.t = t
-        self._values: dict = {}
+    def value(n: int, m: int):
+        if (n, m) not in values:
+            values[n, m] = q_meixner(n, m, first, c, q, t)
+        return values[n, m]
 
-    def __call__(self, n: int, m: int):
-        key = (n, m)
-        if key not in self._values:
-            self._values[key] = q_meixner(n, m, self.first, self.c, self.q, self.t)
-        return self._values[key]
+    return value
 
 
-def _meixner_weighted_sum(table: _MeixnerTable, n: int, n2: int, t: Truncation):
+def _meixner_table(first, second, p: QParams, t: Truncation) -> _PairTable:
     """sum_m (first*q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second*q;q)_m (q;q)_m)
-    M_n(q^-m) M_n2(q^-m) with both polynomials read from the table of the
-    (first, -second/first) parameterization."""
-    q, fa, sa = table.q, table.first, table.second
-    state = {"w": 1.0 * q / q}
+    M_n(q^-m) M_n2(q^-m) for the (first, -second/first) parameterization."""
+    q = p.q
+    c = -second / first
 
-    def term(m: int) -> float:
-        w = state["w"]
-        if not w > 0:
-            raise DomainError("orthogonality weight lost positivity")
-        v1 = table(n, m)
-        v2 = table(n2, m)
-        state["w"] = w * (1 - fa * q ** (m + 1)) * table.c * q**m / (
-            (1 - sa * q ** (m + 1)) * (1 - q ** (m + 1))
-        )
-        return w * v1 * v2
+    def step(m: int, w):
+        return w * (1 - first * q ** (m + 1)) * c * q**m / ((1 - second * q ** (m + 1)) * (1 - q ** (m + 1)))
 
-    return _certified_sum(term, t)
+    return _PairTable(1.0, step, _meixner_values(first, second, q, t))
+
+
+def _meixner_params(identity_id: str, p: QParams) -> tuple:
+    """(first, second) of a q-Meixner family: (a, b) for "meixner", (b, a)
+    for "meixner-negb"."""
+    return (p.a, p.b) if identity_id == "meixner" else (p.b, p.a)
 
 
 def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
@@ -604,10 +626,10 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
 
 
 def _verify_meixner(
-    identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _MeixnerTable
+    identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _PairTable
 ):
-    lhs, used, tail = _meixner_weighted_sum(table, n, n2, t)
-    rhs = _meixner_rhs(table.first, table.second, n, p, t) if n == n2 else 0.0
+    lhs, used, tail = table.pair_sum(n, n2, t)
+    rhs = _meixner_rhs(*_meixner_params(identity_id, p), n, p, t) if n == n2 else 0.0
     return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
@@ -620,7 +642,7 @@ def verify_meixner_orthogonality(
 ) -> VerificationReport:
     """The classical q-Meixner orthogonality, realized here by the
     positive-parameter family M_n(q^-m; a, -b/a; q)."""
-    return _verify_meixner("meixner", n, n2, p, t, tolerance, _MeixnerTable(p.a, p.b, p, t))
+    return _verify_meixner("meixner", n, n2, p, t, tolerance, _meixner_table(p.a, p.b, p, t))
 
 
 def verify_negative_b_meixner_orthogonality(
@@ -632,28 +654,32 @@ def verify_negative_b_meixner_orthogonality(
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
     M_n(q^-m; b, -a/b; q) with b < 0."""
-    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _MeixnerTable(p.b, p.a, p, t))
+    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _meixner_table(p.b, p.a, p, t))
 
 
 _EQ_ZERO_RETRY_DPS = 40
 
 
-class _EqZeroTables:
-    """The two families of the eq-zero sums, M_n(q^-m; a, -b/a) and
-    M_n2(q^-m; b, -a/b), as a pair of float tables and a pair of
-    extended-precision tables for the retry, built on its first use."""
+def _eq_zero_table(p: QParams, t: Truncation, mp: bool = False) -> _PairTable:
+    """sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b),
+    in the scalars of p, or in mpmath floats when mp is set (then build
+    and read the table inside workdps(_EQ_ZERO_RETRY_DPS))."""
+    num = mpmath.mpf if mp else (lambda x: x)
+    q, a, b = num(p.q), num(p.a), num(p.b)
+    return _PairTable(
+        1.0,
+        lambda m, w: -w * q**m / (1 - q ** (m + 1)),
+        _meixner_values(a, b, q, t),
+        _meixner_values(b, a, q, t),
+        positive=False,
+    )
 
-    def __init__(self, p: QParams, t: Truncation):
-        self.p, self.t = p, t
-        self.double = (_MeixnerTable(p.a, p.b, p, t), _MeixnerTable(p.b, p.a, p, t))
-        self._extended = None
 
-    def extended(self) -> tuple:
-        """The mpmath pair; call inside workdps(_EQ_ZERO_RETRY_DPS)."""
-        if self._extended is None:
-            p, t = self.p, self.t
-            self._extended = (_MeixnerTable(p.a, p.b, p, t, mp=True), _MeixnerTable(p.b, p.a, p, t, mp=True))
-        return self._extended
+def _eq_zero_tables(p: QParams, t: Truncation) -> tuple:
+    """The float eq-zero table of one sweep, and a function that returns
+    the mpmath table for its retries, built on its first call; call it
+    inside workdps(_EQ_ZERO_RETRY_DPS)."""
+    return _eq_zero_table(p, t), functools.cache(functools.partial(_eq_zero_table, p, t, mp=True))
 
 
 def verify_Eq_zero_identity(
@@ -672,29 +698,17 @@ def verify_Eq_zero_identity(
     -q^-j, which is why the alternating sum cancels exactly.  Computed
     with compensated summation; retried at extended precision if the
     64-bit residual exceeds tolerance."""
-    return _verify_eq_zero(n, n2, p, t, tolerance, _EqZeroTables(p, t))
+    return _verify_eq_zero(n, n2, p, t, tolerance, _eq_zero_tables(p, t))
 
 
-def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, tables: _EqZeroTables):
-    def run(table_a: _MeixnerTable, table_b: _MeixnerTable):
-        q = table_a.q
-        state = {"w": 1.0 * q / q}
-
-        def term(m: int) -> float:
-            w = state["w"]
-            v1 = table_a(n, m)
-            v2 = table_b(n2, m)
-            state["w"] = -w * q**m / (1 - q ** (m + 1))
-            return w * v1 * v2
-
-        return _certified_sum(term, t)
-
-    lhs, used, tail = run(*tables.double)
+def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
+    double, extended = tables
+    lhs, used, tail = double.pair_sum(n, n2, t)
     note = "every term reduces to E_q at a zero -q^-j"
     scale = 1.0 + abs(lhs)
     if abs(lhs) > tolerance * scale and tail <= tolerance * scale:
         with mpmath.workdps(_EQ_ZERO_RETRY_DPS):
-            lhs, used, tail = run(*tables.extended())
+            lhs, used, tail = extended().pair_sum(n, n2, t)
         note += "; retried at extended precision"
     return _finalize("eq-zero", p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
 
@@ -737,12 +751,13 @@ def run_identity_checks(
     zpairs = [(i, j) for i in zlabels for j in zlabels if i <= j]
 
     if identity == "big-laguerre":
+        tables = _branch_tables(_spectral_table, index_max, p, t)
         for i, j in pairs_upper:
-            reports.append(verify_big_laguerre_orthogonality(i, j, p, t, tolerance))
+            reports.append(_verify_big_laguerre(i, j, p, t, tolerance, tables))
     elif identity == "sears":
         reports.append(verify_identity_3637(p, t, tolerance))
     elif identity == "unitarity":
-        tables = _row_tables(p, t, index_max)
+        tables = _branch_tables(_RowTable, index_max, p, t)
         for i, j in pairs_upper:
             reports.append(_verify_rows(i, j, p, t, tolerance, tables))
         cs = {label: _c_of_label(label, p, t) for label in zlabels}
@@ -754,18 +769,14 @@ def run_identity_checks(
             reports.append(verify_dual_orthogonality(DualPair.GG, i, j, p, t, tolerance))
         for i, j in grid_full:
             reports.append(verify_dual_orthogonality(DualPair.FG, i, j, p, t, tolerance))
-    elif identity == "meixner":
-        table = _MeixnerTable(p.a, p.b, p, t)
+    elif identity in ("meixner", "meixner-negb"):
+        table = _meixner_table(*_meixner_params(identity, p), p, t)
         for i, j in pairs_upper:
-            reports.append(_verify_meixner("meixner", i, j, p, t, tolerance, table))
-    elif identity == "meixner-negb":
-        table = _MeixnerTable(p.b, p.a, p, t)
-        for i, j in pairs_upper:
-            reports.append(_verify_meixner("meixner-negb", i, j, p, t, tolerance, table))
+            reports.append(_verify_meixner(identity, i, j, p, t, tolerance, table))
     elif identity == "eq-zero":
-        eq_tables = _EqZeroTables(p, t)
+        tables = _eq_zero_tables(p, t)
         for i, j in grid_full:
-            reports.append(_verify_eq_zero(i, j, p, t, tolerance, eq_tables))
+            reports.append(_verify_eq_zero(i, j, p, t, tolerance, tables))
     elif identity == "biortho":
         cs = {label: _c_of_label(label, p, t) for label in zlabels}
         for i, j in zpairs:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BASE = [sys.executable, "-m", "qortho"]
 
 
@@ -252,18 +254,34 @@ class TestCommands:
         assert rec["residual"] <= 1e-14
 
 
-class TestGoldenOutput:
-    # a reference output of this command; an engine change that moves any
-    # digit of any record shows up here (CHANGES.md says when the file may
-    # be regenerated)
-    GOLDEN = Path(__file__).parent / "data" / "verify_all_index3_q0.5_a0.5_b-0.7.csv"
+def first_difference(got: bytes, want: bytes) -> str:
+    """The first line where two outputs differ, for a readable failure."""
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    for number, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            return f"line {number} differs:\n  got:  {g.decode()!r}\n  want: {w.decode()!r}"
+    return f"output has {len(got_lines)} lines, golden file {len(want_lines)}"
 
-    def test_verify_all_csv_matches_golden_bytes(self):
-        res = subprocess.run(
-            BASE
-            + ["verify", "--identity", "all", "--index-max", "3", "--format", "csv", "--no-timestamp"]
-            + ["--q", "0.5", "--a", "0.5", "--b", "-0.7"],
-            capture_output=True,
-        )
+
+class TestGoldenOutput:
+    # reference outputs of these commands; an engine change that moves any
+    # digit of any record shows up here (CHANGES.md says when a file may be
+    # regenerated)
+    GOLDEN = [
+        (
+            ["verify", "--identity", "all", "--index-max", "3", "--q", "0.5", "--a", "0.5", "--b", "-0.7"],
+            "verify_all_index3_q0.5_a0.5_b-0.7.csv",
+        ),
+        (
+            ["report-all", "--precision", "extended", "--index-max", "3", "--dim", "60"],
+            "report_all_extended_index3_dim60.csv",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,name", GOLDEN, ids=[name for _, name in GOLDEN])
+    def test_csv_matches_golden_bytes(self, argv, name):
+        res = subprocess.run(BASE + argv + ["--format", "csv", "--no-timestamp"], capture_output=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == self.GOLDEN.read_bytes()
+        want = (Path(__file__).parent / "data" / name).read_bytes()
+        if res.stdout != want:
+            pytest.fail(first_difference(res.stdout, want), pytrace=False)

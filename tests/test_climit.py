@@ -40,6 +40,16 @@ class TestLimitSweep:
         with pytest.raises(DomainError):
             LimitSweep(alpha=1.0, beta=0.5, q_sequence=(0.5, 1.0))
 
+    @pytest.mark.parametrize("alpha", [-1.0, -1.5])
+    def test_alpha_outside_limit_regime_rejected(self, alpha):
+        # alpha <= -1 gives a(q) q = q^(alpha+1) >= 1, outside the parameter
+        # domain, for every q; degree 0 gets past the L_n^(alpha)(0) check
+        sweep = LimitSweep(alpha=alpha, beta=0.5)
+        with pytest.raises(DomainError, match="a must be smaller than 1/q"):
+            limit_polynomial_check(0, 0.4, sweep, T)
+        with pytest.raises(DomainError, match="a must be smaller than 1/q"):
+            limit_operator_entries_check(0, sweep)
+
 
 class TestLimitPolynomial:
     def test_degree_zero_exact(self):

@@ -62,10 +62,10 @@ class TestSears:
 
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
-        from qortho.orthogonality import _spectral_weighted_sum
+        from qortho.orthogonality import _spectral_table
 
         for branch in ("a", "b"):
-            val, _, _ = _spectral_weighted_sum(branch, 0, 0, P1, T)
+            val, _, _ = _spectral_table(branch, 0, P1, T).pair_sum(0, 0, T)
             assert val > 0
 
 
@@ -206,9 +206,9 @@ class TestMeixnerOrthogonality:
     def test_negb_is_parameter_swap_of_meixner(self):
         # swapping (a, b) -> (b, a) in the positive-parameter verifier
         # reproduces the negative-parameter sum exactly
-        from qortho.orthogonality import _MeixnerTable, _meixner_weighted_sum
+        from qortho.orthogonality import _meixner_table
 
-        lhs_negb, _, _ = _meixner_weighted_sum(_MeixnerTable(P1.b, P1.a, P1, T), 1, 2, T)
+        lhs_negb, _, _ = _meixner_table(P1.b, P1.a, P1, T).pair_sum(1, 2, T)
         r = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
         assert r.lhs == lhs_negb
 
@@ -285,7 +285,8 @@ class TestReports:
         assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
 
     # the q-Meixner sweeps share one table of M_n(q^-m) values per
-    # parameterization (eq-zero also a 40-digit pair for its retries); a
+    # parameterization (eq-zero also a 40-digit table for its retries), and
+    # big-laguerre one table of P_0..P_K(lam_n) per spectral branch; a
     # standalone call builds its own, so every record must match field for
     # field, the retried ones included
     MEIXNER_STANDALONE = {
@@ -293,8 +294,9 @@ class TestReports:
         "meixner-negb": verify_negative_b_meixner_orthogonality,
         "eq-zero": verify_Eq_zero_identity,
     }
+    SWEEP_STANDALONE = {**MEIXNER_STANDALONE, "big-laguerre": verify_big_laguerre_orthogonality}
 
-    @pytest.mark.parametrize("family", ["meixner", "meixner-negb", "eq-zero"])
+    @pytest.mark.parametrize("family", ["meixner", "meixner-negb", "eq-zero", "big-laguerre"])
     @pytest.mark.parametrize(
         "p",
         PARAMS + [P_RETRY, QParams(q=0.95, a=0.9, b=-3.0)],
@@ -303,7 +305,7 @@ class TestReports:
     def test_meixner_sweep_matches_standalone(self, family, p):
         sweep = run_identity_checks(family, p, T, index_max=8)
         assert len(sweep) == (81 if family == "eq-zero" else 45)
-        standalone = self.MEIXNER_STANDALONE[family]
+        standalone = self.SWEEP_STANDALONE[family]
         for r in sweep:
             assert r == standalone(*r.indices, p, T), r.indices
         if family == "eq-zero" and p is P_RETRY:
@@ -354,6 +356,38 @@ class TestReports:
             else:
                 lhs, used, tail = literal(*r.indices, mp=False)
             assert (r.lhs, r.terms_used, r.tail_estimate) == (float(lhs), used, float(tail)), r.indices
+
+    def test_big_laguerre_matches_literal_per_pair_sum(self):
+        # reference: the per-pair loop over each spectral branch, with
+        # P_0..P_max(m, m2)(lam_n) recomputed for every term; a table that
+        # reads the wrong row or degree fails here, while the
+        # sweep-vs-standalone test cannot tell, since both sides share it
+        from qortho.orthogonality import _certified_sum
+        from qortho.polynomials import big_q_laguerre_recurrence
+        from qortho.qseries import q_pochhammer_inf
+
+        p, q = P2, P2.q
+
+        def literal(branch, m, m2):
+            c, d = (p.a, p.b) if branch == "a" else (p.b, p.a)
+            w0 = q_pochhammer_inf(q, q, T) * q_pochhammer_inf(c * q / d, q, T) / q_pochhammer_inf(c * q, q, T)
+            state = {"w": w0}
+
+            def term(n):
+                w = state["w"]
+                pv = big_q_laguerre_recurrence(max(m, m2), c * q ** (n + 1), p)
+                state["w"] = w * q * (1 - c * q ** (n + 1)) / ((1 - q ** (n + 1)) * (1 - c * q ** (n + 1) / d))
+                return w * pv[m] * pv[m2]
+
+            return _certified_sum(term, T)
+
+        reports = run_identity_checks("big-laguerre", p, T, index_max=8)
+        assert len(reports) == 45
+        for r in reports:
+            sum_a, used_a, tail_a = literal("a", *r.indices)
+            sum_b, used_b, tail_b = literal("b", *r.indices)
+            want = (sum_a - (p.b / p.a) * sum_b, used_a + used_b, tail_a + abs(p.b / p.a) * tail_b)
+            assert (r.lhs, r.terms_used, r.tail_estimate) == want, r.indices
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}
