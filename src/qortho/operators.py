@@ -530,19 +530,34 @@ def spectrum_points(p: QParams, N: int) -> SpectralPoints:
     return SpectralPoints(upper=p.a * p.q ** (n + 1), lower=p.b * p.q ** (n + 1))
 
 
-def eig_tridiagonal(tri: Tridiagonal) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
+# Bisection steps allowed before the solve gives up; the number of
+# Sturm-count points one speculative pass may evaluate (a pass costs one
+# Python loop over the rows, nearly flat up to about this many points);
+# rows per block of a count, which bounds its scratch to block x points.
+_MAX_BISECTIONS = 120
+_POINTS_PER_PASS = 512
+_COUNT_BLOCK_ROWS = 64
+
+
+def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending; or,
+    given target points `near`, for each target the eigenvalue nearest
+    to it.
 
     Bisection on the Sturm sign-count of the shifted LDL^T pivots:
-    deterministic, and accurate to ~1e-15 * ||T|| even for the
-    eigenvalues clustered near zero.
+    deterministic, and accurate to ~1e-14 * ||T|| even for the
+    eigenvalues clustered near zero.  With `near`, one count at the
+    targets gives the number k_t of eigenvalues below each, and only the
+    indices k_t-2 .. k_t+1 are bisected; each result is bit for bit
+    `full[argmin |full - t|]` of the full solve.
     """
     if not tri.is_symmetric:
         raise DomainError("eig_tridiagonal requires a symmetric matrix")
     d = np.asarray(tri.diag, dtype=float)
     n = d.size
+    targets = None if near is None else np.asarray(near, dtype=float).reshape(-1)
     if n == 1:
-        return d.copy()
+        return d.copy() if targets is None else np.full(targets.size, d[0])
     e = np.asarray(tri.offdiag, dtype=float)
     e2 = e * e
     rad = np.zeros(n)
@@ -554,31 +569,87 @@ def eig_tridiagonal(tri: Tridiagonal) -> np.ndarray:
     pivmin = 1e-290
 
     def count_below(xs: np.ndarray) -> np.ndarray:
+        # pivots d[i] - x - e2[i-1] / pivot[i-1], floored away from zero;
+        # each block of rows gets its shifts d[i] - x and its count of
+        # negative pivots in one numpy call
         cnt = np.zeros(xs.shape, dtype=np.int64)
-        dd = d[0] - xs
-        dd = np.where(np.abs(dd) < pivmin, -pivmin, dd)
-        cnt += dd < 0
-        for i in range(1, n):
-            dd = d[i] - xs - e2[i - 1] / dd
-            dd = np.where(np.abs(dd) < pivmin, -pivmin, dd)
-            cnt += dd < 0
+        prev = None
+        for start in range(0, n, _COUNT_BLOCK_ROWS):
+            piv = d[start : start + _COUNT_BLOCK_ROWS, None] - xs
+            for i, row in enumerate(piv, start):
+                if i:
+                    row -= e2[i - 1] / prev
+                row[np.abs(row) < pivmin] = -pivmin
+                prev = row
+            cnt += np.count_nonzero(piv < 0, axis=0)
         return cnt
 
-    ks = np.arange(n)
-    lob = np.full(n, lo - 1e-12 * norm)
-    hib = np.full(n, hi + 1e-12 * norm)
-    width_target = 1e-14 * norm
-    for _ in range(120):
-        done = (hib - lob) <= width_target
-        if np.all(done):
-            break
-        mid = 0.5 * (lob + hib)
-        below = count_below(mid) > ks
+    if targets is None:
+        ks = np.arange(n)
+    else:
+        window = count_below(targets)[:, None] + np.arange(-2, 2)
+        ks = np.unique(np.clip(window, 0, n - 1))
+    lob, hib = _bisect(count_below, ks, lo - 1e-12 * norm, hi + 1e-12 * norm, 1e-14 * norm)
+    eig = 0.5 * (lob + hib)
+    if targets is None:
+        return eig
+    return np.array([eig[np.argmin(np.abs(eig - t))] for t in targets])
+
+
+def _bisect(count_below, ks: np.ndarray, lo: float, hi: float, width_target: float) -> tuple:
+    """Brackets (lob, hib) of the eigenvalues with indices `ks`, by
+    bisection from [lo, hi] until every bracket is at most `width_target`
+    wide.
+
+    One Sturm-count pass serves several bisection levels: it counts the
+    midpoints of the next levels of every distinct bracket's bisection
+    subtree (`_subtree_counts`), and the walk then reads the count of each
+    index's midpoint level by level.  The stop test runs before every
+    level, so the brackets equal those of plain bisection, one count per
+    level, bit for bit.
+    """
+    lob = np.full(ks.size, lo)
+    hib = np.full(ks.size, hi)
+    node = tree = counts = heap = None
+    for _ in range(_MAX_BISECTIONS):
+        if np.all((hib - lob) <= width_target):
+            return lob, hib
+        if heap is None or heap[0] >= tree.shape[1]:
+            node, tree, counts = _subtree_counts(count_below, lob, hib)
+            heap = np.ones(ks.size, dtype=np.int64)
+        mid = tree[node, heap]
+        below = counts[node, heap] > ks
         hib = np.where(below, mid, hib)
         lob = np.where(below, lob, mid)
-    else:
-        raise NonConvergenceError("bisection failed to localize all eigenvalues")
-    return 0.5 * (lob + hib)
+        heap = 2 * heap + ~below
+    raise NonConvergenceError("bisection failed to localize all eigenvalues")
+
+
+def _subtree_counts(count_below, lob: np.ndarray, hib: np.ndarray) -> tuple:
+    """Midpoints and Sturm counts of the next levels of bisection below
+    each distinct bracket, in one call of `count_below`.
+
+    Returns (node, tree, counts): `node[i]` is the row of bracket
+    (lob[i], hib[i]); row r of `tree` holds its subtree in heap order
+    (column 1 splits the bracket, column h has children 2h and 2h+1; the
+    left child keeps the lower half), and `counts` the count at each
+    midpoint.  Each midpoint is `0.5 * (lo + hi)` of the bracket it splits,
+    as one bisection step forms it.  The subtree is as deep as
+    `_POINTS_PER_PASS` points allow, and at least one level.
+    """
+    brackets, node = np.unique(np.stack([lob, hib], axis=1), axis=0, return_inverse=True)
+    rows = len(brackets)
+    depth = max(1, int(math.log2(_POINTS_PER_PASS / rows + 1)))
+    tree = np.empty((rows, 2 ** depth))
+    lo_l, hi_l = brackets[:, :1], brackets[:, 1:]
+    for level in range(depth):
+        mid = 0.5 * (lo_l + hi_l)
+        tree[:, 2 ** level : 2 ** (level + 1)] = mid
+        lo_l = np.stack([lo_l, mid], axis=2).reshape(rows, -1)
+        hi_l = np.stack([mid, hi_l], axis=2).reshape(rows, -1)
+    counts = np.zeros(tree.shape, dtype=np.int64)
+    counts[:, 1:] = count_below(tree[:, 1:].ravel()).reshape(rows, -1)
+    return node.reshape(-1), tree, counts
 
 
 # ---------------------------------------------------------------------------

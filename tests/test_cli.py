@@ -153,6 +153,16 @@ class TestDeterminism:
         assert '"b": -0.69999999999999996' in text
 
 
+class TestStartup:
+    def test_import_does_not_load_process_pool(self):
+        # only `verify --jobs N` needs the pool; every other command would
+        # pay its import at start-up
+        code = "import sys, qortho.cli; print('concurrent.futures.process' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+
 class TestCommands:
     def test_spectrum_contains_exact_first_points(self, tmp_path):
         out = tmp_path / "r.json"
@@ -275,6 +285,10 @@ class TestGoldenOutput:
         (
             ["report-all", "--precision", "extended", "--index-max", "3", "--dim", "60"],
             "report_all_extended_index3_dim60.csv",
+        ),
+        (
+            ["spectrum", "--dim", "1000", "--q", "0.7", "--a", "0.9", "--b", "-0.4"],
+            "spectrum_dim1000_q0.7_a0.9_b-0.4.csv",
         ),
     ]
 

@@ -260,10 +260,113 @@ class TestSpectrum:
         assert len(np.unique(np.concatenate([sp.upper, sp.lower]))) == 24
 
 
+def literal_bisection(d, e):
+    """The eigensolver as one bisection step per Sturm count over all
+    indices: the reference that the speculative passes must reproduce."""
+    n = d.size
+    e2 = e * e
+    rad = np.zeros(n)
+    rad[:-1] += np.abs(e)
+    rad[1:] += np.abs(e)
+    lo = float(np.min(d - rad))
+    hi = float(np.max(d + rad))
+    norm = max(abs(lo), abs(hi), 1e-300)
+    pivmin = 1e-290
+
+    def count_below(xs):
+        cnt = np.zeros(xs.shape, dtype=np.int64)
+        dd = d[0] - xs
+        dd = np.where(np.abs(dd) < pivmin, -pivmin, dd)
+        cnt += dd < 0
+        for i in range(1, n):
+            dd = d[i] - xs - e2[i - 1] / dd
+            dd = np.where(np.abs(dd) < pivmin, -pivmin, dd)
+            cnt += dd < 0
+        return cnt
+
+    ks = np.arange(n)
+    lob = np.full(n, lo - 1e-12 * norm)
+    hib = np.full(n, hi + 1e-12 * norm)
+    for _ in range(120):
+        if np.all((hib - lob) <= 1e-14 * norm):
+            break
+        mid = 0.5 * (lob + hib)
+        below = count_below(mid) > ks
+        hib = np.where(below, mid, hib)
+        lob = np.where(below, lob, mid)
+    else:
+        raise AssertionError("reference bisection did not converge")
+    return 0.5 * (lob + hib)
+
+
+def nearest_of(full, targets):
+    return full[np.argmin(np.abs(full[None, :] - targets[:, None]), axis=1)]
+
+
+def random_tridiagonals():
+    """Seeded symmetric tridiagonals: plain, with repeated diagonal entries,
+    and with zero couplings (exactly repeated eigenvalues)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for dim in (2, 7, 33, 90):
+        d, e = rng.normal(size=dim), rng.normal(size=dim - 1)
+        cases.append((d, e))
+        cases.append((np.round(d), e))
+        e0 = e.copy()
+        e0[::3] = 0.0
+        cases.append((np.full(dim, 0.5), e0))
+    return cases
+
+
 class TestEigTridiagonal:
     def test_dim_one(self):
         tri = Tridiagonal.symmetric(np.array([3.25]), np.array([]))
         assert eig_tridiagonal(tri).tolist() == [3.25]
+
+    def test_dim_one_near(self):
+        tri = Tridiagonal.symmetric(np.array([3.25]), np.array([]))
+        assert eig_tridiagonal(tri, near=[-1.0, 3.25, 7.0]).tolist() == [3.25, 3.25, 3.25]
+
+    def test_no_targets(self):
+        tri = build_A(P1, 12)
+        assert eig_tridiagonal(tri, near=[]).shape == (0,)
+
+    @pytest.mark.parametrize("dim", [12, 20, 60, 250])
+    @pytest.mark.parametrize("p", [P1, P2] + EDGE_POINTS, ids=lambda p: f"q{p.q}-a{p.a:.4g}-b{p.b}")
+    def test_near_is_full_solve_pick(self, p, dim):
+        tri = build_A(p, dim)
+        exact = spectrum_points(p, 30).merged_by_magnitude()[:10]
+        full = eig_tridiagonal(tri)
+        assert np.array_equal(eig_tridiagonal(tri, near=exact), nearest_of(full, exact))
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_near_is_full_solve_pick_random(self, case):
+        d, e = random_tridiagonals()[case]
+        tri = Tridiagonal.symmetric(d, e)
+        full = eig_tridiagonal(tri)
+        rng = np.random.default_rng(case)
+        bound = float(np.max(np.abs(d))) + 2 * float(np.max(np.abs(e), initial=0.0))
+        targets = np.concatenate([
+            rng.uniform(-bound, bound, size=6),  # anywhere in the spectrum's range
+            full[rng.integers(0, d.size, size=4)],  # exactly on computed eigenvalues
+            [-10 * bound - 1, 10 * bound + 1],  # outside the Gershgorin bounds
+            0.5 * (full[:-1] + full[1:])[:3],  # halfway between neighbours
+        ])
+        assert np.array_equal(eig_tridiagonal(tri, near=targets), nearest_of(full, targets))
+
+    def test_full_solve_matches_literal_bisection_dim250(self):
+        tri = build_A(P1, 250)
+        assert np.array_equal(eig_tridiagonal(tri), literal_bisection(tri.diag, tri.offdiag))
+
+    def test_full_solve_matches_literal_bisection_random(self):
+        rng = np.random.default_rng(42)
+        d = rng.normal(size=60)
+        e = rng.normal(size=59)
+        got = eig_tridiagonal(Tridiagonal.symmetric(d, e))
+        assert np.array_equal(got, literal_bisection(d, e))
+        for case in random_tridiagonals():
+            got = eig_tridiagonal(Tridiagonal.symmetric(*case))
+            assert np.array_equal(got, literal_bisection(*case))
 
     def test_two_by_two_closed_form(self):
         d, e = 1.3, 0.6
