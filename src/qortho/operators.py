@@ -293,7 +293,8 @@ def _pref_a_ratio(m, q, a, b):
 def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     """pref_0..pref_m_max as the sequential product of consecutive ratios
     pref_{m+1}/pref_m, so no factor over- or underflows; n-independent,
-    so one list serves every spectral point of a parameter set."""
+    so one list serves every spectral point of a parameter set, and its
+    first m+1 entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
     out = []
     with mpmath.workdps(_COEFF_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
@@ -305,17 +306,15 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     return out
 
 
-def _times_prefactor(seq, p: QParams, ratio_fn):
-    """seq[m] times the prefactor pref_m."""
-    prefs = _prefactors(p, len(seq) - 1, ratio_fn)
+def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):
+    """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
+    exact-exponent mpmath floats, from the backward-recurrence polynomial
+    sequence; prefs is `_prefactors(p, M, ratio_fn)` for some M >= m_max,
+    and its ratio_fn picks the family (the eigencoefficients a_m, or psi_m
+    or phi_m)."""
+    seq = spectral_sequence(p, branch, j, m_max)
     with mpmath.workdps(_COEFF_DPS):
         return [pref * v for pref, v in zip(prefs, seq)]
-
-
-def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, ratio_fn=_pref_a_ratio):
-    """Eigencoefficient values at a spectral point as exact-exponent
-    mpmath floats, from the backward-recurrence polynomial sequence."""
-    return _times_prefactor(spectral_sequence(p, branch, j, m_max), p, ratio_fn)
 
 
 def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
@@ -358,31 +357,17 @@ def _signed_logs(values):
     return signs, logs
 
 
-_A_COEFF_CACHE: dict = {}
-
-
-def _a_coeff_mpf_cached(p: QParams, branch: str, j: int, m_max: int):
-    """Cached eigencoefficient values (mpmath floats) at a spectral
-    point; the sweep engines revisit the same points for many index
-    pairs."""
-    key = (float(p.q), float(p.a), float(p.b), branch, j)
-    hit = _A_COEFF_CACHE.get(key)
-    if hit is not None and len(hit) > m_max:
-        return hit[: m_max + 1]
-    out = _spectral_coeff_mpf(p, branch, j, m_max)
-    _A_COEFF_CACHE[key] = out
-    return out
-
-
 def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None):
     """(sign, log10|a_m|) arrays of the eigencoefficients at the spectral
-    point of the given branch/index, m = 0..m_max: forward recurrence
-    (with the optional shared `_prefactors(p, m_max)` list) when every
-    degree is at most the spectral index, backward minimal-solution
-    recurrence otherwise."""
+    point of the given branch/index, m = 0..m_max: forward recurrence when
+    every degree is at most the spectral index, backward minimal-solution
+    recurrence otherwise; prefs is the shared `_prefactors(p, m_max)`
+    list, built here when not given."""
+    if prefs is None:
+        prefs = _prefactors(p, m_max)
     if j >= m_max:
         return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs))
-    return _signed_logs(_a_coeff_mpf_cached(p, branch, j, m_max))
+    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs))
 
 
 def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> CoefficientVector:
@@ -396,7 +381,7 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Trunc
     """
     hit = match_spectral_point(lam, p)
     if hit is not None:
-        vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max)
+        vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
         coeffs = _mpf_to_float_array(vals, "eigencoefficients")
         return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
 
@@ -717,22 +702,6 @@ def _pref_phi_ratio(m, q, a, b):
     )
 
 
-_PSI_PHI_CACHE: dict = {}
-
-
-def _psi_phi_mpf_cached(p: QParams, branch: str, j: int, m_max: int):
-    """Cached coefficient values (mpmath floats) of the two
-    non-self-adjoint eigenvector families at a spectral point."""
-    key = (float(p.q), float(p.a), float(p.b), branch, j)
-    hit = _PSI_PHI_CACHE.get(key)
-    if hit is not None and len(hit[0]) > m_max:
-        return hit[0][: m_max + 1], hit[1][: m_max + 1]
-    psi = _spectral_coeff_mpf(p, branch, j, m_max, _pref_psi_ratio)
-    phi = _spectral_coeff_mpf(p, branch, j, m_max, _pref_phi_ratio)
-    _PSI_PHI_CACHE[key] = (psi, phi)
-    return psi, phi
-
-
 def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> tuple:
     """Coefficient vectors of the eigenvector families of A1 and A2:
 
@@ -740,13 +709,15 @@ def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Tru
         phi_k = (-ab)^(-k/2) q^(-k(k+1)/2) ((aq;q)_k (bq;q)_k^2/(q;q)_k)^(1/2) P_k(lam)
 
     phi_k grows with k at deep spectral points; exceeding float range
-    raises OverflowError (the biorthogonality engine works on the log
-    forms instead and has no such limit).
+    raises OverflowError.  psi_k(lam) phi_k(lam') = a_k(lam) a_k(lam')
+    term for term, so the biorthogonality engine sums products of the
+    eigencoefficients a_k formed in mpmath instead and has no such limit.
     """
     hit = match_spectral_point(lam, p)
     if hit is None:
         raise DomainError("psi/phi coefficients are defined at spectral points")
-    psi_vals, phi_vals = _psi_phi_mpf_cached(p, hit[0], hit[1], m_max)
+    psi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
+    phi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
     psi = _mpf_to_float_array(psi_vals, "psi coefficients")
     phi = _mpf_to_float_array(phi_vals, "phi coefficients")
     return (

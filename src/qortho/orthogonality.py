@@ -37,10 +37,10 @@ from qortho.qseries import (
 )
 from qortho.polynomials import big_q_laguerre_recurrence, q_meixner
 from qortho.operators import (
+    _COEFF_DPS,
     _a_coeff_logs,
-    _a_coeff_mpf_cached,
     _prefactors,
-    _psi_phi_mpf_cached,
+    _spectral_coeff_mpf,
     normalization_c,
     normalization_cprime,
 )
@@ -231,17 +231,6 @@ def _kc(p: QParams, t: Truncation) -> float:
     )
 
 
-def _pref_a(m: int, p: QParams) -> float:
-    """Eigencoefficient prefactor (-ab)^(-m/2) q^(-m(m+3)/4)
-    ((aq,bq;q)_m/(q;q)_m)^(1/2); positive."""
-    q, a, b = p.q, p.a, p.b
-    return (
-        (-a * b) ** (-m / 2.0)
-        * q ** (-m * (m + 3) / 4.0)
-        * (q_pochhammer(a * q, q, m) * q_pochhammer(b * q, q, m) / q_pochhammer(q, q, m)) ** 0.5
-    )
-
-
 def dual_weight(m: int, p: QParams) -> float:
     """Scalar-product weight of the dual-function space:
 
@@ -407,18 +396,12 @@ def _branch_of_label(label: int) -> tuple:
     return ("a", label) if label >= 0 else ("b", -label - 1)
 
 
-def _c_of_label(label: int, p: QParams, t: Truncation) -> float:
-    if label >= 0:
-        return normalization_c(label, p, t)
-    return normalization_cprime(-label - 1, p, t)
-
-
 def _bilinear_terms(vals1, vals2) -> list:
     """Float terms vals1[m] * vals2[m] with the products formed in
     mpmath: full relative accuracy per term even where the two factors'
     magnitudes span hundreds of decades in opposite directions."""
     out = []
-    with mpmath.workdps(30):
+    with mpmath.workdps(_COEFF_DPS):
         for v1, v2 in zip(vals1, vals2):
             f = float(v1 * v2)
             if math.isinf(f):
@@ -431,22 +414,49 @@ def _bilinear_terms(vals1, vals2) -> list:
 _M_CAP = 320
 
 
-def _bilinear_sum(coeff1, coeff2, t: Truncation):
-    """Certified sum over m of coeff1(m_cut)[m] * coeff2(m_cut)[m], where
-    coeff(m_cut) returns the coefficients 0..m_cut of one side; m_cut
-    doubles from 48 up to _M_CAP until the tail is certified."""
-    m_cut = 48
-    while True:
-        arr = _bilinear_terms(coeff1(m_cut), coeff2(m_cut))
-        value, used, tail = _certified_sum(lambda m: arr[m], t, hard_cap=m_cut)
-        if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= _M_CAP:
-            return value, used, tail
-        m_cut = min(2 * m_cut, _M_CAP)
+class _LabelTable:
+    """Eigencoefficients a_0..a_m_cut and normalization constant of each
+    integer eigenvalue label, for one sweep of a family of sums over the
+    basis index m.
 
+    A label keeps the longest coefficient list any pair asked for, and a
+    shorter cut reads a slice of it.  The prefactors pref_0..pref_M are
+    one list, rebuilt only when a longer cut is needed; it is a
+    sequential product, so its slices equal the shorter lists."""
 
-def _a_coeffs(p: QParams, spec: tuple):
-    """m_cut -> eigencoefficients a_0..a_m_cut at spec = (branch, index)."""
-    return lambda m_cut: _a_coeff_mpf_cached(p, *spec, m_cut)
+    def __init__(self, p: QParams, t: Truncation):
+        self.p, self.t = p, t
+        self._prefs: list = []
+        self._coeffs: dict = {}
+        self._c: dict = {}
+
+    def coeffs(self, label: int, m_cut: int) -> list:
+        hit = self._coeffs.get(label)
+        if hit is None or len(hit) <= m_cut:
+            if len(self._prefs) <= m_cut:
+                self._prefs = _prefactors(self.p, m_cut)
+            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs)
+            self._coeffs[label] = hit
+        return hit[: m_cut + 1]
+
+    def c(self, label: int) -> float:
+        if label not in self._c:
+            if label >= 0:
+                self._c[label] = normalization_c(label, self.p, self.t)
+            else:
+                self._c[label] = normalization_cprime(-label - 1, self.p, self.t)
+        return self._c[label]
+
+    def pair_sum(self, i: int, j: int, t: Truncation):
+        """Certified sum over m of a_m(lam_i) a_m(lam_j); the cut-off
+        m_cut doubles from 48 up to _M_CAP until the tail is certified."""
+        m_cut = 48
+        while True:
+            arr = _bilinear_terms(self.coeffs(i, m_cut), self.coeffs(j, m_cut))
+            value, used, tail = _certified_sum(lambda m: arr[m], t, hard_cap=m_cut)
+            if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= _M_CAP:
+                return value, used, tail
+            m_cut = min(2 * m_cut, _M_CAP)
 
 
 def verify_dual_orthogonality(
@@ -462,22 +472,21 @@ def verify_dual_orthogonality(
 
     That weight equals the squared eigencoefficient prefactor, so each
     term w_m f f' is formed as the product of the two eigencoefficient
-    values in log representation; the cross case (one function from each
+    values in extended precision; the cross case (one function from each
     branch) is an exact cancellation handled by the same extended-
     precision coefficients."""
+    return _verify_dual(which, n, n2, p, t, tolerance, _LabelTable(p, t))
+
+
+def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
     if n < 0 or n2 < 0:
         raise DomainError("dual indices must be nonnegative")
     which = DualPair(which)
-    if which is DualPair.FF:
-        spec1, spec2 = ("a", n), ("a", n2)
-        rhs = normalization_c(n, p, t) ** -2.0 if n == n2 else 0.0
-    elif which is DualPair.GG:
-        spec1, spec2 = ("b", n), ("b", n2)
-        rhs = normalization_cprime(n, p, t) ** -2.0 if n == n2 else 0.0
-    else:
-        spec1, spec2 = ("a", n), ("b", n2)
-        rhs = 0.0
-    lhs, used, tail = _bilinear_sum(_a_coeffs(p, spec1), _a_coeffs(p, spec2), t)
+    # f_n is the eigencoefficient sequence of label n, g_n that of label -n-1
+    i = n if which is not DualPair.GG else -n - 1
+    j = n2 if which is DualPair.FF else -n2 - 1
+    lhs, used, tail = table.pair_sum(i, j, t)
+    rhs = table.c(i) ** -2.0 if i == j else 0.0
     return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
@@ -538,14 +547,17 @@ def verify_unitarity(
     rowcol = RowCol(rowcol)
     if rowcol is RowCol.ROWS:
         return _verify_rows(i, j, p, t, tolerance, _branch_tables(_RowTable, max(i, j), p, t))
-    return _verify_columns(i, j, p, t, tolerance, _c_of_label(i, p, t), _c_of_label(j, p, t))
+    return _verify_columns("unitarity-columns", i, j, p, t, tolerance, _LabelTable(p, t))
 
 
-def _verify_columns(i: int, j: int, p: QParams, t: Truncation, tolerance: float, ci: float, cj: float):
-    value, used, tail = _bilinear_sum(_a_coeffs(p, _branch_of_label(i)), _a_coeffs(p, _branch_of_label(j)), t)
+def _verify_columns(identity_id: str, i: int, j: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
+    """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
+    unitarity columns and for biorthogonality."""
+    value, used, tail = table.pair_sum(i, j, t)
+    ci, cj = table.c(i), table.c(j)
     lhs = ci * cj * value
     rhs = 1.0 if i == j else 0.0
-    return _finalize("unitarity-columns", p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
+    return _finalize(identity_id, p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
 
 
 def verify_biorthogonality(
@@ -558,21 +570,12 @@ def verify_biorthogonality(
     """Biorthogonality of the two non-self-adjoint eigenvector families:
     <Psi_m, Phi_n> = delta_mn over integer labels covering both spectral
     branches, computed as the coefficient inner product scaled by the
-    normalization constants."""
-    return _verify_biortho(m, n, p, t, tolerance, _c_of_label(m, p, t), _c_of_label(n, p, t))
+    normalization constants.
 
-
-def _verify_biortho(m: int, n: int, p: QParams, t: Truncation, tolerance: float, cm: float, cn: float):
-    spec1 = _branch_of_label(m)
-    spec2 = _branch_of_label(n)
-    value, used, tail = _bilinear_sum(
-        lambda m_cut: _psi_phi_mpf_cached(p, *spec1, m_cut)[0],
-        lambda m_cut: _psi_phi_mpf_cached(p, *spec2, m_cut)[1],
-        t,
-    )
-    lhs = cm * cn * value
-    rhs = 1.0 if m == n else 0.0
-    return _finalize("biortho", p, (m, n), lhs, rhs, used, cm * cn * tail, tolerance)
+    The coefficients satisfy psi_k(lam_m) phi_k(lam_n) = a_k(lam_m)
+    a_k(lam_n) term for term (psi = D a, phi = D^-1 a for a diagonal D),
+    so the sum is the unitarity-columns sum in the psi/phi basis."""
+    return _verify_columns("biortho", m, n, p, t, tolerance, _LabelTable(p, t))
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +763,16 @@ def run_identity_checks(
         tables = _branch_tables(_RowTable, index_max, p, t)
         for i, j in pairs_upper:
             reports.append(_verify_rows(i, j, p, t, tolerance, tables))
-        cs = {label: _c_of_label(label, p, t) for label in zlabels}
+        table = _LabelTable(p, t)
         for i, j in zpairs:
-            reports.append(_verify_columns(i, j, p, t, tolerance, cs[i], cs[j]))
+            reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, table))
     elif identity == "dual":
+        table = _LabelTable(p, t)
         for i, j in pairs_upper:
-            reports.append(verify_dual_orthogonality(DualPair.FF, i, j, p, t, tolerance))
-            reports.append(verify_dual_orthogonality(DualPair.GG, i, j, p, t, tolerance))
+            reports.append(_verify_dual(DualPair.FF, i, j, p, t, tolerance, table))
+            reports.append(_verify_dual(DualPair.GG, i, j, p, t, tolerance, table))
         for i, j in grid_full:
-            reports.append(verify_dual_orthogonality(DualPair.FG, i, j, p, t, tolerance))
+            reports.append(_verify_dual(DualPair.FG, i, j, p, t, tolerance, table))
     elif identity in ("meixner", "meixner-negb"):
         table = _meixner_table(*_meixner_params(identity, p), p, t)
         for i, j in pairs_upper:
@@ -778,9 +782,9 @@ def run_identity_checks(
         for i, j in grid_full:
             reports.append(_verify_eq_zero(i, j, p, t, tolerance, tables))
     elif identity == "biortho":
-        cs = {label: _c_of_label(label, p, t) for label in zlabels}
+        table = _LabelTable(p, t)
         for i, j in zpairs:
-            reports.append(_verify_biortho(i, j, p, t, tolerance, cs[i], cs[j]))
+            reports.append(_verify_columns("biortho", i, j, p, t, tolerance, table))
     else:
         raise DomainError(f"unknown identity family: {identity!r}")
 

@@ -176,11 +176,12 @@ def _worst_error(got, want) -> float:
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", _forward_cases(mark_broken=True))
     def test_matches_backward_reference(self, p, branch):
-        from qortho.operators import _a_coeff_mpf_cached, _forward_coeff_mpf
+        from qortho.operators import _forward_coeff_mpf, _prefactors, _spectral_coeff_mpf
 
+        prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 4):
             fwd = _forward_coeff_mpf(p, branch, n, FWD_K)
-            assert _worst_error(fwd, _a_coeff_mpf_cached(p, branch, n, FWD_K)) <= FWD_BOUND, n
+            assert _worst_error(fwd, _spectral_coeff_mpf(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", _forward_cases(mark_broken=False))
     def test_matches_exact_series(self, p, branch):
@@ -188,15 +189,17 @@ class TestForwardCoefficientRoute:
         # bound and share no step with either recurrence
         import mpmath
 
-        from qortho.operators import _forward_coeff_mpf, _pref_a_ratio, _times_prefactor
+        from qortho.operators import _COEFF_DPS, _forward_coeff_mpf, _prefactors
         from qortho.polynomials import _bigql_series_sum
 
+        prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 6):
             with mpmath.workdps(120):
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
                 lam = (a if branch == "a" else b) * q ** (n + 1)
                 seq = [_bigql_series_sum(m, lam, a, b, q)[0] for m in range(FWD_K + 1)]
-            exact = _times_prefactor(seq, p, _pref_a_ratio)
+            with mpmath.workdps(_COEFF_DPS):
+                exact = [pref * v for pref, v in zip(prefs, seq)]
             assert _worst_error(_forward_coeff_mpf(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
@@ -205,7 +208,7 @@ class TestForwardCoefficientRoute:
         def refuse(*args):
             raise AssertionError("backward route used")
 
-        monkeypatch.setattr(operators, "_a_coeff_mpf_cached", refuse)
+        monkeypatch.setattr(operators, "_spectral_coeff_mpf", refuse)
         s, l = operators._a_coeff_logs(P1, "b", FWD_K, FWD_K)
         assert s[0] == 1.0 and l[0] == 0.0 and len(l) == FWD_K + 1
         with pytest.raises(AssertionError, match="backward route used"):

@@ -96,13 +96,15 @@ class TestUnitarity:
         # agree on pass/fail, and their residuals must coincide within
         # 1e-10 of the identity's natural scale once the rescaling is
         # removed.
-        from qortho.orthogonality import _kc, _pref_a
+        from qortho.operators import _prefactors
+        from qortho.orthogonality import _kc
 
+        prefs = [float(pref) for pref in _prefactors(p, 3)]
         for i, j in [(0, 0), (1, 0), (2, 2), (3, 1)]:
             rows = verify_unitarity(RowCol.ROWS, i, j, p, T)
             orth = verify_big_laguerre_orthogonality(i, j, p, T)
             assert rows.passed == orth.passed
-            scale = _pref_a(i, p) * _pref_a(j, p) / _kc(p, T)
+            scale = prefs[i] * prefs[j] / _kc(p, T)
             assert abs(rows.residual / scale - orth.residual) <= 1e-10 * (
                 1 + abs(orth.lhs) + abs(orth.rhs)
             )
@@ -271,18 +273,20 @@ class TestReports:
             assert r == verify_unitarity(RowCol.ROWS, *r.indices, P2, T), r.indices
 
     def test_unitarity_independent_of_history(self, monkeypatch):
-        from qortho import operators, polynomials
+        # the basis-index families each build their own label table, so a
+        # record must not depend on which of them ran before in the process
+        from qortho import polynomials
 
-        for module, name in [
-            (operators, "_A_COEFF_CACHE"),
-            (operators, "_PSI_PHI_CACHE"),
-            (polynomials, "_MILLER_CACHE"),
-        ]:
-            monkeypatch.setattr(module, name, {})
-        cold = run_identity_checks("unitarity", P2, T, index_max=3)
-        assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
-        run_identity_checks("dual", P2, T, index_max=3)
-        assert run_identity_checks("unitarity", P2, T, index_max=3) == cold
+        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+        families = ("unitarity", "dual", "biortho")
+        cold = {fam: run_identity_checks(fam, P2, T, index_max=3) for fam in families}
+        for fam in families:
+            assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
+        for fam in reversed(families):
+            for other in families:
+                if other != fam:
+                    run_identity_checks(other, P2, T, index_max=3)
+            assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
 
     # the q-Meixner sweeps share one table of M_n(q^-m) values per
     # parameterization (eq-zero also a 40-digit table for its retries), and
@@ -388,6 +392,69 @@ class TestReports:
             sum_b, used_b, tail_b = literal("b", *r.indices)
             want = (sum_a - (p.b / p.a) * sum_b, used_a + used_b, tail_a + abs(p.b / p.a) * tail_b)
             assert (r.lhs, r.terms_used, r.tail_estimate) == want, r.indices
+
+    def test_basis_index_families_match_literal_per_pair_sum(self):
+        # reference: the per-pair doubling loop with the coefficients of
+        # both sides taken afresh at every cut, each with its own prefactor
+        # list, and biortho on the psi/phi prefactors; a label table that
+        # reads a wrong slice fails here, while the sweep-vs-standalone
+        # test cannot tell, since both sides share the table
+        import functools
+
+        import mpmath
+
+        from qortho.operators import (
+            _COEFF_DPS,
+            _pref_a_ratio,
+            _pref_phi_ratio,
+            _pref_psi_ratio,
+            _prefactors,
+            _spectral_coeff_mpf,
+        )
+        from qortho.orthogonality import _certified_sum
+
+        p = QParams(q=0.9, a=0.9, b=-0.5)
+        prefactors = functools.cache(lambda ratio, m_cut: _prefactors(p, m_cut, ratio))
+
+        def coeffs(label, m_cut, ratio):
+            spec = ("a", label) if label >= 0 else ("b", -label - 1)
+            return _spectral_coeff_mpf(p, *spec, m_cut, prefactors(ratio, m_cut))
+
+        def literal(i, j, ratio_i=_pref_a_ratio, ratio_j=_pref_a_ratio):
+            m_cut = 48
+            while True:
+                with mpmath.workdps(_COEFF_DPS):
+                    arr = [float(x * y) for x, y in zip(coeffs(i, m_cut, ratio_i), coeffs(j, m_cut, ratio_j))]
+                value, used, tail = _certified_sum(lambda m: arr[m], T, hard_cap=m_cut)
+                if tail <= T.rel_tol * (1.0 + abs(value)) or m_cut >= 320:
+                    return value, used, tail
+                m_cut = min(2 * m_cut, 320)
+
+        def c(label):
+            return normalization_c(label, p, T) if label >= 0 else normalization_cprime(-label - 1, p, T)
+
+        def scaled(i, j, value, used, tail):
+            return c(i) * c(j) * value, used, c(i) * c(j) * tail
+
+        reference = {
+            "dual-ff": lambda n, n2: literal(n, n2),
+            "dual-gg": lambda n, n2: literal(-n - 1, -n2 - 1),
+            "dual-fg": lambda n, n2: literal(n, -n2 - 1),
+            "unitarity-columns": lambda i, j: scaled(i, j, *literal(i, j)),
+            "biortho": lambda i, j: scaled(i, j, *literal(i, j, _pref_psi_ratio, _pref_phi_ratio)),
+        }
+        records = [
+            r
+            for fam in ("dual", "unitarity", "biortho")
+            for r in run_identity_checks(fam, p, T, index_max=4)
+            if r.identity_id in reference
+        ]
+        assert len(records) == 165
+        for fam in ("dual-gg", "unitarity-columns", "biortho"):
+            assert any(r.terms_used > 49 for r in records if r.identity_id == fam), fam
+        for r in records:
+            want = reference[r.identity_id](*r.indices)
+            assert (r.lhs, r.terms_used, r.tail_estimate) == want, (r.identity_id, r.indices)
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}
