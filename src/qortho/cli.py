@@ -20,10 +20,9 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import mpmath
-import numpy as np
 
 from qortho.qseries import DomainError, QParams, Truncation
 from qortho.operators import (
@@ -59,6 +58,11 @@ from qortho.reporting import (
     report_to_record,
     summarize,
 )
+
+# numpy is loaded by the commands that solve a truncated matrix
+# (spectrum, report-all) and by no other
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "RunConfig"]
 
@@ -227,6 +231,8 @@ def _thomas_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndar
     floored to keep near-singular inverse-iteration solves finite).  The
     loops run on Python floats, which take the same IEEE steps as numpy
     scalars at a fraction of the cost."""
+    import numpy as np
+
     n = diag.size
     diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
     c = [0.0] * (n - 1)
@@ -250,10 +256,13 @@ def _thomas_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndar
 
 def _tail_mass(tri: Tridiagonal, lam: float) -> float:
     """Eigenvector mass in the last 10 rows, via two inverse-iteration
-    passes; large mass flags an eigenvalue corrupted by truncation."""
+    passes; large mass flags an eigenvalue corrupted by truncation.  At
+    n <= 10 every row is one of the last 10, so the mass is 1."""
+    import numpy as np
+
     n = tri.dim
     if n <= 10:
-        return 0.0
+        return 1.0
     x = np.ones(n) / math.sqrt(n)
     shifted = tri.diag - lam
     for _ in range(2):
@@ -277,7 +286,7 @@ def _spectrum_reports(cfg: RunConfig) -> list:
         for rank, lam in enumerate(exact):
             lam = float(lam)
             matched = float(nearest[rank])
-            mass = _tail_mass(tri, matched) if d > 10 else 0.0
+            mass = _tail_mass(tri, matched)
             err = abs(matched - lam)
             errors[(rank, d)] = err
             certified = mass < 1e-8

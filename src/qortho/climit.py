@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import mpmath
-import numpy as np
 
 from qortho.qseries import DomainError, QParams, Truncation
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
@@ -73,16 +72,21 @@ class LimitSweep:
 
 def fit_rate(gaps, errs, floor: float = 1e-14):
     """Least-squares slope of log err against log(1-q) over the points
-    above the rounding floor, plus the linear-rate constant
-    C = max err/(1-q)."""
+    above the rounding floor (from centred sums, nan when fewer than two
+    distinct gaps remain), plus the linear-rate constant C = max err/(1-q)."""
     pts = [(g, e) for g, e in zip(gaps, errs) if e > floor]
     c_fit = max((e / g for g, e in pts), default=0.0)
     if len(pts) < 2:
         return math.nan, c_fit
-    lx = np.log([g for g, _ in pts])
-    ly = np.log([e for _, e in pts])
-    slope = float(np.polyfit(lx, ly, 1)[0])
-    return slope, c_fit
+    lx = [math.log(g) for g, _ in pts]
+    ly = [math.log(e) for _, e in pts]
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    dx = [x - mx for x in lx]
+    sxx = math.fsum(u * u for u in dx)
+    if sxx == 0:
+        return math.nan, c_fit
+    return math.fsum(u * (y - my) for u, y in zip(dx, ly)) / sxx, c_fit
 
 
 def limit_polynomial_check(

@@ -13,12 +13,13 @@ and its eigenvector coefficients are weighted big q-Laguerre values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 
 from qortho.qseries import (
     DomainError,
@@ -34,6 +35,11 @@ from qortho.polynomials import (
     match_spectral_point,
     spectral_sequence,
 )
+
+# numpy is imported inside the functions that build or solve arrays, so
+# the commands that never touch a matrix start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Tridiagonal",
@@ -67,6 +73,8 @@ class Tridiagonal:
     upper: np.ndarray  # upper[i] couples column i+1 to row i
 
     def __post_init__(self):
+        import numpy as np
+
         if self.dim < 1:
             raise DomainError("dim must be a positive integer")
         if len(self.diag) != self.dim or len(self.lower) != self.dim - 1 or len(self.upper) != self.dim - 1:
@@ -76,11 +84,15 @@ class Tridiagonal:
 
     @classmethod
     def symmetric(cls, diag, offdiag):
+        import numpy as np
+
         off = np.asarray(offdiag, dtype=float)
         return cls(dim=len(diag), diag=np.asarray(diag, dtype=float), lower=off, upper=off)
 
     @property
     def is_symmetric(self) -> bool:
+        import numpy as np
+
         return self.lower is self.upper or np.array_equal(self.lower, self.upper)
 
     @property
@@ -90,6 +102,8 @@ class Tridiagonal:
         return self.lower
 
     def dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.diag(self.diag)
         idx = np.arange(self.dim - 1)
         m[idx + 1, idx] = self.lower
@@ -124,6 +138,8 @@ class SpectralPoints:
     lower: np.ndarray
 
     def merged_by_magnitude(self) -> np.ndarray:
+        import numpy as np
+
         both = np.concatenate([self.upper, self.lower])
         return both[np.argsort(-np.abs(both), kind="stable")]
 
@@ -148,12 +164,16 @@ class GeneratorMatrices:
     j0_diag: np.ndarray  # l + n
 
     def jplus_dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((self.dim, self.dim))
         idx = np.arange(self.dim - 1)
         m[idx + 1, idx] = self.raising
         return m
 
     def jminus_dense(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((self.dim, self.dim))
         idx = np.arange(self.dim - 1)
         m[idx, idx + 1] = self.lowering
@@ -177,6 +197,8 @@ def jplus_action_factor(n: int, p: QParams) -> float:
 
 def build_generator_matrices(p: QParams, dim: int) -> GeneratorMatrices:
     """Raising/lowering couplings and the q^(J0) diagonal, rows 0..dim-1."""
+    import numpy as np
+
     if dim < 2:
         raise DomainError("dim must be at least 2")
     n = np.arange(dim)
@@ -194,6 +216,8 @@ def _a_diag(p: QParams, n: np.ndarray) -> np.ndarray:
 
 def build_A(p: QParams, dim: int) -> Tridiagonal:
     """Symmetric tridiagonal matrix of the diagonalized operator."""
+    import numpy as np
+
     if dim < 1:
         raise DomainError("dim must be a positive integer")
     n = np.arange(dim, dtype=float)
@@ -217,6 +241,8 @@ def compose_A_from_generators(p: QParams, dim: int) -> np.ndarray:
     The last row/column of the truncation is corrupted by the missing
     coupling to row dim, so comparisons must exclude them.
     """
+    import numpy as np
+
     g = build_generator_matrices(p, dim)
     n = np.arange(dim, dtype=float)
     q, a, b = p.q, p.a, p.b
@@ -241,6 +267,8 @@ def build_A1_A2(p: QParams, dim: int) -> tuple:
     exact by construction; the compositions themselves are validated
     against dense generator products in the tests.
     """
+    import numpy as np
+
     if dim < 2:
         raise DomainError("dim must be at least 2")
     n = np.arange(dim, dtype=float)
@@ -258,6 +286,8 @@ def build_A1_A2(p: QParams, dim: int) -> tuple:
 
 def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
     """Dense assembly of the (A1, A2) compositions from generator matrices."""
+    import numpy as np
+
     g = build_generator_matrices(p, dim)
     n = np.arange(dim, dtype=float)
     q, a, b = p.q, p.a, p.b
@@ -336,6 +366,8 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
 
 
 def _mpf_to_float_array(values, what: str) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(len(values))
     for i, v in enumerate(values):
         f = float(v)
@@ -346,9 +378,9 @@ def _mpf_to_float_array(values, what: str) -> np.ndarray:
 
 
 def _signed_logs(values):
-    """(sign, log10|v|) float arrays from mpmath values."""
-    signs = np.zeros(len(values))
-    logs = np.full(len(values), -np.inf)
+    """(sign, log10|v|) lists of floats from mpmath values."""
+    signs = [0.0] * len(values)
+    logs = [-math.inf] * len(values)
     with mpmath.workdps(_COEFF_DPS):
         for i, v in enumerate(values):
             if v != 0:
@@ -358,7 +390,7 @@ def _signed_logs(values):
 
 
 def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None):
-    """(sign, log10|a_m|) arrays of the eigencoefficients at the spectral
+    """(sign, log10|a_m|) lists of the eigencoefficients at the spectral
     point of the given branch/index, m = 0..m_max: forward recurrence when
     every degree is at most the spectral index, backward minimal-solution
     recurrence otherwise; prefs is the shared `_prefactors(p, m_max)`
@@ -379,6 +411,8 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Trunc
     the backward-recurrence polynomial sequence; any other lam is allowed
     but flagged non-normalizable.
     """
+    import numpy as np
+
     hit = match_spectral_point(lam, p)
     if hit is not None:
         vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
@@ -409,6 +443,8 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Trunc
 def recurrence_residuals(vec: CoefficientVector, p: QParams) -> np.ndarray:
     """Row residuals |(A v)_m - lam v_m| / scale for interior rows
     1..m_max-1, where scale is the largest term magnitude in the row."""
+    import numpy as np
+
     m_max = len(vec.coeffs) - 1
     tri = build_A(p, m_max + 1)
     v = vec.coeffs
@@ -436,15 +472,10 @@ def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str 
     Both printed forms are implemented; they agree to rounding and the
     tests cross-check them.
     """
-    q, a, b = p.q, p.a, p.b
     if form == "finite":
-        radicand = (
-            q_pochhammer(a * q, q, n)
-            * q_pochhammer_inf(b * q, q, t)
-            * q**n
-            / (q_pochhammer(a * q / b, q, n) * q_pochhammer(q, q, n) * q_pochhammer_inf(b / a, q, t))
-        )
-    elif form == "infinite":
+        return _Normalization(p, t).c(n)
+    q, a, b = p.q, p.a, p.b
+    if form == "infinite":
         radicand = (
             q_pochhammer_inf(q ** (n + 1), q, t)
             * q_pochhammer_inf(a * q ** (n + 1) / b, q, t)
@@ -460,28 +491,16 @@ def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str 
         )
     else:
         raise DomainError("form must be 'finite' or 'infinite'")
-    if not radicand > 0:
-        raise DomainError(f"normalization radicand {radicand} not positive; parameter domain violated")
-    return radicand**0.5
+    return _root(radicand)
 
 
 def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
     """Normalization constant of the lower-branch eigenvectors; the
     prefactor -b/a is positive for b < 0."""
-    q, a, b = p.q, p.a, p.b
     if form == "finite":
-        radicand = (
-            (-b / a)
-            * q**n
-            * q_pochhammer(b * q, q, n)
-            * q_pochhammer_inf(a * q, q, t)
-            / (
-                q_pochhammer(q, q, n)
-                * q_pochhammer_inf(a * q / b, q, t)
-                * q_pochhammer(b / a, q, n + 1)
-            )
-        )
-    elif form == "infinite":
+        return _Normalization(p, t).cprime(n)
+    q, a, b = p.q, p.a, p.b
+    if form == "infinite":
         radicand = (
             (-b / a)
             * q**n
@@ -498,9 +517,55 @@ def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form:
         )
     else:
         raise DomainError("form must be 'finite' or 'infinite'")
+    return _root(radicand)
+
+
+def _root(radicand):
     if not radicand > 0:
         raise DomainError(f"normalization radicand {radicand} not positive; parameter domain violated")
     return radicand**0.5
+
+
+class _Normalization:
+    """Finite forms of c_n and c'_n for one parameter set.  Their
+    n-independent infinite products, (bq;q)_inf and (b/a;q)_inf for c_n
+    and (aq;q)_inf and (aq/b;q)_inf for c'_n, are computed on first use,
+    at the precision in effect then, and kept; a sweep that holds one
+    instance pays for them once."""
+
+    def __init__(self, p: QParams, t: Truncation):
+        self.p, self.t = p, t
+
+    @functools.cached_property
+    def _c_products(self) -> tuple:
+        q, a, b = self.p.q, self.p.a, self.p.b
+        return q_pochhammer_inf(b * q, q, self.t), q_pochhammer_inf(b / a, q, self.t)
+
+    @functools.cached_property
+    def _cprime_products(self) -> tuple:
+        q, a, b = self.p.q, self.p.a, self.p.b
+        return q_pochhammer_inf(a * q, q, self.t), q_pochhammer_inf(a * q / b, q, self.t)
+
+    def c(self, n: int):
+        q, a, b = self.p.q, self.p.a, self.p.b
+        bq_inf, ba_inf = self._c_products
+        return _root(
+            q_pochhammer(a * q, q, n)
+            * bq_inf
+            * q**n
+            / (q_pochhammer(a * q / b, q, n) * q_pochhammer(q, q, n) * ba_inf)
+        )
+
+    def cprime(self, n: int):
+        q, a, b = self.p.q, self.p.a, self.p.b
+        aq_inf, aqb_inf = self._cprime_products
+        return _root(
+            (-b / a)
+            * q**n
+            * q_pochhammer(b * q, q, n)
+            * aq_inf
+            / (q_pochhammer(q, q, n) * aqb_inf * q_pochhammer(b / a, q, n + 1))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +574,8 @@ def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form:
 
 def spectrum_points(p: QParams, N: int) -> SpectralPoints:
     """The first N exact eigenvalues on each branch."""
+    import numpy as np
+
     if N < 1:
         raise DomainError("N must be a positive integer")
     n = np.arange(N, dtype=float)
@@ -536,6 +603,8 @@ def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndar
     indices k_t-2 .. k_t+1 are bisected; each result is bit for bit
     `full[argmin |full - t|]` of the full solve.
     """
+    import numpy as np
+
     if not tri.is_symmetric:
         raise DomainError("eig_tridiagonal requires a symmetric matrix")
     d = np.asarray(tri.diag, dtype=float)
@@ -593,6 +662,8 @@ def _bisect(count_below, ks: np.ndarray, lo: float, hi: float, width_target: flo
     level, so the brackets equal those of plain bisection, one count per
     level, bit for bit.
     """
+    import numpy as np
+
     lob = np.full(ks.size, lo)
     hib = np.full(ks.size, hi)
     node = tree = counts = heap = None
@@ -622,6 +693,8 @@ def _subtree_counts(count_below, lob: np.ndarray, hib: np.ndarray) -> tuple:
     as one bisection step forms it.  The subtree is as deep as
     `_POINTS_PER_PASS` points allow, and at least one level.
     """
+    import numpy as np
+
     brackets, node = np.unique(np.stack([lob, hib], axis=1), axis=0, return_inverse=True)
     rows = len(brackets)
     depth = max(1, int(math.log2(_POINTS_PER_PASS / rows + 1)))

@@ -38,11 +38,10 @@ from qortho.qseries import (
 from qortho.polynomials import big_q_laguerre_recurrence, q_meixner
 from qortho.operators import (
     _COEFF_DPS,
+    _Normalization,
     _a_coeff_logs,
     _prefactors,
     _spectral_coeff_mpf,
-    normalization_c,
-    normalization_cprime,
 )
 
 __all__ = [
@@ -428,6 +427,7 @@ class _LabelTable:
         self.p, self.t = p, t
         self._prefs: list = []
         self._coeffs: dict = {}
+        self._norm = _Normalization(p, t)
         self._c: dict = {}
 
     def coeffs(self, label: int, m_cut: int) -> list:
@@ -442,9 +442,9 @@ class _LabelTable:
     def c(self, label: int) -> float:
         if label not in self._c:
             if label >= 0:
-                self._c[label] = normalization_c(label, self.p, self.t)
+                self._c[label] = self._norm.c(label)
             else:
-                self._c[label] = normalization_cprime(-label - 1, self.p, self.t)
+                self._c[label] = self._norm.cprime(-label - 1)
         return self._c[label]
 
     def pair_sum(self, i: int, j: int, t: Truncation):
@@ -502,7 +502,8 @@ class _RowTable(_PairSum):
 
     def __init__(self, branch: str, K: int, p: QParams, t: Truncation):
         self.branch, self.K, self.p, self.t = branch, K, p, t
-        self._cfun = normalization_c if branch == "a" else normalization_cprime
+        norm = _Normalization(p, t)
+        self._cfun = norm.c if branch == "a" else norm.cprime
         self._prefs = _prefactors(p, K)
         self._rows: list = []
 
@@ -510,7 +511,7 @@ class _RowTable(_PairSum):
         while len(self._rows) <= n:
             k = len(self._rows)
             s, l = _a_coeff_logs(self.p, self.branch, k, self.K, self._prefs)
-            self._rows.append((s, l, 2.0 * math.log10(self._cfun(k, self.p, self.t))))
+            self._rows.append((s, l, 2.0 * math.log10(self._cfun(k))))
         return self._rows[n]
 
     def term(self, i: int, j: int, n: int) -> float:

@@ -23,7 +23,6 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 import mpmath
-import numpy as np
 
 from qortho.qseries import (
     DomainError,
@@ -474,6 +473,8 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
 def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     """P_n(x) extracted as a Taylor coefficient of the closed generating
     function via FFT on a circle inside the first pole."""
+    import numpy as np
+
     hit = match_spectral_point(x, p)
     if hit is None:
         raise DomainError(

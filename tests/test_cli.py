@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,36 @@ class TestStartup:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_only_matrix_commands_load_numpy(self, tmp_path):
+        # verify, table and limit never build a truncated matrix, so their
+        # cold start must not pay numpy's import; spectrum solves one
+        code = textwrap.dedent(
+            """
+            import json, sys
+            import qortho
+            seen = [("import qortho", "numpy" in sys.modules)]
+            import qortho.cli
+            seen.append(("import qortho.cli", "numpy" in sys.modules))
+            out = sys.argv[1]
+            for argv in (
+                ["verify", "--identity", "all", "--index-max", "2"],
+                ["verify", "--identity", "all", "--index-max", "2", "--precision", "extended"],
+                ["verify", "--identity", "all", "--index-max", "2", "--jobs", "2"],
+                ["table"],
+                ["limit"],
+                ["spectrum", "--dim", "20"],
+            ):
+                qortho.cli.main(argv + ["--out", out, "--no-timestamp"])
+                seen.append((" ".join(argv), "numpy" in sys.modules))
+            print(json.dumps(seen))
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        seen = dict(json.loads(res.stdout))
+        assert seen.pop("spectrum --dim 20") is True
+        assert seen and not any(seen.values()), seen
+
 
 class TestCommands:
     def test_spectrum_contains_exact_first_points(self, tmp_path):
@@ -174,6 +205,16 @@ class TestCommands:
         assert 0.25 in lhs_values  # a*q
         assert -0.35 in lhs_values  # b*q
         assert all(r["status"] == "pass" for r in matches)
+
+    def test_spectrum_small_dim_never_fails_a_match(self, tmp_path):
+        # at dim <= 10 every row is one of the last 10, so no eigenvector
+        # mass certifies a match: a poor one is inconclusive, not a fail
+        out = tmp_path / "r.json"
+        run_cli("spectrum", "--dim", "5", "--out", str(out), "--no-timestamp")
+        payload = json.loads(out.read_text())
+        matches = [r for r in payload["records"] if r["identity_id"] == "spectrum-match"]
+        assert len(matches) == 20
+        assert not any(r["status"] == "fail" for r in matches)
 
     def test_spectrum_convergence_records(self, tmp_path):
         out = tmp_path / "r.json"

@@ -190,3 +190,17 @@ class TestFitRate:
         errs = [1e-16, 1e-16, 1e-16]
         slope, c = fit_rate(gaps, errs)
         assert math.isnan(slope)
+
+    def test_matches_polyfit_on_noisy_power_laws(self):
+        # the slope comes from centred sums in pure Python; numpy's
+        # least-squares fit is the reference
+        np = pytest.importorskip("numpy")
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k = int(rng.integers(3, 13))
+            gaps = np.sort(rng.uniform(1e-3, 0.5, size=k))
+            order = rng.uniform(0.5, 3.0)
+            errs = rng.uniform(0.1, 10.0) * gaps**order * np.exp(rng.normal(0.0, 0.3, size=k))
+            want = np.polyfit(np.log(gaps), np.log(errs), 1)[0]
+            slope, _ = fit_rate(gaps.tolist(), errs.tolist())
+            assert slope == pytest.approx(want, rel=1e-13), (gaps, errs)
