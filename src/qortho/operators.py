@@ -30,6 +30,7 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
+    _WORKING_DPS,
     _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
@@ -308,9 +309,6 @@ def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
 # eigencoefficients
 
 
-_COEFF_DPS = 30
-
-
 def _pref_a_ratio(m, q, a, b):
     """pref_{m+1}/pref_m for (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2)."""
     return (
@@ -326,7 +324,7 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     so one list serves every spectral point of a parameter set, and its
     first m+1 entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
     out = []
-    with mpmath.workdps(_COEFF_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         pref = mpmath.mpf(1)
         for m in range(m_max + 1):
@@ -343,7 +341,7 @@ def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list
     and its ratio_fn picks the family (the eigencoefficients a_m, or psi_m
     or phi_m)."""
     seq = spectral_sequence(p, branch, j, m_max)
-    with mpmath.workdps(_COEFF_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
@@ -358,7 +356,7 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
     route buys with a sweep seeded beyond m_max + j."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
-    with mpmath.workdps(_COEFF_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         lam = (a if branch == "a" else b) * q ** (j + 1)
         seq = big_q_laguerre_recurrence(m_max, lam, QParams(q=q, a=a, b=b))
@@ -381,7 +379,7 @@ def _signed_logs(values):
     """(sign, log10|v|) lists of floats from mpmath values."""
     signs = [0.0] * len(values)
     logs = [-math.inf] * len(values)
-    with mpmath.workdps(_COEFF_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         for i, v in enumerate(values):
             if v != 0:
                 signs[i] = 1.0 if v > 0 else -1.0

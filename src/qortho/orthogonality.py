@@ -35,9 +35,8 @@ from qortho.qseries import (
     q_pochhammer,
     q_pochhammer_inf,
 )
-from qortho.polynomials import big_q_laguerre_recurrence, q_meixner
+from qortho.polynomials import _WORKING_DPS, big_q_laguerre_recurrence, q_meixner
 from qortho.operators import (
-    _COEFF_DPS,
     _Normalization,
     _a_coeff_logs,
     _prefactors,
@@ -400,7 +399,7 @@ def _bilinear_terms(vals1, vals2) -> list:
     mpmath: full relative accuracy per term even where the two factors'
     magnitudes span hundreds of decades in opposite directions."""
     out = []
-    with mpmath.workdps(_COEFF_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         for v1, v2 in zip(vals1, vals2):
             f = float(v1 * v2)
             if math.isinf(f):

@@ -17,6 +17,7 @@ Evaluation routes:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,41 +58,47 @@ __all__ = [
 ]
 
 SPECTRAL_MATCH_RTOL = 1e-10
-_MILLER_DPS = 30
+# working precision of the backward route and the coefficient tables
+_WORKING_DPS = 30
 
 
 # ---------------------------------------------------------------------------
-# big q-Laguerre: series definitions
+# terminating series kernel
 
 
-def _bigql_series_sum(n, x, a, b, q):
-    """Terminating sum for 3phi2(q^-n, 0, x; aq, bq; q, q)."""
-    acc = NeumaierSum(q * 0.0)
-    term = 1 + q * 0
-    for k in range(n + 1):
+def _terminating_sum(n, step, one):
+    """Compensated sum of term_0 = one and term_(k+1) = step(k, term_k),
+    k < n; returns (value, max_abs_term).
+
+    Each caller's step writes out the next term in full, left to right
+    (term * factor * ... / (...)); regrouping the factors into one ratio
+    moves the last bits of the records.
+    """
+    acc = NeumaierSum(0 * one)
+    term = one
+    for k in range(n):
         acc.add(term)
-        if k == n:
-            break
-        term = (
-            term
-            * (1 - q ** (k - n))
-            * (1 - x * q**k)
-            * q
-            / ((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
-        )
+        term = step(k, term)
+    acc.add(term)
     return acc.value, acc.max_abs_term
 
 
-def _escalated(sum_fn, args, value, max_abs, rel_tol):
-    """Re-run a cancellation-prone sum in mpmath when float rounding is
-    above rel_tol relative accuracy.
+def _escalated(sum_fn, args, rel_tol):
+    """sum_fn(*args)'s value, re-run in mpmath when float rounding is above
+    rel_tol relative accuracy.
 
-    The needed precision depends on the (unknown) true magnitude of the
-    result, so the working precision is raised iteratively: each pass
-    re-targets from the latest value estimate.  Capped at dps 400, past
-    which the result is accepted with its (astronomically small) absolute
-    error--this happens only for results that are exact zeros.
+    sum_fn returns (value, max_abs_term).  A call with an mpmath argument
+    already runs at the caller's working precision and is returned as
+    computed; otherwise the needed precision depends on the (unknown) true
+    magnitude of the result, so the working precision is raised
+    iteratively: each pass re-targets from the latest value estimate.
+    Capped at dps 400, past which the result is accepted with its
+    (astronomically small) absolute error--this happens only for results
+    that are exact zeros.
     """
+    value, max_abs = sum_fn(*args)
+    if any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in args):
+        return value
     noise = 1e-16 * max_abs * 8
     if noise <= 0.05 * rel_tol * max(abs(value), 1e-30):
         return value
@@ -112,20 +119,29 @@ def _escalated(sum_fn, args, value, max_abs, rel_tol):
     return float(value_mp)
 
 
+# ---------------------------------------------------------------------------
+# big q-Laguerre: series definitions
+
+
+def _bigql_series_sum(n, x, a, b, q):
+    """Terminating sum for 3phi2(q^-n, 0, x; aq, bq; q, q)."""
+    return _terminating_sum(
+        n,
+        lambda k, term: (
+            term
+            * (1 - q ** (k - n))
+            * (1 - x * q**k)
+            * q
+            / ((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
+        ),
+        1 + q * 0,
+    )
+
+
 def _big_q_laguerre_raw(n, x, a, b, q, rel_tol=1e-13):
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if isinstance(x, float) and isinstance(q, float):
-        value, max_abs = _bigql_series_sum(n, x, a, b, q)
-        return _escalated(
-            lambda nn_x, aa, bb, qq: _bigql_series_sum(n, nn_x, aa, bb, qq),
-            (x, a, b, q),
-            value,
-            max_abs,
-            rel_tol,
-        )
-    value, _ = _bigql_series_sum(n, x, a, b, q)
-    return value
+    return _escalated(functools.partial(_bigql_series_sum, n), (x, a, b, q), rel_tol)
 
 
 def big_q_laguerre(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
@@ -143,30 +159,24 @@ def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) ->
     a, b, q = p.a, p.b, p.q
 
     def _sum(xx, aa, bb, qq):
-        acc = NeumaierSum(qq * 0.0)
-        term = 1 + qq * 0
         z = xx / bb
-        for k in range(n + 1):
-            acc.add(term)
-            if k == n:
-                break
-            term = (
+        value, max_abs = _terminating_sum(
+            n,
+            lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
                 * (1 - aa * qq / xx * qq**k)
                 * z
                 / ((1 - aa * qq ** (k + 1)) * (1 - qq ** (k + 1)))
-            )
+            ),
+            1 + qq * 0,
+        )
         pref = 1 + qq * 0
         for k in range(n):
             pref = pref * (1 - qq ** (k - n) / bb)
-        return acc.value / pref, acc.max_abs_term * abs(1 / pref)
+        return value / pref, max_abs * abs(1 / pref)
 
-    if isinstance(x, float):
-        value, max_abs = _sum(x, a, b, q)
-        return _escalated(_sum, (x, a, b, q), value, max_abs, min(t.rel_tol, 1e-13))
-    value, _ = _sum(x, a, b, q)
-    return value
+    return _escalated(_sum, (x, a, b, q), min(t.rel_tol, 1e-13))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +247,7 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("branch must be 'a' or 'b'")
     if j < 0:
         raise DomainError("spectral index must be nonnegative")
-    key = (float(p.q), float(p.a), float(p.b), branch, j)
+    key = (p.q, p.a, p.b, branch, j)
     cached = _MILLER_CACHE.get(key)
     if cached is not None and len(cached) > m_max:
         return cached[: m_max + 1]
@@ -257,7 +267,7 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     while h(M + 1) > target and M < m_max + j + 800:
         M += 1
 
-    with mpmath.workdps(_MILLER_DPS):
+    with mpmath.workdps(_WORKING_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         lam = (a if branch == "a" else b) * q ** (j + 1)
         seq = [mpmath.mpf(0)] * (M + 1)
@@ -303,26 +313,19 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
 
     def _sum(bb, cc, qq):
         z = -(qq ** (n + 1)) / cc
-        acc = NeumaierSum(qq * 0.0)
-        term = 1 + qq * 0
-        for k in range(kmax + 1):
-            acc.add(term)
-            if k == kmax:
-                break
-            term = (
+        return _terminating_sum(
+            kmax,
+            lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
                 * (1 - qq ** (k - m))
                 * z
                 / ((1 - bb * qq ** (k + 1)) * (1 - qq ** (k + 1)))
-            )
-        return acc.value, acc.max_abs_term
+            ),
+            1 + qq * 0,
+        )
 
-    if isinstance(q, float):
-        value, max_abs = _sum(bparam, c, q)
-        return _escalated(_sum, (bparam, c, q), value, max_abs, min(t.rel_tol, 1e-13))
-    value, _ = _sum(bparam, c, q)
-    return value
+    return _escalated(_sum, (bparam, c, q), min(t.rel_tol, 1e-13))
 
 
 def dual_f(n: int, m: int, p: QParams, t: Truncation = Truncation()) -> float:
@@ -376,7 +379,7 @@ def generating_series(
         # form each term in mpmath so neither factor over/underflows
         seq = spectral_sequence(p, hit[0], hit[1], n_max)
         terms = []
-        with mpmath.workdps(_MILLER_DPS):
+        with mpmath.workdps(_WORKING_DPS):
             qm, am, bm, tm = map(mpmath.mpf, (q, a, b, tvar))
             coef = mpmath.mpf(1)
             tpow = mpmath.mpf(1)
@@ -459,15 +462,13 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
     t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
     pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
     # terminating 2phi1(q^-j, 0; -1/(b t); q, x/b), j+1 terms
-    acc = NeumaierSum(0j)
-    term = 1 + 0j
     z = x / b
-    for k in range(j + 1):
-        acc.add(term)
-        if k == j:
-            break
-        term = term * (1 - q ** (k - j)) * z / ((1 + q**k / (b * tc)) * (1 - q ** (k + 1)))
-    return pref * acc.value
+    value, _ = _terminating_sum(
+        j,
+        lambda k, term: term * (1 - q ** (k - j)) * z / ((1 + q**k / (b * tc)) * (1 - q ** (k + 1))),
+        1 + 0j,
+    )
+    return pref * value
 
 
 def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
@@ -529,28 +530,20 @@ def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncati
         raise DomainError("denominator parameter q/b vanishes before termination")
 
     def _lhs_sum(xx, bb, cc, qq):
-        acc = NeumaierSum(qq * 0.0)
-        term = 1 + qq * 0
         z = -qq * xx / (bb * cc)
-        for k in range(n + 1):
-            acc.add(term)
-            if k == n:
-                break
-            term = (
+        return _terminating_sum(
+            n,
+            lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
                 * (1 - qq**k / xx)
                 * z
                 / ((1 - qq ** (k + 1) / bb) * (1 - qq ** (k + 1)))
-            )
-        return acc.value, acc.max_abs_term
+            ),
+            1 + qq * 0,
+        )
 
-    if isinstance(x, float) and isinstance(q, float):
-        value, max_abs = _lhs_sum(x, bparam, c, q)
-        lhs = _escalated(_lhs_sum, (x, bparam, c, q), value, max_abs, min(t.rel_tol, 1e-13))
-    else:
-        lhs, _ = _lhs_sum(x, bparam, c, q)
-
+    lhs = _escalated(_lhs_sum, (x, bparam, c, q), min(t.rel_tol, 1e-13))
     pref = 1 + q * 0
     for k in range(n):
         pref = pref * (1 + q ** (k - n) / c)

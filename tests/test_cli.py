@@ -55,12 +55,15 @@ class TestExitCodes:
         assert payload["summary"]["failed"] == 0
 
     def test_failure_exit_one(self, tmp_path):
-        # a 3x3 truncation cannot match the ten extreme spectral points
+        # the matches at dim 60 are certified, but their float eigenvalues
+        # miss the exact ones by more than a tolerance below double rounding
         out = tmp_path / "r.json"
-        res = run_cli("spectrum", "--dim", "3", "--out", str(out))
+        res = run_cli("spectrum", "--dim", "60", "--tol", "1e-17", "--out", str(out))
         assert res.returncode == 1
         payload = json.loads(out.read_text())
         assert payload["summary"]["failed"] >= 1
+        fails = [r for r in payload["records"] if r["status"] == "fail"]
+        assert all(r["identity_id"] == "spectrum-match" and r["tail_estimate"] == 0 for r in fails)
 
     def test_full_sweep_exit_zero(self, tmp_path):
         out = tmp_path / "r.json"
@@ -208,13 +211,16 @@ class TestCommands:
 
     def test_spectrum_small_dim_never_fails_a_match(self, tmp_path):
         # at dim <= 10 every row is one of the last 10, so no eigenvector
-        # mass certifies a match: a poor one is inconclusive, not a fail
-        out = tmp_path / "r.json"
-        run_cli("spectrum", "--dim", "5", "--out", str(out), "--no-timestamp")
-        payload = json.loads(out.read_text())
-        matches = [r for r in payload["records"] if r["identity_id"] == "spectrum-match"]
-        assert len(matches) == 20
-        assert not any(r["status"] == "fail" for r in matches)
+        # mass certifies a match: a poor one is inconclusive, not a fail,
+        # and so is a convergence record that compares two such matches
+        for q, a, b in (("0.5", "0.5", "-0.7"), ("0.9", "0.9", "-0.5")):
+            out = tmp_path / f"r_{q}_{a}_{b}.json"
+            res = run_cli("spectrum", "--dim", "5", "--q", q, "--a", a, "--b", b, "--out", str(out), "--no-timestamp")
+            assert res.returncode == 2, (q, a, b)
+            payload = json.loads(out.read_text())
+            matches = [r for r in payload["records"] if r["identity_id"] == "spectrum-match"]
+            assert len(matches) == 20
+            assert not any(r["status"] == "fail" for r in payload["records"]), (q, a, b)
 
     def test_spectrum_convergence_records(self, tmp_path):
         out = tmp_path / "r.json"
@@ -341,6 +347,13 @@ class TestGoldenOutput:
             ["verify", "--identity", "all", "--index-max", "4", "--q", "0.9", "--a", "0.9", "--b", "-0.5"],
             "verify_all_index4_q0.9_a0.9_b-0.5.csv",
             1,
+        ),
+        # the CLI path through the terminating-series kernel: 68 of its 135
+        # float sums cancel past double precision and rerun in mpmath
+        (
+            ["table", "--q", "0.7", "--a", "0.9", "--b", "-0.4"],
+            "table_q0.7_a0.9_b-0.4.csv",
+            0,
         ),
     ]
 

@@ -189,8 +189,8 @@ class TestForwardCoefficientRoute:
         # bound and share no step with either recurrence
         import mpmath
 
-        from qortho.operators import _COEFF_DPS, _forward_coeff_mpf, _prefactors
-        from qortho.polynomials import _bigql_series_sum
+        from qortho.operators import _forward_coeff_mpf, _prefactors
+        from qortho.polynomials import _WORKING_DPS, _bigql_series_sum
 
         prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 6):
@@ -198,7 +198,7 @@ class TestForwardCoefficientRoute:
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
                 lam = (a if branch == "a" else b) * q ** (n + 1)
                 seq = [_bigql_series_sum(m, lam, a, b, q)[0] for m in range(FWD_K + 1)]
-            with mpmath.workdps(_COEFF_DPS):
+            with mpmath.workdps(_WORKING_DPS):
                 exact = [pref * v for pref, v in zip(prefs, seq)]
             assert _worst_error(_forward_coeff_mpf(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
 

@@ -288,6 +288,23 @@ class TestReports:
                     run_identity_checks(other, P2, T, index_max=3)
             assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
 
+    def test_extended_records_independent_of_a_double_run(self, monkeypatch):
+        # the backward route's sequence cache is keyed on the exact
+        # parameter values, so a double-precision run of the same point
+        # leaves nothing that an extended run reads
+        from qortho import polynomials
+        from qortho.cli import _verify_family_records
+
+        def records(family, precision):
+            return _verify_family_records((family, 0.5, 0.5, -0.7, 3, 1e-8, precision))
+
+        for family in ("dual", "unitarity", "biortho"):
+            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+            cold = records(family, "extended")
+            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+            records(family, "double")
+            assert records(family, "extended") == cold, family
+
     # the q-Meixner sweeps share one table of M_n(q^-m) values per
     # parameterization (eq-zero also a 40-digit table for its retries), and
     # big-laguerre one table of P_0..P_K(lam_n) per spectral branch; a
@@ -404,7 +421,6 @@ class TestReports:
         import mpmath
 
         from qortho.operators import (
-            _COEFF_DPS,
             _pref_a_ratio,
             _pref_phi_ratio,
             _pref_psi_ratio,
@@ -412,6 +428,7 @@ class TestReports:
             _spectral_coeff_mpf,
         )
         from qortho.orthogonality import _certified_sum
+        from qortho.polynomials import _WORKING_DPS
 
         p = QParams(q=0.9, a=0.9, b=-0.5)
         prefactors = functools.cache(lambda ratio, m_cut: _prefactors(p, m_cut, ratio))
@@ -423,7 +440,7 @@ class TestReports:
         def literal(i, j, ratio_i=_pref_a_ratio, ratio_j=_pref_a_ratio):
             m_cut = 48
             while True:
-                with mpmath.workdps(_COEFF_DPS):
+                with mpmath.workdps(_WORKING_DPS):
                     arr = [float(x * y) for x, y in zip(coeffs(i, m_cut, ratio_i), coeffs(j, m_cut, ratio_j))]
                 value, used, tail = _certified_sum(lambda m: arr[m], T, hard_cap=m_cut)
                 if tail <= T.rel_tol * (1.0 + abs(value)) or m_cut >= 320:

@@ -5,13 +5,18 @@ arithmetic (fractions.Fraction) over the terminating sums, independently
 of the code under test.
 """
 
+import cmath
+import functools
 import math
+import random
 
 import mpmath
 import pytest
 
-from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer
+from qortho.qseries import DomainError, NeumaierSum, QParams, Truncation, q_pochhammer, q_pochhammer_inf
 from qortho.polynomials import (
+    _escalated,
+    _generating_closed_complex,
     Family,
     Method,
     PolyEval,
@@ -323,3 +328,178 @@ class TestPolyEvalDispatch:
     def test_generating_method_off_spectrum_rejected(self):
         with pytest.raises(DomainError):
             poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, 0.2, P1, Method.GENERATING))
+
+
+# ---------------------------------------------------------------------------
+# the terminating-series kernel against the per-series loops it replaced;
+# each loop is written out as it stood, term expression and all
+
+
+def _loop_bigql(n, x, a, b, q):
+    acc = NeumaierSum(q * 0.0)
+    term = 1 + q * 0
+    for k in range(n + 1):
+        acc.add(term)
+        if k == n:
+            break
+        term = (
+            term
+            * (1 - q ** (k - n))
+            * (1 - x * q**k)
+            * q
+            / ((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
+        )
+    return acc.value, acc.max_abs_term
+
+
+def _loop_phi21(n, xx, aa, bb, qq):
+    acc = NeumaierSum(qq * 0.0)
+    term = 1 + qq * 0
+    z = xx / bb
+    for k in range(n + 1):
+        acc.add(term)
+        if k == n:
+            break
+        term = (
+            term
+            * (1 - qq ** (k - n))
+            * (1 - aa * qq / xx * qq**k)
+            * z
+            / ((1 - aa * qq ** (k + 1)) * (1 - qq ** (k + 1)))
+        )
+    pref = 1 + qq * 0
+    for k in range(n):
+        pref = pref * (1 - qq ** (k - n) / bb)
+    return acc.value / pref, acc.max_abs_term * abs(1 / pref)
+
+
+def _loop_meixner(n, m, bb, cc, qq):
+    kmax = min(n, m)
+    z = -(qq ** (n + 1)) / cc
+    acc = NeumaierSum(qq * 0.0)
+    term = 1 + qq * 0
+    for k in range(kmax + 1):
+        acc.add(term)
+        if k == kmax:
+            break
+        term = (
+            term
+            * (1 - qq ** (k - n))
+            * (1 - qq ** (k - m))
+            * z
+            / ((1 - bb * qq ** (k + 1)) * (1 - qq ** (k + 1)))
+        )
+    return acc.value, acc.max_abs_term
+
+
+def _loop_qinv_lhs(n, xx, bb, cc, qq):
+    acc = NeumaierSum(qq * 0.0)
+    term = 1 + qq * 0
+    z = -qq * xx / (bb * cc)
+    for k in range(n + 1):
+        acc.add(term)
+        if k == n:
+            break
+        term = (
+            term
+            * (1 - qq ** (k - n))
+            * (1 - qq**k / xx)
+            * z
+            / ((1 - qq ** (k + 1) / bb) * (1 - qq ** (k + 1)))
+        )
+    return acc.value, acc.max_abs_term
+
+
+def _loop_generating_closed_complex(x, tc, p, branch, j):
+    a, b, q = p.a, p.b, p.q
+    if branch == "b":
+        a, b = b, a
+    t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
+    pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
+    acc = NeumaierSum(0j)
+    term = 1 + 0j
+    z = x / b
+    for k in range(j + 1):
+        acc.add(term)
+        if k == j:
+            break
+        term = term * (1 - q ** (k - j)) * z / ((1 + q**k / (b * tc)) * (1 - q ** (k + 1)))
+    return pref * acc.value
+
+
+class TestTerminatingSumKernel:
+    REL = min(T.rel_tol, 1e-13)
+
+    @staticmethod
+    def _grid(seed, size):
+        rng = random.Random(seed)
+        for _ in range(size):
+            q = rng.uniform(0.3, 0.95)
+            a = rng.uniform(0.05, 0.999 / q)
+            b = -rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 50.0)])
+            n = rng.randrange(13)
+            j = rng.randrange(10)
+            x = rng.choice([a * q ** (j + 1), b * q ** (j + 1), rng.uniform(-2.0, 2.0)])
+            m = rng.randrange(13)
+            # the q -> 1/q relation takes its own x, b and c
+            xi = q ** -rng.randrange(6) * rng.choice([1.0, 1.7])
+            bi, ci = rng.uniform(1.5, 4.0), rng.uniform(0.1, 2.0)
+            yield n, m, x, a, b, q, xi, bi, ci
+
+    def _check_grid(self, grid, convert):
+        """Compare every series route with its loop through _escalated, the
+        shared route rule; returns one flag per sum: did it escalate?"""
+        escalated = []
+
+        def ref(loop, args):
+            calls = []
+
+            def counted(*xs):
+                calls.append(xs)
+                return loop(*xs)
+
+            value = _escalated(counted, args, self.REL)
+            escalated.append(len(calls) > 1)
+            return value
+
+        for point in grid:
+            n, m = point[:2]
+            x, a, b, q, xi, bi, ci = map(convert, point[2:])
+            p = QParams(q=q, a=a, b=b)
+            assert big_q_laguerre(n, x, p, T) == ref(functools.partial(_loop_bigql, n), (x, a, b, q)), point
+            assert big_q_laguerre_phi21(n, x, p, T) == ref(functools.partial(_loop_phi21, n), (x, a, b, q)), point
+            for bparam, c in ((a, -b / a), (b, -a / b)):
+                assert q_meixner(n, m, bparam, c, q, T) == ref(
+                    functools.partial(_loop_meixner, n, m), (bparam, c, q)
+                ), point
+            lhs, rhs = q_inverse_meixner_relation(n, xi, bi, ci, q, T)
+            assert lhs == ref(functools.partial(_loop_qinv_lhs, n), (xi, bi, ci, q)), point
+            pref = 1 + q * 0
+            for k in range(n):
+                pref = pref * (1 + q ** (k - n) / ci)
+            assert rhs == pref * ref(functools.partial(_loop_bigql, n), (q * xi / bi, 1 / bi, -ci, q)), point
+        return escalated
+
+    def test_float_routes_match_loops(self):
+        escalated = self._check_grid(self._grid(7, 40), float)
+        # both routes are exercised: sums that stay in floats and sums that
+        # cancel past double precision and rerun in mpmath
+        assert any(escalated) and not all(escalated)
+
+    def test_mpf_routes_match_loops(self):
+        with mpmath.workdps(40):
+            escalated = self._check_grid(self._grid(8, 15), mpmath.mpf)
+        assert escalated and not any(escalated)
+
+    def test_complex_generating_sum_matches_loop(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            q = rng.uniform(0.3, 0.95)
+            p = QParams(q=q, a=rng.uniform(0.05, 0.999 / q), b=-rng.uniform(0.01, 50.0))
+            branch, j = rng.choice("ab"), rng.randrange(12)
+            x = (p.a if branch == "a" else p.b) * q ** (j + 1)
+            radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
+            tc = 0.75 * radius * cmath.exp(2j * cmath.pi * rng.random())
+            assert _generating_closed_complex(x, tc, p, branch, j) == _loop_generating_closed_complex(
+                x, tc, p, branch, j
+            ), (p, branch, j, tc)
