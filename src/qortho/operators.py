@@ -34,6 +34,7 @@ from qortho.polynomials import (
     _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
+    q_meixner,
     spectral_sequence,
 )
 
@@ -59,6 +60,8 @@ __all__ = [
     "normalization_cprime",
     "spectrum_points",
     "eig_tridiagonal",
+    "eig_tridiagonal_accuracy",
+    "truncation_residuals",
     "qJ0_inverse_action",
     "psi_phi_coefficients",
 ]
@@ -363,6 +366,20 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
+def _log10_prefactors(p: QParams, m_max: int) -> np.ndarray:
+    """log10 pref_0..pref_m_max in floats: the running sum of the logs
+    of the ratios `_pref_a_ratio`."""
+    import numpy as np
+
+    q, a, b = p.q, p.a, p.b
+    m = np.arange(m_max, dtype=float)
+    qm = q ** (m + 1)
+    steps = -0.5 * math.log10(-a * b) - (2 * m + 4) / 4.0 * math.log10(q) + 0.5 * (
+        np.log10(1 - a * qm) + np.log10(1 - b * qm) - np.log10(1 - qm)
+    )
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
 def _mpf_to_float_array(values, what: str) -> np.ndarray:
     import numpy as np
 
@@ -420,22 +437,45 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Trunc
     # generic lam: polynomial route with the prefactor held in log space
     pvals = big_q_laguerre_recurrence(m_max, lam, p)
     coeffs = np.zeros(m_max + 1)
-    logpref = 0.0
-    q, a, b = p.q, p.a, p.b
-    for m in range(m_max + 1):
-        v = pvals[m]
+    for m, (v, logpref) in enumerate(zip(pvals, _log10_prefactors(p, m_max))):
         if v != 0.0:
             mag = logpref + math.log10(abs(v))
             if mag > 300:
                 raise OverflowError(f"eigencoefficient overflow at m={m}")
             coeffs[m] = math.copysign(10.0**mag, v)
-        if m < m_max:
-            logpref += -0.5 * math.log10(-a * b) - (2 * m + 4) / 4.0 * math.log10(q) + 0.5 * (
-                math.log10(1 - a * q ** (m + 1))
-                + math.log10(1 - b * q ** (m + 1))
-                - math.log10(1 - q ** (m + 1))
-            )
     return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=False)
+
+
+def truncation_residuals(p: QParams, dim: int, points) -> list:
+    """r = |A[dim-1, dim] a_dim(lam)| for each exact eigenvalue lam in
+    `points`.  The exact eigenvector cut to dim rows satisfies every row
+    of A_dim - lam but the last, and a_0 = 1 bounds its norm below, so
+    A_dim has an eigenvalue within r of lam (Parlett, The Symmetric
+    Eigenvalue Problem, 4.5).  By duality, at lam = first q^(n+1),
+
+        a_d = pref_d M_n(q^-d; first, -second/first; q) / (q^-d/second; q)_d,
+
+    with (first, second) = (a, b) or (b, a) and the denominator equal to
+    (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
+    sum of logs, and r underflows to 0 or overflows to inf."""
+    import numpy as np
+
+    q, a, b = p.q, p.a, p.b
+    log_q = math.log10(q)
+    qi = q ** np.arange(1, dim + 1, dtype=float)
+    log_sq = {s: float(np.sum(np.log10(1 - s * qi))) for s in (a, b)}
+    qd = q**dim
+    log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
+    log_fixed = log_off + float(_log10_prefactors(p, dim)[dim]) + dim * (dim + 1) / 2 * log_q
+    radii = []
+    for lam in points:
+        branch, n = match_spectral_point(float(lam), p)
+        first, second = (a, b) if branch == "a" else (b, a)
+        with mpmath.workdps(_WORKING_DPS):
+            meixner = q_meixner(n, dim, mpmath.mpf(first), -mpmath.mpf(second) / first, mpmath.mpf(q))
+            log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + float(mpmath.log10(abs(meixner)))
+        radii.append(math.inf if log_r > 300 else 10.0**log_r)
+    return radii
 
 
 def recurrence_residuals(vec: CoefficientVector, p: QParams) -> np.ndarray:
@@ -587,6 +627,18 @@ def spectrum_points(p: QParams, N: int) -> SpectralPoints:
 _MAX_BISECTIONS = 120
 _POINTS_PER_PASS = 512
 _COUNT_BLOCK_ROWS = 64
+# Bisection stops once every bracket is at most this times ||T|| wide.
+_BRACKET_WIDTH = 1e-14
+
+
+def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
+    """Bound on the distance from each eigenvalue `eig_tridiagonal(tri)`
+    returns to one of the matrix that `tri` rounds: the bracket width
+    plus 16 units of roundoff of ||T||, for the float Sturm count (exact
+    for a matrix a few units from T entrywise: Demmel, Dhillon and Ren,
+    ETNA 3, 1995) and the rounded entries and targets."""
+    norm = float(abs(tri.diag).max() + 2 * abs(tri.offdiag).max(initial=0.0))
+    return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
 
 
 def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndarray:
@@ -595,10 +647,10 @@ def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndar
     to it.
 
     Bisection on the Sturm sign-count of the shifted LDL^T pivots:
-    deterministic, and accurate to ~1e-14 * ||T|| even for the
-    eigenvalues clustered near zero.  With `near`, one count at the
-    targets gives the number k_t of eigenvalues below each, and only the
-    indices k_t-2 .. k_t+1 are bisected; each result is bit for bit
+    deterministic, and accurate to `eig_tridiagonal_accuracy(tri)` even
+    for the eigenvalues clustered near zero.  With `near`, one count at
+    the targets gives the number k_t of eigenvalues below each, and only
+    the indices k_t-2 .. k_t+1 are bisected; each result is bit for bit
     `full[argmin |full - t|]` of the full solve.
     """
     import numpy as np
@@ -641,7 +693,7 @@ def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndar
     else:
         window = count_below(targets)[:, None] + np.arange(-2, 2)
         ks = np.unique(np.clip(window, 0, n - 1))
-    lob, hib = _bisect(count_below, ks, lo - 1e-12 * norm, hi + 1e-12 * norm, 1e-14 * norm)
+    lob, hib = _bisect(count_below, ks, lo - 1e-12 * norm, hi + 1e-12 * norm, _BRACKET_WIDTH * norm)
     eig = 0.5 * (lob + hib)
     if targets is None:
         return eig

@@ -16,6 +16,7 @@ from qortho.operators import (
     compose_A_from_generators,
     compose_A1_A2_from_generators,
     eig_tridiagonal,
+    eig_tridiagonal_accuracy,
     eigen_coefficients,
     jminus_action_factor,
     jplus_action_factor,
@@ -25,6 +26,7 @@ from qortho.operators import (
     qJ0_inverse_action,
     recurrence_residuals,
     spectrum_points,
+    truncation_residuals,
 )
 
 T = Truncation()
@@ -411,6 +413,40 @@ class TestEigTridiagonal:
         floor = 5e-15
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev or cur <= floor
+
+    def test_match_within_residual_bound(self, monkeypatch):
+        # the eigenvalue nearest each exact one lies within r + delta of
+        # it, at the acceptance sets and at four edge points; dims 12 and
+        # 20 exercise r, dim 250 (r underflows to 0) delta alone
+        for q, a, b in [
+            (0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0),
+            (0.3, 3.2, -0.01), (0.55, 0.9, -0.7), (0.8, 0.6, -2.0),
+        ]:
+            p = QParams(q=q, a=a, b=b)
+            exact = spectrum_points(p, 30).merged_by_magnitude()[:10]
+            for dim in (12, 20, 250):
+                tri = build_A(p, dim)
+                err = np.abs(eig_tridiagonal(tri, near=exact) - exact)
+                bound = np.array(truncation_residuals(p, dim, exact)) + eig_tridiagonal_accuracy(tri)
+                assert np.all(err <= bound), (q, a, b, dim)
+        # r / |A[d-1, d]| is |a_d| from the q-Meixner duality; the
+        # reference is the backward route, seeded here for d <= 40 (a
+        # sequence seeded for a smaller cut-off is less accurate past it),
+        # at points where that route is trusted
+        from qortho import polynomials
+        from qortho.operators import _prefactors
+
+        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+        for p in (P1, P2, QParams(q=0.3, a=3.2, b=-0.01), QParams(q=0.8, a=0.6, b=-2.0)):
+            prefs = _prefactors(p, 40)
+            off = build_A(p, 41).offdiag
+            for branch, j in [("a", 0), ("a", 3), ("a", 7), ("b", 0), ("b", 3), ("b", 7)]:
+                lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
+                seq = polynomials.spectral_sequence(p, branch, j, 40)
+                for d in (1, 2, 5, 12, 20, 40):
+                    want = float(abs(prefs[d] * seq[d]))
+                    got = truncation_residuals(p, d, [lam])[0] / abs(off[d - 1])
+                    assert got == pytest.approx(want, rel=1e-11), (p, branch, j, d)
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     def test_spectral_containment(self, p):
