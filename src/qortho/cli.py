@@ -43,6 +43,8 @@ from qortho.polynomials import (
 from qortho.orthogonality import (
     IDENTITY_FAMILIES,
     VerificationReport,
+    _STORE_FAMILIES,
+    _Store,
     run_identity_checks,
 )
 from qortho.climit import (
@@ -184,24 +186,37 @@ def _config_from_args(args) -> RunConfig:
 # verify
 
 
-def _verify_family_records(task) -> list:
-    family, q, a, b, index_max, tolerance, precision = task
+def _task_reports(families: tuple, p: QParams, t: Truncation, index_max: int, tolerance: float) -> list:
+    store = _Store(p, t)
+    return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, tolerance, store=store)]
+
+
+def _verify_task_records(task) -> list:
+    """Records of one verify task: its families run in order on one store."""
+    families, q, a, b, index_max, tolerance, precision = task
     if precision == "extended":
         with mpmath.workdps(EXTENDED_DPS):
             p = QParams(q=mpmath.mpf(repr(q)), a=mpmath.mpf(repr(a)), b=mpmath.mpf(repr(b)))
-            t = Truncation(rel_tol=1e-20)
-            reports = run_identity_checks(family, p, t, index_max, tolerance)
+            reports = _task_reports(families, p, Truncation(rel_tol=1e-20), index_max, tolerance)
     else:
-        p = QParams(q=q, a=a, b=b)
-        reports = run_identity_checks(family, p, Truncation(), index_max, tolerance)
+        reports = _task_reports(families, QParams(q=q, a=a, b=b), Truncation(), index_max, tolerance)
     return [report_to_record(r) for r in reports]
+
+
+def _verify_tasks(families: list) -> list:
+    """The families grouped into tasks: the _STORE_FAMILIES among them form
+    one task, which shares their sums, and every other family is a task
+    of its own.  The grouping depends on the families alone, never on
+    --jobs, so a record does not depend on how tasks meet workers."""
+    shared = tuple(fam for fam in families if fam in _STORE_FAMILIES)
+    return ([shared] if shared else []) + [(fam,) for fam in families if fam not in _STORE_FAMILIES]
 
 
 def _run_verify(cfg: RunConfig) -> list:
     families = list(IDENTITY_FAMILIES) if cfg.identity == "all" else [cfg.identity]
     tasks = [
-        (fam, cfg.q, cfg.a, cfg.b, cfg.index_max, cfg.tolerance, cfg.precision)
-        for fam in families
+        (group, cfg.q, cfg.a, cfg.b, cfg.index_max, cfg.tolerance, cfg.precision)
+        for group in _verify_tasks(families)
     ]
     if cfg.jobs > 1 and len(tasks) > 1:
         # imported here: the process-pool machinery costs every other
@@ -209,9 +224,9 @@ def _run_verify(cfg: RunConfig) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_verify_family_records, tasks))
+            chunks = list(pool.map(_verify_task_records, tasks))
     else:
-        chunks = [_verify_family_records(task) for task in tasks]
+        chunks = [_verify_task_records(task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r["identity_id"], r["i"], r["j"]))
     return records

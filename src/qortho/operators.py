@@ -32,6 +32,7 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _WORKING_DPS,
     _recurrence_d,
+    _working_coefficients,
     big_q_laguerre_recurrence,
     match_spectral_point,
     q_meixner,
@@ -337,21 +338,23 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     return out
 
 
-def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):
+def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list, recurrence=None):
     """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
     exact-exponent mpmath floats, from the backward-recurrence polynomial
     sequence; prefs is `_prefactors(p, M, ratio_fn)` for some M >= m_max,
     and its ratio_fn picks the family (the eigencoefficients a_m, or psi_m
-    or phi_m)."""
-    seq = spectral_sequence(p, branch, j, m_max)
+    or phi_m).  recurrence is the shared `_working_coefficients(p)` table,
+    if any."""
+    seq = spectral_sequence(p, branch, j, m_max, coeffs=recurrence)
     with mpmath.workdps(_WORKING_DPS):
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
-def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
+def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None):
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
     j >= m_max, from the forward three-term recurrence; prefs is
-    `_prefactors(p, m_max)`, built here when not given.
+    `_prefactors(p, m_max)` and recurrence `_working_coefficients(p)`,
+    each built here when not given.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
@@ -359,10 +362,12 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None):
     route buys with a sweep seeded beyond m_max + j."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
+    if recurrence is None:
+        recurrence = _working_coefficients(p)
     with mpmath.workdps(_WORKING_DPS):
-        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        lam = (a if branch == "a" else b) * q ** (j + 1)
-        seq = big_q_laguerre_recurrence(m_max, lam, QParams(q=q, a=a, b=b))
+        pw = recurrence.p
+        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
+        seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
@@ -404,17 +409,18 @@ def _signed_logs(values):
     return signs, logs
 
 
-def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None):
+def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None):
     """(sign, log10|a_m|) lists of the eigencoefficients at the spectral
     point of the given branch/index, m = 0..m_max: forward recurrence when
     every degree is at most the spectral index, backward minimal-solution
     recurrence otherwise; prefs is the shared `_prefactors(p, m_max)`
-    list, built here when not given."""
+    list, built here when not given, and recurrence the shared
+    `_working_coefficients(p)` table, if any."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
     if j >= m_max:
-        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs))
-    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs))
+        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs, recurrence))
+    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs, recurrence))
 
 
 def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> CoefficientVector:

@@ -35,7 +35,13 @@ from qortho.qseries import (
     q_pochhammer,
     q_pochhammer_inf,
 )
-from qortho.polynomials import _WORKING_DPS, big_q_laguerre_recurrence, q_meixner
+from qortho.polynomials import (
+    _WORKING_DPS,
+    _RecurrenceTable,
+    _working_coefficients,
+    big_q_laguerre_recurrence,
+    q_meixner,
+)
 from qortho.operators import (
     _Normalization,
     _a_coeff_logs,
@@ -139,9 +145,8 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
     acc = NeumaierSum()
     recent: list = []
     run = 0
-    m = 0
     tail = math.inf
-    while m <= hard_cap:
+    for m in range(hard_cap + 1):
         term = terms(m)
         acc.add(term)
         recent.append(abs(term))
@@ -167,7 +172,6 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
                 run = 0
         else:
             run = 0
-        m += 1
     return acc.value, m + 1, tail
 
 
@@ -286,11 +290,12 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
 # the q-integral orthogonality of the polynomial family
 
 
-def _spectral_table(branch: str, K: int, p: QParams, t: Truncation) -> _PairTable:
+def _spectral_table(branch: str, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable) -> _PairTable:
     """P_0..P_K at the spectral points lam_n = c q^(n+1) of one branch,
     with the weights w_n = (q^(n+1); q)_inf (c q^(n+1)/d; q)_inf /
     (c q^(n+1); q)_inf q^n for branch value c and opposite value d.  Row n
-    is one forward recurrence, built on first use."""
+    is one forward sweep on the recurrence table of p, built on first
+    use."""
     q = p.q
     c, d = (p.a, p.b) if branch == "a" else (p.b, p.a)
     w0 = (
@@ -302,7 +307,7 @@ def _spectral_table(branch: str, K: int, p: QParams, t: Truncation) -> _PairTabl
 
     def value(m: int, n: int):
         while len(rows) <= n:
-            rows.append(big_q_laguerre_recurrence(K, c * q ** (len(rows) + 1), p))
+            rows.append(big_q_laguerre_recurrence(K, c * q ** (len(rows) + 1), p, coeffs=recurrence))
         return rows[n][m]
 
     def step(n: int, w):
@@ -311,9 +316,10 @@ def _spectral_table(branch: str, K: int, p: QParams, t: Truncation) -> _PairTabl
     return _PairTable(w0, step, value)
 
 
-def _branch_tables(make, K: int, p: QParams, t: Truncation) -> tuple:
-    """The a-branch and the b-branch table of a sum over spectral points."""
-    return make("a", K, p, t), make("b", K, p, t)
+def _branch_tables(make, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable) -> tuple:
+    """The a-branch and the b-branch table of a sum over spectral points,
+    both reading one recurrence table."""
+    return make("a", K, p, t, recurrence), make("b", K, p, t, recurrence)
 
 
 def _two_branch_sum(tables: tuple, i: int, j: int, t: Truncation, scale_b: float = 1.0):
@@ -334,7 +340,8 @@ def verify_big_laguerre_orthogonality(
     """Orthogonality of the polynomial family over its two-branch
     discrete measure: the weighted sums over both spectral branches
     against the closed-form norm times a Kronecker delta."""
-    return _verify_big_laguerre(m, m2, p, t, tolerance, _branch_tables(_spectral_table, max(m, m2), p, t))
+    tables = _branch_tables(_spectral_table, max(m, m2), p, t, _RecurrenceTable(p))
+    return _verify_big_laguerre(m, m2, p, t, tolerance, tables)
 
 
 def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
@@ -360,7 +367,7 @@ def verify_identity_3637(
     checked against its closed-form product value, with the equivalent
     basic-series form evaluated as a cross-check."""
     q, a, b = p.q, p.a, p.b
-    lhs, used, tail = _two_branch_sum(_branch_tables(_spectral_table, 0, p, t), 0, 0, t, -b / a)
+    lhs, used, tail = _two_branch_sum(_branch_tables(_spectral_table, 0, p, t, _RecurrenceTable(p)), 0, 0, t, -b / a)
     rhs = _kc(p, t)
 
     # equivalent form: prefactored 2phi1 evaluations at argument q
@@ -414,27 +421,31 @@ _M_CAP = 320
 
 class _LabelTable:
     """Eigencoefficients a_0..a_m_cut and normalization constant of each
-    integer eigenvalue label, for one sweep of a family of sums over the
-    basis index m.
+    integer eigenvalue label, and the sums over the basis index m of
+    products of the coefficients of two labels, for every family of such
+    sums that one verify task runs.
 
     A label keeps the longest coefficient list any pair asked for, and a
     shorter cut reads a slice of it.  The prefactors pref_0..pref_M are
     one list, rebuilt only when a longer cut is needed; it is a
-    sequential product, so its slices equal the shorter lists."""
+    sequential product, so its slices equal the shorter lists.  The
+    backward sweeps read the recurrence table `_working_coefficients(p)`."""
 
-    def __init__(self, p: QParams, t: Truncation):
+    def __init__(self, p: QParams, t: Truncation, recurrence: _RecurrenceTable):
         self.p, self.t = p, t
+        self._recurrence = recurrence
         self._prefs: list = []
         self._coeffs: dict = {}
         self._norm = _Normalization(p, t)
         self._c: dict = {}
+        self._sums: dict = {}
 
     def coeffs(self, label: int, m_cut: int) -> list:
         hit = self._coeffs.get(label)
         if hit is None or len(hit) <= m_cut:
             if len(self._prefs) <= m_cut:
                 self._prefs = _prefactors(self.p, m_cut)
-            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs)
+            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs, self._recurrence)
             self._coeffs[label] = hit
         return hit[: m_cut + 1]
 
@@ -447,8 +458,17 @@ class _LabelTable:
         return self._c[label]
 
     def pair_sum(self, i: int, j: int, t: Truncation):
-        """Certified sum over m of a_m(lam_i) a_m(lam_j); the cut-off
-        m_cut doubles from 48 up to _M_CAP until the tail is certified."""
+        """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
+        first request for the unordered pair {i, j} and kept: the mpmath
+        products commute exactly, so (j, i) would give the same bits."""
+        key = (min(i, j), max(i, j), t)
+        if key not in self._sums:
+            self._sums[key] = self._doubling_sum(i, j, t)
+        return self._sums[key]
+
+    def _doubling_sum(self, i: int, j: int, t: Truncation):
+        """The sum with the cut-off m_cut doubling from 48 up to _M_CAP
+        until the tail is certified."""
         m_cut = 48
         while True:
             arr = _bilinear_terms(self.coeffs(i, m_cut), self.coeffs(j, m_cut))
@@ -456,6 +476,18 @@ class _LabelTable:
             if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= _M_CAP:
                 return value, used, tail
             m_cut = min(2 * m_cut, _M_CAP)
+
+
+class _Store:
+    """What the identity families of one verify task share at one
+    parameter set: the recurrence table `_working_coefficients(p)`, read
+    by the coefficient rows of unitarity-rows and by the label table, and
+    the label table, whose sums unitarity-columns, dual and biortho all
+    read.  Each task builds its own, for its p and t."""
+
+    def __init__(self, p: QParams, t: Truncation):
+        self.recurrence = _working_coefficients(p)
+        self.labels = _LabelTable(p, t, self.recurrence)
 
 
 def verify_dual_orthogonality(
@@ -474,7 +506,7 @@ def verify_dual_orthogonality(
     values in extended precision; the cross case (one function from each
     branch) is an exact cancellation handled by the same extended-
     precision coefficients."""
-    return _verify_dual(which, n, n2, p, t, tolerance, _LabelTable(p, t))
+    return _verify_dual(which, n, n2, p, t, tolerance, _Store(p, t).labels)
 
 
 def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
@@ -495,12 +527,14 @@ class _RowTable(_PairSum):
     a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them in log
     form; rows are built on first use, in order of n, and shared by every
     (i, j) pair with max(i, j) <= K.  The n-independent prefactors
-    pref_0..pref_K are built once with the table."""
+    pref_0..pref_K are built once with the table, and the rows read the
+    recurrence table `_working_coefficients(p)`."""
 
     hard_cap = 700
 
-    def __init__(self, branch: str, K: int, p: QParams, t: Truncation):
+    def __init__(self, branch: str, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable):
         self.branch, self.K, self.p, self.t = branch, K, p, t
+        self._recurrence = recurrence
         norm = _Normalization(p, t)
         self._cfun = norm.c if branch == "a" else norm.cprime
         self._prefs = _prefactors(p, K)
@@ -509,7 +543,7 @@ class _RowTable(_PairSum):
     def row(self, n: int) -> tuple:
         while len(self._rows) <= n:
             k = len(self._rows)
-            s, l = _a_coeff_logs(self.p, self.branch, k, self.K, self._prefs)
+            s, l = _a_coeff_logs(self.p, self.branch, k, self.K, self._prefs, self._recurrence)
             self._rows.append((s, l, 2.0 * math.log10(self._cfun(k))))
         return self._rows[n]
 
@@ -545,9 +579,10 @@ def verify_unitarity(
     normalization constants attached.  Rows express the same identity as
     the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
     rowcol = RowCol(rowcol)
+    store = _Store(p, t)
     if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, p, t, tolerance, _branch_tables(_RowTable, max(i, j), p, t))
-    return _verify_columns("unitarity-columns", i, j, p, t, tolerance, _LabelTable(p, t))
+        return _verify_rows(i, j, p, t, tolerance, _branch_tables(_RowTable, max(i, j), p, t, store.recurrence))
+    return _verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels)
 
 
 def _verify_columns(identity_id: str, i: int, j: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
@@ -575,7 +610,7 @@ def verify_biorthogonality(
     The coefficients satisfy psi_k(lam_m) phi_k(lam_n) = a_k(lam_m)
     a_k(lam_n) term for term (psi = D a, phi = D^-1 a for a diagonal D),
     so the sum is the unitarity-columns sum in the psi/phi basis."""
-    return _verify_columns("biortho", m, n, p, t, tolerance, _LabelTable(p, t))
+    return _verify_columns("biortho", m, n, p, t, tolerance, _Store(p, t).labels)
 
 
 # ---------------------------------------------------------------------------
@@ -732,19 +767,34 @@ IDENTITY_FAMILIES = (
 )
 
 
+# the families that read a _Store; a verify task that runs several of them
+# gives them one store
+_STORE_FAMILIES = ("unitarity", "dual", "biortho")
+
+
 def run_identity_checks(
     identity: str,
     p: QParams,
     t: Truncation = Truncation(),
     index_max: int = 8,
     tolerance: float = DEFAULT_TOLERANCE,
+    store: _Store | None = None,
 ) -> list:
     """All checks of one identity family over the default index grid,
-    sorted by (identity_id, indices)."""
+    sorted by (identity_id, indices).
+
+    store is the `_Store(p, t)` of the verify task the sweep belongs to;
+    the _STORE_FAMILIES that read one store share its coefficients and
+    sums.  A call without one builds its own, and "all" one for every
+    family."""
+    if store is None:
+        store = _Store(p, t)
+    elif (store.labels.p, store.labels.t) != (p, t):
+        raise ValueError("store built for other parameters")
     if identity == "all":
         out = []
         for fam in IDENTITY_FAMILIES:
-            out.extend(run_identity_checks(fam, p, t, index_max, tolerance))
+            out.extend(run_identity_checks(fam, p, t, index_max, tolerance, store))
         return out
 
     reports = []
@@ -754,20 +804,19 @@ def run_identity_checks(
     zpairs = [(i, j) for i in zlabels for j in zlabels if i <= j]
 
     if identity == "big-laguerre":
-        tables = _branch_tables(_spectral_table, index_max, p, t)
+        tables = _branch_tables(_spectral_table, index_max, p, t, _RecurrenceTable(p))
         for i, j in pairs_upper:
             reports.append(_verify_big_laguerre(i, j, p, t, tolerance, tables))
     elif identity == "sears":
         reports.append(verify_identity_3637(p, t, tolerance))
     elif identity == "unitarity":
-        tables = _branch_tables(_RowTable, index_max, p, t)
+        tables = _branch_tables(_RowTable, index_max, p, t, store.recurrence)
         for i, j in pairs_upper:
             reports.append(_verify_rows(i, j, p, t, tolerance, tables))
-        table = _LabelTable(p, t)
         for i, j in zpairs:
-            reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, table))
+            reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels))
     elif identity == "dual":
-        table = _LabelTable(p, t)
+        table = store.labels
         for i, j in pairs_upper:
             reports.append(_verify_dual(DualPair.FF, i, j, p, t, tolerance, table))
             reports.append(_verify_dual(DualPair.GG, i, j, p, t, tolerance, table))
@@ -782,9 +831,8 @@ def run_identity_checks(
         for i, j in grid_full:
             reports.append(_verify_eq_zero(i, j, p, t, tolerance, tables))
     elif identity == "biortho":
-        table = _LabelTable(p, t)
         for i, j in zpairs:
-            reports.append(_verify_columns("biortho", i, j, p, t, tolerance, table))
+            reports.append(_verify_columns("biortho", i, j, p, t, tolerance, store.labels))
     else:
         raise DomainError(f"unknown identity family: {identity!r}")
 

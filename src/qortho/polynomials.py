@@ -188,22 +188,64 @@ def _recurrence_d(n, a, b, q):
     return -a * b * q ** (2 * n + 1) * (1 + q) + q ** (n + 1) * (a + a * b + b)
 
 
-def big_q_laguerre_recurrence(n_max: int, x, p: QParams) -> list:
+class _RecurrenceTable:
+    """The coefficients of the three-term recurrence at one parameter set,
+
+        A_n P_{n+1} = (x - d_n) P_n + C_n P_{n-1},
+        A_n = (1-aq^(n+1))(1-bq^(n+1)),  C_n = ab q^(n+1)(1-q^n),
+
+    in the scalars of p, extended on demand.  They do not depend on x, so
+    one table serves every forward and backward sweep of the set.  Each
+    entry is the expression the sweeps formed inline, so reading it
+    changes no bit.  mpmath entries are built at the precision in effect
+    when the table was made."""
+
+    def __init__(self, p: QParams):
+        self.p = p
+        self.A: list = []
+        self.C: list = []
+        self.d: list = []
+        self._prec = mpmath.mp.prec
+
+    def upto(self, n: int) -> tuple:
+        """The lists (A, C, d), with entries 0..n at least."""
+        q, a, b = self.p.q, self.p.a, self.p.b
+        with mpmath.workprec(self._prec):
+            for k in range(len(self.A), n + 1):
+                self.A.append((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
+                self.C.append(a * b * q ** (k + 1) * (1 - q**k))
+                self.d.append(_recurrence_d(k, a, b, q))
+        return self.A, self.C, self.d
+
+
+def _working_coefficients(p: QParams) -> _RecurrenceTable:
+    """The recurrence table of p rounded to _WORKING_DPS digits, the
+    scalars of the backward route and the coefficient tables."""
+    with mpmath.workdps(_WORKING_DPS):
+        return _RecurrenceTable(QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b)))
+
+
+def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_RecurrenceTable] = None) -> list:
     """P_0(x), ..., P_{n_max}(x) by upward three-term recurrence.
 
     (1-aq^(n+1))(1-bq^(n+1)) P_{n+1} = (x - d_n) P_n + ab q^(n+1)(1-q^n) P_{n-1},
-    seeded with P_0 = 1 (the n = 0 relation has no P_{-1} term).
+    seeded with P_0 = 1 (the n = 0 relation has no P_{-1} term).  The
+    coefficients come from `coeffs`, a table of p shared with other
+    sweeps, or from a table built for this call.
     """
-    a, b, q = p.a, p.b, p.q
+    if coeffs is None:
+        coeffs = _RecurrenceTable(p)
+    elif coeffs.p != p:
+        raise ValueError("recurrence table built for other parameters")
+    q = p.q
     out = [1 + q * 0]
     if n_max == 0:
         return out
+    A, C, d = coeffs.upto(n_max - 1)
     prev = 0 * q
     cur = out[0]
     for n in range(n_max):
-        nxt = ((x - _recurrence_d(n, a, b, q)) * cur + a * b * q ** (n + 1) * (1 - q**n) * prev) / (
-            (1 - a * q ** (n + 1)) * (1 - b * q ** (n + 1))
-        )
+        nxt = ((x - d[n]) * cur + C[n] * prev) / A[n]
         out.append(nxt)
         prev, cur = cur, nxt
     return out
@@ -233,7 +275,9 @@ def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
 _MILLER_CACHE: dict = {}
 
 
-def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
+def spectral_sequence(
+    p: QParams, branch: str, j: int, m_max: int, *, coeffs: Optional[_RecurrenceTable] = None
+) -> list:
     """P_0(lam), ..., P_{m_max}(lam) at lam = a q^(j+1) (branch "a") or
     b q^(j+1) (branch "b"), as mpmath floats.
 
@@ -241,7 +285,9 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     normalized so P_0 = 1: at spectral points the polynomial sequence is
     the minimal solution of the three-term recurrence, so the forward
     direction cannot deliver relative accuracy at large m while the
-    backward direction is self-correcting.
+    backward direction is self-correcting.  The coefficients come from
+    `coeffs`, the table `_working_coefficients(p)` shared with other
+    sweeps, or from one built for this call.
     """
     if branch not in ("a", "b"):
         raise DomainError("branch must be 'a' or 'b'")
@@ -268,16 +314,19 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         M += 1
 
     with mpmath.workdps(_WORKING_DPS):
-        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        lam = (a if branch == "a" else b) * q ** (j + 1)
+        pw = QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b))
+        if coeffs is None:
+            coeffs = _RecurrenceTable(pw)
+        elif coeffs.p != pw:
+            raise ValueError("recurrence table built for other parameters")
+        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
+        A, C, d = coeffs.upto(M)
         seq = [mpmath.mpf(0)] * (M + 1)
         p_up = mpmath.mpf(0)  # P_{M+1} seed
         p_cur = mpmath.mpf(1)  # P_M seed (arbitrary scale)
         seq[M] = p_cur
         for m in range(M, 0, -1):
-            am = (1 - a * q ** (m + 1)) * (1 - b * q ** (m + 1))
-            cm = a * b * q ** (m + 1) * (1 - q**m)
-            p_dn = (am * p_up + (_recurrence_d(m, a, b, q) - lam) * p_cur) / cm
+            p_dn = (A[m] * p_up + (d[m] - lam) * p_cur) / C[m]
             seq[m - 1] = p_dn
             p_up, p_cur = p_cur, p_dn
         p0 = seq[0]

@@ -166,6 +166,60 @@ class TestDeterminism:
         assert '"b": -0.69999999999999996' in text
 
 
+class TestVerifyTasks:
+    def test_run_identity_checks_called_once_per_family(self, tmp_path, monkeypatch):
+        # the benchmark's traced runs time each family by the first
+        # argument of cli.run_identity_checks, so a task that runs several
+        # families must still call it once for each, by name
+        from qortho import cli
+        from qortho.orthogonality import IDENTITY_FAMILIES
+
+        calls = []
+
+        def fake(identity, *args, **kwargs):
+            calls.append(identity)
+            return []
+
+        monkeypatch.setattr(cli, "run_identity_checks", fake)
+        assert cli.main(["verify", "--identity", "all", "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(calls) == sorted(IDENTITY_FAMILIES)
+
+    @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
+    def test_grouped_task_records_equal_single_family_runs(self, point, monkeypatch):
+        # unitarity, dual and biortho run as one task on one store and read
+        # the sums of whichever family asked first; every record must equal
+        # that of a cold run of its family alone and of --jobs 2.  At
+        # (0.95, 0.9, -3.0) the grouped task serves label requests at
+        # cut-offs 48 and 96 from backward sequences that unitarity-rows
+        # seeded for cut-off 8, which a cold dual or biortho run computes
+        # afresh
+        from qortho import polynomials
+        from qortho.cli import _verify_task_records
+        from qortho.orthogonality import _STORE_FAMILIES
+        from qortho.reporting import render_csv
+
+        q, a, b = point
+
+        def records(families):
+            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+            return _verify_task_records((families, q, a, b, 8, 1e-8, "double"))
+
+        def key(rec):
+            return rec["identity_id"], rec["i"], rec["j"]
+
+        grouped = render_csv(sorted(records(_STORE_FAMILIES), key=key))
+        alone = render_csv(sorted((r for fam in _STORE_FAMILIES for r in records((fam,))), key=key))
+        assert grouped == alone
+        res = run_cli(
+            "verify", "--identity", "all", "--jobs", "2", "--q", repr(q), "--a", repr(a), "--b", repr(b),
+            "--format", "csv", "--no-timestamp",
+        )
+        ids = {line.split(",")[0] for line in grouped.splitlines()[1:]}
+        jobs2 = [line for line in res.stdout.splitlines() if line.split(",")[0] in ids]
+        assert len(jobs2) == 3 * 171 + 45  # the columns sums in three families, and the rows
+        assert jobs2 == grouped.splitlines()[1:]
+
+
 class TestStartup:
     def test_import_does_not_load_process_pool(self):
         # only `verify --jobs N` needs the pool; every other command would

@@ -3,6 +3,7 @@
 import pytest
 
 from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer
+from qortho.polynomials import spectral_sequence
 from qortho.operators import normalization_c, normalization_cprime
 from qortho.orthogonality import (
     DualPair,
@@ -24,6 +25,34 @@ P2 = QParams(q=0.7, a=0.9, b=-0.4)
 PARAMS = [P1, P2]
 # eq-zero retries 44 of its 81 pairs here at index-max 8
 P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
+
+
+class TestCertifiedSum:
+    def test_terms_used_counts_the_terms_summed_at_the_cap(self):
+        from qortho.orthogonality import _certified_sum
+
+        summed = []
+
+        def term(m):
+            summed.append(m)
+            return 1.0  # never negligible, so the tail is never certified
+
+        value, used, tail = _certified_sum(term, T, hard_cap=10)
+        assert summed == list(range(11))
+        assert (value, used, tail) == (11.0, 11, float("inf"))
+
+    def test_terms_used_counts_the_terms_summed_when_certified(self):
+        from qortho.orthogonality import _certified_sum
+
+        summed = []
+
+        def term(m):
+            summed.append(m)
+            return 0.5**m
+
+        value, used, tail = _certified_sum(term, T)
+        assert used == len(summed) < 2000
+        assert tail <= T.rel_tol * (1 + value)
 
 
 class TestBigLaguerreOrthogonality:
@@ -63,9 +92,10 @@ class TestSears:
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
         from qortho.orthogonality import _spectral_table
+        from qortho.polynomials import _RecurrenceTable
 
         for branch in ("a", "b"):
-            val, _, _ = _spectral_table(branch, 0, P1, T).pair_sum(0, 0, T)
+            val, _, _ = _spectral_table(branch, 0, P1, T, _RecurrenceTable(P1)).pair_sum(0, 0, T)
             assert val > 0
 
 
@@ -293,12 +323,12 @@ class TestReports:
         # parameter values, so a double-precision run of the same point
         # leaves nothing that an extended run reads
         from qortho import polynomials
-        from qortho.cli import _verify_family_records
+        from qortho.cli import _verify_task_records
 
-        def records(family, precision):
-            return _verify_family_records((family, 0.5, 0.5, -0.7, 3, 1e-8, precision))
+        def records(families, precision):
+            return _verify_task_records((families, 0.5, 0.5, -0.7, 3, 1e-8, precision))
 
-        for family in ("dual", "unitarity", "biortho"):
+        for family in (("dual",), ("unitarity",), ("biortho",), ("unitarity", "dual", "biortho")):
             monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
             cold = records(family, "extended")
             monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
@@ -472,6 +502,50 @@ class TestReports:
         for r in records:
             want = reference[r.identity_id](*r.indices)
             assert (r.lhs, r.terms_used, r.tail_estimate) == want, (r.identity_id, r.indices)
+
+    @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
+    def test_pair_sum_is_symmetric(self, p):
+        # the label table keeps one sum per unordered label pair, which is
+        # sound only because the sum does not depend on the order
+        from qortho.orthogonality import _Store
+
+        table = _Store(p, T).labels
+        labels = range(-9, 9)
+        for i in labels:
+            for j in labels:
+                if i < j:
+                    assert table._doubling_sum(i, j, T) == table._doubling_sum(j, i, T), (i, j)
+
+    def test_store_computes_each_label_pair_sum_once(self, monkeypatch):
+        # unitarity-columns, dual and biortho read one store's sums: the
+        # 171 unordered pairs of the 18 labels at index-max 8, each summed
+        # once for the 513 records
+        from qortho.orthogonality import _LabelTable
+
+        pairs = []
+        doubling_sum = _LabelTable._doubling_sum
+
+        def counted(self, i, j, t):
+            pairs.append(frozenset((i, j)))
+            return doubling_sum(self, i, j, t)
+
+        monkeypatch.setattr(_LabelTable, "_doubling_sum", counted)
+        reports = run_identity_checks("all", P1, T)
+        shared = [r for r in reports if r.identity_id.startswith(("unitarity-columns", "dual", "biortho"))]
+        assert len(shared) == 513
+        assert len(pairs) == len(set(pairs)) == 171
+
+    def test_store_rejects_other_parameters(self, monkeypatch):
+        from qortho import polynomials
+        from qortho.orthogonality import _Store
+        from qortho.polynomials import _working_coefficients
+
+        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+
+        with pytest.raises(ValueError):
+            run_identity_checks("dual", P1, T, index_max=1, store=_Store(P2, T))
+        with pytest.raises(ValueError):
+            spectral_sequence(P1, "a", 0, 5, coeffs=_working_coefficients(P2))
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}

@@ -6,6 +6,7 @@ of the code under test.
 """
 
 import cmath
+import contextlib
 import functools
 import math
 import random
@@ -503,3 +504,135 @@ class TestTerminatingSumKernel:
             assert _generating_closed_complex(x, tc, p, branch, j) == _loop_generating_closed_complex(
                 x, tc, p, branch, j
             ), (p, branch, j, tc)
+
+
+# ---------------------------------------------------------------------------
+# the recurrence coefficient table against the inline coefficients of the
+# forward and backward sweeps it replaced; each sweep is written out as it
+# stood
+
+
+def _loop_forward(n_max, x, p):
+    a, b, q = p.a, p.b, p.q
+    out = [1 + q * 0]
+    if n_max == 0:
+        return out
+    prev = 0 * q
+    cur = out[0]
+    for n in range(n_max):
+        d = -a * b * q ** (2 * n + 1) * (1 + q) + q ** (n + 1) * (a + a * b + b)
+        nxt = ((x - d) * cur + a * b * q ** (n + 1) * (1 - q**n) * prev) / (
+            (1 - a * q ** (n + 1)) * (1 - b * q ** (n + 1))
+        )
+        out.append(nxt)
+        prev, cur = cur, nxt
+    return out
+
+
+def _loop_backward(p, branch, j, m_max):
+    lam_f = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
+    log10q = math.log10(p.q)
+    slope = math.log10(-p.a * p.b) - 2 * math.log10(abs(lam_f))
+
+    def h(m):
+        return m * slope + m * (m + 3) / 2.0 * log10q
+
+    M = m_max + max(15, j + 10)
+    target = h(m_max) - 40.0
+    while h(M + 1) > target and M < m_max + j + 800:
+        M += 1
+    with mpmath.workdps(30):
+        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
+        lam = (a if branch == "a" else b) * q ** (j + 1)
+        seq = [mpmath.mpf(0)] * (M + 1)
+        p_up = mpmath.mpf(0)
+        p_cur = mpmath.mpf(1)
+        seq[M] = p_cur
+        for m in range(M, 0, -1):
+            am = (1 - a * q ** (m + 1)) * (1 - b * q ** (m + 1))
+            cm = a * b * q ** (m + 1) * (1 - q**m)
+            d = -a * b * q ** (2 * m + 1) * (1 + q) + q ** (m + 1) * (a + a * b + b)
+            p_dn = (am * p_up + (d - lam) * p_cur) / cm
+            seq[m - 1] = p_dn
+            p_up, p_cur = p_cur, p_dn
+        return [seq[k] / seq[0] for k in range(m_max + 1)]
+
+
+class TestRecurrenceTable:
+    POINTS = [P1, P2, QParams(q=0.95, a=0.9, b=-3.0), QParams(q=0.3, a=3.2, b=-0.01)]
+    # scalar kinds: floats, and mpmath floats made and used at 30 and at
+    # 50 digits (the working precision and the extended CLI precision)
+    SCALARS = {"float": None, "mpf30": 30, "mpf50": 50}
+
+    @staticmethod
+    def _in(dps):
+        return mpmath.workdps(dps) if dps else contextlib.nullcontext()
+
+    @staticmethod
+    def _convert(p, dps):
+        if dps is None:
+            return p
+        return QParams(q=mpmath.mpf(repr(p.q)), a=mpmath.mpf(repr(p.a)), b=mpmath.mpf(repr(p.b)))
+
+    @pytest.mark.parametrize("kind", SCALARS)
+    def test_forward_matches_inline_loop(self, kind):
+        from qortho.polynomials import _RecurrenceTable
+
+        dps = self.SCALARS[kind]
+        with self._in(dps):
+            for p0 in self.POINTS:
+                p = self._convert(p0, dps)
+                shared = _RecurrenceTable(p)
+                xs = [p.a * p.q, p.a * p.q**5, p.b * p.q**2, p.b * p.q**9, p.q * 0 + 0.3]
+                for n_max in (7, 0, 25, 1, 60, 12):
+                    for x in xs:
+                        want = _loop_forward(n_max, x, p)
+                        assert big_q_laguerre_recurrence(n_max, x, p) == want, (kind, p0, n_max)
+                        assert big_q_laguerre_recurrence(n_max, x, p, coeffs=shared) == want, (kind, p0, n_max)
+
+    @pytest.mark.parametrize("kind", ["float", "mpf50"])
+    def test_backward_matches_inline_loop(self, kind, monkeypatch):
+        # one shared working-precision table serves backward sweeps and the
+        # forward sweeps on its 30-digit scalars, extended by both in turn
+        from qortho import polynomials
+        from qortho.polynomials import _working_coefficients
+
+        dps = self.SCALARS[kind]
+        with self._in(dps):
+            for p0 in self.POINTS:
+                p = self._convert(p0, dps)
+                shared = _working_coefficients(p)
+                pw = shared.p
+                for branch, j, m_max in (("a", 0, 8), ("b", 3, 48), ("a", 9, 20), ("b", 0, 96), ("a", 2, 48)):
+                    want = _loop_backward(p, branch, j, m_max)
+                    for coeffs in (None, shared):
+                        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+                        assert spectral_sequence(p, branch, j, m_max, coeffs=coeffs) == want, (kind, p0, branch, j)
+                    with mpmath.workdps(30):
+                        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
+                        got = big_q_laguerre_recurrence(j + 5, lam, pw, coeffs=shared)
+                        assert got == _loop_forward(j + 5, lam, pw), (kind, p0, branch, j)
+
+    @pytest.mark.parametrize("kind", SCALARS)
+    def test_extending_equals_one_build(self, kind):
+        from qortho.polynomials import _RecurrenceTable
+
+        dps = self.SCALARS[kind]
+        for p0 in self.POINTS:
+            with self._in(dps):
+                p = self._convert(p0, dps)
+                long = _RecurrenceTable(p)
+                long.upto(60)
+                short = _RecurrenceTable(p)
+                short.upto(3)
+                short.upto(17)
+            # an mpmath table extends at the precision it was made at, even
+            # when the extension runs under another one
+            short.upto(60)
+            assert (short.A, short.C, short.d) == (long.A, long.C, long.d), (kind, p0)
+            q, a, b = p.q, p.a, p.b
+            with self._in(dps):
+                for k in range(61):
+                    assert long.A[k] == (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
+                    assert long.C[k] == a * b * q ** (k + 1) * (1 - q**k)
+                    assert long.d[k] == -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
