@@ -338,14 +338,13 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     return out
 
 
-def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list, recurrence=None):
+def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):
     """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
-    exact-exponent mpmath floats, from the backward-recurrence polynomial
-    sequence; prefs is `_prefactors(p, M, ratio_fn)` for some M >= m_max,
-    and its ratio_fn picks the family (the eigencoefficients a_m, or psi_m
-    or phi_m).  recurrence is the shared `_working_coefficients(p)` table,
-    if any."""
-    seq = spectral_sequence(p, branch, j, m_max, coeffs=recurrence)
+    exact-exponent mpmath floats, from the duality closed form
+    `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
+    M >= m_max, and its ratio_fn picks the family (the eigencoefficients
+    a_m, or psi_m or phi_m)."""
+    seq = spectral_sequence(p, branch, j, m_max)
     with mpmath.workdps(_WORKING_DPS):
         return [pref * v for pref, v in zip(prefs, seq)]
 
@@ -358,8 +357,8 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None, 
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
-    degree j forward steps keep the relative accuracy that the backward
-    route buys with a sweep seeded beyond m_max + j."""
+    degree j forward steps keep full relative accuracy, at one step per
+    degree where the duality closed form sums up to m + 1 terms."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
     if recurrence is None:
@@ -412,15 +411,15 @@ def _signed_logs(values):
 def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None):
     """(sign, log10|a_m|) lists of the eigencoefficients at the spectral
     point of the given branch/index, m = 0..m_max: forward recurrence when
-    every degree is at most the spectral index, backward minimal-solution
-    recurrence otherwise; prefs is the shared `_prefactors(p, m_max)`
-    list, built here when not given, and recurrence the shared
-    `_working_coefficients(p)` table, if any."""
+    every degree is at most the spectral index, the duality closed form
+    otherwise; prefs is the shared `_prefactors(p, m_max)` list, built here
+    when not given, and recurrence the shared `_working_coefficients(p)`
+    table of the forward route, if any."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
     if j >= m_max:
         return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs, recurrence))
-    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs, recurrence))
+    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs))
 
 
 def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> CoefficientVector:
@@ -429,8 +428,8 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Trunc
         a_m = (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2) P_m(lam).
 
     At spectral points the values are square-summable and computed from
-    the backward-recurrence polynomial sequence; any other lam is allowed
-    but flagged non-normalizable.
+    the duality closed form of the polynomial sequence; any other lam is
+    allowed but flagged non-normalizable.
     """
     import numpy as np
 
@@ -475,7 +474,10 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     log_fixed = log_off + float(_log10_prefactors(p, dim)[dim]) + dim * (dim + 1) / 2 * log_q
     radii = []
     for lam in points:
-        branch, n = match_spectral_point(float(lam), p)
+        hit = match_spectral_point(float(lam), p)
+        if hit is None:
+            raise DomainError(f"{float(lam)!r} is not an eigenvalue a q^(n+1) or b q^(n+1)")
+        branch, n = hit
         first, second = (a, b) if branch == "a" else (b, a)
         with mpmath.workdps(_WORKING_DPS):
             meixner = q_meixner(n, dim, mpmath.mpf(first), -mpmath.mpf(second) / first, mpmath.mpf(q))

@@ -429,11 +429,11 @@ class _LabelTable:
     shorter cut reads a slice of it.  The prefactors pref_0..pref_M are
     one list, rebuilt only when a longer cut is needed; it is a
     sequential product, so its slices equal the shorter lists.  The
-    backward sweeps read the recurrence table `_working_coefficients(p)`."""
+    coefficients come from the duality closed form, whose entries do not
+    depend on the cut-off they were computed for."""
 
-    def __init__(self, p: QParams, t: Truncation, recurrence: _RecurrenceTable):
+    def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
-        self._recurrence = recurrence
         self._prefs: list = []
         self._coeffs: dict = {}
         self._norm = _Normalization(p, t)
@@ -445,7 +445,7 @@ class _LabelTable:
         if hit is None or len(hit) <= m_cut:
             if len(self._prefs) <= m_cut:
                 self._prefs = _prefactors(self.p, m_cut)
-            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs, self._recurrence)
+            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs)
             self._coeffs[label] = hit
         return hit[: m_cut + 1]
 
@@ -481,13 +481,13 @@ class _LabelTable:
 class _Store:
     """What the identity families of one verify task share at one
     parameter set: the recurrence table `_working_coefficients(p)`, read
-    by the coefficient rows of unitarity-rows and by the label table, and
-    the label table, whose sums unitarity-columns, dual and biortho all
-    read.  Each task builds its own, for its p and t."""
+    by the forward coefficient rows of unitarity-rows, and the label
+    table, whose sums unitarity-columns, dual and biortho all read.  Each
+    task builds its own, for its p and t."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.recurrence = _working_coefficients(p)
-        self.labels = _LabelTable(p, t, self.recurrence)
+        self.labels = _LabelTable(p, t)
 
 
 def verify_dual_orthogonality(
@@ -527,8 +527,9 @@ class _RowTable(_PairSum):
     a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them in log
     form; rows are built on first use, in order of n, and shared by every
     (i, j) pair with max(i, j) <= K.  The n-independent prefactors
-    pref_0..pref_K are built once with the table, and the rows read the
-    recurrence table `_working_coefficients(p)`."""
+    pref_0..pref_K are built once with the table; rows n >= K come from
+    forward sweeps on the recurrence table `_working_coefficients(p)`, rows
+    n < K from the duality closed form."""
 
     hard_cap = 700
 

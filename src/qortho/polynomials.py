@@ -7,11 +7,13 @@ Evaluation routes:
   what 64-bit floats can resolve;
 * upward three-term recurrence, absolutely stable on the arguments the
   identities use;
-* backward (minimal-solution) recurrence for whole sequences at spectral
-  arguments a q^(j+1), b q^(j+1), where the polynomial values decay like
-  q^(m^2/2) and forward recurrences lose all relative accuracy;
+* the duality with the q-Meixner polynomials for whole sequences at
+  spectral arguments a q^(j+1), b q^(j+1), where the polynomial values
+  decay like q^(m^2/2) and forward recurrences lose all relative accuracy
+  past degree j: each value is a terminating q-Meixner sum over a
+  q-Pochhammer symbol;
 * coefficient extraction from the closed generating function, a route
-  independent of all the recurrences.
+  independent of the recurrence and the duality.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 SPECTRAL_MATCH_RTOL = 1e-10
-# working precision of the backward route and the coefficient tables
+# working precision of the duality sequences and the coefficient tables
 _WORKING_DPS = 30
 
 
@@ -195,10 +197,10 @@ class _RecurrenceTable:
         A_n = (1-aq^(n+1))(1-bq^(n+1)),  C_n = ab q^(n+1)(1-q^n),
 
     in the scalars of p, extended on demand.  They do not depend on x, so
-    one table serves every forward and backward sweep of the set.  Each
-    entry is the expression the sweeps formed inline, so reading it
-    changes no bit.  mpmath entries are built at the precision in effect
-    when the table was made."""
+    one table serves every forward sweep of the set.  Each entry is the
+    expression the sweeps formed inline, so reading it changes no bit.
+    mpmath entries are built at the precision in effect when the table
+    was made."""
 
     def __init__(self, p: QParams):
         self.p = p
@@ -220,7 +222,7 @@ class _RecurrenceTable:
 
 def _working_coefficients(p: QParams) -> _RecurrenceTable:
     """The recurrence table of p rounded to _WORKING_DPS digits, the
-    scalars of the backward route and the coefficient tables."""
+    scalars of the forward coefficient rows."""
     with mpmath.workdps(_WORKING_DPS):
         return _RecurrenceTable(QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b)))
 
@@ -252,7 +254,7 @@ def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_Re
 
 
 # ---------------------------------------------------------------------------
-# spectral arguments: matching and minimal-solution sequences
+# spectral arguments: matching and the duality sequences
 
 
 def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
@@ -272,70 +274,48 @@ def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
     return None
 
 
-_MILLER_CACHE: dict = {}
-
-
-def spectral_sequence(
-    p: QParams, branch: str, j: int, m_max: int, *, coeffs: Optional[_RecurrenceTable] = None
-) -> list:
+def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     """P_0(lam), ..., P_{m_max}(lam) at lam = a q^(j+1) (branch "a") or
-    b q^(j+1) (branch "b"), as mpmath floats.
+    b q^(j+1) (branch "b"), as mpmath floats at _WORKING_DPS digits.
 
-    Computed by backward recurrence seeded deep in the tail, then
-    normalized so P_0 = 1: at spectral points the polynomial sequence is
-    the minimal solution of the three-term recurrence, so the forward
-    direction cannot deliver relative accuracy at large m while the
-    backward direction is self-correcting.  The coefficients come from
-    `coeffs`, the table `_working_coefficients(p)` shared with other
-    sweeps, or from one built for this call.
+    By the duality with the q-Meixner polynomials,
+
+        P_m(first q^(j+1)) = M_j(q^-m; first, -second/first; q) / (q^-m/second; q)_m,
+
+    with (first, second) = (a, b) on branch "a" and (b, a) on branch "b".
+    The numerator is the terminating sum over k <= min(j, m) of
+    c_k (q^-m; q)_k, c_k = (q^-j; q)_k z^k / ((first q; q)_k (q; q)_k) and
+    z = q^(j+1) first/second.  The c_k do not depend on m; q^-m,
+    (q^-m; q)_k and the denominator are carried from m to m + 1, by
+    (q^-(m+1); q)_(k+1) = (1 - q^-(m+1)) (q^-m; q)_k and
+    (q^-(m+1)/second; q)_(m+1) = (1 - q^-(m+1)/second) (q^-m/second; q)_m.
+    An entry does not depend on m_max.
     """
     if branch not in ("a", "b"):
         raise DomainError("branch must be 'a' or 'b'")
     if j < 0:
         raise DomainError("spectral index must be nonnegative")
-    key = (p.q, p.a, p.b, branch, j)
-    cached = _MILLER_CACHE.get(key)
-    if cached is not None and len(cached) > m_max:
-        return cached[: m_max + 1]
-
-    lam_f = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
-    # start index: the backward seed's contamination by the nonminimal
-    # solution scales like 10^(h(M) - h(m_max)) where h(m) is the log10
-    # size ratio of the two solutions; push M until 40 decades below.
-    log10q = math.log10(p.q)
-    slope = math.log10(-p.a * p.b) - 2 * math.log10(abs(lam_f))
-
-    def h(m):
-        return m * slope + m * (m + 3) / 2.0 * log10q
-
-    M = m_max + max(15, j + 10)
-    target = h(m_max) - 40.0
-    while h(M + 1) > target and M < m_max + j + 800:
-        M += 1
-
+    if m_max < 0:
+        raise DomainError("cut-off degree must be nonnegative")
     with mpmath.workdps(_WORKING_DPS):
-        pw = QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b))
-        if coeffs is None:
-            coeffs = _RecurrenceTable(pw)
-        elif coeffs.p != pw:
-            raise ValueError("recurrence table built for other parameters")
-        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
-        A, C, d = coeffs.upto(M)
-        seq = [mpmath.mpf(0)] * (M + 1)
-        p_up = mpmath.mpf(0)  # P_{M+1} seed
-        p_cur = mpmath.mpf(1)  # P_M seed (arbitrary scale)
-        seq[M] = p_cur
-        for m in range(M, 0, -1):
-            p_dn = (A[m] * p_up + (d[m] - lam) * p_cur) / C[m]
-            seq[m - 1] = p_dn
-            p_up, p_cur = p_cur, p_dn
-        p0 = seq[0]
-        if p0 == 0:
-            raise DomainError("backward recurrence normalization failed (P_0 = 0)")
-        out = [seq[k] / p0 for k in range(M + 1)]
-
-    _MILLER_CACHE[key] = out
-    return out[: m_max + 1]
+        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
+        first, second = (a, b) if branch == "a" else (b, a)
+        z = q ** (j + 1) * first / second
+        kmax = min(j, m_max)
+        c = [mpmath.mpf(1)]
+        for k in range(kmax):
+            c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
+        qm = mpmath.mpf(1)  # q^-m
+        poch = [qm]  # (q^-m; q)_k, k = 0..min(m, kmax)
+        denom = qm  # (q^-m/second; q)_m
+        out = [qm]
+        for m in range(1, m_max + 1):
+            qm = qm / q
+            shift = 1 - qm
+            poch = [poch[0]] + [shift * v for v in poch[:kmax]]
+            denom *= 1 - qm / second
+            out.append(mpmath.fdot(c, poch) / denom)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_3_cross_definition_consistency():
                 rec = big_q_laguerre_recurrence(20, x, p)
                 seq = spectral_sequence(p, branch, k, 20)
                 for n in range(21):
-                    ser = float(seq[n])  # backward-recurrence spectral value
+                    ser = float(seq[n])  # duality spectral value
                     direct = big_q_laguerre(n, x, p, T)  # terminating-series definition
                     assert abs(direct - ser) <= 1e-10 * max(1.0, abs(ser))
                     assert abs(rec[n] - ser) <= 1e-10 * max(1.0, abs(ser))

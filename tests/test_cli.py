@@ -185,15 +185,12 @@ class TestVerifyTasks:
         assert sorted(calls) == sorted(IDENTITY_FAMILIES)
 
     @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
-    def test_grouped_task_records_equal_single_family_runs(self, point, monkeypatch):
+    def test_grouped_task_records_equal_single_family_runs(self, point):
         # unitarity, dual and biortho run as one task on one store and read
         # the sums of whichever family asked first; every record must equal
         # that of a cold run of its family alone and of --jobs 2.  At
         # (0.95, 0.9, -3.0) the grouped task serves label requests at
-        # cut-offs 48 and 96 from backward sequences that unitarity-rows
-        # seeded for cut-off 8, which a cold dual or biortho run computes
-        # afresh
-        from qortho import polynomials
+        # cut-offs 48 and 96 after unitarity-rows asked for cut-off 8
         from qortho.cli import _verify_task_records
         from qortho.orthogonality import _STORE_FAMILIES
         from qortho.reporting import render_csv
@@ -201,7 +198,6 @@ class TestVerifyTasks:
         q, a, b = point
 
         def records(families):
-            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
             return _verify_task_records((families, q, a, b, 8, 1e-8, "double"))
 
         def key(rec):
@@ -218,6 +214,43 @@ class TestVerifyTasks:
         jobs2 = [line for line in res.stdout.splitlines() if line.split(",")[0] in ids]
         assert len(jobs2) == 3 * 171 + 45  # the columns sums in three families, and the rows
         assert jobs2 == grouped.splitlines()[1:]
+
+
+class TestProcessHistory:
+    def test_commands_leave_no_module_state(self, tmp_path):
+        # a record must not depend on what ran before it in the process, so
+        # no command may fill or change a module-level container
+        import copy
+
+        import qortho.cli
+
+        def snapshot():
+            return {
+                (mod_name, name): copy.deepcopy(value)
+                for mod_name, mod in sorted(sys.modules.items())
+                if mod_name == "qortho" or mod_name.startswith("qortho.")
+                for name, value in vars(mod).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")
+            }
+
+        before = snapshot()
+        assert before
+        for argv in (["verify", "--identity", "all"], ["table"]):
+            assert qortho.cli.main(argv + ["--out", str(tmp_path / "r.json"), "--no-timestamp"]) == 0, argv
+        assert snapshot() == before
+
+    def test_edge_point_basis_index_families_pass(self):
+        # an edge point near q = 1 where the label coefficients a_m at
+        # m <= 131 must keep their relative accuracy; unitarity-columns
+        # (-5, -5) is 1 to 2.5e-11 there
+        res = run_cli(
+            "verify", "--identity", "all", "--index-max", "4", "--q", "0.95", "--a", "0.5", "--b", "-0.01",
+            "--format", "csv", "--no-timestamp",
+        )
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        for family in ("unitarity-columns", "biortho"):
+            statuses = [row[-1] for row in rows if row[0] == family]
+            assert len(statuses) == 55 and set(statuses) == {"pass"}, family
 
 
 class TestStartup:

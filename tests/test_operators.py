@@ -148,26 +148,15 @@ class TestEigenCoefficients:
 
 
 # At spectral index n >= K the coefficients a_0..a_K come from the forward
-# recurrence; the backward minimal-solution sequence is the reference.  Bound:
-# 1e-20 of the row's largest coefficient, ten digits inside the 30-digit
-# working precision.
+# recurrence; the duality closed form is the reference.  Bound: 1e-20 of the
+# row's largest coefficient, ten digits inside the 30-digit working
+# precision.
 FWD_K = 8
 FWD_BOUND = 1e-20
 EDGE_POINTS = [QParams(q=q, a=0.999 / q, b=b) for q in (0.3, 0.95) for b in (-0.01, -50.0)]
-# (q, b, branch) where the backward route itself is wrong: against the exact
-# series its errors are of order one, while the forward route keeps 1e-30
-BACKWARD_BROKEN = {(0.95, -0.01, "a"), (0.95, -0.01, "b"), (0.95, -50.0, "b")}
-
-
-def _forward_cases(mark_broken: bool) -> list:
-    out = []
-    for p in [P1, P2] + EDGE_POINTS:
-        for branch in ("a", "b"):
-            marks = ()
-            if mark_broken and (p.q, p.b, branch) in BACKWARD_BROKEN:
-                marks = pytest.mark.xfail(strict=True, reason="backward reference loses all digits at q=0.95")
-            out.append(pytest.param(p, branch, id=f"q{p.q}-b{p.b}-{branch}", marks=marks))
-    return out
+FORWARD_CASES = [
+    pytest.param(p, branch, id=f"q{p.q}-b{p.b}-{branch}") for p in [P1, P2] + EDGE_POINTS for branch in ("a", "b")
+]
 
 
 def _worst_error(got, want) -> float:
@@ -176,8 +165,8 @@ def _worst_error(got, want) -> float:
 
 
 class TestForwardCoefficientRoute:
-    @pytest.mark.parametrize("p,branch", _forward_cases(mark_broken=True))
-    def test_matches_backward_reference(self, p, branch):
+    @pytest.mark.parametrize("p,branch", FORWARD_CASES)
+    def test_matches_duality_reference(self, p, branch):
         from qortho.operators import _forward_coeff_mpf, _prefactors, _spectral_coeff_mpf
 
         prefs = _prefactors(p, FWD_K)
@@ -185,10 +174,10 @@ class TestForwardCoefficientRoute:
             fwd = _forward_coeff_mpf(p, branch, n, FWD_K)
             assert _worst_error(fwd, _spectral_coeff_mpf(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
 
-    @pytest.mark.parametrize("p,branch", _forward_cases(mark_broken=False))
+    @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_exact_series(self, p, branch):
         # the terminating 3phi2 sums at 120 digits are exact far below the
-        # bound and share no step with either recurrence
+        # bound and share no step with the recurrence or the duality
         import mpmath
 
         from qortho.operators import _forward_coeff_mpf, _prefactors
@@ -208,12 +197,12 @@ class TestForwardCoefficientRoute:
         from qortho import operators
 
         def refuse(*args):
-            raise AssertionError("backward route used")
+            raise AssertionError("duality route used")
 
         monkeypatch.setattr(operators, "_spectral_coeff_mpf", refuse)
         s, l = operators._a_coeff_logs(P1, "b", FWD_K, FWD_K)
         assert s[0] == 1.0 and l[0] == 0.0 and len(l) == FWD_K + 1
-        with pytest.raises(AssertionError, match="backward route used"):
+        with pytest.raises(AssertionError, match="duality route used"):
             operators._a_coeff_logs(P1, "b", FWD_K - 1, FWD_K)
 
 
@@ -414,7 +403,7 @@ class TestEigTridiagonal:
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= prev or cur <= floor
 
-    def test_match_within_residual_bound(self, monkeypatch):
+    def test_match_within_residual_bound(self):
         # the eigenvalue nearest each exact one lies within r + delta of
         # it, at the acceptance sets and at four edge points; dims 12 and
         # 20 exercise r, dim 250 (r underflows to 0) delta alone
@@ -429,14 +418,12 @@ class TestEigTridiagonal:
                 err = np.abs(eig_tridiagonal(tri, near=exact) - exact)
                 bound = np.array(truncation_residuals(p, dim, exact)) + eig_tridiagonal_accuracy(tri)
                 assert np.all(err <= bound), (q, a, b, dim)
-        # r / |A[d-1, d]| is |a_d| from the q-Meixner duality; the
-        # reference is the backward route, seeded here for d <= 40 (a
-        # sequence seeded for a smaller cut-off is less accurate past it),
-        # at points where that route is trusted
+        # r / |A[d-1, d]| is |a_d| from one q-Meixner sum; the reference
+        # is the whole duality sequence, summed with its Pochhammer symbols
+        # carried from degree to degree
         from qortho import polynomials
         from qortho.operators import _prefactors
 
-        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
         for p in (P1, P2, QParams(q=0.3, a=3.2, b=-0.01), QParams(q=0.8, a=0.6, b=-2.0)):
             prefs = _prefactors(p, 40)
             off = build_A(p, 41).offdiag
@@ -447,6 +434,10 @@ class TestEigTridiagonal:
                     want = float(abs(prefs[d] * seq[d]))
                     got = truncation_residuals(p, d, [lam])[0] / abs(off[d - 1])
                     assert got == pytest.approx(want, rel=1e-11), (p, branch, j, d)
+
+    def test_truncation_residuals_reject_non_spectral_point(self):
+        with pytest.raises(DomainError):
+            truncation_residuals(P1, 10, [0.17])
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     def test_spectral_containment(self, p):

@@ -3,7 +3,6 @@
 import pytest
 
 from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer
-from qortho.polynomials import spectral_sequence
 from qortho.operators import normalization_c, normalization_cprime
 from qortho.orthogonality import (
     DualPair,
@@ -294,7 +293,7 @@ class TestReports:
     def test_rows_sweep_matches_standalone(self):
         # the sweep shares one coefficient table per branch across all
         # pairs; a standalone call builds its own, with K = max(i, j), so
-        # the two switch from the backward to the forward route at
+        # the two switch from the duality to the forward route at
         # different spectral indices
         reports = run_identity_checks("unitarity", P2, T, index_max=5)
         sweep = [r for r in reports if r.identity_id == "unitarity-rows"]
@@ -302,12 +301,9 @@ class TestReports:
         for r in sweep:
             assert r == verify_unitarity(RowCol.ROWS, *r.indices, P2, T), r.indices
 
-    def test_unitarity_independent_of_history(self, monkeypatch):
+    def test_unitarity_independent_of_history(self):
         # the basis-index families each build their own label table, so a
         # record must not depend on which of them ran before in the process
-        from qortho import polynomials
-
-        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
         families = ("unitarity", "dual", "biortho")
         cold = {fam: run_identity_checks(fam, P2, T, index_max=3) for fam in families}
         for fam in families:
@@ -318,20 +314,16 @@ class TestReports:
                     run_identity_checks(other, P2, T, index_max=3)
             assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
 
-    def test_extended_records_independent_of_a_double_run(self, monkeypatch):
-        # the backward route's sequence cache is keyed on the exact
-        # parameter values, so a double-precision run of the same point
-        # leaves nothing that an extended run reads
-        from qortho import polynomials
+    def test_extended_records_independent_of_a_double_run(self):
+        # a double-precision run of the same point leaves nothing that an
+        # extended run reads
         from qortho.cli import _verify_task_records
 
         def records(families, precision):
             return _verify_task_records((families, 0.5, 0.5, -0.7, 3, 1e-8, precision))
 
         for family in (("dual",), ("unitarity",), ("biortho",), ("unitarity", "dual", "biortho")):
-            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
             cold = records(family, "extended")
-            monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
             records(family, "double")
             assert records(family, "extended") == cold, family
 
@@ -535,17 +527,45 @@ class TestReports:
         assert len(shared) == 513
         assert len(pairs) == len(set(pairs)) == 171
 
-    def test_store_rejects_other_parameters(self, monkeypatch):
-        from qortho import polynomials
-        from qortho.orthogonality import _Store
-        from qortho.polynomials import _working_coefficients
+    def test_label_coefficient_exact_after_unitarity(self):
+        # a_96(lam_4) on both branches at q = 0.95, read from the label
+        # table after the unitarity sweep asked for the same points at
+        # cut-offs 8 and 48; the reference is the terminating 3phi2 at a
+        # precision doubled until two runs agree to 40 digits
+        import mpmath
 
-        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
+        from qortho.operators import _prefactors
+        from qortho.orthogonality import _Store
+        from qortho.polynomials import _bigql_series_sum
+
+        p = QParams(q=0.95, a=0.9, b=-3.0)
+        store = _Store(p, T)
+        run_identity_checks("unitarity", p, T, store=store)
+
+        def exact(first, dps):
+            with mpmath.workdps(dps):
+                q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
+                return _bigql_series_sum(96, mpmath.mpf(first) * q**5, a, b, q)[0]
+
+        for label, first in ((4, p.a), (-5, p.b)):
+            got = store.labels.coeffs(label, 96)[96]
+            dps, prev = 60, exact(first, 60)
+            while True:
+                dps *= 2
+                cur = exact(first, dps)
+                with mpmath.workdps(dps):
+                    if abs(cur - prev) <= mpmath.mpf(10) ** -40 * abs(cur):
+                        break
+                prev = cur
+            with mpmath.workdps(dps):
+                want = _prefactors(p, 96)[96] * cur
+                assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want), label
+
+    def test_store_rejects_other_parameters(self):
+        from qortho.orthogonality import _Store
 
         with pytest.raises(ValueError):
             run_identity_checks("dual", P1, T, index_max=1, store=_Store(P2, T))
-        with pytest.raises(ValueError):
-            spectral_sequence(P1, "a", 0, 5, coeffs=_working_coefficients(P2))
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}

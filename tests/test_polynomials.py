@@ -16,6 +16,7 @@ import pytest
 
 from qortho.qseries import DomainError, NeumaierSum, QParams, Truncation, q_pochhammer, q_pochhammer_inf
 from qortho.polynomials import (
+    _bigql_series_sum,
     _escalated,
     _generating_closed_complex,
     Family,
@@ -126,6 +127,23 @@ class TestSpectralSequence:
                 q_pochhammer(mpmath.mpf(P1.q) ** (-m) / P1.b, mpmath.mpf(P1.q), m)
             )
             assert float(seq[m]) == pytest.approx(want, rel=1e-12)
+
+    def test_longer_cut_off_after_shorter(self):
+        # a long sequence requested after a short one at the same point is
+        # the sequence a fresh call gives, and the exact series to 20 digits
+        p = P2
+        spectral_sequence(p, "a", 0, 5)
+        got = spectral_sequence(p, "a", 0, 20)[20]
+        assert got == spectral_sequence(p, "a", 0, 20)[20]
+        with mpmath.workdps(120):
+            q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
+            want = _bigql_series_sum(20, a * q, a, b, q)[0]
+            assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want)
+
+    def test_rejects_bad_arguments(self):
+        for args in (("c", 0, 5), ("a", -1, 5), ("b", 0, -1)):
+            with pytest.raises(DomainError):
+                spectral_sequence(P1, *args)
 
     def test_match_spectral_point(self):
         assert match_spectral_point(P1.a * P1.q**3, P1) == ("a", 2)
@@ -508,8 +526,7 @@ class TestTerminatingSumKernel:
 
 # ---------------------------------------------------------------------------
 # the recurrence coefficient table against the inline coefficients of the
-# forward and backward sweeps it replaced; each sweep is written out as it
-# stood
+# forward sweep it replaced, written out as it stood
 
 
 def _loop_forward(n_max, x, p):
@@ -527,35 +544,6 @@ def _loop_forward(n_max, x, p):
         out.append(nxt)
         prev, cur = cur, nxt
     return out
-
-
-def _loop_backward(p, branch, j, m_max):
-    lam_f = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
-    log10q = math.log10(p.q)
-    slope = math.log10(-p.a * p.b) - 2 * math.log10(abs(lam_f))
-
-    def h(m):
-        return m * slope + m * (m + 3) / 2.0 * log10q
-
-    M = m_max + max(15, j + 10)
-    target = h(m_max) - 40.0
-    while h(M + 1) > target and M < m_max + j + 800:
-        M += 1
-    with mpmath.workdps(30):
-        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        lam = (a if branch == "a" else b) * q ** (j + 1)
-        seq = [mpmath.mpf(0)] * (M + 1)
-        p_up = mpmath.mpf(0)
-        p_cur = mpmath.mpf(1)
-        seq[M] = p_cur
-        for m in range(M, 0, -1):
-            am = (1 - a * q ** (m + 1)) * (1 - b * q ** (m + 1))
-            cm = a * b * q ** (m + 1) * (1 - q**m)
-            d = -a * b * q ** (2 * m + 1) * (1 + q) + q ** (m + 1) * (a + a * b + b)
-            p_dn = (am * p_up + (d - lam) * p_cur) / cm
-            seq[m - 1] = p_dn
-            p_up, p_cur = p_cur, p_dn
-        return [seq[k] / seq[0] for k in range(m_max + 1)]
 
 
 class TestRecurrenceTable:
@@ -591,23 +579,17 @@ class TestRecurrenceTable:
                         assert big_q_laguerre_recurrence(n_max, x, p, coeffs=shared) == want, (kind, p0, n_max)
 
     @pytest.mark.parametrize("kind", ["float", "mpf50"])
-    def test_backward_matches_inline_loop(self, kind, monkeypatch):
-        # one shared working-precision table serves backward sweeps and the
-        # forward sweeps on its 30-digit scalars, extended by both in turn
-        from qortho import polynomials
+    def test_forward_on_working_table_matches_inline_loop(self, kind):
+        # the 30-digit table of the forward coefficient rows, made from
+        # float and from 50-digit parameters, serves sweeps on its scalars
         from qortho.polynomials import _working_coefficients
 
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
-                p = self._convert(p0, dps)
-                shared = _working_coefficients(p)
+                shared = _working_coefficients(self._convert(p0, dps))
                 pw = shared.p
-                for branch, j, m_max in (("a", 0, 8), ("b", 3, 48), ("a", 9, 20), ("b", 0, 96), ("a", 2, 48)):
-                    want = _loop_backward(p, branch, j, m_max)
-                    for coeffs in (None, shared):
-                        monkeypatch.setattr(polynomials, "_MILLER_CACHE", {})
-                        assert spectral_sequence(p, branch, j, m_max, coeffs=coeffs) == want, (kind, p0, branch, j)
+                for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
                     with mpmath.workdps(30):
                         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
                         got = big_q_laguerre_recurrence(j + 5, lam, pw, coeffs=shared)
