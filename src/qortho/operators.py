@@ -14,6 +14,7 @@ and its eigenvector coefficients are weighted big q-Laguerre values.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -327,15 +328,20 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     pref_{m+1}/pref_m, so no factor over- or underflows; n-independent,
     so one list serves every spectral point of a parameter set, and its
     first m+1 entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
-    out = []
+    return list(itertools.islice(_prefactor_entries(p, ratio_fn), m_max + 1))
+
+
+def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio):
+    """pref_0, pref_1, ... of `_prefactors` without end, one per next();
+    a caller that keeps the iterator extends its list from where it
+    stopped."""
     with mpmath.workdps(_WORKING_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         pref = mpmath.mpf(1)
-        for m in range(m_max + 1):
-            out.append(pref)
-            if m < m_max:
-                pref *= ratio_fn(m, q, a, b)
-    return out
+    for m in itertools.count():
+        yield pref
+        with mpmath.workdps(_WORKING_DPS):
+            pref *= ratio_fn(m, q, a, b)
 
 
 def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):

@@ -6,13 +6,16 @@ verdict is meaningful only when the truncation tail of the underlying
 infinite sum has been certified below tolerance; otherwise the report
 carries the third status "inconclusive".
 
-Numerical strategy: sums over the spectral index n (eigenvalue label)
-have geometrically decaying weights and are summed in plain floats with
-compensation; sums over the basis index m have superexponentially
-growing weights q^(-m(m-1)/2) balanced by the superexponential decay of
-the polynomial values at spectral points, so their terms are formed in
-log-magnitude/sign representation from extended-precision coefficient
-sequences before being accumulated in floats.
+Numerical strategy: sums over the spectral index n (big-laguerre,
+sears, unitarity-rows) have geometrically decaying weights and are summed
+in plain floats with compensation.  The sums over the basis index m are
+those of one verify task's label table: products of two labels'
+eigencoefficients a_m(lam), from the q-Meixner duality closed form at 30
+digits, whose weight factors balance within each term, so the products
+are formed in mpmath and only then added in floats.  By the duality the
+q-Meixner sums are label sums too (meixner dual-ff, meixner-negb dual-gg,
+eq-zero dual-fg, term for term); in mpmath scalars, and in eq-zero's
+40-digit retries, they sum their own 2phi1 values instead.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _WORKING_DPS,
     _RecurrenceTable,
+    _duality_entries,
     _working_coefficients,
     big_q_laguerre_recurrence,
     q_meixner,
@@ -45,8 +49,8 @@ from qortho.polynomials import (
 from qortho.operators import (
     _Normalization,
     _a_coeff_logs,
+    _prefactor_entries,
     _prefactors,
-    _spectral_coeff_mpf,
 )
 
 __all__ = [
@@ -425,29 +429,32 @@ class _LabelTable:
     products of the coefficients of two labels, for every family of such
     sums that one verify task runs.
 
-    A label keeps the longest coefficient list any pair asked for, and a
-    shorter cut reads a slice of it.  The prefactors pref_0..pref_M are
-    one list, rebuilt only when a longer cut is needed; it is a
-    sequential product, so its slices equal the shorter lists.  The
-    coefficients come from the duality closed form, whose entries do not
-    depend on the cut-off they were computed for."""
+    A label keeps the longest coefficient list any pair asked for; a
+    shorter cut reads a slice of it and a longer one extends it from
+    where it stopped, drawing on iterators of the prefactors pref_m (one
+    for all labels) and of each label's duality entries P_m(lam).  No
+    entry depends on the cut-off, so each is computed once, with the bits
+    `_prefactors` and `spectral_sequence` give."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
         self._prefs: list = []
+        self._pref_entries = _prefactor_entries(p)
         self._coeffs: dict = {}
         self._norm = _Normalization(p, t)
         self._c: dict = {}
         self._sums: dict = {}
 
     def coeffs(self, label: int, m_cut: int) -> list:
-        hit = self._coeffs.get(label)
-        if hit is None or len(hit) <= m_cut:
-            if len(self._prefs) <= m_cut:
-                self._prefs = _prefactors(self.p, m_cut)
-            hit = _spectral_coeff_mpf(self.p, *_branch_of_label(label), m_cut, self._prefs)
-            self._coeffs[label] = hit
-        return hit[: m_cut + 1]
+        if label not in self._coeffs:
+            self._coeffs[label] = ([], _duality_entries(self.p, *_branch_of_label(label)))
+        values, entries = self._coeffs[label]
+        if len(values) <= m_cut:
+            while len(self._prefs) <= m_cut:
+                self._prefs.append(next(self._pref_entries))
+            with mpmath.workdps(_WORKING_DPS):
+                values.extend(pref * next(entries) for pref in self._prefs[len(values) : m_cut + 1])
+        return values[: m_cut + 1]
 
     def c(self, label: int) -> float:
         if label not in self._c:
@@ -481,13 +488,32 @@ class _LabelTable:
 class _Store:
     """What the identity families of one verify task share at one
     parameter set: the recurrence table `_working_coefficients(p)`, read
-    by the forward coefficient rows of unitarity-rows, and the label
-    table, whose sums unitarity-columns, dual and biortho all read.  Each
-    task builds its own, for its p and t."""
+    by the forward coefficient rows of unitarity-rows; the label table,
+    whose sums unitarity-columns, dual, biortho and the three q-Meixner
+    families all read; and the q-Meixner tables of the eq-zero retries and
+    of mpmath scalars.  Each task builds its own, for its p and t."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.recurrence = _working_coefficients(p)
         self.labels = _LabelTable(p, t)
+        self._meixner: dict = {}
+
+    def meixner_table(self, identity_id: str) -> _PairTable:
+        """`_meixner_table(identity_id, p, t)` at the working precision,
+        built on first use; read it at the same precision."""
+        key = (identity_id, mpmath.mp.dps)
+        if key not in self._meixner:
+            self._meixner[key] = _meixner_table(identity_id, self.labels.p, self.labels.t)
+        return self._meixner[key]
+
+
+def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
+    """The label pair (i, j) of the dual sum of f_n or g_n against f_n2
+    or g_n2: f_n is the eigencoefficient sequence of label n, g_n that of
+    label -n-1."""
+    if n < 0 or n2 < 0:
+        raise DomainError("dual indices must be nonnegative")
+    return (n if which is not DualPair.GG else -n - 1), (n2 if which is DualPair.FF else -n2 - 1)
 
 
 def verify_dual_orthogonality(
@@ -510,12 +536,8 @@ def verify_dual_orthogonality(
 
 
 def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
-    if n < 0 or n2 < 0:
-        raise DomainError("dual indices must be nonnegative")
     which = DualPair(which)
-    # f_n is the eigencoefficient sequence of label n, g_n that of label -n-1
-    i = n if which is not DualPair.GG else -n - 1
-    j = n2 if which is DualPair.FF else -n2 - 1
+    i, j = _dual_labels(which, n, n2)
     lhs, used, tail = table.pair_sum(i, j, t)
     rhs = table.c(i) ** -2.0 if i == j else 0.0
     return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
@@ -615,41 +637,44 @@ def verify_biorthogonality(
 
 
 # ---------------------------------------------------------------------------
-# q-Meixner orthogonality relations
+# q-Meixner orthogonality relations, read from the label sums: by the duality
+# P_m(first q^(n+1)) = M_n(q^-m; first, -second/first) / (q^-m/second; q)_m,
+# and pref_m^2 / ((q^-m/second; q)_m)^2 is the q-Meixner weight, so each
+# term w_m M_n(q^-m) M_n2(q^-m) is the dual term a_m(lam_i) a_m(lam_j):
+# meixner reads the dual-ff sum, meixner-negb dual-gg and eq-zero dual-fg.
+# A label sum adds float terms, so in mpmath scalars (--precision extended)
+# the families sum their own 2phi1 values, as the eq-zero retries do
 
 
-def _meixner_values(first, second, q, t: Truncation):
-    """(n, m) -> M_n(q^-m; first, -second/first; q), each value evaluated
-    on first use and kept.  The scalars are floats or mpmath floats; an
-    mpmath memo's values take the working precision of the calls that fill
-    it, so build and read it inside one workdps block."""
-    c = -second / first
-    values: dict = {}
+def _meixner_table(identity_id: str, p: QParams, t: Truncation) -> _PairTable:
+    """The sum of a q-Meixner family over its own weights and values
+    M_n(q^-m; first, -second/first), (first, second) = (a, b) or (b, a),
+    each evaluated once, in mpmath floats: build and read it inside one
+    workdps block.  eq-zero pairs the a values with the b values."""
+    q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
 
-    def value(n: int, m: int):
-        if (n, m) not in values:
-            values[n, m] = q_meixner(n, m, first, c, q, t)
-        return values[n, m]
+    def values(first, second):
+        c = -second / first
+        return functools.cache(lambda n, m: q_meixner(n, m, first, c, q, t))
 
-    return value
-
-
-def _meixner_table(first, second, p: QParams, t: Truncation) -> _PairTable:
-    """sum_m (first*q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second*q;q)_m (q;q)_m)
-    M_n(q^-m) M_n2(q^-m) for the (first, -second/first) parameterization."""
-    q = p.q
+    if identity_id == "eq-zero":
+        return _PairTable(1.0, lambda m, w: -w * q**m / (1 - q ** (m + 1)), values(a, b), values(b, a), positive=False)
+    first, second = (a, b) if identity_id == "meixner" else (b, a)
     c = -second / first
 
     def step(m: int, w):
         return w * (1 - first * q ** (m + 1)) * c * q**m / ((1 - second * q ** (m + 1)) * (1 - q ** (m + 1)))
 
-    return _PairTable(1.0, step, _meixner_values(first, second, q, t))
+    return _PairTable(1.0, step, values(first, second))
 
 
-def _meixner_params(identity_id: str, p: QParams) -> tuple:
-    """(first, second) of a q-Meixner family: (a, b) for "meixner", (b, a)
-    for "meixner-negb"."""
-    return (p.a, p.b) if identity_id == "meixner" else (p.b, p.a)
+def _meixner_sum(identity_id: str, n: int, n2: int, p: QParams, t: Truncation, store: _Store):
+    """(lhs, terms used, tail) of a q-Meixner record: the label sum in
+    floats, the family's own table in mpmath scalars."""
+    if isinstance(p.q, mpmath.mpf):
+        return store.meixner_table(identity_id).pair_sum(n, n2, t)
+    which = {"meixner": DualPair.FF, "meixner-negb": DualPair.GG, "eq-zero": DualPair.FG}[identity_id]
+    return store.labels.pair_sum(*_dual_labels(which, n, n2), t)
 
 
 def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
@@ -664,11 +689,10 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
     )
 
 
-def _verify_meixner(
-    identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _PairTable
-):
-    lhs, used, tail = table.pair_sum(n, n2, t)
-    rhs = _meixner_rhs(*_meixner_params(identity_id, p), n, p, t) if n == n2 else 0.0
+def _verify_meixner(identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
+    first, second = (p.a, p.b) if identity_id == "meixner" else (p.b, p.a)
+    lhs, used, tail = _meixner_sum(identity_id, n, n2, p, t, store)
+    rhs = _meixner_rhs(first, second, n, p, t) if n == n2 else 0.0
     return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
@@ -680,8 +704,9 @@ def verify_meixner_orthogonality(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """The classical q-Meixner orthogonality, realized here by the
-    positive-parameter family M_n(q^-m; a, -b/a; q)."""
-    return _verify_meixner("meixner", n, n2, p, t, tolerance, _meixner_table(p.a, p.b, p, t))
+    positive-parameter family M_n(q^-m; a, -b/a; q) under
+    `meixner_weight`: in floats, the dual-ff sum."""
+    return _verify_meixner("meixner", n, n2, p, t, tolerance, _Store(p, t))
 
 
 def verify_negative_b_meixner_orthogonality(
@@ -692,33 +717,11 @@ def verify_negative_b_meixner_orthogonality(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
-    M_n(q^-m; b, -a/b; q) with b < 0."""
-    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _meixner_table(p.b, p.a, p, t))
+    M_n(q^-m; b, -a/b; q) with b < 0: in floats, the dual-gg sum."""
+    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _Store(p, t))
 
 
 _EQ_ZERO_RETRY_DPS = 40
-
-
-def _eq_zero_table(p: QParams, t: Truncation, mp: bool = False) -> _PairTable:
-    """sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b),
-    in the scalars of p, or in mpmath floats when mp is set (then build
-    and read the table inside workdps(_EQ_ZERO_RETRY_DPS))."""
-    num = mpmath.mpf if mp else (lambda x: x)
-    q, a, b = num(p.q), num(p.a), num(p.b)
-    return _PairTable(
-        1.0,
-        lambda m, w: -w * q**m / (1 - q ** (m + 1)),
-        _meixner_values(a, b, q, t),
-        _meixner_values(b, a, q, t),
-        positive=False,
-    )
-
-
-def _eq_zero_tables(p: QParams, t: Truncation) -> tuple:
-    """The float eq-zero table of one sweep, and a function that returns
-    the mpmath table for its retries, built on its first call; call it
-    inside workdps(_EQ_ZERO_RETRY_DPS)."""
-    return _eq_zero_table(p, t), functools.cache(functools.partial(_eq_zero_table, p, t, mp=True))
 
 
 def verify_Eq_zero_identity(
@@ -734,20 +737,19 @@ def verify_Eq_zero_identity(
 
     Expanding the polynomials in powers of q^-m reduces every
     contribution to the q-exponential E_q evaluated at one of its zeros
-    -q^-j, which is why the alternating sum cancels exactly.  Computed
-    with compensated summation; retried at extended precision if the
-    64-bit residual exceeds tolerance."""
-    return _verify_eq_zero(n, n2, p, t, tolerance, _eq_zero_tables(p, t))
+    -q^-j, which is why the alternating sum cancels exactly.  In floats
+    the sum is the dual-fg sum; retried in 40-digit q-Meixner values if its residual
+    exceeds tolerance."""
+    return _verify_eq_zero(n, n2, p, t, tolerance, _Store(p, t))
 
 
-def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
-    double, extended = tables
-    lhs, used, tail = double.pair_sum(n, n2, t)
+def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
+    lhs, used, tail = _meixner_sum("eq-zero", n, n2, p, t, store)
     note = "every term reduces to E_q at a zero -q^-j"
     scale = 1.0 + abs(lhs)
     if abs(lhs) > tolerance * scale and tail <= tolerance * scale:
         with mpmath.workdps(_EQ_ZERO_RETRY_DPS):
-            lhs, used, tail = extended().pair_sum(n, n2, t)
+            lhs, used, tail = store.meixner_table("eq-zero").pair_sum(n, n2, t)
         note += "; retried at extended precision"
     return _finalize("eq-zero", p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
 
@@ -770,7 +772,7 @@ IDENTITY_FAMILIES = (
 
 # the families that read a _Store; a verify task that runs several of them
 # gives them one store
-_STORE_FAMILIES = ("unitarity", "dual", "biortho")
+_STORE_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
 
 
 def run_identity_checks(
@@ -817,20 +819,17 @@ def run_identity_checks(
         for i, j in zpairs:
             reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels))
     elif identity == "dual":
-        table = store.labels
         for i, j in pairs_upper:
-            reports.append(_verify_dual(DualPair.FF, i, j, p, t, tolerance, table))
-            reports.append(_verify_dual(DualPair.GG, i, j, p, t, tolerance, table))
+            reports.append(_verify_dual(DualPair.FF, i, j, p, t, tolerance, store.labels))
+            reports.append(_verify_dual(DualPair.GG, i, j, p, t, tolerance, store.labels))
         for i, j in grid_full:
-            reports.append(_verify_dual(DualPair.FG, i, j, p, t, tolerance, table))
+            reports.append(_verify_dual(DualPair.FG, i, j, p, t, tolerance, store.labels))
     elif identity in ("meixner", "meixner-negb"):
-        table = _meixner_table(*_meixner_params(identity, p), p, t)
         for i, j in pairs_upper:
-            reports.append(_verify_meixner(identity, i, j, p, t, tolerance, table))
+            reports.append(_verify_meixner(identity, i, j, p, t, tolerance, store))
     elif identity == "eq-zero":
-        tables = _eq_zero_tables(p, t)
         for i, j in grid_full:
-            reports.append(_verify_eq_zero(i, j, p, t, tolerance, tables))
+            reports.append(_verify_eq_zero(i, j, p, t, tolerance, store))
     elif identity == "biortho":
         for i, j in zpairs:
             reports.append(_verify_columns("biortho", i, j, p, t, tolerance, store.labels))

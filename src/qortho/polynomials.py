@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -297,25 +298,35 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("spectral index must be nonnegative")
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
+    return list(itertools.islice(_duality_entries(p, branch, j), m_max + 1))
+
+
+def _duality_entries(p: QParams, branch: str, j: int):
+    """P_0(lam), P_1(lam), ... without end, by the method of
+    `spectral_sequence`, one entry per next() at _WORKING_DPS digits; the
+    c_k are built as the growing m first needs them.  A caller that keeps
+    the iterator extends its sequence from where it stopped, with the
+    bits `spectral_sequence` gives."""
     with mpmath.workdps(_WORKING_DPS):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         first, second = (a, b) if branch == "a" else (b, a)
         z = q ** (j + 1) * first / second
-        kmax = min(j, m_max)
-        c = [mpmath.mpf(1)]
-        for k in range(kmax):
-            c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
-        qm = mpmath.mpf(1)  # q^-m
-        poch = [qm]  # (q^-m; q)_k, k = 0..min(m, kmax)
-        denom = qm  # (q^-m/second; q)_m
-        out = [qm]
-        for m in range(1, m_max + 1):
+    c = [mpmath.mpf(1)]
+    qm = mpmath.mpf(1)  # q^-m
+    poch = [qm]  # (q^-m; q)_k, k = 0..min(m, j)
+    denom = qm  # (q^-m/second; q)_m
+    yield qm
+    for m in itertools.count(1):
+        with mpmath.workdps(_WORKING_DPS):
+            if m <= j:
+                k = m - 1
+                c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
             qm = qm / q
             shift = 1 - qm
-            poch = [poch[0]] + [shift * v for v in poch[:kmax]]
+            poch = [poch[0]] + [shift * v for v in poch[: min(j, m)]]
             denom *= 1 - qm / second
-            out.append(mpmath.fdot(c, poch) / denom)
-    return out
+            value = mpmath.fdot(c, poch) / denom
+        yield value
 
 
 # ---------------------------------------------------------------------------

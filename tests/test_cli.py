@@ -186,11 +186,12 @@ class TestVerifyTasks:
 
     @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
     def test_grouped_task_records_equal_single_family_runs(self, point):
-        # unitarity, dual and biortho run as one task on one store and read
-        # the sums of whichever family asked first; every record must equal
-        # that of a cold run of its family alone and of --jobs 2.  At
-        # (0.95, 0.9, -3.0) the grouped task serves label requests at
-        # cut-offs 48 and 96 after unitarity-rows asked for cut-off 8
+        # unitarity, dual, the three q-Meixner families and biortho run as
+        # one task on one store and read the sums of whichever family asked
+        # first; every record must equal that of a cold run of its family
+        # alone and of --jobs 2.  At (0.95, 0.9, -3.0) the grouped task
+        # serves label requests at cut-offs 48 and 96 after unitarity-rows
+        # asked for cut-off 8
         from qortho.cli import _verify_task_records
         from qortho.orthogonality import _STORE_FAMILIES
         from qortho.reporting import render_csv
@@ -212,7 +213,9 @@ class TestVerifyTasks:
         )
         ids = {line.split(",")[0] for line in grouped.splitlines()[1:]}
         jobs2 = [line for line in res.stdout.splitlines() if line.split(",")[0] in ids]
-        assert len(jobs2) == 3 * 171 + 45  # the columns sums in three families, and the rows
+        # the columns sums in three families, the rows, meixner, meixner-negb
+        # and eq-zero
+        assert len(jobs2) == 3 * 171 + 45 + 45 + 45 + 81
         assert jobs2 == grouped.splitlines()[1:]
 
 
@@ -420,7 +423,23 @@ def first_difference(got: bytes, want: bytes) -> str:
 class TestGoldenOutput:
     # reference outputs of these commands; an engine change that moves any
     # digit of any record shows up here (CHANGES.md says when a file may be
-    # regenerated)
+    # regenerated).  Each file is the command's stdout, regenerated from the
+    # repository root by
+    #
+    #   PYTHONPATH=src python -m qortho ARGV --format csv --no-timestamp > tests/data/NAME
+    #
+    # with ARGV and NAME from its entry below, e.g.
+    #
+    #   PYTHONPATH=src python -m qortho verify --identity all --index-max 3 --q 0.5 --a 0.5 --b -0.7 \
+    #       --format csv --no-timestamp > tests/data/verify_all_index3_q0.5_a0.5_b-0.7.csv
+    #   PYTHONPATH=src python -m qortho report-all --precision extended --index-max 3 --dim 60 \
+    #       --format csv --no-timestamp > tests/data/report_all_extended_index3_dim60.csv
+    #   PYTHONPATH=src python -m qortho spectrum --dim 1000 --q 0.7 --a 0.9 --b -0.4 \
+    #       --format csv --no-timestamp > tests/data/spectrum_dim1000_q0.7_a0.9_b-0.4.csv
+    #   PYTHONPATH=src python -m qortho verify --identity all --index-max 4 --q 0.9 --a 0.9 --b -0.5 \
+    #       --format csv --no-timestamp > tests/data/verify_all_index4_q0.9_a0.9_b-0.5.csv
+    #   PYTHONPATH=src python -m qortho table --q 0.7 --a 0.9 --b -0.4 \
+    #       --format csv --no-timestamp > tests/data/table_q0.7_a0.9_b-0.4.csv
     GOLDEN = [
         (
             ["verify", "--identity", "all", "--index-max", "3", "--q", "0.5", "--a", "0.5", "--b", "-0.7"],
@@ -437,9 +456,11 @@ class TestGoldenOutput:
             "spectrum_dim1000_q0.7_a0.9_b-0.4.csv",
             0,
         ),
-        # 11 records of each basis-index family need more than 49 terms, so
-        # the doubled cut-offs are pinned; 13 of its records are false
-        # `fail`s (cancellation in the float sums), hence exit code 1
+        # 11 records each of unitarity-columns, dual-gg, meixner-negb and
+        # biortho need more than 49 terms, so the doubled cut-offs are
+        # pinned; 6 of its records are false `fail`s (cancellation in the
+        # float sums): dual-gg and meixner-negb (0, 1), (0, 3) and (0, 4),
+        # which read the same three sums, hence exit code 1
         (
             ["verify", "--identity", "all", "--index-max", "4", "--q", "0.9", "--a", "0.9", "--b", "-0.5"],
             "verify_all_index4_q0.9_a0.9_b-0.5.csv",

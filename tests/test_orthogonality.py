@@ -22,7 +22,7 @@ T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 PARAMS = [P1, P2]
-# eq-zero retries 44 of its 81 pairs here at index-max 8
+# eq-zero retries 36 of its 81 pairs here at index-max 8
 P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
 
 
@@ -235,13 +235,16 @@ class TestMeixnerOrthogonality:
         assert abs(r.lhs) <= 1e-9
 
     def test_negb_is_parameter_swap_of_meixner(self):
-        # swapping (a, b) -> (b, a) in the positive-parameter verifier
-        # reproduces the negative-parameter sum exactly
-        from qortho.orthogonality import _meixner_table
+        # swapping (a, b) -> (b, a) swaps the two spectral branches, so the
+        # negative-parameter sum reads the b-branch labels -n-1, -n2-1
+        # where meixner reads the a-branch labels n, n2
+        from qortho.orthogonality import _Store
 
-        lhs_negb, _, _ = _meixner_table(P1.b, P1.a, P1, T).pair_sum(1, 2, T)
-        r = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
-        assert r.lhs == lhs_negb
+        labels = _Store(P1, T).labels
+        negb = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
+        assert (negb.lhs, negb.terms_used, negb.tail_estimate) == labels.pair_sum(-2, -3, T)
+        meixner = verify_meixner_orthogonality(1, 2, P1, T)
+        assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == labels.pair_sum(1, 2, T)
 
 
 class TestEqZeroIdentity:
@@ -257,6 +260,100 @@ class TestEqZeroIdentity:
         r = verify_Eq_zero_identity(n, n2, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
+
+
+class TestMeixnerCrossRoute:
+    # the three q-Meixner families read the label sums of the duality
+    # route; the reference takes the other route, the q-Meixner weights
+    # and the terminating 2phi1 M_n(q^-m) at 60 digits, over the record's
+    # own terms
+    REF_DPS = 60
+    U = 2.0**-53  # unit roundoff of a float term
+
+    def reference(self, p):
+        """(record) -> (sum of its terms, sum of their magnitudes), with
+        the weights and q-Meixner values kept across records; call inside
+        workdps(REF_DPS)."""
+        import functools
+
+        import mpmath
+
+        from qortho.orthogonality import meixner_weight, negative_b_meixner_weight
+        from qortho.polynomials import q_meixner
+
+        q, a, b = (mpmath.mpf(x) for x in (p.q, p.a, p.b))
+        pm = QParams(q=q, a=a, b=b)
+        t60 = Truncation(rel_tol=1e-50)
+        weights = {
+            "meixner": functools.cache(lambda m: meixner_weight(m, pm)),
+            "meixner-negb": functools.cache(lambda m: negative_b_meixner_weight(m, pm)),
+            "eq-zero": functools.cache(lambda m: (-1) ** m * q ** (m * (m - 1) / 2) / q_pochhammer(q, q, m)),
+        }
+        values = {
+            "a": functools.cache(lambda n, m: q_meixner(n, m, a, -b / a, q, t60)),
+            "b": functools.cache(lambda n, m: q_meixner(n, m, b, -a / b, q, t60)),
+        }
+        sides = {"meixner": ("a", "a"), "meixner-negb": ("b", "b"), "eq-zero": ("a", "b")}
+
+        def ref(r):
+            (n, n2), (s1, s2) = r.indices, sides[r.identity_id]
+            terms = [weights[r.identity_id](m) * values[s1](n, m) * values[s2](n2, m) for m in range(r.terms_used)]
+            return float(mpmath.fsum(terms)), float(mpmath.fsum(terms, absolute=True))
+
+        return ref
+
+    @pytest.mark.parametrize(
+        "p,false_fails",
+        [
+            (P1, 0),
+            (P2, 0),
+            (QParams(q=0.9, a=0.9, b=-0.5), 4),  # meixner-negb
+            (QParams(q=0.95, a=0.9, b=-3.0), 20),  # meixner-negb
+            (P_RETRY, 7 + 36),  # meixner, meixner-negb; eq-zero also retries 36 pairs
+        ],
+        ids=["p1", "p2", "q0.9", "q0.95", "retry"],
+    )
+    def test_views_match_meixner_reference(self, p, false_fails):
+        # every lhs lies within tol*scale of the reference, except the
+        # false `fail`s of float cancellation, which lie within the
+        # rounding of their terms, U * sum |t_m|
+        import mpmath
+
+        off = []
+        with mpmath.workdps(self.REF_DPS):
+            reference = self.reference(p)
+            for fam in ("meixner", "meixner-negb", "eq-zero"):
+                for r in run_identity_checks(fam, p, T):
+                    want, total_abs = reference(r)
+                    err = abs(r.lhs - want)
+                    if err > r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs))):
+                        assert r.status == "fail" and err <= self.U * total_abs, (fam, r.indices, err)
+                        off.append((fam, r.indices))
+        assert len(off) == false_fails, off
+
+    def test_double_sweep_calls_q_meixner_only_in_eq_zero_retries(self, monkeypatch):
+        # in double precision the q-Meixner 2phi1 is evaluated only by the
+        # 40-digit eq-zero retries
+        import sys
+
+        import mpmath
+
+        from qortho.orthogonality import _EQ_ZERO_RETRY_DPS
+
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qortho") and hasattr(mod, "q_meixner"):
+                def counted(*args, _inner=mod.q_meixner, **kwargs):
+                    calls.append(mpmath.mp.dps)
+                    return _inner(*args, **kwargs)
+
+                monkeypatch.setattr(mod, "q_meixner", counted)
+        for p, retries in ((P1, 0), (P_RETRY, 36)):
+            calls.clear()
+            reports = run_identity_checks("all", p, T)
+            assert sum("retried" in r.note for r in reports) == retries
+            assert set(calls) <= {_EQ_ZERO_RETRY_DPS}
+            assert bool(calls) == bool(retries)
 
 
 class TestBiorthogonality:
@@ -318,26 +415,38 @@ class TestReports:
         # a double-precision run of the same point leaves nothing that an
         # extended run reads
         from qortho.cli import _verify_task_records
+        from qortho.orthogonality import _STORE_FAMILIES
 
         def records(families, precision):
             return _verify_task_records((families, 0.5, 0.5, -0.7, 3, 1e-8, precision))
 
-        for family in (("dual",), ("unitarity",), ("biortho",), ("unitarity", "dual", "biortho")):
+        for family in (("dual",), ("unitarity",), ("biortho",), ("eq-zero",), _STORE_FAMILIES):
             cold = records(family, "extended")
             records(family, "double")
             assert records(family, "extended") == cold, family
 
-    # the q-Meixner sweeps share one table of M_n(q^-m) values per
-    # parameterization (eq-zero also a 40-digit table for its retries), and
-    # big-laguerre one table of P_0..P_K(lam_n) per spectral branch; a
-    # standalone call builds its own, so every record must match field for
-    # field, the retried ones included
+    def test_extended_meixner_sums_keep_extended_accuracy(self):
+        # in 50-digit scalars the q-Meixner families sum their own 2phi1
+        # values at the working precision, not the float label terms: the
+        # sums that vanish exactly come out at the 50-digit rounding level
+        from qortho.cli import _verify_task_records
+
+        recs = _verify_task_records((("meixner", "meixner-negb", "eq-zero"), 0.5, 0.5, -0.7, 3, 1e-8, "extended"))
+        zeros = [r for r in recs if r["identity_id"] == "eq-zero" or r["i"] != r["j"]]
+        assert len(zeros) == 16 + 2 * 6
+        assert all(abs(r["lhs"]) < 1e-45 for r in zeros), max(abs(r["lhs"]) for r in zeros)
+
+    # the q-Meixner sweeps read the sums of one label table (eq-zero also a
+    # 40-digit table for its retries), and big-laguerre one table of
+    # P_0..P_K(lam_n) per spectral branch; a standalone call builds its own,
+    # so every record must match field for field, the retried ones included
     MEIXNER_STANDALONE = {
         "meixner": verify_meixner_orthogonality,
         "meixner-negb": verify_negative_b_meixner_orthogonality,
         "eq-zero": verify_Eq_zero_identity,
     }
     SWEEP_STANDALONE = {**MEIXNER_STANDALONE, "big-laguerre": verify_big_laguerre_orthogonality}
+    MEIXNER_DUAL = {"meixner": "dual-ff", "meixner-negb": "dual-gg", "eq-zero": "dual-fg"}
 
     @pytest.mark.parametrize("family", ["meixner", "meixner-negb", "eq-zero", "big-laguerre"])
     @pytest.mark.parametrize(
@@ -352,13 +461,21 @@ class TestReports:
         for r in sweep:
             assert r == standalone(*r.indices, p, T), r.indices
         if family == "eq-zero" and p is P_RETRY:
-            assert sum("retried" in r.note for r in sweep) == 44
+            assert sum("retried" in r.note for r in sweep) == 36
+        if family in self.MEIXNER_DUAL:
+            # each view's sum is the matching dual sum, bit for bit
+            dual = {r.indices: r for r in run_identity_checks("dual", p, T, index_max=8)
+                    if r.identity_id == self.MEIXNER_DUAL[family]}
+            for r in sweep:
+                if "retried" not in r.note:
+                    d = dual[r.indices]
+                    assert (r.lhs, r.terms_used, r.tail_estimate) == (d.lhs, d.terms_used, d.tail_estimate)
 
     def test_eq_zero_retry_sweep_matches_standalone(self):
-        # a tolerance below double-precision rounding sends about half the
-        # pairs through the shared 40-digit tables
+        # a tolerance below double-precision rounding sends about a quarter
+        # of the pairs through the shared 40-digit tables
         sweep = run_identity_checks("eq-zero", P1, T, index_max=8, tolerance=1e-15)
-        assert sum("retried" in r.note for r in sweep) == 43
+        assert sum("retried" in r.note for r in sweep) == 19
         for r in sweep:
             assert r == verify_Eq_zero_identity(*r.indices, P1, T, 1e-15), r.indices
 
@@ -374,15 +491,20 @@ class TestReports:
                 assert r == verify_unitarity(RowCol.COLUMNS, *r.indices, P2, T), r.indices
 
     def test_eq_zero_matches_literal_per_pair_sum(self):
-        # reference: the per-pair loop with every q-Meixner value evaluated
-        # afresh, the retry in 40-digit scalars made inside workdps(40)
+        # reference: a retried record is the per-pair loop with every
+        # q-Meixner value evaluated afresh in 40-digit scalars inside
+        # workdps(40); any other record is the dual-fg sum
         import mpmath
 
         from qortho.orthogonality import _certified_sum
         from qortho.polynomials import q_meixner
 
-        def literal(n, n2, mp):
-            q, a, b = (mpmath.mpf(x) if mp else x for x in (P_RETRY.q, P_RETRY.a, P_RETRY.b))
+        dual = {
+            r.indices: r for r in run_identity_checks("dual", P_RETRY, T, index_max=8) if r.identity_id == "dual-fg"
+        }
+
+        def literal(n, n2):
+            q, a, b = (mpmath.mpf(x) for x in (P_RETRY.q, P_RETRY.a, P_RETRY.b))
             state = {"w": 1.0 * q / q}
 
             def term(m):
@@ -395,9 +517,10 @@ class TestReports:
         for r in run_identity_checks("eq-zero", P_RETRY, T, index_max=8):
             if "retried" in r.note:
                 with mpmath.workdps(40):
-                    lhs, used, tail = literal(*r.indices, mp=True)
+                    lhs, used, tail = literal(*r.indices)
             else:
-                lhs, used, tail = literal(*r.indices, mp=False)
+                d = dual[r.indices]
+                lhs, used, tail = d.lhs, d.terms_used, d.tail_estimate
             assert (r.lhs, r.terms_used, r.tail_estimate) == (float(lhs), used, float(tail)), r.indices
 
     def test_big_laguerre_matches_literal_per_pair_sum(self):
@@ -509,9 +632,10 @@ class TestReports:
                     assert table._doubling_sum(i, j, T) == table._doubling_sum(j, i, T), (i, j)
 
     def test_store_computes_each_label_pair_sum_once(self, monkeypatch):
-        # unitarity-columns, dual and biortho read one store's sums: the
-        # 171 unordered pairs of the 18 labels at index-max 8, each summed
-        # once for the 513 records
+        # unitarity-columns, dual, biortho and the three q-Meixner families
+        # read one store's sums: the 171 unordered pairs of the 18 labels at
+        # index-max 8, each summed once for the 684 records (the eq-zero
+        # retries sum their own 40-digit terms)
         from qortho.orthogonality import _LabelTable
 
         pairs = []
@@ -523,9 +647,46 @@ class TestReports:
 
         monkeypatch.setattr(_LabelTable, "_doubling_sum", counted)
         reports = run_identity_checks("all", P1, T)
-        shared = [r for r in reports if r.identity_id.startswith(("unitarity-columns", "dual", "biortho"))]
-        assert len(shared) == 513
+        shared = [r for r in reports if r.identity_id not in ("big-laguerre", "sears", "unitarity-rows")]
+        assert len(shared) == 684
         assert len(pairs) == len(set(pairs)) == 171
+
+    def test_label_entries_computed_once(self, monkeypatch):
+        # a doubled cut-off (48 -> 96 -> 192 -> 320) extends each label's
+        # duality entries, and the shared prefactors, from where they
+        # stopped; no entry is computed twice, and the 18 labels need 1602
+        # entries where recomputing from m = 0 at each cut-off took 2481
+        import collections
+
+        from qortho import orthogonality
+        from qortho.orthogonality import _Store
+
+        computed = collections.Counter()
+        started = collections.Counter()
+
+        def counting(source, key):
+            def wrapped(*args):
+                started[key(*args)] += 1
+                for value in source(*args):
+                    computed[key(*args)] += 1
+                    yield value
+
+            return wrapped
+
+        entries = counting(orthogonality._duality_entries, lambda p, *spec: spec)
+        monkeypatch.setattr(orthogonality, "_duality_entries", entries)
+        monkeypatch.setattr(orthogonality, "_prefactor_entries", counting(orthogonality._prefactor_entries, lambda p: "pref"))
+        p = QParams(q=0.9, a=0.9, b=-0.5)
+        store = _Store(p, T)
+        run_identity_checks("all", p, T, store=store)
+        table = store.labels
+        assert started["pref"] == 1 and computed["pref"] == len(table._prefs)
+        assert len(table._coeffs) == 18
+        for label, (values, _) in table._coeffs.items():
+            spec = ("a", label) if label >= 0 else ("b", -label - 1)
+            assert started[spec] == 1 and computed[spec] == len(values), label
+        assert max(len(values) for values, _ in table._coeffs.values()) == 97  # cut-off 48 doubled to 96
+        assert sum(computed.values()) - computed["pref"] == 1602
 
     def test_label_coefficient_exact_after_unitarity(self):
         # a_96(lam_4) on both branches at q = 0.95, read from the label
