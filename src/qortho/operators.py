@@ -328,19 +328,19 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     pref_{m+1}/pref_m, so no factor over- or underflows; n-independent,
     so one list serves every spectral point of a parameter set, and its
     first m+1 entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
-    return list(itertools.islice(_prefactor_entries(p, ratio_fn), m_max + 1))
+    return list(itertools.islice(_prefactor_entries(p, _WORKING_DPS, ratio_fn), m_max + 1))
 
 
-def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio):
-    """pref_0, pref_1, ... of `_prefactors` without end, one per next();
-    a caller that keeps the iterator extends its list from where it
-    stopped."""
-    with mpmath.workdps(_WORKING_DPS):
+def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio):
+    """pref_0, pref_1, ... of `_prefactors` without end, one per next(),
+    at dps digits; a caller that keeps the iterator extends its list from
+    where it stopped."""
+    with mpmath.workdps(dps):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         pref = mpmath.mpf(1)
     for m in itertools.count():
         yield pref
-        with mpmath.workdps(_WORKING_DPS):
+        with mpmath.workdps(dps):
             pref *= ratio_fn(m, q, a, b)
 
 

@@ -10,17 +10,16 @@ Numerical strategy: sums over the spectral index n (big-laguerre,
 sears, unitarity-rows) have geometrically decaying weights and are summed
 in plain floats with compensation.  The sums over the basis index m are
 those of one verify task's label table: products of two labels'
-eigencoefficients a_m(lam), from the q-Meixner duality closed form at 30
-digits, whose weight factors balance within each term, so the products
-are formed in mpmath and only then added in floats.  By the duality the
-q-Meixner sums are label sums too (meixner dual-ff, meixner-negb dual-gg,
-eq-zero dual-fg, term for term); in mpmath scalars, and in eq-zero's
-40-digit retries, they sum their own 2phi1 values instead.
+eigencoefficients a_m(lam), from the q-Meixner duality closed form, whose
+weight factors balance within each term.  The products are formed and
+added exactly in mpmath at the table's precision (30 digits, or the
+working precision of mpmath scalars) and the sum is rounded once.  By the
+duality the q-Meixner sums are label sums too (meixner dual-ff,
+meixner-negb dual-gg, eq-zero dual-fg, term for term).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -44,7 +43,6 @@ from qortho.polynomials import (
     _duality_entries,
     _working_coefficients,
     big_q_laguerre_recurrence,
-    q_meixner,
 )
 from qortho.operators import (
     _Normalization,
@@ -196,30 +194,27 @@ class _PairSum:
 
 
 class _PairTable(_PairSum):
-    """The weighted bilinear family sum_k w_k u(i, k) v(j, k).
+    """The weighted bilinear family sum_k w_k u(i, k) u(j, k).
 
     The weights are built on first use, in order of k, from w0 and the
-    recurrence w_(k+1) = step(k, w_k); u and v (v defaults to u) are value
-    functions (i, k) -> value that keep their own memo.  A positive
-    family's weights are checked as they are read."""
+    recurrence w_(k+1) = step(k, w_k), and checked positive as they are
+    read; u is a value function (i, k) -> value that keeps its own memo."""
 
-    def __init__(self, w0, step, u, v=None, positive: bool = True):
+    def __init__(self, w0, step, u):
         self._weights = [w0]
         self._step = step
         self._u = u
-        self._v = u if v is None else v
-        self._positive = positive
 
     def weight(self, k: int):
         while len(self._weights) <= k:
             self._weights.append(self._step(len(self._weights) - 1, self._weights[-1]))
         w = self._weights[k]
-        if self._positive and not w > 0:
+        if not w > 0:
             raise DomainError("orthogonality weight lost positivity")
         return w
 
     def term(self, i: int, j: int, k: int):
-        return self.weight(k) * self._u(i, k) * self._v(j, k)
+        return self.weight(k) * self._u(i, k) * self._u(j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +400,6 @@ def _branch_of_label(label: int) -> tuple:
     return ("a", label) if label >= 0 else ("b", -label - 1)
 
 
-def _bilinear_terms(vals1, vals2) -> list:
-    """Float terms vals1[m] * vals2[m] with the products formed in
-    mpmath: full relative accuracy per term even where the two factors'
-    magnitudes span hundreds of decades in opposite directions."""
-    out = []
-    with mpmath.workdps(_WORKING_DPS):
-        for v1, v2 in zip(vals1, vals2):
-            f = float(v1 * v2)
-            if math.isinf(f):
-                raise NonConvergenceError("bilinear term overflow")
-            out.append(f)
-    return out
-
-
 # largest basis cut-off of the bilinear sums over m
 _M_CAP = 320
 
@@ -433,13 +414,19 @@ class _LabelTable:
     shorter cut reads a slice of it and a longer one extends it from
     where it stopped, drawing on iterators of the prefactors pref_m (one
     for all labels) and of each label's duality entries P_m(lam).  No
-    entry depends on the cut-off, so each is computed once, with the bits
-    `_prefactors` and `spectral_sequence` give."""
+    entry depends on the cut-off, so each is computed once.
+
+    Entries and products are mpmath floats at the table's precision dps:
+    _WORKING_DPS digits for float parameters, where they have the bits
+    `_prefactors` and `spectral_sequence` give, and the caller's working
+    precision, never below that, for mpmath parameters."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
+        self._mpf = isinstance(p.q, mpmath.mpf)
+        self.dps = max(mpmath.mp.dps, _WORKING_DPS) if self._mpf else _WORKING_DPS
         self._prefs: list = []
-        self._pref_entries = _prefactor_entries(p)
+        self._pref_entries = _prefactor_entries(p, self.dps)
         self._coeffs: dict = {}
         self._norm = _Normalization(p, t)
         self._c: dict = {}
@@ -447,12 +434,12 @@ class _LabelTable:
 
     def coeffs(self, label: int, m_cut: int) -> list:
         if label not in self._coeffs:
-            self._coeffs[label] = ([], _duality_entries(self.p, *_branch_of_label(label)))
+            self._coeffs[label] = ([], _duality_entries(self.p, *_branch_of_label(label), self.dps))
         values, entries = self._coeffs[label]
         if len(values) <= m_cut:
             while len(self._prefs) <= m_cut:
                 self._prefs.append(next(self._pref_entries))
-            with mpmath.workdps(_WORKING_DPS):
+            with mpmath.workdps(self.dps):
                 values.extend(pref * next(entries) for pref in self._prefs[len(values) : m_cut + 1])
         return values[: m_cut + 1]
 
@@ -467,7 +454,9 @@ class _LabelTable:
     def pair_sum(self, i: int, j: int, t: Truncation):
         """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
         first request for the unordered pair {i, j} and kept: the mpmath
-        products commute exactly, so (j, i) would give the same bits."""
+        products commute exactly, so (j, i) would give the same bits.  The
+        value is a float for float parameters and an mpf for mpmath
+        ones."""
         key = (min(i, j), max(i, j), t)
         if key not in self._sums:
             self._sums[key] = self._doubling_sum(i, j, t)
@@ -475,36 +464,42 @@ class _LabelTable:
 
     def _doubling_sum(self, i: int, j: int, t: Truncation):
         """The sum with the cut-off m_cut doubling from 48 up to _M_CAP
-        until the tail is certified."""
+        until the tail is certified.
+
+        The products keep the table's precision even where the two factors'
+        magnitudes span hundreds of decades in opposite directions.  Their
+        float copies drive only the stopping rule and the tail bound of
+        `_certified_sum`; the value is the exact sum of the products used,
+        rounded once (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., 4.2), so cancellation among terms of size 1e9
+        leaves no float noise."""
         m_cut = 48
         while True:
-            arr = _bilinear_terms(self.coeffs(i, m_cut), self.coeffs(j, m_cut))
-            value, used, tail = _certified_sum(lambda m: arr[m], t, hard_cap=m_cut)
-            if tail <= t.rel_tol * (1.0 + abs(value)) or m_cut >= _M_CAP:
-                return value, used, tail
+            with mpmath.workdps(self.dps):
+                products = [v1 * v2 for v1, v2 in zip(self.coeffs(i, m_cut), self.coeffs(j, m_cut))]
+            floats = [float(x) for x in products]
+            if any(math.isinf(f) for f in floats):
+                raise NonConvergenceError("bilinear term overflow")
+            running, used, tail = _certified_sum(lambda m: floats[m], t, hard_cap=m_cut)
+            if tail <= t.rel_tol * (1.0 + abs(running)) or m_cut >= _M_CAP:
+                break
             m_cut = min(2 * m_cut, _M_CAP)
+        with mpmath.workdps(self.dps):
+            value = mpmath.fsum(products[:used])
+        return (value if self._mpf else float(value)), used, tail
 
 
 class _Store:
     """What the identity families of one verify task share at one
     parameter set: the recurrence table `_working_coefficients(p)`, read
-    by the forward coefficient rows of unitarity-rows; the label table,
+    by the forward coefficient rows of unitarity-rows, and the label table,
     whose sums unitarity-columns, dual, biortho and the three q-Meixner
-    families all read; and the q-Meixner tables of the eq-zero retries and
-    of mpmath scalars.  Each task builds its own, for its p and t."""
+    families all read, at every precision.  Each task builds its own, for
+    its p and t."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.recurrence = _working_coefficients(p)
         self.labels = _LabelTable(p, t)
-        self._meixner: dict = {}
-
-    def meixner_table(self, identity_id: str) -> _PairTable:
-        """`_meixner_table(identity_id, p, t)` at the working precision,
-        built on first use; read it at the same precision."""
-        key = (identity_id, mpmath.mp.dps)
-        if key not in self._meixner:
-            self._meixner[key] = _meixner_table(identity_id, self.labels.p, self.labels.t)
-        return self._meixner[key]
 
 
 def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
@@ -641,40 +636,7 @@ def verify_biorthogonality(
 # P_m(first q^(n+1)) = M_n(q^-m; first, -second/first) / (q^-m/second; q)_m,
 # and pref_m^2 / ((q^-m/second; q)_m)^2 is the q-Meixner weight, so each
 # term w_m M_n(q^-m) M_n2(q^-m) is the dual term a_m(lam_i) a_m(lam_j):
-# meixner reads the dual-ff sum, meixner-negb dual-gg and eq-zero dual-fg.
-# A label sum adds float terms, so in mpmath scalars (--precision extended)
-# the families sum their own 2phi1 values, as the eq-zero retries do
-
-
-def _meixner_table(identity_id: str, p: QParams, t: Truncation) -> _PairTable:
-    """The sum of a q-Meixner family over its own weights and values
-    M_n(q^-m; first, -second/first), (first, second) = (a, b) or (b, a),
-    each evaluated once, in mpmath floats: build and read it inside one
-    workdps block.  eq-zero pairs the a values with the b values."""
-    q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-
-    def values(first, second):
-        c = -second / first
-        return functools.cache(lambda n, m: q_meixner(n, m, first, c, q, t))
-
-    if identity_id == "eq-zero":
-        return _PairTable(1.0, lambda m, w: -w * q**m / (1 - q ** (m + 1)), values(a, b), values(b, a), positive=False)
-    first, second = (a, b) if identity_id == "meixner" else (b, a)
-    c = -second / first
-
-    def step(m: int, w):
-        return w * (1 - first * q ** (m + 1)) * c * q**m / ((1 - second * q ** (m + 1)) * (1 - q ** (m + 1)))
-
-    return _PairTable(1.0, step, values(first, second))
-
-
-def _meixner_sum(identity_id: str, n: int, n2: int, p: QParams, t: Truncation, store: _Store):
-    """(lhs, terms used, tail) of a q-Meixner record: the label sum in
-    floats, the family's own table in mpmath scalars."""
-    if isinstance(p.q, mpmath.mpf):
-        return store.meixner_table(identity_id).pair_sum(n, n2, t)
-    which = {"meixner": DualPair.FF, "meixner-negb": DualPair.GG, "eq-zero": DualPair.FG}[identity_id]
-    return store.labels.pair_sum(*_dual_labels(which, n, n2), t)
+# meixner reads the dual-ff sum, meixner-negb dual-gg and eq-zero dual-fg
 
 
 def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
@@ -690,8 +652,8 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
 
 
 def _verify_meixner(identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
-    first, second = (p.a, p.b) if identity_id == "meixner" else (p.b, p.a)
-    lhs, used, tail = _meixner_sum(identity_id, n, n2, p, t, store)
+    which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
+    lhs, used, tail = store.labels.pair_sum(*_dual_labels(which, n, n2), t)
     rhs = _meixner_rhs(first, second, n, p, t) if n == n2 else 0.0
     return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
 
@@ -705,7 +667,7 @@ def verify_meixner_orthogonality(
 ) -> VerificationReport:
     """The classical q-Meixner orthogonality, realized here by the
     positive-parameter family M_n(q^-m; a, -b/a; q) under
-    `meixner_weight`: in floats, the dual-ff sum."""
+    `meixner_weight`: the dual-ff sum."""
     return _verify_meixner("meixner", n, n2, p, t, tolerance, _Store(p, t))
 
 
@@ -717,11 +679,8 @@ def verify_negative_b_meixner_orthogonality(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
-    M_n(q^-m; b, -a/b; q) with b < 0: in floats, the dual-gg sum."""
+    M_n(q^-m; b, -a/b; q) with b < 0: the dual-gg sum."""
     return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _Store(p, t))
-
-
-_EQ_ZERO_RETRY_DPS = 40
 
 
 def verify_Eq_zero_identity(
@@ -737,20 +696,14 @@ def verify_Eq_zero_identity(
 
     Expanding the polynomials in powers of q^-m reduces every
     contribution to the q-exponential E_q evaluated at one of its zeros
-    -q^-j, which is why the alternating sum cancels exactly.  In floats
-    the sum is the dual-fg sum; retried in 40-digit q-Meixner values if its residual
-    exceeds tolerance."""
+    -q^-j, which is why the alternating sum cancels exactly.  The sum is
+    the dual-fg sum."""
     return _verify_eq_zero(n, n2, p, t, tolerance, _Store(p, t))
 
 
 def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
-    lhs, used, tail = _meixner_sum("eq-zero", n, n2, p, t, store)
+    lhs, used, tail = store.labels.pair_sum(*_dual_labels(DualPair.FG, n, n2), t)
     note = "every term reduces to E_q at a zero -q^-j"
-    scale = 1.0 + abs(lhs)
-    if abs(lhs) > tolerance * scale and tail <= tolerance * scale:
-        with mpmath.workdps(_EQ_ZERO_RETRY_DPS):
-            lhs, used, tail = store.meixner_table("eq-zero").pair_sum(n, n2, t)
-        note += "; retried at extended precision"
     return _finalize("eq-zero", p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
 
 

@@ -298,16 +298,16 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("spectral index must be nonnegative")
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    return list(itertools.islice(_duality_entries(p, branch, j), m_max + 1))
+    return list(itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m_max + 1))
 
 
-def _duality_entries(p: QParams, branch: str, j: int):
+def _duality_entries(p: QParams, branch: str, j: int, dps: int):
     """P_0(lam), P_1(lam), ... without end, by the method of
-    `spectral_sequence`, one entry per next() at _WORKING_DPS digits; the
-    c_k are built as the growing m first needs them.  A caller that keeps
-    the iterator extends its sequence from where it stopped, with the
-    bits `spectral_sequence` gives."""
-    with mpmath.workdps(_WORKING_DPS):
+    `spectral_sequence`, one entry per next() at dps digits; the c_k are
+    built as the growing m first needs them.  A caller that keeps the
+    iterator extends its sequence from where it stopped; at _WORKING_DPS
+    digits it has the bits `spectral_sequence` gives."""
+    with mpmath.workdps(dps):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
         first, second = (a, b) if branch == "a" else (b, a)
         z = q ** (j + 1) * first / second
@@ -317,7 +317,7 @@ def _duality_entries(p: QParams, branch: str, j: int):
     denom = qm  # (q^-m/second; q)_m
     yield qm
     for m in itertools.count(1):
-        with mpmath.workdps(_WORKING_DPS):
+        with mpmath.workdps(dps):
             if m <= j:
                 k = m - 1
                 c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))

@@ -458,13 +458,12 @@ class TestGoldenOutput:
         ),
         # 11 records each of unitarity-columns, dual-gg, meixner-negb and
         # biortho need more than 49 terms, so the doubled cut-offs are
-        # pinned; 6 of its records are false `fail`s (cancellation in the
-        # float sums): dual-gg and meixner-negb (0, 1), (0, 3) and (0, 4),
-        # which read the same three sums, hence exit code 1
+        # pinned; its vanishing label sums add terms of size up to 1e9
+        # exactly, so every record passes
         (
             ["verify", "--identity", "all", "--index-max", "4", "--q", "0.9", "--a", "0.9", "--b", "-0.5"],
             "verify_all_index4_q0.9_a0.9_b-0.5.csv",
-            1,
+            0,
         ),
         # the CLI path through the terminating-series kernel: 68 of its 135
         # float sums cancel past double precision and rerun in mpmath
