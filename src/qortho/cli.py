@@ -36,9 +36,8 @@ from qortho.operators import (
 from qortho.polynomials import (
     big_q_laguerre,
     big_q_laguerre_recurrence,
-    dual_f,
-    dual_g,
     q_meixner,
+    spectral_sequence,
 )
 from qortho.orthogonality import (
     IDENTITY_FAMILIES,
@@ -239,13 +238,13 @@ def _run_verify(cfg: RunConfig) -> list:
 def _spectrum_reports(cfg: RunConfig) -> list:
     p = cfg.params()
     n_extreme = 10
-    exact = spectrum_points(p, max(30, n_extreme)).merged_by_magnitude()[:n_extreme].tolist()
+    exact = spectrum_points(p, max(30, n_extreme)).merged_by_magnitude()[:n_extreme]
     scales = [cfg.tolerance * (1 + abs(lam)) for lam in exact]
     reports = []
     errors, bounds, deltas = {}, {}, {}
     for d in (cfg.dim, 2 * cfg.dim):
         tri = build_A(p, d)
-        nearest = eig_tridiagonal(tri, near=exact).tolist()
+        nearest = eig_tridiagonal(tri, near=exact)
         # the cut exact eigenvector puts an eigenvalue of A_d within r of
         # lam, and the solve finds it to within delta
         delta = deltas[d] = eig_tridiagonal_accuracy(tri)
@@ -328,6 +327,10 @@ def _table_rows(cfg: RunConfig) -> list:
                 }
             )
     for n in range(cfg.index_max + 1):
+        # dual_f(n, m) and dual_g(n, m) are entry m of these sequences,
+        # whose entries do not depend on the cut-off
+        f_seq = spectral_sequence(p, "a", n, cfg.index_max)
+        g_seq = spectral_sequence(p, "b", n, cfg.index_max)
         for m in range(cfg.index_max + 1):
             rows.append(
                 {
@@ -343,7 +346,7 @@ def _table_rows(cfg: RunConfig) -> list:
                     "family": "dual-f",
                     "n": n,
                     "m_or_x": m,
-                    "value": dual_f(n, m, p, t),
+                    "value": float(f_seq[m]),
                     "method": "spectral",
                 }
             )
@@ -352,7 +355,7 @@ def _table_rows(cfg: RunConfig) -> list:
                     "family": "dual-g",
                     "n": n,
                     "m_or_x": m,
-                    "value": dual_g(n, m, p, t),
+                    "value": float(g_seq[m]),
                     "method": "spectral",
                 }
             )

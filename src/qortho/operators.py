@@ -13,6 +13,7 @@ and its eigenvector coefficients are weighted big q-Laguerre values.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -40,8 +41,9 @@ from qortho.polynomials import (
     spectral_sequence,
 )
 
-# numpy is imported inside the functions that build or solve arrays, so
-# the commands that never touch a matrix start without it
+# the operator, its spectrum and the eigensolver work on Python floats, so
+# no CLI command loads numpy; it is imported inside the functions that
+# return arrays (dense matrices, coefficient vectors)
 if TYPE_CHECKING:
     import numpy as np
 
@@ -71,38 +73,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Tridiagonal matrix; symmetric when lower and upper share storage."""
+    """Tridiagonal matrix as tuples of floats; symmetric when lower and
+    upper share storage."""
 
     dim: int
-    diag: np.ndarray
-    lower: np.ndarray  # lower[i] couples column i to row i+1
-    upper: np.ndarray  # upper[i] couples column i+1 to row i
+    diag: tuple
+    lower: tuple  # lower[i] couples column i to row i+1
+    upper: tuple  # upper[i] couples column i+1 to row i
 
     def __post_init__(self):
-        import numpy as np
-
         if self.dim < 1:
             raise DomainError("dim must be a positive integer")
         if len(self.diag) != self.dim or len(self.lower) != self.dim - 1 or len(self.upper) != self.dim - 1:
             raise DomainError("inconsistent tridiagonal band lengths")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        if not all(map(math.isfinite, itertools.chain(self.diag, self.lower, self.upper))):
             raise DomainError("tridiagonal entries must be finite")
 
     @classmethod
     def symmetric(cls, diag, offdiag):
-        import numpy as np
-
-        off = np.asarray(offdiag, dtype=float)
-        return cls(dim=len(diag), diag=np.asarray(diag, dtype=float), lower=off, upper=off)
+        off = tuple(map(float, offdiag))
+        return cls(dim=len(diag), diag=tuple(map(float, diag)), lower=off, upper=off)
 
     @property
     def is_symmetric(self) -> bool:
-        import numpy as np
-
-        return self.lower is self.upper or np.array_equal(self.lower, self.upper)
+        return self.lower is self.upper or self.lower == self.upper
 
     @property
-    def offdiag(self) -> np.ndarray:
+    def offdiag(self) -> tuple:
         if not self.is_symmetric:
             raise DomainError("offdiag is only defined for the symmetric case")
         return self.lower
@@ -119,10 +116,13 @@ class Tridiagonal:
     def transpose(self) -> "Tridiagonal":
         return Tridiagonal(dim=self.dim, diag=self.diag, lower=self.upper, upper=self.lower)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.lower * v[:-1]
-        out[:-1] += self.upper * v[1:]
+    def apply(self, v) -> np.ndarray:
+        import numpy as np
+
+        v = np.asarray(v, dtype=float)
+        out = np.asarray(self.diag) * v
+        out[1:] += np.asarray(self.lower) * v[:-1]
+        out[:-1] += np.asarray(self.upper) * v[1:]
         return out
 
 
@@ -140,14 +140,12 @@ class CoefficientVector:
 class SpectralPoints:
     """The two geometric eigenvalue branches a q^(n+1) and b q^(n+1)."""
 
-    upper: np.ndarray
-    lower: np.ndarray
+    upper: tuple
+    lower: tuple
 
-    def merged_by_magnitude(self) -> np.ndarray:
-        import numpy as np
-
-        both = np.concatenate([self.upper, self.lower])
-        return both[np.argsort(-np.abs(both), kind="stable")]
+    def merged_by_magnitude(self) -> list:
+        """Both branches by decreasing magnitude; the upper point first on a tie."""
+        return sorted(self.upper + self.lower, key=lambda x: -abs(x))
 
 
 class XiBasis(Enum):
@@ -216,25 +214,21 @@ def build_generator_matrices(p: QParams, dim: int) -> GeneratorMatrices:
     return GeneratorMatrices(dim=dim, raising=raising, lowering=lowering, qj0_diag=qj0, j0_diag=j0)
 
 
-def _a_diag(p: QParams, n: np.ndarray) -> np.ndarray:
-    return _recurrence_d(n, p.a, p.b, p.q)
+def _a_diag(p: QParams, dim: int) -> tuple:
+    return tuple(_recurrence_d(float(n), p.a, p.b, p.q) for n in range(dim))
 
 
 def build_A(p: QParams, dim: int) -> Tridiagonal:
     """Symmetric tridiagonal matrix of the diagonalized operator."""
-    import numpy as np
-
     if dim < 1:
         raise DomainError("dim must be a positive integer")
-    n = np.arange(dim, dtype=float)
-    diag = _a_diag(p, n)
-    k = n[:-1]
-    off = (
-        math.sqrt(-p.a * p.b)
-        * p.q ** ((k + 2) / 2)
-        * np.sqrt((1 - p.q ** (k + 1)) * (1 - p.a * p.q ** (k + 1)) * (1 - p.b * p.q ** (k + 1)))
+    q, a, b = p.q, p.a, p.b
+    c = math.sqrt(-a * b)
+    off = tuple(
+        c * q ** ((k + 2) / 2) * math.sqrt((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
+        for k in map(float, range(dim - 1))
     )
-    return Tridiagonal.symmetric(diag, off)
+    return Tridiagonal(dim=dim, diag=_a_diag(p, dim), lower=off, upper=off)
 
 
 def compose_A_from_generators(p: QParams, dim: int) -> np.ndarray:
@@ -273,18 +267,15 @@ def build_A1_A2(p: QParams, dim: int) -> tuple:
     exact by construction; the compositions themselves are validated
     against dense generator products in the tests.
     """
-    import numpy as np
-
     if dim < 2:
         raise DomainError("dim must be at least 2")
-    n = np.arange(dim, dtype=float)
-    k = n[:-1]
     q, a, b = p.q, p.a, p.b
-    w = np.sqrt((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)))
+    ks = [float(k) for k in range(dim - 1)]
+    w = [math.sqrt((1 - q ** (k + 1)) * (1 - a * q ** (k + 1))) for k in ks]
     c = math.sqrt(-a * b)
-    diag = _a_diag(p, n)
-    lower1 = c * q ** (k + 1) * w  # A1[n+1, n]
-    upper1 = c * q * (1 - b * q ** (k + 1)) * w  # A1[n, n+1]
+    diag = _a_diag(p, dim)
+    lower1 = tuple(c * q ** (k + 1) * wk for k, wk in zip(ks, w))  # A1[n+1, n]
+    upper1 = tuple(c * q * (1 - b * q ** (k + 1)) * wk for k, wk in zip(ks, w))  # A1[n, n+1]
     a1 = Tridiagonal(dim=dim, diag=diag, lower=lower1, upper=upper1)
     a2 = Tridiagonal(dim=dim, diag=diag, lower=upper1, upper=lower1)
     return a1, a2
@@ -376,18 +367,19 @@ def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None, 
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
-def _log10_prefactors(p: QParams, m_max: int) -> np.ndarray:
+def _log10_prefactors(p: QParams, m_max: int) -> list:
     """log10 pref_0..pref_m_max in floats: the running sum of the logs
     of the ratios `_pref_a_ratio`."""
-    import numpy as np
-
     q, a, b = p.q, p.a, p.b
-    m = np.arange(m_max, dtype=float)
-    qm = q ** (m + 1)
-    steps = -0.5 * math.log10(-a * b) - (2 * m + 4) / 4.0 * math.log10(q) + 0.5 * (
-        np.log10(1 - a * qm) + np.log10(1 - b * qm) - np.log10(1 - qm)
-    )
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    log_ab, log_q = math.log10(-a * b), math.log10(q)
+    steps = []
+    for m in map(float, range(m_max)):
+        qm = q ** (m + 1)
+        steps.append(
+            -0.5 * log_ab - (2 * m + 4) / 4.0 * log_q
+            + 0.5 * (math.log10(1 - a * qm) + math.log10(1 - b * qm) - math.log10(1 - qm))
+        )
+    return list(itertools.accumulate(steps, initial=0.0))
 
 
 def _mpf_to_float_array(values, what: str) -> np.ndarray:
@@ -469,15 +461,13 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     with (first, second) = (a, b) or (b, a) and the denominator equal to
     (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
     sum of logs, and r underflows to 0 or overflows to inf."""
-    import numpy as np
-
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
-    qi = q ** np.arange(1, dim + 1, dtype=float)
-    log_sq = {s: float(np.sum(np.log10(1 - s * qi))) for s in (a, b)}
+    qi = [q ** float(i) for i in range(1, dim + 1)]
+    log_sq = {s: math.fsum(math.log10(1 - s * x) for x in qi) for s in (a, b)}
     qd = q**dim
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
-    log_fixed = log_off + float(_log10_prefactors(p, dim)[dim]) + dim * (dim + 1) / 2 * log_q
+    log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
     radii = []
     for lam in points:
         hit = match_spectral_point(float(lam), p)
@@ -626,23 +616,20 @@ class _Normalization:
 
 def spectrum_points(p: QParams, N: int) -> SpectralPoints:
     """The first N exact eigenvalues on each branch."""
-    import numpy as np
-
     if N < 1:
         raise DomainError("N must be a positive integer")
-    n = np.arange(N, dtype=float)
-    return SpectralPoints(upper=p.a * p.q ** (n + 1), lower=p.b * p.q ** (n + 1))
+    return SpectralPoints(
+        upper=tuple(p.a * p.q ** (n + 1.0) for n in range(N)),
+        lower=tuple(p.b * p.q ** (n + 1.0) for n in range(N)),
+    )
 
 
-# Bisection steps allowed before the solve gives up; the number of
-# Sturm-count points one speculative pass may evaluate (a pass costs one
-# Python loop over the rows, nearly flat up to about this many points);
-# rows per block of a count, which bounds its scratch to block x points.
+# Bisection steps allowed before the solve gives up.
 _MAX_BISECTIONS = 120
-_POINTS_PER_PASS = 512
-_COUNT_BLOCK_ROWS = 64
-# Bisection stops once every bracket is at most this times ||T|| wide.
+# Bisection stops once a bracket is at most this times ||T|| wide.
 _BRACKET_WIDTH = 1e-14
+# Pivots smaller than this in magnitude are replaced by its negative.
+_PIVMIN = 1e-290
 
 
 def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
@@ -651,127 +638,104 @@ def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
     plus 16 units of roundoff of ||T||, for the float Sturm count (exact
     for a matrix a few units from T entrywise: Demmel, Dhillon and Ren,
     ETNA 3, 1995) and the rounded entries and targets."""
-    norm = float(abs(tri.diag).max() + 2 * abs(tri.offdiag).max(initial=0.0))
+    norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag), default=0.0)
     return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
 
 
-def eig_tridiagonal(tri: Tridiagonal, near: np.ndarray | None = None) -> np.ndarray:
+def _sturm_count(rows, x: float) -> int:
+    """Number of eigenvalues below x: the negative pivots of the LDL^T
+    factorization of T - x, where rows holds the pairs (d[i], e[i-1]^2)
+    with e[-1]^2 = 0 and the pivots are d[i] - x - e[i-1]^2 / pivot[i-1],
+    floored away from zero to -_PIVMIN."""
+    count, piv = 0, 1.0
+    for d, e2 in rows:
+        piv = d - x - e2 / piv
+        if piv < _PIVMIN:
+            count += 1
+            if piv > -_PIVMIN:
+                piv = -_PIVMIN
+    return count
+
+
+def eig_tridiagonal(tri: Tridiagonal, near=None) -> list:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending; or,
     given target points `near`, for each target the eigenvalue nearest
-    to it.
+    to it (the lower one on a tie).
 
-    Bisection on the Sturm sign-count of the shifted LDL^T pivots:
-    deterministic, and accurate to `eig_tridiagonal_accuracy(tri)` even
-    for the eigenvalues clustered near zero.  With `near`, one count at
-    the targets gives the number k_t of eigenvalues below each, and only
-    the indices k_t-2 .. k_t+1 are bisected; each result is bit for bit
-    `full[argmin |full - t|]` of the full solve.
+    Bisection on the Sturm count: eigenvalue k is the midpoint of the
+    bracket that halves [lo, hi], the Gershgorin interval widened by
+    1e-12 ||T||, towards the point where the count passes k, until it is
+    at most `_BRACKET_WIDTH` ||T|| wide.  Deterministic, and accurate to
+    `eig_tridiagonal_accuracy(tri)` even for the eigenvalues clustered
+    near zero.  The float count is monotone in x (Demmel, Dhillon and
+    Ren), so a level whose midpoint lies beyond a point already counted
+    with the answer needs no count of its own; every count is kept for
+    the later levels and indices.
+
+    With `near`, each target t is widened to t +- rho, rho = w, 2w, 4w,
+    ... for the bracket width w, until the count there differs.  Some
+    computed eigenvalue then lies within rho + w of t, so every one at
+    least as near has its bracket inside t +- (rho + 2w); the window
+    t +- 2(rho + w) spares rho for the rounding of its ends, and only the
+    indices counted in it are bisected.  Each result is bit for bit the
+    pick from the full solve.
     """
-    import numpy as np
-
     if not tri.is_symmetric:
         raise DomainError("eig_tridiagonal requires a symmetric matrix")
-    d = np.asarray(tri.diag, dtype=float)
-    n = d.size
-    targets = None if near is None else np.asarray(near, dtype=float).reshape(-1)
+    d, e = tri.diag, tri.offdiag
+    n = len(d)
+    targets = None if near is None else [float(t) for t in near]
+    if targets is not None and not all(map(math.isfinite, targets)):
+        raise DomainError("eig_tridiagonal targets must be finite")
     if n == 1:
-        return d.copy() if targets is None else np.full(targets.size, d[0])
-    e = np.asarray(tri.offdiag, dtype=float)
-    e2 = e * e
-    rad = np.zeros(n)
-    rad[:-1] += np.abs(e)
-    rad[1:] += np.abs(e)
-    lo = float(np.min(d - rad))
-    hi = float(np.max(d + rad))
+        return list(d) if targets is None else [d[0]] * len(targets)
+    abs_e = [0.0, *map(abs, e), 0.0]
+    rad = [x + y for x, y in zip(abs_e, abs_e[1:])]
+    lo = min(x - r for x, r in zip(d, rad))
+    hi = max(x + r for x, r in zip(d, rad))
     norm = max(abs(lo), abs(hi), 1e-300)
-    pivmin = 1e-290
+    lo, hi, width = lo - 1e-12 * norm, hi + 1e-12 * norm, _BRACKET_WIDTH * norm
+    rows = list(zip(d, [0.0] + [x * x for x in e]))
+    xs, counts = [lo, hi], [0, n]  # every point counted, ascending
 
-    def count_below(xs: np.ndarray) -> np.ndarray:
-        # pivots d[i] - x - e2[i-1] / pivot[i-1], floored away from zero;
-        # each block of rows gets its shifts d[i] - x and its count of
-        # negative pivots in one numpy call
-        cnt = np.zeros(xs.shape, dtype=np.int64)
-        prev = None
-        for start in range(0, n, _COUNT_BLOCK_ROWS):
-            piv = d[start : start + _COUNT_BLOCK_ROWS, None] - xs
-            for i, row in enumerate(piv, start):
-                if i:
-                    row -= e2[i - 1] / prev
-                row[np.abs(row) < pivmin] = -pivmin
-                prev = row
-            cnt += np.count_nonzero(piv < 0, axis=0)
-        return cnt
+    def count(x: float) -> int:
+        # no eigenvalue lies outside [lo, hi], so a window that covers it
+        # ends the widening
+        if x <= lo:
+            return 0
+        if x >= hi:
+            return n
+        i = bisect.bisect_left(xs, x)
+        if xs[i] != x:
+            xs.insert(i, x)
+            counts.insert(i, _sturm_count(rows, x))
+        return counts[i]
+
+    @functools.cache
+    def bisect_index(k: int) -> float:
+        lob, hib = lo, hi
+        for _ in range(_MAX_BISECTIONS):
+            if hib - lob <= width:
+                return 0.5 * (lob + hib)
+            mid = 0.5 * (lob + hib)
+            # xs[i - 1] < mid <= xs[i]: a count kept on either side may
+            # already decide the level
+            i = bisect.bisect_left(xs, mid)
+            below = counts[i - 1] > k or (counts[i] > k and (xs[i] == mid or count(mid) > k))
+            lob, hib = (lob, mid) if below else (mid, hib)
+        raise NonConvergenceError("bisection failed to localize an eigenvalue")
 
     if targets is None:
-        ks = np.arange(n)
-    else:
-        window = count_below(targets)[:, None] + np.arange(-2, 2)
-        ks = np.unique(np.clip(window, 0, n - 1))
-    lob, hib = _bisect(count_below, ks, lo - 1e-12 * norm, hi + 1e-12 * norm, _BRACKET_WIDTH * norm)
-    eig = 0.5 * (lob + hib)
-    if targets is None:
-        return eig
-    return np.array([eig[np.argmin(np.abs(eig - t))] for t in targets])
-
-
-def _bisect(count_below, ks: np.ndarray, lo: float, hi: float, width_target: float) -> tuple:
-    """Brackets (lob, hib) of the eigenvalues with indices `ks`, by
-    bisection from [lo, hi] until every bracket is at most `width_target`
-    wide.
-
-    One Sturm-count pass serves several bisection levels: it counts the
-    midpoints of the next levels of every distinct bracket's bisection
-    subtree (`_subtree_counts`), and the walk then reads the count of each
-    index's midpoint level by level.  The stop test runs before every
-    level, so the brackets equal those of plain bisection, one count per
-    level, bit for bit.
-    """
-    import numpy as np
-
-    lob = np.full(ks.size, lo)
-    hib = np.full(ks.size, hi)
-    node = tree = counts = heap = None
-    for _ in range(_MAX_BISECTIONS):
-        if np.all((hib - lob) <= width_target):
-            return lob, hib
-        if heap is None or heap[0] >= tree.shape[1]:
-            node, tree, counts = _subtree_counts(count_below, lob, hib)
-            heap = np.ones(ks.size, dtype=np.int64)
-        mid = tree[node, heap]
-        below = counts[node, heap] > ks
-        hib = np.where(below, mid, hib)
-        lob = np.where(below, lob, mid)
-        heap = 2 * heap + ~below
-    raise NonConvergenceError("bisection failed to localize all eigenvalues")
-
-
-def _subtree_counts(count_below, lob: np.ndarray, hib: np.ndarray) -> tuple:
-    """Midpoints and Sturm counts of the next levels of bisection below
-    each distinct bracket, in one call of `count_below`.
-
-    Returns (node, tree, counts): `node[i]` is the row of bracket
-    (lob[i], hib[i]); row r of `tree` holds its subtree in heap order
-    (column 1 splits the bracket, column h has children 2h and 2h+1; the
-    left child keeps the lower half), and `counts` the count at each
-    midpoint.  Each midpoint is `0.5 * (lo + hi)` of the bracket it splits,
-    as one bisection step forms it.  The subtree is as deep as
-    `_POINTS_PER_PASS` points allow, and at least one level.
-    """
-    import numpy as np
-
-    brackets, node = np.unique(np.stack([lob, hib], axis=1), axis=0, return_inverse=True)
-    rows = len(brackets)
-    depth = max(1, int(math.log2(_POINTS_PER_PASS / rows + 1)))
-    tree = np.empty((rows, 2 ** depth))
-    lo_l, hi_l = brackets[:, :1], brackets[:, 1:]
-    for level in range(depth):
-        mid = 0.5 * (lo_l + hi_l)
-        tree[:, 2 ** level : 2 ** (level + 1)] = mid
-        lo_l = np.stack([lo_l, mid], axis=2).reshape(rows, -1)
-        hi_l = np.stack([mid, hi_l], axis=2).reshape(rows, -1)
-    counts = np.zeros(tree.shape, dtype=np.int64)
-    counts[:, 1:] = count_below(tree[:, 1:].ravel()).reshape(rows, -1)
-    return node.reshape(-1), tree, counts
+        return [bisect_index(k) for k in range(n)]
+    nearest = []
+    for t in targets:
+        rho = width
+        while count(t + rho) <= count(t - rho):
+            rho *= 2
+        reach = 2 * (rho + width)
+        ks = range(count(t - reach), count(t + reach))
+        nearest.append(min(map(bisect_index, ks), key=lambda v: abs(v - t)))
+    return nearest
 
 
 # ---------------------------------------------------------------------------

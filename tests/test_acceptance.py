@@ -73,7 +73,7 @@ def test_criterion_2_spectrum():
         exact = spectrum_points(P1, 40).merged_by_magnitude()[:10]
         errs = {}
         for dim in (200, 400):
-            eig = eig_tridiagonal(build_A(P1, dim))
+            eig = np.asarray(eig_tridiagonal(build_A(P1, dim)))
             errs[dim] = np.array([np.min(np.abs(eig - lam)) for lam in exact])
         assert np.all(errs[200] <= 1e-8), errs[200]
         # error must not grow when dim doubles; at these dimensions the

@@ -63,10 +63,12 @@ class TestExitCodes:
     def test_failure_exit_one(self, tmp_path, monkeypatch):
         # a solve that misses every exact eigenvalue by 1e-6 contradicts
         # the residual bound, which at dim 60 is near double rounding
+        import numpy as np
+
         from qortho import cli
 
         solve = cli.eig_tridiagonal
-        monkeypatch.setattr(cli, "eig_tridiagonal", lambda tri, near: solve(tri, near=near) + 1e-6)
+        monkeypatch.setattr(cli, "eig_tridiagonal", lambda tri, near: np.asarray(solve(tri, near=near)) + 1e-6)
         out = tmp_path / "r.json"
         assert cli.main(["spectrum", "--dim", "60", "--out", str(out)]) == 1
         payload = json.loads(out.read_text())
@@ -265,9 +267,9 @@ class TestStartup:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
-    def test_only_matrix_commands_load_numpy(self, tmp_path):
-        # verify, table and limit never build a truncated matrix, so their
-        # cold start must not pay numpy's import; spectrum solves one
+    def test_no_command_loads_numpy(self, tmp_path):
+        # the truncated matrix and its eigensolver work on Python floats,
+        # so no command pays numpy's import at cold start
         code = textwrap.dedent(
             """
             import json, sys
@@ -283,6 +285,7 @@ class TestStartup:
                 ["table"],
                 ["limit"],
                 ["spectrum", "--dim", "20"],
+                ["report-all", "--index-max", "1", "--dim", "20"],
             ):
                 qortho.cli.main(argv + ["--out", out, "--no-timestamp"])
                 seen.append((" ".join(argv), "numpy" in sys.modules))
@@ -292,8 +295,7 @@ class TestStartup:
         res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         seen = dict(json.loads(res.stdout))
-        assert seen.pop("spectrum --dim 20") is True
-        assert seen and not any(seen.values()), seen
+        assert len(seen) == 9 and not any(seen.values()), seen
 
 
 class TestCommands:
