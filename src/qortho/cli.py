@@ -42,7 +42,6 @@ from qortho.polynomials import (
 from qortho.orthogonality import (
     IDENTITY_FAMILIES,
     VerificationReport,
-    _STORE_FAMILIES,
     _Store,
     run_identity_checks,
 )
@@ -85,7 +84,6 @@ class RunConfig:
     precision: str = "double"
     output_format: str = "json"
     output_path: Optional[str] = None
-    jobs: int = 1
     no_timestamp: bool = False
 
     def params(self) -> QParams:
@@ -107,7 +105,6 @@ class RunConfig:
             "tolerance": float(self.tolerance),
             "precision": self.precision,
             "format": self.output_format,
-            "jobs": self.jobs,
         }
 
 
@@ -145,7 +142,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--precision", choices=("double", "extended"), default="double")
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         sp.add_argument("--out", default=None, dest="output_path")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     return parser
 
@@ -168,7 +164,6 @@ def _config_from_args(args) -> RunConfig:
         precision=args.precision,
         output_format=args.output_format,
         output_path=args.output_path,
-        jobs=max(1, args.jobs),
         no_timestamp=args.no_timestamp,
     )
     cfg.params()  # validates the domain before any computation
@@ -185,48 +180,21 @@ def _config_from_args(args) -> RunConfig:
 # verify
 
 
-def _task_reports(families: tuple, p: QParams, t: Truncation, index_max: int, tolerance: float) -> list:
+def _verify_reports(families: list, p: QParams, t: Truncation, index_max: int, tolerance: float) -> list:
+    """The families' reports, run in order on one store."""
     store = _Store(p, t)
     return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, tolerance, store=store)]
 
 
-def _verify_task_records(task) -> list:
-    """Records of one verify task: its families run in order on one store."""
-    families, q, a, b, index_max, tolerance, precision = task
-    if precision == "extended":
-        with mpmath.workdps(EXTENDED_DPS):
-            p = QParams(q=mpmath.mpf(repr(q)), a=mpmath.mpf(repr(a)), b=mpmath.mpf(repr(b)))
-            reports = _task_reports(families, p, Truncation(rel_tol=1e-20), index_max, tolerance)
-    else:
-        reports = _task_reports(families, QParams(q=q, a=a, b=b), Truncation(), index_max, tolerance)
-    return [report_to_record(r) for r in reports]
-
-
-def _verify_tasks(families: list) -> list:
-    """The families grouped into tasks: the _STORE_FAMILIES among them form
-    one task, which shares their sums, and every other family is a task
-    of its own.  The grouping depends on the families alone, never on
-    --jobs, so a record does not depend on how tasks meet workers."""
-    shared = tuple(fam for fam in families if fam in _STORE_FAMILIES)
-    return ([shared] if shared else []) + [(fam,) for fam in families if fam not in _STORE_FAMILIES]
-
-
 def _run_verify(cfg: RunConfig) -> list:
     families = list(IDENTITY_FAMILIES) if cfg.identity == "all" else [cfg.identity]
-    tasks = [
-        (group, cfg.q, cfg.a, cfg.b, cfg.index_max, cfg.tolerance, cfg.precision)
-        for group in _verify_tasks(families)
-    ]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        # imported here: the process-pool machinery costs every other
-        # command a noticeable share of its start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_verify_task_records, tasks))
+    if cfg.precision == "extended":
+        with mpmath.workdps(EXTENDED_DPS):
+            p = QParams(q=mpmath.mpf(repr(cfg.q)), a=mpmath.mpf(repr(cfg.a)), b=mpmath.mpf(repr(cfg.b)))
+            reports = _verify_reports(families, p, Truncation(rel_tol=1e-20), cfg.index_max, cfg.tolerance)
     else:
-        chunks = [_verify_task_records(task) for task in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+        reports = _verify_reports(families, cfg.params(), Truncation(), cfg.index_max, cfg.tolerance)
+    records = [report_to_record(r) for r in reports]
     records.sort(key=lambda r: (r["identity_id"], r["i"], r["j"]))
     return records
 

@@ -6,9 +6,12 @@ verdict is meaningful only when the truncation tail of the underlying
 infinite sum has been certified below tolerance; otherwise the report
 carries the third status "inconclusive".
 
-Numerical strategy: sums over the spectral index n (big-laguerre,
-sears, unitarity-rows) have geometrically decaying weights and are summed
-in plain floats with compensation.  The sums over the basis index m are
+Numerical strategy: the sums over the spectral index n are those of one
+table of coefficient rows per spectral branch, whose terms c_n^2 a_i(lam_n)
+a_j(lam_n) decay geometrically and are added in floats with compensation;
+unitarity-rows reads them as they are, and big-laguerre and sears scaled
+by Kc / (pref_i pref_j), since w_n P_i P_j is that multiple of the
+unitarity-rows term.  The sums over the basis index m are
 those of one verify task's label table: products of two labels'
 eigencoefficients a_m(lam), from the q-Meixner duality closed form, whose
 weight factors balance within each term.  The products are formed and
@@ -20,6 +23,7 @@ meixner-negb dual-gg, eq-zero dual-fg, term for term).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -39,10 +43,8 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _WORKING_DPS,
-    _RecurrenceTable,
     _duality_entries,
     _working_coefficients,
-    big_q_laguerre_recurrence,
 )
 from qortho.operators import (
     _Normalization,
@@ -178,46 +180,6 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
 
 
 # ---------------------------------------------------------------------------
-# sweep-owned pair tables: every identity over the spectral index or over m
-# is a sum over k of term(i, j, k), and one table serves every (i, j) pair of
-# a sweep
-
-
-class _PairSum:
-    """A table whose pair_sum(i, j, t) is the certified sum over k of
-    term(i, j, k)."""
-
-    hard_cap = 2000
-
-    def pair_sum(self, i: int, j: int, t: Truncation):
-        return _certified_sum(lambda k: self.term(i, j, k), t, self.hard_cap)
-
-
-class _PairTable(_PairSum):
-    """The weighted bilinear family sum_k w_k u(i, k) u(j, k).
-
-    The weights are built on first use, in order of k, from w0 and the
-    recurrence w_(k+1) = step(k, w_k), and checked positive as they are
-    read; u is a value function (i, k) -> value that keeps its own memo."""
-
-    def __init__(self, w0, step, u):
-        self._weights = [w0]
-        self._step = step
-        self._u = u
-
-    def weight(self, k: int):
-        while len(self._weights) <= k:
-            self._weights.append(self._step(len(self._weights) - 1, self._weights[-1]))
-        w = self._weights[k]
-        if not w > 0:
-            raise DomainError("orthogonality weight lost positivity")
-        return w
-
-    def term(self, i: int, j: int, k: int):
-        return self.weight(k) * self._u(i, k) * self._u(j, k)
-
-
-# ---------------------------------------------------------------------------
 # constants shared by the closed-form sides
 
 
@@ -289,44 +251,12 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
 # the q-integral orthogonality of the polynomial family
 
 
-def _spectral_table(branch: str, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable) -> _PairTable:
-    """P_0..P_K at the spectral points lam_n = c q^(n+1) of one branch,
-    with the weights w_n = (q^(n+1); q)_inf (c q^(n+1)/d; q)_inf /
-    (c q^(n+1); q)_inf q^n for branch value c and opposite value d.  Row n
-    is one forward sweep on the recurrence table of p, built on first
-    use."""
-    q = p.q
-    c, d = (p.a, p.b) if branch == "a" else (p.b, p.a)
-    w0 = (
-        q_pochhammer_inf(q, q, t)
-        * q_pochhammer_inf(c * q / d, q, t)
-        / q_pochhammer_inf(c * q, q, t)
-    )
-    rows: list = []
-
-    def value(m: int, n: int):
-        while len(rows) <= n:
-            rows.append(big_q_laguerre_recurrence(K, c * q ** (len(rows) + 1), p, coeffs=recurrence))
-        return rows[n][m]
-
-    def step(n: int, w):
-        return w * q * (1 - c * q ** (n + 1)) / ((1 - q ** (n + 1)) * (1 - c * q ** (n + 1) / d))
-
-    return _PairTable(w0, step, value)
-
-
-def _branch_tables(make, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable) -> tuple:
-    """The a-branch and the b-branch table of a sum over spectral points,
-    both reading one recurrence table."""
-    return make("a", K, p, t, recurrence), make("b", K, p, t, recurrence)
-
-
-def _two_branch_sum(tables: tuple, i: int, j: int, t: Truncation, scale_b: float = 1.0):
-    """The pair sum of the a-branch table plus scale_b times that of the
-    b-branch table: (value, terms used, tail)."""
-    sum_a, used_a, tail_a = tables[0].pair_sum(i, j, t)
-    sum_b, used_b, tail_b = tables[1].pair_sum(i, j, t)
-    return sum_a + scale_b * sum_b, used_a + used_b, tail_a + abs(scale_b) * tail_b
+def _two_branch_sum(tables: tuple, i: int, j: int, t: Truncation, log_scale: float = 0.0):
+    """The pair sum of the a-branch row table plus that of the b-branch
+    one, both scaled by 10^log_scale: (value, terms used, tail)."""
+    sum_a, used_a, tail_a = tables[0].pair_sum(i, j, t, log_scale)
+    sum_b, used_b, tail_b = tables[1].pair_sum(i, j, t, log_scale)
+    return sum_a + sum_b, used_a + used_b, tail_a + tail_b
 
 
 def verify_big_laguerre_orthogonality(
@@ -339,16 +269,25 @@ def verify_big_laguerre_orthogonality(
     """Orthogonality of the polynomial family over its two-branch
     discrete measure: the weighted sums over both spectral branches
     against the closed-form norm times a Kronecker delta."""
-    tables = _branch_tables(_spectral_table, max(m, m2), p, t, _RecurrenceTable(p))
-    return _verify_big_laguerre(m, m2, p, t, tolerance, tables)
+    return _verify_big_laguerre(m, m2, p, t, tolerance, _Store(p, t), max(m, m2))
 
 
-def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
-    lhs, used, tail = _two_branch_sum(tables, m, m2, t, -p.b / p.a)
+def _big_laguerre_sum(m: int, m2: int, t: Truncation, store: _Store, K: int):
+    """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
+    b-branch: the unitarity-rows sum of the rows 0..K, whose terms are
+    c_n^2 a_m a_m2 = (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is
+    in c'_n^2), scaled back term by term."""
+    tables = store.rows(K)
+    log_prefs = tables[0].log_prefs
+    return _two_branch_sum(tables, m, m2, t, math.log10(store.kc) - log_prefs[m] - log_prefs[m2])
+
+
+def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
+    lhs, used, tail = _big_laguerre_sum(m, m2, t, store, K)
     rhs = 0.0
     if m == m2:
         rhs = (
-            _kc(p, t)
+            store.kc
             * q_pochhammer(p.q, p.q, m)
             / (q_pochhammer(p.a * p.q, p.q, m) * q_pochhammer(p.b * p.q, p.q, m))
             * (-p.a * p.b) ** m
@@ -365,9 +304,15 @@ def verify_identity_3637(
     """The three-term two-sum evaluation (the degree-zero orthogonality)
     checked against its closed-form product value, with the equivalent
     basic-series form evaluated as a cross-check."""
+    return _verify_sears(p, t, tolerance, _Store(p, t), 0)
+
+
+def _verify_sears(p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
+    """The big-laguerre (0, 0) record of the rows 0..K, with the
+    cross-check; P_0 = 1 on every row, so K changes no bit."""
     q, a, b = p.q, p.a, p.b
-    lhs, used, tail = _two_branch_sum(_branch_tables(_spectral_table, 0, p, t, _RecurrenceTable(p)), 0, 0, t, -b / a)
-    rhs = _kc(p, t)
+    lhs, used, tail = _big_laguerre_sum(0, 0, t, store, K)
+    rhs = store.kc
 
     # equivalent form: prefactored 2phi1 evaluations at argument q
     lhs_phi = (
@@ -421,14 +366,14 @@ class _LabelTable:
     `_prefactors` and `spectral_sequence` give, and the caller's working
     precision, never below that, for mpmath parameters."""
 
-    def __init__(self, p: QParams, t: Truncation):
+    def __init__(self, p: QParams, t: Truncation, norm: _Normalization):
         self.p, self.t = p, t
         self._mpf = isinstance(p.q, mpmath.mpf)
         self.dps = max(mpmath.mp.dps, _WORKING_DPS) if self._mpf else _WORKING_DPS
         self._prefs: list = []
         self._pref_entries = _prefactor_entries(p, self.dps)
         self._coeffs: dict = {}
-        self._norm = _Normalization(p, t)
+        self._norm = norm
         self._c: dict = {}
         self._sums: dict = {}
 
@@ -491,15 +436,31 @@ class _LabelTable:
 
 class _Store:
     """What the identity families of one verify task share at one
-    parameter set: the recurrence table `_working_coefficients(p)`, read
-    by the forward coefficient rows of unitarity-rows, and the label table,
-    whose sums unitarity-columns, dual, biortho and the three q-Meixner
-    families all read, at every precision.  Each task builds its own, for
-    its p and t."""
+    parameter set: the normalization constants, Kc, the recurrence table
+    `_working_coefficients(p)` of the forward coefficient rows, the row
+    tables over the spectral index, which unitarity-rows, big-laguerre and
+    sears read, and the label table, whose sums unitarity-columns, dual,
+    biortho and the three q-Meixner families read, at every precision.
+    Each task builds its own, for its p and t."""
 
     def __init__(self, p: QParams, t: Truncation):
+        self.p, self.t = p, t
+        self.norm = _Normalization(p, t)
         self.recurrence = _working_coefficients(p)
-        self.labels = _LabelTable(p, t)
+        self.labels = _LabelTable(p, t, self.norm)
+        self._rows: dict = {}
+
+    @functools.cached_property
+    def kc(self):
+        return _kc(self.p, self.t)
+
+    def rows(self, K: int) -> tuple:
+        """The a-branch and the b-branch row table of the indices 0..K,
+        built on first use; both read one prefactor list."""
+        if K not in self._rows:
+            prefs = _prefactors(self.p, K)
+            self._rows[K] = tuple(_RowTable(branch, prefs, self) for branch in "ab")
+        return self._rows[K]
 
 
 def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
@@ -538,25 +499,27 @@ def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, to
     return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
-class _RowTable(_PairSum):
-    """Coefficient rows of one spectral branch for the unitarity-rows
-    sums sum_n c_n^2 a_i(lam_n) a_j(lam_n).  Row n holds the signed logs of
-    a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them in log
-    form; rows are built on first use, in order of n, and shared by every
-    (i, j) pair with max(i, j) <= K.  The n-independent prefactors
-    pref_0..pref_K are built once with the table; rows n >= K come from
-    forward sweeps on the recurrence table `_working_coefficients(p)`, rows
-    n < K from the duality closed form."""
+class _RowTable:
+    """Coefficient rows of one spectral branch for the sums
+    sum_n c_n^2 a_i(lam_n) a_j(lam_n), times a scale.  Row n holds the signed
+    logs of a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them
+    in log form; rows are built on first use, in order of n, and shared by
+    every (i, j) pair with max(i, j) <= K and by every scale.  prefs is
+    pref_0..pref_K; rows n >= K come from forward sweeps on the store's
+    recurrence table, rows n < K from the duality closed form."""
 
-    hard_cap = 700
-
-    def __init__(self, branch: str, K: int, p: QParams, t: Truncation, recurrence: _RecurrenceTable):
-        self.branch, self.K, self.p, self.t = branch, K, p, t
-        self._recurrence = recurrence
-        norm = _Normalization(p, t)
-        self._cfun = norm.c if branch == "a" else norm.cprime
-        self._prefs = _prefactors(p, K)
+    def __init__(self, branch: str, prefs: list, store: _Store):
+        self.branch, self.K, self.p = branch, len(prefs) - 1, store.p
+        self._prefs = prefs
+        self._recurrence = store.recurrence
+        self._cfun = store.norm.c if branch == "a" else store.norm.cprime
         self._rows: list = []
+
+    @functools.cached_property
+    def log_prefs(self) -> list:
+        """log10 pref_0..pref_K in floats, from the 30-digit prefactors."""
+        with mpmath.workdps(_WORKING_DPS):
+            return [float(mpmath.log10(pref)) for pref in self._prefs]
 
     def row(self, n: int) -> tuple:
         while len(self._rows) <= n:
@@ -565,12 +528,18 @@ class _RowTable(_PairSum):
             self._rows.append((s, l, 2.0 * math.log10(self._cfun(k))))
         return self._rows[n]
 
-    def term(self, i: int, j: int, n: int) -> float:
-        s, l, lc = self.row(n)
-        lg = l[i] + l[j] + lc
-        if lg == -math.inf or lg < -300:
-            return 0.0
-        return s[i] * s[j] * 10.0**lg
+    def pair_sum(self, i: int, j: int, t: Truncation, log_scale: float = 0.0):
+        """Certified sum over n of 10^log_scale c_n^2 a_i(lam_n) a_j(lam_n);
+        each scale stops at its own terms."""
+
+        def term(n: int) -> float:
+            s, l, lc = self.row(n)
+            lg = l[i] + l[j] + lc + log_scale
+            if lg == -math.inf or lg < -300:
+                return 0.0
+            return s[i] * s[j] * 10.0**lg
+
+        return _certified_sum(term, t)
 
 
 def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
@@ -599,7 +568,7 @@ def verify_unitarity(
     rowcol = RowCol(rowcol)
     store = _Store(p, t)
     if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, p, t, tolerance, _branch_tables(_RowTable, max(i, j), p, t, store.recurrence))
+        return _verify_rows(i, j, p, t, tolerance, store.rows(max(i, j)))
     return _verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels)
 
 
@@ -723,11 +692,6 @@ IDENTITY_FAMILIES = (
 )
 
 
-# the families that read a _Store; a verify task that runs several of them
-# gives them one store
-_STORE_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
-
-
 def run_identity_checks(
     identity: str,
     p: QParams,
@@ -740,12 +704,11 @@ def run_identity_checks(
     sorted by (identity_id, indices).
 
     store is the `_Store(p, t)` of the verify task the sweep belongs to;
-    the _STORE_FAMILIES that read one store share its coefficients and
-    sums.  A call without one builds its own, and "all" one for every
-    family."""
+    the families that read one store share its coefficients and sums.  A
+    call without one builds its own, which "all" gives every family."""
     if store is None:
         store = _Store(p, t)
-    elif (store.labels.p, store.labels.t) != (p, t):
+    elif (store.p, store.t) != (p, t):
         raise ValueError("store built for other parameters")
     if identity == "all":
         out = []
@@ -760,15 +723,13 @@ def run_identity_checks(
     zpairs = [(i, j) for i in zlabels for j in zlabels if i <= j]
 
     if identity == "big-laguerre":
-        tables = _branch_tables(_spectral_table, index_max, p, t, _RecurrenceTable(p))
         for i, j in pairs_upper:
-            reports.append(_verify_big_laguerre(i, j, p, t, tolerance, tables))
+            reports.append(_verify_big_laguerre(i, j, p, t, tolerance, store, index_max))
     elif identity == "sears":
-        reports.append(verify_identity_3637(p, t, tolerance))
+        reports.append(_verify_sears(p, t, tolerance, store, index_max))
     elif identity == "unitarity":
-        tables = _branch_tables(_RowTable, index_max, p, t, store.recurrence)
         for i, j in pairs_upper:
-            reports.append(_verify_rows(i, j, p, t, tolerance, tables))
+            reports.append(_verify_rows(i, j, p, t, tolerance, store.rows(index_max)))
         for i, j in zpairs:
             reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels))
     elif identity == "dual":

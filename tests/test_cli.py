@@ -42,6 +42,12 @@ class TestExitCodes:
         res = run_cli("frobnicate")
         assert res.returncode == 64
 
+    def test_usage_error_jobs(self):
+        # every verify runs as one task on one store, so there is nothing
+        # to run in parallel and no --jobs option
+        res = run_cli("verify", "--jobs", "2")
+        assert res.returncode == 64
+
     def test_inconclusive_exit_two(self, tmp_path):
         # a tolerance below the certifiable tail makes the check
         # inconclusive rather than pass/fail
@@ -148,19 +154,6 @@ class TestDeterminism:
         pa.pop("generated_at"), pb.pop("generated_at")
         assert pa == pb
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = [
-            "verify", "--identity", "all", "--index-max", "2", "--no-timestamp",
-        ]
-        assert run_cli(*args, "--jobs", "1", "--out", str(a)).returncode == 0
-        assert run_cli(*args, "--jobs", "4", "--out", str(b)).returncode == 0
-        content_a = json.loads(a.read_text())
-        content_b = json.loads(b.read_text())
-        content_a["config"].pop("jobs")
-        content_b["config"].pop("jobs")
-        assert content_a == content_b
-
     def test_float_17_digits(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("verify", "--identity", "sears", "--no-timestamp", "--out", str(out))
@@ -171,8 +164,8 @@ class TestDeterminism:
 class TestVerifyTasks:
     def test_run_identity_checks_called_once_per_family(self, tmp_path, monkeypatch):
         # the benchmark's traced runs time each family by the first
-        # argument of cli.run_identity_checks, so a task that runs several
-        # families must still call it once for each, by name
+        # argument of cli.run_identity_checks, so the task that runs every
+        # family must still call it once for each, by name
         from qortho import cli
         from qortho.orthogonality import IDENTITY_FAMILIES
 
@@ -188,37 +181,28 @@ class TestVerifyTasks:
 
     @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
     def test_grouped_task_records_equal_single_family_runs(self, point):
-        # unitarity, dual, the three q-Meixner families and biortho run as
-        # one task on one store and read the sums of whichever family asked
+        # `verify --identity all` runs the eight families as one task on one
+        # store, and each reads the rows and sums of whichever family asked
         # first; every record must equal that of a cold run of its family
-        # alone and of --jobs 2.  At (0.95, 0.9, -3.0) the grouped task
-        # serves label requests at cut-offs 48 and 96 after unitarity-rows
-        # asked for cut-off 8
-        from qortho.cli import _verify_task_records
-        from qortho.orthogonality import _STORE_FAMILIES
+        # alone.  At (0.95, 0.9, -3.0) the task serves label requests at
+        # cut-offs 48 and 96 after unitarity-rows asked for cut-off 8
+        from qortho.cli import RunConfig, _run_verify
+        from qortho.orthogonality import IDENTITY_FAMILIES
         from qortho.reporting import render_csv
 
         q, a, b = point
 
-        def records(families):
-            return _verify_task_records((families, q, a, b, 8, 1e-8, "double"))
+        def records(identity):
+            return _run_verify(RunConfig(command="verify", q=q, a=a, b=b, identity=identity))
 
-        def key(rec):
-            return rec["identity_id"], rec["i"], rec["j"]
-
-        grouped = render_csv(sorted(records(_STORE_FAMILIES), key=key))
-        alone = render_csv(sorted((r for fam in _STORE_FAMILIES for r in records((fam,))), key=key))
+        grouped = render_csv(records("all"))
+        alone = render_csv(sorted(
+            (r for fam in IDENTITY_FAMILIES for r in records(fam)), key=lambda r: (r["identity_id"], r["i"], r["j"])
+        ))
+        # the columns sums in three families, the rows, meixner, meixner-negb,
+        # eq-zero, big-laguerre and sears
+        assert len(grouped.splitlines()) == 1 + 3 * 171 + 45 + 45 + 45 + 81 + 45 + 1
         assert grouped == alone
-        res = run_cli(
-            "verify", "--identity", "all", "--jobs", "2", "--q", repr(q), "--a", repr(a), "--b", repr(b),
-            "--format", "csv", "--no-timestamp",
-        )
-        ids = {line.split(",")[0] for line in grouped.splitlines()[1:]}
-        jobs2 = [line for line in res.stdout.splitlines() if line.split(",")[0] in ids]
-        # the columns sums in three families, the rows, meixner, meixner-negb
-        # and eq-zero
-        assert len(jobs2) == 3 * 171 + 45 + 45 + 45 + 81
-        assert jobs2 == grouped.splitlines()[1:]
 
 
 class TestProcessHistory:
@@ -259,43 +243,48 @@ class TestProcessHistory:
 
 
 class TestStartup:
-    def test_import_does_not_load_process_pool(self):
-        # only `verify --jobs N` needs the pool; every other command would
-        # pay its import at start-up
-        code = "import sys, qortho.cli; print('concurrent.futures.process' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    COMMANDS = (
+        ["verify", "--identity", "all", "--index-max", "2"],
+        ["verify", "--identity", "all", "--index-max", "2", "--precision", "extended"],
+        ["table"],
+        ["limit"],
+        ["spectrum", "--dim", "20"],
+        ["report-all", "--index-max", "1", "--dim", "20"],
+    )
+
+    def loaded_after_each_command(self, module, tmp_path) -> dict:
+        """{step: whether module is in sys.modules after it}, for importing
+        qortho, importing qortho.cli and each of COMMANDS in one process."""
+        code = textwrap.dedent(
+            """
+            import json, sys
+            module, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+            import qortho
+            seen = [("import qortho", module in sys.modules)]
+            import qortho.cli
+            seen.append(("import qortho.cli", module in sys.modules))
+            for argv in commands:
+                qortho.cli.main(argv + ["--out", out, "--no-timestamp"])
+                seen.append((" ".join(argv), module in sys.modules))
+            print(json.dumps(seen))
+            """
+        )
+        argv = [sys.executable, "-c", code, module, str(tmp_path / "r.json"), json.dumps(self.COMMANDS)]
+        res = subprocess.run(argv, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        return dict(json.loads(res.stdout))
+
+    def test_import_does_not_load_process_pool(self, tmp_path):
+        # every verify is one task in one process, so no command pays the
+        # import of the pool machinery
+        seen = self.loaded_after_each_command("concurrent.futures", tmp_path)
+        assert len(seen) == 8 and not any(seen.values()), seen
 
     def test_no_command_loads_numpy(self, tmp_path):
         # the truncated matrix and its eigensolver work on Python floats,
         # so no command pays numpy's import at cold start
-        code = textwrap.dedent(
-            """
-            import json, sys
-            import qortho
-            seen = [("import qortho", "numpy" in sys.modules)]
-            import qortho.cli
-            seen.append(("import qortho.cli", "numpy" in sys.modules))
-            out = sys.argv[1]
-            for argv in (
-                ["verify", "--identity", "all", "--index-max", "2"],
-                ["verify", "--identity", "all", "--index-max", "2", "--precision", "extended"],
-                ["verify", "--identity", "all", "--index-max", "2", "--jobs", "2"],
-                ["table"],
-                ["limit"],
-                ["spectrum", "--dim", "20"],
-                ["report-all", "--index-max", "1", "--dim", "20"],
-            ):
-                qortho.cli.main(argv + ["--out", out, "--no-timestamp"])
-                seen.append((" ".join(argv), "numpy" in sys.modules))
-            print(json.dumps(seen))
-            """
-        )
-        res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")], capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        seen = dict(json.loads(res.stdout))
-        assert len(seen) == 9 and not any(seen.values()), seen
+        seen = self.loaded_after_each_command("numpy", tmp_path)
+        assert len(seen) == 8 and not any(seen.values()), seen
 
 
 class TestCommands:

@@ -25,6 +25,23 @@ PARAMS = [P1, P2]
 # the hardest cancellation of these points: at index-max 8 the vanishing
 # label sums add terms of size up to 3e12
 P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
+# the six families that read the label table's sums (unitarity's rows read
+# the spectral-index row tables)
+LABEL_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
+
+
+def extended_reports(families, q, a, b, index_max):
+    """The families' reports at 50-digit parameters, as `verify
+    --precision extended` runs them: in order, on one store."""
+    import mpmath
+
+    from qortho.orthogonality import _Store
+
+    with mpmath.workdps(50):
+        p = QParams(q=mpmath.mpf(repr(q)), a=mpmath.mpf(repr(a)), b=mpmath.mpf(repr(b)))
+        t = Truncation(rel_tol=1e-20)
+        store = _Store(p, t)
+        return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, store=store)]
 
 
 class TestCertifiedSum:
@@ -80,6 +97,13 @@ class TestBigLaguerreOrthogonality:
                 r = verify_big_laguerre_orthogonality(m, m2, p, T)
                 assert r.status == "pass", (m, m2)
 
+    def test_no_false_fail_at_large_a_small_b(self):
+        # a float forward recurrence over the spectral points gave 8 false
+        # `fail`s here; the 30-digit coefficient rows give none
+        reports = run_identity_checks("big-laguerre", P_RETRY, T, index_max=8)
+        assert len(reports) == 45
+        assert [r.indices for r in reports if r.status != "pass"] == []
+
 
 class TestSears:
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
@@ -91,12 +115,28 @@ class TestSears:
 
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
-        from qortho.orthogonality import _spectral_table
-        from qortho.polynomials import _RecurrenceTable
+        import math
 
-        for branch in ("a", "b"):
-            val, _, _ = _spectral_table(branch, 0, P1, T, _RecurrenceTable(P1)).pair_sum(0, 0, T)
+        from qortho.orthogonality import _Store
+
+        store = _Store(P1, T)
+        for table in store.rows(0):
+            val, _, _ = table.pair_sum(0, 0, T, math.log10(store.kc))
             assert val > 0
+
+    @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5)], ids=["p1", "q0.9"])
+    def test_sweep_record_is_big_laguerre_00(self, p):
+        # sears reads the sweep store's row tables at big-laguerre's (0, 0)
+        # scale; P_0 = 1 on every row, so the standalone record, which reads
+        # rows of degree 0 only, has the same bits
+        from qortho.orthogonality import _Store
+
+        store = _Store(p, T)
+        (sweep,) = run_identity_checks("sears", p, T, index_max=8, store=store)
+        assert sweep == verify_identity_3637(p, T)
+        r00 = run_identity_checks("big-laguerre", p, T, index_max=8, store=store)[0]
+        assert r00.indices == (0, 0)
+        assert (sweep.lhs, sweep.terms_used, sweep.tail_estimate) == (r00.lhs, r00.terms_used, r00.tail_estimate)
 
 
 class TestUnitarity:
@@ -326,8 +366,6 @@ class TestMeixnerCrossRoute:
         # engine evaluates it, in double or in extended precision
         import sys
 
-        from qortho.cli import _verify_task_records
-
         calls = []
         for name, mod in list(sys.modules.items()):
             if name.startswith("qortho") and hasattr(mod, "q_meixner"):
@@ -338,7 +376,7 @@ class TestMeixnerCrossRoute:
                 monkeypatch.setattr(mod, "q_meixner", counted)
         for p in (P1, P_RETRY):
             assert run_identity_checks("all", p, T)
-            assert _verify_task_records((("all",), p.q, p.a, p.b, 3, 1e-8, "extended"))
+            assert extended_reports(("all",), p.q, p.a, p.b, 3)
         assert calls == []
 
 
@@ -400,35 +438,33 @@ class TestReports:
     def test_extended_records_independent_of_a_double_run(self):
         # a double-precision run of the same point leaves nothing that an
         # extended run reads
-        from qortho.cli import _verify_task_records
-        from qortho.orthogonality import _STORE_FAMILIES
-
-        def records(families, precision):
-            return _verify_task_records((families, 0.5, 0.5, -0.7, 3, 1e-8, precision))
-
-        for family in (("dual",), ("unitarity",), ("biortho",), ("eq-zero",), _STORE_FAMILIES):
-            cold = records(family, "extended")
-            records(family, "double")
-            assert records(family, "extended") == cold, family
+        for families in (("dual",), ("unitarity",), ("biortho",), ("eq-zero",), LABEL_FAMILIES):
+            cold = extended_reports(families, 0.5, 0.5, -0.7, 3)
+            for fam in families:
+                run_identity_checks(fam, P1, T, index_max=3)
+            assert extended_reports(families, 0.5, 0.5, -0.7, 3) == cold, families
 
     def test_extended_meixner_sums_keep_extended_accuracy(self):
         # in 50-digit scalars the label table forms its coefficients and
         # their products at 50 digits and adds the products exactly: every
-        # sum of the six store families that vanishes exactly comes out at
-        # the 50-digit rounding level
-        from qortho.cli import _verify_task_records
-        from qortho.orthogonality import _STORE_FAMILIES
-
-        recs = _verify_task_records((_STORE_FAMILIES, 0.5, 0.5, -0.7, 3, 1e-8, "extended"))
-        zeros = [r for r in recs if r["identity_id"] != "unitarity-rows" and r["rhs"] == 0]
+        # sum of the six label-table families that vanishes exactly comes
+        # out at the 50-digit rounding level.  The row tables over the
+        # spectral index add float terms, so big-laguerre's vanishing sums
+        # come out at the double rounding level
+        reports = extended_reports(LABEL_FAMILIES + ("big-laguerre",), 0.5, 0.5, -0.7, 3)
+        zeros = [r for r in reports if r.identity_id not in ("unitarity-rows", "big-laguerre") and r.rhs == 0]
         # unitarity-columns and biortho 28 each, dual-ff, dual-gg, meixner
         # and meixner-negb 6 each, dual-fg and eq-zero 16 each
         assert len(zeros) == 2 * 28 + 4 * 6 + 2 * 16
-        assert all(abs(r["lhs"]) < 1e-45 for r in zeros), max(abs(r["lhs"]) for r in zeros)
+        assert all(abs(r.lhs) < 1e-45 for r in zeros), max(abs(r.lhs) for r in zeros)
+        rows = [r for r in reports if r.identity_id == "big-laguerre" and r.rhs == 0]
+        assert len(rows) == 6
+        assert all(abs(r.lhs) < 1e-15 for r in rows), max(abs(r.lhs) for r in rows)
 
     # the q-Meixner sweeps read the sums of one label table, and big-laguerre
-    # one table of P_0..P_K(lam_n) per spectral branch; a standalone call
-    # builds its own, so every record must match field for field
+    # one table of coefficient rows a_0..a_K(lam_n) per spectral branch; a
+    # standalone call builds its own, so every record must match field for
+    # field
     MEIXNER_STANDALONE = {
         "meixner": verify_meixner_orthogonality,
         "meixner-negb": verify_negative_b_meixner_orthogonality,
@@ -491,35 +527,50 @@ class TestReports:
             assert [getattr(r, f) for f in fields] == [getattr(d, f) for f in fields], r.indices
 
     def test_big_laguerre_matches_literal_per_pair_sum(self):
-        # reference: the per-pair loop over each spectral branch, with
-        # P_0..P_max(m, m2)(lam_n) recomputed for every term; a table that
-        # reads the wrong row or degree fails here, while the
+        # reference: the per-pair loop over each spectral branch, with the
+        # coefficient row a_0..a_8(lam_n) and c_n computed here, apart from
+        # any table, and each term scaled by Kc / (pref_m pref_m2); a table
+        # that reads the wrong row, degree or scale fails here, while the
         # sweep-vs-standalone test cannot tell, since both sides share it
-        from qortho.orthogonality import _certified_sum
-        from qortho.polynomials import big_q_laguerre_recurrence
-        from qortho.qseries import q_pochhammer_inf
+        import functools
+        import math
 
-        p, q = P2, P2.q
+        import mpmath
+
+        from qortho.operators import _a_coeff_logs, _prefactors
+        from qortho.orthogonality import _certified_sum, _kc
+        from qortho.polynomials import _WORKING_DPS, _working_coefficients
+
+        p, K = P2, 8
+        prefs = _prefactors(p, K)
+        with mpmath.workdps(_WORKING_DPS):
+            log_prefs = [float(mpmath.log10(x)) for x in prefs]
+        log_kc = math.log10(_kc(p, T))
+        norm = {"a": lambda n: normalization_c(n, p, T), "b": lambda n: normalization_cprime(n, p, T)}
+
+        @functools.cache
+        def row(branch, n):
+            s, lg = _a_coeff_logs(p, branch, n, K, prefs, _working_coefficients(p))
+            return s, lg, 2.0 * math.log10(norm[branch](n))
 
         def literal(branch, m, m2):
-            c, d = (p.a, p.b) if branch == "a" else (p.b, p.a)
-            w0 = q_pochhammer_inf(q, q, T) * q_pochhammer_inf(c * q / d, q, T) / q_pochhammer_inf(c * q, q, T)
-            state = {"w": w0}
+            log_scale = log_kc - log_prefs[m] - log_prefs[m2]
 
             def term(n):
-                w = state["w"]
-                pv = big_q_laguerre_recurrence(max(m, m2), c * q ** (n + 1), p)
-                state["w"] = w * q * (1 - c * q ** (n + 1)) / ((1 - q ** (n + 1)) * (1 - c * q ** (n + 1) / d))
-                return w * pv[m] * pv[m2]
+                s, lg, lc = row(branch, n)
+                total = lg[m] + lg[m2] + lc + log_scale
+                if total == -math.inf or total < -300:
+                    return 0.0
+                return s[m] * s[m2] * 10.0**total
 
             return _certified_sum(term, T)
 
-        reports = run_identity_checks("big-laguerre", p, T, index_max=8)
+        reports = run_identity_checks("big-laguerre", p, T, index_max=K)
         assert len(reports) == 45
         for r in reports:
             sum_a, used_a, tail_a = literal("a", *r.indices)
             sum_b, used_b, tail_b = literal("b", *r.indices)
-            want = (sum_a - (p.b / p.a) * sum_b, used_a + used_b, tail_a + abs(p.b / p.a) * tail_b)
+            want = (sum_a + sum_b, used_a + used_b, tail_a + tail_b)
             assert (r.lhs, r.terms_used, r.tail_estimate) == want, r.indices
 
     def test_basis_index_families_match_literal_per_pair_sum(self):
@@ -797,10 +848,15 @@ class TestLabelSumVerdicts:
         ids=["q0.9", "retry", "q0.95", "a-edge"],
     )
     def test_edge_of_domain_store_families_never_fail(self, p):
-        from qortho.orthogonality import _STORE_FAMILIES, _Store
+        """The six families of the label table, with unitarity-rows.  The
+        other families still give known false `fail`s at two of these
+        points: sears' 1e-11 basic-series cross-check at (0.95, 0.9, -3.0),
+        and big-laguerre (0, 1) at (0.3, 0.999/0.3, -0.01), whose float
+        terms cancel past the tolerance."""
+        from qortho.orthogonality import _Store
 
         store = _Store(p, T)
-        reports = [r for fam in _STORE_FAMILIES for r in run_identity_checks(fam, p, T, store=store)]
+        reports = [r for fam in LABEL_FAMILIES for r in run_identity_checks(fam, p, T, store=store)]
         assert len(reports) == 45 + 171 + 171 + 45 + 45 + 81 + 171
         assert [(r.identity_id, r.indices) for r in reports if r.status == "fail"] == []
 
