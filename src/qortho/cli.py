@@ -40,6 +40,7 @@ from qortho.polynomials import (
     spectral_sequence,
 )
 from qortho.orthogonality import (
+    DEFAULT_TOLERANCE,
     IDENTITY_FAMILIES,
     VerificationReport,
     _Store,
@@ -80,7 +81,7 @@ class RunConfig:
     identity: str = "all"
     index_max: int = 8
     dim: int = 200
-    tolerance: float = 1e-8
+    tolerance: float = DEFAULT_TOLERANCE
     precision: str = "double"
     output_format: str = "json"
     output_path: Optional[str] = None
@@ -138,7 +139,7 @@ def build_parser() -> _Parser:
         )
         sp.add_argument("--index-max", type=int, default=8, dest="index_max")
         sp.add_argument("--dim", type=int, default=200)
-        sp.add_argument("--tol", type=float, default=1e-8, dest="tolerance")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance")
         sp.add_argument("--precision", choices=("double", "extended"), default="double")
         sp.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         sp.add_argument("--out", default=None, dest="output_path")

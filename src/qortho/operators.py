@@ -346,27 +346,6 @@ def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
-def _forward_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None):
-    """Eigencoefficients a_0..a_{m_max} at the spectral point of index
-    j >= m_max, from the forward three-term recurrence; prefs is
-    `_prefactors(p, m_max)` and recurrence `_working_coefficients(p)`,
-    each built here when not given.
-
-    The polynomial sequence becomes the minimal solution of the
-    recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
-    degree j forward steps keep full relative accuracy, at one step per
-    degree where the duality closed form sums up to m + 1 terms."""
-    if prefs is None:
-        prefs = _prefactors(p, m_max)
-    if recurrence is None:
-        recurrence = _working_coefficients(p)
-    with mpmath.workdps(_WORKING_DPS):
-        pw = recurrence.p
-        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
-        seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
-        return [pref * v for pref, v in zip(prefs, seq)]
-
-
 def _log10_prefactors(p: QParams, m_max: int) -> list:
     """log10 pref_0..pref_m_max in floats: the running sum of the logs
     of the ratios `_pref_a_ratio`."""
@@ -394,30 +373,29 @@ def _mpf_to_float_array(values, what: str) -> np.ndarray:
     return out
 
 
-def _signed_logs(values):
-    """(sign, log10|v|) lists of floats from mpmath values."""
-    signs = [0.0] * len(values)
-    logs = [-math.inf] * len(values)
-    with mpmath.workdps(_WORKING_DPS):
-        for i, v in enumerate(values):
-            if v != 0:
-                signs[i] = 1.0 if v > 0 else -1.0
-                logs[i] = float(mpmath.log10(abs(v)))
-    return signs, logs
+def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None) -> list:
+    """Eigencoefficients a_0..a_{m_max} at the spectral point of index
+    j >= m_max, as mpmath floats, from the forward three-term recurrence at
+    the precision of the recurrence table; prefs is pref_0..pref_m_max at
+    that precision and recurrence a `_working_coefficients` table of p,
+    each built here at _WORKING_DPS digits when not given.
 
+    The polynomial sequence becomes the minimal solution of the
+    recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
+    degree j forward steps keep full relative accuracy, at one step per
+    degree where the duality closed form sums up to m + 1 terms.
 
-def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None):
-    """(sign, log10|a_m|) lists of the eigencoefficients at the spectral
-    point of the given branch/index, m = 0..m_max: forward recurrence when
-    every degree is at most the spectral index, the duality closed form
-    otherwise; prefs is the shared `_prefactors(p, m_max)` list, built here
-    when not given, and recurrence the shared `_working_coefficients(p)`
-    table of the forward route, if any."""
+    The name dates from the rows of signed logs this function once
+    returned; perfbench times the forward rows under it, so it stays."""
     if prefs is None:
         prefs = _prefactors(p, m_max)
-    if j >= m_max:
-        return _signed_logs(_forward_coeff_mpf(p, branch, j, m_max, prefs, recurrence))
-    return _signed_logs(_spectral_coeff_mpf(p, branch, j, m_max, prefs))
+    if recurrence is None:
+        recurrence = _working_coefficients(p, _WORKING_DPS)
+    with mpmath.workprec(recurrence.prec):
+        pw = recurrence.p
+        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
+        seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
+        return [pref * v for pref, v in zip(prefs, seq)]
 
 
 def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> CoefficientVector:

@@ -6,19 +6,21 @@ verdict is meaningful only when the truncation tail of the underlying
 infinite sum has been certified below tolerance; otherwise the report
 carries the third status "inconclusive".
 
-Numerical strategy: the sums over the spectral index n are those of one
-table of coefficient rows per spectral branch, whose terms c_n^2 a_i(lam_n)
-a_j(lam_n) decay geometrically and are added in floats with compensation;
-unitarity-rows reads them as they are, and big-laguerre and sears scaled
-by Kc / (pref_i pref_j), since w_n P_i P_j is that multiple of the
-unitarity-rows term.  The sums over the basis index m are
-those of one verify task's label table: products of two labels'
-eigencoefficients a_m(lam), from the q-Meixner duality closed form, whose
-weight factors balance within each term.  The products are formed and
-added exactly in mpmath at the table's precision (30 digits, or the
-working precision of mpmath scalars) and the sum is rounded once.  By the
-duality the q-Meixner sums are label sums too (meixner dual-ff,
-meixner-negb dual-gg, eq-zero dual-fg, term for term).
+Numerical strategy: every identity sum reads one connection matrix
+u_mn = c_n a_m(lam_n), in one of its two directions, and one engine,
+`_bilinear_sum`, forms its value.  The sums over the spectral index n
+read one row table per spectral branch, whose entries c_n a_m(lam_n)
+decay geometrically in n; unitarity-rows reads them as they are, and
+big-laguerre and sears scaled by Kc / (pref_i pref_j), since w_n P_i P_j
+is that multiple of the unitarity-rows term.  The sums over the basis
+index m read one verify task's label table: the eigencoefficients
+a_m(lam) of each label, from the q-Meixner duality closed form, whose
+weight factors balance within each product.  Entries are mpmath floats
+at the store's precision (30 digits, or the working precision of mpmath
+scalars); their float copies drive the stopping rule, and the products
+used are added exactly and rounded once.  By the duality the q-Meixner
+sums are label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero
+dual-fg, term for term).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from qortho.operators import (
     _Normalization,
     _a_coeff_logs,
     _prefactor_entries,
-    _prefactors,
 )
 
 __all__ = [
@@ -137,7 +138,11 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, tolerance, no
     )
 
 
-def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int = 2000):
+# largest cut-offs of the sums over the spectral index n and the basis index m
+_N_CAP, _M_CAP = 2000, 320
+
+
+def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int = _N_CAP):
     """Compensated sum of terms(0), terms(1), ... with an empirical
     geometric tail bound.
 
@@ -177,6 +182,39 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
         else:
             run = 0
     return acc.value, m + 1, tail
+
+
+def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, dps: int):
+    """Certified sum over k of scale u_k v_k, the value of every identity
+    sum: (mpf value, terms used, tail estimate).
+
+    u(k) and v(k) are the k-th entries as (mpf, float copy) pairs, read in
+    order of k.  The products of the float copies drive only the stopping
+    rule and the tail bound of `_certified_sum`, and a product that
+    overflows is formed from the mpf entries; the value is scale times the
+    exact sum of the products used, rounded once at dps digits (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so
+    cancellation among terms of size 1e9 leaves no float noise."""
+    xs: list = []
+    ys: list = []
+    fscale = float(scale)
+
+    def term(k: int) -> float:
+        x, fx = u(k)
+        y, fy = v(k)
+        xs.append(x)
+        ys.append(y)
+        f = fx * fy * fscale
+        if not math.isfinite(f):
+            with mpmath.workdps(dps):
+                f = float(scale * x * y)
+            if math.isinf(f):
+                raise NonConvergenceError("bilinear term overflow")
+        return f
+
+    _, used, tail = _certified_sum(term, t, hard_cap)
+    with mpmath.workdps(dps):
+        return scale * mpmath.fdot(xs, ys), used, tail
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +289,12 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
 # the q-integral orthogonality of the polynomial family
 
 
-def _two_branch_sum(tables: tuple, i: int, j: int, t: Truncation, log_scale: float = 0.0):
-    """The pair sum of the a-branch row table plus that of the b-branch
-    one, both scaled by 10^log_scale: (value, terms used, tail)."""
-    sum_a, used_a, tail_a = tables[0].pair_sum(i, j, t, log_scale)
-    sum_b, used_b, tail_b = tables[1].pair_sum(i, j, t, log_scale)
-    return sum_a + sum_b, used_a + used_b, tail_a + tail_b
+def _two_branch_sum(store: _Store, K: int, i: int, j: int, t: Truncation, scale):
+    """The pair sum of the a-branch row table of the indices 0..K plus
+    that of the b-branch one, both times scale: (value, terms, tail)."""
+    (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (table.pair_sum(i, j, t, scale) for table in store.rows(K))
+    with mpmath.workdps(store.dps):
+        return store.value(sum_a + sum_b), used_a + used_b, tail_a + tail_b
 
 
 def verify_big_laguerre_orthogonality(
@@ -276,13 +314,16 @@ def _big_laguerre_sum(m: int, m2: int, t: Truncation, store: _Store, K: int):
     """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
     b-branch: the unitarity-rows sum of the rows 0..K, whose terms are
     c_n^2 a_m a_m2 = (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is
-    in c'_n^2), scaled back term by term."""
-    tables = store.rows(K)
-    log_prefs = tables[0].log_prefs
-    return _two_branch_sum(tables, m, m2, t, math.log10(store.kc) - log_prefs[m] - log_prefs[m2])
+    in c'_n^2), scaled back."""
+    prefs = store.labels.prefs(K)
+    with mpmath.workdps(store.dps):
+        scale = store.kc / (prefs[m] * prefs[m2])
+    return _two_branch_sum(store, K, m, m2, t, scale)
 
 
 def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
+    if m < 0 or m2 < 0:
+        raise DomainError("degrees must be nonnegative")
     lhs, used, tail = _big_laguerre_sum(m, m2, t, store, K)
     rhs = 0.0
     if m == m2:
@@ -345,121 +386,99 @@ def _branch_of_label(label: int) -> tuple:
     return ("a", label) if label >= 0 else ("b", -label - 1)
 
 
-# largest basis cut-off of the bilinear sums over m
-_M_CAP = 320
-
-
 class _LabelTable:
-    """Eigencoefficients a_0..a_m_cut and normalization constant of each
+    """Eigencoefficients a_0, a_1, ... and normalization constant of each
     integer eigenvalue label, and the sums over the basis index m of
     products of the coefficients of two labels, for every family of such
     sums that one verify task runs.
 
-    A label keeps the longest coefficient list any pair asked for; a
-    shorter cut reads a slice of it and a longer one extends it from
-    where it stopped, drawing on iterators of the prefactors pref_m (one
-    for all labels) and of each label's duality entries P_m(lam).  No
-    entry depends on the cut-off, so each is computed once.
+    A label's entries are computed one at a time, as a sum or a row first
+    reads them, from an iterator of its duality entries P_m(lam) and the
+    one prefactor list; no entry depends on how far a sum reads, so each
+    is computed once.  Entries are (mpf, float copy) pairs at the store's
+    precision: for float parameters they have the bits `_prefactors` and
+    `spectral_sequence` give."""
 
-    Entries and products are mpmath floats at the table's precision dps:
-    _WORKING_DPS digits for float parameters, where they have the bits
-    `_prefactors` and `spectral_sequence` give, and the caller's working
-    precision, never below that, for mpmath parameters."""
-
-    def __init__(self, p: QParams, t: Truncation, norm: _Normalization):
-        self.p, self.t = p, t
-        self._mpf = isinstance(p.q, mpmath.mpf)
-        self.dps = max(mpmath.mp.dps, _WORKING_DPS) if self._mpf else _WORKING_DPS
+    def __init__(self, store: _Store):
+        self.p, self.dps, self._value, self._norm = store.p, store.dps, store.value, store.norm
         self._prefs: list = []
-        self._pref_entries = _prefactor_entries(p, self.dps)
+        self._pref_entries = _prefactor_entries(self.p, self.dps)
         self._coeffs: dict = {}
-        self._norm = norm
         self._c: dict = {}
         self._sums: dict = {}
 
-    def coeffs(self, label: int, m_cut: int) -> list:
+    def prefs(self, m_cut: int) -> list:
+        """The prefactor list, with pref_0..pref_m_cut at least."""
+        while len(self._prefs) <= m_cut:
+            self._prefs.append(next(self._pref_entries))
+        return self._prefs
+
+    def entry(self, label: int, m: int) -> tuple:
+        """a_m(lam) of the label as an (mpf, float copy) pair."""
         if label not in self._coeffs:
             self._coeffs[label] = ([], _duality_entries(self.p, *_branch_of_label(label), self.dps))
         values, entries = self._coeffs[label]
-        if len(values) <= m_cut:
-            while len(self._prefs) <= m_cut:
-                self._prefs.append(next(self._pref_entries))
+        while len(values) <= m:
+            k = len(values)
             with mpmath.workdps(self.dps):
-                values.extend(pref * next(entries) for pref in self._prefs[len(values) : m_cut + 1])
-        return values[: m_cut + 1]
+                x = self.prefs(k)[k] * next(entries)
+            values.append((x, float(x)))
+        return values[m]
 
     def c(self, label: int) -> float:
         if label not in self._c:
-            if label >= 0:
-                self._c[label] = self._norm.c(label)
-            else:
-                self._c[label] = self._norm.cprime(-label - 1)
+            self._c[label] = self._norm.c(label) if label >= 0 else self._norm.cprime(-label - 1)
         return self._c[label]
 
     def pair_sum(self, i: int, j: int, t: Truncation):
         """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
-        first request for the unordered pair {i, j} and kept: the mpmath
-        products commute exactly, so (j, i) would give the same bits.  The
+        first request for the unordered pair {i, j} and kept: the exact sum
+        of exact products commutes, so (j, i) would give the same bits.  The
         value is a float for float parameters and an mpf for mpmath
         ones."""
         key = (min(i, j), max(i, j), t)
         if key not in self._sums:
-            self._sums[key] = self._doubling_sum(i, j, t)
+            self._sums[key] = self._sum(i, j, t)
         return self._sums[key]
 
-    def _doubling_sum(self, i: int, j: int, t: Truncation):
-        """The sum with the cut-off m_cut doubling from 48 up to _M_CAP
-        until the tail is certified.
-
-        The products keep the table's precision even where the two factors'
-        magnitudes span hundreds of decades in opposite directions.  Their
-        float copies drive only the stopping rule and the tail bound of
-        `_certified_sum`; the value is the exact sum of the products used,
-        rounded once (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., 4.2), so cancellation among terms of size 1e9
-        leaves no float noise."""
-        m_cut = 48
-        while True:
-            with mpmath.workdps(self.dps):
-                products = [v1 * v2 for v1, v2 in zip(self.coeffs(i, m_cut), self.coeffs(j, m_cut))]
-            floats = [float(x) for x in products]
-            if any(math.isinf(f) for f in floats):
-                raise NonConvergenceError("bilinear term overflow")
-            running, used, tail = _certified_sum(lambda m: floats[m], t, hard_cap=m_cut)
-            if tail <= t.rel_tol * (1.0 + abs(running)) or m_cut >= _M_CAP:
-                break
-            m_cut = min(2 * m_cut, _M_CAP)
-        with mpmath.workdps(self.dps):
-            value = mpmath.fsum(products[:used])
-        return (value if self._mpf else float(value)), used, tail
+    def _sum(self, i: int, j: int, t: Truncation):
+        value, used, tail = _bilinear_sum(lambda m: self.entry(i, m), lambda m: self.entry(j, m), t, _M_CAP, 1, self.dps)
+        return self._value(value), used, tail
 
 
 class _Store:
     """What the identity families of one verify task share at one
-    parameter set: the normalization constants, Kc, the recurrence table
-    `_working_coefficients(p)` of the forward coefficient rows, the row
-    tables over the spectral index, which unitarity-rows, big-laguerre and
-    sears read, and the label table, whose sums unitarity-columns, dual,
-    biortho and the three q-Meixner families read, at every precision.
-    Each task builds its own, for its p and t."""
+    parameter set: the precision, the normalization constants, Kc, the
+    recurrence table of the forward rows, the row tables over the spectral
+    index, which unitarity-rows, big-laguerre and sears read, and the label
+    table, whose sums unitarity-columns, dual, biortho and the three
+    q-Meixner families read.  Each task builds its own, for its p and t.
+
+    Every entry and sum is computed at one precision dps: _WORKING_DPS
+    digits for float parameters, and the caller's working precision, never
+    below that, for mpmath parameters, whose sums stay mpf values."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
+        self.exact = isinstance(p.q, mpmath.mpf)
+        self.dps = max(mpmath.mp.dps, _WORKING_DPS) if self.exact else _WORKING_DPS
         self.norm = _Normalization(p, t)
-        self.recurrence = _working_coefficients(p)
-        self.labels = _LabelTable(p, t, self.norm)
+        self.recurrence = _working_coefficients(p, self.dps)
+        self.labels = _LabelTable(self)
         self._rows: dict = {}
 
     @functools.cached_property
     def kc(self):
         return _kc(self.p, self.t)
 
+    def value(self, x):
+        """A sum as the verifiers read it: the mpf x, or its float for float parameters."""
+        return x if self.exact else float(x)
+
     def rows(self, K: int) -> tuple:
-        """The a-branch and the b-branch row table of the indices 0..K,
-        built on first use; both read one prefactor list."""
+        """The a-branch and the b-branch row table of the indices 0..K."""
         if K not in self._rows:
-            prefs = _prefactors(self.p, K)
-            self._rows[K] = tuple(_RowTable(branch, prefs, self) for branch in "ab")
+            self._rows[K] = tuple(_RowTable(branch, K, self) for branch in "ab")
         return self._rows[K]
 
 
@@ -500,52 +519,47 @@ def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, to
 
 
 class _RowTable:
-    """Coefficient rows of one spectral branch for the sums
-    sum_n c_n^2 a_i(lam_n) a_j(lam_n), times a scale.  Row n holds the signed
-    logs of a_0..a_K(lam_n) and 2 log10 c_n, and a term is formed from them
-    in log form; rows are built on first use, in order of n, and shared by
-    every (i, j) pair with max(i, j) <= K and by every scale.  prefs is
-    pref_0..pref_K; rows n >= K come from forward sweeps on the store's
-    recurrence table, rows n < K from the duality closed form."""
+    """Rows of the connection matrix u_mn = c_n a_m(lam_n), m = 0..K, of
+    one spectral branch, for the sums sum_n u_in u_jn times a scale.  Row n
+    holds (mpf, float copy) pairs at the store's precision; rows are built
+    on first use, in order of n, and shared by every (i, j) pair with
+    max(i, j) <= K and by every scale.  The degrees m <= n come from a
+    forward sweep on the store's recurrence table and the label table's
+    prefactors, the degrees above from the label table's duality entries
+    of lam_n's label, so no entry depends on K."""
 
-    def __init__(self, branch: str, prefs: list, store: _Store):
-        self.branch, self.K, self.p = branch, len(prefs) - 1, store.p
-        self._prefs = prefs
-        self._recurrence = store.recurrence
+    def __init__(self, branch: str, K: int, store: _Store):
+        self.branch, self.K, self.p, self.dps = branch, K, store.p, store.dps
+        self._labels, self._recurrence = store.labels, store.recurrence
         self._cfun = store.norm.c if branch == "a" else store.norm.cprime
         self._rows: list = []
 
-    @functools.cached_property
-    def log_prefs(self) -> list:
-        """log10 pref_0..pref_K in floats, from the 30-digit prefactors."""
-        with mpmath.workdps(_WORKING_DPS):
-            return [float(mpmath.log10(pref)) for pref in self._prefs]
+    def entry(self, n: int, m: int) -> tuple:
+        rows = self._rows
+        while len(rows) <= n:
+            rows.append(self._row(len(rows)))
+        return rows[n][m]
 
-    def row(self, n: int) -> tuple:
-        while len(self._rows) <= n:
-            k = len(self._rows)
-            s, l = _a_coeff_logs(self.p, self.branch, k, self.K, self._prefs, self._recurrence)
-            self._rows.append((s, l, 2.0 * math.log10(self._cfun(k))))
-        return self._rows[n]
+    def _row(self, n: int) -> list:
+        top = min(n, self.K)
+        coeffs = _a_coeff_logs(self.p, self.branch, n, top, self._labels.prefs(top), self._recurrence)
+        label = n if self.branch == "a" else -n - 1
+        coeffs += [self._labels.entry(label, m)[0] for m in range(top + 1, self.K + 1)]
+        c = self._cfun(n)
+        with mpmath.workdps(self.dps):
+            c = mpmath.mpf(c)  # exact, and converted once for the row
+            return [(y, float(y)) for y in (c * x for x in coeffs)]
 
-    def pair_sum(self, i: int, j: int, t: Truncation, log_scale: float = 0.0):
-        """Certified sum over n of 10^log_scale c_n^2 a_i(lam_n) a_j(lam_n);
-        each scale stops at its own terms."""
-
-        def term(n: int) -> float:
-            s, l, lc = self.row(n)
-            lg = l[i] + l[j] + lc + log_scale
-            if lg == -math.inf or lg < -300:
-                return 0.0
-            return s[i] * s[j] * 10.0**lg
-
-        return _certified_sum(term, t)
+    def pair_sum(self, i: int, j: int, t: Truncation, scale):
+        """Certified sum over n of scale u_in u_jn as an mpf; each scale
+        stops at its own terms."""
+        return _bilinear_sum(lambda n: self.entry(n, i), lambda n: self.entry(n, j), t, _N_CAP, scale, self.dps)
 
 
-def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, tables: tuple):
+def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
-    lhs, used, tail = _two_branch_sum(tables, i, j, t)
+    lhs, used, tail = _two_branch_sum(store, K, i, j, t, 1)
     rhs = 1.0 if i == j else 0.0
     return _finalize("unitarity-rows", p, (i, j), lhs, rhs, used, tail, tolerance)
 
@@ -568,7 +582,7 @@ def verify_unitarity(
     rowcol = RowCol(rowcol)
     store = _Store(p, t)
     if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, p, t, tolerance, store.rows(max(i, j)))
+        return _verify_rows(i, j, p, t, tolerance, store, max(i, j))
     return _verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels)
 
 
@@ -729,7 +743,7 @@ def run_identity_checks(
         reports.append(_verify_sears(p, t, tolerance, store, index_max))
     elif identity == "unitarity":
         for i, j in pairs_upper:
-            reports.append(_verify_rows(i, j, p, t, tolerance, store.rows(index_max)))
+            reports.append(_verify_rows(i, j, p, t, tolerance, store, index_max))
         for i, j in zpairs:
             reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels))
     elif identity == "dual":

@@ -208,12 +208,12 @@ class _RecurrenceTable:
         self.A: list = []
         self.C: list = []
         self.d: list = []
-        self._prec = mpmath.mp.prec
+        self.prec = mpmath.mp.prec
 
     def upto(self, n: int) -> tuple:
         """The lists (A, C, d), with entries 0..n at least."""
         q, a, b = self.p.q, self.p.a, self.p.b
-        with mpmath.workprec(self._prec):
+        with mpmath.workprec(self.prec):
             for k in range(len(self.A), n + 1):
                 self.A.append((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
                 self.C.append(a * b * q ** (k + 1) * (1 - q**k))
@@ -221,10 +221,10 @@ class _RecurrenceTable:
         return self.A, self.C, self.d
 
 
-def _working_coefficients(p: QParams) -> _RecurrenceTable:
-    """The recurrence table of p rounded to _WORKING_DPS digits, the
-    scalars of the forward coefficient rows."""
-    with mpmath.workdps(_WORKING_DPS):
+def _working_coefficients(p: QParams, dps: int) -> _RecurrenceTable:
+    """The recurrence table of p rounded to dps digits, the scalars of the
+    forward coefficient rows."""
+    with mpmath.workdps(dps):
         return _RecurrenceTable(QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b)))
 
 

@@ -448,9 +448,9 @@ class TestGoldenOutput:
             0,
         ),
         # 11 records each of unitarity-columns, dual-gg, meixner-negb and
-        # biortho need more than 49 terms, so the doubled cut-offs are
-        # pinned; its vanishing label sums add terms of size up to 1e9
-        # exactly, so every record passes
+        # biortho need more than 49 terms, so the label entries past the
+        # first 49 are pinned; its vanishing label sums add terms of size up
+        # to 1e9 exactly, so every record passes
         (
             ["verify", "--identity", "all", "--index-max", "4", "--q", "0.9", "--a", "0.9", "--b", "-0.5"],
             "verify_all_index4_q0.9_a0.9_b-0.5.csv",

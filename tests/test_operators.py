@@ -167,11 +167,11 @@ def _worst_error(got, want) -> float:
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
-        from qortho.operators import _forward_coeff_mpf, _prefactors, _spectral_coeff_mpf
+        from qortho.operators import _a_coeff_logs, _prefactors, _spectral_coeff_mpf
 
         prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 4):
-            fwd = _forward_coeff_mpf(p, branch, n, FWD_K)
+            fwd = _a_coeff_logs(p, branch, n, FWD_K)
             assert _worst_error(fwd, _spectral_coeff_mpf(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
@@ -180,7 +180,7 @@ class TestForwardCoefficientRoute:
         # bound and share no step with the recurrence or the duality
         import mpmath
 
-        from qortho.operators import _forward_coeff_mpf, _prefactors
+        from qortho.operators import _a_coeff_logs, _prefactors
         from qortho.polynomials import _WORKING_DPS, _bigql_series_sum
 
         prefs = _prefactors(p, FWD_K)
@@ -191,19 +191,40 @@ class TestForwardCoefficientRoute:
                 seq = [_bigql_series_sum(m, lam, a, b, q)[0] for m in range(FWD_K + 1)]
             with mpmath.workdps(_WORKING_DPS):
                 exact = [pref * v for pref, v in zip(prefs, seq)]
-            assert _worst_error(_forward_coeff_mpf(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
+            assert _worst_error(_a_coeff_logs(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
-        from qortho import operators
+        # a row table of the indices 0..K reads the forward route for the
+        # degrees m <= n of row n, and the label table's duality entries
+        # for the degrees above it, so its rows from K on are forward rows
+        import mpmath
 
-        def refuse(*args):
-            raise AssertionError("duality route used")
+        from qortho import operators, orthogonality
 
-        monkeypatch.setattr(operators, "_spectral_coeff_mpf", refuse)
-        s, l = operators._a_coeff_logs(P1, "b", FWD_K, FWD_K)
-        assert s[0] == 1.0 and l[0] == 0.0 and len(l) == FWD_K + 1
-        with pytest.raises(AssertionError, match="duality route used"):
-            operators._a_coeff_logs(P1, "b", FWD_K - 1, FWD_K)
+        forward = []
+
+        def counted(p, branch, j, m_max, prefs, recurrence):
+            forward.append((branch, j, m_max))
+            return operators._a_coeff_logs(p, branch, j, m_max, prefs, recurrence)
+
+        monkeypatch.setattr(orthogonality, "_a_coeff_logs", counted)
+        store = orthogonality._Store(P1, Truncation())
+        rows = dict(zip("ab", store.rows(FWD_K)))
+        n_max = FWD_K + 3
+        for branch, table in rows.items():
+            table.entry(n_max, 0)
+            assert forward[-(n_max + 1) :] == [(branch, n, min(n, FWD_K)) for n in range(n_max + 1)]
+        assert sorted(store.labels._coeffs) == list(range(-FWD_K, FWD_K))
+        labels = {"a": lambda n: n, "b": lambda n: -n - 1}
+        for branch, table in rows.items():
+            for n in range(n_max + 1):
+                c = (store.norm.c if branch == "a" else store.norm.cprime)(n)
+                assert table.entry(n, 0)[0] == c  # a_0 = 1 on both routes
+            for n in range(FWD_K):
+                c = (store.norm.c if branch == "a" else store.norm.cprime)(n)
+                duality = [store.labels.entry(labels[branch](n), m)[0] for m in range(n + 1, FWD_K + 1)]
+                with mpmath.workdps(store.dps):
+                    assert [x for x, _ in table._rows[n][n + 1 :]] == [c * x for x in duality]
 
 
 class TestNormalization:

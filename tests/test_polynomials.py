@@ -587,7 +587,7 @@ class TestRecurrenceTable:
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
-                shared = _working_coefficients(self._convert(p0, dps))
+                shared = _working_coefficients(self._convert(p0, dps), 30)
                 pw = shared.p
                 for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
                     with mpmath.workdps(30):
