@@ -28,13 +28,13 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
-    q_pochhammer,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
     _WORKING_DPS,
     _recurrence_d,
     _working_coefficients,
+    _working_dps,
     big_q_laguerre_recurrence,
     match_spectral_point,
     q_meixner,
@@ -305,13 +305,10 @@ def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
 # eigencoefficients
 
 
-def _pref_a_ratio(m, q, a, b):
-    """pref_{m+1}/pref_m for (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2)."""
-    return (
-        (-a * b) ** mpmath.mpf("-0.5")
-        * q ** (-(2 * m + 4) / mpmath.mpf(4))
-        * mpmath.sqrt((1 - a * q ** (m + 1)) * (1 - b * q ** (m + 1)) / (1 - q ** (m + 1)))
-    )
+def _pref_a_ratio(qm, q, a, b):
+    """pref_{m+1}/pref_m for (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2),
+    with qm = q^(m+1)."""
+    return mpmath.sqrt((1 - a * qm) * (1 - b * qm) / (-a * b * q * qm * (1 - qm)))
 
 
 def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
@@ -322,17 +319,21 @@ def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     return list(itertools.islice(_prefactor_entries(p, _WORKING_DPS, ratio_fn), m_max + 1))
 
 
-def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio):
-    """pref_0, pref_1, ... of `_prefactors` without end, one per next(),
-    at dps digits; a caller that keeps the iterator extends its list from
-    where it stopped."""
+def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio, start=1, branch: str = "a"):
+    """start pref_0, start pref_1, ... of `_prefactors` without end, one per
+    next(), at dps digits: the running product of ratio_fn(q^(m+1), q,
+    first, second), with q^(m+1) carried from step to step and (first,
+    second) = (a, b), or (b, a) for branch "b".  A caller that keeps the
+    iterator extends its list from where it stopped."""
     with mpmath.workdps(dps):
         q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        pref = mpmath.mpf(1)
-    for m in itertools.count():
+        first, second = (a, b) if branch == "a" else (b, a)
+        pref, qm = mpmath.mpf(start), q
+    while True:
         yield pref
         with mpmath.workdps(dps):
-            pref *= ratio_fn(m, q, a, b)
+            pref *= ratio_fn(qm, q, first, second)
+            qm *= q
 
 
 def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):
@@ -490,10 +491,11 @@ def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str 
     """Normalization constant of the upper-branch eigenvectors.
 
     Both printed forms are implemented; they agree to rounding and the
-    tests cross-check them.
+    tests cross-check them.  The finite form is the running product of
+    `_normalization_entries`.
     """
     if form == "finite":
-        return _Normalization(p, t).c(n)
+        return _finite_normalization(n, p, "a", t)
     q, a, b = p.q, p.a, p.b
     if form == "infinite":
         radicand = (
@@ -516,9 +518,10 @@ def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str 
 
 def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
     """Normalization constant of the lower-branch eigenvectors; the
-    prefactor -b/a is positive for b < 0."""
+    prefactor -b/a is positive for b < 0.  The finite form is c_n with a
+    and b swapped."""
     if form == "finite":
-        return _Normalization(p, t).cprime(n)
+        return _finite_normalization(n, p, "b", t)
     q, a, b = p.q, p.a, p.b
     if form == "infinite":
         radicand = (
@@ -546,46 +549,34 @@ def _root(radicand):
     return radicand**0.5
 
 
-class _Normalization:
-    """Finite forms of c_n and c'_n for one parameter set.  Their
-    n-independent infinite products, (bq;q)_inf and (b/a;q)_inf for c_n
-    and (aq;q)_inf and (aq/b;q)_inf for c'_n, are computed on first use,
-    at the precision in effect then, and kept; a sweep that holds one
-    instance pays for them once."""
+def _c_ratio(qm, q, first, second):
+    """c_{n+1}/c_n with qm = q^(n+1)."""
+    return mpmath.sqrt(q * (1 - first * qm) / ((1 - first * qm / second) * (1 - qm)))
 
-    def __init__(self, p: QParams, t: Truncation):
-        self.p, self.t = p, t
 
-    @functools.cached_property
-    def _c_products(self) -> tuple:
-        q, a, b = self.p.q, self.p.a, self.p.b
-        return q_pochhammer_inf(b * q, q, self.t), q_pochhammer_inf(b / a, q, self.t)
+def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
+    """c_0, c_1, ... (branch "a") or c'_0, c'_1, ... (branch "b") without
+    end, one per next(), at dps digits.  With (first, second) = (a, b), or
+    (b, a) for c'_n, the big q-Laguerre Jackson weight gives (Koekoek,
+    Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials and Their
+    q-Analogues, 14.11)
 
-    @functools.cached_property
-    def _cprime_products(self) -> tuple:
-        q, a, b = self.p.q, self.p.a, self.p.b
-        return q_pochhammer_inf(a * q, q, self.t), q_pochhammer_inf(a * q / b, q, self.t)
+        c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n),
+        c_0^2 = (second q; q)_inf / (second/first; q)_inf.
 
-    def c(self, n: int):
-        q, a, b = self.p.q, self.p.a, self.p.b
-        bq_inf, ba_inf = self._c_products
-        return _root(
-            q_pochhammer(a * q, q, n)
-            * bq_inf
-            * q**n
-            / (q_pochhammer(a * q / b, q, n) * q_pochhammer(q, q, n) * ba_inf)
-        )
+    c_0, common to the branch, is formed in p's own scalars; the ratios
+    c_{n+1}/c_n multiply on at dps digits."""
+    first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
+    c0 = _root(q_pochhammer_inf(second * p.q, p.q, t) / q_pochhammer_inf(second / first, p.q, t))
+    yield from _prefactor_entries(p, dps, _c_ratio, c0, branch)
 
-    def cprime(self, n: int):
-        q, a, b = self.p.q, self.p.a, self.p.b
-        aq_inf, aqb_inf = self._cprime_products
-        return _root(
-            (-b / a)
-            * q**n
-            * q_pochhammer(b * q, q, n)
-            * aq_inf
-            / (q_pochhammer(q, q, n) * aqb_inf * q_pochhammer(b / a, q, n + 1))
-        )
+
+def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
+    """c_n or c'_n of `_normalization_entries`, in p's own scalars."""
+    if n < 0:
+        raise DomainError("index must be nonnegative")
+    c = next(itertools.islice(_normalization_entries(p, branch, t, _working_dps(p)), n, None))
+    return +c if isinstance(p.q, mpmath.mpf) else float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -762,23 +753,15 @@ def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = F
 # eigenvectors of the non-self-adjoint pair
 
 
-def _pref_psi_ratio(m, q, a, b):
-    """Ratio for (-ab)^(-m/2) q^(-m) ((aq;q)_m/(q;q)_m)^(1/2)."""
-    return (
-        (-a * b) ** mpmath.mpf("-0.5")
-        / q
-        * mpmath.sqrt((1 - a * q ** (m + 1)) / (1 - q ** (m + 1)))
-    )
+def _pref_psi_ratio(qm, q, a, b):
+    """Ratio for (-ab)^(-m/2) q^(-m) ((aq;q)_m/(q;q)_m)^(1/2), with qm = q^(m+1)."""
+    return mpmath.sqrt((1 - a * qm) / (-a * b * (1 - qm))) / q
 
 
-def _pref_phi_ratio(m, q, a, b):
-    """Ratio for (-ab)^(-m/2) q^(-m(m+1)/2) ((aq;q)_m/(q;q)_m)^(1/2) (bq;q)_m."""
-    return (
-        (-a * b) ** mpmath.mpf("-0.5")
-        * q ** (-(m + 1))
-        * mpmath.sqrt((1 - a * q ** (m + 1)) / (1 - q ** (m + 1)))
-        * (1 - b * q ** (m + 1))
-    )
+def _pref_phi_ratio(qm, q, a, b):
+    """Ratio for (-ab)^(-m/2) q^(-m(m+1)/2) ((aq;q)_m/(q;q)_m)^(1/2) (bq;q)_m,
+    with qm = q^(m+1)."""
+    return mpmath.sqrt((1 - a * qm) / (-a * b * (1 - qm))) * (1 - b * qm) / qm
 
 
 def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> tuple:

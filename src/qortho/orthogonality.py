@@ -15,10 +15,11 @@ big-laguerre and sears scaled by Kc / (pref_i pref_j), since w_n P_i P_j
 is that multiple of the unitarity-rows term.  The sums over the basis
 index m read one verify task's label table: the eigencoefficients
 a_m(lam) of each label, from the q-Meixner duality closed form, whose
-weight factors balance within each product.  Entries are mpmath floats
-at the store's precision (30 digits, or the working precision of mpmath
-scalars); their float copies drive the stopping rule, and the products
-used are added exactly and rounded once.  By the duality the q-Meixner
+weight factors balance within each product.  Entries, and the
+normalization constants c_n they carry, are mpmath floats at the store's
+precision (30 digits, or the working precision of mpmath scalars); their
+float copies drive the stopping rule, and the products used are added
+exactly and rounded once.  By the duality the q-Meixner
 sums are label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero
 dual-fg, term for term).
 """
@@ -44,13 +45,13 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
-    _WORKING_DPS,
     _duality_entries,
     _working_coefficients,
+    _working_dps,
 )
 from qortho.operators import (
-    _Normalization,
     _a_coeff_logs,
+    _normalization_entries,
     _prefactor_entries,
 )
 
@@ -315,7 +316,7 @@ def _big_laguerre_sum(m: int, m2: int, t: Truncation, store: _Store, K: int):
     b-branch: the unitarity-rows sum of the rows 0..K, whose terms are
     c_n^2 a_m a_m2 = (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is
     in c'_n^2), scaled back."""
-    prefs = store.labels.prefs(K)
+    prefs = store.labels.prefs.upto(K)
     with mpmath.workdps(store.dps):
         scale = store.kc / (prefs[m] * prefs[m2])
     return _two_branch_sum(store, K, m, m2, t, scale)
@@ -386,6 +387,21 @@ def _branch_of_label(label: int) -> tuple:
     return ("a", label) if label >= 0 else ("b", -label - 1)
 
 
+class _LazyList(list):
+    """The values of an endless iterator, in a list that grows as they are
+    first read, so each is computed once."""
+
+    def __init__(self, source):
+        super().__init__()
+        self._source = source
+
+    def upto(self, k: int) -> list:
+        """The list, with the values 0..k at least."""
+        while len(self) <= k:
+            self.append(next(self._source))
+        return self
+
+
 class _LabelTable:
     """Eigencoefficients a_0, a_1, ... and normalization constant of each
     integer eigenvalue label, and the sums over the basis index m of
@@ -400,35 +416,29 @@ class _LabelTable:
     `spectral_sequence` give."""
 
     def __init__(self, store: _Store):
-        self.p, self.dps, self._value, self._norm = store.p, store.dps, store.value, store.norm
-        self._prefs: list = []
-        self._pref_entries = _prefactor_entries(self.p, self.dps)
+        self.p, self.dps, self._value, self._c = store.p, store.dps, store.value, store.c
+        self.prefs = _LazyList(_prefactor_entries(self.p, self.dps))
         self._coeffs: dict = {}
-        self._c: dict = {}
         self._sums: dict = {}
-
-    def prefs(self, m_cut: int) -> list:
-        """The prefactor list, with pref_0..pref_m_cut at least."""
-        while len(self._prefs) <= m_cut:
-            self._prefs.append(next(self._pref_entries))
-        return self._prefs
 
     def entry(self, label: int, m: int) -> tuple:
         """a_m(lam) of the label as an (mpf, float copy) pair."""
-        if label not in self._coeffs:
-            self._coeffs[label] = ([], _duality_entries(self.p, *_branch_of_label(label), self.dps))
-        values, entries = self._coeffs[label]
-        while len(values) <= m:
-            k = len(values)
-            with mpmath.workdps(self.dps):
-                x = self.prefs(k)[k] * next(entries)
-            values.append((x, float(x)))
-        return values[m]
+        entries = self._coeffs.get(label)
+        if entries is None:
+            entries = self._coeffs[label] = _LazyList(self._entries(label))
+        # hot path: a label sum's terms nearly always read computed entries
+        return entries[m] if m < len(entries) else entries.upto(m)[m]
 
-    def c(self, label: int) -> float:
-        if label not in self._c:
-            self._c[label] = self._norm.c(label) if label >= 0 else self._norm.cprime(-label - 1)
-        return self._c[label]
+    def _entries(self, label: int):
+        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label), self.dps)):
+            with mpmath.workdps(self.dps):
+                x = self.prefs.upto(k)[k] * v
+            yield x, float(x)
+
+    def c(self, label: int):
+        """c_n of the label n >= 0 or c'_n of -n-1, read as a sum is."""
+        branch, n = _branch_of_label(label)
+        return self._value(self._c[branch].upto(n)[n])
 
     def pair_sum(self, i: int, j: int, t: Truncation):
         """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
@@ -454,15 +464,16 @@ class _Store:
     table, whose sums unitarity-columns, dual, biortho and the three
     q-Meixner families read.  Each task builds its own, for its p and t.
 
-    Every entry and sum is computed at one precision dps: _WORKING_DPS
-    digits for float parameters, and the caller's working precision, never
-    below that, for mpmath parameters, whose sums stay mpf values."""
+    Every entry, constant and sum is computed at one precision dps,
+    `_working_dps(p)`; the sums of mpmath parameters stay mpf values.  c_n
+    and c'_n are one list per branch, extended as they are read; only
+    their common factors c_0, c'_0 and Kc are in p's own scalars."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
         self.exact = isinstance(p.q, mpmath.mpf)
-        self.dps = max(mpmath.mp.dps, _WORKING_DPS) if self.exact else _WORKING_DPS
-        self.norm = _Normalization(p, t)
+        self.dps = _working_dps(p)
+        self.c = {branch: _LazyList(_normalization_entries(p, branch, t, self.dps)) for branch in "ab"}
         self.recurrence = _working_coefficients(p, self.dps)
         self.labels = _LabelTable(self)
         self._rows: dict = {}
@@ -526,12 +537,11 @@ class _RowTable:
     max(i, j) <= K and by every scale.  The degrees m <= n come from a
     forward sweep on the store's recurrence table and the label table's
     prefactors, the degrees above from the label table's duality entries
-    of lam_n's label, so no entry depends on K."""
+    of lam_n's label, so no entry depends on K; c_n is the store's."""
 
     def __init__(self, branch: str, K: int, store: _Store):
         self.branch, self.K, self.p, self.dps = branch, K, store.p, store.dps
-        self._labels, self._recurrence = store.labels, store.recurrence
-        self._cfun = store.norm.c if branch == "a" else store.norm.cprime
+        self._labels, self._recurrence, self._c = store.labels, store.recurrence, store.c[branch]
         self._rows: list = []
 
     def entry(self, n: int, m: int) -> tuple:
@@ -542,12 +552,11 @@ class _RowTable:
 
     def _row(self, n: int) -> list:
         top = min(n, self.K)
-        coeffs = _a_coeff_logs(self.p, self.branch, n, top, self._labels.prefs(top), self._recurrence)
+        coeffs = _a_coeff_logs(self.p, self.branch, n, top, self._labels.prefs.upto(top), self._recurrence)
         label = n if self.branch == "a" else -n - 1
         coeffs += [self._labels.entry(label, m)[0] for m in range(top + 1, self.K + 1)]
-        c = self._cfun(n)
+        c = self._c.upto(n)[n]
         with mpmath.workdps(self.dps):
-            c = mpmath.mpf(c)  # exact, and converted once for the row
             return [(y, float(y)) for y in (c * x for x in coeffs)]
 
     def pair_sum(self, i: int, j: int, t: Truncation, scale):

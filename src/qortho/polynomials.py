@@ -65,6 +65,12 @@ SPECTRAL_MATCH_RTOL = 1e-10
 _WORKING_DPS = 30
 
 
+def _working_dps(p: QParams) -> int:
+    """Digits of the entries and constants of p's sums: _WORKING_DPS for
+    float p, the caller's precision, never below that, for mpmath p."""
+    return max(mpmath.mp.dps, _WORKING_DPS) if isinstance(p.q, mpmath.mpf) else _WORKING_DPS
+
+
 # ---------------------------------------------------------------------------
 # terminating series kernel
 

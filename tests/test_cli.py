@@ -465,6 +465,40 @@ class TestGoldenOutput:
         ),
     ]
 
+    def test_golden_moves_reports_moves_and_changes(self, tmp_path):
+        # the comparison a regenerated golden file is described with:
+        # records moved per family, the worst move against the verdict
+        # bound, and every status or terms_used change
+        header = "identity_id,i,j,lhs,rhs,residual,terms_used,tail_estimate,status\n"
+        old = tmp_path / "old.csv"
+        new = tmp_path / "new.csv"
+        old.write_text(
+            header
+            + "dual-ff,0,0,2.0,2.0,0,40,1e-15,pass\n"
+            + "dual-ff,0,1,1e-17,0,1e-17,41,1e-15,pass\n"
+            + "sears,0,0,3.0,3.0,0,50,1e-15,pass\n"
+        )
+        new.write_text(
+            header
+            + "dual-ff,0,0,2.00000003,2.0,3e-8,40,1e-15,pass\n"
+            + "dual-ff,0,1,1e-17,0,1e-17,42,1e-15,pass\n"
+            + "sears,0,0,3.0,3.0,0,50,1e-15,fail\n"
+            + "meixner,0,0,1.0,1.0,0,30,1e-15,pass\n"
+        )
+        script = Path(__file__).parent / "golden_moves.py"
+        res = subprocess.run([sys.executable, str(script), str(old), str(new)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[1].split() == ["dual-ff", "1/2", "1"]  # 3e-8 / (1e-8 (1 + 2))
+        assert lines[2].split() == ["sears", "0/1", "0"]
+        assert lines[3:] == [
+            "status or terms_used changes: 2",
+            "  dual-ff,0,1: terms_used 41 -> 42",
+            "  sears,0,0: status pass -> fail",
+            "only in NEW: 1",
+            "  meixner,0,0",
+        ]
+
     @pytest.mark.parametrize("argv,name,returncode", GOLDEN, ids=[name for _, name, _ in GOLDEN])
     def test_csv_matches_golden_bytes(self, argv, name, returncode):
         res = subprocess.run(BASE + argv + ["--format", "csv", "--no-timestamp"], capture_output=True)

@@ -218,10 +218,10 @@ class TestForwardCoefficientRoute:
         labels = {"a": lambda n: n, "b": lambda n: -n - 1}
         for branch, table in rows.items():
             for n in range(n_max + 1):
-                c = (store.norm.c if branch == "a" else store.norm.cprime)(n)
+                c = store.c[branch].upto(n)[n]
                 assert table.entry(n, 0)[0] == c  # a_0 = 1 on both routes
             for n in range(FWD_K):
-                c = (store.norm.c if branch == "a" else store.norm.cprime)(n)
+                c = store.c[branch].upto(n)[n]
                 duality = [store.labels.entry(labels[branch](n), m)[0] for m in range(n + 1, FWD_K + 1)]
                 with mpmath.workdps(store.dps):
                     assert [x for x, _ in table._rows[n][n + 1 :]] == [c * x for x in duality]
@@ -241,6 +241,75 @@ class TestNormalization:
         fin = normalization_cprime(n, p, T, form="finite")
         inf_ = normalization_cprime(n, p, T, form="infinite")
         assert fin == pytest.approx(inf_, rel=1e-12)
+
+    @pytest.mark.parametrize("qab", [("0.9", "0.9", "-0.5"), ("0.3", "3.2", "-0.01")], ids=["q0.9", "retry"])
+    def test_store_constants_match_closed_forms_at_40_digits(self, qab):
+        # the store's c_n and c'_n, n <= 200, one running product per
+        # branch, against the printed closed forms at 60 digits, with
+        # mpmath.qp for the infinite products; the printed c'_n is c_n with a
+        # and b swapped
+        import itertools
+        import operator
+
+        import mpmath
+
+        from qortho.orthogonality import _Store
+
+        with mpmath.workdps(40):
+            p = QParams(*map(mpmath.mpf, qab))
+            store = _Store(p, Truncation(rel_tol=1e-40))
+            got = {branch: store.c[branch].upto(200)[:201] for branch in "ab"}
+        with mpmath.workdps(60):
+            q, a, b = p.q, p.a, p.b
+            xs = (q, a * q, b * q, a / b, b / a, a * q / b, b * q / a)
+            infinite = {x: mpmath.qp(x, q) for x in xs}
+            # (x; q)_0 .. (x; q)_201 as literal running products
+            finite = {x: list(itertools.accumulate((1 - x * q**k for k in range(201)), operator.mul, initial=1)) for x in xs}
+
+            def c_squared(n, first, second):
+                return (
+                    finite[first * q][n] * infinite[second * q] * q**n
+                    / (finite[first * q / second][n] * finite[q][n] * infinite[second / first])
+                )
+
+            for n in range(201):
+                cprime_squared = (-b / a) * q**n * finite[b * q][n] * infinite[a * q] / (
+                    finite[q][n] * infinite[a * q / b] * finite[b / a][n + 1]
+                )
+                assert abs(cprime_squared / c_squared(n, b, a) - 1) <= mpmath.mpf(10) ** -39, n
+                for branch, want in (("a", c_squared(n, a, b)), ("b", cprime_squared)):
+                    want = mpmath.sqrt(want)
+                    assert abs(got[branch][n] - want) <= mpmath.mpf(10) ** -35 * want, (branch, n)
+
+    def test_rows_read_normalization_without_finite_products(self, monkeypatch):
+        # the rows' c_n are one running product per branch: building rows
+        # 0..N calls no finite q-Pochhammer product, and a number of
+        # infinite ones (c_0, c'_0) that does not grow with N
+        import collections
+
+        from qortho import operators, orthogonality, polynomials, qseries
+
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module in (operators, orthogonality, polynomials):
+            for name in ("q_pochhammer", "q_pochhammer_inf"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(qseries, name)))
+        counts = []
+        for n_rows in (10, 80):
+            calls.clear()
+            store = orthogonality._Store(QParams(q=0.9, a=0.9, b=-0.5), T)
+            for table in store.rows(8):
+                table.entry(n_rows, 0)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"q_pochhammer_inf": 4}
 
     def test_c0_finite_positive(self):
         c0 = normalization_c(0, P1, T)

@@ -59,6 +59,20 @@ def literal_reference_points(p):
         yield pm, Truncation(rel_tol=1e-20), 50
 
 
+def random15_points() -> list:
+    """36 points (q, a, b) drawn from random.Random(15): q from [0.3, 0.8],
+    then a q from [0.01, 0.999], then log10(-b) from [-2, 1.7]."""
+    import random
+
+    rng = random.Random(15)
+    points = []
+    for _ in range(36):
+        q = rng.uniform(0.3, 0.8)
+        aq = rng.uniform(0.01, 0.999)
+        points.append((q, aq / q, -(10.0 ** rng.uniform(-2, 1.7))))
+    return points
+
+
 def assert_within_rounding(lhs, reference, total_abs, dps, what):
     """|lhs - reference| <= 10^(1-dps) sum |t_k|: the engine rounds the
     exact sum of its terms once at dps digits.  A record carries lhs as a
@@ -132,6 +146,21 @@ class TestBigLaguerreOrthogonality:
         assert len(reports) == 45
         assert [r.indices for r in reports if r.status != "pass"] == []
 
+    @pytest.mark.parametrize(
+        "points",
+        [[(0.7826210707760615, 0.027505638378840867, -5.286509211094206)], random15_points()],
+        ids=["kc5e21", "random15"],
+    )
+    def test_no_false_fail_from_normalization_rounding(self, points):
+        # rows whose c_n were rounded to doubles one by one left their
+        # vanishing sums at about 1e-16 of the norms, which the scale
+        # Kc / (pref_i pref_j) lifts past the tolerance: 29 false `fail`s at
+        # the first point (Kc = 5.5e21), 49 over the 36 random points; c_n
+        # from one running product give none
+        for q, a, b in points:
+            reports = run_identity_checks("big-laguerre", QParams(q=q, a=a, b=b), T, index_max=8)
+            assert [r.indices for r in reports if r.status == "fail"] == [], (q, a, b)
+
     def test_rejects_negative_degrees(self):
         # a negative degree must not wrap to the last entry of a row
         with pytest.raises(DomainError):
@@ -150,13 +179,11 @@ class TestSears:
 
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
-        import math
-
         from qortho.orthogonality import _Store
 
         store = _Store(P1, T)
         for table in store.rows(0):
-            val, _, _ = table.pair_sum(0, 0, T, math.log10(store.kc))
+            val, _, _ = table.pair_sum(0, 0, T, store.kc)
             assert val > 0
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5)], ids=["p1", "q0.9"])
@@ -568,13 +595,15 @@ class TestReports:
         # each pair's float terms scaled by Kc / (pref_m pref_m2), and the
         # value an mpf dot product at twice the table's digits; a table
         # that reads the wrong row, degree or scale fails here, while the
-        # sweep-vs-standalone test cannot tell, since both sides share it
+        # sweep-vs-standalone test cannot tell, since both sides share it.
+        # c_n and c'_n are the running products at the table's digits, as
+        # the table multiplies them
         import functools
         import itertools
 
         import mpmath
 
-        from qortho.operators import _a_coeff_logs, _prefactor_entries
+        from qortho.operators import _a_coeff_logs, _normalization_entries, _prefactor_entries
         from qortho.orthogonality import _certified_sum, _kc
         from qortho.polynomials import _duality_entries, _working_coefficients
 
@@ -582,17 +611,23 @@ class TestReports:
         for p, t, dps in literal_reference_points(P2):
             prefs = list(itertools.islice(_prefactor_entries(p, dps), K + 1))
             recurrence = _working_coefficients(p, dps)
-            norm = {"a": normalization_c, "b": normalization_cprime}
+            norm = {branch: (_normalization_entries(p, branch, t, dps), []) for branch in "ab"}
             kc = _kc(p, t)
+
+            def c(branch, n):
+                source, values = norm[branch]
+                while len(values) <= n:
+                    values.append(next(source))
+                return values[n]
 
             @functools.cache
             def row(branch, n):
                 top = min(n, K)
                 coeffs = _a_coeff_logs(p, branch, n, top, prefs[: top + 1], recurrence)
-                c = norm[branch](n, p, t)
+                c_n = c(branch, n)
                 with mpmath.workdps(dps):
                     duality = [pref * v for pref, v in zip(prefs, _duality_entries(p, branch, n, dps))]
-                    return [c * x for x in coeffs + duality[top + 1 :]]
+                    return [c_n * x for x in coeffs + duality[top + 1 :]]
 
             def literal(m, m2):
                 with mpmath.workdps(dps):
@@ -769,13 +804,13 @@ class TestReports:
         run_identity_checks("all", p, T, store=store)
         table = store.labels
         pref = ("pref", _WORKING_DPS)
-        assert started[pref] == 1 and computed[pref] == len(table._prefs)
+        assert started[pref] == 1 and computed[pref] == len(table.prefs)
         assert len(table._coeffs) == 18
-        for label, (values, _) in table._coeffs.items():
+        for label, entries in table._coeffs.items():
             spec = ("a", label, _WORKING_DPS) if label >= 0 else ("b", -label - 1, _WORKING_DPS)
-            assert started[spec] == 1 and computed[spec] == len(values), label
+            assert started[spec] == 1 and computed[spec] == len(entries), label
         assert len(started) == 19
-        assert max(len(values) for values, _ in table._coeffs.values()) == 64
+        assert max(map(len, table._coeffs.values())) == 64
         assert sum(computed.values()) - computed[pref] == 1004
 
     def test_label_coefficient_exact_after_unitarity(self):
@@ -926,16 +961,16 @@ class TestLabelSumVerdicts:
         ids=["q0.9", "retry", "q0.95", "a-edge"],
     )
     def test_edge_of_domain_store_families_never_fail(self, p):
-        """The six families of the label table, with unitarity-rows.  The
-        other families still give known false `fail`s at two of these
-        points: sears' 1e-11 basic-series cross-check at (0.95, 0.9, -3.0),
-        and big-laguerre (0, 1) at (0.3, 0.999/0.3, -0.01), whose float
-        terms cancel past the tolerance."""
+        """The six families of the label table, with unitarity-rows and
+        big-laguerre.  sears still gives a known false `fail` at
+        (0.95, 0.9, -3.0): its 1e-11 basic-series cross-check sees the
+        truncation error of the float kernels."""
         from qortho.orthogonality import _Store
 
         store = _Store(p, T)
-        reports = [r for fam in LABEL_FAMILIES for r in run_identity_checks(fam, p, T, store=store)]
-        assert len(reports) == 45 + 171 + 171 + 45 + 45 + 81 + 171
+        families = ("big-laguerre",) + LABEL_FAMILIES
+        reports = [r for fam in families for r in run_identity_checks(fam, p, T, store=store)]
+        assert len(reports) == 45 + 45 + 171 + 171 + 45 + 45 + 81 + 171
         assert [(r.identity_id, r.indices) for r in reports if r.status == "fail"] == []
 
     @pytest.mark.xfail(
