@@ -90,9 +90,6 @@ class RunConfig:
     def params(self) -> QParams:
         return QParams(q=self.q, a=self.a, b=self.b)
 
-    def truncation(self) -> Truncation:
-        return Truncation()
-
     def as_dict(self) -> dict:
         return {
             "command": self.command,
@@ -271,7 +268,7 @@ def _spectrum_reports(cfg: RunConfig) -> list:
 
 def _table_rows(cfg: RunConfig) -> list:
     p = cfg.params()
-    t = cfg.truncation()
+    t = Truncation()
     rows = []
     xs = [p.a * p.q, p.a * p.q**2, p.a * p.q**3, p.b * p.q, p.b * p.q**2, p.b * p.q**3]
     for x in xs:
@@ -355,11 +352,10 @@ def _table_rows(cfg: RunConfig) -> list:
 
 
 def _limit_reports(cfg: RunConfig) -> list:
-    t = cfg.truncation()
     sweep = LimitSweep(alpha=1.0, beta=0.5)
     reports = []
     for n in range(min(cfg.index_max, 6) + 1):
-        reports.extend(limit_polynomial_check(n, 0.4, sweep, t))
+        reports.extend(limit_polynomial_check(n, 0.4, sweep))
     reports.extend(limit_operator_entries_check(min(cfg.index_max, 5), sweep))
     reports.append(classical_operator_check(0.25, 0.2, 1.0))
     reports.sort(key=lambda r: (r.identity_id, r.indices))

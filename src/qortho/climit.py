@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from qortho.qseries import DomainError, QParams, Truncation
+from qortho.qseries import DomainError, QParams
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.orthogonality import VerificationReport
 
@@ -89,12 +89,7 @@ def fit_rate(gaps, errs, floor: float = 1e-14):
     return math.fsum(u * (y - my) for u, y in zip(dx, ly)) / sxx, c_fit
 
 
-def limit_polynomial_check(
-    n: int,
-    x: float,
-    sweep: LimitSweep,
-    t: Truncation = Truncation(),
-) -> list:
+def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     """One report per q in the sweep comparing P_n(x; q^alpha,
     q^beta/(q-1); q) against L_n^(alpha)(1-x)/L_n^(alpha)(0), followed by
     a fitted-rate report (order in (1-q), required >= 0.9).

@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import mpmath
 
@@ -40,12 +39,6 @@ from qortho.polynomials import (
     q_meixner,
     spectral_sequence,
 )
-
-# the operator, its spectrum and the eigensolver work on Python floats, so
-# no CLI command loads numpy; it is imported inside the functions that
-# return arrays (dense matrices, coefficient vectors)
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Tridiagonal",
@@ -104,25 +97,27 @@ class Tridiagonal:
             raise DomainError("offdiag is only defined for the symmetric case")
         return self.lower
 
-    def dense(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.diag(self.diag)
-        idx = np.arange(self.dim - 1)
-        m[idx + 1, idx] = self.lower
-        m[idx, idx + 1] = self.upper
+    def dense(self) -> list:
+        """The dim x dim matrix as a list of rows."""
+        m = _zeros(self.dim)
+        for i, d in enumerate(self.diag):
+            m[i][i] = d
+        for i, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            m[i + 1][i], m[i][i + 1] = lo, up
         return m
 
     def transpose(self) -> "Tridiagonal":
         return Tridiagonal(dim=self.dim, diag=self.diag, lower=self.upper, upper=self.lower)
 
-    def apply(self, v) -> np.ndarray:
-        import numpy as np
-
-        v = np.asarray(v, dtype=float)
-        out = np.asarray(self.diag) * v
-        out[1:] += np.asarray(self.lower) * v[:-1]
-        out[:-1] += np.asarray(self.upper) * v[1:]
+    def apply(self, v) -> list:
+        """The product with the vector v, as a list."""
+        v = list(map(float, v))
+        if len(v) != self.dim:
+            raise DomainError(f"vector of length {len(v)} for a {self.dim}-row matrix")
+        out = [d * x for d, x in zip(self.diag, v)]
+        for i, (lo, up) in enumerate(zip(self.lower, self.upper)):
+            out[i + 1] += lo * v[i]
+            out[i] += up * v[i + 1]
         return out
 
 
@@ -131,7 +126,7 @@ class CoefficientVector:
     """Expansion coefficients of a representation-space element in the
     orthonormal basis f_n; lam is the eigenvalue it represents."""
 
-    coeffs: np.ndarray
+    coeffs: tuple
     lam: float
     normalizable: bool = True
 
@@ -162,26 +157,35 @@ class GeneratorMatrices:
     """Raising/lowering/diagonal generator data truncated to dim rows."""
 
     dim: int
-    raising: np.ndarray  # raising[n] = coefficient of f_{n+1} in J+ f_n
-    lowering: np.ndarray  # lowering[n] = coefficient of f_n in J- f_{n+1}
-    qj0_diag: np.ndarray  # q^(l+n)
-    j0_diag: np.ndarray  # l + n
+    raising: tuple  # raising[n] = coefficient of f_{n+1} in J+ f_n
+    lowering: tuple  # lowering[n] = coefficient of f_n in J- f_{n+1}
+    qj0_diag: tuple  # q^(l+n)
+    j0_diag: tuple  # l + n
 
-    def jplus_dense(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim - 1)
-        m[idx + 1, idx] = self.raising
+    def jplus_dense(self) -> list:
+        m = _zeros(self.dim)
+        for i, x in enumerate(self.raising):
+            m[i + 1][i] = x
         return m
 
-    def jminus_dense(self) -> np.ndarray:
-        import numpy as np
-
-        m = np.zeros((self.dim, self.dim))
-        idx = np.arange(self.dim - 1)
-        m[idx, idx + 1] = self.lowering
+    def jminus_dense(self) -> list:
+        m = _zeros(self.dim)
+        for i, x in enumerate(self.lowering):
+            m[i][i + 1] = x
         return m
+
+
+def _zeros(dim: int) -> list:
+    return [[0.0] * dim for _ in range(dim)]
+
+
+def _diag_scaled(left, m, right) -> list:
+    """diag(left) m diag(right), for m a list of rows."""
+    return [[li * x * rj for x, rj in zip(row, right)] for li, row in zip(left, m)]
+
+
+def _plus(m1, m2) -> list:
+    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
 
 
 def jminus_action_factor(n: int, p: QParams) -> float:
@@ -201,16 +205,14 @@ def jplus_action_factor(n: int, p: QParams) -> float:
 
 def build_generator_matrices(p: QParams, dim: int) -> GeneratorMatrices:
     """Raising/lowering couplings and the q^(J0) diagonal, rows 0..dim-1."""
-    import numpy as np
-
     if dim < 2:
         raise DomainError("dim must be at least 2")
-    n = np.arange(dim)
+    ns = [float(k) for k in range(dim)]
     q, a = p.q, p.a
-    raising = np.array([jplus_action_factor(k, p) for k in range(dim - 1)])
-    lowering = np.array([jminus_action_factor(k + 1, p) for k in range(dim - 1)])
-    qj0 = math.sqrt(a * q) * q ** n.astype(float)  # q^l = sqrt(aq)
-    j0 = p.l + n.astype(float)
+    raising = tuple(jplus_action_factor(k, p) for k in range(dim - 1))
+    lowering = tuple(jminus_action_factor(k + 1, p) for k in range(dim - 1))
+    qj0 = tuple(math.sqrt(a * q) * q**k for k in ns)  # q^l = sqrt(aq)
+    j0 = tuple(p.l + k for k in ns)
     return GeneratorMatrices(dim=dim, raising=raising, lowering=lowering, qj0_diag=qj0, j0_diag=j0)
 
 
@@ -231,7 +233,7 @@ def build_A(p: QParams, dim: int) -> Tridiagonal:
     return Tridiagonal(dim=dim, diag=_a_diag(p, dim), lower=off, upper=off)
 
 
-def compose_A_from_generators(p: QParams, dim: int) -> np.ndarray:
+def compose_A_from_generators(p: QParams, dim: int) -> list:
     """Assemble the operator from generator matrices:
 
         alpha q^(J0/4) (sqrt(1-b q^(J0-l)) J+ q^((J0-l)/2)
@@ -239,21 +241,25 @@ def compose_A_from_generators(p: QParams, dim: int) -> np.ndarray:
         - beta1 q^(2 J0) + beta2 q^(J0-l)
 
     The last row/column of the truncation is corrupted by the missing
-    coupling to row dim, so comparisons must exclude them.
+    coupling to row dim, so comparisons must exclude them.  Returns a
+    list of rows.
     """
-    import numpy as np
-
     g = build_generator_matrices(p, dim)
-    n = np.arange(dim, dtype=float)
-    q, a, b = p.q, p.a, p.b
-    q4 = (a * q) ** 0.125 * q ** (n / 4)  # q^((l+n)/4)
-    q2 = q ** (n / 2)  # q^((J0-l)/2) diagonal
-    s = np.sqrt(1 - b * q**n)  # sqrt(1 - b q^(J0-l)), positive since b < 0
+    ns = [float(k) for k in range(dim)]
+    q2 = [p.q ** (k / 2) for k in ns]  # q^((J0-l)/2) diagonal
+    s = [math.sqrt(1 - p.b * p.q**k) for k in ns]  # sqrt(1 - b q^(J0-l)), positive since b < 0
     jp, jm = g.jplus_dense(), g.jminus_dense()
-    core = (s[:, None] * jp) * q2[None, :] + (q2[:, None] * jm) * s[None, :]
-    mat = p.alpha * (q4[:, None] * core * q4[None, :])
-    mat -= np.diag(p.beta1 * a * q ** (2 * n + 1))  # q^(2J0) = a q^(2n+1)
-    mat += np.diag(p.beta2 * q**n)
+    return _composed(p, _plus(_diag_scaled(s, jp, q2), _diag_scaled(q2, jm, s)))
+
+
+def _composed(p: QParams, core: list) -> list:
+    """alpha q^(J0/4) core q^(J0/4) - beta1 q^(2J0) + beta2 q^(J0-l), with
+    q^(J0/4) = q^((l+n)/4) and q^(2J0) = a q^(2n+1)."""
+    q, a = p.q, p.a
+    q4 = [(a * q) ** 0.125 * q ** (k / 4) for k in map(float, range(len(core)))]
+    mat = [[p.alpha * x for x in row] for row in _diag_scaled(q4, core, q4)]
+    for k, row in enumerate(mat):
+        row[k] += -p.beta1 * a * q ** (2.0 * k + 1) + p.beta2 * q ** float(k)
     return mat
 
 
@@ -282,23 +288,17 @@ def build_A1_A2(p: QParams, dim: int) -> tuple:
 
 
 def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
-    """Dense assembly of the (A1, A2) compositions from generator matrices."""
-    import numpy as np
-
+    """Dense assembly of the (A1, A2) compositions from generator
+    matrices, each a list of rows."""
     g = build_generator_matrices(p, dim)
-    n = np.arange(dim, dtype=float)
-    q, a, b = p.q, p.a, p.b
-    q4 = (a * q) ** 0.125 * q ** (n / 4)
-    dq = q**n  # q^(J0-l)
-    db = 1 - b * q**n  # 1 - b q^(J0-l)
+    dq = [p.q ** float(k) for k in range(dim)]  # q^(J0-l)
+    db = [1 - p.b * x for x in dq]  # 1 - b q^(J0-l)
+    ones = [1.0] * dim
     jp, jm = g.jplus_dense(), g.jminus_dense()
-    diagpart = np.diag(-p.beta1 * a * q ** (2 * n + 1) + p.beta2 * q**n)
     # operator composition reads right to left: X Y = apply Y, then X
-    core1 = jp * dq[None, :] + jm * db[None, :]
-    core2 = db[:, None] * jp + dq[:, None] * jm
-    a1 = p.alpha * (q4[:, None] * core1 * q4[None, :]) + diagpart
-    a2 = p.alpha * (q4[:, None] * core2 * q4[None, :]) + diagpart
-    return a1, a2
+    core1 = _plus(_diag_scaled(ones, jp, dq), _diag_scaled(ones, jm, db))
+    core2 = _plus(_diag_scaled(db, jp, ones), _diag_scaled(dq, jm, ones))
+    return _composed(p, core1), _composed(p, core2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +362,11 @@ def _log10_prefactors(p: QParams, m_max: int) -> list:
     return list(itertools.accumulate(steps, initial=0.0))
 
 
-def _mpf_to_float_array(values, what: str) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros(len(values))
-    for i, v in enumerate(values):
-        f = float(v)
+def _mpf_to_floats(values, what: str) -> tuple:
+    out = tuple(map(float, values))
+    for i, f in enumerate(out):
         if math.isinf(f):
             raise OverflowError(f"{what} overflows float range at index {i}")
-        out[i] = f
     return out
 
 
@@ -399,33 +395,32 @@ def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recur
         return [pref * v for pref, v in zip(prefs, seq)]
 
 
-def eigen_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> CoefficientVector:
+def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
     """Eigencoefficient sequence a_m(lam), m = 0..m_max, with a_0 = 1:
 
         a_m = (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2) P_m(lam).
 
     At spectral points the values are square-summable and computed from
     the duality closed form of the polynomial sequence; any other lam is
-    allowed but flagged non-normalizable.
+    allowed but flagged non-normalizable.  The coefficients are a tuple
+    of floats.
     """
-    import numpy as np
-
     hit = match_spectral_point(lam, p)
     if hit is not None:
         vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
-        coeffs = _mpf_to_float_array(vals, "eigencoefficients")
+        coeffs = _mpf_to_floats(vals, "eigencoefficients")
         return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
 
     # generic lam: polynomial route with the prefactor held in log space
     pvals = big_q_laguerre_recurrence(m_max, lam, p)
-    coeffs = np.zeros(m_max + 1)
+    coeffs = [0.0] * (m_max + 1)
     for m, (v, logpref) in enumerate(zip(pvals, _log10_prefactors(p, m_max))):
         if v != 0.0:
             mag = logpref + math.log10(abs(v))
             if mag > 300:
                 raise OverflowError(f"eigencoefficient overflow at m={m}")
             coeffs[m] = math.copysign(10.0**mag, v)
-    return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=False)
+    return CoefficientVector(coeffs=tuple(coeffs), lam=lam, normalizable=False)
 
 
 def truncation_residuals(p: QParams, dim: int, points) -> list:
@@ -461,15 +456,13 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     return radii
 
 
-def recurrence_residuals(vec: CoefficientVector, p: QParams) -> np.ndarray:
+def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
     """Row residuals |(A v)_m - lam v_m| / scale for interior rows
     1..m_max-1, where scale is the largest term magnitude in the row."""
-    import numpy as np
-
     m_max = len(vec.coeffs) - 1
     tri = build_A(p, m_max + 1)
     v = vec.coeffs
-    out = np.zeros(max(m_max - 1, 0))
+    out = []
     for m in range(1, m_max):
         terms = (
             tri.offdiag[m] * v[m + 1],
@@ -479,7 +472,7 @@ def recurrence_residuals(vec: CoefficientVector, p: QParams) -> np.ndarray:
         )
         scale = max(abs(x) for x in terms)
         res = abs(math.fsum(terms))
-        out[m - 1] = res / scale if scale > 0 else res
+        out.append(res / scale if scale > 0 else res)
     return out
 
 
@@ -764,7 +757,7 @@ def _pref_phi_ratio(qm, q, a, b):
     return mpmath.sqrt((1 - a * qm) / (-a * b * (1 - qm))) * (1 - b * qm) / qm
 
 
-def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Truncation()) -> tuple:
+def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
     """Coefficient vectors of the eigenvector families of A1 and A2:
 
         psi_k = (-ab)^(-k/2) q^(-k)        ((aq;q)_k/(q;q)_k)^(1/2) P_k(lam)
@@ -780,8 +773,8 @@ def psi_phi_coefficients(lam: float, p: QParams, m_max: int, t: Truncation = Tru
         raise DomainError("psi/phi coefficients are defined at spectral points")
     psi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
     phi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
-    psi = _mpf_to_float_array(psi_vals, "psi coefficients")
-    phi = _mpf_to_float_array(phi_vals, "phi coefficients")
+    psi = _mpf_to_floats(psi_vals, "psi coefficients")
+    phi = _mpf_to_floats(phi_vals, "phi coefficients")
     return (
         CoefficientVector(coeffs=psi, lam=lam, normalizable=True),
         CoefficientVector(coeffs=phi, lam=lam, normalizable=True),

@@ -18,7 +18,6 @@ Evaluation routes:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -374,12 +373,12 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
     return _escalated(_sum, (bparam, c, q), min(t.rel_tol, 1e-13))
 
 
-def dual_f(n: int, m: int, p: QParams, t: Truncation = Truncation()) -> float:
+def dual_f(n: int, m: int, p: QParams) -> float:
     """f_n(q^-m; a, b | q) = P_m evaluated at the spectral point a q^(n+1)."""
     return float(spectral_sequence(p, "a", n, m)[m])
 
 
-def dual_g(n: int, m: int, p: QParams, t: Truncation = Truncation()) -> float:
+def dual_g(n: int, m: int, p: QParams) -> float:
     """g_n(q^-m; a, b | q) = P_m evaluated at the spectral point b q^(n+1)."""
     return float(spectral_sequence(p, "b", n, m)[m])
 
@@ -519,9 +518,8 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
 
 def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     """P_n(x) extracted as a Taylor coefficient of the closed generating
-    function via FFT on a circle inside the first pole."""
-    import numpy as np
-
+    function: a Cauchy sum over 256 points of a circle inside the first
+    pole."""
     hit = match_spectral_point(x, p)
     if hit is None:
         raise DomainError(
@@ -532,13 +530,15 @@ def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
     rho = 0.75 * radius
     m_samples = 256
-    samples = np.empty(m_samples, dtype=complex)
-    for k in range(m_samples):
-        tc = rho * cmath.exp(2j * cmath.pi * k / m_samples)
-        samples[k] = _generating_closed_complex(x, tc, p, branch, j)
-    # Cauchy coefficients: c_n rho^n = (1/M) sum_k G(rho e^(i th_k)) e^(-i n th_k)
-    coeffs = np.fft.fft(samples) / m_samples
-    gcoef = coeffs[n].real / rho**n
+    # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
+    # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M); expjpi takes the
+    # exact 2k/M, not a rounded angle, so the roots carry no angle error
+    roots = [complex(mpmath.expjpi(mpmath.mpf(2 * k) / m_samples)) for k in range(m_samples)]
+    total = math.fsum(
+        (_generating_closed_complex(x, rho * w, p, branch, j) * roots[-n * k % m_samples]).real
+        for k, w in enumerate(roots)
+    )
+    gcoef = total / m_samples / rho**n
     weight = (
         q_pochhammer(p.a * q, q, n)
         * q_pochhammer(p.b * q, q, n)

@@ -111,15 +111,12 @@ class Truncation:
     """
 
     rel_tol: float = 1e-12
-    abs_tol: float = 0.0
     max_terms: int = 10000
     small_run: int = 10
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise DomainError("abs_tol must be nonnegative")
         if self.max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
         if self.small_run < 1:
@@ -292,7 +289,7 @@ def _phi_series(numerators, denominators, q, z, t: Truncation):
         qk = qk1
         k += 1
         if terminate_at is None:
-            if abs(term) <= t.rel_tol * abs(acc.value) + t.abs_tol + t.rel_tol * 1e-300:
+            if abs(term) <= t.rel_tol * abs(acc.value) + t.rel_tol * 1e-300:
                 run += 1
                 if run >= t.small_run:
                     acc.add(term)
@@ -348,7 +345,7 @@ def _jackson_eq_sum(z, q, t: Truncation):
         acc.add(term)
         term = term * qn * z / (1 - qn * q)
         qn = qn * q
-        if abs(term) <= t.rel_tol * abs(acc.value) + t.abs_tol + 1e-300:
+        if abs(term) <= t.rel_tol * abs(acc.value) + 1e-300:
             run += 1
             if run >= t.small_run:
                 acc.add(term)

@@ -123,8 +123,8 @@ def test_criterion_4_duality():
                         pref_g = q_pochhammer(mpmath.mpf(q) ** (-m) / a, mpmath.mpf(q), m)
                         want_f = float(q_meixner(n, m, a, -b / a, q, T) / pref_f)
                         want_g = float(q_meixner(n, m, b, -a / b, q, T) / pref_g)
-                    got_f = dual_f(n, m, p, T)
-                    got_g = dual_g(n, m, p, T)
+                    got_f = dual_f(n, m, p)
+                    got_g = dual_g(n, m, p)
                     assert abs(got_f - want_f) <= 1e-11 * max(abs(want_f), 1e-280), (n, m)
                     assert abs(got_g - want_g) <= 1e-11 * max(abs(want_g), 1e-280), (n, m)
         # base-inversion interrelation
@@ -138,19 +138,19 @@ def test_criterion_5_operator_algebra():
     with criterion(5, "operator algebra"):
         for p in (P1, P2):
             dim = 40
-            direct = build_A(p, dim).dense()
-            composed = compose_A_from_generators(p, dim)
+            direct = np.asarray(build_A(p, dim).dense())
+            composed = np.asarray(compose_A_from_generators(p, dim))
             scale = np.max(np.abs(direct))
             assert np.max(np.abs(direct - composed)[: dim - 1, : dim - 1]) <= 1e-12 * scale
             a1, a2 = build_A1_A2(p, dim)
-            assert np.array_equal(a1.dense().T, a2.dense())
+            assert np.array_equal(np.asarray(a1.dense()).T, np.asarray(a2.dense()))
             for branch, j in [("a", 0), ("a", 3), ("b", 1)]:
                 lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
                 m_max = 30
-                psi, phi = psi_phi_coefficients(lam, p, m_max, T)
+                psi, phi = psi_phi_coefficients(lam, p, m_max)
                 t1, t2 = build_A1_A2(p, m_max + 1)
                 for tri, vec in ((t1, psi), (t2, phi)):
-                    v = vec.coeffs
+                    v = np.asarray(vec.coeffs)
                     resid = tri.apply(v) - lam * v
                     for m in range(1, m_max - 5):
                         row_scale = max(
@@ -167,7 +167,7 @@ def test_criterion_6_classical_limit():
     with criterion(6, "classical limit"):
         sweep = LimitSweep(alpha=1.0, beta=0.5)
         for n in range(7):
-            reports = limit_polynomial_check(n, 0.4, sweep, T)
+            reports = limit_polynomial_check(n, 0.4, sweep)
             rate = [r for r in reports if r.identity_id == "climit-poly-rate"][0]
             assert rate.passed
             assert math.isnan(rate.lhs) or rate.lhs >= 0.9

@@ -286,6 +286,75 @@ class TestStartup:
         seen = self.loaded_after_each_command("numpy", tmp_path)
         assert len(seen) == 8 and not any(seen.values()), seen
 
+    def test_array_api_runs_without_numpy(self):
+        # numpy is a test dependency only: with its import blocked, every
+        # function that once returned an array gives tuples or lists of
+        # Python floats
+        code = textwrap.dedent(
+            """
+            import json, sys
+            sys.modules["numpy"] = None  # any import of numpy raises ImportError
+            import qortho
+            from qortho.operators import (
+                build_A,
+                build_A1_A2,
+                build_generator_matrices,
+                compose_A_from_generators,
+                compose_A1_A2_from_generators,
+                eigen_coefficients,
+                psi_phi_coefficients,
+                recurrence_residuals,
+            )
+            from qortho.polynomials import Family, Method, PolyEval, poly_eval
+
+            p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
+            lam = p.a * p.q
+            tri, (a1, _), g = build_A(p, 6), build_A1_A2(p, 6), build_generator_matrices(p, 6)
+            vec = eigen_coefficients(lam, p, 10)
+            psi, phi = psi_phi_coefficients(lam, p, 10)
+            c1, c2 = compose_A1_A2_from_generators(p, 6)
+            got = {
+                "dense": tri.dense(),
+                "apply": tri.apply([1.0] * 6),
+                "a1.dense": a1.dense(),
+                "a1.apply": a1.apply(range(6)),
+                "raising": g.raising,
+                "lowering": g.lowering,
+                "qj0_diag": g.qj0_diag,
+                "j0_diag": g.j0_diag,
+                "jplus_dense": g.jplus_dense(),
+                "jminus_dense": g.jminus_dense(),
+                "compose_A": compose_A_from_generators(p, 6),
+                "compose_A1": c1,
+                "compose_A2": c2,
+                "eigen": vec.coeffs,
+                "eigen generic": eigen_coefficients(0.17, p, 10).coeffs,
+                "psi": psi.coeffs,
+                "phi": phi.coeffs,
+                "residuals": recurrence_residuals(vec, p),
+                "generating": [poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, lam, p, Method.GENERATING))],
+            }
+
+            def leaves(v):
+                return [t for x in v for t in leaves(x)] if isinstance(v, (list, tuple)) else [type(v).__name__]
+
+            print(json.dumps({k: [type(v).__name__, sorted(set(leaves(v)))] for k, v in got.items()}))
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        kinds = json.loads(res.stdout)
+        assert len(kinds) == 19
+        for name, (container, leaf_types) in kinds.items():
+            assert container in ("tuple", "list") and leaf_types == ["float"], (name, container, leaf_types)
+
+    def test_numpy_is_not_a_runtime_dependency(self):
+        import tomllib
+
+        pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())["project"]
+        assert pyproject["dependencies"] == ["mpmath>=1.3"]
+        assert any(dep.startswith("numpy") for dep in pyproject["optional-dependencies"]["test"])
+
 
 class TestCommands:
     def test_spectrum_contains_exact_first_points(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qortho.qseries import DomainError, Truncation
+from qortho.qseries import DomainError
 from qortho.climit import (
     LimitSweep,
     classical_eigenfunction,
@@ -17,7 +17,6 @@ from qortho.climit import (
     limit_polynomial_check,
 )
 
-T = Truncation()
 SWEEP = LimitSweep(alpha=1.0, beta=0.5)
 
 
@@ -46,41 +45,41 @@ class TestLimitSweep:
         # domain, for every q; degree 0 gets past the L_n^(alpha)(0) check
         sweep = LimitSweep(alpha=alpha, beta=0.5)
         with pytest.raises(DomainError, match="a must be smaller than 1/q"):
-            limit_polynomial_check(0, 0.4, sweep, T)
+            limit_polynomial_check(0, 0.4, sweep)
         with pytest.raises(DomainError, match="a must be smaller than 1/q"):
             limit_operator_entries_check(0, sweep)
 
 
 class TestLimitPolynomial:
     def test_degree_zero_exact(self):
-        reps = limit_polynomial_check(0, 0.4, SWEEP, T)
+        reps = limit_polynomial_check(0, 0.4, SWEEP)
         for r in reps:
             if r.identity_id == "climit-poly":
                 assert r.lhs == 1.0 and r.rhs == 1.0 and r.residual == 0.0
 
     def test_x_one_ratio_is_one(self):
-        reps = limit_polynomial_check(3, 1.0, SWEEP, T)
+        reps = limit_polynomial_check(3, 1.0, SWEEP)
         vals = [r for r in reps if r.identity_id == "climit-poly"]
         assert all(v.rhs == 1.0 for v in vals)
         assert all(abs(v.lhs - 1.0) <= 1e-10 for v in vals)
 
     def test_first_order_factor_between_sweep_points(self):
         # error at q = 1-2^-8 at least 8 times below error at q = 1-2^-4
-        reps = limit_polynomial_check(3, 0.4, SWEEP, T)
+        reps = limit_polynomial_check(3, 0.4, SWEEP)
         errs = {r.indices[1]: r.residual for r in reps if r.identity_id == "climit-poly"}
         k4, k8 = 2, 6  # sweep starts at k=2
         assert errs[k8] <= errs[k4] / 8.0
 
     @pytest.mark.parametrize("n", range(7))
     def test_rate_at_least_09(self, n):
-        reps = limit_polynomial_check(n, 0.4, SWEEP, T)
+        reps = limit_polynomial_check(n, 0.4, SWEEP)
         rate = [r for r in reps if r.identity_id == "climit-poly-rate"][0]
         assert rate.passed
         if not math.isnan(rate.lhs):
             assert rate.lhs >= 0.9
 
     def test_errors_monotone_in_tail(self):
-        reps = limit_polynomial_check(4, 0.4, SWEEP, T)
+        reps = limit_polynomial_check(4, 0.4, SWEEP)
         errs = [r.residual for r in reps if r.identity_id == "climit-poly"]
         qs = SWEEP.q_sequence
         floor = 1e-12
@@ -89,7 +88,7 @@ class TestLimitPolynomial:
                 assert errs[k] <= errs[k - 1] * 1.05
 
     def test_q_column_strictly_increasing(self):
-        reps = limit_polynomial_check(2, 0.4, SWEEP, T)
+        reps = limit_polynomial_check(2, 0.4, SWEEP)
         qcol = [r.params.q for r in reps if r.identity_id == "climit-poly"]
         assert all(b > a for a, b in zip(qcol, qcol[1:]))
 

@@ -298,7 +298,7 @@ class TestDualOrthogonality:
                 * q ** (-m * (m - 1) / 2.0)
             )
             assert w > 0
-            literal = w * dual_f(n, m, p, T) * dual_f(n2, m, p, T)
+            literal = w * dual_f(n, m, p) * dual_f(n2, m, p)
             engine = float(table.entry(n, m)[0] * table.entry(n2, m)[0])
             assert engine == pytest.approx(literal, rel=1e-10)
 

@@ -176,14 +176,14 @@ class TestQMeixner:
 class TestDuality:
     def test_dual_f_degree_zero(self):
         for n in range(4):
-            assert dual_f(n, 0, P1, T) == 1.0
+            assert dual_f(n, 0, P1) == 1.0
 
     def test_dual_g_degree_zero(self):
         for n in range(4):
-            assert dual_g(n, 0, P1, T) == 1.0
+            assert dual_g(n, 0, P1) == 1.0
 
     def test_dual_f_lambda_aq_forced(self):
-        got = dual_f(0, 2, P1, T)
+        got = dual_f(0, 2, P1)
         assert got == pytest.approx(forced_value_at_aq(2, P1), rel=1e-12)
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
@@ -192,7 +192,7 @@ class TestDuality:
         q, a, b = p.q, p.a, p.b
         for n in range(0, 13, 3):
             for m in range(0, 13, 3):
-                lhs = dual_f(n, m, p, T)
+                lhs = dual_f(n, m, p)
                 with mpmath.workdps(35):
                     pref = q_pochhammer(mpmath.mpf(q) ** (-m) / b, mpmath.mpf(q), m)
                     rhs = float(q_meixner(n, m, a, -b / a, q, T) / pref)
@@ -203,7 +203,7 @@ class TestDuality:
         q, a, b = p.q, p.a, p.b
         for n in range(0, 13, 4):
             for m in range(0, 13, 4):
-                lhs = dual_g(n, m, p, T)
+                lhs = dual_g(n, m, p)
                 with mpmath.workdps(35):
                     pref = q_pochhammer(mpmath.mpf(q) ** (-m) / a, mpmath.mpf(q), m)
                     rhs = float(q_meixner(n, m, b, -a / b, q, T) / pref)
