@@ -2,9 +2,10 @@
 
 Evaluation routes:
 
-* terminating basic-hypergeometric series (the defining sums), with
-  automatic precision escalation when the alternating sum cancels past
-  what 64-bit floats can resolve;
+* terminating basic-hypergeometric series (the defining sums), summed
+  by the series kernel of `qortho.qseries`, with automatic precision
+  escalation when the alternating sum cancels past what 64-bit floats
+  can resolve;
 * upward three-term recurrence, absolutely stable on the arguments the
   identities use;
 * the duality with the q-Meixner polynomials for whole sequences at
@@ -34,6 +35,8 @@ from qortho.qseries import (
     TailError,
     Truncation,
     _as_negative_q_power,
+    _escalated,
+    _series_sum,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
@@ -71,70 +74,12 @@ def _working_dps(p: QParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# terminating series kernel
-
-
-def _terminating_sum(n, step, one):
-    """Compensated sum of term_0 = one and term_(k+1) = step(k, term_k),
-    k < n; returns (value, max_abs_term).
-
-    Each caller's step writes out the next term in full, left to right
-    (term * factor * ... / (...)); regrouping the factors into one ratio
-    moves the last bits of the records.
-    """
-    acc = NeumaierSum(0 * one)
-    term = one
-    for k in range(n):
-        acc.add(term)
-        term = step(k, term)
-    acc.add(term)
-    return acc.value, acc.max_abs_term
-
-
-def _escalated(sum_fn, args, rel_tol):
-    """sum_fn(*args)'s value, re-run in mpmath when float rounding is above
-    rel_tol relative accuracy.
-
-    sum_fn returns (value, max_abs_term).  A call with an mpmath argument
-    already runs at the caller's working precision and is returned as
-    computed; otherwise the needed precision depends on the (unknown) true
-    magnitude of the result, so the working precision is raised
-    iteratively: each pass re-targets from the latest value estimate.
-    Capped at dps 400, past which the result is accepted with its
-    (astronomically small) absolute error--this happens only for results
-    that are exact zeros.
-    """
-    value, max_abs = sum_fn(*args)
-    if any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in args):
-        return value
-    noise = 1e-16 * max_abs * 8
-    if noise <= 0.05 * rel_tol * max(abs(value), 1e-30):
-        return value
-    log10_max = math.log10(max(max_abs, 1.0))
-    est = abs(value)
-    value_mp = None
-    for _ in range(4):
-        dps = max(25, int(log10_max - math.log10(rel_tol * max(est, 1e-290)) + 25))
-        dps = min(dps, 400)
-        with mpmath.workdps(dps):
-            mp_args = [mpmath.mpf(v) if isinstance(v, float) else v for v in args]
-            value_mp, max_abs_mp = sum_fn(*mp_args)
-            log10_max = float(mpmath.log10(max_abs_mp)) if max_abs_mp > 0 else 0.0
-            achieved = mpmath.mpf(10) ** (log10_max - dps + 2)
-            if dps >= 400 or achieved <= rel_tol * max(abs(value_mp), mpmath.mpf("1e-290")):
-                return float(value_mp)
-            est = float(abs(value_mp)) or 1e-290
-    return float(value_mp)
-
-
-# ---------------------------------------------------------------------------
 # big q-Laguerre: series definitions
 
 
 def _bigql_series_sum(n, x, a, b, q):
     """Terminating sum for 3phi2(q^-n, 0, x; aq, bq; q, q)."""
-    return _terminating_sum(
-        n,
+    return _series_sum(
         lambda k, term: (
             term
             * (1 - q ** (k - n))
@@ -143,6 +88,7 @@ def _bigql_series_sum(n, x, a, b, q):
             / ((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
         ),
         1 + q * 0,
+        n,
     )
 
 
@@ -168,8 +114,7 @@ def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) ->
 
     def _sum(xx, aa, bb, qq):
         z = xx / bb
-        value, max_abs = _terminating_sum(
-            n,
+        value, max_abs = _series_sum(
             lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
@@ -178,6 +123,7 @@ def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) ->
                 / ((1 - aa * qq ** (k + 1)) * (1 - qq ** (k + 1)))
             ),
             1 + qq * 0,
+            n,
         )
         pref = 1 + qq * 0
         for k in range(n):
@@ -358,8 +304,7 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
 
     def _sum(bb, cc, qq):
         z = -(qq ** (n + 1)) / cc
-        return _terminating_sum(
-            kmax,
+        return _series_sum(
             lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
@@ -368,6 +313,7 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
                 / ((1 - bb * qq ** (k + 1)) * (1 - qq ** (k + 1)))
             ),
             1 + qq * 0,
+            kmax,
         )
 
     return _escalated(_sum, (bparam, c, q), min(t.rel_tol, 1e-13))
@@ -508,10 +454,10 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
     pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
     # terminating 2phi1(q^-j, 0; -1/(b t); q, x/b), j+1 terms
     z = x / b
-    value, _ = _terminating_sum(
-        j,
+    value, _ = _series_sum(
         lambda k, term: term * (1 - q ** (k - j)) * z / ((1 + q**k / (b * tc)) * (1 - q ** (k + 1))),
         1 + 0j,
+        j,
     )
     return pref * value
 
@@ -577,8 +523,7 @@ def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncati
 
     def _lhs_sum(xx, bb, cc, qq):
         z = -qq * xx / (bb * cc)
-        return _terminating_sum(
-            n,
+        return _series_sum(
             lambda k, term: (
                 term
                 * (1 - qq ** (k - n))
@@ -587,6 +532,7 @@ def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncati
                 / ((1 - qq ** (k + 1) / bb) * (1 - qq ** (k + 1)))
             ),
             1 + qq * 0,
+            n,
         )
 
     lhs = _escalated(_lhs_sum, (x, bparam, c, q), min(t.rel_tol, 1e-13))

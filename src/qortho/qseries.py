@@ -10,7 +10,10 @@ pure function of its arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import mpmath
 
 __all__ = [
     "QSeriesError",
@@ -34,6 +37,8 @@ __all__ = [
 # (terminating series detection).  Absorbs float noise in parameter
 # construction only; every terminating use in practice is an exact q^{-n}.
 TERMINATION_RTOL = 1e-10
+# smallest normal float: a result below it has no relative accuracy to keep
+_FLOAT_MIN = sys.float_info.min
 
 
 class QSeriesError(Exception):
@@ -64,8 +69,6 @@ def _ln(x):
     """Natural log dispatching on the scalar type (float vs mpmath)."""
     if isinstance(x, (float, int)):
         return math.log(x)
-    import mpmath
-
     return mpmath.log(x)
 
 
@@ -236,13 +239,78 @@ def q_number(a, q):
     return (q ** (a / 2) - q ** (-a / 2)) / (half - 1 / half)
 
 
+def _series_sum(step, one, n=None, t: Truncation = Truncation()):
+    """Compensated sum of term_0 = one and term_(k+1) = step(k, term_k);
+    returns (value, max_abs_term).
+
+    A terminating sum (n given) ends with term_n.  Otherwise the sum ends
+    once t.small_run consecutive terms are below t.rel_tol of the running
+    sum, the last of them included.  Past t.max_terms terms it raises
+    :class:`NonConvergenceError`.
+
+    Each caller's step writes out the next term in full, left to right
+    (term * factor * ... / (...)); regrouping the factors into one ratio
+    moves the last bits of the results.
+    """
+    acc = NeumaierSum(0 * one)
+    term = one
+    run = 0
+    k = 0
+    while True:
+        acc.add(term)
+        if k == n or run >= t.small_run:
+            return acc.value, acc.max_abs_term
+        if k >= t.max_terms:
+            raise NonConvergenceError(f"basic series did not converge within {t.max_terms} terms")
+        term = step(k, term)
+        k += 1
+        if n is None:
+            run = run + 1 if abs(term) <= t.rel_tol * abs(acc.value) + t.rel_tol * 1e-300 else 0
+
+
+def _escalated(sum_fn, args, rel_tol):
+    """sum_fn(*args)'s value, re-run in mpmath when float rounding is above
+    rel_tol relative accuracy.
+
+    sum_fn returns (value, max_abs_term).  A call with an mpmath or complex
+    argument is returned as computed: mpmath arguments already run at the
+    caller's working precision, and complex sums are not guarded.  A float
+    pass escalates when it is not finite or when 8 eps max|term| exceeds
+    0.05 rel_tol |value|.  The needed precision depends on the (unknown)
+    true magnitude of the result, so each mpmath pass re-targets from the
+    latest value estimate and at least doubles the digits of the pass
+    before.  A pass at dps digits has absolute error about
+    10^(log10 max|term| - dps + 2); the loop stops once that is below
+    rel_tol |value|, or below rel_tol times the smallest normal float,
+    which a float result cannot resolve anyway (exact zeros).
+    """
+    value, max_abs = sum_fn(*args)
+    if not all(isinstance(v, (float, int)) for v in args):
+        return value
+    finite = math.isfinite(value) and math.isfinite(max_abs)
+    if finite and 8e-16 * max_abs <= 0.05 * rel_tol * max(abs(value), 1e-30):
+        return value
+    # an overflowed float pass tells nothing of the terms: start from scratch
+    log10_max, est = (math.log10(max(max_abs, 1.0)), abs(value)) if finite else (0.0, 1.0)
+    dps = 0
+    while True:
+        dps = max(2 * dps, 25, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + 25))
+        with mpmath.workdps(dps):
+            value_mp, max_abs_mp = sum_fn(*map(mpmath.mpf, args))
+            log10_max = float(mpmath.log10(max_abs_mp)) if max_abs_mp > 0 else 0.0
+            if mpmath.mpf(10) ** (log10_max - dps + 2) <= rel_tol * max(abs(value_mp), _FLOAT_MIN):
+                return float(value_mp)
+            est = min(float(abs(value_mp)), sys.float_info.max)
+
+
 def _phi_series(numerators, denominators, q, z, t: Truncation):
     """Sum the basic hypergeometric series with r = s+1 normalization:
 
         sum_k (n_1,...,n_r; q)_k / ((d_1,...,d_s; q)_k (q;q)_k) z^k.
 
     Terminating series (a numerator equal to q^(-n)) are summed exactly to
-    the terminating index; nonterminating series require |z| < 1.
+    the terminating index; nonterminating series require |z| < 1.  Float
+    sums that cancel past double precision are re-summed in mpmath.
     """
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
@@ -266,36 +334,26 @@ def _phi_series(numerators, denominators, q, z, t: Truncation):
             f"nonterminating basic series needs |z| < 1, got |z| = {abs(z)}"
         )
 
-    acc = NeumaierSum(z * 0.0 + q * 0.0)
-    term = 1 + z * 0  # scalar 1 of the right type
-    qk = 1 + z * 0
-    run = 0
-    k = 0
-    while True:
-        acc.add(term)
-        if terminate_at is not None and k >= terminate_at:
-            return acc.value
-        if k >= t.max_terms:
-            raise NonConvergenceError(
-                f"basic series did not converge within {t.max_terms} terms"
-            )
-        ratio = z
-        for u in numerators:
-            ratio = ratio * (1 - u * qk)
-        qk1 = qk * q
-        for d in denominators:
-            ratio = ratio / (1 - d * qk)
-        term = term * ratio / (1 - qk1)
-        qk = qk1
-        k += 1
-        if terminate_at is None:
-            if abs(term) <= t.rel_tol * abs(acc.value) + t.rel_tol * 1e-300:
-                run += 1
-                if run >= t.small_run:
-                    acc.add(term)
-                    return acc.value
-            else:
-                run = 0
+    r = len(numerators)
+
+    def _sum(*scalars):
+        nums, dens, qq, zz = scalars[:r], scalars[r:-2], scalars[-2], scalars[-1]
+        qk = 1 + zz * 0
+
+        def step(k, term):
+            nonlocal qk
+            ratio = zz
+            for u in nums:
+                ratio = ratio * (1 - u * qk)
+            qk1 = qk * qq
+            for d in dens:
+                ratio = ratio / (1 - d * qk)
+            qk = qk1
+            return term * ratio / (1 - qk1)
+
+        return _series_sum(step, 1 + zz * 0, terminate_at, t)
+
+    return _escalated(_sum, (*numerators, *denominators, q, z), t.rel_tol)
 
 
 def phi_2_1(a, b, c, q, z, t: Truncation = Truncation()):
@@ -320,36 +378,16 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
     j = _as_negative_q_power(-z, q)
     if j is not None:
         return 0.0 * z
-    value, max_abs = _jackson_eq_sum(z, q, t)
-    if isinstance(z, (int, float)) and isinstance(q, (int, float)):
-        # cancellation guard: term-construction rounding ~ eps * sum|t_k|
-        noise = 1e-16 * max_abs * 50
-        if noise > 0.05 * t.rel_tol * (1 + abs(value)):
-            import mpmath
 
-            dps = int(math.log10(max(max_abs, 1.0)) + 30)
-            with mpmath.workdps(dps):
-                value_mp, _ = _jackson_eq_sum(
-                    mpmath.mpf(z), mpmath.mpf(q), Truncation(rel_tol=10.0**(10 - dps), max_terms=t.max_terms)
-                )
-            return float(value_mp)
-    return value
+    def _sum(zz, qq):
+        qn = 1 + zz * 0  # q^n
 
+        def step(n, term):
+            nonlocal qn
+            term = term * qn * zz / (1 - qn * qq)
+            qn = qn * qq
+            return term
 
-def _jackson_eq_sum(z, q, t: Truncation):
-    acc = NeumaierSum(z * 0.0)
-    term = 1 + z * 0
-    qn = 1 + z * 0  # q^n
-    run = 0
-    for n in range(t.max_terms):
-        acc.add(term)
-        term = term * qn * z / (1 - qn * q)
-        qn = qn * q
-        if abs(term) <= t.rel_tol * abs(acc.value) + 1e-300:
-            run += 1
-            if run >= t.small_run:
-                acc.add(term)
-                return acc.value, acc.max_abs_term
-        else:
-            run = 0
-    raise NonConvergenceError(f"E_q series did not converge within {t.max_terms} terms")
+        return _series_sum(step, 1 + zz * 0, None, t)
+
+    return _escalated(_sum, (z, q), t.rel_tol)

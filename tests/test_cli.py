@@ -411,6 +411,23 @@ class TestCommands:
                 1.0, abs(methods["series"])
             )
 
+    def test_table_deep_series_rows(self, tmp_path):
+        # at q = 0.3 the deep series rows cancel past double precision
+        # (from degree 18 at x = aq), and from degree 35 their float terms
+        # overflow; each must still agree with its recurrence row
+        out = tmp_path / "r.json"
+        res = run_cli("table", "--q", "0.3", "--index-max", "40", "--out", str(out), "--no-timestamp")
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(out.read_text())["table"]
+        by_key = {}
+        for r in rows:
+            if r["family"] == "big-q-laguerre":
+                by_key.setdefault((r["n"], r["m_or_x"]), {})[r["method"]] = r["value"]
+        assert len(by_key) == 6 * 41
+        for key, methods in by_key.items():
+            rec = methods["recurrence"]
+            assert abs(methods["series"] - rec) <= 1e-8 * (1 + abs(rec)), (key, methods)
+
     def test_limit_rate_records(self, tmp_path):
         out = tmp_path / "r.json"
         res = run_cli("limit", "--index-max", "3", "--out", str(out), "--no-timestamp")

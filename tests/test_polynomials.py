@@ -14,10 +14,9 @@ import random
 import mpmath
 import pytest
 
-from qortho.qseries import DomainError, NeumaierSum, QParams, Truncation, q_pochhammer, q_pochhammer_inf
+from qortho.qseries import DomainError, NeumaierSum, QParams, Truncation, _escalated, q_pochhammer, q_pochhammer_inf
 from qortho.polynomials import (
     _bigql_series_sum,
-    _escalated,
     _generating_closed_complex,
     Family,
     Method,
@@ -87,6 +86,24 @@ class TestBigQLaguerreSeries:
         with mpmath.workdps(40):
             got = big_q_laguerre(3, mpmath.mpf("0.2"), P1, T)
         assert float(got) == pytest.approx(P3_AT_02, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_deep_cancellation(self, n):
+        # at q = 0.3 the terms reach 1e227 (n = 30) and 1e407 (n = 40), past
+        # the float range, while the sums are tiny: the float pass overflows
+        # or cancels completely, and the mpmath passes must resolve the sum
+        p = QParams(q=0.3, a=0.5, b=-0.7)
+        for x in (0.5, p.a * p.q, p.b * p.q**3):
+            with mpmath.workdps(900):
+                xm, a, b, q = map(mpmath.mpf, (x, p.a, p.b, p.q))
+                term = total = mpmath.mpf(1)
+                for k in range(n):
+                    term *= (1 - q ** (k - n)) * (1 - xm * q**k) * q
+                    term /= (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1))
+                    total += term
+            want = float(total)
+            got = big_q_laguerre(n, x, p, T)
+            assert abs(got - want) <= 1e-12 * abs(want), (n, x, got, want)
 
 
 class TestBigQLaguerreRecurrence:

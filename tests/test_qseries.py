@@ -9,7 +9,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qortho.qseries import (
@@ -132,8 +132,15 @@ class TestPhi21:
         val = phi_2_1(q**-1, 0.3, q**-2, q, 0.5, T)
         assert math.isfinite(val)
 
+    def test_max_terms_error(self):
+        with pytest.raises(NonConvergenceError):
+            phi_2_1(0.5, 0.3, 0.25, 0.999, 0.9, Truncation(max_terms=50))
+
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-2, 2), q=st.floats(0.1, 0.9), z=st.floats(-0.8, 0.8))
+    # the alternating sums cancel past double precision at these points
+    @example(a=-1.75, q=0.875, z=-0.75)
+    @example(a=-2.0, q=0.9, z=-0.8)
     def test_q_binomial_theorem(self, a, q, z):
         # sum_k (a;q)_k / (q;q)_k z^k = (az;q)_inf / (z;q)_inf for |z| < 1
         lhs = phi_2_1(a, 0.0, 0.0, q, z, T)
@@ -184,6 +191,22 @@ class TestJacksonEq:
             e = jackson_Eq(z, q, T)
             p = q_pochhammer_inf(-z, q, T)
             assert abs(e - p) <= 1e-11 * (1 + abs(e))
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_relative_accuracy_near_zeros(self, q):
+        # near z = -q^-j the sum cancels to a small value, which must keep
+        # its relative accuracy, not only an absolute one
+        for j in range(1, 6):
+            for eps in (1e-3, -1e-3, 1e-6, -1e-6):
+                z = -(q**-j) * (1 + eps)
+                with mpmath.workdps(60):
+                    want = mpmath.qp(-mpmath.mpf(z), mpmath.mpf(q))
+                got = jackson_Eq(z, q, T)
+                assert abs(got - want) <= 1e-12 * abs(want), (j, eps)
+
+    def test_max_terms_error(self):
+        with pytest.raises(NonConvergenceError):
+            jackson_Eq(0.5, 0.999, Truncation(max_terms=50))
 
 
 class TestQParams:
