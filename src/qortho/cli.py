@@ -9,21 +9,20 @@ limit       classical q -> 1 sweeps with fitted convergence rates
 report-all  verify-all + spectrum + limit in one report
 
 Exit codes: 0 all checks passed, 1 any failure, 2 inconclusive results
-only, 64 usage error.  Identical configurations produce byte-identical
-output; the timestamp header is suppressed with --no-timestamp.
+only, 64 usage error, 70 a sum that could not be computed (no verdict).
+Identical configurations produce byte-identical output; the timestamp
+header is suppressed with --no-timestamp.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 
-from qortho.qseries import DomainError, QParams, Truncation
+from qortho.qseries import DomainError, QParams, QSeriesError, Truncation
 from qortho.operators import (
     build_A,
     eig_tridiagonal,
@@ -66,12 +65,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 EXTENDED_DPS = 50
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Echoed verbatim into every report."""
 
     command: str
@@ -372,6 +371,8 @@ def _emit(cfg: RunConfig, records: list, table_rows: Optional[list] = None) -> i
     else:
         payload = {"schema_version": "1"}
         if not cfg.no_timestamp:
+            from datetime import datetime, timezone
+
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
         payload["config"] = cfg.as_dict()
         if table_rows is not None:
@@ -426,6 +427,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"qortho: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QSeriesError as exc:
+        # a sum that could not be computed is no verdict on the identity
+        print(f"qortho: error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     raise AssertionError(f"unhandled command {cfg.command}")
 
 

@@ -14,11 +14,11 @@ xi_lam(x) = (1-x)^(-2l) exp((lam-1) x / (1-x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import mpmath
 
-from qortho.qseries import DomainError, QParams
+from qortho.qseries import DomainError, QParams, _Validated
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.orthogonality import VerificationReport
 
@@ -42,26 +42,29 @@ def geometric_q_sequence(k_min: int = 2, k_max: int = 10) -> tuple:
     return tuple(1.0 - 2.0**-k for k in range(k_min, k_max + 1))
 
 
-@dataclass(frozen=True)
-class LimitSweep:
+class _LimitSweepFields(NamedTuple):
+    alpha: float
+    beta: float
+    lam: float
+    x: float
+    q_sequence: tuple
+
+
+class LimitSweep(_Validated, _LimitSweepFields):
     """One classical-limit study: fixed (alpha, beta, lam, x) and the
     q values marching toward 1 with a(q) = q^alpha, b(q) = q^beta/(q-1)."""
 
-    alpha: float
-    beta: float
-    lam: float = 0.25
-    x: float = 0.2
-    q_sequence: tuple = field(default_factory=geometric_q_sequence)
+    __slots__ = ()
 
-    def __post_init__(self):
-        qs = tuple(self.q_sequence)
+    def __new__(cls, alpha, beta, lam=0.25, x=0.2, q_sequence=geometric_q_sequence()):
+        qs = tuple(q_sequence)
         if not qs:
             raise DomainError("q_sequence must be nonempty")
         if any(not (0 < q < 1) for q in qs):
             raise DomainError("q_sequence values must lie strictly in (0, 1)")
         if any(q2 <= q1 for q1, q2 in zip(qs, qs[1:])):
             raise DomainError("q_sequence must be strictly increasing")
-        object.__setattr__(self, "q_sequence", qs)
+        return super().__new__(cls, alpha, beta, lam, x, qs)
 
     def a_of(self, q: float) -> float:
         return q**self.alpha

@@ -17,8 +17,8 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import mpmath
 
@@ -27,6 +27,7 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
+    _Validated,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -64,23 +65,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Tridiagonal matrix as tuples of floats; symmetric when lower and
-    upper share storage."""
-
+class _TridiagonalFields(NamedTuple):
     dim: int
     diag: tuple
     lower: tuple  # lower[i] couples column i to row i+1
     upper: tuple  # upper[i] couples column i+1 to row i
 
-    def __post_init__(self):
-        if self.dim < 1:
+
+class Tridiagonal(_Validated, _TridiagonalFields):
+    """Tridiagonal matrix as tuples of floats; symmetric when lower and
+    upper share storage."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim, diag, lower, upper):
+        if dim < 1:
             raise DomainError("dim must be a positive integer")
-        if len(self.diag) != self.dim or len(self.lower) != self.dim - 1 or len(self.upper) != self.dim - 1:
+        if len(diag) != dim or len(lower) != dim - 1 or len(upper) != dim - 1:
             raise DomainError("inconsistent tridiagonal band lengths")
-        if not all(map(math.isfinite, itertools.chain(self.diag, self.lower, self.upper))):
+        if not all(map(math.isfinite, itertools.chain(diag, lower, upper))):
             raise DomainError("tridiagonal entries must be finite")
+        return super().__new__(cls, dim, diag, lower, upper)
 
     @classmethod
     def symmetric(cls, diag, offdiag):
@@ -121,8 +126,7 @@ class Tridiagonal:
         return out
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(NamedTuple):
     """Expansion coefficients of a representation-space element in the
     orthonormal basis f_n; lam is the eigenvalue it represents."""
 
@@ -131,8 +135,7 @@ class CoefficientVector:
     normalizable: bool = True
 
 
-@dataclass(frozen=True)
-class SpectralPoints:
+class SpectralPoints(NamedTuple):
     """The two geometric eigenvalue branches a q^(n+1) and b q^(n+1)."""
 
     upper: tuple
@@ -152,8 +155,7 @@ class XiBasis(Enum):
 # generator matrices and operator assembly
 
 
-@dataclass(frozen=True)
-class GeneratorMatrices:
+class GeneratorMatrices(NamedTuple):
     """Raising/lowering/diagonal generator data truncated to dim rows."""
 
     dim: int

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -77,8 +76,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Structured record of one identity check.
 
     For certified reports: passed <=> residual <= tolerance * (1 +
@@ -372,7 +370,7 @@ def _verify_sears(p: QParams, t: Truncation, tolerance: float, store: _Store, K:
     note = f"basic-series form agrees to {cross:.3e}"
     rep = _finalize("sears", p, (0, 0), lhs, rhs, used, tail, tolerance, note)
     if cross > 1e-11 * (1.0 + abs(lhs)) and rep.status == "pass":
-        rep = replace(rep, status="fail", passed=False, note=note + " (cross-check failed)")
+        rep = rep._replace(status="fail", passed=False, note=note + " (cross-check failed)")
     return rep
 
 

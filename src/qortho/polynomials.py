@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -576,8 +575,7 @@ class Method(str, Enum):
     GENERATING = "generating"
 
 
-@dataclass(frozen=True)
-class PolyEval:
+class PolyEval(NamedTuple):
     """One polynomial evaluation request: family, degree, argument,
     parameters and the evaluation route to use."""
 

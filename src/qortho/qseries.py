@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
@@ -104,8 +104,24 @@ class NeumaierSum:
         return self._s + self._c
 
 
-@dataclass(frozen=True)
-class Truncation:
+class _Validated:
+    """Mixin for a named tuple whose ``__new__`` checks its fields: ``_make``,
+    and with it ``_replace``, builds through that check as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _TruncationFields(NamedTuple):
+    rel_tol: float
+    max_terms: int
+    small_run: int
+
+
+class Truncation(_Validated, _TruncationFields):
     """Series/product truncation policy.
 
     Stopping requires ``small_run`` consecutive negligible terms; running
@@ -113,21 +129,25 @@ class Truncation:
     silently truncating.
     """
 
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-    small_run: int = 10
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rel_tol > 0:
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10000, small_run: int = 10):
+        if not rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
-        if self.small_run < 1:
+        if small_run < 1:
             raise DomainError("small_run must be a positive integer")
+        return super().__new__(cls, rel_tol, max_terms, small_run)
 
 
-@dataclass(frozen=True)
-class QParams:
+class _QParamsFields(NamedTuple):
+    q: float
+    a: float
+    b: float
+
+
+class QParams(_Validated, _QParamsFields):
     """Parameter triple (q, a, b) with 0 < q < 1, 0 < a < 1/q, b < 0.
 
     The lowest weight l is derived from a = q^(2l-1).  The derived
@@ -135,19 +155,18 @@ class QParams:
     realization are exposed read-only.
     """
 
-    q: float
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.q < 1):
+    def __new__(cls, q, a, b):
+        if not (0 < q < 1):
             raise DomainError("q must lie strictly in (0, 1)")
-        if not (0 < self.a):
+        if not (0 < a):
             raise DomainError("a must be positive")
-        if not (self.a * self.q < 1):
+        if not (a * q < 1):
             raise DomainError("a must be smaller than 1/q")
-        if not (self.b < 0):
+        if not (b < 0):
             raise DomainError("b must be negative")
+        return super().__new__(cls, q, a, b)
 
     @classmethod
     def from_l(cls, q, l, b):

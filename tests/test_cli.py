@@ -82,6 +82,18 @@ class TestExitCodes:
         assert len(fails) == 20
         assert all(r["identity_id"] == "spectrum-match" and r["tail_estimate"] < 1e-13 for r in fails)
 
+    def test_computation_error_exit_seventy(self):
+        # inside the domain, yet a bilinear term overflows: a sum that could
+        # not be computed is no verdict, so it must not exit 1 ("a check
+        # failed") with a traceback
+        res = run_cli(
+            "verify", "--identity", "big-laguerre", "--q", "0.99", "--a", "1.0", "--b", "-0.001", "--index-max", "0"
+        )
+        assert res.returncode == 70
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
+
     def test_full_sweep_exit_zero(self, tmp_path):
         out = tmp_path / "r.json"
         res = run_cli(
@@ -284,6 +296,14 @@ class TestStartup:
         # the truncated matrix and its eigensolver work on Python floats,
         # so no command pays numpy's import at cold start
         seen = self.loaded_after_each_command("numpy", tmp_path)
+        assert len(seen) == 8 and not any(seen.values()), seen
+
+    @pytest.mark.parametrize("module", ["dataclasses", "inspect", "datetime"])
+    def test_no_command_loads_dataclasses_inspect_or_datetime(self, module, tmp_path):
+        # the value types are named tuples, so no import pays for
+        # dataclasses and the inspect, ast and dis modules it pulls in;
+        # datetime is imported only to write a timestamp
+        seen = self.loaded_after_each_command(module, tmp_path)
         assert len(seen) == 8 and not any(seen.values()), seen
 
     def test_array_api_runs_without_numpy(self):
