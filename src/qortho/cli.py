@@ -17,6 +17,7 @@ header is suppressed with --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import NamedTuple, Optional
 
@@ -24,15 +25,15 @@ import mpmath
 
 from qortho.qseries import DomainError, QParams, QSeriesError, Truncation
 from qortho.operators import (
+    _normalization_entries,
     build_A,
     eig_tridiagonal,
     eig_tridiagonal_accuracy,
-    normalization_c,
-    normalization_cprime,
     spectrum_points,
     truncation_residuals,
 )
 from qortho.polynomials import (
+    _working_dps,
     big_q_laguerre,
     big_q_laguerre_recurrence,
     q_meixner,
@@ -324,25 +325,21 @@ def _table_rows(cfg: RunConfig) -> list:
                     "method": "spectral",
                 }
             )
-    for n in range(cfg.index_max + 1):
-        rows.append(
-            {
-                "family": "c",
-                "n": n,
-                "m_or_x": n,
-                "value": float(normalization_c(n, p, t)),
-                "method": "closed-form",
-            }
-        )
-        rows.append(
-            {
-                "family": "c-prime",
-                "n": n,
-                "m_or_x": n,
-                "value": float(normalization_cprime(n, p, t)),
-                "method": "closed-form",
-            }
-        )
+    # c_n and c'_n, n <= index_max: normalization_c(n) and
+    # normalization_cprime(n) are entry n of these running products
+    dps = _working_dps(p)
+    norms = {branch: itertools.islice(_normalization_entries(p, branch, t, dps), cfg.index_max + 1) for branch in "ab"}
+    for n, (c, cprime) in enumerate(zip(norms["a"], norms["b"])):
+        for family, value in (("c", c), ("c-prime", cprime)):
+            rows.append(
+                {
+                    "family": family,
+                    "n": n,
+                    "m_or_x": n,
+                    "value": float(value),
+                    "method": "closed-form",
+                }
+            )
     return rows
 
 

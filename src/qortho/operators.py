@@ -14,6 +14,7 @@ and its eigenvector coefficients are weighted big q-Laguerre values.
 from __future__ import annotations
 
 import bisect
+import decimal
 import functools
 import itertools
 import math
@@ -32,13 +33,16 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _WORKING_DPS,
+    _duality_entries,
+    _from_decimal,
     _recurrence_d,
+    _to_decimal,
     _working_coefficients,
+    _working_context,
     _working_dps,
     big_q_laguerre_recurrence,
     match_spectral_point,
     q_meixner,
-    spectral_sequence,
 )
 
 __all__ = [
@@ -309,44 +313,47 @@ def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
 
 def _pref_a_ratio(qm, q, a, b):
     """pref_{m+1}/pref_m for (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2),
-    with qm = q^(m+1)."""
-    return mpmath.sqrt((1 - a * qm) * (1 - b * qm) / (-a * b * q * qm * (1 - qm)))
+    with qm = q^(m+1); Decimals, in the caller's working context."""
+    return ((1 - a * qm) * (1 - b * qm) / (-a * b * q * qm * (1 - qm))).sqrt()
 
 
 def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     """pref_0..pref_m_max as the sequential product of consecutive ratios
-    pref_{m+1}/pref_m, so no factor over- or underflows; n-independent,
-    so one list serves every spectral point of a parameter set, and its
-    first m+1 entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
+    pref_{m+1}/pref_m, so no factor over- or underflows, in Decimals at
+    _WORKING_DPS working digits; n-independent, so one list serves every
+    spectral point of a parameter set, and its first m+1 entries equal
+    `_prefactors(p, m, ratio_fn)` bit for bit."""
     return list(itertools.islice(_prefactor_entries(p, _WORKING_DPS, ratio_fn), m_max + 1))
 
 
 def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio, start=1, branch: str = "a"):
-    """start pref_0, start pref_1, ... of `_prefactors` without end, one per
-    next(), at dps digits: the running product of ratio_fn(q^(m+1), q,
-    first, second), with q^(m+1) carried from step to step and (first,
-    second) = (a, b), or (b, a) for branch "b".  A caller that keeps the
-    iterator extends its list from where it stopped."""
-    with mpmath.workdps(dps):
-        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        first, second = (a, b) if branch == "a" else (b, a)
-        pref, qm = mpmath.mpf(start), q
+    """start pref_0, start pref_1, ... of `_prefactors` without end, one
+    Decimal per next(), in the working context of dps digits: the running
+    product of ratio_fn(q^(m+1), q, first, second), with q^(m+1) carried
+    from step to step and (first, second) = (a, b), or (b, a) for branch
+    "b".  start, an int, float or mpf, enters exactly and is rounded to
+    the context, like every later entry.  A caller that keeps the iterator
+    extends its list from where it stopped."""
+    context = _working_context(dps)
+    q, a, b = map(_to_decimal, p)
+    first, second = (a, b) if branch == "a" else (b, a)
+    pref, qm = context.plus(_to_decimal(start)), q
     while True:
         yield pref
-        with mpmath.workdps(dps):
+        with decimal.localcontext(context):
             pref *= ratio_fn(qm, q, first, second)
             qm *= q
 
 
-def _spectral_coeff_mpf(p: QParams, branch: str, j: int, m_max: int, prefs: list):
+def _spectral_coeffs(p: QParams, branch: str, j: int, m_max: int, prefs: list) -> list:
     """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
-    exact-exponent mpmath floats, from the duality closed form
-    `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
+    Decimals at _WORKING_DPS working digits, from the duality closed form
+    of `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
     M >= m_max, and its ratio_fn picks the family (the eigencoefficients
     a_m, or psi_m or phi_m)."""
-    seq = spectral_sequence(p, branch, j, m_max)
-    with mpmath.workdps(_WORKING_DPS):
-        return [pref * v for pref, v in zip(prefs, seq)]
+    seq = _duality_entries(p, branch, j, _WORKING_DPS)
+    with decimal.localcontext(_working_context(_WORKING_DPS)):
+        return [pref * v for pref, v in zip(prefs[: m_max + 1], seq)]
 
 
 def _log10_prefactors(p: QParams, m_max: int) -> list:
@@ -364,7 +371,7 @@ def _log10_prefactors(p: QParams, m_max: int) -> list:
     return list(itertools.accumulate(steps, initial=0.0))
 
 
-def _mpf_to_floats(values, what: str) -> tuple:
+def _to_floats(values, what: str) -> tuple:
     out = tuple(map(float, values))
     for i, f in enumerate(out):
         if math.isinf(f):
@@ -374,10 +381,10 @@ def _mpf_to_floats(values, what: str) -> tuple:
 
 def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
-    j >= m_max, as mpmath floats, from the forward three-term recurrence at
-    the precision of the recurrence table; prefs is pref_0..pref_m_max at
-    that precision and recurrence a `_working_coefficients` table of p,
-    each built here at _WORKING_DPS digits when not given.
+    j >= m_max, as Decimals, from the forward three-term recurrence in the
+    decimal context of the recurrence table; prefs is pref_0..pref_m_max
+    in that context and recurrence a `_working_coefficients` table of p,
+    each built here at _WORKING_DPS working digits when not given.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
@@ -390,7 +397,7 @@ def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recur
         prefs = _prefactors(p, m_max)
     if recurrence is None:
         recurrence = _working_coefficients(p, _WORKING_DPS)
-    with mpmath.workprec(recurrence.prec):
+    with decimal.localcontext(recurrence.context):
         pw = recurrence.p
         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
         seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
@@ -409,8 +416,8 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
     """
     hit = match_spectral_point(lam, p)
     if hit is not None:
-        vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
-        coeffs = _mpf_to_floats(vals, "eigencoefficients")
+        vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
+        coeffs = _to_floats(vals, "eigencoefficients")
         return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
 
     # generic lam: polynomial route with the prefactor held in log space
@@ -545,24 +552,30 @@ def _root(radicand):
 
 
 def _c_ratio(qm, q, first, second):
-    """c_{n+1}/c_n with qm = q^(n+1)."""
-    return mpmath.sqrt(q * (1 - first * qm) / ((1 - first * qm / second) * (1 - qm)))
+    """c_{n+1}/c_n with qm = q^(n+1); Decimals, in the caller's working context."""
+    return (q * (1 - first * qm) / ((1 - first * qm / second) * (1 - qm))).sqrt()
 
 
 def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
     """c_0, c_1, ... (branch "a") or c'_0, c'_1, ... (branch "b") without
-    end, one per next(), at dps digits.  With (first, second) = (a, b), or
-    (b, a) for c'_n, the big q-Laguerre Jackson weight gives (Koekoek,
-    Lesky and Swarttouw, Hypergeometric Orthogonal Polynomials and Their
-    q-Analogues, 14.11)
+    end, one Decimal per next(), in the working context of dps digits.
+    With (first, second) = (a, b), or (b, a) for c'_n, the big q-Laguerre
+    Jackson weight gives (Koekoek, Lesky and Swarttouw, Hypergeometric
+    Orthogonal Polynomials and Their q-Analogues, 14.11)
 
         c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n),
         c_0^2 = (second q; q)_inf / (second/first; q)_inf.
 
-    c_0, common to the branch, is formed in p's own scalars; the ratios
-    c_{n+1}/c_n multiply on at dps digits."""
+    c_0, common to the branch, is formed in p's own scalars; a product
+    there that is not finite is a limit of those scalars, not of the
+    domain, and raises NonConvergenceError.  The ratios c_{n+1}/c_n
+    multiply on in the working context."""
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
-    c0 = _root(q_pochhammer_inf(second * p.q, p.q, t) / q_pochhammer_inf(second / first, p.q, t))
+    products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
+    if not all(map(mpmath.isfinite, products)):
+        name = "c_0" if branch == "a" else "c'_0"
+        raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
+    c0 = _root(products[0] / products[1])
     yield from _prefactor_entries(p, dps, _c_ratio, c0, branch)
 
 
@@ -570,8 +583,9 @@ def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
     """c_n or c'_n of `_normalization_entries`, in p's own scalars."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    c = next(itertools.islice(_normalization_entries(p, branch, t, _working_dps(p)), n, None))
-    return +c if isinstance(p.q, mpmath.mpf) else float(c)
+    dps = _working_dps(p)
+    c = next(itertools.islice(_normalization_entries(p, branch, t, dps), n, None))
+    return _from_decimal(c, isinstance(p.q, mpmath.mpf), dps)
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +763,15 @@ def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = F
 
 
 def _pref_psi_ratio(qm, q, a, b):
-    """Ratio for (-ab)^(-m/2) q^(-m) ((aq;q)_m/(q;q)_m)^(1/2), with qm = q^(m+1)."""
-    return mpmath.sqrt((1 - a * qm) / (-a * b * (1 - qm))) / q
+    """Ratio for (-ab)^(-m/2) q^(-m) ((aq;q)_m/(q;q)_m)^(1/2), with qm = q^(m+1);
+    Decimals, in the caller's working context."""
+    return ((1 - a * qm) / (-a * b * (1 - qm))).sqrt() / q
 
 
 def _pref_phi_ratio(qm, q, a, b):
     """Ratio for (-ab)^(-m/2) q^(-m(m+1)/2) ((aq;q)_m/(q;q)_m)^(1/2) (bq;q)_m,
-    with qm = q^(m+1)."""
-    return mpmath.sqrt((1 - a * qm) / (-a * b * (1 - qm))) * (1 - b * qm) / qm
+    with qm = q^(m+1); Decimals, in the caller's working context."""
+    return ((1 - a * qm) / (-a * b * (1 - qm))).sqrt() * (1 - b * qm) / qm
 
 
 def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
@@ -768,15 +783,15 @@ def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
     phi_k grows with k at deep spectral points; exceeding float range
     raises OverflowError.  psi_k(lam) phi_k(lam') = a_k(lam) a_k(lam')
     term for term, so the biorthogonality engine sums products of the
-    eigencoefficients a_k formed in mpmath instead and has no such limit.
+    eigencoefficients a_k formed in Decimals instead and has no such limit.
     """
     hit = match_spectral_point(lam, p)
     if hit is None:
         raise DomainError("psi/phi coefficients are defined at spectral points")
-    psi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
-    phi_vals = _spectral_coeff_mpf(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
-    psi = _mpf_to_floats(psi_vals, "psi coefficients")
-    phi = _mpf_to_floats(phi_vals, "phi coefficients")
+    psi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
+    phi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
+    psi = _to_floats(psi_vals, "psi coefficients")
+    phi = _to_floats(phi_vals, "phi coefficients")
     return (
         CoefficientVector(coeffs=psi, lam=lam, normalizable=True),
         CoefficientVector(coeffs=phi, lam=lam, normalizable=True),

@@ -15,17 +15,23 @@ big-laguerre and sears scaled by Kc / (pref_i pref_j), since w_n P_i P_j
 is that multiple of the unitarity-rows term.  The sums over the basis
 index m read one verify task's label table: the eigencoefficients
 a_m(lam) of each label, from the q-Meixner duality closed form, whose
-weight factors balance within each product.  Entries, and the
-normalization constants c_n they carry, are mpmath floats at the store's
-precision (30 digits, or the working precision of mpmath scalars); their
-float copies drive the stopping rule, and the products used are added
-exactly and rounded once.  By the duality the q-Meixner
-sums are label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero
-dual-fg, term for term).
+weight factors balance within each product.  By the duality the
+q-Meixner sums are label sums too (meixner dual-ff, meixner-negb dual-gg,
+eq-zero dual-fg, term for term).
+
+Entries, and the normalization constants c_n they carry, are Decimals,
+correctly rounded at P = dps + 2 digits in the store's decimal context,
+where dps is the store's precision (30 digits, or the working precision
+of mpmath scalars); their float copies drive the stopping rule, and the
+products used are added exactly and rounded once.  Values cross into
+Decimal exactly (a float, or an mpf through its mantissa and exponent)
+and leave once, as each sum's value: a float for float parameters, an
+mpf at dps digits, read from the Decimal's digits, for mpmath ones.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from enum import Enum
@@ -45,7 +51,11 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _duality_entries,
+    _exact_dot,
+    _from_decimal,
+    _to_decimal,
     _working_coefficients,
+    _working_context,
     _working_dps,
 )
 from qortho.operators import (
@@ -183,15 +193,16 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
     return acc.value, m + 1, tail
 
 
-def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, dps: int):
+def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, context):
     """Certified sum over k of scale u_k v_k, the value of every identity
-    sum: (mpf value, terms used, tail estimate).
+    sum: (Decimal value, terms used, tail estimate).
 
-    u(k) and v(k) are the k-th entries as (mpf, float copy) pairs, read in
-    order of k.  The products of the float copies drive only the stopping
-    rule and the tail bound of `_certified_sum`, and a product that
-    overflows is formed from the mpf entries; the value is scale times the
-    exact sum of the products used, rounded once at dps digits (Higham,
+    u(k) and v(k) are the k-th entries as (Decimal, float copy) pairs, read
+    in order of k.  The products of the float copies drive only the
+    stopping rule and the tail bound of `_certified_sum`, and a product
+    that overflows is formed from the Decimal entries.  The value is scale
+    (an int or a Decimal) times the sum of the products used, every product
+    and the sum exact, rounded once in the decimal context given (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so
     cancellation among terms of size 1e9 leaves no float noise."""
     xs: list = []
@@ -205,15 +216,13 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
         ys.append(y)
         f = fx * fy * fscale
         if not math.isfinite(f):
-            with mpmath.workdps(dps):
-                f = float(scale * x * y)
+            f = float(context.multiply(context.multiply(scale, x), y))
             if math.isinf(f):
                 raise NonConvergenceError("bilinear term overflow")
         return f
 
     _, used, tail = _certified_sum(term, t, hard_cap)
-    with mpmath.workdps(dps):
-        return scale * mpmath.fdot(xs, ys), used, tail
+    return context.multiply(scale, _exact_dot(xs, ys)), used, tail
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +301,7 @@ def _two_branch_sum(store: _Store, K: int, i: int, j: int, t: Truncation, scale)
     """The pair sum of the a-branch row table of the indices 0..K plus
     that of the b-branch one, both times scale: (value, terms, tail)."""
     (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (table.pair_sum(i, j, t, scale) for table in store.rows(K))
-    with mpmath.workdps(store.dps):
-        return store.value(sum_a + sum_b), used_a + used_b, tail_a + tail_b
+    return store.value(store.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
 
 
 def verify_big_laguerre_orthogonality(
@@ -315,8 +323,8 @@ def _big_laguerre_sum(m: int, m2: int, t: Truncation, store: _Store, K: int):
     c_n^2 a_m a_m2 = (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is
     in c'_n^2), scaled back."""
     prefs = store.labels.prefs.upto(K)
-    with mpmath.workdps(store.dps):
-        scale = store.kc / (prefs[m] * prefs[m2])
+    with decimal.localcontext(store.context):
+        scale = _to_decimal(store.kc) / (prefs[m] * prefs[m2])
     return _two_branch_sum(store, K, m, m2, t, scale)
 
 
@@ -409,18 +417,18 @@ class _LabelTable:
     A label's entries are computed one at a time, as a sum or a row first
     reads them, from an iterator of its duality entries P_m(lam) and the
     one prefactor list; no entry depends on how far a sum reads, so each
-    is computed once.  Entries are (mpf, float copy) pairs at the store's
-    precision: for float parameters they have the bits `_prefactors` and
-    `spectral_sequence` give."""
+    is computed once.  Entries are (Decimal, float copy) pairs, each
+    product pref_m P_m(lam) rounded once in the store's decimal context."""
 
     def __init__(self, store: _Store):
-        self.p, self.dps, self._value, self._c = store.p, store.dps, store.value, store.c
+        self.p, self.dps, self.context = store.p, store.dps, store.context
+        self._value, self._c = store.value, store.c
         self.prefs = _LazyList(_prefactor_entries(self.p, self.dps))
         self._coeffs: dict = {}
         self._sums: dict = {}
 
     def entry(self, label: int, m: int) -> tuple:
-        """a_m(lam) of the label as an (mpf, float copy) pair."""
+        """a_m(lam) of the label as a (Decimal, float copy) pair."""
         entries = self._coeffs.get(label)
         if entries is None:
             entries = self._coeffs[label] = _LazyList(self._entries(label))
@@ -428,9 +436,9 @@ class _LabelTable:
         return entries[m] if m < len(entries) else entries.upto(m)[m]
 
     def _entries(self, label: int):
+        multiply = self.context.multiply
         for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label), self.dps)):
-            with mpmath.workdps(self.dps):
-                x = self.prefs.upto(k)[k] * v
+            x = multiply(self.prefs.upto(k)[k], v)
             yield x, float(x)
 
     def c(self, label: int):
@@ -450,7 +458,7 @@ class _LabelTable:
         return self._sums[key]
 
     def _sum(self, i: int, j: int, t: Truncation):
-        value, used, tail = _bilinear_sum(lambda m: self.entry(i, m), lambda m: self.entry(j, m), t, _M_CAP, 1, self.dps)
+        value, used, tail = _bilinear_sum(lambda m: self.entry(i, m), lambda m: self.entry(j, m), t, _M_CAP, 1, self.context)
         return self._value(value), used, tail
 
 
@@ -462,15 +470,20 @@ class _Store:
     table, whose sums unitarity-columns, dual, biortho and the three
     q-Meixner families read.  Each task builds its own, for its p and t.
 
-    Every entry, constant and sum is computed at one precision dps,
-    `_working_dps(p)`; the sums of mpmath parameters stay mpf values.  c_n
-    and c'_n are one list per branch, extended as they are read; only
-    their common factors c_0, c'_0 and Kc are in p's own scalars."""
+    Every entry, constant and sum is a Decimal of the one decimal context
+    `context`, `_working_context(dps)` with dps = `_working_dps(p)`: P =
+    dps + 2 digits, set apart from the caller's decimal and mpmath
+    contexts.  c_n and c'_n are one list per branch, extended as they are
+    read; only their common factors c_0, c'_0 and Kc are in p's own
+    scalars, and enter exactly.  `value` is the one way out: a sum of
+    mpmath parameters leaves as an mpf at dps digits, any other as a
+    float."""
 
     def __init__(self, p: QParams, t: Truncation):
         self.p, self.t = p, t
         self.exact = isinstance(p.q, mpmath.mpf)
         self.dps = _working_dps(p)
+        self.context = _working_context(self.dps)
         self.c = {branch: _LazyList(_normalization_entries(p, branch, t, self.dps)) for branch in "ab"}
         self.recurrence = _working_coefficients(p, self.dps)
         self.labels = _LabelTable(self)
@@ -480,9 +493,9 @@ class _Store:
     def kc(self):
         return _kc(self.p, self.t)
 
-    def value(self, x):
-        """A sum as the verifiers read it: the mpf x, or its float for float parameters."""
-        return x if self.exact else float(x)
+    def value(self, x: decimal.Decimal):
+        """A sum as the verifiers read it: for float parameters the float of x, for mpmath ones an mpf."""
+        return _from_decimal(x, self.exact, self.dps)
 
     def rows(self, K: int) -> tuple:
         """The a-branch and the b-branch row table of the indices 0..K."""
@@ -530,15 +543,15 @@ def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, to
 class _RowTable:
     """Rows of the connection matrix u_mn = c_n a_m(lam_n), m = 0..K, of
     one spectral branch, for the sums sum_n u_in u_jn times a scale.  Row n
-    holds (mpf, float copy) pairs at the store's precision; rows are built
-    on first use, in order of n, and shared by every (i, j) pair with
-    max(i, j) <= K and by every scale.  The degrees m <= n come from a
+    holds (Decimal, float copy) pairs in the store's decimal context; rows
+    are built on first use, in order of n, and shared by every (i, j) pair
+    with max(i, j) <= K and by every scale.  The degrees m <= n come from a
     forward sweep on the store's recurrence table and the label table's
     prefactors, the degrees above from the label table's duality entries
     of lam_n's label, so no entry depends on K; c_n is the store's."""
 
     def __init__(self, branch: str, K: int, store: _Store):
-        self.branch, self.K, self.p, self.dps = branch, K, store.p, store.dps
+        self.branch, self.K, self.p, self.context = branch, K, store.p, store.context
         self._labels, self._recurrence, self._c = store.labels, store.recurrence, store.c[branch]
         self._rows: list = []
 
@@ -554,13 +567,14 @@ class _RowTable:
         label = n if self.branch == "a" else -n - 1
         coeffs += [self._labels.entry(label, m)[0] for m in range(top + 1, self.K + 1)]
         c = self._c.upto(n)[n]
-        with mpmath.workdps(self.dps):
-            return [(y, float(y)) for y in (c * x for x in coeffs)]
+        with decimal.localcontext(self.context):
+            row = [c * x for x in coeffs]
+        return [(y, float(y)) for y in row]
 
     def pair_sum(self, i: int, j: int, t: Truncation, scale):
-        """Certified sum over n of scale u_in u_jn as an mpf; each scale
+        """Certified sum over n of scale u_in u_jn as a Decimal; each scale
         stops at its own terms."""
-        return _bilinear_sum(lambda n: self.entry(n, i), lambda n: self.entry(n, j), t, _N_CAP, scale, self.dps)
+        return _bilinear_sum(lambda n: self.entry(n, i), lambda n: self.entry(n, j), t, _N_CAP, scale, self.context)
 
 
 def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):

@@ -19,9 +19,11 @@ Evaluation routes:
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -64,12 +66,76 @@ __all__ = [
 SPECTRAL_MATCH_RTOL = 1e-10
 # working precision of the duality sequences and the coefficient tables
 _WORKING_DPS = 30
+# digits the Decimal kernels carry beyond the working precision: at 30 digits
+# their unit roundoff, 5e-32, is below that of a 30-digit mpf, 2^-103 = 9.9e-32
+_GUARD_DIGITS = 2
+
+
+def _context(prec: int, *traps) -> decimal.Context:
+    """A decimal context of prec digits, set in every field, so nothing of
+    `decimal.DefaultContext` reaches it: round half even, an exponent
+    range no entry leaves, and InvalidOperation, DivisionByZero, Overflow
+    and the given signals trapped."""
+    return decimal.Context(
+        prec=prec,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, *traps],
+    )
+
+
+# exact products and sums of Decimals: a result that would need rounding
+# raises Inexact.  Division never runs here, since a quotient is rarely exact
+_EXACT = _context(decimal.MAX_PREC, decimal.Inexact)
 
 
 def _working_dps(p: QParams) -> int:
     """Digits of the entries and constants of p's sums: _WORKING_DPS for
-    float p, the caller's precision, never below that, for mpmath p."""
+    float p, the caller's precision, never below that, for mpmath p.  The
+    Decimal kernels that form them run in `_working_context` of these
+    digits, at _GUARD_DIGITS more."""
     return max(mpmath.mp.dps, _WORKING_DPS) if isinstance(p.q, mpmath.mpf) else _WORKING_DPS
+
+
+@functools.lru_cache(maxsize=None)
+def _working_context(dps: int) -> decimal.Context:
+    """The decimal context of the kernels of dps working digits: correctly
+    rounded arithmetic at dps + _GUARD_DIGITS digits.  Every kernel runs
+    its arithmetic in a `decimal.localcontext` of it, or through its
+    methods, never in the thread's own context, and leaves that block
+    before each yield, since its generators resume from any caller."""
+    return _context(dps + _GUARD_DIGITS)
+
+
+def _to_decimal(x) -> decimal.Decimal:
+    """An int, a float or an mpf as the Decimal of the same value, with no
+    rounding: an mpf enters through its mantissa times a power of two."""
+    if isinstance(x, mpmath.mpf):
+        sign, man, exp, _ = x._mpf_
+        digits = man << exp if exp >= 0 else man * 5**-exp
+        return decimal.Decimal(f"{'-' if sign else ''}{digits}E{min(exp, 0)}")
+    return decimal.Decimal(x)
+
+
+def _from_decimal(x: decimal.Decimal, exact: bool, dps: int):
+    """A Decimal as the scalars of a result: its float, or for exact
+    results an mpf at dps digits, read from its digits.  An mpf and a
+    Decimal never meet in one expression: mpmath turns the pair into a
+    float."""
+    if not exact:
+        return float(x)
+    with mpmath.workdps(dps):
+        return mpmath.mpf(str(x))
+
+
+def _exact_dot(xs, ys) -> decimal.Decimal:
+    """sum_k xs[k] ys[k] of Decimals, every product and sum exact."""
+    with decimal.localcontext(_EXACT):
+        return sum(map(operator.mul, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +217,20 @@ class _RecurrenceTable:
     one table serves every forward sweep of the set.  Each entry is the
     expression the sweeps formed inline, so reading it changes no bit.
     mpmath entries are built at the precision in effect when the table
-    was made."""
+    was made, Decimal entries in the decimal context given."""
 
-    def __init__(self, p: QParams):
+    def __init__(self, p: QParams, context: Optional[decimal.Context] = None):
         self.p = p
         self.A: list = []
         self.C: list = []
         self.d: list = []
         self.prec = mpmath.mp.prec
+        self.context = context
 
     def upto(self, n: int) -> tuple:
         """The lists (A, C, d), with entries 0..n at least."""
         q, a, b = self.p.q, self.p.a, self.p.b
-        with mpmath.workprec(self.prec):
+        with decimal.localcontext(self.context) if self.context else mpmath.workprec(self.prec):
             for k in range(len(self.A), n + 1):
                 self.A.append((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
                 self.C.append(a * b * q ** (k + 1) * (1 - q**k))
@@ -172,10 +239,12 @@ class _RecurrenceTable:
 
 
 def _working_coefficients(p: QParams, dps: int) -> _RecurrenceTable:
-    """The recurrence table of p rounded to dps digits, the scalars of the
-    forward coefficient rows."""
-    with mpmath.workdps(dps):
-        return _RecurrenceTable(QParams(q=mpmath.mpf(p.q), a=mpmath.mpf(p.a), b=mpmath.mpf(p.b)))
+    """The recurrence table of p in Decimals at the working context of dps
+    digits, the scalars of the forward coefficient rows; its parameters are
+    p's, exactly."""
+    context = _working_context(dps)
+    with decimal.localcontext(context):
+        return _RecurrenceTable(QParams(*map(_to_decimal, p)), context)
 
 
 def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_RecurrenceTable] = None) -> list:
@@ -248,26 +317,29 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("spectral index must be nonnegative")
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    return list(itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m_max + 1))
+    entries = itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m_max + 1)
+    return [_from_decimal(x, True, _WORKING_DPS) for x in entries]
 
 
 def _duality_entries(p: QParams, branch: str, j: int, dps: int):
     """P_0(lam), P_1(lam), ... without end, by the method of
-    `spectral_sequence`, one entry per next() at dps digits; the c_k are
-    built as the growing m first needs them.  A caller that keeps the
-    iterator extends its sequence from where it stopped; at _WORKING_DPS
-    digits it has the bits `spectral_sequence` gives."""
-    with mpmath.workdps(dps):
-        q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-        first, second = (a, b) if branch == "a" else (b, a)
+    `spectral_sequence`, one Decimal per next() in the working context of
+    dps digits; the c_k are built as the growing m first needs them, and
+    each entry is the exact sum of the products c_k (q^-m; q)_k, divided
+    once.  A caller that keeps the iterator extends its sequence from
+    where it stopped."""
+    context = _working_context(dps)
+    q, a, b = map(_to_decimal, p)
+    first, second = (a, b) if branch == "a" else (b, a)
+    with decimal.localcontext(context):
         z = q ** (j + 1) * first / second
-    c = [mpmath.mpf(1)]
-    qm = mpmath.mpf(1)  # q^-m
+    qm = decimal.Decimal(1)  # q^-m
+    c = [qm]
     poch = [qm]  # (q^-m; q)_k, k = 0..min(m, j)
     denom = qm  # (q^-m/second; q)_m
     yield qm
     for m in itertools.count(1):
-        with mpmath.workdps(dps):
+        with decimal.localcontext(context):
             if m <= j:
                 k = m - 1
                 c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
@@ -275,7 +347,7 @@ def _duality_entries(p: QParams, branch: str, j: int, dps: int):
             shift = 1 - qm
             poch = [poch[0]] + [shift * v for v in poch[: min(j, m)]]
             denom *= 1 - qm / second
-            value = mpmath.fdot(c, poch) / denom
+            value = _exact_dot(c, poch) / denom
         yield value
 
 

@@ -8,9 +8,8 @@ insertion order.
 
 from __future__ import annotations
 
-import io
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from qortho.orthogonality import VerificationReport
@@ -141,55 +140,52 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render_value(obj, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
+def _render_value(obj, parts: list, pad: str) -> None:
+    """Append the pieces of obj's canonical JSON to parts; pad is the
+    indentation of the line obj starts on."""
     if obj is None:
-        out.write("null")
+        parts.append("null")
     elif obj is True:
-        out.write("true")
+        parts.append("true")
     elif obj is False:
-        out.write("false")
+        parts.append("false")
     elif isinstance(obj, str):
-        out.write(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, int):
-        out.write(str(obj))
+        parts.append(str(obj))
     elif isinstance(obj, float):
-        out.write(_fmt_float(obj))
+        parts.append(_fmt_float(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.write("{}")
+            parts.append("{}")
             return
-        out.write("{\n")
-        items = list(obj.items())
-        for k, v in items[:-1]:
-            out.write(f'{pad}  {json.dumps(str(k))}: ')
-            _render_value(v, out, indent + 1)
-            out.write(",\n")
-        k, v = items[-1]
-        out.write(f'{pad}  {json.dumps(str(k))}: ')
-        _render_value(v, out, indent + 1)
-        out.write(f"\n{pad}}}")
+        inner, opening = pad + "  ", "{\n"
+        for k, v in obj.items():
+            parts.append(f"{opening}{inner}{_quote(str(k))}: ")
+            _render_value(v, parts, inner)
+            opening = ",\n"
+        parts.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.write("[]")
+            parts.append("[]")
             return
-        out.write("[\n")
-        for v in obj[:-1]:
-            out.write(f"{pad}  ")
-            _render_value(v, out, indent + 1)
-            out.write(",\n")
-        out.write(f"{pad}  ")
-        _render_value(obj[-1], out, indent + 1)
-        out.write(f"\n{pad}]")
+        inner, opening = pad + "  ", "[\n"
+        for v in obj:
+            parts.append(opening + inner)
+            _render_value(v, parts, inner)
+            opening = ",\n"
+        parts.append(f"\n{pad}]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_json(payload: dict) -> str:
-    out = io.StringIO()
-    _render_value(payload, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    """The canonical JSON of payload, rendered in one pass into one list of
+    pieces and joined once."""
+    parts: list = []
+    _render_value(payload, parts, "")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _fmt_csv_float(x: float) -> str:

@@ -83,16 +83,19 @@ class TestExitCodes:
         assert all(r["identity_id"] == "spectrum-match" and r["tail_estimate"] < 1e-13 for r in fails)
 
     def test_computation_error_exit_seventy(self):
-        # inside the domain, yet a bilinear term overflows: a sum that could
-        # not be computed is no verdict, so it must not exit 1 ("a check
-        # failed") with a traceback
-        res = run_cli(
-            "verify", "--identity", "big-laguerre", "--q", "0.99", "--a", "1.0", "--b", "-0.001", "--index-max", "0"
-        )
-        assert res.returncode == 70
-        assert "Traceback" not in res.stderr
-        lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
+        # inside the domain, yet a bilinear term (big-laguerre) or the float
+        # product (a/b; q)_inf = (-1000; 0.99)_inf of c'_0 (unitarity)
+        # overflows: a sum that could not be computed is no verdict, so it
+        # must not exit 1 ("a check failed") with a traceback, nor 64 (a
+        # usage error: "parameter domain violated")
+        for identity in ("big-laguerre", "unitarity"):
+            res = run_cli(
+                "verify", "--identity", identity, "--q", "0.99", "--a", "1.0", "--b", "-0.001", "--index-max", "0"
+            )
+            assert res.returncode == 70, (identity, res.stderr)
+            assert "Traceback" not in res.stderr
+            lines = res.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
 
     def test_full_sweep_exit_zero(self, tmp_path):
         out = tmp_path / "r.json"
@@ -165,6 +168,65 @@ class TestDeterminism:
         pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
         pa.pop("generated_at"), pb.pop("generated_at")
         assert pa == pb
+
+    def test_render_json_literal(self):
+        # every kind of value the canonical renderer writes, to the bytes
+        # `json.dumps` gives keys and strings; non-finite floats as strings
+        from qortho.reporting import render_json
+
+        payload = {
+            "schema_version": "1",
+            "config": {"nested": {"inner": [1, 2.5, "x"]}, "empty_dict": {}, "empty_list": []},
+            "records": [
+                {
+                    "lhs": float("nan"),
+                    "rhs": float("inf"),
+                    "residual": float("-inf"),
+                    "passed": True,
+                    "failed": False,
+                    "tail": None,
+                    "count": 3,
+                    "value": 0.1,
+                    "note": 'a "quoted" note: \u03bb \u2264 1',
+                }
+            ],
+            "pair": (1e-300, -0.0),
+        }
+        assert render_json(payload) == textwrap.dedent(
+            """\
+            {
+              "schema_version": "1",
+              "config": {
+                "nested": {
+                  "inner": [
+                    1,
+                    2.5,
+                    "x"
+                  ]
+                },
+                "empty_dict": {},
+                "empty_list": []
+              },
+              "records": [
+                {
+                  "lhs": "nan",
+                  "rhs": "inf",
+                  "residual": "-inf",
+                  "passed": true,
+                  "failed": false,
+                  "tail": null,
+                  "count": 3,
+                  "value": 0.10000000000000001,
+                  "note": "a \\"quoted\\" note: \\u03bb \\u2264 1"
+                }
+              ],
+              "pair": [
+                1e-300,
+                -0
+              ]
+            }
+            """
+        )
 
     def test_float_17_digits(self, tmp_path):
         out = tmp_path / "r.json"
@@ -239,6 +301,30 @@ class TestProcessHistory:
         for argv in (["verify", "--identity", "all"], ["table"]):
             assert qortho.cli.main(argv + ["--out", str(tmp_path / "r.json"), "--no-timestamp"]) == 0, argv
         assert snapshot() == before
+
+    def test_records_independent_of_caller_contexts(self, capsys):
+        # the kernels run in their own decimal contexts and pass mpmath
+        # parameters' precision only where the parameters are mpmath
+        # scalars: neither the thread's decimal context nor mpmath's
+        # global precision may reach a record of float parameters
+        import decimal
+
+        import mpmath
+
+        import qortho.cli
+
+        def verify():
+            assert qortho.cli.main(["verify", "--identity", "all", "--index-max", "3", "--no-timestamp"]) == 0
+            return capsys.readouterr().out
+
+        clean = verify()
+        with decimal.localcontext():
+            context = decimal.getcontext()
+            context.prec, context.rounding = 5, decimal.ROUND_FLOOR
+            context.clear_traps()
+            assert verify() == clean
+        with mpmath.workdps(60):
+            assert verify() == clean
 
     def test_edge_point_basis_index_families_pass(self):
         # an edge point near q = 1 where the label coefficients a_m at

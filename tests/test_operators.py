@@ -166,19 +166,25 @@ FORWARD_CASES = [
 
 
 def _worst_error(got, want) -> float:
-    scale = max(abs(v) for v in want)
-    return float(max(abs(x - y) for x, y in zip(got, want)) / scale)
+    """Largest |got - want| against max |want|, with Decimal and mpf values
+    read into 60-digit mpfs: the two types never meet in one expression."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        got, want = ([mpmath.mpf(str(v)) for v in values] for values in (got, want))
+        scale = max(abs(v) for v in want)
+        return float(max(abs(x - y) for x, y in zip(got, want)) / scale)
 
 
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
-        from qortho.operators import _a_coeff_logs, _prefactors, _spectral_coeff_mpf
+        from qortho.operators import _a_coeff_logs, _prefactors, _spectral_coeffs
 
         prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 4):
             fwd = _a_coeff_logs(p, branch, n, FWD_K)
-            assert _worst_error(fwd, _spectral_coeff_mpf(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
+            assert _worst_error(fwd, _spectral_coeffs(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_exact_series(self, p, branch):
@@ -187,7 +193,7 @@ class TestForwardCoefficientRoute:
         import mpmath
 
         from qortho.operators import _a_coeff_logs, _prefactors
-        from qortho.polynomials import _WORKING_DPS, _bigql_series_sum
+        from qortho.polynomials import _bigql_series_sum
 
         prefs = _prefactors(p, FWD_K)
         for n in range(FWD_K, FWD_K + 61, 6):
@@ -195,15 +201,14 @@ class TestForwardCoefficientRoute:
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
                 lam = (a if branch == "a" else b) * q ** (n + 1)
                 seq = [_bigql_series_sum(m, lam, a, b, q)[0] for m in range(FWD_K + 1)]
-            with mpmath.workdps(_WORKING_DPS):
-                exact = [pref * v for pref, v in zip(prefs, seq)]
+                exact = [mpmath.mpf(str(pref)) * v for pref, v in zip(prefs, seq)]
             assert _worst_error(_a_coeff_logs(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
         # a row table of the indices 0..K reads the forward route for the
         # degrees m <= n of row n, and the label table's duality entries
         # for the degrees above it, so its rows from K on are forward rows
-        import mpmath
+        import decimal
 
         from qortho import operators, orthogonality
 
@@ -229,7 +234,7 @@ class TestForwardCoefficientRoute:
             for n in range(FWD_K):
                 c = store.c[branch].upto(n)[n]
                 duality = [store.labels.entry(labels[branch](n), m)[0] for m in range(n + 1, FWD_K + 1)]
-                with mpmath.workdps(store.dps):
+                with decimal.localcontext(store.context):
                     assert [x for x, _ in table._rows[n][n + 1 :]] == [c * x for x in duality]
 
 
@@ -264,7 +269,7 @@ class TestNormalization:
         with mpmath.workdps(40):
             p = QParams(*map(mpmath.mpf, qab))
             store = _Store(p, Truncation(rel_tol=1e-40))
-            got = {branch: store.c[branch].upto(200)[:201] for branch in "ab"}
+            got = {branch: list(map(store.value, store.c[branch].upto(200)[:201])) for branch in "ab"}
         with mpmath.workdps(60):
             q, a, b = p.q, p.a, p.b
             xs = (q, a * q, b * q, a / b, b / a, a * q / b, b * q / a)
@@ -572,7 +577,7 @@ class TestEigTridiagonal:
                 lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
                 seq = polynomials.spectral_sequence(p, branch, j, 40)
                 for d in (1, 2, 5, 12, 20, 40):
-                    want = float(abs(prefs[d] * seq[d]))
+                    want = abs(float(prefs[d]) * float(seq[d]))
                     got = truncation_residuals(p, d, [lam])[0] / abs(off[d - 1])
                     assert got == pytest.approx(want, rel=1e-11), (p, branch, j, d)
 

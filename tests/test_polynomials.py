@@ -597,8 +597,11 @@ class TestRecurrenceTable:
 
     @pytest.mark.parametrize("kind", ["float", "mpf50"])
     def test_forward_on_working_table_matches_inline_loop(self, kind):
-        # the 30-digit table of the forward coefficient rows, made from
-        # float and from 50-digit parameters, serves sweeps on its scalars
+        # the Decimal table of the forward coefficient rows at 30 working
+        # digits, made from float and from 50-digit parameters, serves
+        # sweeps on its scalars in its own decimal context
+        import decimal
+
         from qortho.polynomials import _working_coefficients
 
         dps = self.SCALARS[kind]
@@ -607,7 +610,7 @@ class TestRecurrenceTable:
                 shared = _working_coefficients(self._convert(p0, dps), 30)
                 pw = shared.p
                 for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
-                    with mpmath.workdps(30):
+                    with decimal.localcontext(shared.context):
                         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
                         got = big_q_laguerre_recurrence(j + 5, lam, pw, coeffs=shared)
                         assert got == _loop_forward(j + 5, lam, pw), (kind, p0, branch, j)
@@ -635,3 +638,21 @@ class TestRecurrenceTable:
                     assert long.A[k] == (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
                     assert long.C[k] == a * b * q ** (k + 1) * (1 - q**k)
                     assert long.d[k] == -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
+
+
+class TestDecimalBoundary:
+    def test_values_enter_exactly(self):
+        # floats and mpfs of either sign, far from 1 in both directions,
+        # cross into Decimal with no rounding: the digits read back at 400
+        # digits are the value itself
+        import decimal
+
+        from qortho.polynomials import _to_decimal
+
+        with mpmath.workdps(50):
+            mpfs = [mpmath.mpf(repr(-0.7)), mpmath.mpf(2) ** -1100 / 3, -(mpmath.mpf(3) ** 90), mpmath.mpf(0)]
+        for x in [0.7, -5.286509211094206, 2.0**-1074, -(2.0**1000), 0.0, 1] + mpfs:
+            got = _to_decimal(x)
+            assert isinstance(got, decimal.Decimal)
+            with mpmath.workdps(400):
+                assert mpmath.mpf(str(got)) == mpmath.mpf(x), x
