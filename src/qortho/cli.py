@@ -17,7 +17,6 @@ header is suppressed with --no-timestamp.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from typing import NamedTuple, Optional
 
@@ -25,7 +24,6 @@ import mpmath
 
 from qortho.qseries import DomainError, QParams, QSeriesError, Truncation
 from qortho.operators import (
-    _normalization_entries,
     build_A,
     eig_tridiagonal,
     eig_tridiagonal_accuracy,
@@ -33,7 +31,6 @@ from qortho.operators import (
     truncation_residuals,
 )
 from qortho.polynomials import (
-    _working_dps,
     big_q_laguerre,
     big_q_laguerre_recurrence,
     q_meixner,
@@ -180,7 +177,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _verify_reports(families: list, p: QParams, t: Truncation, index_max: int, tolerance: float) -> list:
     """The families' reports, run in order on one store."""
-    store = _Store(p, t)
+    store = _Store(p, t, index_max)
     return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, tolerance, store=store)]
 
 
@@ -326,17 +323,16 @@ def _table_rows(cfg: RunConfig) -> list:
                 }
             )
     # c_n and c'_n, n <= index_max: normalization_c(n) and
-    # normalization_cprime(n) are entry n of these running products
-    dps = _working_dps(p)
-    norms = {branch: itertools.islice(_normalization_entries(p, branch, t, dps), cfg.index_max + 1) for branch in "ab"}
-    for n, (c, cprime) in enumerate(zip(norms["a"], norms["b"])):
-        for family, value in (("c", c), ("c-prime", cprime)):
+    # normalization_cprime(n) are entry n of a store's running products
+    store = _Store(p, t, cfg.index_max)
+    for n in range(cfg.index_max + 1):
+        for family, branch in (("c", "a"), ("c-prime", "b")):
             rows.append(
                 {
                     "family": family,
                     "n": n,
                     "m_or_x": n,
-                    "value": float(value),
+                    "value": float(store.c[branch].at(n)),
                     "method": "closed-form",
                 }
             )

@@ -8,16 +8,17 @@ carries the third status "inconclusive".
 
 Numerical strategy: every identity sum reads one connection matrix
 u_mn = c_n a_m(lam_n), in one of its two directions, and one engine,
-`_bilinear_sum`, forms its value.  The sums over the spectral index n
-read one row table per spectral branch, whose entries c_n a_m(lam_n)
-decay geometrically in n; unitarity-rows reads them as they are, and
-big-laguerre and sears scaled by Kc / (pref_i pref_j), since w_n P_i P_j
-is that multiple of the unitarity-rows term.  The sums over the basis
-index m read one verify task's label table: the eigencoefficients
-a_m(lam) of each label, from the q-Meixner duality closed form, whose
-weight factors balance within each product.  By the duality the
-q-Meixner sums are label sums too (meixner dual-ff, meixner-negb dual-gg,
-eq-zero dual-fg, term for term).
+`_bilinear_sum`, forms its value.  One store per verify task, `_Store`,
+holds the matrix.  The sums over the spectral index n read its rows, one
+list per spectral branch, whose entries c_n a_m(lam_n) decay
+geometrically in n; unitarity-rows reads them as they are, and
+big-laguerre and sears scaled by Kc / (pref_i pref_j), since
+w_n P_i P_j is that multiple of the unitarity-rows term.  The sums over
+the basis index m read its columns: the eigencoefficients a_m(lam) of
+each label, from the q-Meixner duality closed form, whose weight factors
+balance within each product.  By the duality the q-Meixner sums are
+label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero dual-fg,
+term for term).
 
 Entries, and the normalization constants c_n they carry, are Decimals,
 correctly rounded at P = dps + 2 digits in the store's decimal context,
@@ -31,8 +32,10 @@ mpf at dps digits, read from the Decimal's digits, for mpmath ones.
 
 from __future__ import annotations
 
+import collections
 import decimal
 import functools
+import itertools
 import math
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -161,15 +164,13 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
     the ratio test never certifies within the cap.
     """
     acc = NeumaierSum()
-    recent: list = []
+    recent = collections.deque(maxlen=max(t.small_run, 4))
     run = 0
     tail = math.inf
     for m in range(hard_cap + 1):
         term = terms(m)
         acc.add(term)
         recent.append(abs(term))
-        if len(recent) > max(t.small_run, 4):
-            recent.pop(0)
         if abs(term) <= t.rel_tol * (1.0 + abs(acc.value)):
             run += 1
             if run >= t.small_run:
@@ -265,43 +266,18 @@ def meixner_weight(m: int, p: QParams) -> float:
     with the upper-branch rescaling folded in):
 
         (aq;q)_m (-b/a)^m q^(m(m-1)/2) / ((bq;q)_m (q;q)_m)."""
-    q, a, b = p.q, p.a, p.b
-    w = (
-        q_pochhammer(a * q, q, m)
-        * (-b / a) ** m
-        * q ** (m * (m - 1) / 2.0)
-        / (q_pochhammer(b * q, q, m) * q_pochhammer(q, q, m))
-    )
-    if not w > 0:
-        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
-    return w
+    return _meixner_weight(p.a, p.b, m, p.q)
 
 
 def negative_b_meixner_weight(m: int, p: QParams) -> float:
     """Weight of the negative-parameter q-Meixner space:
 
         (bq;q)_m (-a/b)^m q^(m(m-1)/2) / ((aq;q)_m (q;q)_m)."""
-    q, a, b = p.q, p.a, p.b
-    w = (
-        q_pochhammer(b * q, q, m)
-        * (-a / b) ** m
-        * q ** (m * (m - 1) / 2.0)
-        / (q_pochhammer(a * q, q, m) * q_pochhammer(q, q, m))
-    )
-    if not w > 0:
-        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
-    return w
+    return _meixner_weight(p.b, p.a, m, p.q)
 
 
 # ---------------------------------------------------------------------------
 # the q-integral orthogonality of the polynomial family
-
-
-def _two_branch_sum(store: _Store, K: int, i: int, j: int, t: Truncation, scale):
-    """The pair sum of the a-branch row table of the indices 0..K plus
-    that of the b-branch one, both times scale: (value, terms, tail)."""
-    (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (table.pair_sum(i, j, t, scale) for table in store.rows(K))
-    return store.value(store.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
 
 
 def verify_big_laguerre_orthogonality(
@@ -314,24 +290,24 @@ def verify_big_laguerre_orthogonality(
     """Orthogonality of the polynomial family over its two-branch
     discrete measure: the weighted sums over both spectral branches
     against the closed-form norm times a Kronecker delta."""
-    return _verify_big_laguerre(m, m2, p, t, tolerance, _Store(p, t), max(m, m2))
+    return _verify_big_laguerre(m, m2, _Store(p, t, max(m, m2)), tolerance)
 
 
-def _big_laguerre_sum(m: int, m2: int, t: Truncation, store: _Store, K: int):
+def _big_laguerre_sum(m: int, m2: int, store: _Store):
     """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
-    b-branch: the unitarity-rows sum of the rows 0..K, whose terms are
-    c_n^2 a_m a_m2 = (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is
-    in c'_n^2), scaled back."""
-    prefs = store.labels.prefs.upto(K)
+    b-branch: the unitarity-rows sum, whose terms are c_n^2 a_m a_m2 =
+    (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2),
+    scaled back."""
     with decimal.localcontext(store.context):
-        scale = _to_decimal(store.kc) / (prefs[m] * prefs[m2])
-    return _two_branch_sum(store, K, m, m2, t, scale)
+        scale = _to_decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
+    return store.row_sum(m, m2, scale)
 
 
-def _verify_big_laguerre(m: int, m2: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
+def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
     if m < 0 or m2 < 0:
         raise DomainError("degrees must be nonnegative")
-    lhs, used, tail = _big_laguerre_sum(m, m2, t, store, K)
+    p = store.p
+    lhs, used, tail = _big_laguerre_sum(m, m2, store)
     rhs = 0.0
     if m == m2:
         rhs = (
@@ -352,14 +328,15 @@ def verify_identity_3637(
     """The three-term two-sum evaluation (the degree-zero orthogonality)
     checked against its closed-form product value, with the equivalent
     basic-series form evaluated as a cross-check."""
-    return _verify_sears(p, t, tolerance, _Store(p, t), 0)
+    return _verify_sears(_Store(p, t, 0), tolerance)
 
 
-def _verify_sears(p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
-    """The big-laguerre (0, 0) record of the rows 0..K, with the
-    cross-check; P_0 = 1 on every row, so K changes no bit."""
+def _verify_sears(store: _Store, tolerance: float):
+    """The big-laguerre (0, 0) record, with the cross-check; P_0 = 1 on
+    every row, so the store's K changes no bit."""
+    p, t = store.p, store.t
     q, a, b = p.q, p.a, p.b
-    lhs, used, tail = _big_laguerre_sum(0, 0, t, store, K)
+    lhs, used, tail = _big_laguerre_sum(0, 0, store)
     rhs = store.kc
 
     # equivalent form: prefactored 2phi1 evaluations at argument q
@@ -383,8 +360,7 @@ def _verify_sears(p: QParams, t: Truncation, tolerance: float, store: _Store, K:
 
 
 # ---------------------------------------------------------------------------
-# bilinear sums over the basis index (dual orthogonality, unitarity columns,
-# biorthogonality)
+# the connection matrix of one verify task
 
 
 def _branch_of_label(label: int) -> tuple:
@@ -407,87 +383,52 @@ class _LazyList(list):
             self.append(next(self._source))
         return self
 
-
-class _LabelTable:
-    """Eigencoefficients a_0, a_1, ... and normalization constant of each
-    integer eigenvalue label, and the sums over the basis index m of
-    products of the coefficients of two labels, for every family of such
-    sums that one verify task runs.
-
-    A label's entries are computed one at a time, as a sum or a row first
-    reads them, from an iterator of its duality entries P_m(lam) and the
-    one prefactor list; no entry depends on how far a sum reads, so each
-    is computed once.  Entries are (Decimal, float copy) pairs, each
-    product pref_m P_m(lam) rounded once in the store's decimal context."""
-
-    def __init__(self, store: _Store):
-        self.p, self.dps, self.context = store.p, store.dps, store.context
-        self._value, self._c = store.value, store.c
-        self.prefs = _LazyList(_prefactor_entries(self.p, self.dps))
-        self._coeffs: dict = {}
-        self._sums: dict = {}
-
-    def entry(self, label: int, m: int) -> tuple:
-        """a_m(lam) of the label as a (Decimal, float copy) pair."""
-        entries = self._coeffs.get(label)
-        if entries is None:
-            entries = self._coeffs[label] = _LazyList(self._entries(label))
-        # hot path: a label sum's terms nearly always read computed entries
-        return entries[m] if m < len(entries) else entries.upto(m)[m]
-
-    def _entries(self, label: int):
-        multiply = self.context.multiply
-        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label), self.dps)):
-            x = multiply(self.prefs.upto(k)[k], v)
-            yield x, float(x)
-
-    def c(self, label: int):
-        """c_n of the label n >= 0 or c'_n of -n-1, read as a sum is."""
-        branch, n = _branch_of_label(label)
-        return self._value(self._c[branch].upto(n)[n])
-
-    def pair_sum(self, i: int, j: int, t: Truncation):
-        """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
-        first request for the unordered pair {i, j} and kept: the exact sum
-        of exact products commutes, so (j, i) would give the same bits.  The
-        value is a float for float parameters and an mpf for mpmath
-        ones."""
-        key = (min(i, j), max(i, j), t)
-        if key not in self._sums:
-            self._sums[key] = self._sum(i, j, t)
-        return self._sums[key]
-
-    def _sum(self, i: int, j: int, t: Truncation):
-        value, used, tail = _bilinear_sum(lambda m: self.entry(i, m), lambda m: self.entry(j, m), t, _M_CAP, 1, self.context)
-        return self._value(value), used, tail
+    def at(self, k: int):
+        """The value k; the hot path of every sum, which nearly always
+        reads a value already computed."""
+        return self[k] if k < len(self) else self.upto(k)[k]
 
 
 class _Store:
-    """What the identity families of one verify task share at one
-    parameter set: the precision, the normalization constants, Kc, the
-    recurrence table of the forward rows, the row tables over the spectral
-    index, which unitarity-rows, big-laguerre and sears read, and the label
-    table, whose sums unitarity-columns, dual, biortho and the three
-    q-Meixner families read.  Each task builds its own, for its p and t.
+    """The connection matrix u_mn = c_n a_m(lam_n) of one verify task at
+    one parameter set p, truncation t and largest index K, with the sums
+    that the identity families read from it.  Each task builds its own.
+
+    Every sequence is computed one value at a time, as a sum first reads
+    it, and kept; no value depends on how far a sum reads, so each is
+    computed once:
+    - `prefs`, the prefactors pref_0, pref_1, ...;
+    - `c[branch]`, the normalization constants c_n (branch "a") and c'_n
+      (branch "b");
+    - `column(label)`, the eigencoefficients a_m(lam) of an integer label
+      (n >= 0 for a q^(n+1), -n-1 for b q^(n+1)), each product
+      pref_m P_m(lam) of the duality entries rounded once;
+    - `rows[branch]`, the rows n = 0, 1, ... of u_mn, m = 0..K.  The
+      degrees m <= n come from a forward sweep on the store's recurrence
+      table, the degrees above from the column of lam_n's label, so no
+      entry depends on K.
+    Entries are (Decimal, float copy) pairs.  unitarity-rows, big-laguerre
+    and sears read `row_sum`; unitarity-columns, dual, biortho and the
+    three q-Meixner families read `label_sum`.
 
     Every entry, constant and sum is a Decimal of the one decimal context
     `context`, `_working_context(dps)` with dps = `_working_dps(p)`: P =
     dps + 2 digits, set apart from the caller's decimal and mpmath
-    contexts.  c_n and c'_n are one list per branch, extended as they are
-    read; only their common factors c_0, c'_0 and Kc are in p's own
-    scalars, and enter exactly.  `value` is the one way out: a sum of
-    mpmath parameters leaves as an mpf at dps digits, any other as a
-    float."""
+    contexts.  Only c_0, c'_0 and Kc are in p's own scalars, and enter
+    exactly.  `value` is the one way out: a sum of mpmath parameters
+    leaves as an mpf at dps digits, any other as a float."""
 
-    def __init__(self, p: QParams, t: Truncation):
-        self.p, self.t = p, t
+    def __init__(self, p: QParams, t: Truncation, K: int):
+        self.p, self.t, self.K = p, t, K
         self.exact = isinstance(p.q, mpmath.mpf)
         self.dps = _working_dps(p)
         self.context = _working_context(self.dps)
+        self.prefs = _LazyList(_prefactor_entries(p, self.dps))
         self.c = {branch: _LazyList(_normalization_entries(p, branch, t, self.dps)) for branch in "ab"}
         self.recurrence = _working_coefficients(p, self.dps)
-        self.labels = _LabelTable(self)
-        self._rows: dict = {}
+        self.rows = {branch: _LazyList(self._rows(branch)) for branch in "ab"}
+        self._columns: dict = {}
+        self._sums: dict = {}
 
     @functools.cached_property
     def kc(self):
@@ -497,11 +438,61 @@ class _Store:
         """A sum as the verifiers read it: for float parameters the float of x, for mpmath ones an mpf."""
         return _from_decimal(x, self.exact, self.dps)
 
-    def rows(self, K: int) -> tuple:
-        """The a-branch and the b-branch row table of the indices 0..K."""
-        if K not in self._rows:
-            self._rows[K] = tuple(_RowTable(branch, K, self) for branch in "ab")
-        return self._rows[K]
+    def label_c(self, label: int):
+        """c_n of the label n >= 0 or c'_n of -n-1, read as a sum is."""
+        branch, n = _branch_of_label(label)
+        return self.value(self.c[branch].at(n))
+
+    def column(self, label: int) -> _LazyList:
+        if label not in self._columns:
+            self._columns[label] = _LazyList(self._column(label))
+        return self._columns[label]
+
+    def _column(self, label: int):
+        multiply = self.context.multiply
+        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label), self.dps)):
+            x = multiply(self.prefs.at(k), v)
+            yield x, float(x)
+
+    def _rows(self, branch: str):
+        K, c = self.K, self.c[branch]
+        for n in itertools.count():
+            top = min(n, K)
+            coeffs = _a_coeff_logs(self.p, branch, n, top, self.prefs.upto(top), self.recurrence)
+            if n < K:
+                column = self.column(n if branch == "a" else -n - 1)
+                coeffs += [column.at(m)[0] for m in range(n + 1, K + 1)]
+            c_n = c.at(n)
+            with decimal.localcontext(self.context):
+                row = [c_n * x for x in coeffs]
+            yield [(y, float(y)) for y in row]
+
+    def label_sum(self, i: int, j: int):
+        """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
+        first request for the unordered pair {i, j} and kept: the exact sum
+        of exact products commutes, so (j, i) would give the same bits.  The
+        value is a float for float parameters and an mpf for mpmath
+        ones."""
+        key = (min(i, j), max(i, j))
+        if key not in self._sums:
+            value, used, tail = _bilinear_sum(self.column(i).at, self.column(j).at, self.t, _M_CAP, 1, self.context)
+            self._sums[key] = self.value(value), used, tail
+        return self._sums[key]
+
+    def row_sum(self, i: int, j: int, scale):
+        """sum_n scale u_in u_jn over the a-branch rows plus that over the
+        b-branch rows: (value, terms, tail).  Each branch, and each scale,
+        stops at its own terms."""
+        (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (
+            _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, scale, self.context)
+            for rows in self.rows.values()
+        )
+        return self.value(self.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
+
+
+# ---------------------------------------------------------------------------
+# bilinear sums over the basis index (dual orthogonality, unitarity columns,
+# biorthogonality)
 
 
 def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
@@ -529,60 +520,23 @@ def verify_dual_orthogonality(
     values in extended precision; the cross case (one function from each
     branch) is an exact cancellation handled by the same extended-
     precision coefficients."""
-    return _verify_dual(which, n, n2, p, t, tolerance, _Store(p, t).labels)
+    return _verify_dual(which, n, n2, _Store(p, t, 0), tolerance)
 
 
-def _verify_dual(which: DualPair, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
+def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
     which = DualPair(which)
     i, j = _dual_labels(which, n, n2)
-    lhs, used, tail = table.pair_sum(i, j, t)
-    rhs = table.c(i) ** -2.0 if i == j else 0.0
-    return _finalize(f"dual-{which.value}", p, (n, n2), lhs, rhs, used, tail, tolerance)
+    lhs, used, tail = store.label_sum(i, j)
+    rhs = store.label_c(i) ** -2.0 if i == j else 0.0
+    return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
-class _RowTable:
-    """Rows of the connection matrix u_mn = c_n a_m(lam_n), m = 0..K, of
-    one spectral branch, for the sums sum_n u_in u_jn times a scale.  Row n
-    holds (Decimal, float copy) pairs in the store's decimal context; rows
-    are built on first use, in order of n, and shared by every (i, j) pair
-    with max(i, j) <= K and by every scale.  The degrees m <= n come from a
-    forward sweep on the store's recurrence table and the label table's
-    prefactors, the degrees above from the label table's duality entries
-    of lam_n's label, so no entry depends on K; c_n is the store's."""
-
-    def __init__(self, branch: str, K: int, store: _Store):
-        self.branch, self.K, self.p, self.context = branch, K, store.p, store.context
-        self._labels, self._recurrence, self._c = store.labels, store.recurrence, store.c[branch]
-        self._rows: list = []
-
-    def entry(self, n: int, m: int) -> tuple:
-        rows = self._rows
-        while len(rows) <= n:
-            rows.append(self._row(len(rows)))
-        return rows[n][m]
-
-    def _row(self, n: int) -> list:
-        top = min(n, self.K)
-        coeffs = _a_coeff_logs(self.p, self.branch, n, top, self._labels.prefs.upto(top), self._recurrence)
-        label = n if self.branch == "a" else -n - 1
-        coeffs += [self._labels.entry(label, m)[0] for m in range(top + 1, self.K + 1)]
-        c = self._c.upto(n)[n]
-        with decimal.localcontext(self.context):
-            row = [c * x for x in coeffs]
-        return [(y, float(y)) for y in row]
-
-    def pair_sum(self, i: int, j: int, t: Truncation, scale):
-        """Certified sum over n of scale u_in u_jn as a Decimal; each scale
-        stops at its own terms."""
-        return _bilinear_sum(lambda n: self.entry(n, i), lambda n: self.entry(n, j), t, _N_CAP, scale, self.context)
-
-
-def _verify_rows(i: int, j: int, p: QParams, t: Truncation, tolerance: float, store: _Store, K: int):
+def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
-    lhs, used, tail = _two_branch_sum(store, K, i, j, t, 1)
+    lhs, used, tail = store.row_sum(i, j, 1)
     rhs = 1.0 if i == j else 0.0
-    return _finalize("unitarity-rows", p, (i, j), lhs, rhs, used, tail, tolerance)
+    return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, used, tail, tolerance)
 
 
 def verify_unitarity(
@@ -601,20 +555,20 @@ def verify_unitarity(
     normalization constants attached.  Rows express the same identity as
     the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
     rowcol = RowCol(rowcol)
-    store = _Store(p, t)
+    store = _Store(p, t, max(i, j, 0))
     if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, p, t, tolerance, store, max(i, j))
-    return _verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels)
+        return _verify_rows(i, j, store, tolerance)
+    return _verify_columns("unitarity-columns", i, j, store, tolerance)
 
 
-def _verify_columns(identity_id: str, i: int, j: int, p: QParams, t: Truncation, tolerance: float, table: _LabelTable):
+def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
     """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
     unitarity columns and for biorthogonality."""
-    value, used, tail = table.pair_sum(i, j, t)
-    ci, cj = table.c(i), table.c(j)
+    value, used, tail = store.label_sum(i, j)
+    ci, cj = store.label_c(i), store.label_c(j)
     lhs = ci * cj * value
     rhs = 1.0 if i == j else 0.0
-    return _finalize(identity_id, p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
+    return _finalize(identity_id, store.p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
 
 
 def verify_biorthogonality(
@@ -632,7 +586,7 @@ def verify_biorthogonality(
     The coefficients satisfy psi_k(lam_m) phi_k(lam_n) = a_k(lam_m)
     a_k(lam_n) term for term (psi = D a, phi = D^-1 a for a diagonal D),
     so the sum is the unitarity-columns sum in the psi/phi basis."""
-    return _verify_columns("biortho", m, n, p, t, tolerance, _Store(p, t).labels)
+    return _verify_columns("biortho", m, n, _Store(p, t, 0), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +595,20 @@ def verify_biorthogonality(
 # and pref_m^2 / ((q^-m/second; q)_m)^2 is the q-Meixner weight, so each
 # term w_m M_n(q^-m) M_n2(q^-m) is the dual term a_m(lam_i) a_m(lam_j):
 # meixner reads the dual-ff sum, meixner-negb dual-gg and eq-zero dual-fg
+
+
+def _meixner_weight(first, second, m: int, q) -> float:
+    """(first q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second q;q)_m (q;q)_m),
+    the weight of M_n(q^-m; first, -second/first; q)."""
+    w = (
+        q_pochhammer(first * q, q, m)
+        * (-second / first) ** m
+        * q ** (m * (m - 1) / 2.0)
+        / (q_pochhammer(second * q, q, m) * q_pochhammer(q, q, m))
+    )
+    if not w > 0:
+        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
+    return w
 
 
 def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
@@ -655,10 +623,11 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
     )
 
 
-def _verify_meixner(identity_id: str, n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
+def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
+    p = store.p
     which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
-    lhs, used, tail = store.labels.pair_sum(*_dual_labels(which, n, n2), t)
-    rhs = _meixner_rhs(first, second, n, p, t) if n == n2 else 0.0
+    lhs, used, tail = store.label_sum(*_dual_labels(which, n, n2))
+    rhs = _meixner_rhs(first, second, n, p, store.t) if n == n2 else 0.0
     return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
@@ -672,7 +641,7 @@ def verify_meixner_orthogonality(
     """The classical q-Meixner orthogonality, realized here by the
     positive-parameter family M_n(q^-m; a, -b/a; q) under
     `meixner_weight`: the dual-ff sum."""
-    return _verify_meixner("meixner", n, n2, p, t, tolerance, _Store(p, t))
+    return _verify_meixner("meixner", n, n2, _Store(p, t, 0), tolerance)
 
 
 def verify_negative_b_meixner_orthogonality(
@@ -684,7 +653,7 @@ def verify_negative_b_meixner_orthogonality(
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
     M_n(q^-m; b, -a/b; q) with b < 0: the dual-gg sum."""
-    return _verify_meixner("meixner-negb", n, n2, p, t, tolerance, _Store(p, t))
+    return _verify_meixner("meixner-negb", n, n2, _Store(p, t, 0), tolerance)
 
 
 def verify_Eq_zero_identity(
@@ -702,13 +671,13 @@ def verify_Eq_zero_identity(
     contribution to the q-exponential E_q evaluated at one of its zeros
     -q^-j, which is why the alternating sum cancels exactly.  The sum is
     the dual-fg sum."""
-    return _verify_eq_zero(n, n2, p, t, tolerance, _Store(p, t))
+    return _verify_eq_zero(n, n2, _Store(p, t, 0), tolerance)
 
 
-def _verify_eq_zero(n: int, n2: int, p: QParams, t: Truncation, tolerance: float, store: _Store):
-    lhs, used, tail = store.labels.pair_sum(*_dual_labels(DualPair.FG, n, n2), t)
+def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
+    lhs, used, tail = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
     note = "every term reduces to E_q at a zero -q^-j"
-    return _finalize("eq-zero", p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
+    return _finalize("eq-zero", store.p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
 
 
 # ---------------------------------------------------------------------------
@@ -738,13 +707,14 @@ def run_identity_checks(
     """All checks of one identity family over the default index grid,
     sorted by (identity_id, indices).
 
-    store is the `_Store(p, t)` of the verify task the sweep belongs to;
-    the families that read one store share its coefficients and sums.  A
-    call without one builds its own, which "all" gives every family."""
+    store is the `_Store(p, t, index_max)` of the verify task the sweep
+    belongs to; the families that read one store share its coefficients
+    and sums.  A call without one builds its own, which "all" gives every
+    family."""
     if store is None:
-        store = _Store(p, t)
-    elif (store.p, store.t) != (p, t):
-        raise ValueError("store built for other parameters")
+        store = _Store(p, t, index_max)
+    elif (store.p, store.t, store.K) != (p, t, index_max):
+        raise ValueError("store built for another verify task")
     if identity == "all":
         out = []
         for fam in IDENTITY_FAMILIES:
@@ -759,29 +729,29 @@ def run_identity_checks(
 
     if identity == "big-laguerre":
         for i, j in pairs_upper:
-            reports.append(_verify_big_laguerre(i, j, p, t, tolerance, store, index_max))
+            reports.append(_verify_big_laguerre(i, j, store, tolerance))
     elif identity == "sears":
-        reports.append(_verify_sears(p, t, tolerance, store, index_max))
+        reports.append(_verify_sears(store, tolerance))
     elif identity == "unitarity":
         for i, j in pairs_upper:
-            reports.append(_verify_rows(i, j, p, t, tolerance, store, index_max))
+            reports.append(_verify_rows(i, j, store, tolerance))
         for i, j in zpairs:
-            reports.append(_verify_columns("unitarity-columns", i, j, p, t, tolerance, store.labels))
+            reports.append(_verify_columns("unitarity-columns", i, j, store, tolerance))
     elif identity == "dual":
         for i, j in pairs_upper:
-            reports.append(_verify_dual(DualPair.FF, i, j, p, t, tolerance, store.labels))
-            reports.append(_verify_dual(DualPair.GG, i, j, p, t, tolerance, store.labels))
+            reports.append(_verify_dual(DualPair.FF, i, j, store, tolerance))
+            reports.append(_verify_dual(DualPair.GG, i, j, store, tolerance))
         for i, j in grid_full:
-            reports.append(_verify_dual(DualPair.FG, i, j, p, t, tolerance, store.labels))
+            reports.append(_verify_dual(DualPair.FG, i, j, store, tolerance))
     elif identity in ("meixner", "meixner-negb"):
         for i, j in pairs_upper:
-            reports.append(_verify_meixner(identity, i, j, p, t, tolerance, store))
+            reports.append(_verify_meixner(identity, i, j, store, tolerance))
     elif identity == "eq-zero":
         for i, j in grid_full:
-            reports.append(_verify_eq_zero(i, j, p, t, tolerance, store))
+            reports.append(_verify_eq_zero(i, j, store, tolerance))
     elif identity == "biortho":
         for i, j in zpairs:
-            reports.append(_verify_columns("biortho", i, j, p, t, tolerance, store.labels))
+            reports.append(_verify_columns("biortho", i, j, store, tolerance))
     else:
         raise DomainError(f"unknown identity family: {identity!r}")
 

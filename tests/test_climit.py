@@ -92,6 +92,32 @@ class TestLimitPolynomial:
         qcol = [r.params.q for r in reps if r.identity_id == "climit-poly"]
         assert all(b > a for a, b in zip(qcol, qcol[1:]))
 
+    def test_points_near_one_take_the_40_digit_route(self):
+        # below 1 - q = 2^-10 the sweep runs its recurrence at 40 digits;
+        # the float recurrence there is 1.8e-12 off at 1 - 2^-11 and up to
+        # 1.1e-9 off nearer to 1 (degrees 0..8), so each value must match a
+        # 60-digit recurrence to 1e-13
+        import mpmath
+
+        from qortho.climit import EXTENDED_PRECISION_GAP
+        from qortho.polynomials import big_q_laguerre_recurrence
+        from qortho.qseries import QParams
+
+        sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(2, 22))
+        checked = 0
+        for n in range(9):
+            for r in limit_polynomial_check(n, 0.4, sweep):
+                q = r.params.q
+                if r.identity_id != "climit-poly" or not 1.0 - q < EXTENDED_PRECISION_GAP:
+                    continue
+                with mpmath.workdps(60):
+                    qm = mpmath.mpf(q)
+                    pm = QParams(q=qm, a=qm**sweep.alpha, b=qm**sweep.beta / (qm - 1))
+                    want = big_q_laguerre_recurrence(n, mpmath.mpf(0.4), pm)[n]
+                    assert abs(r.lhs - want) <= 1e-13 * abs(want), (n, q)
+                checked += 1
+        assert checked == 9 * 12  # q = 1 - 2^-11 .. 1 - 2^-22
+
 
 class TestClassicalEigenfunction:
     def test_x_zero(self):

@@ -205,9 +205,9 @@ class TestForwardCoefficientRoute:
             assert _worst_error(_a_coeff_logs(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
-        # a row table of the indices 0..K reads the forward route for the
-        # degrees m <= n of row n, and the label table's duality entries
-        # for the degrees above it, so its rows from K on are forward rows
+        # the rows of a store of largest index K read the forward route for
+        # the degrees m <= n of row n, and the columns' duality entries for
+        # the degrees above it, so its rows from K on are forward rows
         import decimal
 
         from qortho import operators, orthogonality
@@ -219,23 +219,22 @@ class TestForwardCoefficientRoute:
             return operators._a_coeff_logs(p, branch, j, m_max, prefs, recurrence)
 
         monkeypatch.setattr(orthogonality, "_a_coeff_logs", counted)
-        store = orthogonality._Store(P1, Truncation())
-        rows = dict(zip("ab", store.rows(FWD_K)))
+        store = orthogonality._Store(P1, Truncation(), FWD_K)
         n_max = FWD_K + 3
-        for branch, table in rows.items():
-            table.entry(n_max, 0)
+        for branch, rows in store.rows.items():
+            rows.upto(n_max)
             assert forward[-(n_max + 1) :] == [(branch, n, min(n, FWD_K)) for n in range(n_max + 1)]
-        assert sorted(store.labels._coeffs) == list(range(-FWD_K, FWD_K))
+        assert sorted(store._columns) == list(range(-FWD_K, FWD_K))
         labels = {"a": lambda n: n, "b": lambda n: -n - 1}
-        for branch, table in rows.items():
+        for branch, rows in store.rows.items():
             for n in range(n_max + 1):
                 c = store.c[branch].upto(n)[n]
-                assert table.entry(n, 0)[0] == c  # a_0 = 1 on both routes
+                assert rows[n][0][0] == c  # a_0 = 1 on both routes
             for n in range(FWD_K):
                 c = store.c[branch].upto(n)[n]
-                duality = [store.labels.entry(labels[branch](n), m)[0] for m in range(n + 1, FWD_K + 1)]
+                duality = [store.column(labels[branch](n)).at(m)[0] for m in range(n + 1, FWD_K + 1)]
                 with decimal.localcontext(store.context):
-                    assert [x for x, _ in table._rows[n][n + 1 :]] == [c * x for x in duality]
+                    assert [x for x, _ in rows[n][n + 1 :]] == [c * x for x in duality]
 
 
 class TestNormalization:
@@ -268,7 +267,7 @@ class TestNormalization:
 
         with mpmath.workdps(40):
             p = QParams(*map(mpmath.mpf, qab))
-            store = _Store(p, Truncation(rel_tol=1e-40))
+            store = _Store(p, Truncation(rel_tol=1e-40), 0)
             got = {branch: list(map(store.value, store.c[branch].upto(200)[:201])) for branch in "ab"}
         with mpmath.workdps(60):
             q, a, b = p.q, p.a, p.b
@@ -316,9 +315,9 @@ class TestNormalization:
         counts = []
         for n_rows in (10, 80):
             calls.clear()
-            store = orthogonality._Store(QParams(q=0.9, a=0.9, b=-0.5), T)
-            for table in store.rows(8):
-                table.entry(n_rows, 0)
+            store = orthogonality._Store(QParams(q=0.9, a=0.9, b=-0.5), T, 8)
+            for rows in store.rows.values():
+                rows.upto(n_rows)
             counts.append(dict(calls))
         assert counts[0] == counts[1] == {"q_pochhammer_inf": 4}
 

@@ -25,8 +25,8 @@ PARAMS = [P1, P2]
 # the hardest cancellation of these points: at index-max 8 the vanishing
 # label sums add terms of size up to 3e12
 P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
-# the six families that read the label table's sums (unitarity's rows read
-# the spectral-index row tables)
+# the six families that read the store's label sums (unitarity's rows read
+# its rows over the spectral index)
 LABEL_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
 
 
@@ -40,7 +40,7 @@ def extended_reports(families, q, a, b, index_max):
     with mpmath.workdps(50):
         p = QParams(q=mpmath.mpf(repr(q)), a=mpmath.mpf(repr(a)), b=mpmath.mpf(repr(b)))
         t = Truncation(rel_tol=1e-20)
-        store = _Store(p, t)
+        store = _Store(p, t, index_max)
         return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, store=store)]
 
 
@@ -179,22 +179,23 @@ class TestSears:
 
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
-        from qortho.orthogonality import _Store
+        from qortho.orthogonality import _N_CAP, _bilinear_sum, _Store
         from qortho.polynomials import _to_decimal
 
-        store = _Store(P1, T)
-        for table in store.rows(0):
-            val, _, _ = table.pair_sum(0, 0, T, _to_decimal(store.kc))
+        store = _Store(P1, T, 0)
+        for rows in store.rows.values():
+            entry = lambda n: rows.at(n)[0]  # noqa: E731
+            val, _, _ = _bilinear_sum(entry, entry, T, _N_CAP, _to_decimal(store.kc), store.context)
             assert val > 0
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5)], ids=["p1", "q0.9"])
     def test_sweep_record_is_big_laguerre_00(self, p):
-        # sears reads the sweep store's row tables at big-laguerre's (0, 0)
+        # sears reads the sweep store's rows at big-laguerre's (0, 0)
         # scale; P_0 = 1 on every row, so the standalone record, which reads
         # rows of degree 0 only, has the same bits
         from qortho.orthogonality import _Store
 
-        store = _Store(p, T)
+        store = _Store(p, T, 8)
         (sweep,) = run_identity_checks("sears", p, T, index_max=8, store=store)
         assert sweep == verify_identity_3637(p, T)
         r00 = run_identity_checks("big-laguerre", p, T, index_max=8, store=store)[0]
@@ -282,14 +283,14 @@ class TestDualOrthogonality:
             )
 
     def test_terms_match_literal_weighted_sum(self):
-        # the products of the label table's entries must equal the literal
+        # the products of the store's column entries must equal the literal
         # weight w_m = (aq,bq;q)_m/((q;q)_m(-abq^2)^m) q^(-m(m-1)/2) times
         # f_n(q^-m) f_n'(q^-m) computed independently at small m
         from qortho.orthogonality import _Store
         from qortho.polynomials import dual_f
 
         p, n, n2 = P1, 1, 2
-        table = _Store(p, T).labels
+        store = _Store(p, T, 0)
         q, a, b = p.q, p.a, p.b
         for m in range(10):
             w = (
@@ -300,7 +301,7 @@ class TestDualOrthogonality:
             )
             assert w > 0
             literal = w * dual_f(n, m, p) * dual_f(n2, m, p)
-            engine = float(table.entry(n, m)[0] * table.entry(n2, m)[0])
+            engine = float(store.column(n).at(m)[0] * store.column(n2).at(m)[0])
             assert engine == pytest.approx(literal, rel=1e-10)
 
 
@@ -343,11 +344,11 @@ class TestMeixnerOrthogonality:
         # where meixner reads the a-branch labels n, n2
         from qortho.orthogonality import _Store
 
-        labels = _Store(P1, T).labels
+        store = _Store(P1, T, 0)
         negb = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
-        assert (negb.lhs, negb.terms_used, negb.tail_estimate) == labels.pair_sum(-2, -3, T)
+        assert (negb.lhs, negb.terms_used, negb.tail_estimate) == store.label_sum(-2, -3)
         meixner = verify_meixner_orthogonality(1, 2, P1, T)
-        assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == labels.pair_sum(1, 2, T)
+        assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == store.label_sum(1, 2)
 
 
 class TestEqZeroIdentity:
@@ -474,10 +475,10 @@ class TestReports:
         assert a == b
 
     def test_rows_sweep_matches_standalone(self):
-        # the sweep shares one row table per branch across all pairs; a
-        # standalone call builds its own, with K = max(i, j), and since row
-        # n reads the forward route up to degree n and the duality closed
-        # form above, no entry depends on K
+        # the sweep shares one store's rows across all pairs; a standalone
+        # call builds its own, with K = max(i, j), and since row n reads
+        # the forward route up to degree n and the duality closed form
+        # above, no entry depends on K
         reports = run_identity_checks("unitarity", P2, T, index_max=5)
         sweep = [r for r in reports if r.identity_id == "unitarity-rows"]
         assert len(sweep) == 21
@@ -485,7 +486,7 @@ class TestReports:
             assert r == verify_unitarity(RowCol.ROWS, *r.indices, P2, T), r.indices
 
     def test_unitarity_independent_of_history(self):
-        # the basis-index families each build their own label table, so a
+        # the basis-index families each build their own store, so a
         # record must not depend on which of them ran before in the process
         families = ("unitarity", "dual", "biortho")
         cold = {fam: run_identity_checks(fam, P2, T, index_max=3) for fam in families}
@@ -512,24 +513,24 @@ class TestReports:
         # for float ones
         import mpmath
 
-        from qortho.orthogonality import _Store, _two_branch_sum
+        from qortho.orthogonality import _Store
 
         for p, t, dps in literal_reference_points(P1):
             kind = mpmath.mpf if dps > 30 else float
-            store = _Store(p, t)
+            store = _Store(p, t, 1)
             assert store.dps == dps
             values = [
-                store.labels.pair_sum(0, -2, t)[0],
-                _two_branch_sum(store, 1, 0, 1, t, 1)[0],
-                store.labels.c(-2),
+                store.label_sum(0, -2)[0],
+                store.row_sum(0, 1, 1)[0],
+                store.label_c(-2),
                 normalization_c(3, p, t),
             ]
             assert [type(v) for v in values] == [kind] * 4, values
 
     def test_extended_meixner_sums_keep_extended_accuracy(self):
-        # in 50-digit scalars the label and the row tables form their
+        # in 50-digit scalars the store's columns and rows form their
         # entries at 50 digits and add the products exactly: every sum of
-        # the six label-table families that vanishes exactly comes out at
+        # the six label-sum families that vanishes exactly comes out at
         # the 50-digit rounding level.  The rows' terms decay only
         # geometrically, so their vanishing sums come out at the level of
         # the truncation's rel_tol of 1e-20, which bounds their tails and
@@ -544,8 +545,8 @@ class TestReports:
         assert len(rows) == 12
         assert all(abs(r.lhs) < 1e-21 for r in rows), max(abs(r.lhs) for r in rows)
 
-    # the q-Meixner sweeps read the sums of one label table, and big-laguerre
-    # one table of coefficient rows a_0..a_K(lam_n) per spectral branch; a
+    # the q-Meixner sweeps read one store's label sums, and big-laguerre its
+    # coefficient rows a_0..a_K(lam_n) of each spectral branch; a
     # standalone call builds its own, so every record must match field for
     # field
     MEIXNER_STANDALONE = {
@@ -683,9 +684,9 @@ class TestReports:
         # built here, apart from any table, each label with its own
         # prefactor iterator, and biortho on the psi/phi prefactors; the
         # value is an mpf dot product at twice the table's digits of the
-        # coefficients read into mpfs.  A label table that reads a wrong
-        # entry fails here, while the sweep-vs-standalone test cannot tell,
-        # since both sides share the table
+        # coefficients read into mpfs.  A store that reads a wrong entry
+        # fails here, while the sweep-vs-standalone test cannot tell, since
+        # both sides share the store
         import decimal
         import functools
 
@@ -746,11 +747,11 @@ class TestReports:
             }
             # the unitarity-columns records without the sweep's rows, whose
             # normalization constants dominate the time at 50 digits
-            store = _Store(p, t)
+            store = _Store(p, t, 4)
             labels = range(-5, 5)
             records = [r for fam in ("dual", "biortho") for r in run_identity_checks(fam, p, t, index_max=4, store=store)]
             records += [
-                _verify_columns("unitarity-columns", i, j, p, t, DEFAULT_TOLERANCE, store.labels)
+                _verify_columns("unitarity-columns", i, j, store, DEFAULT_TOLERANCE)
                 for i in labels
                 for j in labels
                 if i <= j
@@ -768,31 +769,37 @@ class TestReports:
 
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_pair_sum_is_symmetric(self, p):
-        # the label table keeps one sum per unordered label pair, which is
+        # the store keeps one label sum per unordered label pair, which is
         # sound only because the sum does not depend on the order
-        from qortho.orthogonality import _Store
+        from qortho.orthogonality import _M_CAP, _bilinear_sum, _Store
 
-        table = _Store(p, T).labels
+        store = _Store(p, T, 8)
+
+        def label_sum(i, j):
+            return _bilinear_sum(store.column(i).at, store.column(j).at, T, _M_CAP, 1, store.context)
+
         labels = range(-9, 9)
         for i in labels:
             for j in labels:
                 if i < j:
-                    assert table._sum(i, j, T) == table._sum(j, i, T), (i, j)
+                    assert label_sum(i, j) == label_sum(j, i), (i, j)
 
     def test_store_computes_each_label_pair_sum_once(self, monkeypatch):
         # unitarity-columns, dual, biortho and the three q-Meixner families
         # read one store's sums: the 171 unordered pairs of the 18 labels at
-        # index-max 8, each summed once for the 684 records
-        from qortho.orthogonality import _LabelTable
+        # index-max 8, each summed once for the 684 records.  A label sum
+        # reads two of the store's columns, one list per label
+        from qortho import orthogonality
 
         pairs = []
-        label_sum = _LabelTable._sum
+        bilinear_sum = orthogonality._bilinear_sum
 
-        def counted(self, i, j, t):
-            pairs.append(frozenset((i, j)))
-            return label_sum(self, i, j, t)
+        def counted(u, v, t, hard_cap, *args):
+            if hard_cap == orthogonality._M_CAP:
+                pairs.append(frozenset((id(u.__self__), id(v.__self__))))
+            return bilinear_sum(u, v, t, hard_cap, *args)
 
-        monkeypatch.setattr(_LabelTable, "_sum", counted)
+        monkeypatch.setattr(orthogonality, "_bilinear_sum", counted)
         reports = run_identity_checks("all", P1, T)
         shared = [r for r in reports if r.identity_id not in ("big-laguerre", "sears", "unitarity-rows")]
         assert len(shared) == 684
@@ -828,22 +835,21 @@ class TestReports:
         monkeypatch.setattr(orthogonality, "_duality_entries", entries)
         monkeypatch.setattr(orthogonality, "_prefactor_entries", prefs)
         p = QParams(q=0.9, a=0.9, b=-0.5)
-        store = _Store(p, T)
+        store = _Store(p, T, 8)
         run_identity_checks("all", p, T, store=store)
-        table = store.labels
         pref = ("pref", _WORKING_DPS)
-        assert started[pref] == 1 and computed[pref] == len(table.prefs)
-        assert len(table._coeffs) == 18
-        for label, entries in table._coeffs.items():
+        assert started[pref] == 1 and computed[pref] == len(store.prefs)
+        assert len(store._columns) == 18
+        for label, entries in store._columns.items():
             spec = ("a", label, _WORKING_DPS) if label >= 0 else ("b", -label - 1, _WORKING_DPS)
             assert started[spec] == 1 and computed[spec] == len(entries), label
         assert len(started) == 19
-        assert max(map(len, table._coeffs.values())) == 64
+        assert max(map(len, store._columns.values())) == 64
         assert sum(computed.values()) - computed[pref] == 1004
 
     def test_label_coefficient_exact_after_unitarity(self):
-        # a_96(lam_4) on both branches at q = 0.95, read from the label
-        # table after the unitarity sweep asked for the same points at
+        # a_96(lam_4) on both branches at q = 0.95, read from the store's
+        # columns after the unitarity sweep asked for the same points at
         # cut-offs 8 and 48; the reference is the terminating 3phi2 at a
         # precision doubled until two runs agree to 40 digits
         import mpmath
@@ -853,7 +859,7 @@ class TestReports:
         from qortho.polynomials import _bigql_series_sum
 
         p = QParams(q=0.95, a=0.9, b=-3.0)
-        store = _Store(p, T)
+        store = _Store(p, T, 8)
         run_identity_checks("unitarity", p, T, store=store)
 
         def exact(first, dps):
@@ -862,7 +868,7 @@ class TestReports:
                 return _bigql_series_sum(96, mpmath.mpf(first) * q**5, a, b, q)[0]
 
         for label, first in ((4, p.a), (-5, p.b)):
-            got = str(store.labels.entry(label, 96)[0])
+            got = str(store.column(label).at(96)[0])
             dps, prev = 60, exact(first, 60)
             while True:
                 dps *= 2
@@ -876,10 +882,14 @@ class TestReports:
                 assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(10) ** -20 * abs(want), label
 
     def test_store_rejects_other_parameters(self):
+        # a store holds the rows of one largest index K, one truncation and
+        # one parameter set: a sweep that differs in any of them builds its own
         from qortho.orthogonality import _Store
 
-        with pytest.raises(ValueError):
-            run_identity_checks("dual", P1, T, index_max=1, store=_Store(P2, T))
+        for store in (_Store(P1, T, 3), _Store(P2, T, 4), _Store(P1, Truncation(rel_tol=1e-13), 4)):
+            with pytest.raises(ValueError):
+                run_identity_checks("dual", P1, T, index_max=4, store=store)
+        assert run_identity_checks("dual", P1, T, index_max=4, store=_Store(P1, T, 4))
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}
@@ -947,7 +957,7 @@ class TestLabelSumVerdicts:
             return finalize(identity_id, p, indices, lhs, rhs, *args)
 
         monkeypatch.setattr(orthogonality, "_finalize", shifted)
-        store = orthogonality._Store(p, T)
+        store = orthogonality._Store(p, T, 8)
         broken = [r for fam in ("dual", "meixner-negb") for r in run_identity_checks(fam, p, T, store=store)]
         visible = [r for r in broken if self.SHIFT > r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs)))]
         assert len(visible) >= 36 + 36 + 81 + 36  # the off-diagonal dual-ff, dual-gg, dual-fg, meixner-negb
@@ -970,7 +980,7 @@ class TestLabelSumVerdicts:
             return finalize(identity_id, p, indices, lhs, rhs, *args)
 
         monkeypatch.setattr(orthogonality, "_finalize", shifted)
-        store = orthogonality._Store(p, T)
+        store = orthogonality._Store(p, T, 8)
         broken = [r for fam in ("unitarity", "big-laguerre") for r in run_identity_checks(fam, p, T, store=store)]
         broken = [r for r in broken if r.identity_id in ("unitarity-rows", "big-laguerre")]
         visible = [r for r in broken if self.SHIFT > r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs)))]
@@ -989,13 +999,13 @@ class TestLabelSumVerdicts:
         ids=["q0.9", "retry", "q0.95", "a-edge"],
     )
     def test_edge_of_domain_store_families_never_fail(self, p):
-        """The six families of the label table, with unitarity-rows and
+        """The six families of the label sums, with unitarity-rows and
         big-laguerre.  sears still gives a known false `fail` at
         (0.95, 0.9, -3.0): its 1e-11 basic-series cross-check sees the
         truncation error of the float kernels."""
         from qortho.orthogonality import _Store
 
-        store = _Store(p, T)
+        store = _Store(p, T, 8)
         families = ("big-laguerre",) + LABEL_FAMILIES
         reports = [r for fam in families for r in run_identity_checks(fam, p, T, store=store)]
         assert len(reports) == 45 + 45 + 171 + 171 + 45 + 45 + 81 + 171

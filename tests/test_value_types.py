@@ -88,10 +88,10 @@ def test_limit_sweep_stores_a_tuple_and_checks_its_order():
         LimitSweep(alpha=1.0, beta=0.5, q_sequence=[0.75, 0.5])
 
 
-def test_fresh_truncation_finds_a_kept_label_sum():
-    # the label table keys its sums by (i, j, t): an equal Truncation built
-    # afresh must find the sum another instance stored
-    store = _Store(P, Truncation())
-    first = store.labels.pair_sum(0, 1, Truncation())
-    assert store.labels.pair_sum(1, 0, Truncation()) is first
-    assert len(store.labels._sums) == 1
+def test_store_keeps_one_label_sum_per_unordered_pair():
+    # the store keys its label sums by the unordered pair {i, j}: (1, 0)
+    # must find the sum that (0, 1) stored
+    store = _Store(P, Truncation(), 1)
+    first = store.label_sum(0, 1)
+    assert store.label_sum(1, 0) is first
+    assert len(store._sums) == 1
