@@ -17,10 +17,9 @@ header is suppressed with --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import NamedTuple, Optional
-
-import mpmath
 
 from qortho.qseries import DomainError, QParams, QSeriesError, Truncation
 from qortho.operators import (
@@ -31,10 +30,11 @@ from qortho.operators import (
     truncation_residuals,
 )
 from qortho.polynomials import (
+    _WORKING_DPS,
+    _duality_entries,
     big_q_laguerre,
     big_q_laguerre_recurrence,
     q_meixner,
-    spectral_sequence,
 )
 from qortho.orthogonality import (
     DEFAULT_TOLERANCE,
@@ -184,6 +184,8 @@ def _verify_reports(families: list, p: QParams, t: Truncation, index_max: int, t
 def _run_verify(cfg: RunConfig) -> list:
     families = list(IDENTITY_FAMILIES) if cfg.identity == "all" else [cfg.identity]
     if cfg.precision == "extended":
+        import mpmath
+
         with mpmath.workdps(EXTENDED_DPS):
             p = QParams(q=mpmath.mpf(repr(cfg.q)), a=mpmath.mpf(repr(cfg.a)), b=mpmath.mpf(repr(cfg.b)))
             reports = _verify_reports(families, p, Truncation(rel_tol=1e-20), cfg.index_max, cfg.tolerance)
@@ -290,10 +292,12 @@ def _table_rows(cfg: RunConfig) -> list:
                 }
             )
     for n in range(cfg.index_max + 1):
-        # dual_f(n, m) and dual_g(n, m) are entry m of these sequences,
-        # whose entries do not depend on the cut-off
-        f_seq = spectral_sequence(p, "a", n, cfg.index_max)
-        g_seq = spectral_sequence(p, "b", n, cfg.index_max)
+        # dual_f(n, m) and dual_g(n, m) are entry m of the duality
+        # sequences of `spectral_sequence`, whose entries do not depend on
+        # the cut-off
+        f_seq, g_seq = (
+            list(itertools.islice(_duality_entries(p, branch, n, _WORKING_DPS), cfg.index_max + 1)) for branch in "ab"
+        )
         for m in range(cfg.index_max + 1):
             rows.append(
                 {

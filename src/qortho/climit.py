@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import mpmath
-
 from qortho.qseries import DomainError, QParams, _Validated
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.orthogonality import VerificationReport
@@ -109,6 +107,8 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     for q in sweep.q_sequence:
         gap = 1.0 - q
         if gap < EXTENDED_PRECISION_GAP:
+            import mpmath
+
             with mpmath.workdps(40):
                 qm = mpmath.mpf(q)
                 pm = QParams(q=qm, a=qm**sweep.alpha, b=qm**sweep.beta / (qm - 1))

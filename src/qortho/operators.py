@@ -21,14 +21,14 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-import mpmath
-
 from qortho.qseries import (
     DomainError,
     NonConvergenceError,
     QParams,
     Truncation,
+    _is_mpf,
     _Validated,
+    _working_context,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -38,7 +38,6 @@ from qortho.polynomials import (
     _recurrence_d,
     _to_decimal,
     _working_coefficients,
-    _working_context,
     _working_dps,
     big_q_laguerre_recurrence,
     match_spectral_point,
@@ -443,7 +442,10 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
 
     with (first, second) = (a, b) or (b, a) and the denominator equal to
     (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
-    sum of logs, and r underflows to 0 or overflows to inf."""
+    sum of logs, and r underflows to 0 or overflows to inf.  M_n, which
+    may cancel far below its terms, is the q-Meixner sum on the exact
+    Decimals of the parameters, in the working context of _WORKING_DPS
+    digits."""
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
     qi = [q ** float(i) for i in range(1, dim + 1)]
@@ -451,6 +453,7 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     qd = q**dim
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
     log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
+    dq, da, db = map(_to_decimal, p)
     radii = []
     for lam in points:
         hit = match_spectral_point(float(lam), p)
@@ -458,9 +461,11 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
             raise DomainError(f"{float(lam)!r} is not an eigenvalue a q^(n+1) or b q^(n+1)")
         branch, n = hit
         first, second = (a, b) if branch == "a" else (b, a)
-        with mpmath.workdps(_WORKING_DPS):
-            meixner = q_meixner(n, dim, mpmath.mpf(first), -mpmath.mpf(second) / first, mpmath.mpf(q))
-            log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + float(mpmath.log10(abs(meixner)))
+        dfirst, dsecond = (da, db) if branch == "a" else (db, da)
+        with decimal.localcontext(_working_context(_WORKING_DPS)):
+            meixner = q_meixner(n, dim, dfirst, -dsecond / dfirst, dq)
+            log_meixner = float(abs(meixner).log10())
+        log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + log_meixner
         radii.append(math.inf if log_r > 300 else 10.0**log_r)
     return radii
 
@@ -572,7 +577,7 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
     multiply on in the working context."""
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
     products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
-    if not all(map(mpmath.isfinite, products)):
+    if not all(abs(x) < math.inf for x in products):  # finite, as a float or an mpf
         name = "c_0" if branch == "a" else "c'_0"
         raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
     c0 = _root(products[0] / products[1])
@@ -585,7 +590,7 @@ def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
         raise DomainError("index must be nonnegative")
     dps = _working_dps(p)
     c = next(itertools.islice(_normalization_entries(p, branch, t, dps), n, None))
-    return _from_decimal(c, isinstance(p.q, mpmath.mpf), dps)
+    return _from_decimal(c, _is_mpf(p.q), dps)
 
 
 # ---------------------------------------------------------------------------

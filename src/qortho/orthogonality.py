@@ -40,14 +40,14 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-import mpmath
-
 from qortho.qseries import (
     DomainError,
     NeumaierSum,
     NonConvergenceError,
     QParams,
     Truncation,
+    _is_mpf,
+    _working_context,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
@@ -58,7 +58,6 @@ from qortho.polynomials import (
     _from_decimal,
     _to_decimal,
     _working_coefficients,
-    _working_context,
     _working_dps,
 )
 from qortho.operators import (
@@ -420,7 +419,7 @@ class _Store:
 
     def __init__(self, p: QParams, t: Truncation, K: int):
         self.p, self.t, self.K = p, t, K
-        self.exact = isinstance(p.q, mpmath.mpf)
+        self.exact = _is_mpf(p.q)
         self.dps = _working_dps(p)
         self.context = _working_context(self.dps)
         self.prefs = _LazyList(_prefactor_entries(p, self.dps))

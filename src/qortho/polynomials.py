@@ -19,6 +19,7 @@ Evaluation routes:
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import functools
 import itertools
@@ -27,8 +28,6 @@ import operator
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-import mpmath
-
 from qortho.qseries import (
     DomainError,
     NeumaierSum,
@@ -36,8 +35,11 @@ from qortho.qseries import (
     TailError,
     Truncation,
     _as_negative_q_power,
+    _context,
     _escalated,
+    _is_mpf,
     _series_sum,
+    _working_context,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
@@ -66,26 +68,6 @@ __all__ = [
 SPECTRAL_MATCH_RTOL = 1e-10
 # working precision of the duality sequences and the coefficient tables
 _WORKING_DPS = 30
-# digits the Decimal kernels carry beyond the working precision: at 30 digits
-# their unit roundoff, 5e-32, is below that of a 30-digit mpf, 2^-103 = 9.9e-32
-_GUARD_DIGITS = 2
-
-
-def _context(prec: int, *traps) -> decimal.Context:
-    """A decimal context of prec digits, set in every field, so nothing of
-    `decimal.DefaultContext` reaches it: round half even, an exponent
-    range no entry leaves, and InvalidOperation, DivisionByZero, Overflow
-    and the given signals trapped."""
-    return decimal.Context(
-        prec=prec,
-        rounding=decimal.ROUND_HALF_EVEN,
-        Emin=decimal.MIN_EMIN,
-        Emax=decimal.MAX_EMAX,
-        capitals=1,
-        clamp=0,
-        flags=[],
-        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, *traps],
-    )
 
 
 # exact products and sums of Decimals: a result that would need rounding
@@ -97,24 +79,18 @@ def _working_dps(p: QParams) -> int:
     """Digits of the entries and constants of p's sums: _WORKING_DPS for
     float p, the caller's precision, never below that, for mpmath p.  The
     Decimal kernels that form them run in `_working_context` of these
-    digits, at _GUARD_DIGITS more."""
-    return max(mpmath.mp.dps, _WORKING_DPS) if isinstance(p.q, mpmath.mpf) else _WORKING_DPS
+    digits, at `qseries._GUARD_DIGITS` more."""
+    if not _is_mpf(p.q):
+        return _WORKING_DPS
+    import mpmath
 
-
-@functools.lru_cache(maxsize=None)
-def _working_context(dps: int) -> decimal.Context:
-    """The decimal context of the kernels of dps working digits: correctly
-    rounded arithmetic at dps + _GUARD_DIGITS digits.  Every kernel runs
-    its arithmetic in a `decimal.localcontext` of it, or through its
-    methods, never in the thread's own context, and leaves that block
-    before each yield, since its generators resume from any caller."""
-    return _context(dps + _GUARD_DIGITS)
+    return max(mpmath.mp.dps, _WORKING_DPS)
 
 
 def _to_decimal(x) -> decimal.Decimal:
     """An int, a float or an mpf as the Decimal of the same value, with no
     rounding: an mpf enters through its mantissa times a power of two."""
-    if isinstance(x, mpmath.mpf):
+    if _is_mpf(x):
         sign, man, exp, _ = x._mpf_
         digits = man << exp if exp >= 0 else man * 5**-exp
         return decimal.Decimal(f"{'-' if sign else ''}{digits}E{min(exp, 0)}")
@@ -128,6 +104,8 @@ def _from_decimal(x: decimal.Decimal, exact: bool, dps: int):
     float."""
     if not exact:
         return float(x)
+    import mpmath
+
     with mpmath.workdps(dps):
         return mpmath.mpf(str(x))
 
@@ -224,13 +202,20 @@ class _RecurrenceTable:
         self.A: list = []
         self.C: list = []
         self.d: list = []
-        self.prec = mpmath.mp.prec
         self.context = context
+        if context:
+            self._scope = functools.partial(decimal.localcontext, context)
+        elif any(map(_is_mpf, p)):
+            import mpmath
+
+            self._scope = functools.partial(mpmath.workprec, mpmath.mp.prec)
+        else:
+            self._scope = contextlib.nullcontext
 
     def upto(self, n: int) -> tuple:
         """The lists (A, C, d), with entries 0..n at least."""
         q, a, b = self.p.q, self.p.a, self.p.b
-        with decimal.localcontext(self.context) if self.context else mpmath.workprec(self.prec):
+        with self._scope():
             for k in range(len(self.A), n + 1):
                 self.A.append((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
                 self.C.append(a * b * q ** (k + 1) * (1 - q**k))
@@ -391,13 +376,20 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
 
 
 def dual_f(n: int, m: int, p: QParams) -> float:
-    """f_n(q^-m; a, b | q) = P_m evaluated at the spectral point a q^(n+1)."""
-    return float(spectral_sequence(p, "a", n, m)[m])
+    """f_n(q^-m; a, b | q) = P_m evaluated at the spectral point a q^(n+1),
+    the float of entry m of `spectral_sequence`'s duality sequence."""
+    return _dual_value(p, "a", n, m)
 
 
 def dual_g(n: int, m: int, p: QParams) -> float:
     """g_n(q^-m; a, b | q) = P_m evaluated at the spectral point b q^(n+1)."""
-    return float(spectral_sequence(p, "b", n, m)[m])
+    return _dual_value(p, "b", n, m)
+
+
+def _dual_value(p: QParams, branch: str, j: int, m: int) -> float:
+    if j < 0 or m < 0:
+        raise DomainError("spectral index and degree must be nonnegative")
+    return float(next(itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +431,8 @@ def generating_series(
     if hit is not None:
         # the weights grow like q^(-n(n-1)/2) while P_n shrinks faster;
         # form each term in mpmath so neither factor over/underflows
+        import mpmath
+
         seq = spectral_sequence(p, hit[0], hit[1], n_max)
         terms = []
         with mpmath.workdps(_WORKING_DPS):
@@ -550,6 +544,8 @@ def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M); expjpi takes the
     # exact 2k/M, not a rounded angle, so the roots carry no angle error
+    import mpmath
+
     roots = [complex(mpmath.expjpi(mpmath.mpf(2 * k) / m_samples)) for k in range(m_samples)]
     total = math.fsum(
         (_generating_closed_complex(x, rho * w, p, branch, j) * roots[-n * k % m_samples]).real

@@ -2,18 +2,22 @@
 hypergeometric series and Jackson's q-exponential.
 
 All kernels are written against a generic real scalar: they work with
-Python floats by default and with ``mpmath.mpf`` values when higher
-precision is required.  No function keeps state; everything here is a
-pure function of its arguments.
+Python floats by default, and with ``decimal.Decimal`` or ``mpmath.mpf``
+values when higher precision is required.  A float sum that cancels past
+double precision is re-summed in Decimals, in a decimal context of its
+own.  mpmath is imported only to take the log of an mpf, which exists
+only where a caller made one; ``_is_mpf`` tells one apart without
+loading mpmath.  No function keeps state; everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 import sys
 from typing import NamedTuple
-
-import mpmath
 
 __all__ = [
     "QSeriesError",
@@ -39,6 +43,9 @@ __all__ = [
 TERMINATION_RTOL = 1e-10
 # smallest normal float: a result below it has no relative accuracy to keep
 _FLOAT_MIN = sys.float_info.min
+# digits the Decimal kernels carry beyond the working precision: at 30 digits
+# their unit roundoff, 5e-32, is below that of a 30-digit mpf, 2^-103 = 9.9e-32
+_GUARD_DIGITS = 2
 
 
 class QSeriesError(Exception):
@@ -65,11 +72,50 @@ class TailError(QSeriesError, RuntimeError):
     """A truncated-series tail could not be certified below tolerance."""
 
 
+def _is_mpf(x) -> bool:
+    """Whether x is an mpmath float.  No mpf exists before mpmath is
+    imported, so this never imports it."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, mpmath.mpf)
+
+
 def _ln(x):
-    """Natural log dispatching on the scalar type (float vs mpmath)."""
+    """Natural log dispatching on the scalar type: float, Decimal (in the
+    thread's decimal context) or mpmath."""
     if isinstance(x, (float, int)):
         return math.log(x)
+    if isinstance(x, decimal.Decimal):
+        return x.ln()
+    import mpmath
+
     return mpmath.log(x)
+
+
+def _context(prec: int, *traps) -> decimal.Context:
+    """A decimal context of prec digits, set in every field, so nothing of
+    `decimal.DefaultContext` reaches it: round half even, an exponent
+    range no entry leaves, and InvalidOperation, DivisionByZero, Overflow
+    and the given signals trapped."""
+    return decimal.Context(
+        prec=prec,
+        rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN,
+        Emax=decimal.MAX_EMAX,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, *traps],
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _working_context(dps: int) -> decimal.Context:
+    """The decimal context of the kernels of dps working digits: correctly
+    rounded arithmetic at dps + _GUARD_DIGITS digits.  Every kernel runs
+    its arithmetic in a `decimal.localcontext` of it, or through its
+    methods, never in the thread's own context, and leaves that block
+    before each yield, since its generators resume from any caller."""
+    return _context(dps + _GUARD_DIGITS)
 
 
 class NeumaierSum:
@@ -264,7 +310,8 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
 
     A terminating sum (n given) ends with term_n.  Otherwise the sum ends
     once t.small_run consecutive terms are below t.rel_tol of the running
-    sum, the last of them included.  Past t.max_terms terms it raises
+    sum, the last of them included; Decimal terms are compared with the
+    Decimals of the same floats.  Past t.max_terms terms it raises
     :class:`NonConvergenceError`.
 
     Each caller's step writes out the next term in full, left to right
@@ -272,6 +319,9 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
     moves the last bits of the results.
     """
     acc = NeumaierSum(0 * one)
+    rel_tol, floor = t.rel_tol, t.rel_tol * 1e-300
+    if isinstance(one, decimal.Decimal):
+        rel_tol, floor = decimal.Decimal(rel_tol), decimal.Decimal(floor)
     term = one
     run = 0
     k = 0
@@ -284,21 +334,23 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
         term = step(k, term)
         k += 1
         if n is None:
-            run = run + 1 if abs(term) <= t.rel_tol * abs(acc.value) + t.rel_tol * 1e-300 else 0
+            run = run + 1 if abs(term) <= rel_tol * abs(acc.value) + floor else 0
 
 
 def _escalated(sum_fn, args, rel_tol):
-    """sum_fn(*args)'s value, re-run in mpmath when float rounding is above
-    rel_tol relative accuracy.
+    """sum_fn(*args)'s value, re-run in Decimals when float rounding is
+    above rel_tol relative accuracy.
 
-    sum_fn returns (value, max_abs_term).  A call with an mpmath or complex
-    argument is returned as computed: mpmath arguments already run at the
-    caller's working precision, and complex sums are not guarded.  A float
-    pass escalates when it is not finite or when 8 eps max|term| exceeds
-    0.05 rel_tol |value|.  The needed precision depends on the (unknown)
-    true magnitude of the result, so each mpmath pass re-targets from the
-    latest value estimate and at least doubles the digits of the pass
-    before.  A pass at dps digits has absolute error about
+    sum_fn returns (value, max_abs_term).  A call with a Decimal, mpmath or
+    complex argument is returned as computed: Decimal and mpmath arguments
+    already run at the caller's working precision, and complex sums are not
+    guarded.  A float pass escalates when it is not finite or when
+    8 eps max|term| exceeds 0.05 rel_tol |value|.  The needed precision
+    depends on the (unknown) true magnitude of the result, so each Decimal
+    pass re-targets from the latest value estimate and at least doubles the
+    digits of the pass before.  A pass of dps digits runs in
+    `_working_context(dps)`, at _GUARD_DIGITS more, on the exact Decimals
+    of the arguments, and has absolute error about
     10^(log10 max|term| - dps + 2); the loop stops once that is below
     rel_tol |value|, or below rel_tol times the smallest normal float,
     which a float result cannot resolve anyway (exact zeros).
@@ -311,15 +363,17 @@ def _escalated(sum_fn, args, rel_tol):
         return value
     # an overflowed float pass tells nothing of the terms: start from scratch
     log10_max, est = (math.log10(max(max_abs, 1.0)), abs(value)) if finite else (0.0, 1.0)
+    rel_tol_d, float_min = decimal.Decimal(rel_tol), decimal.Decimal(_FLOAT_MIN)
     dps = 0
     while True:
         dps = max(2 * dps, 25, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + 25))
-        with mpmath.workdps(dps):
-            value_mp, max_abs_mp = sum_fn(*map(mpmath.mpf, args))
-            log10_max = float(mpmath.log10(max_abs_mp)) if max_abs_mp > 0 else 0.0
-            if mpmath.mpf(10) ** (log10_max - dps + 2) <= rel_tol * max(abs(value_mp), _FLOAT_MIN):
-                return float(value_mp)
-            est = min(float(abs(value_mp)), sys.float_info.max)
+        with decimal.localcontext(_working_context(dps)):
+            value_d, max_abs_d = sum_fn(*map(decimal.Decimal, args))
+            log10_max = float(max_abs_d.log10()) if max_abs_d > 0 else 0.0
+            error = decimal.Decimal(10) ** decimal.Decimal(log10_max - dps + 2)
+            if error <= rel_tol_d * max(abs(value_d), float_min):
+                return float(value_d)
+            est = min(float(abs(value_d)), sys.float_info.max)
 
 
 def _phi_series(numerators, denominators, q, z, t: Truncation):
@@ -329,7 +383,8 @@ def _phi_series(numerators, denominators, q, z, t: Truncation):
 
     Terminating series (a numerator equal to q^(-n)) are summed exactly to
     the terminating index; nonterminating series require |z| < 1.  Float
-    sums that cancel past double precision are re-summed in mpmath.
+    sums that cancel past double precision are re-summed in Decimals
+    (`_escalated`).
     """
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
@@ -390,7 +445,8 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
 
     Equals the product (-z;q)_inf, hence vanishes at z = -q^(-j).  Near
     those zeros the alternating sum cancels almost completely; float
-    inputs are then re-summed automatically at extended precision.
+    inputs are then re-summed automatically in Decimals at the precision
+    the cancellation needs (`_escalated`).
     """
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")

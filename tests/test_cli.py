@@ -306,25 +306,30 @@ class TestProcessHistory:
         # the kernels run in their own decimal contexts and pass mpmath
         # parameters' precision only where the parameters are mpmath
         # scalars: neither the thread's decimal context nor mpmath's
-        # global precision may reach a record of float parameters
+        # global precision may reach a record of float parameters.  table
+        # re-sums cancelling series in Decimals and spectrum sums the
+        # q-Meixner values of its truncation radii in them
         import decimal
 
         import mpmath
 
         import qortho.cli
 
-        def verify():
-            assert qortho.cli.main(["verify", "--identity", "all", "--index-max", "3", "--no-timestamp"]) == 0
-            return capsys.readouterr().out
+        def outputs():
+            out = []
+            for argv in (["verify", "--identity", "all", "--index-max", "3"], ["table"], ["spectrum", "--dim", "20"]):
+                assert qortho.cli.main(argv + ["--no-timestamp"]) == 0, argv
+                out.append(capsys.readouterr().out)
+            return out
 
-        clean = verify()
+        clean = outputs()
         with decimal.localcontext():
             context = decimal.getcontext()
             context.prec, context.rounding = 5, decimal.ROUND_FLOOR
             context.clear_traps()
-            assert verify() == clean
+            assert outputs() == clean
         with mpmath.workdps(60):
-            assert verify() == clean
+            assert outputs() == clean
 
     def test_edge_point_basis_index_families_pass(self):
         # an edge point near q = 1 where the label coefficients a_m at
@@ -371,6 +376,33 @@ class TestStartup:
         res = subprocess.run(argv, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         return dict(json.loads(res.stdout))
+
+    def loaded_in_fresh_process(self, module, step, tmp_path) -> bool:
+        """Whether module is in sys.modules after step, an import statement
+        or one of COMMANDS, run alone in a new process."""
+        code = textwrap.dedent(
+            """
+            import sys
+            module, out, step = sys.argv[1], sys.argv[2], sys.argv[3]
+            if step.startswith("import "):
+                exec(step)
+            else:
+                import qortho.cli
+
+                qortho.cli.main(step.split() + ["--out", out, "--no-timestamp"])
+            print(module in sys.modules)
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code, module, str(tmp_path / "r.json"), step], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return {"True": True, "False": False}[res.stdout.strip()]
+
+    @pytest.mark.parametrize("step", ["import qortho", "import qortho.cli"] + [" ".join(argv) for argv in COMMANDS])
+    def test_only_extended_precision_loads_mpmath(self, step, tmp_path):
+        # double precision computes in floats and Decimals, so mpmath loads
+        # only where an mpf is made: the 50-digit parameters of
+        # --precision extended
+        assert self.loaded_in_fresh_process("mpmath", step, tmp_path) == ("extended" in step)
 
     def test_import_does_not_load_process_pool(self, tmp_path):
         # every verify is one task in one process, so no command pays the
@@ -516,6 +548,15 @@ class TestCommands:
             assert abs(methods["series"] - methods["recurrence"]) <= 1e-10 * max(
                 1.0, abs(methods["series"])
             )
+        # the duality rows are the library's dual_f and dual_g, bit for bit
+        from qortho.polynomials import dual_f, dual_g
+        from qortho.qseries import QParams
+
+        p = QParams(q=0.5, a=0.5, b=-0.7)
+        duals = [(r["family"], r["n"], r["m_or_x"], r["value"]) for r in rows if r["family"] in ("dual-f", "dual-g")]
+        assert len(duals) == 2 * 25
+        for family, n, m, value in duals:
+            assert value == (dual_f if family == "dual-f" else dual_g)(n, m, p), (family, n, m)
 
     def test_table_deep_series_rows(self, tmp_path):
         # at q = 0.3 the deep series rows cancel past double precision

@@ -629,7 +629,8 @@ class TestReports:
 
         from qortho.operators import _a_coeff_logs, _normalization_entries, _prefactor_entries
         from qortho.orthogonality import _certified_sum, _kc
-        from qortho.polynomials import _duality_entries, _to_decimal, _working_coefficients, _working_context
+        from qortho.polynomials import _duality_entries, _to_decimal, _working_coefficients
+        from qortho.qseries import _working_context
 
         K = 8
         for p, t, dps in literal_reference_points(P2):
@@ -694,7 +695,8 @@ class TestReports:
 
         from qortho.operators import _pref_a_ratio, _pref_phi_ratio, _pref_psi_ratio, _prefactor_entries
         from qortho.orthogonality import DEFAULT_TOLERANCE, _certified_sum, _Store, _verify_columns
-        from qortho.polynomials import _duality_entries, _working_context
+        from qortho.polynomials import _duality_entries
+        from qortho.qseries import _working_context
 
         for p, t, dps in literal_reference_points(QParams(q=0.9, a=0.9, b=-0.5)):
 

@@ -10,6 +10,9 @@ import contextlib
 import functools
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
 import mpmath
 import pytest
@@ -188,6 +191,33 @@ class TestQMeixner:
         # bparam*q = q^{-1} vanishes at k = 1 before termination at 3
         with pytest.raises(DomainError):
             q_meixner(3, 3, 0.5**-2, 0.4, 0.5, T)
+
+    def test_decimal_denominator_zero_without_mpmath(self):
+        # Decimal scalars take the Decimal log in the termination test, so
+        # the vanishing denominator is found with mpmath never imported
+        code = textwrap.dedent(
+            """
+            import decimal, sys
+            from qortho.polynomials import q_meixner
+            from qortho.qseries import DomainError, _working_context
+
+            D = decimal.Decimal
+            with decimal.localcontext(_working_context(30)):
+                # bparam q = 8 * 0.5 = q^-2 vanishes at k = 2, before termination at 5
+                try:
+                    q_meixner(5, 5, D(8), D("0.4"), D("0.5"))
+                except DomainError as exc:
+                    print("DomainError", exc)
+                # the same parameter where the sum ends first, at min(2, 5)
+                value = q_meixner(2, 5, D(8), D("0.4"), D("0.5"))
+            print(abs(float(value) / q_meixner(2, 5, 8.0, 0.4, 0.5) - 1) < 1e-13, "mpmath" in sys.modules)
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0].startswith("DomainError") and "q^-2" in lines[0], res.stdout
+        assert lines[1] == "True False", res.stdout
 
 
 class TestDuality:
@@ -372,7 +402,7 @@ class TestPolyEvalDispatch:
 
 
 def _loop_bigql(n, x, a, b, q):
-    acc = NeumaierSum(q * 0.0)
+    acc = NeumaierSum(q * 0)
     term = 1 + q * 0
     for k in range(n + 1):
         acc.add(term)
@@ -389,7 +419,7 @@ def _loop_bigql(n, x, a, b, q):
 
 
 def _loop_phi21(n, xx, aa, bb, qq):
-    acc = NeumaierSum(qq * 0.0)
+    acc = NeumaierSum(qq * 0)
     term = 1 + qq * 0
     z = xx / bb
     for k in range(n + 1):
@@ -412,7 +442,7 @@ def _loop_phi21(n, xx, aa, bb, qq):
 def _loop_meixner(n, m, bb, cc, qq):
     kmax = min(n, m)
     z = -(qq ** (n + 1)) / cc
-    acc = NeumaierSum(qq * 0.0)
+    acc = NeumaierSum(qq * 0)
     term = 1 + qq * 0
     for k in range(kmax + 1):
         acc.add(term)
@@ -429,7 +459,7 @@ def _loop_meixner(n, m, bb, cc, qq):
 
 
 def _loop_qinv_lhs(n, xx, bb, cc, qq):
-    acc = NeumaierSum(qq * 0.0)
+    acc = NeumaierSum(qq * 0)
     term = 1 + qq * 0
     z = -qq * xx / (bb * cc)
     for k in range(n + 1):
@@ -484,8 +514,9 @@ class TestTerminatingSumKernel:
 
     def _check_grid(self, grid, convert):
         """Compare every series route with its loop through _escalated, the
-        shared route rule; returns one flag per sum: did it escalate?"""
-        escalated = []
+        shared route rule; returns (loop, args, value, escalated) for every
+        sum, escalated telling whether it was re-summed."""
+        sums = []
 
         def ref(loop, args):
             calls = []
@@ -495,7 +526,7 @@ class TestTerminatingSumKernel:
                 return loop(*xs)
 
             value = _escalated(counted, args, self.REL)
-            escalated.append(len(calls) > 1)
+            sums.append((loop, args, value, len(calls) > 1))
             return value
 
         for point in grid:
@@ -514,18 +545,28 @@ class TestTerminatingSumKernel:
             for k in range(n):
                 pref = pref * (1 + q ** (k - n) / ci)
             assert rhs == pref * ref(functools.partial(_loop_bigql, n), (q * xi / bi, 1 / bi, -ci, q)), point
-        return escalated
+        return sums
 
     def test_float_routes_match_loops(self):
-        escalated = self._check_grid(self._grid(7, 40), float)
+        escalated = [flag for *_, flag in self._check_grid(self._grid(7, 40), float)]
         # both routes are exercised: sums that stay in floats and sums that
-        # cancel past double precision and rerun in mpmath
+        # cancel past double precision and rerun in Decimals
         assert any(escalated) and not all(escalated)
 
     def test_mpf_routes_match_loops(self):
         with mpmath.workdps(40):
-            escalated = self._check_grid(self._grid(8, 15), mpmath.mpf)
+            escalated = [flag for *_, flag in self._check_grid(self._grid(8, 15), mpmath.mpf)]
         assert escalated and not any(escalated)
+
+    def test_escalated_sums_match_80_digit_loops(self):
+        # every Decimal re-sum is within rel_tol of the same loop run on the
+        # same float arguments at 80 digits
+        escalated = [s for s in self._check_grid(self._grid(7, 40), float) if s[3]]
+        assert escalated
+        with mpmath.workdps(80):
+            for loop, args, value, _ in escalated:
+                reference, _ = loop(*map(mpmath.mpf, args))
+                assert abs(value - reference) <= self.REL * abs(reference), (args, value, reference)
 
     def test_complex_generating_sum_matches_loop(self):
         rng = random.Random(9)
