@@ -17,11 +17,12 @@ header is suppressed with --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import sys
 from typing import NamedTuple, Optional
 
-from qortho.qseries import DomainError, QParams, QSeriesError, Truncation
+from qortho.qseries import DomainError, QParams, QSeriesError, Truncation, _working_context
 from qortho.operators import (
     build_A,
     eig_tridiagonal,
@@ -30,6 +31,7 @@ from qortho.operators import (
     truncation_residuals,
 )
 from qortho.polynomials import (
+    EXTENDED_DPS,
     _WORKING_DPS,
     _duality_entries,
     big_q_laguerre,
@@ -64,8 +66,6 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
-
-EXTENDED_DPS = 50
 
 
 class RunConfig(NamedTuple):
@@ -175,23 +175,23 @@ def _config_from_args(args) -> RunConfig:
 # verify
 
 
-def _verify_reports(families: list, p: QParams, t: Truncation, index_max: int, tolerance: float) -> list:
-    """The families' reports, run in order on one store."""
-    store = _Store(p, t, index_max)
-    return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, tolerance, store=store)]
-
-
 def _run_verify(cfg: RunConfig) -> list:
+    """The records of cfg's families, run in order on one store."""
     families = list(IDENTITY_FAMILIES) if cfg.identity == "all" else [cfg.identity]
     if cfg.precision == "extended":
-        import mpmath
-
-        with mpmath.workdps(EXTENDED_DPS):
-            p = QParams(q=mpmath.mpf(repr(cfg.q)), a=mpmath.mpf(repr(cfg.a)), b=mpmath.mpf(repr(cfg.b)))
-            reports = _verify_reports(families, p, Truncation(rel_tol=1e-20), cfg.index_max, cfg.tolerance)
+        # the exact Decimals of the flag values, checked against the domain
+        # in the context the store computes in, not in the caller's
+        with decimal.localcontext(_working_context(EXTENDED_DPS)):
+            p = QParams(*(decimal.Decimal(repr(x)) for x in (cfg.q, cfg.a, cfg.b)))
+        t = Truncation(rel_tol=1e-20)
     else:
-        reports = _verify_reports(families, cfg.params(), Truncation(), cfg.index_max, cfg.tolerance)
-    records = [report_to_record(r) for r in reports]
+        p, t = cfg.params(), Truncation()
+    store = _Store(p, t, cfg.index_max)
+    records = [
+        report_to_record(r)
+        for fam in families
+        for r in run_identity_checks(fam, p, t, cfg.index_max, cfg.tolerance, store=store)
+    ]
     records.sort(key=lambda r: (r["identity_id"], r["i"], r["j"]))
     return records
 

@@ -13,10 +13,11 @@ xi_lam(x) = (1-x)^(-2l) exp((lam-1) x / (1-x)).
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, _Validated
+from qortho.qseries import DomainError, QParams, _Validated, _working_context
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.orthogonality import VerificationReport
 
@@ -32,7 +33,7 @@ __all__ = [
     "fit_rate",
 ]
 
-EXTENDED_PRECISION_GAP = 2.0**-10  # 1 - q below this routes through mpmath
+EXTENDED_PRECISION_GAP = 2.0**-10  # 1 - q below this routes through 40-digit Decimals
 
 
 def geometric_q_sequence(k_min: int = 2, k_max: int = 10) -> tuple:
@@ -106,15 +107,11 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     gaps, errs, values = [], [], []
     for q in sweep.q_sequence:
         gap = 1.0 - q
-        if gap < EXTENDED_PRECISION_GAP:
-            import mpmath
-
-            with mpmath.workdps(40):
-                qm = mpmath.mpf(q)
-                pm = QParams(q=qm, a=qm**sweep.alpha, b=qm**sweep.beta / (qm - 1))
-                val = float(big_q_laguerre_recurrence(n, mpmath.mpf(x), pm)[n])
-        else:
-            val = float(big_q_laguerre_recurrence(n, x, QParams(q=q, a=sweep.a_of(q), b=sweep.b_of(q)))[n])
+        scalar = decimal.Decimal if gap < EXTENDED_PRECISION_GAP else float
+        with decimal.localcontext(_working_context(40)):
+            qs = scalar(q)
+            ps = QParams(q=qs, a=qs ** scalar(sweep.alpha), b=qs ** scalar(sweep.beta) / (qs - 1))
+            val = float(big_q_laguerre_recurrence(n, scalar(x), ps)[n])
         gaps.append(gap)
         errs.append(abs(val - target))
         values.append(val)

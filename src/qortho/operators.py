@@ -26,7 +26,7 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
-    _is_mpf,
+    _sqrt,
     _Validated,
     _working_context,
     q_pochhammer_inf,
@@ -34,9 +34,7 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _WORKING_DPS,
     _duality_entries,
-    _from_decimal,
     _recurrence_d,
-    _to_decimal,
     _working_coefficients,
     _working_dps,
     big_q_laguerre_recurrence,
@@ -330,13 +328,13 @@ def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio, start=1, br
     Decimal per next(), in the working context of dps digits: the running
     product of ratio_fn(q^(m+1), q, first, second), with q^(m+1) carried
     from step to step and (first, second) = (a, b), or (b, a) for branch
-    "b".  start, an int, float or mpf, enters exactly and is rounded to
-    the context, like every later entry.  A caller that keeps the iterator
+    "b".  start, an int, float or Decimal, enters exactly and is rounded
+    to the context, like every later entry.  A caller that keeps the iterator
     extends its list from where it stopped."""
     context = _working_context(dps)
-    q, a, b = map(_to_decimal, p)
+    q, a, b = map(decimal.Decimal, p)
     first, second = (a, b) if branch == "a" else (b, a)
-    pref, qm = context.plus(_to_decimal(start)), q
+    pref, qm = context.plus(decimal.Decimal(start)), q
     while True:
         yield pref
         with decimal.localcontext(context):
@@ -453,7 +451,7 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     qd = q**dim
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
     log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
-    dq, da, db = map(_to_decimal, p)
+    dq, da, db = map(decimal.Decimal, p)
     radii = []
     for lam in points:
         hit = match_spectral_point(float(lam), p)
@@ -553,7 +551,7 @@ def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form:
 def _root(radicand):
     if not radicand > 0:
         raise DomainError(f"normalization radicand {radicand} not positive; parameter domain violated")
-    return radicand**0.5
+    return _sqrt(radicand)
 
 
 def _c_ratio(qm, q, first, second):
@@ -571,16 +569,17 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
         c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n),
         c_0^2 = (second q; q)_inf / (second/first; q)_inf.
 
-    c_0, common to the branch, is formed in p's own scalars; a product
-    there that is not finite is a limit of those scalars, not of the
-    domain, and raises NonConvergenceError.  The ratios c_{n+1}/c_n
-    multiply on in the working context."""
+    c_0, common to the branch, is formed in p's own scalars, Decimals in
+    the working context; a product there that is not finite is a limit of
+    those scalars, not of the domain, and raises NonConvergenceError.  The
+    ratios c_{n+1}/c_n multiply on in the working context."""
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
-    products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
-    if not all(abs(x) < math.inf for x in products):  # finite, as a float or an mpf
-        name = "c_0" if branch == "a" else "c'_0"
-        raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
-    c0 = _root(products[0] / products[1])
+    with decimal.localcontext(_working_context(dps)):
+        products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
+        if not all(abs(x) < math.inf for x in products):
+            name = "c_0" if branch == "a" else "c'_0"
+            raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
+        c0 = _root(products[0] / products[1])
     yield from _prefactor_entries(p, dps, _c_ratio, c0, branch)
 
 
@@ -588,9 +587,8 @@ def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
     """c_n or c'_n of `_normalization_entries`, in p's own scalars."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    dps = _working_dps(p)
-    c = next(itertools.islice(_normalization_entries(p, branch, t, dps), n, None))
-    return _from_decimal(c, _is_mpf(p.q), dps)
+    c = next(itertools.islice(_normalization_entries(p, branch, t, _working_dps(p)), n, None))
+    return c if isinstance(p.q, decimal.Decimal) else float(c)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ term for term).
 
 Entries, and the normalization constants c_n they carry, are Decimals,
 correctly rounded at P = dps + 2 digits in the store's decimal context,
-where dps is the store's precision (30 digits, or the working precision
-of mpmath scalars); their float copies drive the stopping rule, and the
-products used are added exactly and rounded once.  Values cross into
-Decimal exactly (a float, or an mpf through its mantissa and exponent)
-and leave once, as each sum's value: a float for float parameters, an
-mpf at dps digits, read from the Decimal's digits, for mpmath ones.
+where dps is the store's precision (30 digits for float parameters, 50
+for Decimal ones); their float copies drive the stopping rule, and the
+products used are added exactly and rounded once.  Float parameters
+cross into Decimal exactly and each sum leaves once, as its float;
+Decimal parameters' sums stay Decimals.  The closed-form sides and the
+verdict are written once for both scalar types, and run in the store's
+decimal context.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
-    _is_mpf,
     _working_context,
     phi_2_1,
     q_pochhammer,
@@ -55,8 +55,6 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _duality_entries,
     _exact_dot,
-    _from_decimal,
-    _to_decimal,
     _working_coefficients,
     _working_dps,
 )
@@ -124,15 +122,10 @@ class DualPair(Enum):
 
 def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, tolerance, note="") -> VerificationReport:
     residual = abs(lhs - rhs)
-    scale = 1.0 + max(abs(lhs), abs(rhs))
-    certified = tail <= tolerance * scale
-    residual_ok = residual <= tolerance * scale
-    if not certified:
-        status = "inconclusive"
-        passed = False
-    else:
-        status = "pass" if residual_ok else "fail"
-        passed = residual_ok
+    bound = tolerance * float(1 + max(abs(lhs), abs(rhs)))
+    certified = tail <= bound
+    passed = certified and residual <= bound
+    status = "pass" if passed else "fail" if certified else "inconclusive"
     return VerificationReport(
         identity_id=identity_id,
         params=p,
@@ -191,6 +184,18 @@ def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int =
         else:
             run = 0
     return acc.value, m + 1, tail
+
+
+def _in_store_context(verify):
+    """verify(..., store, tolerance) run in the store's decimal context, so
+    the closed forms and verdicts of Decimal parameters ignore the caller's."""
+
+    @functools.wraps(verify)
+    def run(*args):
+        with decimal.localcontext(args[-2].context):
+            return verify(*args)
+
+    return run
 
 
 def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, context):
@@ -253,7 +258,7 @@ def dual_weight(m: int, p: QParams) -> float:
         q_pochhammer(a * q, q, m)
         * q_pochhammer(b * q, q, m)
         / (q_pochhammer(q, q, m) * (-a * b * q * q) ** m)
-        * q ** (-m * (m - 1) / 2.0)
+        * q ** -(m * (m - 1) // 2)
     )
     if not w > 0:
         raise DomainError("dual weight lost positivity; parameter domain violated")
@@ -298,23 +303,24 @@ def _big_laguerre_sum(m: int, m2: int, store: _Store):
     (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2),
     scaled back."""
     with decimal.localcontext(store.context):
-        scale = _to_decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
+        scale = decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
     return store.row_sum(m, m2, scale)
 
 
+@_in_store_context
 def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
     if m < 0 or m2 < 0:
         raise DomainError("degrees must be nonnegative")
     p = store.p
     lhs, used, tail = _big_laguerre_sum(m, m2, store)
-    rhs = 0.0
+    rhs = 0
     if m == m2:
         rhs = (
             store.kc
             * q_pochhammer(p.q, p.q, m)
             / (q_pochhammer(p.a * p.q, p.q, m) * q_pochhammer(p.b * p.q, p.q, m))
             * (-p.a * p.b) ** m
-            * p.q ** (m * (m + 3) / 2.0)
+            * p.q ** (m * (m + 3) // 2)
         )
     return _finalize("big-laguerre", p, (m, m2), lhs, rhs, used, tail, tolerance)
 
@@ -330,6 +336,7 @@ def verify_identity_3637(
     return _verify_sears(_Store(p, t, 0), tolerance)
 
 
+@_in_store_context
 def _verify_sears(store: _Store, tolerance: float):
     """The big-laguerre (0, 0) record, with the cross-check; P_0 = 1 on
     every row, so the store's K changes no bit."""
@@ -343,17 +350,17 @@ def _verify_sears(store: _Store, tolerance: float):
         q_pochhammer_inf(a * q / b, q, t)
         * q_pochhammer_inf(q, q, t)
         / q_pochhammer_inf(a * q, q, t)
-        * phi_2_1(a * q, 0.0, a * q / b, q, q, t)
+        * phi_2_1(a * q, 0 * q, a * q / b, q, q, t)
         - (b / a)
         * q_pochhammer_inf(b * q / a, q, t)
         * q_pochhammer_inf(q, q, t)
         / q_pochhammer_inf(b * q, q, t)
-        * phi_2_1(b * q, 0.0, b * q / a, q, q, t)
+        * phi_2_1(b * q, 0 * q, b * q / a, q, q, t)
     )
     cross = float(abs(lhs - lhs_phi))
     note = f"basic-series form agrees to {cross:.3e}"
     rep = _finalize("sears", p, (0, 0), lhs, rhs, used, tail, tolerance, note)
-    if cross > 1e-11 * (1.0 + abs(lhs)) and rep.status == "pass":
+    if cross > 1e-11 * float(1 + abs(lhs)) and rep.status == "pass":
         rep = rep._replace(status="fail", passed=False, note=note + " (cross-check failed)")
     return rep
 
@@ -412,14 +419,14 @@ class _Store:
 
     Every entry, constant and sum is a Decimal of the one decimal context
     `context`, `_working_context(dps)` with dps = `_working_dps(p)`: P =
-    dps + 2 digits, set apart from the caller's decimal and mpmath
-    contexts.  Only c_0, c'_0 and Kc are in p's own scalars, and enter
-    exactly.  `value` is the one way out: a sum of mpmath parameters
-    leaves as an mpf at dps digits, any other as a float."""
+    dps + 2 digits, set apart from the caller's decimal context.  Only
+    c_0, c'_0 and Kc are in p's own scalars, formed in that context, and
+    enter exactly.  `value` is the one way out: a sum of Decimal
+    parameters leaves as it is, any other as its float."""
 
     def __init__(self, p: QParams, t: Truncation, K: int):
         self.p, self.t, self.K = p, t, K
-        self.exact = _is_mpf(p.q)
+        self.exact = isinstance(p.q, decimal.Decimal)
         self.dps = _working_dps(p)
         self.context = _working_context(self.dps)
         self.prefs = _LazyList(_prefactor_entries(p, self.dps))
@@ -431,11 +438,12 @@ class _Store:
 
     @functools.cached_property
     def kc(self):
-        return _kc(self.p, self.t)
+        with decimal.localcontext(self.context):
+            return _kc(self.p, self.t)
 
     def value(self, x: decimal.Decimal):
-        """A sum as the verifiers read it: for float parameters the float of x, for mpmath ones an mpf."""
-        return _from_decimal(x, self.exact, self.dps)
+        """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
+        return x if self.exact else float(x)
 
     def label_c(self, label: int):
         """c_n of the label n >= 0 or c'_n of -n-1, read as a sum is."""
@@ -470,7 +478,7 @@ class _Store:
         """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
         first request for the unordered pair {i, j} and kept: the exact sum
         of exact products commutes, so (j, i) would give the same bits.  The
-        value is a float for float parameters and an mpf for mpmath
+        value is a float for float parameters and a Decimal for Decimal
         ones."""
         key = (min(i, j), max(i, j))
         if key not in self._sums:
@@ -522,19 +530,21 @@ def verify_dual_orthogonality(
     return _verify_dual(which, n, n2, _Store(p, t, 0), tolerance)
 
 
+@_in_store_context
 def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
     which = DualPair(which)
     i, j = _dual_labels(which, n, n2)
     lhs, used, tail = store.label_sum(i, j)
-    rhs = store.label_c(i) ** -2.0 if i == j else 0.0
+    rhs = store.label_c(i) ** -2 if i == j else 0
     return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
+@_in_store_context
 def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
     lhs, used, tail = store.row_sum(i, j, 1)
-    rhs = 1.0 if i == j else 0.0
+    rhs = 1 if i == j else 0
     return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, used, tail, tolerance)
 
 
@@ -560,14 +570,15 @@ def verify_unitarity(
     return _verify_columns("unitarity-columns", i, j, store, tolerance)
 
 
+@_in_store_context
 def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
     """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
     unitarity columns and for biorthogonality."""
     value, used, tail = store.label_sum(i, j)
     ci, cj = store.label_c(i), store.label_c(j)
     lhs = ci * cj * value
-    rhs = 1.0 if i == j else 0.0
-    return _finalize(identity_id, store.p, (i, j), lhs, rhs, used, ci * cj * tail, tolerance)
+    rhs = 1 if i == j else 0
+    return _finalize(identity_id, store.p, (i, j), lhs, rhs, used, float(ci * cj) * tail, tolerance)
 
 
 def verify_biorthogonality(
@@ -602,7 +613,7 @@ def _meixner_weight(first, second, m: int, q) -> float:
     w = (
         q_pochhammer(first * q, q, m)
         * (-second / first) ** m
-        * q ** (m * (m - 1) / 2.0)
+        * q ** (m * (m - 1) // 2)
         / (q_pochhammer(second * q, q, m) * q_pochhammer(q, q, m))
     )
     if not w > 0:
@@ -618,15 +629,16 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
         * q_pochhammer(first * q / second, q, n)
         * q_pochhammer(q, q, n)
         / q_pochhammer(first * q, q, n)
-        * q ** (-float(n))
+        * q**-n
     )
 
 
+@_in_store_context
 def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
     p = store.p
     which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
     lhs, used, tail = store.label_sum(*_dual_labels(which, n, n2))
-    rhs = _meixner_rhs(first, second, n, p, store.t) if n == n2 else 0.0
+    rhs = _meixner_rhs(first, second, n, p, store.t) if n == n2 else 0
     return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
@@ -673,10 +685,11 @@ def verify_Eq_zero_identity(
     return _verify_eq_zero(n, n2, _Store(p, t, 0), tolerance)
 
 
+@_in_store_context
 def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
     lhs, used, tail = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
     note = "every term reduces to E_q at a zero -q^-j"
-    return _finalize("eq-zero", store.p, (n, n2), lhs, 0.0, used, tail, tolerance, note)
+    return _finalize("eq-zero", store.p, (n, n2), lhs, 0, used, tail, tolerance, note)
 
 
 # ---------------------------------------------------------------------------

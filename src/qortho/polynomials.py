@@ -37,7 +37,6 @@ from qortho.qseries import (
     _as_negative_q_power,
     _context,
     _escalated,
-    _is_mpf,
     _series_sum,
     _working_context,
     phi_2_1,
@@ -68,6 +67,8 @@ __all__ = [
 SPECTRAL_MATCH_RTOL = 1e-10
 # working precision of the duality sequences and the coefficient tables
 _WORKING_DPS = 30
+# working precision of Decimal parameters, those of `verify --precision extended`
+EXTENDED_DPS = 50
 
 
 # exact products and sums of Decimals: a result that would need rounding
@@ -77,37 +78,10 @@ _EXACT = _context(decimal.MAX_PREC, decimal.Inexact)
 
 def _working_dps(p: QParams) -> int:
     """Digits of the entries and constants of p's sums: _WORKING_DPS for
-    float p, the caller's precision, never below that, for mpmath p.  The
-    Decimal kernels that form them run in `_working_context` of these
-    digits, at `qseries._GUARD_DIGITS` more."""
-    if not _is_mpf(p.q):
-        return _WORKING_DPS
-    import mpmath
-
-    return max(mpmath.mp.dps, _WORKING_DPS)
-
-
-def _to_decimal(x) -> decimal.Decimal:
-    """An int, a float or an mpf as the Decimal of the same value, with no
-    rounding: an mpf enters through its mantissa times a power of two."""
-    if _is_mpf(x):
-        sign, man, exp, _ = x._mpf_
-        digits = man << exp if exp >= 0 else man * 5**-exp
-        return decimal.Decimal(f"{'-' if sign else ''}{digits}E{min(exp, 0)}")
-    return decimal.Decimal(x)
-
-
-def _from_decimal(x: decimal.Decimal, exact: bool, dps: int):
-    """A Decimal as the scalars of a result: its float, or for exact
-    results an mpf at dps digits, read from its digits.  An mpf and a
-    Decimal never meet in one expression: mpmath turns the pair into a
-    float."""
-    if not exact:
-        return float(x)
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return mpmath.mpf(str(x))
+    float p, EXTENDED_DPS for Decimal p.  The Decimal kernels that form
+    them run in `_working_context` of these digits, at
+    `qseries._GUARD_DIGITS` more."""
+    return EXTENDED_DPS if isinstance(p.q, decimal.Decimal) else _WORKING_DPS
 
 
 def _exact_dot(xs, ys) -> decimal.Decimal:
@@ -194,8 +168,8 @@ class _RecurrenceTable:
     in the scalars of p, extended on demand.  They do not depend on x, so
     one table serves every forward sweep of the set.  Each entry is the
     expression the sweeps formed inline, so reading it changes no bit.
-    mpmath entries are built at the precision in effect when the table
-    was made, Decimal entries in the decimal context given."""
+    Decimal entries are built in the decimal context given, or without
+    one in the thread's context of each extension."""
 
     def __init__(self, p: QParams, context: Optional[decimal.Context] = None):
         self.p = p
@@ -203,14 +177,7 @@ class _RecurrenceTable:
         self.C: list = []
         self.d: list = []
         self.context = context
-        if context:
-            self._scope = functools.partial(decimal.localcontext, context)
-        elif any(map(_is_mpf, p)):
-            import mpmath
-
-            self._scope = functools.partial(mpmath.workprec, mpmath.mp.prec)
-        else:
-            self._scope = contextlib.nullcontext
+        self._scope = functools.partial(decimal.localcontext, context) if context else contextlib.nullcontext
 
     def upto(self, n: int) -> tuple:
         """The lists (A, C, d), with entries 0..n at least."""
@@ -229,7 +196,7 @@ def _working_coefficients(p: QParams, dps: int) -> _RecurrenceTable:
     p's, exactly."""
     context = _working_context(dps)
     with decimal.localcontext(context):
-        return _RecurrenceTable(QParams(*map(_to_decimal, p)), context)
+        return _RecurrenceTable(QParams(*map(decimal.Decimal, p)), context)
 
 
 def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_RecurrenceTable] = None) -> list:
@@ -281,7 +248,7 @@ def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
 
 def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     """P_0(lam), ..., P_{m_max}(lam) at lam = a q^(j+1) (branch "a") or
-    b q^(j+1) (branch "b"), as mpmath floats at _WORKING_DPS digits.
+    b q^(j+1) (branch "b"), as Decimals at `_working_dps(p)` digits.
 
     By the duality with the q-Meixner polynomials,
 
@@ -302,8 +269,7 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("spectral index must be nonnegative")
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    entries = itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m_max + 1)
-    return [_from_decimal(x, True, _WORKING_DPS) for x in entries]
+    return list(itertools.islice(_duality_entries(p, branch, j, _working_dps(p)), m_max + 1))
 
 
 def _duality_entries(p: QParams, branch: str, j: int, dps: int):
@@ -314,7 +280,7 @@ def _duality_entries(p: QParams, branch: str, j: int, dps: int):
     once.  A caller that keeps the iterator extends its sequence from
     where it stopped."""
     context = _working_context(dps)
-    q, a, b = map(_to_decimal, p)
+    q, a, b = map(decimal.Decimal, p)
     first, second = (a, b) if branch == "a" else (b, a)
     with decimal.localcontext(context):
         z = q ** (j + 1) * first / second
@@ -430,19 +396,17 @@ def generating_series(
     overflowed = False
     if hit is not None:
         # the weights grow like q^(-n(n-1)/2) while P_n shrinks faster;
-        # form each term in mpmath so neither factor over/underflows
-        import mpmath
-
-        seq = spectral_sequence(p, hit[0], hit[1], n_max)
+        # form each term from the Decimal duality entries, in whose exponent
+        # range neither factor over/underflows
+        seq = itertools.islice(_duality_entries(p, hit[0], hit[1], _WORKING_DPS), n_max + 1)
         terms = []
-        with mpmath.workdps(_WORKING_DPS):
-            qm, am, bm, tm = map(mpmath.mpf, (q, a, b, tvar))
-            coef = mpmath.mpf(1)
-            tpow = mpmath.mpf(1)
-            for n in range(n_max + 1):
-                terms.append(float(coef * seq[n] * tpow))
-                coef *= _generating_coefficient_ratio(n, am, bm, qm)
-                tpow *= tm
+        with decimal.localcontext(_working_context(_WORKING_DPS)):
+            qd, ad, bd, td = map(decimal.Decimal, (q, a, b, tvar))
+            coef = tpow = decimal.Decimal(1)
+            for n, value in enumerate(seq):
+                terms.append(float(coef * value * tpow))
+                coef *= _generating_coefficient_ratio(n, ad, bd, qd)
+                tpow *= td
     else:
         pvals = big_q_laguerre_recurrence(n_max, x, p)
         terms = []
@@ -527,6 +491,34 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
     return pref * value
 
 
+# pi to 50 digits
+_PI = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+@functools.lru_cache(maxsize=None)
+def _roots_of_unity(m: int) -> tuple:
+    """e^(2 pi i k / m), k = 0..m-1, each part the float nearest its exact
+    value: i^s (cos x + i sin x) for s, r = divmod(4k, m) and x = pi r / (2m)
+    in the first quadrant, with the Taylor sums of cos x and sin x in
+    40-digit Decimals, so the multiples of pi/2 stay exact."""
+    roots = []
+    with decimal.localcontext(_working_context(40)):
+        for k in range(m):
+            s, r = divmod(4 * k, m)
+            x = _PI * r / (2 * m)
+            parts = [decimal.Decimal(0), decimal.Decimal(0)]  # cos x, sin x
+            term, i = decimal.Decimal(1), 0
+            while term > decimal.Decimal("1e-45"):
+                parts[i % 2] += -term if i % 4 >= 2 else term
+                i += 1
+                term = term * x / i
+            root = complex(*map(float, parts))
+            for _ in range(s):  # times i, exactly: 0.0 - v keeps an exact zero positive
+                root = complex(0.0 - root.imag, root.real)
+            roots.append(root)
+    return tuple(roots)
+
+
 def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     """P_n(x) extracted as a Taylor coefficient of the closed generating
     function: a Cauchy sum over 256 points of a circle inside the first
@@ -542,11 +534,8 @@ def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
     rho = 0.75 * radius
     m_samples = 256
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
-    # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M); expjpi takes the
-    # exact 2k/M, not a rounded angle, so the roots carry no angle error
-    import mpmath
-
-    roots = [complex(mpmath.expjpi(mpmath.mpf(2 * k) / m_samples)) for k in range(m_samples)]
+    # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
+    roots = _roots_of_unity(m_samples)
     total = math.fsum(
         (_generating_closed_complex(x, rho * w, p, branch, j) * roots[-n * k % m_samples]).real
         for k, w in enumerate(roots)

@@ -2,13 +2,11 @@
 hypergeometric series and Jackson's q-exponential.
 
 All kernels are written against a generic real scalar: they work with
-Python floats by default, and with ``decimal.Decimal`` or ``mpmath.mpf``
-values when higher precision is required.  A float sum that cancels past
-double precision is re-summed in Decimals, in a decimal context of its
-own.  mpmath is imported only to take the log of an mpf, which exists
-only where a caller made one; ``_is_mpf`` tells one apart without
-loading mpmath.  No function keeps state; everything here is a pure
-function of its arguments.
+Python floats by default, and with ``decimal.Decimal`` values, in the
+thread's decimal context, when higher precision is required.  A float
+sum that cancels past double precision is re-summed in Decimals, in a
+decimal context of its own.  No function keeps state; everything here
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ TERMINATION_RTOL = 1e-10
 # smallest normal float: a result below it has no relative accuracy to keep
 _FLOAT_MIN = sys.float_info.min
 # digits the Decimal kernels carry beyond the working precision: at 30 digits
-# their unit roundoff, 5e-32, is below that of a 30-digit mpf, 2^-103 = 9.9e-32
+# their unit roundoff is 5e-32
 _GUARD_DIGITS = 2
 
 
@@ -72,23 +70,21 @@ class TailError(QSeriesError, RuntimeError):
     """A truncated-series tail could not be certified below tolerance."""
 
 
-def _is_mpf(x) -> bool:
-    """Whether x is an mpmath float.  No mpf exists before mpmath is
-    imported, so this never imports it."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and isinstance(x, mpmath.mpf)
-
-
 def _ln(x):
-    """Natural log dispatching on the scalar type: float, Decimal (in the
-    thread's decimal context) or mpmath."""
-    if isinstance(x, (float, int)):
-        return math.log(x)
-    if isinstance(x, decimal.Decimal):
-        return x.ln()
-    import mpmath
+    """Natural log in x's scalar type: a Decimal's in the thread's decimal
+    context, else math.log."""
+    return x.ln() if isinstance(x, decimal.Decimal) else math.log(x)
 
-    return mpmath.log(x)
+
+def _sqrt(x):
+    """Square root in x's scalar type: a Decimal's in the thread's decimal
+    context, else x ** 0.5."""
+    return x.sqrt() if isinstance(x, decimal.Decimal) else x**0.5
+
+
+def _zero(x):
+    """The zero of x's scalar type: a Decimal's, else the float 0.0 * x."""
+    return x * 0 if isinstance(x, decimal.Decimal) else 0.0 * x
 
 
 def _context(prec: int, *traps) -> decimal.Context:
@@ -229,7 +225,7 @@ class QParams(_Validated, _QParamsFields):
     @property
     def alpha(self):
         """(-b)^(1/2) q^l (1-q)."""
-        return (-self.b) ** 0.5 * self.q**self.l * (1 - self.q)
+        return _sqrt(-self.b) * self.q**self.l * (1 - self.q)
 
     @property
     def beta1(self):
@@ -278,7 +274,7 @@ def q_pochhammer_inf(a, q, t: Truncation = Truncation()):
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
     if _as_negative_q_power(a, q) is not None:
-        return 0.0 * a  # preserves scalar type
+        return _zero(a)
     out = 1 - a
     aqk = a * q
     run = 0
@@ -300,7 +296,9 @@ def q_number(a, q):
     """[a]_q = (q^(a/2) - q^(-a/2)) / (q^(1/2) - q^(-1/2))."""
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
-    half = q**0.5
+    if isinstance(q, decimal.Decimal):
+        a = decimal.Decimal(a)  # exactly, so that a / 2 is a Decimal
+    half = _sqrt(q)
     return (q ** (a / 2) - q ** (-a / 2)) / (half - 1 / half)
 
 
@@ -341,14 +339,14 @@ def _escalated(sum_fn, args, rel_tol):
     """sum_fn(*args)'s value, re-run in Decimals when float rounding is
     above rel_tol relative accuracy.
 
-    sum_fn returns (value, max_abs_term).  A call with a Decimal, mpmath or
-    complex argument is returned as computed: Decimal and mpmath arguments
-    already run at the caller's working precision, and complex sums are not
-    guarded.  A float pass escalates when it is not finite or when
-    8 eps max|term| exceeds 0.05 rel_tol |value|.  The needed precision
-    depends on the (unknown) true magnitude of the result, so each Decimal
-    pass re-targets from the latest value estimate and at least doubles the
-    digits of the pass before.  A pass of dps digits runs in
+    sum_fn returns (value, max_abs_term).  A call with a Decimal or complex
+    argument is returned as computed: Decimal arguments already run at the
+    caller's working precision, and complex sums are not guarded.  A float
+    pass escalates when it is not finite or when 8 eps max|term| exceeds
+    0.05 rel_tol |value|.  The needed precision depends on the (unknown)
+    true magnitude of the result, so each Decimal pass re-targets from the
+    latest value estimate and at least doubles the digits of the pass
+    before.  A pass of dps digits runs in
     `_working_context(dps)`, at _GUARD_DIGITS more, on the exact Decimals
     of the arguments, and has absolute error about
     10^(log10 max|term| - dps + 2); the loop stops once that is below
@@ -452,7 +450,7 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
         raise DomainError("q must lie strictly in (0, 1)")
     j = _as_negative_q_power(-z, q)
     if j is not None:
-        return 0.0 * z
+        return _zero(z)
 
     def _sum(zz, qq):
         qn = 1 + zz * 0  # q^n

@@ -303,33 +303,77 @@ class TestProcessHistory:
         assert snapshot() == before
 
     def test_records_independent_of_caller_contexts(self, capsys):
-        # the kernels run in their own decimal contexts and pass mpmath
-        # parameters' precision only where the parameters are mpmath
-        # scalars: neither the thread's decimal context nor mpmath's
-        # global precision may reach a record of float parameters.  table
-        # re-sums cancelling series in Decimals and spectrum sums the
-        # q-Meixner values of its truncation radii in them
+        # the kernels run in their own decimal contexts, and --precision
+        # extended makes and checks its Decimal parameters in the store's:
+        # neither the thread's decimal context nor mpmath's global precision
+        # may reach a record.  table re-sums cancelling series in Decimals
+        # and spectrum sums the q-Meixner values of its truncation radii in
+        # them; at a = 1.999999, a q = 0.9999995 lies below 1 only past the
+        # fifth digit
         import decimal
 
         import mpmath
 
         import qortho.cli
 
+        extended = ["verify", "--identity", "all", "--index-max", "2", "--precision", "extended"]
+        commands = (
+            ["verify", "--identity", "all", "--index-max", "3"],
+            ["table"],
+            ["spectrum", "--dim", "20"],
+            extended,
+            extended + ["--a", "1.999999"],
+        )
+
         def outputs():
             out = []
-            for argv in (["verify", "--identity", "all", "--index-max", "3"], ["table"], ["spectrum", "--dim", "20"]):
-                assert qortho.cli.main(argv + ["--no-timestamp"]) == 0, argv
-                out.append(capsys.readouterr().out)
+            for argv in commands:
+                code = qortho.cli.main(argv + ["--no-timestamp"])
+                out.append((code, capsys.readouterr()))
             return out
 
         clean = outputs()
-        with decimal.localcontext():
-            context = decimal.getcontext()
-            context.prec, context.rounding = 5, decimal.ROUND_FLOOR
-            context.clear_traps()
-            assert outputs() == clean
+        assert [code for code, _ in clean] == [0, 0, 0, 0, 0], clean
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            with decimal.localcontext() as context:
+                context.prec, context.rounding = 5, rounding
+                context.clear_traps()
+                assert outputs() == clean, rounding
         with mpmath.workdps(60):
             assert outputs() == clean
+
+    def test_extended_records_independent_of_other_threads(self):
+        # mpmath's working precision is global to the process, and no
+        # verify reads it: a thread that keeps changing it while extended
+        # verifies run, with the interpreter switching threads every 10 us,
+        # leaves every record of the serial run
+        import threading
+
+        import mpmath
+
+        from qortho.cli import RunConfig, _run_verify
+
+        cfg = RunConfig(command="verify", q=0.7, a=0.9, b=-0.4, index_max=2, precision="extended")
+        serial = _run_verify(cfg)
+        stop = threading.Event()
+
+        def churn():
+            while not stop.is_set():
+                with mpmath.workdps(15):
+                    mpmath.mpf(1) / 3
+
+        interval = sys.getswitchinterval()
+        thread = threading.Thread(target=churn)
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        try:
+            runs = [_run_verify(cfg) for _ in range(3)]
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert runs == [serial] * 3
 
     def test_edge_point_basis_index_families_pass(self):
         # an edge point near q = 1 where the label coefficients a_m at
@@ -399,10 +443,57 @@ class TestStartup:
 
     @pytest.mark.parametrize("step", ["import qortho", "import qortho.cli"] + [" ".join(argv) for argv in COMMANDS])
     def test_only_extended_precision_loads_mpmath(self, step, tmp_path):
-        # double precision computes in floats and Decimals, so mpmath loads
-        # only where an mpf is made: the 50-digit parameters of
-        # --precision extended
-        assert self.loaded_in_fresh_process("mpmath", step, tmp_path) == ("extended" in step)
+        # no command loads mpmath: both precisions compute in floats and
+        # Decimals.  The name is that of the days when --precision extended
+        # ran on mpmath scalars, kept so the test ids stay comparable
+        assert not self.loaded_in_fresh_process("mpmath", step, tmp_path)
+
+    def test_runs_without_mpmath(self, tmp_path):
+        # mpmath is a test dependency only: with its import blocked, every
+        # command runs, --precision extended included, and so do the routes
+        # that once made mpfs, with the values they give in this process
+        code = textwrap.dedent(
+            """
+            import json, sys
+            sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+            import qortho.cli
+            from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
+            from qortho.polynomials import Family, Method, PolyEval, generating_series, poly_eval, spectral_sequence
+
+            out, commands = sys.argv[1], json.loads(sys.argv[2])
+            codes = [qortho.cli.main(argv + ["--out", out, "--no-timestamp"]) for argv in commands]
+            p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
+            lam = p.a * p.q**2
+            sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
+            values = [
+                poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 3, lam, p, Method.GENERATING)),
+                generating_series(lam, 0.1, p, 20),
+                str(spectral_sequence(p, "a", 1, 5)[5]),
+                *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
+            ]
+            print(json.dumps([codes, values]))
+            """
+        )
+        argv = [sys.executable, "-c", code, str(tmp_path / "r.json"), json.dumps(self.COMMANDS)]
+        res = subprocess.run(argv, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        codes, values = json.loads(res.stdout)
+        assert codes == [0] * len(self.COMMANDS)
+
+        from qortho import QParams
+        from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
+        from qortho.polynomials import Family, Method, PolyEval, generating_series, poly_eval, spectral_sequence
+
+        p = QParams(q=0.5, a=0.5, b=-0.7)
+        lam = p.a * p.q**2
+        sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
+        assert len(values) == 3 + 4
+        assert values == [
+            poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 3, lam, p, Method.GENERATING)),
+            generating_series(lam, 0.1, p, 20),
+            str(spectral_sequence(p, "a", 1, 5)[5]),
+            *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
+        ]
 
     def test_import_does_not_load_process_pool(self, tmp_path):
         # every verify is one task in one process, so no command pays the
@@ -490,8 +581,9 @@ class TestStartup:
         import tomllib
 
         pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())["project"]
-        assert pyproject["dependencies"] == ["mpmath>=1.3"]
-        assert any(dep.startswith("numpy") for dep in pyproject["optional-dependencies"]["test"])
+        assert pyproject["dependencies"] == []
+        test_extra = pyproject["optional-dependencies"]["test"]
+        assert any(dep.startswith("numpy") for dep in test_extra) and any(dep.startswith("mpmath") for dep in test_extra)
 
 
 class TestCommands:
@@ -690,7 +782,7 @@ class TestGoldenOutput:
             0,
         ),
         # the CLI path through the terminating-series kernel: 68 of its 135
-        # float sums cancel past double precision and rerun in mpmath
+        # float sums cancel past double precision and rerun in Decimals
         (
             ["table", "--q", "0.7", "--a", "0.9", "--b", "-0.4"],
             "table_q0.7_a0.9_b-0.4.csv",

@@ -167,7 +167,8 @@ FORWARD_CASES = [
 
 def _worst_error(got, want) -> float:
     """Largest |got - want| against max |want|, with Decimal and mpf values
-    read into 60-digit mpfs: the two types never meet in one expression."""
+    read into 60-digit mpfs: mpmath turns a Decimal and an mpf in one
+    expression into a float."""
     import mpmath
 
     with mpmath.workdps(60):
@@ -255,9 +256,10 @@ class TestNormalization:
     @pytest.mark.parametrize("qab", [("0.9", "0.9", "-0.5"), ("0.3", "3.2", "-0.01")], ids=["q0.9", "retry"])
     def test_store_constants_match_closed_forms_at_40_digits(self, qab):
         # the store's c_n and c'_n, n <= 200, one running product per
-        # branch, against the printed closed forms at 60 digits, with
-        # mpmath.qp for the infinite products; the printed c'_n is c_n with a
-        # and b swapped
+        # branch, of Decimal parameters with a 1e-40 truncation, against the
+        # printed closed forms at 60 digits, with mpmath.qp for the infinite
+        # products; the printed c'_n is c_n with a and b swapped
+        import decimal
         import itertools
         import operator
 
@@ -265,12 +267,13 @@ class TestNormalization:
 
         from qortho.orthogonality import _Store
 
-        with mpmath.workdps(40):
-            p = QParams(*map(mpmath.mpf, qab))
-            store = _Store(p, Truncation(rel_tol=1e-40), 0)
-            got = {branch: list(map(store.value, store.c[branch].upto(200)[:201])) for branch in "ab"}
+        p = QParams(*map(decimal.Decimal, qab))
+        store = _Store(p, Truncation(rel_tol=1e-40), 0)
+        values = {branch: list(map(store.value, store.c[branch].upto(200)[:201])) for branch in "ab"}
+        assert all(isinstance(x, decimal.Decimal) for x in values["a"] + values["b"])
         with mpmath.workdps(60):
-            q, a, b = p.q, p.a, p.b
+            got = {branch: [mpmath.mpf(str(x)) for x in xs] for branch, xs in values.items()}
+            q, a, b = map(mpmath.mpf, qab)
             xs = (q, a * q, b * q, a / b, b / a, a * q / b, b * q / a)
             infinite = {x: mpmath.qp(x, q) for x in xs}
             # (x; q)_0 .. (x; q)_201 as literal running products

@@ -1,5 +1,7 @@
 """Tests for the identity-verification engines."""
 
+import decimal
+
 import pytest
 
 from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer
@@ -30,33 +32,40 @@ P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
 LABEL_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
 
 
-def extended_reports(families, q, a, b, index_max):
-    """The families' reports at 50-digit parameters, as `verify
-    --precision extended` runs them: in order, on one store."""
-    import mpmath
+def extended_params(q, a, b):
+    """The parameters of `verify --precision extended`: the exact Decimals
+    of the flag values."""
+    return QParams(*(decimal.Decimal(repr(x)) for x in (q, a, b)))
 
+
+def extended_reports(families, q, a, b, index_max):
+    """The families' reports at Decimal parameters, as `verify --precision
+    extended` runs them: in order, on one store."""
     from qortho.orthogonality import _Store
 
-    with mpmath.workdps(50):
-        p = QParams(q=mpmath.mpf(repr(q)), a=mpmath.mpf(repr(a)), b=mpmath.mpf(repr(b)))
-        t = Truncation(rel_tol=1e-20)
-        store = _Store(p, t, index_max)
-        return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, store=store)]
+    p = extended_params(q, a, b)
+    t = Truncation(rel_tol=1e-20)
+    store = _Store(p, t, index_max)
+    return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, store=store)]
 
 
 def literal_reference_points(p):
     """(p, t, dps) of the literal-reference tests: p in floats at the
-    working precision, and p in 50-digit scalars as `verify --precision
-    extended` runs it; the caller runs its check inside the iteration, so
-    the mpf case runs at 50 digits."""
-    import mpmath
-
-    from qortho.polynomials import _WORKING_DPS
+    working precision, and p in Decimals at 50 digits, as `verify
+    --precision extended` runs it."""
+    from qortho.polynomials import _WORKING_DPS, EXTENDED_DPS
 
     yield p, T, _WORKING_DPS
-    with mpmath.workdps(50):
-        pm = QParams(q=mpmath.mpf(repr(p.q)), a=mpmath.mpf(repr(p.a)), b=mpmath.mpf(repr(p.b)))
-        yield pm, Truncation(rel_tol=1e-20), 50
+    yield extended_params(*p), Truncation(rel_tol=1e-20), EXTENDED_DPS
+
+
+def to_mpf(x):
+    """A float or a Decimal as an mpf, at the precision in effect, of the
+    same value: mpmath turns an mpf and a Decimal in one expression into a
+    float."""
+    import mpmath
+
+    return mpmath.mpf(str(decimal.Decimal(x)))
 
 
 def random15_points() -> list:
@@ -180,12 +189,11 @@ class TestSears:
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive)
         from qortho.orthogonality import _N_CAP, _bilinear_sum, _Store
-        from qortho.polynomials import _to_decimal
 
         store = _Store(P1, T, 0)
         for rows in store.rows.values():
             entry = lambda n: rows.at(n)[0]  # noqa: E731
-            val, _, _ = _bilinear_sum(entry, entry, T, _N_CAP, _to_decimal(store.kc), store.context)
+            val, _, _ = _bilinear_sum(entry, entry, T, _N_CAP, decimal.Decimal(store.kc), store.context)
             assert val > 0
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5)], ids=["p1", "q0.9"])
@@ -509,14 +517,12 @@ class TestReports:
 
     def test_sums_leave_in_the_parameters_scalars(self):
         # the Decimal kernels hand a sum, and a normalization constant, back
-        # once: an mpf at the store's digits for mpmath parameters, a float
-        # for float ones
-        import mpmath
-
+        # once: the Decimal itself for Decimal parameters, a float for float
+        # ones
         from qortho.orthogonality import _Store
 
         for p, t, dps in literal_reference_points(P1):
-            kind = mpmath.mpf if dps > 30 else float
+            kind = decimal.Decimal if dps > 30 else float
             store = _Store(p, t, 1)
             assert store.dps == dps
             values = [
@@ -527,8 +533,32 @@ class TestReports:
             ]
             assert [type(v) for v in values] == [kind] * 4, values
 
+    def test_extended_standalone_records_match_sweep(self):
+        # every public verifier on Decimal parameters forms its closed forms
+        # and verdict in its store's decimal context, as the sweep does: run
+        # in a caller's context of 5 digits, each gives the sweep's record
+        p, t = extended_params(0.5, 0.5, -0.7), Truncation(rel_tol=1e-20)
+        standalone = {
+            "big-laguerre": lambda i, j: verify_big_laguerre_orthogonality(i, j, p, t),
+            "sears": lambda i, j: verify_identity_3637(p, t),
+            "unitarity-rows": lambda i, j: verify_unitarity(RowCol.ROWS, i, j, p, t),
+            "unitarity-columns": lambda i, j: verify_unitarity(RowCol.COLUMNS, i, j, p, t),
+            "dual-ff": lambda i, j: verify_dual_orthogonality(DualPair.FF, i, j, p, t),
+            "dual-gg": lambda i, j: verify_dual_orthogonality(DualPair.GG, i, j, p, t),
+            "dual-fg": lambda i, j: verify_dual_orthogonality(DualPair.FG, i, j, p, t),
+            "meixner": lambda i, j: verify_meixner_orthogonality(i, j, p, t),
+            "meixner-negb": lambda i, j: verify_negative_b_meixner_orthogonality(i, j, p, t),
+            "eq-zero": lambda i, j: verify_Eq_zero_identity(i, j, p, t),
+            "biortho": lambda i, j: verify_biorthogonality(i, j, p, t),
+        }
+        records = run_identity_checks("all", p, t, index_max=2)
+        assert {r.identity_id for r in records} == set(standalone)
+        with decimal.localcontext(prec=5, rounding=decimal.ROUND_FLOOR):
+            for r in records:
+                assert r == standalone[r.identity_id](*r.indices), (r.identity_id, r.indices)
+
     def test_extended_meixner_sums_keep_extended_accuracy(self):
-        # in 50-digit scalars the store's columns and rows form their
+        # at Decimal parameters the store's columns and rows form their
         # entries at 50 digits and add the products exactly: every sum of
         # the six label-sum families that vanishes exactly comes out at
         # the 50-digit rounding level.  The rows' terms decay only
@@ -618,10 +648,8 @@ class TestReports:
         # value an mpf dot product at twice the table's digits of the
         # entries read into mpfs; a table that reads the wrong row, degree
         # or scale fails here, while the sweep-vs-standalone test cannot
-        # tell, since both sides share it.  c_n and c'_n are the running
-        # products in the table's decimal context, as the table multiplies
-        # them
-        import decimal
+        # tell, since both sides share it.  c_n, c'_n and Kc are formed in
+        # the table's decimal context, as the table forms them
         import functools
         import itertools
 
@@ -629,7 +657,7 @@ class TestReports:
 
         from qortho.operators import _a_coeff_logs, _normalization_entries, _prefactor_entries
         from qortho.orthogonality import _certified_sum, _kc
-        from qortho.polynomials import _duality_entries, _to_decimal, _working_coefficients
+        from qortho.polynomials import _duality_entries, _working_coefficients
         from qortho.qseries import _working_context
 
         K = 8
@@ -638,7 +666,8 @@ class TestReports:
             prefs = list(itertools.islice(_prefactor_entries(p, dps), K + 1))
             recurrence = _working_coefficients(p, dps)
             norm = {branch: (_normalization_entries(p, branch, t, dps), []) for branch in "ab"}
-            kc = _kc(p, t)
+            with decimal.localcontext(context):
+                kc = _kc(p, t)
 
             def c(branch, n):
                 source, values = norm[branch]
@@ -657,7 +686,7 @@ class TestReports:
 
             def literal(m, m2):
                 with decimal.localcontext(context):
-                    fscale = float(_to_decimal(kc) / (prefs[m] * prefs[m2]))
+                    fscale = float(decimal.Decimal(kc) / (prefs[m] * prefs[m2]))
                 xs, ys, used, tail = [], [], 0, 0.0
                 for branch in "ab":
                     def term(n):
@@ -669,7 +698,7 @@ class TestReports:
                     used, tail = used + used_b, tail + tail_b
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
-                    scale = kc / (mpmath.mpf(str(prefs[m])) * mpmath.mpf(str(prefs[m2])))
+                    scale = to_mpf(kc) / (mpmath.mpf(str(prefs[m])) * mpmath.mpf(str(prefs[m2])))
                     terms = [scale * x * y for x, y in zip(xs, ys)]
                     return scale * mpmath.fdot(xs, ys), used, tail, mpmath.fsum(terms, absolute=True)
 
@@ -688,7 +717,6 @@ class TestReports:
         # coefficients read into mpfs.  A store that reads a wrong entry
         # fails here, while the sweep-vs-standalone test cannot tell, since
         # both sides share the store
-        import decimal
         import functools
 
         import mpmath
@@ -736,9 +764,11 @@ class TestReports:
 
             def scaled(i, j, value, used, tail, total_abs):
                 # the tail as the record forms it, the rest at twice the digits
-                tail = c(i) * c(j) * tail
+                with decimal.localcontext(_working_context(dps)):
+                    tail = float(c(i) * c(j)) * tail
                 with mpmath.workdps(2 * dps):
-                    return c(i) * c(j) * value, used, tail, abs(c(i) * c(j)) * total_abs
+                    cc = to_mpf(c(i)) * to_mpf(c(j))
+                    return cc * value, used, tail, abs(cc) * total_abs
 
             reference = {
                 "dual-ff": lambda n, n2: literal(n, n2),

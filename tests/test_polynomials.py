@@ -7,6 +7,7 @@ of the code under test.
 
 import cmath
 import contextlib
+import decimal
 import functools
 import math
 import random
@@ -17,7 +18,16 @@ import textwrap
 import mpmath
 import pytest
 
-from qortho.qseries import DomainError, NeumaierSum, QParams, Truncation, _escalated, q_pochhammer, q_pochhammer_inf
+from qortho.qseries import (
+    DomainError,
+    NeumaierSum,
+    QParams,
+    Truncation,
+    _escalated,
+    _working_context,
+    q_pochhammer,
+    q_pochhammer_inf,
+)
 from qortho.polynomials import (
     _bigql_series_sum,
     _generating_closed_complex,
@@ -85,16 +95,21 @@ class TestBigQLaguerreSeries:
                 rhs = _big_q_laguerre_raw(n, x, -0.7, 0.5, 0.5)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_mpf_passthrough(self):
-        with mpmath.workdps(40):
-            got = big_q_laguerre(3, mpmath.mpf("0.2"), P1, T)
-        assert float(got) == pytest.approx(P3_AT_02, rel=1e-13)
+    def test_decimal_passthrough(self):
+        # Decimal scalars stay Decimals, at the precision of the caller's
+        # context: the exact rational value to 38 digits
+        D = decimal.Decimal
+        with decimal.localcontext(_working_context(40)):
+            p = QParams(q=D("0.5"), a=D("0.5"), b=D("-0.7"))
+            got = big_q_laguerre(3, D("0.2"), p, T)
+            assert isinstance(got, D)
+            assert abs(got - D(-4573) / 1288035) <= D("1e-38") * abs(got)
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_deep_cancellation(self, n):
         # at q = 0.3 the terms reach 1e227 (n = 30) and 1e407 (n = 40), past
         # the float range, while the sums are tiny: the float pass overflows
-        # or cancels completely, and the mpmath passes must resolve the sum
+        # or cancels completely, and the Decimal passes must resolve the sum
         p = QParams(q=0.3, a=0.5, b=-0.7)
         for x in (0.5, p.a * p.q, p.b * p.q**3):
             with mpmath.workdps(900):
@@ -150,15 +165,17 @@ class TestSpectralSequence:
 
     def test_longer_cut_off_after_shorter(self):
         # a long sequence requested after a short one at the same point is
-        # the sequence a fresh call gives, and the exact series to 20 digits
+        # the sequence a fresh call gives, of Decimals, and the exact series
+        # to 20 digits
         p = P2
         spectral_sequence(p, "a", 0, 5)
         got = spectral_sequence(p, "a", 0, 20)[20]
+        assert isinstance(got, decimal.Decimal)
         assert got == spectral_sequence(p, "a", 0, 20)[20]
         with mpmath.workdps(120):
             q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
             want = _bigql_series_sum(20, a * q, a, b, q)[0]
-            assert abs(got - want) <= mpmath.mpf(10) ** -20 * abs(want)
+            assert abs(mpmath.mpf(str(got)) - want) <= mpmath.mpf(10) ** -20 * abs(want)
 
     def test_rejects_bad_arguments(self):
         for args in (("c", 0, 5), ("a", -1, 5), ("b", 0, -1)):
@@ -553,9 +570,10 @@ class TestTerminatingSumKernel:
         # cancel past double precision and rerun in Decimals
         assert any(escalated) and not all(escalated)
 
-    def test_mpf_routes_match_loops(self):
-        with mpmath.workdps(40):
-            escalated = [flag for *_, flag in self._check_grid(self._grid(8, 15), mpmath.mpf)]
+    def test_decimal_routes_match_loops(self):
+        # Decimal sums run once, at the caller's precision: none re-sums
+        with decimal.localcontext(_working_context(40)):
+            escalated = [flag for *_, flag in self._check_grid(self._grid(8, 15), decimal.Decimal)]
         assert escalated and not any(escalated)
 
     def test_escalated_sums_match_80_digit_loops(self):
@@ -606,19 +624,21 @@ def _loop_forward(n_max, x, p):
 
 class TestRecurrenceTable:
     POINTS = [P1, P2, QParams(q=0.95, a=0.9, b=-3.0), QParams(q=0.3, a=3.2, b=-0.01)]
-    # scalar kinds: floats, and mpmath floats made and used at 30 and at
-    # 50 digits (the working precision and the extended CLI precision)
+    # scalar kinds: floats, and the Decimals of the flag values made and
+    # used in the working contexts of 30 and of 50 digits (the working
+    # precision and the extended CLI precision).  The kinds keep the ids of
+    # the mpmath scalars they stood for before the package dropped mpmath
     SCALARS = {"float": None, "mpf30": 30, "mpf50": 50}
 
     @staticmethod
     def _in(dps):
-        return mpmath.workdps(dps) if dps else contextlib.nullcontext()
+        return decimal.localcontext(_working_context(dps)) if dps else contextlib.nullcontext()
 
     @staticmethod
     def _convert(p, dps):
         if dps is None:
             return p
-        return QParams(q=mpmath.mpf(repr(p.q)), a=mpmath.mpf(repr(p.a)), b=mpmath.mpf(repr(p.b)))
+        return QParams(*(decimal.Decimal(repr(x)) for x in p))
 
     @pytest.mark.parametrize("kind", SCALARS)
     def test_forward_matches_inline_loop(self, kind):
@@ -629,7 +649,7 @@ class TestRecurrenceTable:
             for p0 in self.POINTS:
                 p = self._convert(p0, dps)
                 shared = _RecurrenceTable(p)
-                xs = [p.a * p.q, p.a * p.q**5, p.b * p.q**2, p.b * p.q**9, p.q * 0 + 0.3]
+                xs = [p.a * p.q, p.a * p.q**5, p.b * p.q**2, p.b * p.q**9, type(p.q)("0.3")]
                 for n_max in (7, 0, 25, 1, 60, 12):
                     for x in xs:
                         want = _loop_forward(n_max, x, p)
@@ -639,10 +659,8 @@ class TestRecurrenceTable:
     @pytest.mark.parametrize("kind", ["float", "mpf50"])
     def test_forward_on_working_table_matches_inline_loop(self, kind):
         # the Decimal table of the forward coefficient rows at 30 working
-        # digits, made from float and from 50-digit parameters, serves
+        # digits, made from float and from Decimal parameters, serves
         # sweeps on its scalars in its own decimal context
-        import decimal
-
         from qortho.polynomials import _working_coefficients
 
         dps = self.SCALARS[kind]
@@ -661,17 +679,18 @@ class TestRecurrenceTable:
         from qortho.polynomials import _RecurrenceTable
 
         dps = self.SCALARS[kind]
+        context = _working_context(dps) if dps else None
         for p0 in self.POINTS:
-            with self._in(dps):
-                p = self._convert(p0, dps)
-                long = _RecurrenceTable(p)
-                long.upto(60)
-                short = _RecurrenceTable(p)
-                short.upto(3)
-                short.upto(17)
-            # an mpmath table extends at the precision it was made at, even
-            # when the extension runs under another one
-            short.upto(60)
+            p = self._convert(p0, dps)
+            long = _RecurrenceTable(p, context)
+            long.upto(60)
+            short = _RecurrenceTable(p, context)
+            short.upto(3)
+            short.upto(17)
+            # a table made with a decimal context extends in it, even when
+            # the extension runs under another one
+            with decimal.localcontext(prec=5):
+                short.upto(60)
             assert (short.A, short.C, short.d) == (long.A, long.C, long.d), (kind, p0)
             q, a, b = p.q, p.a, p.b
             with self._in(dps):
@@ -683,17 +702,17 @@ class TestRecurrenceTable:
 
 class TestDecimalBoundary:
     def test_values_enter_exactly(self):
-        # floats and mpfs of either sign, far from 1 in both directions,
-        # cross into Decimal with no rounding: the digits read back at 400
-        # digits are the value itself
-        import decimal
+        # parameters cross into the Decimal tables with no rounding: floats
+        # and ints far from 1 in both directions read back at 400 digits as
+        # the values themselves, and Decimals with more digits than the
+        # working context keep every one
+        from qortho.polynomials import _working_coefficients
 
-        from qortho.polynomials import _to_decimal
-
-        with mpmath.workdps(50):
-            mpfs = [mpmath.mpf(repr(-0.7)), mpmath.mpf(2) ** -1100 / 3, -(mpmath.mpf(3) ** 90), mpmath.mpf(0)]
-        for x in [0.7, -5.286509211094206, 2.0**-1074, -(2.0**1000), 0.0, 1] + mpfs:
-            got = _to_decimal(x)
-            assert isinstance(got, decimal.Decimal)
+        D = decimal.Decimal
+        decimals = QParams(q=D("0." + "7" * 60), a=D("9" * 45 + "E-400"), b=D("-" + "3" * 50 + "E+90"))
+        for p in (QParams(q=0.7, a=2.0**-1074, b=-(2.0**1000)), QParams(q=2.0**-1074, a=1, b=-5.286509211094206), decimals):
+            got = _working_coefficients(p, 30).p
+            assert all(isinstance(x, D) for x in got)
             with mpmath.workdps(400):
-                assert mpmath.mpf(str(got)) == mpmath.mpf(x), x
+                assert [mpmath.mpf(str(x)) for x in got] == [mpmath.mpf(str(D(x))) for x in p], p
+        assert _working_coefficients(decimals, 30).p == decimals

@@ -5,6 +5,7 @@ oracles (direct Decimal products / brute-force partial sums), not with
 the code under test.
 """
 
+import decimal
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from qortho.qseries import (
     QParams,
     SeriesDivergenceError,
     Truncation,
+    _working_context,
     jackson_Eq,
     phi_2_1,
     phi_3_2,
@@ -161,11 +163,15 @@ class TestPhi32:
         got = phi_3_2(q**-2, 0.0, 0.3, 0.25, -0.35, q, q, T)
         assert got == pytest.approx(PHI32_N2_ORACLE, rel=1e-14)
 
-    def test_mpf_scalars_pass_through(self):
-        q = mpmath.mpf("0.5")
-        got = phi_3_2(q**-2, q * 0, mpmath.mpf("0.3"), mpmath.mpf("0.25"), mpmath.mpf("-0.35"), q, q, T)
-        assert isinstance(got, mpmath.mpf)
-        assert float(got) == pytest.approx(PHI32_N2_ORACLE, rel=1e-14)
+    def test_decimal_scalars_pass_through(self):
+        # the sum stays a Decimal, at the caller's 40 digits: the oracle's
+        # 38 digits all agree
+        D = decimal.Decimal
+        with decimal.localcontext(_working_context(40)):
+            q = D("0.5")
+            got = phi_3_2(q**-2, q * 0, D("0.3"), D("0.25"), D("-0.35"), q, q, T)
+            assert isinstance(got, D)
+            assert abs(got - D("0.069083267664827948515891778303125820856")) <= D("1e-38")
 
 
 class TestJacksonEq:
@@ -244,6 +250,30 @@ class TestQParams:
         assert p.alpha == pytest.approx(math.sqrt(0.7) * math.sqrt(0.25) * 0.5, rel=1e-13)
         assert p.beta1 == pytest.approx(-0.7 * 1.5, rel=1e-14)
         assert p.beta2 == pytest.approx(-0.35 + 0.25 * 0.3, rel=1e-13)
+
+
+class TestScalarTypes:
+    # the kernels are generic in the scalar: at their zeros and square
+    # roots a Decimal argument gives a Decimal, in the caller's context,
+    # and a float or an int the float of before
+    @pytest.mark.parametrize(
+        "kind,tol", [(float, 1e-14), (decimal.Decimal, decimal.Decimal("1e-29"))], ids=["float", "Decimal"]
+    )
+    def test_zeros_and_square_roots_keep_the_scalar_type(self, kind, tol):
+        with decimal.localcontext(_working_context(30)):
+            q = kind("0.5")
+            zeros = [q_pochhammer_inf(q**-2, q, T), jackson_Eq(-(q**-1), q, T)]
+            assert zeros == [0, 0] and all(type(x) is kind for x in zeros), zeros
+            p = QParams(q=q, a=kind("0.5"), b=kind("-0.7"))
+            # alpha = sqrt(-b) q^l (1-q) with l = 1, and [3]_q = 1/q + 1 + q
+            alpha = math.sqrt(0.7) / 4 if kind is float else decimal.Decimal("0.7").sqrt() / 4
+            checks = [(p.alpha, alpha), (q_number(3, q), kind("3.5")), (q_number(kind(3), q), kind("3.5"))]
+            for got, want in checks:
+                assert type(got) is kind and abs(got - want) <= tol, (got, want)
+
+    def test_int_and_float_zeros_are_floats(self):
+        assert [q_pochhammer_inf(4, 0.5, T), jackson_Eq(-2, 0.5, T)] == [0.0, 0.0]
+        assert type(q_pochhammer_inf(4, 0.5, T)) is float and type(jackson_Eq(-2, 0.5, T)) is float
 
 
 class TestTruncation:
