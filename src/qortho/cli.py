@@ -32,7 +32,6 @@ from qortho.operators import (
 )
 from qortho.polynomials import (
     EXTENDED_DPS,
-    _WORKING_DPS,
     _duality_entries,
     big_q_laguerre,
     big_q_laguerre_recurrence,
@@ -295,9 +294,7 @@ def _table_rows(cfg: RunConfig) -> list:
         # dual_f(n, m) and dual_g(n, m) are entry m of the duality
         # sequences of `spectral_sequence`, whose entries do not depend on
         # the cut-off
-        f_seq, g_seq = (
-            list(itertools.islice(_duality_entries(p, branch, n, _WORKING_DPS), cfg.index_max + 1)) for branch in "ab"
-        )
+        f_seq, g_seq = (list(itertools.islice(_duality_entries(p, branch, n), cfg.index_max + 1)) for branch in "ab")
         for m in range(cfg.index_max + 1):
             rows.append(
                 {

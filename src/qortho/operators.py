@@ -28,15 +28,12 @@ from qortho.qseries import (
     Truncation,
     _sqrt,
     _Validated,
-    _working_context,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
-    _WORKING_DPS,
+    _context_of,
     _duality_entries,
     _recurrence_d,
-    _working_coefficients,
-    _working_dps,
     big_q_laguerre_recurrence,
     match_spectral_point,
     q_meixner,
@@ -316,22 +313,22 @@ def _pref_a_ratio(qm, q, a, b):
 
 def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
     """pref_0..pref_m_max as the sequential product of consecutive ratios
-    pref_{m+1}/pref_m, so no factor over- or underflows, in Decimals at
-    _WORKING_DPS working digits; n-independent, so one list serves every
-    spectral point of a parameter set, and its first m+1 entries equal
+    pref_{m+1}/pref_m, so no factor over- or underflows, in Decimals in
+    `_context_of(p)`; n-independent, so one list serves every spectral
+    point of a parameter set, and its first m+1 entries equal
     `_prefactors(p, m, ratio_fn)` bit for bit."""
-    return list(itertools.islice(_prefactor_entries(p, _WORKING_DPS, ratio_fn), m_max + 1))
+    return list(itertools.islice(_prefactor_entries(p, ratio_fn), m_max + 1))
 
 
-def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio, start=1, branch: str = "a"):
+def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio, start=1, branch: str = "a"):
     """start pref_0, start pref_1, ... of `_prefactors` without end, one
-    Decimal per next(), in the working context of dps digits: the running
-    product of ratio_fn(q^(m+1), q, first, second), with q^(m+1) carried
-    from step to step and (first, second) = (a, b), or (b, a) for branch
-    "b".  start, an int, float or Decimal, enters exactly and is rounded
-    to the context, like every later entry.  A caller that keeps the iterator
+    Decimal per next(), in `_context_of(p)`: the running product of
+    ratio_fn(q^(m+1), q, first, second), with q^(m+1) carried from step
+    to step and (first, second) = (a, b), or (b, a) for branch "b".
+    start, an int, float or Decimal, enters exactly and is rounded to the
+    context, like every later entry.  A caller that keeps the iterator
     extends its list from where it stopped."""
-    context = _working_context(dps)
+    context = _context_of(p)
     q, a, b = map(decimal.Decimal, p)
     first, second = (a, b) if branch == "a" else (b, a)
     pref, qm = context.plus(decimal.Decimal(start)), q
@@ -344,12 +341,12 @@ def _prefactor_entries(p: QParams, dps: int, ratio_fn=_pref_a_ratio, start=1, br
 
 def _spectral_coeffs(p: QParams, branch: str, j: int, m_max: int, prefs: list) -> list:
     """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
-    Decimals at _WORKING_DPS working digits, from the duality closed form
-    of `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
+    Decimals in `_context_of(p)`, from the duality closed form of
+    `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
     M >= m_max, and its ratio_fn picks the family (the eigencoefficients
     a_m, or psi_m or phi_m)."""
-    seq = _duality_entries(p, branch, j, _WORKING_DPS)
-    with decimal.localcontext(_working_context(_WORKING_DPS)):
+    seq = _duality_entries(p, branch, j)
+    with decimal.localcontext(_context_of(p)):
         return [pref * v for pref, v in zip(prefs[: m_max + 1], seq)]
 
 
@@ -376,12 +373,11 @@ def _to_floats(values, what: str) -> tuple:
     return out
 
 
-def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recurrence=None) -> list:
+def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs: list, recurrence) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
     j >= m_max, as Decimals, from the forward three-term recurrence in the
     decimal context of the recurrence table; prefs is pref_0..pref_m_max
-    in that context and recurrence a `_working_coefficients` table of p,
-    each built here at _WORKING_DPS working digits when not given.
+    of `_prefactors` and recurrence the `_working_coefficients` table of p.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
@@ -390,10 +386,6 @@ def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs=None, recur
 
     The name dates from the rows of signed logs this function once
     returned; perfbench times the forward rows under it, so it stays."""
-    if prefs is None:
-        prefs = _prefactors(p, m_max)
-    if recurrence is None:
-        recurrence = _working_coefficients(p, _WORKING_DPS)
     with decimal.localcontext(recurrence.context):
         pw = recurrence.p
         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
@@ -442,8 +434,7 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
     sum of logs, and r underflows to 0 or overflows to inf.  M_n, which
     may cancel far below its terms, is the q-Meixner sum on the exact
-    Decimals of the parameters, in the working context of _WORKING_DPS
-    digits."""
+    Decimals of the parameters, in `_context_of(p)`."""
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
     qi = [q ** float(i) for i in range(1, dim + 1)]
@@ -460,7 +451,7 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
         branch, n = hit
         first, second = (a, b) if branch == "a" else (b, a)
         dfirst, dsecond = (da, db) if branch == "a" else (db, da)
-        with decimal.localcontext(_working_context(_WORKING_DPS)):
+        with decimal.localcontext(_context_of(p)):
             meixner = q_meixner(n, dim, dfirst, -dsecond / dfirst, dq)
             log_meixner = float(abs(meixner).log10())
         log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + log_meixner
@@ -559,9 +550,9 @@ def _c_ratio(qm, q, first, second):
     return (q * (1 - first * qm) / ((1 - first * qm / second) * (1 - qm))).sqrt()
 
 
-def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
+def _normalization_entries(p: QParams, branch: str, t: Truncation):
     """c_0, c_1, ... (branch "a") or c'_0, c'_1, ... (branch "b") without
-    end, one Decimal per next(), in the working context of dps digits.
+    end, one Decimal per next(), in `_context_of(p)`.
     With (first, second) = (a, b), or (b, a) for c'_n, the big q-Laguerre
     Jackson weight gives (Koekoek, Lesky and Swarttouw, Hypergeometric
     Orthogonal Polynomials and Their q-Analogues, 14.11)
@@ -574,20 +565,20 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation, dps: int):
     those scalars, not of the domain, and raises NonConvergenceError.  The
     ratios c_{n+1}/c_n multiply on in the working context."""
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
-    with decimal.localcontext(_working_context(dps)):
+    with decimal.localcontext(_context_of(p)):
         products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
         if not all(abs(x) < math.inf for x in products):
             name = "c_0" if branch == "a" else "c'_0"
             raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
         c0 = _root(products[0] / products[1])
-    yield from _prefactor_entries(p, dps, _c_ratio, c0, branch)
+    yield from _prefactor_entries(p, _c_ratio, c0, branch)
 
 
 def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
     """c_n or c'_n of `_normalization_entries`, in p's own scalars."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    c = next(itertools.islice(_normalization_entries(p, branch, t, _working_dps(p)), n, None))
+    c = next(itertools.islice(_normalization_entries(p, branch, t), n, None))
     return c if isinstance(p.q, decimal.Decimal) else float(c)
 
 

@@ -21,14 +21,13 @@ label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero dual-fg,
 term for term).
 
 Entries, and the normalization constants c_n they carry, are Decimals,
-correctly rounded at P = dps + 2 digits in the store's decimal context,
-where dps is the store's precision (30 digits for float parameters, 50
-for Decimal ones); their float copies drive the stopping rule, and the
-products used are added exactly and rounded once.  Float parameters
-cross into Decimal exactly and each sum leaves once, as its float;
-Decimal parameters' sums stay Decimals.  The closed-form sides and the
-verdict are written once for both scalar types, and run in the store's
-decimal context.
+correctly rounded in the store's decimal context, `_context_of(p)` (32
+digits for float parameters, 52 for Decimal ones); their float copies
+drive the stopping rule, and the products used are added exactly and
+rounded once.  Float parameters cross into Decimal exactly and each sum
+leaves once, as its float; Decimal parameters' sums stay Decimals.  The
+closed-form sides and the verdict are written once for both scalar
+types, and run in the store's decimal context.
 """
 
 from __future__ import annotations
@@ -47,16 +46,15 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
-    _working_context,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
+    _context_of,
     _duality_entries,
     _exact_dot,
     _working_coefficients,
-    _working_dps,
 )
 from qortho.operators import (
     _a_coeff_logs,
@@ -146,46 +144,6 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, tolerance, no
 _N_CAP, _M_CAP = 2000, 320
 
 
-def _certified_sum(terms: Callable[[int], float], t: Truncation, hard_cap: int = _N_CAP):
-    """Compensated sum of terms(0), terms(1), ... with an empirical
-    geometric tail bound.
-
-    Stops once small_run consecutive terms are below rel_tol relative to
-    the running sum AND the recent term ratios certify a geometric tail.
-    Returns (value, terms_used, tail_estimate); tail_estimate is inf when
-    the ratio test never certifies within the cap.
-    """
-    acc = NeumaierSum()
-    recent = collections.deque(maxlen=max(t.small_run, 4))
-    run = 0
-    tail = math.inf
-    for m in range(hard_cap + 1):
-        term = terms(m)
-        acc.add(term)
-        recent.append(abs(term))
-        if abs(term) <= t.rel_tol * (1.0 + abs(acc.value)):
-            run += 1
-            if run >= t.small_run:
-                nz = [x for x in recent if x > 0.0]
-                if len(nz) < 2:
-                    tail = 0.0
-                    break
-                ratios = [b / a for a, b in zip(nz, nz[1:]) if a > 0.0]
-                r = max(ratios) if ratios else 0.0
-                # geometric extrapolation needs a contraction; keep
-                # summing until the extrapolated tail itself is below
-                # the relative target, not merely the last term
-                if r < 0.995:
-                    est = nz[-1] * r / (1.0 - r)
-                    if est <= t.rel_tol * (1.0 + abs(acc.value)):
-                        tail = est
-                        break
-                run = 0
-        else:
-            run = 0
-    return acc.value, m + 1, tail
-
-
 def _in_store_context(verify):
     """verify(..., store, tolerance) run in the store's decimal context, so
     the closed forms and verdicts of Decimal parameters ignore the caller's."""
@@ -203,31 +161,57 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
     sum: (Decimal value, terms used, tail estimate).
 
     u(k) and v(k) are the k-th entries as (Decimal, float copy) pairs, read
-    in order of k.  The products of the float copies drive only the
-    stopping rule and the tail bound of `_certified_sum`, and a product
-    that overflows is formed from the Decimal entries.  The value is scale
-    (an int or a Decimal) times the sum of the products used, every product
-    and the sum exact, rounded once in the decimal context given (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), so
-    cancellation among terms of size 1e9 leaves no float noise."""
+    in order of k up to k = hard_cap.  The products of the float copies,
+    times the float of scale, drive only the stopping rule and the tail
+    bound; a product that overflows is formed from the Decimal entries.
+    The sum stops once small_run consecutive terms are below rel_tol
+    relative to the compensated running sum of those products AND the
+    recent term ratios certify a geometric tail below the same target;
+    the tail estimate is inf when they never do within the cap.  The
+    value is scale (an int or a Decimal) times the sum of the products
+    used, every product and the sum exact, rounded once in the decimal
+    context given (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 4.2), so cancellation among terms of size 1e9 leaves no
+    float noise."""
     xs: list = []
     ys: list = []
     fscale = float(scale)
-
-    def term(k: int) -> float:
+    acc = NeumaierSum()
+    recent = collections.deque(maxlen=max(t.small_run, 4))
+    run = 0
+    tail = math.inf
+    for k in range(hard_cap + 1):
         x, fx = u(k)
         y, fy = v(k)
         xs.append(x)
         ys.append(y)
-        f = fx * fy * fscale
-        if not math.isfinite(f):
-            f = float(context.multiply(context.multiply(scale, x), y))
-            if math.isinf(f):
+        term = fx * fy * fscale
+        if not math.isfinite(term):
+            term = float(context.multiply(context.multiply(scale, x), y))
+            if math.isinf(term):
                 raise NonConvergenceError("bilinear term overflow")
-        return f
-
-    _, used, tail = _certified_sum(term, t, hard_cap)
-    return context.multiply(scale, _exact_dot(xs, ys)), used, tail
+        acc.add(term)
+        recent.append(abs(term))
+        if abs(term) <= t.rel_tol * (1.0 + abs(acc.value)):
+            run += 1
+            if run >= t.small_run:
+                nz = [f for f in recent if f > 0.0]
+                if len(nz) < 2:
+                    tail = 0.0
+                    break
+                r = max(b / a for a, b in zip(nz, nz[1:]))
+                # geometric extrapolation needs a contraction; keep
+                # summing until the extrapolated tail itself is below
+                # the relative target, not merely the last term
+                if r < 0.995:
+                    est = nz[-1] * r / (1.0 - r)
+                    if est <= t.rel_tol * (1.0 + abs(acc.value)):
+                        tail = est
+                        break
+                run = 0
+        else:
+            run = 0
+    return context.multiply(scale, _exact_dot(xs, ys)), k + 1, tail
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +402,7 @@ class _Store:
     three q-Meixner families read `label_sum`.
 
     Every entry, constant and sum is a Decimal of the one decimal context
-    `context`, `_working_context(dps)` with dps = `_working_dps(p)`: P =
-    dps + 2 digits, set apart from the caller's decimal context.  Only
+    `context`, `_context_of(p)`, set apart from the caller's.  Only
     c_0, c'_0 and Kc are in p's own scalars, formed in that context, and
     enter exactly.  `value` is the one way out: a sum of Decimal
     parameters leaves as it is, any other as its float."""
@@ -427,11 +410,10 @@ class _Store:
     def __init__(self, p: QParams, t: Truncation, K: int):
         self.p, self.t, self.K = p, t, K
         self.exact = isinstance(p.q, decimal.Decimal)
-        self.dps = _working_dps(p)
-        self.context = _working_context(self.dps)
-        self.prefs = _LazyList(_prefactor_entries(p, self.dps))
-        self.c = {branch: _LazyList(_normalization_entries(p, branch, t, self.dps)) for branch in "ab"}
-        self.recurrence = _working_coefficients(p, self.dps)
+        self.context = _context_of(p)
+        self.prefs = _LazyList(_prefactor_entries(p))
+        self.c = {branch: _LazyList(_normalization_entries(p, branch, t)) for branch in "ab"}
+        self.recurrence = _working_coefficients(p)
         self.rows = {branch: _LazyList(self._rows(branch)) for branch in "ab"}
         self._columns: dict = {}
         self._sums: dict = {}
@@ -457,7 +439,7 @@ class _Store:
 
     def _column(self, label: int):
         multiply = self.context.multiply
-        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label), self.dps)):
+        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label))):
             x = multiply(self.prefs.at(k), v)
             yield x, float(x)
 

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 SPECTRAL_MATCH_RTOL = 1e-10
-# working precision of the duality sequences and the coefficient tables
+# working precision of the duality sequences and coefficient tables of float parameters
 _WORKING_DPS = 30
 # working precision of Decimal parameters, those of `verify --precision extended`
 EXTENDED_DPS = 50
@@ -76,12 +76,11 @@ EXTENDED_DPS = 50
 _EXACT = _context(decimal.MAX_PREC, decimal.Inexact)
 
 
-def _working_dps(p: QParams) -> int:
-    """Digits of the entries and constants of p's sums: _WORKING_DPS for
-    float p, EXTENDED_DPS for Decimal p.  The Decimal kernels that form
-    them run in `_working_context` of these digits, at
-    `qseries._GUARD_DIGITS` more."""
-    return EXTENDED_DPS if isinstance(p.q, decimal.Decimal) else _WORKING_DPS
+def _context_of(p: QParams) -> decimal.Context:
+    """The decimal context of p's Decimal tables, entries and sums:
+    `_working_context` of _WORKING_DPS digits for float p and of
+    EXTENDED_DPS for Decimal p, at `qseries._GUARD_DIGITS` more."""
+    return _working_context(EXTENDED_DPS if isinstance(p.q, decimal.Decimal) else _WORKING_DPS)
 
 
 def _exact_dot(xs, ys) -> decimal.Decimal:
@@ -190,11 +189,11 @@ class _RecurrenceTable:
         return self.A, self.C, self.d
 
 
-def _working_coefficients(p: QParams, dps: int) -> _RecurrenceTable:
-    """The recurrence table of p in Decimals at the working context of dps
-    digits, the scalars of the forward coefficient rows; its parameters are
-    p's, exactly."""
-    context = _working_context(dps)
+def _working_coefficients(p: QParams) -> _RecurrenceTable:
+    """The recurrence table of p in Decimals in `_context_of(p)`, the
+    scalars of the forward coefficient rows; its parameters are p's,
+    exactly."""
+    context = _context_of(p)
     with decimal.localcontext(context):
         return _RecurrenceTable(QParams(*map(decimal.Decimal, p)), context)
 
@@ -229,7 +228,7 @@ def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_Re
 # spectral arguments: matching and the duality sequences
 
 
-def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
+def match_spectral_point(x, p: QParams) -> Optional[tuple]:
     """Identify x with a q^(j+1) or b q^(j+1) within relative tolerance.
 
     Returns ("a", j) or ("b", j), or None when x is not a spectral point.
@@ -237,18 +236,18 @@ def match_spectral_point(x, p: QParams, j_max: int = 500) -> Optional[tuple]:
     q = p.q
     if x > 0:
         j = round(math.log(x / p.a) / math.log(q)) - 1
-        if 0 <= j <= j_max and abs(p.a * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
+        if j >= 0 and abs(p.a * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
             return ("a", j)
     elif x < 0:
         j = round(math.log(x / p.b) / math.log(q)) - 1
-        if 0 <= j <= j_max and abs(p.b * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
+        if j >= 0 and abs(p.b * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
             return ("b", j)
     return None
 
 
 def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     """P_0(lam), ..., P_{m_max}(lam) at lam = a q^(j+1) (branch "a") or
-    b q^(j+1) (branch "b"), as Decimals at `_working_dps(p)` digits.
+    b q^(j+1) (branch "b"), as Decimals in `_context_of(p)`.
 
     By the duality with the q-Meixner polynomials,
 
@@ -269,17 +268,16 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
         raise DomainError("spectral index must be nonnegative")
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    return list(itertools.islice(_duality_entries(p, branch, j, _working_dps(p)), m_max + 1))
+    return list(itertools.islice(_duality_entries(p, branch, j), m_max + 1))
 
 
-def _duality_entries(p: QParams, branch: str, j: int, dps: int):
+def _duality_entries(p: QParams, branch: str, j: int):
     """P_0(lam), P_1(lam), ... without end, by the method of
-    `spectral_sequence`, one Decimal per next() in the working context of
-    dps digits; the c_k are built as the growing m first needs them, and
-    each entry is the exact sum of the products c_k (q^-m; q)_k, divided
-    once.  A caller that keeps the iterator extends its sequence from
-    where it stopped."""
-    context = _working_context(dps)
+    `spectral_sequence`, one Decimal per next() in `_context_of(p)`; the
+    c_k are built as the growing m first needs them, and each entry is the
+    exact sum of the products c_k (q^-m; q)_k, divided once.  A caller
+    that keeps the iterator extends its sequence from where it stopped."""
+    context = _context_of(p)
     q, a, b = map(decimal.Decimal, p)
     first, second = (a, b) if branch == "a" else (b, a)
     with decimal.localcontext(context):
@@ -355,7 +353,7 @@ def dual_g(n: int, m: int, p: QParams) -> float:
 def _dual_value(p: QParams, branch: str, j: int, m: int) -> float:
     if j < 0 or m < 0:
         raise DomainError("spectral index and degree must be nonnegative")
-    return float(next(itertools.islice(_duality_entries(p, branch, j, _WORKING_DPS), m, None)))
+    return float(next(itertools.islice(_duality_entries(p, branch, j), m, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +396,9 @@ def generating_series(
         # the weights grow like q^(-n(n-1)/2) while P_n shrinks faster;
         # form each term from the Decimal duality entries, in whose exponent
         # range neither factor over/underflows
-        seq = itertools.islice(_duality_entries(p, hit[0], hit[1], _WORKING_DPS), n_max + 1)
+        seq = itertools.islice(_duality_entries(p, *hit), n_max + 1)
         terms = []
-        with decimal.localcontext(_working_context(_WORKING_DPS)):
+        with decimal.localcontext(_context_of(p)):
             qd, ad, bd, td = map(decimal.Decimal, (q, a, b, tvar))
             coef = tpow = decimal.Decimal(1)
             for n, value in enumerate(seq):

@@ -121,12 +121,11 @@ class NeumaierSum:
     O(eps * sum |t_k|) absolutely instead of O(eps * n * max partial sum).
     """
 
-    __slots__ = ("_s", "_c", "terms", "max_abs_term")
+    __slots__ = ("_s", "_c", "max_abs_term")
 
     def __init__(self, zero=0.0):
         self._s = zero
         self._c = zero
-        self.terms = 0
         self.max_abs_term = abs(zero)
 
     def add(self, term):
@@ -136,7 +135,6 @@ class NeumaierSum:
         else:
             self._c += (term - t) + self._s
         self._s = t
-        self.terms += 1
         a = abs(term)
         if a > self.max_abs_term:
             self.max_abs_term = a

@@ -128,6 +128,24 @@ class TestEigenCoefficients:
         vec = eigen_coefficients(0.17, P1, 10)
         assert not vec.normalizable
 
+    def test_deep_spectral_points_recognised(self):
+        # at q = 0.99 the spectral index passes 500 long before the
+        # eigenvalues leave float range: a q^601 and b q^551 are spectral
+        # points of the duality routes, and a q^521 one of the
+        # generating-function extraction
+        from qortho.polynomials import Family, Method, PolyEval, poly_eval, spectral_sequence
+
+        p = QParams(q=0.99, a=0.5, b=-0.7)
+        assert eigen_coefficients(p.a * p.q**601, p, 4).normalizable
+        lam = p.b * p.q**551
+        psi, phi = psi_phi_coefficients(lam, p, 4)
+        vec = eigen_coefficients(lam, p, 4)
+        # psi_k phi_k = a_k a_k term for term
+        products = [x * y for x, y in zip(psi.coeffs, phi.coeffs)]
+        assert products == pytest.approx([x * x for x in vec.coeffs], rel=1e-12)
+        got = poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, p.a * p.q**521, p, Method.GENERATING))
+        assert got == pytest.approx(float(spectral_sequence(p, "a", 520, 2)[2]), rel=1e-10)
+
     def test_monomial_basis_consistency(self):
         # multiplying by the monomial normalization c^l_m reproduces
         # (-b)^(-m/2) a^(-3m/4) q^(-m(m+3)/4) (aq;q)_m (bq;q)_m^(1/2)/(q;q)_m P_m
@@ -181,10 +199,11 @@ class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
         from qortho.operators import _a_coeff_logs, _prefactors, _spectral_coeffs
+        from qortho.polynomials import _working_coefficients
 
-        prefs = _prefactors(p, FWD_K)
+        prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
         for n in range(FWD_K, FWD_K + 61, 4):
-            fwd = _a_coeff_logs(p, branch, n, FWD_K)
+            fwd = _a_coeff_logs(p, branch, n, FWD_K, prefs, recurrence)
             assert _worst_error(fwd, _spectral_coeffs(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
@@ -194,16 +213,16 @@ class TestForwardCoefficientRoute:
         import mpmath
 
         from qortho.operators import _a_coeff_logs, _prefactors
-        from qortho.polynomials import _bigql_series_sum
+        from qortho.polynomials import _bigql_series_sum, _working_coefficients
 
-        prefs = _prefactors(p, FWD_K)
+        prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
         for n in range(FWD_K, FWD_K + 61, 6):
             with mpmath.workdps(120):
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
                 lam = (a if branch == "a" else b) * q ** (n + 1)
                 seq = [_bigql_series_sum(m, lam, a, b, q)[0] for m in range(FWD_K + 1)]
                 exact = [mpmath.mpf(str(pref)) * v for pref, v in zip(prefs, seq)]
-            assert _worst_error(_a_coeff_logs(p, branch, n, FWD_K), exact) <= FWD_BOUND, n
+            assert _worst_error(_a_coeff_logs(p, branch, n, FWD_K, prefs, recurrence), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
         # the rows of a store of largest index K read the forward route for

@@ -96,21 +96,33 @@ def assert_within_rounding(lhs, reference, total_abs, dps, what):
 
 
 class TestCertifiedSum:
-    def test_terms_used_counts_the_terms_summed_at_the_cap(self):
-        from qortho.orthogonality import _certified_sum
+    @staticmethod
+    def unit_sum(term, hard_cap):
+        """The bilinear sum of the entries 1 and term(k): its terms are the
+        term(k) themselves."""
+        from qortho.orthogonality import _bilinear_sum
+        from qortho.qseries import _working_context
 
+        def v(k):
+            x = decimal.Decimal(term(k))
+            return x, float(x)
+
+        one = decimal.Decimal(1), 1.0
+        return _bilinear_sum(lambda k: one, v, T, hard_cap, 1, _working_context(30))
+
+    def test_terms_used_counts_the_terms_summed_at_the_cap(self):
         summed = []
 
         def term(m):
             summed.append(m)
             return 1.0  # never negligible, so the tail is never certified
 
-        value, used, tail = _certified_sum(term, T, hard_cap=10)
+        value, used, tail = self.unit_sum(term, hard_cap=10)
         assert summed == list(range(11))
-        assert (value, used, tail) == (11.0, 11, float("inf"))
+        assert (value, used, tail) == (11, 11, float("inf"))
 
     def test_terms_used_counts_the_terms_summed_when_certified(self):
-        from qortho.orthogonality import _certified_sum
+        from qortho.orthogonality import _N_CAP
 
         summed = []
 
@@ -118,9 +130,9 @@ class TestCertifiedSum:
             summed.append(m)
             return 0.5**m
 
-        value, used, tail = _certified_sum(term, T)
+        value, used, tail = self.unit_sum(term, _N_CAP)
         assert used == len(summed) < 2000
-        assert tail <= T.rel_tol * (1 + value)
+        assert tail <= T.rel_tol * (1 + float(value))
 
 
 class TestBigLaguerreOrthogonality:
@@ -520,11 +532,12 @@ class TestReports:
         # once: the Decimal itself for Decimal parameters, a float for float
         # ones
         from qortho.orthogonality import _Store
+        from qortho.qseries import _working_context
 
         for p, t, dps in literal_reference_points(P1):
             kind = decimal.Decimal if dps > 30 else float
             store = _Store(p, t, 1)
-            assert store.dps == dps
+            assert store.context is _working_context(dps)
             values = [
                 store.label_sum(0, -2)[0],
                 store.row_sum(0, 1, 1)[0],
@@ -656,16 +669,16 @@ class TestReports:
         import mpmath
 
         from qortho.operators import _a_coeff_logs, _normalization_entries, _prefactor_entries
-        from qortho.orthogonality import _certified_sum, _kc
+        from qortho.orthogonality import _N_CAP, _bilinear_sum, _kc
         from qortho.polynomials import _duality_entries, _working_coefficients
         from qortho.qseries import _working_context
 
         K = 8
         for p, t, dps in literal_reference_points(P2):
             context = _working_context(dps)
-            prefs = list(itertools.islice(_prefactor_entries(p, dps), K + 1))
-            recurrence = _working_coefficients(p, dps)
-            norm = {branch: (_normalization_entries(p, branch, t, dps), []) for branch in "ab"}
+            prefs = list(itertools.islice(_prefactor_entries(p), K + 1))
+            recurrence = _working_coefficients(p)
+            norm = {branch: (_normalization_entries(p, branch, t), []) for branch in "ab"}
             with decimal.localcontext(context):
                 kc = _kc(p, t)
 
@@ -681,20 +694,24 @@ class TestReports:
                 coeffs = _a_coeff_logs(p, branch, n, top, prefs[: top + 1], recurrence)
                 c_n = c(branch, n)
                 with decimal.localcontext(context):
-                    duality = [pref * v for pref, v in zip(prefs, _duality_entries(p, branch, n, dps))]
+                    duality = [pref * v for pref, v in zip(prefs, _duality_entries(p, branch, n))]
                     return [c_n * x for x in coeffs + duality[top + 1 :]]
+
+            def reader(branch, m, out):
+                # entry m of the rows of the branch, kept in out as read
+                def read(n):
+                    out.append(row(branch, n)[m])
+                    return out[-1], float(out[-1])
+
+                return read
 
             def literal(m, m2):
                 with decimal.localcontext(context):
-                    fscale = float(decimal.Decimal(kc) / (prefs[m] * prefs[m2]))
+                    scale = decimal.Decimal(kc) / (prefs[m] * prefs[m2])
                 xs, ys, used, tail = [], [], 0, 0.0
                 for branch in "ab":
-                    def term(n):
-                        xs.append(row(branch, n)[m])
-                        ys.append(row(branch, n)[m2])
-                        return float(xs[-1]) * float(ys[-1]) * fscale
-
-                    _, used_b, tail_b = _certified_sum(term, t)
+                    readers = reader(branch, m, xs), reader(branch, m2, ys)
+                    _, used_b, tail_b = _bilinear_sum(*readers, t, _N_CAP, scale, context)
                     used, tail = used + used_b, tail + tail_b
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
@@ -722,7 +739,7 @@ class TestReports:
         import mpmath
 
         from qortho.operators import _pref_a_ratio, _pref_phi_ratio, _pref_psi_ratio, _prefactor_entries
-        from qortho.orthogonality import DEFAULT_TOLERANCE, _certified_sum, _Store, _verify_columns
+        from qortho.orthogonality import _M_CAP, DEFAULT_TOLERANCE, _bilinear_sum, _Store, _verify_columns
         from qortho.polynomials import _duality_entries
         from qortho.qseries import _working_context
 
@@ -731,7 +748,7 @@ class TestReports:
             @functools.cache
             def source(label, ratio):
                 spec = ("a", label) if label >= 0 else ("b", -label - 1)
-                return _prefactor_entries(p, dps, ratio), _duality_entries(p, *spec, dps), []
+                return _prefactor_entries(p, ratio), _duality_entries(p, *spec), []
 
             def coeff(label, ratio, m):
                 prefs, values, out = source(label, ratio)
@@ -741,18 +758,22 @@ class TestReports:
                         out.append(pref * value)
                 return out[m]
 
+            def reader(label, ratio, out):
+                # the ratio's coefficients of the label, kept in out as
+                # read, with the float copies of the a_m
+                def read(m):
+                    out.append(coeff(label, ratio, m))
+                    return out[-1], float(coeff(label, _pref_a_ratio, m))
+
+                return read
+
             def literal(i, j, ratio_i=_pref_a_ratio, ratio_j=_pref_a_ratio):
                 # the float terms a_m a_m pick the terms used; the value is
                 # the sum of the exact products of the ratios' coefficients,
                 # returned with the sum of their magnitudes
                 xs, ys = [], []
-
-                def term(m):
-                    xs.append(coeff(i, ratio_i, m))
-                    ys.append(coeff(j, ratio_j, m))
-                    return float(coeff(i, _pref_a_ratio, m)) * float(coeff(j, _pref_a_ratio, m))
-
-                _, used, tail = _certified_sum(term, t, hard_cap=320)
+                readers = reader(i, ratio_i, xs), reader(j, ratio_j, ys)
+                _, used, tail = _bilinear_sum(*readers, t, _M_CAP, 1, _working_context(dps))
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
                     total_abs = mpmath.fsum([x * y for x, y in zip(xs, ys)], absolute=True)
@@ -846,7 +867,6 @@ class TestReports:
 
         from qortho import orthogonality
         from qortho.orthogonality import _Store
-        from qortho.polynomials import _WORKING_DPS
 
         computed = collections.Counter()
         started = collections.Counter()
@@ -860,20 +880,18 @@ class TestReports:
 
             return wrapped
 
-        # keyed with the precision asked for: float parameters ask for every
-        # entry at the working precision
-        entries = counting(orthogonality._duality_entries, lambda p, branch, j, dps: (branch, j, dps))
-        prefs = counting(orthogonality._prefactor_entries, lambda p, dps: ("pref", dps))
+        entries = counting(orthogonality._duality_entries, lambda p, branch, j: (branch, j))
+        prefs = counting(orthogonality._prefactor_entries, lambda p: "pref")
         monkeypatch.setattr(orthogonality, "_duality_entries", entries)
         monkeypatch.setattr(orthogonality, "_prefactor_entries", prefs)
         p = QParams(q=0.9, a=0.9, b=-0.5)
         store = _Store(p, T, 8)
         run_identity_checks("all", p, T, store=store)
-        pref = ("pref", _WORKING_DPS)
+        pref = "pref"
         assert started[pref] == 1 and computed[pref] == len(store.prefs)
         assert len(store._columns) == 18
         for label, entries in store._columns.items():
-            spec = ("a", label, _WORKING_DPS) if label >= 0 else ("b", -label - 1, _WORKING_DPS)
+            spec = ("a", label) if label >= 0 else ("b", -label - 1)
             assert started[spec] == 1 and computed[spec] == len(entries), label
         assert len(started) == 19
         assert max(map(len, store._columns.values())) == 64

@@ -626,9 +626,8 @@ class TestRecurrenceTable:
     POINTS = [P1, P2, QParams(q=0.95, a=0.9, b=-3.0), QParams(q=0.3, a=3.2, b=-0.01)]
     # scalar kinds: floats, and the Decimals of the flag values made and
     # used in the working contexts of 30 and of 50 digits (the working
-    # precision and the extended CLI precision).  The kinds keep the ids of
-    # the mpmath scalars they stood for before the package dropped mpmath
-    SCALARS = {"float": None, "mpf30": 30, "mpf50": 50}
+    # precision and the extended CLI precision)
+    SCALARS = {"float": None, "decimal30": 30, "decimal50": 50}
 
     @staticmethod
     def _in(dps):
@@ -656,17 +655,18 @@ class TestRecurrenceTable:
                         assert big_q_laguerre_recurrence(n_max, x, p) == want, (kind, p0, n_max)
                         assert big_q_laguerre_recurrence(n_max, x, p, coeffs=shared) == want, (kind, p0, n_max)
 
-    @pytest.mark.parametrize("kind", ["float", "mpf50"])
+    @pytest.mark.parametrize("kind", ["float", "decimal50"])
     def test_forward_on_working_table_matches_inline_loop(self, kind):
-        # the Decimal table of the forward coefficient rows at 30 working
-        # digits, made from float and from Decimal parameters, serves
-        # sweeps on its scalars in its own decimal context
+        # the Decimal table of the forward coefficient rows, made from float
+        # parameters at 30 working digits and from Decimal ones at 50,
+        # serves sweeps on its scalars in its own decimal context
         from qortho.polynomials import _working_coefficients
 
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
-                shared = _working_coefficients(self._convert(p0, dps), 30)
+                shared = _working_coefficients(self._convert(p0, dps))
+                assert shared.context is _working_context(dps or 30)
                 pw = shared.p
                 for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
                     with decimal.localcontext(shared.context):
@@ -711,8 +711,8 @@ class TestDecimalBoundary:
         D = decimal.Decimal
         decimals = QParams(q=D("0." + "7" * 60), a=D("9" * 45 + "E-400"), b=D("-" + "3" * 50 + "E+90"))
         for p in (QParams(q=0.7, a=2.0**-1074, b=-(2.0**1000)), QParams(q=2.0**-1074, a=1, b=-5.286509211094206), decimals):
-            got = _working_coefficients(p, 30).p
+            got = _working_coefficients(p).p
             assert all(isinstance(x, D) for x in got)
             with mpmath.workdps(400):
                 assert [mpmath.mpf(str(x)) for x in got] == [mpmath.mpf(str(D(x))) for x in p], p
-        assert _working_coefficients(decimals, 30).p == decimals
+        assert _working_coefficients(decimals).p == decimals
