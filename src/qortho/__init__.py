@@ -20,10 +20,8 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
-    Family,
-    Method,
-    PolyEval,
     big_q_laguerre,
+    big_q_laguerre_generating,
     big_q_laguerre_phi21,
     big_q_laguerre_recurrence,
     classical_laguerre,
@@ -31,7 +29,6 @@ from qortho.polynomials import (
     dual_g,
     generating_closed,
     generating_series,
-    poly_eval,
     q_inverse_meixner_relation,
     q_meixner,
     spectral_sequence,
@@ -55,7 +52,6 @@ from qortho.operators import (
 from qortho.orthogonality import (
     DualPair,
     RowCol,
-    VerificationReport,
     run_identity_checks,
     verify_Eq_zero_identity,
     verify_big_laguerre_orthogonality,
@@ -73,6 +69,7 @@ from qortho.climit import (
     limit_operator_entries_check,
     limit_polynomial_check,
 )
+from qortho.reporting import VerificationReport
 
 __version__ = "0.1.0"
 
@@ -96,13 +93,10 @@ __all__ = [
     "phi_3_2",
     "jackson_Eq",
     # polynomial families
-    "Family",
-    "Method",
-    "PolyEval",
-    "poly_eval",
     "big_q_laguerre",
     "big_q_laguerre_phi21",
     "big_q_laguerre_recurrence",
+    "big_q_laguerre_generating",
     "spectral_sequence",
     "q_meixner",
     "dual_f",

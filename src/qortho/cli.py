@@ -40,7 +40,6 @@ from qortho.polynomials import (
 from qortho.orthogonality import (
     DEFAULT_TOLERANCE,
     IDENTITY_FAMILIES,
-    VerificationReport,
     _Store,
     run_identity_checks,
 )
@@ -51,6 +50,7 @@ from qortho.climit import (
     limit_polynomial_check,
 )
 from qortho.reporting import (
+    VerificationReport,
     render_csv,
     render_json,
     render_table_csv,

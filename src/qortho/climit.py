@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from qortho.qseries import DomainError, QParams, _Validated, _working_context
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
-from qortho.orthogonality import VerificationReport
+from qortho.reporting import VerificationReport
 
 __all__ = [
     "LimitSweep",

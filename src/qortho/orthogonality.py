@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from qortho.qseries import (
     DomainError,
@@ -61,6 +61,7 @@ from qortho.operators import (
     _normalization_entries,
     _prefactor_entries,
 )
+from qortho.reporting import VerificationReport
 
 __all__ = [
     "VerificationReport",
@@ -82,29 +83,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-8
-
-
-class VerificationReport(NamedTuple):
-    """Structured record of one identity check.
-
-    For certified reports: passed <=> residual <= tolerance * (1 +
-    max(|lhs|, |rhs|)).  When the tail estimate exceeds that bound the
-    status is "inconclusive" and passed is forced False, since the
-    computed lhs itself is then unreliable.
-    """
-
-    identity_id: str
-    params: QParams
-    indices: tuple
-    lhs: float
-    rhs: float
-    residual: float
-    terms_used: int
-    tail_estimate: float
-    passed: bool
-    tolerance: float
-    status: str
-    note: str = ""
 
 
 class RowCol(Enum):

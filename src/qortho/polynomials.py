@@ -25,8 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from qortho.qseries import (
     DomainError,
@@ -45,13 +44,10 @@ from qortho.qseries import (
 )
 
 __all__ = [
-    "Family",
-    "Method",
-    "PolyEval",
-    "poly_eval",
     "big_q_laguerre",
     "big_q_laguerre_phi21",
     "big_q_laguerre_recurrence",
+    "big_q_laguerre_generating",
     "spectral_sequence",
     "match_spectral_point",
     "q_meixner",
@@ -232,15 +228,18 @@ def match_spectral_point(x, p: QParams) -> Optional[tuple]:
     """Identify x with a q^(j+1) or b q^(j+1) within relative tolerance.
 
     Returns ("a", j) or ("b", j), or None when x is not a spectral point.
+    x and the tolerance are compared in the scalars of p, floats or Decimals.
     """
     q = p.q
+    scalar = type(q)
+    x, rtol = scalar(x), scalar(SPECTRAL_MATCH_RTOL)
     if x > 0:
         j = round(math.log(x / p.a) / math.log(q)) - 1
-        if j >= 0 and abs(p.a * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
+        if j >= 0 and abs(p.a * q ** (j + 1) - x) <= rtol * abs(x):
             return ("a", j)
     elif x < 0:
         j = round(math.log(x / p.b) / math.log(q)) - 1
-        if j >= 0 and abs(p.b * q ** (j + 1) - x) <= SPECTRAL_MATCH_RTOL * abs(x):
+        if j >= 0 and abs(p.b * q ** (j + 1) - x) <= rtol * abs(x):
             return ("b", j)
     return None
 
@@ -517,10 +516,12 @@ def _roots_of_unity(m: int) -> tuple:
     return tuple(roots)
 
 
-def _bigql_from_generating(n: int, x: float, p: QParams) -> float:
+def big_q_laguerre_generating(n: int, x: float, p: QParams) -> float:
     """P_n(x) extracted as a Taylor coefficient of the closed generating
     function: a Cauchy sum over 256 points of a circle inside the first
-    pole."""
+    pole.  The route is independent of both the recurrence and the
+    duality; x must be a spectral argument a q^(j+1) or b q^(j+1), where
+    the closed form terminates, and p must be floats."""
     hit = match_spectral_point(x, p)
     if hit is None:
         raise DomainError(
@@ -612,63 +613,3 @@ def classical_laguerre(n: int, alpha, x) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur
-
-
-# ---------------------------------------------------------------------------
-# evaluation dispatch
-
-
-class Family(str, Enum):
-    BIG_Q_LAGUERRE = "big-q-laguerre"
-    Q_MEIXNER = "q-meixner"
-    CLASSICAL_LAGUERRE = "classical-laguerre"
-
-
-class Method(str, Enum):
-    SERIES_DEF = "series"
-    RECURRENCE = "recurrence"
-    GENERATING = "generating"
-
-
-class PolyEval(NamedTuple):
-    """One polynomial evaluation request: family, degree, argument,
-    parameters and the evaluation route to use."""
-
-    family: Family
-    degree: int
-    argument: float
-    params: Union[QParams, tuple, float]
-    method: Method = Method.SERIES_DEF
-
-
-def poly_eval(ev: PolyEval, t: Truncation = Truncation()) -> float:
-    """Evaluate a :class:`PolyEval` request."""
-    if ev.degree < 0:
-        raise DomainError("degree must be nonnegative")
-    if ev.family is Family.BIG_Q_LAGUERRE:
-        if not isinstance(ev.params, QParams):
-            raise DomainError("big q-Laguerre evaluation needs QParams")
-        if ev.method is Method.SERIES_DEF:
-            return float(big_q_laguerre(ev.degree, ev.argument, ev.params, t))
-        if ev.method is Method.RECURRENCE:
-            return float(big_q_laguerre_recurrence(ev.degree, ev.argument, ev.params)[-1])
-        return _bigql_from_generating(ev.degree, ev.argument, ev.params)
-    if ev.family is Family.Q_MEIXNER:
-        bparam, c, q = ev.params
-        if ev.method is not Method.SERIES_DEF:
-            raise DomainError("q-Meixner supports the series route only")
-        return float(q_meixner(ev.degree, int(ev.argument), bparam, c, q, t))
-    if ev.family is Family.CLASSICAL_LAGUERRE:
-        if ev.method is Method.SERIES_DEF:
-            # monomial form sum_k (-1)^k binom(n+alpha, n-k) x^k / k!
-            alpha = ev.params
-            n = ev.degree
-            total = 0.0
-            for k in range(n + 1):
-                binom = 1.0
-                for i in range(n - k):
-                    binom *= (alpha + k + 1 + i) / (i + 1)
-                total += (-1) ** k * binom * ev.argument**k / math.factorial(k)
-            return total
-        return float(classical_laguerre(ev.degree, ev.params, ev.argument))
-    raise DomainError(f"unknown family {ev.family}")

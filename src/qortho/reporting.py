@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from qortho.orthogonality import VerificationReport
+from qortho.qseries import QParams
 
 __all__ = [
+    "VerificationReport",
     "REPORT_SCHEMA",
     "CSV_HEADER",
     "report_to_record",
@@ -97,6 +98,29 @@ REPORT_SCHEMA = {
         },
     },
 }
+
+
+class VerificationReport(NamedTuple):
+    """Structured record of one identity check.
+
+    For certified reports: passed <=> residual <= tolerance * (1 +
+    max(|lhs|, |rhs|)).  When the tail estimate exceeds that bound the
+    status is "inconclusive" and passed is forced False, since the
+    computed lhs itself is then unreliable.
+    """
+
+    identity_id: str
+    params: QParams
+    indices: tuple
+    lhs: float
+    rhs: float
+    residual: float
+    terms_used: int
+    tail_estimate: float
+    passed: bool
+    tolerance: float
+    status: str
+    note: str = ""
 
 
 def report_to_record(r: VerificationReport) -> dict:

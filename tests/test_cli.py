@@ -458,7 +458,7 @@ class TestStartup:
             sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
             import qortho.cli
             from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
-            from qortho.polynomials import Family, Method, PolyEval, generating_series, poly_eval, spectral_sequence
+            from qortho.polynomials import big_q_laguerre_generating, generating_series, spectral_sequence
 
             out, commands = sys.argv[1], json.loads(sys.argv[2])
             codes = [qortho.cli.main(argv + ["--out", out, "--no-timestamp"]) for argv in commands]
@@ -466,7 +466,7 @@ class TestStartup:
             lam = p.a * p.q**2
             sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
             values = [
-                poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 3, lam, p, Method.GENERATING)),
+                big_q_laguerre_generating(3, lam, p),
                 generating_series(lam, 0.1, p, 20),
                 str(spectral_sequence(p, "a", 1, 5)[5]),
                 *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
@@ -482,14 +482,14 @@ class TestStartup:
 
         from qortho import QParams
         from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
-        from qortho.polynomials import Family, Method, PolyEval, generating_series, poly_eval, spectral_sequence
+        from qortho.polynomials import big_q_laguerre_generating, generating_series, spectral_sequence
 
         p = QParams(q=0.5, a=0.5, b=-0.7)
         lam = p.a * p.q**2
         sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
         assert len(values) == 3 + 4
         assert values == [
-            poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 3, lam, p, Method.GENERATING)),
+            big_q_laguerre_generating(3, lam, p),
             generating_series(lam, 0.1, p, 20),
             str(spectral_sequence(p, "a", 1, 5)[5]),
             *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
@@ -534,7 +534,7 @@ class TestStartup:
                 psi_phi_coefficients,
                 recurrence_residuals,
             )
-            from qortho.polynomials import Family, Method, PolyEval, poly_eval
+            from qortho.polynomials import big_q_laguerre_generating
 
             p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
             lam = p.a * p.q
@@ -561,7 +561,7 @@ class TestStartup:
                 "psi": psi.coeffs,
                 "phi": phi.coeffs,
                 "residuals": recurrence_residuals(vec, p),
-                "generating": [poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, lam, p, Method.GENERATING))],
+                "generating": [big_q_laguerre_generating(2, lam, p)],
             }
 
             def leaves(v):
@@ -584,6 +584,32 @@ class TestStartup:
         assert pyproject["dependencies"] == []
         test_extra = pyproject["optional-dependencies"]["test"]
         assert any(dep.startswith("numpy") for dep in test_extra) and any(dep.startswith("mpmath") for dep in test_extra)
+
+    @pytest.mark.parametrize("module", ["reporting", "climit"])
+    def test_report_layers_do_not_import_the_verify_engine(self, module):
+        # the record type lives beside its serializer, so neither the
+        # serializer nor the classical-limit checks need the verify engine.
+        # Read statically: `import qortho` loads every layer anyway
+        import ast
+
+        source = (Path(__file__).parent.parent / "src" / "qortho" / f"{module}.py").read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any(name.startswith("qortho.orthogonality") for name in imported), imported
+
+    def test_readme_library_use_names_every_public_name(self):
+        import re
+
+        import qortho
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        missing = [name for name in qortho.__all__ if not re.search(f"`{re.escape(name)}[`(]", section)]
+        assert not missing, missing
 
 
 class TestCommands:

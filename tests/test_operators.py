@@ -1,6 +1,7 @@
 """Tests for the operator realizations, eigencoefficients, normalization
 constants, spectra and the Sturm-bisection eigensolver."""
 
+import decimal
 import math
 
 import numpy as np
@@ -128,12 +129,30 @@ class TestEigenCoefficients:
         vec = eigen_coefficients(0.17, P1, 10)
         assert not vec.normalizable
 
+    @pytest.mark.parametrize("lam", [0.125, -0.175, 0.5 * 0.5**40], ids=["aq2", "bq", "aq40"])
+    @pytest.mark.parametrize("route", ["eigen", "psi-phi", "generating"])
+    def test_decimal_parameters_agree_with_float(self, route, lam):
+        # the routes that match lam to a spectral point run on QParams of
+        # Decimals too, and agree with the same call on floats
+        from qortho.polynomials import generating_series, match_spectral_point
+
+        calls = {
+            "eigen": lambda p: eigen_coefficients(lam, p, 12).coeffs,
+            "psi-phi": lambda p: [v for vec in psi_phi_coefficients(lam, p, 12) for v in vec.coeffs],
+            "generating": lambda p: [generating_series(lam, 0.01, p, 20)],
+        }
+        dec = QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.7")))
+        assert match_spectral_point(lam, dec) == match_spectral_point(lam, P1) is not None
+        got, want = calls[route](dec), calls[route](P1)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_deep_spectral_points_recognised(self):
         # at q = 0.99 the spectral index passes 500 long before the
         # eigenvalues leave float range: a q^601 and b q^551 are spectral
         # points of the duality routes, and a q^521 one of the
         # generating-function extraction
-        from qortho.polynomials import Family, Method, PolyEval, poly_eval, spectral_sequence
+        from qortho.polynomials import big_q_laguerre_generating, spectral_sequence
 
         p = QParams(q=0.99, a=0.5, b=-0.7)
         assert eigen_coefficients(p.a * p.q**601, p, 4).normalizable
@@ -143,7 +162,7 @@ class TestEigenCoefficients:
         # psi_k phi_k = a_k a_k term for term
         products = [x * y for x, y in zip(psi.coeffs, phi.coeffs)]
         assert products == pytest.approx([x * x for x in vec.coeffs], rel=1e-12)
-        got = poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, p.a * p.q**521, p, Method.GENERATING))
+        got = big_q_laguerre_generating(2, p.a * p.q**521, p)
         assert got == pytest.approx(float(spectral_sequence(p, "a", 520, 2)[2]), rel=1e-10)
 
     def test_monomial_basis_consistency(self):

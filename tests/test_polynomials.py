@@ -31,10 +31,8 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _bigql_series_sum,
     _generating_closed_complex,
-    Family,
-    Method,
-    PolyEval,
     big_q_laguerre,
+    big_q_laguerre_generating,
     big_q_laguerre_phi21,
     big_q_laguerre_recurrence,
     classical_laguerre,
@@ -43,7 +41,6 @@ from qortho.polynomials import (
     generating_closed,
     generating_series,
     match_spectral_point,
-    poly_eval,
     q_inverse_meixner_relation,
     q_meixner,
     spectral_sequence,
@@ -382,35 +379,49 @@ class TestClassicalLaguerre:
 
 
 class TestPolyEvalDispatch:
+    """The routes of P_n, each called by name, agree.  The class keeps the
+    name of the evaluation dispatch it once tested, so the test ids stay
+    comparable."""
+
+    ROUTES = {
+        "series": lambda n, x, p: big_q_laguerre(n, x, p, T),
+        "recurrence": lambda n, x, p: big_q_laguerre_recurrence(n, x, p)[-1],
+        "generating": big_q_laguerre_generating,
+    }
+
     def test_methods_agree_on_spectral_grid(self):
         for j in [0, 1, 2]:
             x = P1.a * P1.q ** (j + 1)
             for n in [0, 2, 5]:
-                vals = {}
-                for method in Method:
-                    ev = PolyEval(Family.BIG_Q_LAGUERRE, n, x, P1, method)
-                    vals[method] = poly_eval(ev, T)
-                ref = vals[Method.SERIES_DEF]
-                for method, v in vals.items():
-                    assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref)), method
+                ref = big_q_laguerre(n, x, P1, T)
+                for route, f in self.ROUTES.items():
+                    assert abs(f(n, x, P1) - ref) <= 1e-10 * max(1.0, abs(ref)), route
 
     def test_degree_zero_is_one_under_all_methods(self):
         x = P1.a * P1.q
-        for method in Method:
-            ev = PolyEval(Family.BIG_Q_LAGUERRE, 0, x, P1, method)
-            assert poly_eval(ev, T) == pytest.approx(1.0, rel=1e-12)
-        ev = PolyEval(Family.Q_MEIXNER, 0, 3, (0.5, 0.4, 0.5), Method.SERIES_DEF)
-        assert poly_eval(ev, T) == 1.0
+        for f in self.ROUTES.values():
+            assert f(0, x, P1) == pytest.approx(1.0, rel=1e-12)
+        assert q_meixner(0, 3, 0.5, 0.4, 0.5, T) == 1.0
 
     def test_classical_series_vs_recurrence(self):
+        def monomial_sum(n, alpha, x):
+            # sum_k (-1)^k binom(n+alpha, n-k) x^k / k!
+            total = 0.0
+            for k in range(n + 1):
+                binom = 1.0
+                for i in range(n - k):
+                    binom *= (alpha + k + 1 + i) / (i + 1)
+                total += (-1) ** k * binom * x**k / math.factorial(k)
+            return total
+
         for n in [0, 1, 4]:
-            s = poly_eval(PolyEval(Family.CLASSICAL_LAGUERRE, n, 0.7, 1.5, Method.SERIES_DEF))
-            r = poly_eval(PolyEval(Family.CLASSICAL_LAGUERRE, n, 0.7, 1.5, Method.RECURRENCE))
+            s = monomial_sum(n, 1.5, 0.7)
+            r = classical_laguerre(n, 1.5, 0.7)
             assert s == pytest.approx(r, rel=1e-12)
 
     def test_generating_method_off_spectrum_rejected(self):
         with pytest.raises(DomainError):
-            poly_eval(PolyEval(Family.BIG_Q_LAGUERRE, 2, 0.2, P1, Method.GENERATING))
+            big_q_laguerre_generating(2, 0.2, P1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from qortho.cli import RunConfig
 from qortho.climit import LimitSweep
 from qortho.operators import CoefficientVector, GeneratorMatrices, SpectralPoints, Tridiagonal
-from qortho.orthogonality import VerificationReport, _Store
-from qortho.polynomials import Family, Method, PolyEval
+from qortho.orthogonality import _Store
 from qortho.qseries import DomainError, QParams, Truncation
+from qortho.reporting import VerificationReport
 
 P = QParams(q=0.5, a=0.5, b=-0.7)
 
@@ -23,7 +23,6 @@ FIELDS = {
     CoefficientVector: dict(coeffs=(1.0, 0.5), lam=0.25, normalizable=True),
     SpectralPoints: dict(upper=(0.25, 0.125), lower=(-0.35, -0.175)),
     GeneratorMatrices: dict(dim=2, raising=(1.0,), lowering=(1.5,), qj0_diag=(0.5, 0.25), j0_diag=(1.0, 2.0)),
-    PolyEval: dict(family=Family.BIG_Q_LAGUERRE, degree=2, argument=0.25, params=P, method=Method.RECURRENCE),
     VerificationReport: dict(
         identity_id="sears", params=P, indices=(0, 0), lhs=1.0, rhs=1.0, residual=0.0, terms_used=10,
         tail_estimate=1e-17, passed=True, tolerance=1e-8, status="pass", note="",
