@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Subcommands
------------
+Commands
+--------
 verify      run one identity family (or all) over the index grid
 spectrum    exact spectral points vs truncated-matrix eigenvalues
 table       tabulate polynomial values and normalization constants
 limit       classical q -> 1 sweeps with fitted convergence rates
 report-all  verify-all + spectrum + limit in one report
 
+Every option applies to every command and may come before or after it.
 Exit codes: 0 all checks passed, 1 any failure, 2 inconclusive results
-only, 64 usage error, 70 a sum that could not be computed (no verdict).
-Identical configurations produce byte-identical output; the timestamp
-header is suppressed with --no-timestamp.
+only, 64 usage error, 70 a sum that could not be computed (no verdict),
+74 the report could not be written.  Identical configurations produce
+byte-identical output; the timestamp header is suppressed with
+--no-timestamp.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple, Optional
 
 from qortho.qseries import DomainError, QParams, QSeriesError, Truncation, _working_context
 from qortho.operators import (
+    _normalization_entries,
     build_A,
     eig_tridiagonal,
     eig_tridiagonal_accuracy,
@@ -65,6 +68,7 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 
 
 class RunConfig(NamedTuple):
@@ -111,55 +115,32 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qortho", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("verify", "run identity verifications"),
-        ("spectrum", "spectral points vs truncated eigenvalues"),
-        ("table", "tabulate polynomial values"),
-        ("limit", "classical-limit sweeps"),
-        ("report-all", "verify + spectrum + limit combined"),
-    ]:
-        sp = sub.add_parser(name, help=helptext, parents=[], add_help=True)
-        sp.add_argument("--q", type=float, default=0.5, help="base, 0 < q < 1")
-        sp.add_argument("--a", type=float, default=0.5, help="parameter a, 0 < a < 1/q")
-        sp.add_argument("--b", type=float, default=-0.7, help="parameter b, b < 0")
-        sp.add_argument("--l", type=float, default=None, help="lowest weight; overrides --a via a = q^(2l-1)")
-        sp.add_argument(
-            "--identity",
-            default="all",
-            choices=("all",) + IDENTITY_FAMILIES,
-            help="identity family for verify",
-        )
-        sp.add_argument("--index-max", type=int, default=8, dest="index_max")
-        sp.add_argument("--dim", type=int, default=200)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance")
-        sp.add_argument("--precision", choices=("double", "extended"), default="double")
-        sp.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-        sp.add_argument("--out", default=None, dest="output_path")
-        sp.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
+    parser.add_argument("command", choices=("verify", "spectrum", "table", "limit", "report-all"))
+    parser.add_argument("--q", type=float, default=0.5, help="base, 0 < q < 1")
+    parser.add_argument("--a", type=float, default=0.5, help="parameter a, 0 < a < 1/q")
+    parser.add_argument("--b", type=float, default=-0.7, help="parameter b, b < 0")
+    parser.add_argument("--l", type=float, default=None, help="lowest weight; overrides --a via a = q^(2l-1)")
+    parser.add_argument(
+        "--identity", default="all", choices=("all",) + IDENTITY_FAMILIES, help="identity family for verify"
+    )
+    parser.add_argument("--index-max", type=int, default=8, dest="index_max")
+    parser.add_argument("--dim", type=int, default=200)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance")
+    parser.add_argument("--precision", choices=("double", "extended"), default="double")
+    parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
+    parser.add_argument("--out", default=None, dest="output_path")
+    parser.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    q, a, b = args.q, args.a, args.b
-    if args.l is not None:
-        if not args.l > 0:
+    fields = dict(vars(args))
+    lowest = fields.pop("l")
+    if lowest is not None:
+        if not lowest > 0:
             raise DomainError("l must be positive")
-        a = q ** (2 * args.l - 1)
-    cfg = RunConfig(
-        command=args.command,
-        q=q,
-        a=a,
-        b=b,
-        identity=args.identity,
-        index_max=args.index_max,
-        dim=args.dim,
-        tolerance=args.tolerance,
-        precision=args.precision,
-        output_format=args.output_format,
-        output_path=args.output_path,
-        no_timestamp=args.no_timestamp,
-    )
+        fields["a"] = args.q ** (2 * lowest - 1)
+    cfg = RunConfig(**fields)
     cfg.params()  # validates the domain before any computation
     if cfg.index_max < 0:
         raise DomainError("index-max must be nonnegative")
@@ -172,6 +153,11 @@ def _config_from_args(args) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def _record_order(rec: dict) -> tuple:
+    """The order of every command's records."""
+    return rec["identity_id"], rec["i"], rec["j"]
 
 
 def _run_verify(cfg: RunConfig) -> list:
@@ -191,7 +177,7 @@ def _run_verify(cfg: RunConfig) -> list:
         for fam in families
         for r in run_identity_checks(fam, p, t, cfg.index_max, cfg.tolerance, store=store)
     ]
-    records.sort(key=lambda r: (r["identity_id"], r["i"], r["j"]))
+    records.sort(key=_record_order)
     return records
 
 
@@ -256,7 +242,6 @@ def _spectrum_reports(cfg: RunConfig) -> list:
                 note="matching error must not grow when dim doubles",
             )
         )
-    reports.sort(key=lambda r: (r.identity_id, r.indices))
     return [report_to_record(r) for r in reports]
 
 
@@ -265,78 +250,32 @@ def _spectrum_reports(cfg: RunConfig) -> list:
 
 
 def _table_rows(cfg: RunConfig) -> list:
-    p = cfg.params()
-    t = Truncation()
+    p, t, K = cfg.params(), Truncation(), cfg.index_max
     rows = []
-    xs = [p.a * p.q, p.a * p.q**2, p.a * p.q**3, p.b * p.q, p.b * p.q**2, p.b * p.q**3]
-    for x in xs:
-        seqs = big_q_laguerre_recurrence(cfg.index_max, x, p)
-        for n in range(cfg.index_max + 1):
-            rows.append(
-                {
-                    "family": "big-q-laguerre",
-                    "n": n,
-                    "m_or_x": float(x),
-                    "value": float(big_q_laguerre(n, x, p, t)),
-                    "method": "series",
-                }
-            )
-            rows.append(
-                {
-                    "family": "big-q-laguerre",
-                    "n": n,
-                    "m_or_x": float(x),
-                    "value": float(seqs[n]),
-                    "method": "recurrence",
-                }
-            )
-    for n in range(cfg.index_max + 1):
+
+    def row(family, n, m_or_x, value, method):
+        rows.append({"family": family, "n": n, "m_or_x": m_or_x, "value": float(value), "method": method})
+
+    for x in (p.a * p.q, p.a * p.q**2, p.a * p.q**3, p.b * p.q, p.b * p.q**2, p.b * p.q**3):
+        seqs = big_q_laguerre_recurrence(K, x, p)
+        for n in range(K + 1):
+            row("big-q-laguerre", n, float(x), big_q_laguerre(n, x, p, t), "series")
+            row("big-q-laguerre", n, float(x), seqs[n], "recurrence")
+    for n in range(K + 1):
         # dual_f(n, m) and dual_g(n, m) are entry m of the duality
         # sequences of `spectral_sequence`, whose entries do not depend on
         # the cut-off
-        f_seq, g_seq = (list(itertools.islice(_duality_entries(p, branch, n), cfg.index_max + 1)) for branch in "ab")
-        for m in range(cfg.index_max + 1):
-            rows.append(
-                {
-                    "family": "q-meixner",
-                    "n": n,
-                    "m_or_x": m,
-                    "value": float(q_meixner(n, m, p.a, -p.b / p.a, p.q, t)),
-                    "method": "series",
-                }
-            )
-            rows.append(
-                {
-                    "family": "dual-f",
-                    "n": n,
-                    "m_or_x": m,
-                    "value": float(f_seq[m]),
-                    "method": "spectral",
-                }
-            )
-            rows.append(
-                {
-                    "family": "dual-g",
-                    "n": n,
-                    "m_or_x": m,
-                    "value": float(g_seq[m]),
-                    "method": "spectral",
-                }
-            )
-    # c_n and c'_n, n <= index_max: normalization_c(n) and
-    # normalization_cprime(n) are entry n of a store's running products
-    store = _Store(p, t, cfg.index_max)
-    for n in range(cfg.index_max + 1):
-        for family, branch in (("c", "a"), ("c-prime", "b")):
-            rows.append(
-                {
-                    "family": family,
-                    "n": n,
-                    "m_or_x": n,
-                    "value": float(store.c[branch].at(n)),
-                    "method": "closed-form",
-                }
-            )
+        f_seq, g_seq = (list(itertools.islice(_duality_entries(p, branch, n), K + 1)) for branch in "ab")
+        for m in range(K + 1):
+            row("q-meixner", n, m, q_meixner(n, m, p.a, -p.b / p.a, p.q, t), "series")
+            row("dual-f", n, m, f_seq[m], "spectral")
+            row("dual-g", n, m, g_seq[m], "spectral")
+    # c_n and c'_n, n <= K: the running products that a verify store's `c`
+    # lists wrap, so they equal the constants the sums read
+    c_seqs = (itertools.islice(_normalization_entries(p, branch, t), K + 1) for branch in "ab")
+    for n, (c, c_prime) in enumerate(zip(*c_seqs)):
+        row("c", n, n, c, "closed-form")
+        row("c-prime", n, n, c_prime, "closed-form")
     return rows
 
 
@@ -351,7 +290,6 @@ def _limit_reports(cfg: RunConfig) -> list:
         reports.extend(limit_polynomial_check(n, 0.4, sweep))
     reports.extend(limit_operator_entries_check(min(cfg.index_max, 5), sweep))
     reports.append(classical_operator_check(0.25, 0.2, 1.0))
-    reports.sort(key=lambda r: (r.identity_id, r.indices))
     return [report_to_record(r) for r in reports]
 
 
@@ -360,6 +298,7 @@ def _limit_reports(cfg: RunConfig) -> list:
 
 
 def _emit(cfg: RunConfig, records: list, table_rows: Optional[list] = None) -> int:
+    summary = summarize(records)
     if cfg.output_format == "csv":
         text = render_table_csv(table_rows) if table_rows is not None else render_csv(records)
     else:
@@ -372,7 +311,7 @@ def _emit(cfg: RunConfig, records: list, table_rows: Optional[list] = None) -> i
         if table_rows is not None:
             payload["table"] = table_rows
         payload["records"] = records
-        payload["summary"] = summarize(records)
+        payload["summary"] = summary
         text = render_json(payload)
 
     try:
@@ -383,41 +322,31 @@ def _emit(cfg: RunConfig, records: list, table_rows: Optional[list] = None) -> i
             sys.stdout.write(text)
     except OSError as exc:
         print(f"qortho: I/O error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_IOERR
 
-    statuses = [rec["status"] for rec in records]
-    if any(s == "fail" for s in statuses):
+    if summary["failed"]:
         return EXIT_FAIL
-    if any(s == "inconclusive" for s in statuses):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if summary["inconclusive"] else EXIT_OK
+
+
+# the record builders of each command but `table`
+_RECORDS = {
+    "verify": (_run_verify,),
+    "spectrum": (_spectrum_reports,),
+    "limit": (_limit_reports,),
+    "report-all": (_run_verify, _spectrum_reports, _limit_reports),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except DomainError as exc:
-        print(f"qortho: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if cfg.command == "verify":
-            records = _run_verify(cfg)
-            return _emit(cfg, records)
-        if cfg.command == "spectrum":
-            return _emit(cfg, _spectrum_reports(cfg))
         if cfg.command == "table":
             return _emit(cfg, [], table_rows=_table_rows(cfg))
-        if cfg.command == "limit":
-            return _emit(cfg, _limit_reports(cfg))
-        if cfg.command == "report-all":
-            records = _run_verify(cfg)
-            records.extend(_spectrum_reports(cfg))
-            records.extend(_limit_reports(cfg))
-            records.sort(key=lambda r: (r["identity_id"], r["i"], r["j"]))
-            return _emit(cfg, records)
+        records = [rec for build in _RECORDS[cfg.command] for rec in build(cfg)]
+        records.sort(key=_record_order)
+        return _emit(cfg, records)
     except DomainError as exc:
         print(f"qortho: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -425,7 +354,6 @@ def main(argv=None) -> int:
         # a sum that could not be computed is no verdict on the identity
         print(f"qortho: error: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
-    raise AssertionError(f"unhandled command {cfg.command}")
 
 
 if __name__ == "__main__":

@@ -157,10 +157,8 @@ def summarize(records: Iterable[dict]) -> dict:
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    """17 significant digits, which read back as the same float; nan, inf
+    and -inf by name."""
     return format(x, ".17g")
 
 
@@ -178,7 +176,9 @@ def _render_value(obj, parts: list, pad: str) -> None:
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
-        parts.append(_fmt_float(obj))
+        # JSON has no non-finite numbers: their names go in quotes
+        text = _fmt_float(obj)
+        parts.append(text if math.isfinite(obj) else f'"{text}"')
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -212,48 +212,21 @@ def render_json(payload: dict) -> str:
     return "".join(parts)
 
 
-def _fmt_csv_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+def _csv(header: str, rows: Iterable[dict]) -> str:
+    """header, then one line per row of the row's values under the header's
+    names, floats as in JSON but unquoted."""
+    names = header.split(",")
+    lines = [header]
+    for row in rows:
+        cells = (row[name] for name in names)
+        lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in cells))
+    return "\n".join(lines) + "\n"
 
 
 def render_csv(records: Iterable[dict]) -> str:
     """Lossy CSV projection: no config echo, notes, or parameters."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec["identity_id"],
-                    str(rec["i"]),
-                    str(rec["j"]),
-                    _fmt_csv_float(rec["lhs"]),
-                    _fmt_csv_float(rec["rhs"]),
-                    _fmt_csv_float(rec["residual"]),
-                    str(rec["terms_used"]),
-                    _fmt_csv_float(rec["tail_estimate"]),
-                    rec["status"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, records)
 
 
 def render_table_csv(rows: Iterable[dict]) -> str:
-    lines = ["family,n,m_or_x,value,method"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["family"],
-                    str(row["n"]),
-                    _fmt_csv_float(row["m_or_x"]) if isinstance(row["m_or_x"], float) else str(row["m_or_x"]),
-                    _fmt_csv_float(row["value"]),
-                    row["method"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("family,n,m_or_x,value,method", rows)

@@ -97,6 +97,16 @@ class TestExitCodes:
             lines = res.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
 
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_unwritable_report_exit_seventy_four(self, tmp_path, output_format):
+        # a report that cannot be written is no verdict: exit 1 means a
+        # check failed
+        out = tmp_path / "missing" / "r.json"
+        res = run_cli("verify", "--identity", "sears", "--format", output_format, "--out", str(out))
+        assert res.returncode == 74, res.stderr
+        assert res.stderr.startswith("qortho: I/O error: ")
+        assert not out.exists()
+
     def test_full_sweep_exit_zero(self, tmp_path):
         out = tmp_path / "r.json"
         res = run_cli(
@@ -108,6 +118,64 @@ class TestExitCodes:
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["inconclusive"] == 0
         assert payload["summary"]["passed"] == len(payload["records"])
+
+
+COMMANDS = ["verify", "spectrum", "table", "limit", "report-all"]
+
+
+def every_option_argv(out) -> list:
+    """Every option of the CLI, each with a value no command rejects."""
+    return [
+        "--q", "0.3", "--a", "0.5", "--b", "-0.7", "--l", "1.5", "--identity", "sears", "--index-max", "1",
+        "--dim", "20", "--tol", "1e-8", "--precision", "double", "--format", "csv", "--out", str(out),
+        "--no-timestamp",
+    ]
+
+
+class TestParser:
+    def test_one_parser_declares_every_option_once(self):
+        from qortho.cli import build_parser
+
+        parser = build_parser()
+        declared = [s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help")]
+        options = [arg for arg in every_option_argv("r.csv") if arg.startswith("--")]
+        assert declared == options
+        help_text = parser.format_help()
+        assert all(option in help_text for option in options)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_accepts_every_option(self, command, tmp_path):
+        from qortho.cli import _config_from_args, build_parser
+
+        out = tmp_path / "r.csv"
+        argv = every_option_argv(out)
+        # the options parse the same before and after the command
+        after = build_parser().parse_args([command] + argv)
+        before = build_parser().parse_args(argv[:6] + [command] + argv[6:])
+        assert vars(after) == vars(before)
+        cfg = _config_from_args(after)
+        assert cfg.command == command
+        assert (cfg.q, cfg.a, cfg.b) == (0.3, 0.3 ** 2, -0.7)
+        assert (cfg.identity, cfg.index_max, cfg.dim, cfg.tolerance) == ("sears", 1, 20, 1e-8)
+        assert (cfg.precision, cfg.output_format, cfg.output_path, cfg.no_timestamp) == ("double", "csv", str(out), True)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_exits_usage(self, command, tmp_path, capsys):
+        from qortho.cli import main
+
+        out = tmp_path / "r.csv"
+        assert main([command] + every_option_argv(out)) in (0, 1, 2)
+        assert out.read_text().count("\n") > 1
+        assert capsys.readouterr().err == ""
+
+    def test_options_before_command(self, capsys):
+        from qortho.cli import main
+
+        assert main(["--q", "0.3", "--index-max", "1", "--no-timestamp", "table"]) == 0
+        before = capsys.readouterr().out
+        assert main(["table", "--q", "0.3", "--index-max", "1", "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == before
+        assert json.loads(before)["config"]["q"] == 0.3
 
 
 class TestSchema:
