@@ -35,10 +35,10 @@ from qortho.operators import (
 )
 from qortho.polynomials import (
     EXTENDED_DPS,
-    _duality_entries,
     big_q_laguerre,
     big_q_laguerre_recurrence,
     q_meixner,
+    spectral_sequence,
 )
 from qortho.orthogonality import (
     DEFAULT_TOLERANCE,
@@ -263,9 +263,8 @@ def _table_rows(cfg: RunConfig) -> list:
             row("big-q-laguerre", n, float(x), seqs[n], "recurrence")
     for n in range(K + 1):
         # dual_f(n, m) and dual_g(n, m) are entry m of the duality
-        # sequences of `spectral_sequence`, whose entries do not depend on
-        # the cut-off
-        f_seq, g_seq = (list(itertools.islice(_duality_entries(p, branch, n), K + 1)) for branch in "ab")
+        # sequences, whose entries do not depend on the cut-off
+        f_seq, g_seq = (spectral_sequence(p, branch, n, K) for branch in "ab")
         for m in range(K + 1):
             row("q-meixner", n, m, q_meixner(n, m, p.a, -p.b / p.a, p.q, t), "series")
             row("dual-f", n, m, f_seq[m], "spectral")

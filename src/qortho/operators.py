@@ -373,11 +373,12 @@ def _to_floats(values, what: str) -> tuple:
     return out
 
 
-def _a_coeff_logs(p: QParams, branch: str, j: int, m_max: int, prefs: list, recurrence) -> list:
+def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, recurrence) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
     j >= m_max, as Decimals, from the forward three-term recurrence in the
     decimal context of the recurrence table; prefs is pref_0..pref_m_max
-    of `_prefactors` and recurrence the `_working_coefficients` table of p.
+    of `_prefactors`, and recurrence the `_working_coefficients` table
+    whose parameters it reads.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
@@ -490,52 +491,44 @@ def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str 
     tests cross-check them.  The finite form is the running product of
     `_normalization_entries`.
     """
-    if form == "finite":
-        return _finite_normalization(n, p, "a", t)
-    q, a, b = p.q, p.a, p.b
-    if form == "infinite":
-        radicand = (
-            q_pochhammer_inf(q ** (n + 1), q, t)
-            * q_pochhammer_inf(a * q ** (n + 1) / b, q, t)
-            * q_pochhammer_inf(a * q, q, t)
-            * q_pochhammer_inf(b * q, q, t)
-            * q**n
-            / (
-                q_pochhammer_inf(a * q ** (n + 1), q, t)
-                * q_pochhammer_inf(q, q, t)
-                * q_pochhammer_inf(b / a, q, t)
-                * q_pochhammer_inf(a * q / b, q, t)
-            )
-        )
-    else:
-        raise DomainError("form must be 'finite' or 'infinite'")
-    return _root(radicand)
+    return _normalization(n, p, "a", t, form)
 
 
 def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
     """Normalization constant of the lower-branch eigenvectors; the
     prefactor -b/a is positive for b < 0.  The finite form is c_n with a
     and b swapped."""
+    return _normalization(n, p, "b", t, form)
+
+
+def _normalization(n: int, p: QParams, branch: str, t: Truncation, form: str) -> float:
+    """c_n (branch "a") or c'_n (branch "b") in the printed form asked for.
+    With (first, second, factor) = (a, b, 1) for c_n and (b, a, -b/a) for
+    c'_n, the infinite form is
+
+        factor (q^(n+1), first q^(n+1)/second, aq, bq; q)_inf q^n
+            / (first q^(n+1), q, b/a, aq/b; q)_inf.
+    """
     if form == "finite":
-        return _finite_normalization(n, p, "b", t)
-    q, a, b = p.q, p.a, p.b
-    if form == "infinite":
-        radicand = (
-            (-b / a)
-            * q**n
-            * q_pochhammer_inf(b * q ** (n + 1) / a, q, t)
-            * q_pochhammer_inf(q ** (n + 1), q, t)
-            * q_pochhammer_inf(a * q, q, t)
-            * q_pochhammer_inf(b * q, q, t)
-            / (
-                q_pochhammer_inf(b * q ** (n + 1), q, t)
-                * q_pochhammer_inf(q, q, t)
-                * q_pochhammer_inf(b / a, q, t)
-                * q_pochhammer_inf(a * q / b, q, t)
-            )
-        )
-    else:
+        return _finite_normalization(n, p, branch, t)
+    if form != "infinite":
         raise DomainError("form must be 'finite' or 'infinite'")
+    q, a, b = p.q, p.a, p.b
+    first, second, factor = (a, b, 1) if branch == "a" else (b, a, -b / a)
+    radicand = (
+        factor
+        * q_pochhammer_inf(q ** (n + 1), q, t)
+        * q_pochhammer_inf(first * q ** (n + 1) / second, q, t)
+        * q_pochhammer_inf(a * q, q, t)
+        * q_pochhammer_inf(b * q, q, t)
+        * q**n
+        / (
+            q_pochhammer_inf(first * q ** (n + 1), q, t)
+            * q_pochhammer_inf(q, q, t)
+            * q_pochhammer_inf(b / a, q, t)
+            * q_pochhammer_inf(a * q / b, q, t)
+        )
+    )
     return _root(radicand)
 
 

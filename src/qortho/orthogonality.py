@@ -425,7 +425,7 @@ class _Store:
         K, c = self.K, self.c[branch]
         for n in itertools.count():
             top = min(n, K)
-            coeffs = _a_coeff_logs(self.p, branch, n, top, self.prefs.upto(top), self.recurrence)
+            coeffs = _a_coeff_logs(branch, n, top, self.prefs.upto(top), self.recurrence)
             if n < K:
                 column = self.column(n if branch == "a" else -n - 1)
                 coeffs += [column.at(m)[0] for m in range(n + 1, K + 1)]

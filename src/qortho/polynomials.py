@@ -35,8 +35,7 @@ from qortho.qseries import (
     Truncation,
     _as_negative_q_power,
     _context,
-    _escalated,
-    _series_sum,
+    _phi_series,
     _working_context,
     phi_2_1,
     q_pochhammer,
@@ -89,30 +88,23 @@ def _exact_dot(xs, ys) -> decimal.Decimal:
 # big q-Laguerre: series definitions
 
 
-def _bigql_series_sum(n, x, a, b, q):
-    """Terminating sum for 3phi2(q^-n, 0, x; aq, bq; q, q)."""
-    return _series_sum(
-        lambda k, term: (
-            term
-            * (1 - q ** (k - n))
-            * (1 - x * q**k)
-            * q
-            / ((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
-        ),
-        1 + q * 0,
-        n,
-    )
+def _capped(t: Truncation) -> Truncation:
+    """t with rel_tol at most 1e-13: the accuracy every polynomial series
+    route keeps, whatever the caller's truncation asks."""
+    return t._replace(rel_tol=min(t.rel_tol, 1e-13))
 
 
-def _big_q_laguerre_raw(n, x, a, b, q, rel_tol=1e-13):
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    return _escalated(functools.partial(_bigql_series_sum, n), (x, a, b, q), rel_tol)
+def _big_q_laguerre_params(n: int):
+    """The `_phi_series` builder of P_n(x; a, b; q) on (x, a, b, q):
+    3phi2(q^-n, 0, x; aq, bq; q, q)."""
+    return lambda x, a, b, q: ((q**-n, 0 * q, x), (a * q, b * q), q, q)
 
 
 def big_q_laguerre(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
     """P_n(x; a, b; q) via the terminating 3phi2 definition."""
-    return _big_q_laguerre_raw(n, x, p.a, p.b, p.q, rel_tol=min(t.rel_tol, 1e-13))
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    return _phi_series(_big_q_laguerre_params(n), (x, p.a, p.b, p.q), _capped(t))
 
 
 def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
@@ -122,27 +114,10 @@ def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) ->
     """
     if x == 0:
         raise DomainError("the 2phi1 form needs x != 0")
-    a, b, q = p.a, p.b, p.q
-
-    def _sum(xx, aa, bb, qq):
-        z = xx / bb
-        value, max_abs = _series_sum(
-            lambda k, term: (
-                term
-                * (1 - qq ** (k - n))
-                * (1 - aa * qq / xx * qq**k)
-                * z
-                / ((1 - aa * qq ** (k + 1)) * (1 - qq ** (k + 1)))
-            ),
-            1 + qq * 0,
-            n,
-        )
-        pref = 1 + qq * 0
-        for k in range(n):
-            pref = pref * (1 - qq ** (k - n) / bb)
-        return value / pref, max_abs * abs(1 / pref)
-
-    return _escalated(_sum, (x, a, b, q), min(t.rel_tol, 1e-13))
+    value = _phi_series(
+        lambda x, a, b, q: ((q**-n, a * q / x), (a * q,), q, x / b), (x, p.a, p.b, p.q), _capped(t)
+    )
+    return value / q_pochhammer(p.q**-n / p.b, p.q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +289,15 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
         raise DomainError("q must lie strictly in (0, 1)")
     if c == 0:
         raise DomainError("c must be nonzero")
-    kmax = min(n, m)
     jz = _as_negative_q_power(bparam * q, q)
-    if jz is not None and jz < kmax:
+    if jz is not None and jz < min(n, m):
         raise DomainError(
             f"denominator parameter bparam*q = q^-{jz} vanishes before termination"
         )
 
-    def _sum(bb, cc, qq):
-        z = -(qq ** (n + 1)) / cc
-        return _series_sum(
-            lambda k, term: (
-                term
-                * (1 - qq ** (k - n))
-                * (1 - qq ** (k - m))
-                * z
-                / ((1 - bb * qq ** (k + 1)) * (1 - qq ** (k + 1)))
-            ),
-            1 + qq * 0,
-            kmax,
-        )
-
-    return _escalated(_sum, (bparam, c, q), min(t.rel_tol, 1e-13))
+    return _phi_series(
+        lambda b, c, q: ((q**-n, q**-m), (b * q,), q, -(q ** (n + 1)) / c), (bparam, c, q), _capped(t)
+    )
 
 
 def dual_f(n: int, m: int, p: QParams) -> float:
@@ -478,14 +440,7 @@ def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j
         a, b = b, a
     t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
     pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
-    # terminating 2phi1(q^-j, 0; -1/(b t); q, x/b), j+1 terms
-    z = x / b
-    value, _ = _series_sum(
-        lambda k, term: term * (1 - q ** (k - j)) * z / ((1 + q**k / (b * tc)) * (1 - q ** (k + 1))),
-        1 + 0j,
-        j,
-    )
-    return pref * value
+    return pref * phi_2_1(q**-j, 0.0, -1 / (b * tc), q, x / b, t)
 
 
 # pi to 50 digits
@@ -576,26 +531,11 @@ def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncati
     if jz is not None and jz < n:
         raise DomainError("denominator parameter q/b vanishes before termination")
 
-    def _lhs_sum(xx, bb, cc, qq):
-        z = -qq * xx / (bb * cc)
-        return _series_sum(
-            lambda k, term: (
-                term
-                * (1 - qq ** (k - n))
-                * (1 - qq**k / xx)
-                * z
-                / ((1 - qq ** (k + 1) / bb) * (1 - qq ** (k + 1)))
-            ),
-            1 + qq * 0,
-            n,
-        )
-
-    lhs = _escalated(_lhs_sum, (x, bparam, c, q), min(t.rel_tol, 1e-13))
-    pref = 1 + q * 0
-    for k in range(n):
-        pref = pref * (1 + q ** (k - n) / c)
-    rhs = pref * _big_q_laguerre_raw(n, q * x / bparam, 1 / bparam, -c, q, rel_tol=min(t.rel_tol, 1e-13))
-    return lhs, rhs
+    t, base = _capped(t), (x, bparam, c, q)
+    lhs = _phi_series(lambda x, b, c, q: ((q**-n, 1 / x), (q / b,), q, -q * x / (b * c)), base, t)
+    p_n = _big_q_laguerre_params(n)
+    rhs = _phi_series(lambda x, b, c, q: p_n(q * x / b, 1 / b, -c, q), base, t)
+    return lhs, q_pochhammer(-(q**-n) / c, q, n) * rhs
 
 
 # ---------------------------------------------------------------------------

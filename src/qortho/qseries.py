@@ -308,11 +308,9 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
     once t.small_run consecutive terms are below t.rel_tol of the running
     sum, the last of them included; Decimal terms are compared with the
     Decimals of the same floats.  Past t.max_terms terms it raises
-    :class:`NonConvergenceError`.
-
-    Each caller's step writes out the next term in full, left to right
-    (term * factor * ... / (...)); regrouping the factors into one ratio
-    moves the last bits of the results.
+    :class:`NonConvergenceError`.  Its callers are `_phi_series`, whose
+    step is the one term ratio of every basic hypergeometric series, and
+    `jackson_Eq`.
     """
     acc = NeumaierSum(0 * one)
     rel_tol, floor = t.rel_tol, t.rel_tol * 1e-300
@@ -372,16 +370,21 @@ def _escalated(sum_fn, args, rel_tol):
             est = min(float(abs(value_d)), sys.float_info.max)
 
 
-def _phi_series(numerators, denominators, q, z, t: Truncation):
-    """Sum the basic hypergeometric series with r = s+1 normalization:
+def _phi_series(build, base, t: Truncation):
+    """Sum the basic hypergeometric series with r = s+1 normalization
 
-        sum_k (n_1,...,n_r; q)_k / ((d_1,...,d_s; q)_k (q;q)_k) z^k.
+        sum_k (n_1,...,n_r; q)_k / ((d_1,...,d_s; q)_k (q;q)_k) z^k
 
-    Terminating series (a numerator equal to q^(-n)) are summed exactly to
-    the terminating index; nonterminating series require |z| < 1.  Float
-    sums that cancel past double precision are re-summed in Decimals
-    (`_escalated`).
+    of the parameters (numerators, denominators, q, z) = build(*base).
+    Every term is the one before times
+    z prod (1 - n_i q^k) / prod (1 - d_j q^k) / (1 - q^(k+1)).  A
+    numerator q^(-n) ends the sum at term n; nonterminating series
+    require |z| < 1.  Callers pass the scalars they were given as base
+    and form every derived parameter (q^-n, a q, ...) in build: a
+    cancelling float sum is re-summed (`_escalated`) on build of the
+    exact Decimals of base, which never sees a float-rounded one.
     """
+    numerators, denominators, q, z = build(*base)
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
 
@@ -404,10 +407,8 @@ def _phi_series(numerators, denominators, q, z, t: Truncation):
             f"nonterminating basic series needs |z| < 1, got |z| = {abs(z)}"
         )
 
-    r = len(numerators)
-
     def _sum(*scalars):
-        nums, dens, qq, zz = scalars[:r], scalars[r:-2], scalars[-2], scalars[-1]
+        nums, dens, qq, zz = build(*scalars)
         qk = 1 + zz * 0
 
         def step(k, term):
@@ -423,17 +424,19 @@ def _phi_series(numerators, denominators, q, z, t: Truncation):
 
         return _series_sum(step, 1 + zz * 0, terminate_at, t)
 
-    return _escalated(_sum, (*numerators, *denominators, q, z), t.rel_tol)
+    return _escalated(_sum, base, t.rel_tol)
 
 
 def phi_2_1(a, b, c, q, z, t: Truncation = Truncation()):
     """2phi1(a, b; c; q, z)."""
-    return _phi_series((a, b), (c,), q, z, t)
+    return _phi_series(lambda a, b, c, q, z: ((a, b), (c,), q, z), (a, b, c, q, z), t)
 
 
 def phi_3_2(a1, a2, a3, b1, b2, q, z, t: Truncation = Truncation()):
     """3phi2(a1, a2, a3; b1, b2; q, z)."""
-    return _phi_series((a1, a2, a3), (b1, b2), q, z, t)
+    return _phi_series(
+        lambda a1, a2, a3, b1, b2, q, z: ((a1, a2, a3), (b1, b2), q, z), (a1, a2, a3, b1, b2, q, z), t
+    )
 
 
 def jackson_Eq(z, q, t: Truncation = Truncation()):

@@ -4,7 +4,7 @@ import decimal
 
 import pytest
 
-from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer
+from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
 from qortho.operators import normalization_c, normalization_cprime
 from qortho.orthogonality import (
     DualPair,
@@ -691,7 +691,7 @@ class TestReports:
             @functools.cache
             def row(branch, n):
                 top = min(n, K)
-                coeffs = _a_coeff_logs(p, branch, n, top, prefs[: top + 1], recurrence)
+                coeffs = _a_coeff_logs(branch, n, top, prefs[: top + 1], recurrence)
                 c_n = c(branch, n)
                 with decimal.localcontext(context):
                     duality = [pref * v for pref, v in zip(prefs, _duality_entries(p, branch, n))]
@@ -906,7 +906,6 @@ class TestReports:
 
         from qortho.operators import _prefactors
         from qortho.orthogonality import _Store
-        from qortho.polynomials import _bigql_series_sum
 
         p = QParams(q=0.95, a=0.9, b=-3.0)
         store = _Store(p, T, 8)
@@ -915,7 +914,7 @@ class TestReports:
         def exact(first, dps):
             with mpmath.workdps(dps):
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
-                return _bigql_series_sum(96, mpmath.mpf(first) * q**5, a, b, q)[0]
+                return phi_3_2(q**-96, 0, mpmath.mpf(first) * q**5, a * q, b * q, q, q)
 
         for label, first in ((4, p.a), (-5, p.b)):
             got = str(store.column(label).at(96)[0])
