@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import itertools
+import re
 import sys
 from typing import NamedTuple, Optional
 
@@ -107,6 +108,12 @@ class RunConfig(NamedTuple):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern of negative numbers has no exponent, so
+        # it would read "-1e4" as an option name
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -18,7 +18,14 @@ the basis index m read its columns: the eigencoefficients a_m(lam) of
 each label, from the q-Meixner duality closed form, whose weight factors
 balance within each product.  By the duality the q-Meixner sums are
 label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero dual-fg,
-term for term).
+term for term).  The store keeps each row sum by (i, j, scale) and each
+label sum by its unordered pair, so sears reads big-laguerre (0, 0).
+
+One table, `_FAMILIES`, gives each family's record functions and their
+index grids; `run_identity_checks` runs a family's records in the
+store's decimal context, entered once per family, and each public
+`verify_*` runs its one record function the same way on a store of its
+own.
 
 Entries, and the normalization constants c_n they carry, are Decimals,
 correctly rounded in the store's decimal context, `_context_of(p)` (32
@@ -122,16 +129,13 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, tolerance, no
 _N_CAP, _M_CAP = 2000, 320
 
 
-def _in_store_context(verify):
-    """verify(..., store, tolerance) run in the store's decimal context, so
-    the closed forms and verdicts of Decimal parameters ignore the caller's."""
-
-    @functools.wraps(verify)
-    def run(*args):
-        with decimal.localcontext(args[-2].context):
-            return verify(*args)
-
-    return run
+def _alone(p: QParams, t: Truncation, K: int, tolerance: float, record, *args) -> VerificationReport:
+    """record(*args, store, tolerance) on a store of its own and in that
+    store's decimal context, as a sweep runs it: the closed forms and
+    verdicts of Decimal parameters ignore the caller's context."""
+    store = _Store(p, t, K)
+    with decimal.localcontext(store.context):
+        return record(*args, store, tolerance)
 
 
 def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, context):
@@ -256,7 +260,7 @@ def verify_big_laguerre_orthogonality(
     """Orthogonality of the polynomial family over its two-branch
     discrete measure: the weighted sums over both spectral branches
     against the closed-form norm times a Kronecker delta."""
-    return _verify_big_laguerre(m, m2, _Store(p, t, max(m, m2)), tolerance)
+    return _alone(p, t, max(m, m2), tolerance, _verify_big_laguerre, m, m2)
 
 
 def _big_laguerre_sum(m: int, m2: int, store: _Store):
@@ -264,12 +268,10 @@ def _big_laguerre_sum(m: int, m2: int, store: _Store):
     b-branch: the unitarity-rows sum, whose terms are c_n^2 a_m a_m2 =
     (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2),
     scaled back."""
-    with decimal.localcontext(store.context):
-        scale = decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
+    scale = decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
     return store.row_sum(m, m2, scale)
 
 
-@_in_store_context
 def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
     if m < 0 or m2 < 0:
         raise DomainError("degrees must be nonnegative")
@@ -295,13 +297,13 @@ def verify_identity_3637(
     """The three-term two-sum evaluation (the degree-zero orthogonality)
     checked against its closed-form product value, with the equivalent
     basic-series form evaluated as a cross-check."""
-    return _verify_sears(_Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_sears)
 
 
-@_in_store_context
 def _verify_sears(store: _Store, tolerance: float):
-    """The big-laguerre (0, 0) record, with the cross-check; P_0 = 1 on
-    every row, so the store's K changes no bit."""
+    """The big-laguerre (0, 0) record, read from the store's kept row sum,
+    with the cross-check; P_0 = 1 on every row, so the store's K changes no
+    bit."""
     p, t = store.p, store.t
     q, a, b = p.q, p.a, p.b
     lhs, used, tail = _big_laguerre_sum(0, 0, store)
@@ -395,6 +397,7 @@ class _Store:
         self.rows = {branch: _LazyList(self._rows(branch)) for branch in "ab"}
         self._columns: dict = {}
         self._sums: dict = {}
+        self._row_sums: dict = {}
 
     @functools.cached_property
     def kc(self):
@@ -448,13 +451,17 @@ class _Store:
 
     def row_sum(self, i: int, j: int, scale):
         """sum_n scale u_in u_jn over the a-branch rows plus that over the
-        b-branch rows: (value, terms, tail).  Each branch, and each scale,
-        stops at its own terms."""
-        (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (
-            _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, scale, self.context)
-            for rows in self.rows.values()
-        )
-        return self.value(self.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
+        b-branch rows: (value, terms, tail), computed on the first request
+        for (i, j, scale) and kept, as the label sums are.  Each branch, and
+        each scale, stops at its own terms."""
+        key = (i, j, scale)
+        if key not in self._row_sums:
+            (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (
+                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, scale, self.context)
+                for rows in self.rows.values()
+            )
+            self._row_sums[key] = self.value(self.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
+        return self._row_sums[key]
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +494,9 @@ def verify_dual_orthogonality(
     values in extended precision; the cross case (one function from each
     branch) is an exact cancellation handled by the same extended-
     precision coefficients."""
-    return _verify_dual(which, n, n2, _Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_dual, which, n, n2)
 
 
-@_in_store_context
 def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
     which = DualPair(which)
     i, j = _dual_labels(which, n, n2)
@@ -499,7 +505,6 @@ def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: flo
     return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, used, tail, tolerance)
 
 
-@_in_store_context
 def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
@@ -523,14 +528,11 @@ def verify_unitarity(
     columns sum over the basis index and are the dual sums with the
     normalization constants attached.  Rows express the same identity as
     the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
-    rowcol = RowCol(rowcol)
-    store = _Store(p, t, max(i, j, 0))
-    if rowcol is RowCol.ROWS:
-        return _verify_rows(i, j, store, tolerance)
-    return _verify_columns("unitarity-columns", i, j, store, tolerance)
+    if RowCol(rowcol) is RowCol.ROWS:
+        return _alone(p, t, max(i, j, 0), tolerance, _verify_rows, i, j)
+    return _alone(p, t, max(i, j, 0), tolerance, _verify_columns, "unitarity-columns", i, j)
 
 
-@_in_store_context
 def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
     """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
     unitarity columns and for biorthogonality."""
@@ -556,7 +558,7 @@ def verify_biorthogonality(
     The coefficients satisfy psi_k(lam_m) phi_k(lam_n) = a_k(lam_m)
     a_k(lam_n) term for term (psi = D a, phi = D^-1 a for a diagonal D),
     so the sum is the unitarity-columns sum in the psi/phi basis."""
-    return _verify_columns("biortho", m, n, _Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_columns, "biortho", m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +595,6 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
     )
 
 
-@_in_store_context
 def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
     p = store.p
     which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
@@ -612,7 +613,7 @@ def verify_meixner_orthogonality(
     """The classical q-Meixner orthogonality, realized here by the
     positive-parameter family M_n(q^-m; a, -b/a; q) under
     `meixner_weight`: the dual-ff sum."""
-    return _verify_meixner("meixner", n, n2, _Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_meixner, "meixner", n, n2)
 
 
 def verify_negative_b_meixner_orthogonality(
@@ -624,7 +625,7 @@ def verify_negative_b_meixner_orthogonality(
 ) -> VerificationReport:
     """The same orthogonality shape for the negative-parameter family
     M_n(q^-m; b, -a/b; q) with b < 0: the dual-gg sum."""
-    return _verify_meixner("meixner-negb", n, n2, _Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_meixner, "meixner-negb", n, n2)
 
 
 def verify_Eq_zero_identity(
@@ -642,10 +643,9 @@ def verify_Eq_zero_identity(
     contribution to the q-exponential E_q evaluated at one of its zeros
     -q^-j, which is why the alternating sum cancels exactly.  The sum is
     the dual-fg sum."""
-    return _verify_eq_zero(n, n2, _Store(p, t, 0), tolerance)
+    return _alone(p, t, 0, tolerance, _verify_eq_zero, n, n2)
 
 
-@_in_store_context
 def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
     lhs, used, tail = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
     note = "every term reduces to E_q at a zero -q^-j"
@@ -656,16 +656,43 @@ def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
 # sweep driver
 
 
-IDENTITY_FAMILIES = (
-    "big-laguerre",
-    "sears",
-    "unitarity",
-    "dual",
-    "meixner",
-    "meixner-negb",
-    "eq-zero",
-    "biortho",
-)
+def _upper_pairs(K: int) -> list:
+    return [(i, j) for i in range(K + 1) for j in range(i, K + 1)]
+
+
+def _full_grid(K: int) -> list:
+    return [(i, j) for i in range(K + 1) for j in range(K + 1)]
+
+
+def _label_pairs(K: int) -> list:
+    """The pairs i <= j of the labels -(K+1)..K, K+1 of each branch."""
+    labels = range(-(K + 1), K + 1)
+    return [(i, j) for i in labels for j in labels if i <= j]
+
+
+def _one_cell(K: int) -> list:
+    return [()]
+
+
+# each family's runs: an index grid of largest index K, and a record
+# function with its leading arguments, which takes the indices of one cell
+# of the grid, the store and the tolerance
+_FAMILIES = {
+    "big-laguerre": [(_upper_pairs, _verify_big_laguerre)],
+    "sears": [(_one_cell, _verify_sears)],
+    "unitarity": [(_upper_pairs, _verify_rows), (_label_pairs, _verify_columns, "unitarity-columns")],
+    "dual": [
+        (_upper_pairs, _verify_dual, DualPair.FF),
+        (_upper_pairs, _verify_dual, DualPair.GG),
+        (_full_grid, _verify_dual, DualPair.FG),
+    ],
+    "meixner": [(_upper_pairs, _verify_meixner, "meixner")],
+    "meixner-negb": [(_upper_pairs, _verify_meixner, "meixner-negb")],
+    "eq-zero": [(_full_grid, _verify_eq_zero)],
+    "biortho": [(_label_pairs, _verify_columns, "biortho")],
+}
+
+IDENTITY_FAMILIES = tuple(_FAMILIES)
 
 
 def run_identity_checks(
@@ -676,8 +703,8 @@ def run_identity_checks(
     tolerance: float = DEFAULT_TOLERANCE,
     store: _Store | None = None,
 ) -> list:
-    """All checks of one identity family over the default index grid,
-    sorted by (identity_id, indices).
+    """All checks of one identity family over its index grids, sorted by
+    (identity_id, indices), run in the store's decimal context.
 
     store is the `_Store(p, t, index_max)` of the verify task the sweep
     belongs to; the families that read one store share its coefficients
@@ -688,44 +715,14 @@ def run_identity_checks(
     elif (store.p, store.t, store.K) != (p, t, index_max):
         raise ValueError("store built for another verify task")
     if identity == "all":
-        out = []
-        for fam in IDENTITY_FAMILIES:
-            out.extend(run_identity_checks(fam, p, t, index_max, tolerance, store))
-        return out
-
-    reports = []
-    pairs_upper = [(i, j) for i in range(index_max + 1) for j in range(i, index_max + 1)]
-    grid_full = [(i, j) for i in range(index_max + 1) for j in range(index_max + 1)]
-    zlabels = list(range(-(index_max + 1), index_max + 1))
-    zpairs = [(i, j) for i in zlabels for j in zlabels if i <= j]
-
-    if identity == "big-laguerre":
-        for i, j in pairs_upper:
-            reports.append(_verify_big_laguerre(i, j, store, tolerance))
-    elif identity == "sears":
-        reports.append(_verify_sears(store, tolerance))
-    elif identity == "unitarity":
-        for i, j in pairs_upper:
-            reports.append(_verify_rows(i, j, store, tolerance))
-        for i, j in zpairs:
-            reports.append(_verify_columns("unitarity-columns", i, j, store, tolerance))
-    elif identity == "dual":
-        for i, j in pairs_upper:
-            reports.append(_verify_dual(DualPair.FF, i, j, store, tolerance))
-            reports.append(_verify_dual(DualPair.GG, i, j, store, tolerance))
-        for i, j in grid_full:
-            reports.append(_verify_dual(DualPair.FG, i, j, store, tolerance))
-    elif identity in ("meixner", "meixner-negb"):
-        for i, j in pairs_upper:
-            reports.append(_verify_meixner(identity, i, j, store, tolerance))
-    elif identity == "eq-zero":
-        for i, j in grid_full:
-            reports.append(_verify_eq_zero(i, j, store, tolerance))
-    elif identity == "biortho":
-        for i, j in zpairs:
-            reports.append(_verify_columns("biortho", i, j, store, tolerance))
-    else:
+        return [r for fam in IDENTITY_FAMILIES for r in run_identity_checks(fam, p, t, index_max, tolerance, store)]
+    if identity not in _FAMILIES:
         raise DomainError(f"unknown identity family: {identity!r}")
-
+    with decimal.localcontext(store.context):
+        reports = [
+            record(*lead, *cell, store, tolerance)
+            for grid, record, *lead in _FAMILIES[identity]
+            for cell in grid(index_max)
+        ]
     reports.sort(key=lambda r: (r.identity_id, r.indices))
     return reports

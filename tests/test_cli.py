@@ -168,6 +168,22 @@ class TestParser:
         assert out.read_text().count("\n") > 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("value", ["-1e4", "-7e-1", "-1E+2", "-.5"])
+    def test_negative_values_in_exponent_notation(self, value):
+        # argparse alone reads -1e4 as an option name; -.5 always parsed
+        from qortho.cli import _config_from_args, build_parser
+
+        cfg = _config_from_args(build_parser().parse_args(["verify", "--b", value]))
+        assert cfg.b == float(value)
+
+    def test_option_name_as_value_exits_usage(self, capsys):
+        from qortho.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--b", "-x"])
+        assert exc.value.code == 64
+        assert "argument --b: expected one argument" in capsys.readouterr().err
+
     def test_options_before_command(self, capsys):
         from qortho.cli import main
 
