@@ -1,25 +1,28 @@
 """Numerical verification engines for the orthogonality, unitarity,
 duality and biorthogonality identities.
 
-Every verifier returns a :class:`VerificationReport` whose pass/fail
-verdict is meaningful only when the truncation tail of the underlying
-infinite sum has been certified below tolerance; otherwise the report
-carries the third status "inconclusive".
+Every verifier returns a :class:`VerificationReport`, judged on its
+sum's own scale max(|rhs|, M), M the sum of the magnitudes of its terms;
+for a positive weight Cauchy-Schwarz gives M <= sqrt(h_i h_j), so a
+verdict bounds a cosine.  A pass/fail verdict needs the truncation tail
+certified below tolerance on that scale; otherwise the report carries
+the third status "inconclusive".
 
 Numerical strategy: every identity sum reads one connection matrix
 u_mn = c_n a_m(lam_n), in one of its two directions, and one engine,
 `_bilinear_sum`, forms its value.  One store per verify task, `_Store`,
 holds the matrix.  The sums over the spectral index n read its rows, one
 list per spectral branch, whose entries c_n a_m(lam_n) decay
-geometrically in n; unitarity-rows reads them as they are, and
+geometrically in n; unitarity-rows reads their sums as they are, and
 big-laguerre and sears scaled by Kc / (pref_i pref_j), since
 w_n P_i P_j is that multiple of the unitarity-rows term.  The sums over
 the basis index m read its columns: the eigencoefficients a_m(lam) of
 each label, from the q-Meixner duality closed form, whose weight factors
 balance within each product.  By the duality the q-Meixner sums are
 label sums too (meixner dual-ff, meixner-negb dual-gg, eq-zero dual-fg,
-term for term).  The store keeps each row sum by (i, j, scale) and each
-label sum by its unordered pair, so sears reads big-laguerre (0, 0).
+term for term).  The store keeps each row sum and each label sum by its
+unordered pair, so sears reads big-laguerre (0, 0) and big-laguerre reads
+unitarity-rows, each scaling the kept M with the value.
 
 One table, `_FAMILIES`, gives each family's record functions and their
 index grids; `run_identity_checks` runs a family's records in the
@@ -49,7 +52,6 @@ from typing import Callable
 
 from qortho.qseries import (
     DomainError,
-    NeumaierSum,
     NonConvergenceError,
     QParams,
     Truncation,
@@ -103,9 +105,11 @@ class DualPair(Enum):
     FG = "fg"
 
 
-def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, tolerance, note="") -> VerificationReport:
+def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, tolerance, note="") -> VerificationReport:
+    """lhs against rhs, with the tail and the residual both judged
+    against tolerance * max(|rhs|, M), magnitude the M of lhs's sum."""
     residual = abs(lhs - rhs)
-    bound = tolerance * float(1 + max(abs(lhs), abs(rhs)))
+    bound = tolerance * max(float(abs(rhs)), magnitude)
     certified = tail <= bound
     passed = certified and residual <= bound
     status = "pass" if passed else "fail" if certified else "inconclusive"
@@ -138,27 +142,24 @@ def _alone(p: QParams, t: Truncation, K: int, tolerance: float, record, *args) -
         return record(*args, store, tolerance)
 
 
-def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, scale, context):
-    """Certified sum over k of scale u_k v_k, the value of every identity
-    sum: (Decimal value, terms used, tail estimate).
+def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, context):
+    """Certified sum over k of u_k v_k, the value of every identity sum:
+    (Decimal value, terms used, tail estimate, M), with M the sum of the
+    magnitudes of the terms used, the sum's condition scale (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
 
     u(k) and v(k) are the k-th entries as (Decimal, float copy) pairs, read
-    in order of k up to k = hard_cap.  The products of the float copies,
-    times the float of scale, drive only the stopping rule and the tail
-    bound; a product that overflows is formed from the Decimal entries.
-    The sum stops once small_run consecutive terms are below rel_tol
-    relative to the compensated running sum of those products AND the
-    recent term ratios certify a geometric tail below the same target;
-    the tail estimate is inf when they never do within the cap.  The
-    value is scale (an int or a Decimal) times the sum of the products
-    used, every product and the sum exact, rounded once in the decimal
-    context given (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., 4.2), so cancellation among terms of size 1e9 leaves no
-    float noise."""
-    xs: list = []
-    ys: list = []
-    fscale = float(scale)
-    acc = NeumaierSum()
+    in order of k up to k = hard_cap.  The products of the float copies
+    drive only the stopping rule, M and the tail bound; a product that
+    overflows is formed from the Decimal entries.  The sum stops once
+    small_run consecutive terms are each at most rel_tol M AND the recent
+    term ratios certify a geometric tail below the same target; the tail
+    estimate is inf when they never do within the cap.  The value is the
+    sum of the products used, every product and the sum exact, rounded
+    once in the decimal context given, so cancellation among terms of
+    size 1e9 leaves no float noise."""
+    xs, ys = [], []
+    total = 0.0
     recent = collections.deque(maxlen=max(t.small_run, 4))
     run = 0
     tail = math.inf
@@ -167,14 +168,14 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
         y, fy = v(k)
         xs.append(x)
         ys.append(y)
-        term = fx * fy * fscale
+        term = abs(fx * fy)
         if not math.isfinite(term):
-            term = float(context.multiply(context.multiply(scale, x), y))
+            term = abs(float(context.multiply(x, y)))
             if math.isinf(term):
                 raise NonConvergenceError("bilinear term overflow")
-        acc.add(term)
-        recent.append(abs(term))
-        if abs(term) <= t.rel_tol * (1.0 + abs(acc.value)):
+        total += term
+        recent.append(term)
+        if term <= t.rel_tol * total:
             run += 1
             if run >= t.small_run:
                 nz = [f for f in recent if f > 0.0]
@@ -187,13 +188,13 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
                 # the relative target, not merely the last term
                 if r < 0.995:
                     est = nz[-1] * r / (1.0 - r)
-                    if est <= t.rel_tol * (1.0 + abs(acc.value)):
+                    if est <= t.rel_tol * total:
                         tail = est
                         break
                 run = 0
         else:
             run = 0
-    return context.multiply(scale, _exact_dot(xs, ys)), k + 1, tail
+    return context.plus(_exact_dot(xs, ys)), k + 1, tail, total
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +268,17 @@ def _big_laguerre_sum(m: int, m2: int, store: _Store):
     """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
     b-branch: the unitarity-rows sum, whose terms are c_n^2 a_m a_m2 =
     (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2),
-    scaled back."""
-    scale = decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2))
-    return store.row_sum(m, m2, scale)
+    scaled back with its tail and M."""
+    scale = store.value(decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2)))
+    value, used, tail, total = store.row_sum(m, m2)
+    return value * scale, used, abs(float(scale)) * tail, abs(float(scale)) * total
 
 
 def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
     if m < 0 or m2 < 0:
         raise DomainError("degrees must be nonnegative")
     p = store.p
-    lhs, used, tail = _big_laguerre_sum(m, m2, store)
+    lhs, *sums = _big_laguerre_sum(m, m2, store)
     rhs = 0
     if m == m2:
         rhs = (
@@ -286,7 +288,7 @@ def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
             * (-p.a * p.b) ** m
             * p.q ** (m * (m + 3) // 2)
         )
-    return _finalize("big-laguerre", p, (m, m2), lhs, rhs, used, tail, tolerance)
+    return _finalize("big-laguerre", p, (m, m2), lhs, rhs, *sums, tolerance)
 
 
 def verify_identity_3637(
@@ -306,7 +308,7 @@ def _verify_sears(store: _Store, tolerance: float):
     bit."""
     p, t = store.p, store.t
     q, a, b = p.q, p.a, p.b
-    lhs, used, tail = _big_laguerre_sum(0, 0, store)
+    lhs, *sums = _big_laguerre_sum(0, 0, store)
     rhs = store.kc
 
     # equivalent form: prefactored 2phi1 evaluations at argument q
@@ -323,7 +325,7 @@ def _verify_sears(store: _Store, tolerance: float):
     )
     cross = float(abs(lhs - lhs_phi))
     note = f"basic-series form agrees to {cross:.3e}"
-    rep = _finalize("sears", p, (0, 0), lhs, rhs, used, tail, tolerance, note)
+    rep = _finalize("sears", p, (0, 0), lhs, rhs, *sums, tolerance, note)
     if cross > 1e-11 * float(1 + abs(lhs)) and rep.status == "pass":
         rep = rep._replace(status="fail", passed=False, note=note + " (cross-check failed)")
     return rep
@@ -438,29 +440,27 @@ class _Store:
             yield [(y, float(y)) for y in row]
 
     def label_sum(self, i: int, j: int):
-        """Certified sum over m of a_m(lam_i) a_m(lam_j), computed on the
-        first request for the unordered pair {i, j} and kept: the exact sum
-        of exact products commutes, so (j, i) would give the same bits.  The
-        value is a float for float parameters and a Decimal for Decimal
-        ones."""
+        """Certified sum over m of a_m(lam_i) a_m(lam_j), (value, terms,
+        tail, M), kept for the unordered pair {i, j}: exact products and
+        their float copies commute, so (j, i) would give the same bits.  The
+        value is a float for float parameters and a Decimal for Decimal ones."""
         key = (min(i, j), max(i, j))
         if key not in self._sums:
-            value, used, tail = _bilinear_sum(self.column(i).at, self.column(j).at, self.t, _M_CAP, 1, self.context)
-            self._sums[key] = self.value(value), used, tail
+            value, *rest = _bilinear_sum(self.column(i).at, self.column(j).at, self.t, _M_CAP, self.context)
+            self._sums[key] = self.value(value), *rest
         return self._sums[key]
 
-    def row_sum(self, i: int, j: int, scale):
-        """sum_n scale u_in u_jn over the a-branch rows plus that over the
-        b-branch rows: (value, terms, tail), computed on the first request
-        for (i, j, scale) and kept, as the label sums are.  Each branch, and
-        each scale, stops at its own terms."""
-        key = (i, j, scale)
+    def row_sum(self, i: int, j: int):
+        """sum_n u_in u_jn over the a-branch rows plus that over the
+        b-branch rows: (value, terms, tail, M), kept by the unordered pair
+        {i, j} as the label sums are.  Each branch stops at its own terms."""
+        key = (min(i, j), max(i, j))
         if key not in self._row_sums:
-            (sum_a, used_a, tail_a), (sum_b, used_b, tail_b) = (
-                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, scale, self.context)
+            a, b = (
+                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, self.context)
                 for rows in self.rows.values()
             )
-            self._row_sums[key] = self.value(self.context.add(sum_a, sum_b)), used_a + used_b, tail_a + tail_b
+            self._row_sums[key] = self.value(self.context.add(a[0], b[0])), a[1] + b[1], a[2] + b[2], a[3] + b[3]
         return self._row_sums[key]
 
 
@@ -500,17 +500,17 @@ def verify_dual_orthogonality(
 def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
     which = DualPair(which)
     i, j = _dual_labels(which, n, n2)
-    lhs, used, tail = store.label_sum(i, j)
+    lhs, *sums = store.label_sum(i, j)
     rhs = store.label_c(i) ** -2 if i == j else 0
-    return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, used, tail, tolerance)
+    return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, *sums, tolerance)
 
 
 def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
-    lhs, used, tail = store.row_sum(i, j, 1)
+    lhs, *sums = store.row_sum(i, j)
     rhs = 1 if i == j else 0
-    return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, used, tail, tolerance)
+    return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, *sums, tolerance)
 
 
 def verify_unitarity(
@@ -536,11 +536,11 @@ def verify_unitarity(
 def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
     """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
     unitarity columns and for biorthogonality."""
-    value, used, tail = store.label_sum(i, j)
+    value, used, tail, total = store.label_sum(i, j)
     ci, cj = store.label_c(i), store.label_c(j)
-    lhs = ci * cj * value
+    size = float(ci * cj)
     rhs = 1 if i == j else 0
-    return _finalize(identity_id, store.p, (i, j), lhs, rhs, used, float(ci * cj) * tail, tolerance)
+    return _finalize(identity_id, store.p, (i, j), ci * cj * value, rhs, used, size * tail, size * total, tolerance)
 
 
 def verify_biorthogonality(
@@ -598,9 +598,9 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
 def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
     p = store.p
     which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
-    lhs, used, tail = store.label_sum(*_dual_labels(which, n, n2))
+    lhs, *sums = store.label_sum(*_dual_labels(which, n, n2))
     rhs = _meixner_rhs(first, second, n, p, store.t) if n == n2 else 0
-    return _finalize(identity_id, p, (n, n2), lhs, rhs, used, tail, tolerance)
+    return _finalize(identity_id, p, (n, n2), lhs, rhs, *sums, tolerance)
 
 
 def verify_meixner_orthogonality(
@@ -647,9 +647,9 @@ def verify_Eq_zero_identity(
 
 
 def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
-    lhs, used, tail = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
+    lhs, *sums = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
     note = "every term reduces to E_q at a zero -q^-j"
-    return _finalize("eq-zero", store.p, (n, n2), lhs, 0, used, tail, tolerance, note)
+    return _finalize("eq-zero", store.p, (n, n2), lhs, 0, *sums, tolerance, note)
 
 
 # ---------------------------------------------------------------------------

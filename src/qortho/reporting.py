@@ -103,10 +103,11 @@ REPORT_SCHEMA = {
 class VerificationReport(NamedTuple):
     """Structured record of one identity check.
 
-    For certified reports: passed <=> residual <= tolerance * (1 +
-    max(|lhs|, |rhs|)).  When the tail estimate exceeds that bound the
-    status is "inconclusive" and passed is forced False, since the
-    computed lhs itself is then unreliable.
+    For certified reports: passed <=> residual <= tolerance *
+    max(|rhs|, M), with M the sum of the magnitudes of the terms of the
+    sum that formed lhs, scaled as lhs is.  When the tail estimate exceeds
+    that bound the status is "inconclusive" and passed is forced False,
+    since the computed lhs itself is then unreliable.
     """
 
     identity_id: str

@@ -9,10 +9,12 @@ against the records it has, and the worst move
 
     |new lhs - old lhs| / (TOL (1 + max(|lhs|, |rhs|)))
 
-(the value column for a table, which has no rhs), the bound a verdict
-reads at the tolerance the golden files use.  Below that it lists every
-record whose `status` or `terms_used` changed, and every record only one
-file has.  The exit status is 0.
+(the value column for a table, which has no rhs), at the tolerance the
+golden files use.  A verdict reads max(|rhs|, M) instead, whose M, the
+sum of the magnitudes of a sum's terms, the files do not carry, so the
+worst move is a guide to a record's bound, not the bound itself.  Below
+that it lists every record whose `status` or `terms_used` changed, and
+every record only one file has.  The exit status is 0.
 """
 
 from __future__ import annotations

@@ -108,7 +108,7 @@ class TestCertifiedSum:
             return x, float(x)
 
         one = decimal.Decimal(1), 1.0
-        return _bilinear_sum(lambda k: one, v, T, hard_cap, 1, _working_context(30))
+        return _bilinear_sum(lambda k: one, v, T, hard_cap, _working_context(30))
 
     def test_terms_used_counts_the_terms_summed_at_the_cap(self):
         summed = []
@@ -117,9 +117,9 @@ class TestCertifiedSum:
             summed.append(m)
             return 1.0  # never negligible, so the tail is never certified
 
-        value, used, tail = self.unit_sum(term, hard_cap=10)
+        value, used, tail, total = self.unit_sum(term, hard_cap=10)
         assert summed == list(range(11))
-        assert (value, used, tail) == (11, 11, float("inf"))
+        assert (value, used, tail, total) == (11, 11, float("inf"), 11.0)
 
     def test_terms_used_counts_the_terms_summed_when_certified(self):
         from qortho.orthogonality import _N_CAP
@@ -130,9 +130,12 @@ class TestCertifiedSum:
             summed.append(m)
             return 0.5**m
 
-        value, used, tail = self.unit_sum(term, _N_CAP)
-        assert used == len(summed) < 2000
-        assert tail <= T.rel_tol * (1 + float(value))
+        value, used, tail, total = self.unit_sum(term, _N_CAP)
+        # the terms 2^-39 .. 2^-48 are the first small_run at most rel_tol
+        # of their M, 2 - 2^-m
+        assert used == len(summed) == 49
+        assert total == pytest.approx(2.0, rel=1e-13) and float(value) == pytest.approx(total, rel=1e-15)
+        assert tail <= T.rel_tol * total
 
 
 class TestBigLaguerreOrthogonality:
@@ -199,14 +202,16 @@ class TestSears:
         assert "agrees" in r.note
 
     def test_both_partial_sums_positive(self):
-        # each branch sum is positive (weights and squares positive)
+        # each branch sum is positive (weights and squares positive), so
+        # its M is its value
         from qortho.orthogonality import _N_CAP, _bilinear_sum, _Store
 
         store = _Store(P1, T, 0)
         for rows in store.rows.values():
             entry = lambda n: rows.at(n)[0]  # noqa: E731
-            val, _, _ = _bilinear_sum(entry, entry, T, _N_CAP, decimal.Decimal(store.kc), store.context)
+            val, _, _, total = _bilinear_sum(entry, entry, T, _N_CAP, store.context)
             assert val > 0
+            assert total == pytest.approx(float(val), rel=1e-14)
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5)], ids=["p1", "q0.9"])
     def test_sweep_record_is_big_laguerre_00(self, p):
@@ -366,9 +371,9 @@ class TestMeixnerOrthogonality:
 
         store = _Store(P1, T, 0)
         negb = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
-        assert (negb.lhs, negb.terms_used, negb.tail_estimate) == store.label_sum(-2, -3)
+        assert (negb.lhs, negb.terms_used, negb.tail_estimate) == store.label_sum(-2, -3)[:3]
         meixner = verify_meixner_orthogonality(1, 2, P1, T)
-        assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == store.label_sum(1, 2)
+        assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == store.label_sum(1, 2)[:3]
 
 
 class TestEqZeroIdentity:
@@ -483,8 +488,12 @@ class TestBiorthogonality:
 
 class TestReports:
     def test_pass_iff_residual_bound_on_certified_reports(self):
-        for r in run_identity_checks("meixner", P1, T, index_max=3):
-            scale = 1 + max(abs(r.lhs), abs(r.rhs))
+        # the bound is tolerance max(|rhs|, M), M that of the record's sum
+        from qortho.orthogonality import _Store
+
+        store = _Store(P1, T, 3)
+        for r in run_identity_checks("meixner", P1, T, index_max=3, store=store):
+            scale = max(abs(r.rhs), store.label_sum(*r.indices)[3])
             assert r.tail_estimate <= r.tolerance * scale  # certified
             assert r.passed == (r.residual <= r.tolerance * scale)
             assert r.status == ("pass" if r.passed else "fail")
@@ -540,7 +549,7 @@ class TestReports:
             assert store.context is _working_context(dps)
             values = [
                 store.label_sum(0, -2)[0],
-                store.row_sum(0, 1, 1)[0],
+                store.row_sum(0, 1)[0],
                 store.label_c(-2),
                 normalization_c(3, p, t),
             ]
@@ -657,8 +666,8 @@ class TestReports:
         # reference: the per-pair loop over each spectral branch, with the
         # entries c_n a_m(lam_n) built here, apart from any table (forward
         # sweeps for the degrees m <= n, the duality closed form above),
-        # each pair's float terms scaled by Kc / (pref_m pref_m2), and the
-        # value an mpf dot product at twice the table's digits of the
+        # each pair's sum, tail and M scaled by Kc / (pref_m pref_m2), and
+        # the value an mpf dot product at twice the table's digits of the
         # entries read into mpfs; a table that reads the wrong row, degree
         # or scale fails here, while the sweep-vs-standalone test cannot
         # tell, since both sides share it.  c_n, c'_n and Kc are formed in
@@ -707,12 +716,13 @@ class TestReports:
 
             def literal(m, m2):
                 with decimal.localcontext(context):
-                    scale = decimal.Decimal(kc) / (prefs[m] * prefs[m2])
+                    size = abs(float(decimal.Decimal(kc) / (prefs[m] * prefs[m2])))
                 xs, ys, used, tail = [], [], 0, 0.0
                 for branch in "ab":
                     readers = reader(branch, m, xs), reader(branch, m2, ys)
-                    _, used_b, tail_b = _bilinear_sum(*readers, t, _N_CAP, scale, context)
+                    _, used_b, tail_b, _ = _bilinear_sum(*readers, t, _N_CAP, context)
                     used, tail = used + used_b, tail + tail_b
+                tail *= size
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
                     scale = to_mpf(kc) / (mpmath.mpf(str(prefs[m])) * mpmath.mpf(str(prefs[m2])))
@@ -773,7 +783,7 @@ class TestReports:
                 # returned with the sum of their magnitudes
                 xs, ys = [], []
                 readers = reader(i, ratio_i, xs), reader(j, ratio_j, ys)
-                _, used, tail = _bilinear_sum(*readers, t, _M_CAP, 1, _working_context(dps))
+                _, used, tail, _ = _bilinear_sum(*readers, t, _M_CAP, _working_context(dps))
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
                     total_abs = mpmath.fsum([x * y for x, y in zip(xs, ys)], absolute=True)
@@ -830,7 +840,7 @@ class TestReports:
         store = _Store(p, T, 8)
 
         def label_sum(i, j):
-            return _bilinear_sum(store.column(i).at, store.column(j).at, T, _M_CAP, 1, store.context)
+            return _bilinear_sum(store.column(i).at, store.column(j).at, T, _M_CAP, store.context)
 
         labels = range(-9, 9)
         for i in labels:
@@ -861,9 +871,10 @@ class TestReports:
 
     def test_store_computes_each_row_pair_sum_once(self, monkeypatch):
         # unitarity-rows, big-laguerre and sears read one store's row sums:
-        # the 91 row records at index-max 8 need the 90 sums of 45 pairs at
-        # two scales, one certified sum per branch each; sears reads the
-        # big-laguerre (0, 0) sum, at the same scale, and sums nothing
+        # the 91 row records at index-max 8 need the 90 sums of 45 pairs,
+        # one certified sum per branch each; big-laguerre scales the
+        # unitarity-rows sum, and sears reads its (0, 0) sum, so neither
+        # sums anything
         from qortho import orthogonality
 
         calls = []
@@ -878,13 +889,13 @@ class TestReports:
         reports = run_identity_checks("all", P1, T)
         rows = [r for r in reports if r.identity_id in ("big-laguerre", "sears", "unitarity-rows")]
         assert len(rows) == 91
-        assert len(calls) == 180
+        assert len(calls) == 90
 
     def test_label_entries_computed_once(self, monkeypatch):
         # each sum extends its labels' duality entries, and the shared
         # prefactors, one at a time as it reads them; no entry is computed
-        # twice, and the 18 labels need 1004 entries, the most any sum
-        # reads of each label, where a cut-off doubled from 48 took 1602
+        # twice, and the 18 labels need 928 entries, the most any sum reads
+        # of each label, where a cut-off doubled from 48 took 1602
         import collections
 
         from qortho import orthogonality
@@ -916,8 +927,8 @@ class TestReports:
             spec = ("a", label) if label >= 0 else ("b", -label - 1)
             assert started[spec] == 1 and computed[spec] == len(entries), label
         assert len(started) == 19
-        assert max(map(len, store._columns.values())) == 64
-        assert sum(computed.values()) - computed[pref] == 1004
+        assert max(map(len, store._columns.values())) == 59
+        assert sum(computed.values()) - computed[pref] == 928
 
     def test_label_coefficient_exact_after_unitarity(self):
         # a_96(lam_4) on both branches at q = 0.95, read from the store's
@@ -988,7 +999,7 @@ class TestReports:
     def test_near_degenerate_b_extreme(self):
         # |b| << a inflates the lower-branch norms to ~1e5; the bilinear
         # terms must keep full relative accuracy for the off-diagonal
-        # cancellations to reach the absolute 1e-8 scale
+        # cancellations to reach 1e-8 of their sums' M
         p = QParams(q=0.5, a=0.5, b=-0.01)
         reports = run_identity_checks("all", p, T, index_max=4)
         assert all(r.status == "pass" for r in reports), [
@@ -1007,56 +1018,54 @@ class TestReports:
             assert r.status == "pass", (r.identity_id, r.status, r.tail_estimate)
 
 
+def shift_rhs(monkeypatch, identity_ids, shift=1e-6):
+    """Make every record of the identity ids given read an rhs shifted by
+    shift max(|rhs|, M): a violation of shift / tolerance times the bound
+    its verdict reads, whatever the size of its sum."""
+    from qortho import orthogonality
+
+    finalize = orthogonality._finalize
+
+    def shifted(identity_id, p, indices, lhs, rhs, used, tail, magnitude, *args):
+        if identity_id in identity_ids:
+            rhs += shift * max(abs(rhs), magnitude)
+        return finalize(identity_id, p, indices, lhs, rhs, used, tail, magnitude, *args)
+
+    monkeypatch.setattr(orthogonality, "_finalize", shifted)
+
+
 class TestLabelSumVerdicts:
     # the six store families read one set of label sums, added exactly:
     # a `fail` there is a violated identity, not rounding
-    SHIFT = 1e-6
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5), P_RETRY], ids=["p1", "q0.9", "retry"])
     def test_broken_identity_fails(self, monkeypatch, p):
-        # an rhs shifted by 1e-6 is a real violation wherever the shift
-        # exceeds tol*scale, which holds for every vanishing sum: each such
-        # record of dual and meixner-negb must be `fail`, and the unshifted
-        # meixner records, which read the dual-ff sums, still pass
-        from qortho import orthogonality
+        # an rhs shifted by 1e-6 of its record's scale is a real violation:
+        # every record of dual and meixner-negb must be `fail`, and the
+        # unshifted meixner records, which read the dual-ff sums, still pass
+        from qortho.orthogonality import _Store
 
-        finalize = orthogonality._finalize
-
-        def shifted(identity_id, p, indices, lhs, rhs, *args):
-            if identity_id.startswith("dual-") or identity_id == "meixner-negb":
-                rhs += self.SHIFT
-            return finalize(identity_id, p, indices, lhs, rhs, *args)
-
-        monkeypatch.setattr(orthogonality, "_finalize", shifted)
-        store = orthogonality._Store(p, T, 8)
+        shift_rhs(monkeypatch, ("dual-ff", "dual-gg", "dual-fg", "meixner-negb"))
+        store = _Store(p, T, 8)
         broken = [r for fam in ("dual", "meixner-negb") for r in run_identity_checks(fam, p, T, store=store)]
-        visible = [r for r in broken if self.SHIFT > r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs)))]
-        assert len(visible) >= 36 + 36 + 81 + 36  # the off-diagonal dual-ff, dual-gg, dual-fg, meixner-negb
-        assert [r for r in visible if r.status != "fail"] == []
+        assert len(broken) == 45 + 45 + 81 + 45
+        assert [r for r in broken if r.status != "fail"] == []
         assert all(r.status == "pass" for r in run_identity_checks("meixner", p, T, store=store))
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5), P_RETRY], ids=["p1", "q0.9", "retry"])
     def test_broken_row_identity_fails(self, monkeypatch, p):
         # the twin over the spectral index: the row sums are added exactly
-        # too, so each record of unitarity-rows and big-laguerre whose rhs
-        # shift exceeds tol*scale must be `fail`, and the unshifted sears
-        # record, which reads the big-laguerre (0, 0) sum, still passes
-        from qortho import orthogonality
+        # too, so every record of unitarity-rows and big-laguerre must be
+        # `fail`, and the unshifted sears record, which reads the
+        # big-laguerre (0, 0) sum, still passes
+        from qortho.orthogonality import _Store
 
-        finalize = orthogonality._finalize
-
-        def shifted(identity_id, p, indices, lhs, rhs, *args):
-            if identity_id in ("unitarity-rows", "big-laguerre"):
-                rhs += self.SHIFT
-            return finalize(identity_id, p, indices, lhs, rhs, *args)
-
-        monkeypatch.setattr(orthogonality, "_finalize", shifted)
-        store = orthogonality._Store(p, T, 8)
+        shift_rhs(monkeypatch, ("unitarity-rows", "big-laguerre"))
+        store = _Store(p, T, 8)
         broken = [r for fam in ("unitarity", "big-laguerre") for r in run_identity_checks(fam, p, T, store=store)]
         broken = [r for r in broken if r.identity_id in ("unitarity-rows", "big-laguerre")]
-        visible = [r for r in broken if self.SHIFT > r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs)))]
-        assert len(visible) >= 45 + 36  # every unitarity-rows record, the off-diagonal big-laguerre ones
-        assert [r for r in visible if r.status != "fail"] == []
+        assert len(broken) == 45 + 45
+        assert [r for r in broken if r.status != "fail"] == []
         assert [r.status for r in run_identity_checks("sears", p, T, store=store)] == ["pass"]
 
     @pytest.mark.parametrize(
@@ -1082,25 +1091,75 @@ class TestLabelSumVerdicts:
         assert len(reports) == 45 + 45 + 171 + 171 + 45 + 45 + 81 + 171
         assert [(r.identity_id, r.indices) for r in reports if r.status == "fail"] == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the terms of this vanishing sum reach 1e82, so 32-digit duality coefficients leave lhs -8.7e53",
-    )
     def test_edge_of_domain_negb_small_b_near_q_one(self):
-        # a false `fail`: the sum needs about 100-digit coefficients, and a
-        # stopping rule that does not read the float running sum, whose
-        # rounding stops it after about 140 terms, still of size 1e40
+        # the terms of this vanishing sum reach 1e82, so 32-digit duality
+        # coefficients leave an lhs far from 0; it is about 1e-20 of the
+        # sum's M, a pass, where an absolute scale called it `fail`
         p = QParams(q=0.95, a=0.5, b=-0.01)
         assert verify_negative_b_meixner_orthogonality(0, 1, p, T).status != "fail"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at q = 1e-30 the terms reach 1e30, and the rounding of the 32-digit entries leaves lhs -0.0233",
-    )
     def test_tiny_q_dual_fg_cancellation(self):
-        # a false `fail` inside the domain: dual-fg (1, 1) adds 14 terms up to
-        # 1e30 whose sum vanishes, and the lhs is 2e-32 of the largest term.
-        # At index-max 8 the point gives 240 false fails (dual-fg and eq-zero
-        # 64 each, dual-ff, dual-gg, meixner and meixner-negb 28 each)
+        # dual-fg (1, 1) adds 14 terms up to 1e30 whose sum vanishes, and
+        # the rounding of the 32-digit entries leaves lhs -0.0233, 2e-32 of
+        # the largest term.  An absolute scale gave 240 false fails here at
+        # index-max 8 (dual-fg and eq-zero 64 each, dual-ff, dual-gg,
+        # meixner and meixner-negb 28 each)
         p = QParams(q=1e-30, a=0.5, b=-0.7)
         assert verify_dual_orthogonality(DualPair.FG, 1, 1, p, T).status == "pass"
+
+
+class TestVerdictScale:
+    # every verdict reads its sum's own scale max(|rhs|, M), M the sum of
+    # the magnitudes of the terms used; these tests show that the scale
+    # keeps the records' teeth and leaves no false `fail`
+
+    def test_seeded_grid_all_pass(self):
+        # 60 points over the domain: q, a q down to 1e-4 and up to 0.99999,
+        # |b| from 1e-4 to 1e4.  The absolute scale 1 + max(|lhs|, |rhs|)
+        # gave 1387 `fail` and 155 `inconclusive` records at 15 of them
+        import math
+        import random
+
+        rng = random.Random(7)
+        for _ in range(60):
+            q = rng.uniform(0.01, 0.97)
+            aq = 10 ** rng.uniform(-4, math.log10(0.99999))
+            b = -(10 ** rng.uniform(-4, 4))
+            reports = run_identity_checks("all", QParams(q=q, a=aq / q, b=b), Truncation(), 8)
+            assert len(reports) == 775
+            assert [(r.identity_id, r.indices, r.status) for r in reports if r.status != "pass"] == [], (q, aq / q, b)
+
+    @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
+    def test_shifted_rhs_fails_every_record(self, monkeypatch, p):
+        shift_rhs(monkeypatch, set(r.identity_id for r in run_identity_checks("all", p, T)))
+        reports = run_identity_checks("all", p, T)
+        assert len(reports) == 775
+        assert [(r.identity_id, r.indices) for r in reports if r.status != "fail"] == []
+
+    def test_mutated_normalization_fails_row_records(self, monkeypatch):
+        # c_3 off by 1e-6 inside the running product of the a-branch: row
+        # 3 of the connection matrix moves, and 43 of the 45 records of
+        # unitarity-rows and of big-laguerre see it (the absolute scale
+        # failed 39 and 2)
+        from qortho import orthogonality
+
+        entries = orthogonality._normalization_entries
+
+        def mutated(p, branch, t):
+            for n, c in enumerate(entries(p, branch, t)):
+                yield c * decimal.Decimal("1.000001") if (branch, n) == ("a", 3) else c
+
+        monkeypatch.setattr(orthogonality, "_normalization_entries", mutated)
+        reports = run_identity_checks("all", P1, T)
+        for identity_id in ("unitarity-rows", "big-laguerre"):
+            failed = [r for r in reports if r.identity_id == identity_id and r.status == "fail"]
+            assert len(failed) >= 43, identity_id
+
+    def test_big_laguerre_diagonals_match_closed_form(self):
+        # every diagonal is within 1e-12 of its closed-form norm h_m, where
+        # the absolute scale passed lhs 7.1e-5 off h_6 and 6.8e-6 off h_8
+        reports = run_identity_checks("big-laguerre", P1, T)
+        diagonals = [r for r in reports if r.indices[0] == r.indices[1]]
+        assert len(diagonals) == 9
+        for r in diagonals:
+            assert r.status == "pass" and r.residual <= 1e-12 * abs(r.rhs), (r.indices, r.residual / r.rhs)
