@@ -49,19 +49,7 @@ from qortho.operators import (
     qJ0_inverse_action,
     spectrum_points,
 )
-from qortho.orthogonality import (
-    DualPair,
-    RowCol,
-    run_identity_checks,
-    verify_Eq_zero_identity,
-    verify_big_laguerre_orthogonality,
-    verify_biorthogonality,
-    verify_dual_orthogonality,
-    verify_identity_3637,
-    verify_meixner_orthogonality,
-    verify_negative_b_meixner_orthogonality,
-    verify_unitarity,
-)
+from qortho.orthogonality import run_identity_checks, verify_record
 from qortho.climit import (
     LimitSweep,
     classical_eigenfunction,
@@ -122,17 +110,8 @@ __all__ = [
     "qJ0_inverse_action",
     # verification
     "VerificationReport",
-    "RowCol",
-    "DualPair",
     "run_identity_checks",
-    "verify_big_laguerre_orthogonality",
-    "verify_identity_3637",
-    "verify_unitarity",
-    "verify_dual_orthogonality",
-    "verify_meixner_orthogonality",
-    "verify_negative_b_meixner_orthogonality",
-    "verify_Eq_zero_identity",
-    "verify_biorthogonality",
+    "verify_record",
     # classical limit
     "LimitSweep",
     "limit_polynomial_check",

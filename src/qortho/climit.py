@@ -44,18 +44,16 @@ def geometric_q_sequence(k_min: int = 2, k_max: int = 10) -> tuple:
 class _LimitSweepFields(NamedTuple):
     alpha: float
     beta: float
-    lam: float
-    x: float
     q_sequence: tuple
 
 
 class LimitSweep(_Validated, _LimitSweepFields):
-    """One classical-limit study: fixed (alpha, beta, lam, x) and the
-    q values marching toward 1 with a(q) = q^alpha, b(q) = q^beta/(q-1)."""
+    """One classical-limit study: fixed (alpha, beta) and the q values
+    marching toward 1 with a(q) = q^alpha, b(q) = q^beta/(q-1)."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha, beta, lam=0.25, x=0.2, q_sequence=geometric_q_sequence()):
+    def __new__(cls, alpha, beta, q_sequence=geometric_q_sequence()):
         qs = tuple(q_sequence)
         if not qs:
             raise DomainError("q_sequence must be nonempty")
@@ -63,7 +61,7 @@ class LimitSweep(_Validated, _LimitSweepFields):
             raise DomainError("q_sequence values must lie strictly in (0, 1)")
         if any(q2 <= q1 for q1, q2 in zip(qs, qs[1:])):
             raise DomainError("q_sequence must be strictly increasing")
-        return super().__new__(cls, alpha, beta, lam, x, qs)
+        return super().__new__(cls, alpha, beta, qs)
 
     def a_of(self, q: float) -> float:
         return q**self.alpha
@@ -146,7 +144,6 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
                 residual=err,
                 terms_used=n + 1,
                 tail_estimate=0.0,
-                passed=passed,
                 tolerance=tol,
                 status="pass" if passed else "fail",
                 note=note,
@@ -167,7 +164,6 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
             residual=0.0 if at_floor else max(0.0, 0.9 - slope),
             terms_used=len(gaps),
             tail_estimate=0.0,
-            passed=rate_ok,
             tolerance=0.0,
             status="pass" if rate_ok else "fail",
             note=note,
@@ -238,7 +234,6 @@ def classical_operator_check(
         residual=residual,
         terms_used=4,
         tail_estimate=0.0,
-        passed=passed,
         tolerance=tol,
         status="pass" if passed else "fail",
         note=f"4th-order stencil, h={h:g}",
@@ -301,9 +296,8 @@ def limit_operator_entries_check(
                         residual=err,
                         terms_used=1,
                         tail_estimate=0.0,
-                        passed=True,  # per-q values are informational; see rate reports
                         tolerance=math.inf,
-                        status="pass",
+                        status="pass",  # per-q values are informational; see rate reports
                         note="",
                     )
                 )
@@ -325,7 +319,6 @@ def limit_operator_entries_check(
                     residual=max(0.0, 0.9 - slope) if not math.isnan(slope) else 0.0,
                     terms_used=len(gaps),
                     tail_estimate=0.0,
-                    passed=rate_ok,
                     tolerance=0.0,
                     status="pass" if rate_ok else "fail",
                     note=f"fitted order in (1-q); C={c_fit:.6e}",

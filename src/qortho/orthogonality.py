@@ -24,11 +24,11 @@ term for term).  The store keeps each row sum and each label sum by its
 unordered pair, so sears reads big-laguerre (0, 0) and big-laguerre reads
 unitarity-rows, each scaling the kept M with the value.
 
-One table, `_FAMILIES`, gives each family's record functions and their
-index grids; `run_identity_checks` runs a family's records in the
-store's decimal context, entered once per family, and each public
-`verify_*` runs its one record function the same way on a store of its
-own.
+One table, `_RECORDS`, gives each record id its record function and its
+index grid, and the families are its ids grouped; `run_identity_checks`
+runs a family's records in the store's decimal context, entered once per
+family, and `verify_record` runs one record the same way on a store of
+its own, with the same bits.
 
 Entries, and the normalization constants c_n they carry, are Decimals,
 correctly rounded in the store's decimal context, `_context_of(p)` (32
@@ -74,29 +74,15 @@ from qortho.reporting import VerificationReport
 
 __all__ = [
     "VerificationReport",
-    "RowCol",
-    "DualPair",
     "dual_weight",
     "meixner_weight",
     "negative_b_meixner_weight",
-    "verify_big_laguerre_orthogonality",
-    "verify_identity_3637",
-    "verify_unitarity",
-    "verify_dual_orthogonality",
-    "verify_meixner_orthogonality",
-    "verify_negative_b_meixner_orthogonality",
-    "verify_Eq_zero_identity",
-    "verify_biorthogonality",
+    "verify_record",
     "IDENTITY_FAMILIES",
     "run_identity_checks",
 ]
 
 DEFAULT_TOLERANCE = 1e-8
-
-
-class RowCol(Enum):
-    ROWS = "rows"
-    COLUMNS = "columns"
 
 
 class DualPair(Enum):
@@ -111,8 +97,7 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, to
     residual = abs(lhs - rhs)
     bound = tolerance * max(float(abs(rhs)), magnitude)
     certified = tail <= bound
-    passed = certified and residual <= bound
-    status = "pass" if passed else "fail" if certified else "inconclusive"
+    status = ("pass" if residual <= bound else "fail") if certified else "inconclusive"
     return VerificationReport(
         identity_id=identity_id,
         params=p,
@@ -122,7 +107,6 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, to
         residual=float(residual),
         terms_used=terms_used,
         tail_estimate=float(tail),
-        passed=passed,
         tolerance=tolerance,
         status=status,
         note=note,
@@ -131,15 +115,6 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, to
 
 # largest cut-offs of the sums over the spectral index n and the basis index m
 _N_CAP, _M_CAP = 2000, 320
-
-
-def _alone(p: QParams, t: Truncation, K: int, tolerance: float, record, *args) -> VerificationReport:
-    """record(*args, store, tolerance) on a store of its own and in that
-    store's decimal context, as a sweep runs it: the closed forms and
-    verdicts of Decimal parameters ignore the caller's context."""
-    store = _Store(p, t, K)
-    with decimal.localcontext(store.context):
-        return record(*args, store, tolerance)
 
 
 def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, context):
@@ -251,19 +226,6 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
 # the q-integral orthogonality of the polynomial family
 
 
-def verify_big_laguerre_orthogonality(
-    m: int,
-    m2: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """Orthogonality of the polynomial family over its two-branch
-    discrete measure: the weighted sums over both spectral branches
-    against the closed-form norm times a Kronecker delta."""
-    return _alone(p, t, max(m, m2), tolerance, _verify_big_laguerre, m, m2)
-
-
 def _big_laguerre_sum(m: int, m2: int, store: _Store):
     """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
     b-branch: the unitarity-rows sum, whose terms are c_n^2 a_m a_m2 =
@@ -275,6 +237,8 @@ def _big_laguerre_sum(m: int, m2: int, store: _Store):
 
 
 def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
+    """The orthogonality of P_m and P_m2 over the two-branch discrete
+    measure, against the closed-form norm times a Kronecker delta."""
     if m < 0 or m2 < 0:
         raise DomainError("degrees must be nonnegative")
     p = store.p
@@ -291,21 +255,14 @@ def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
     return _finalize("big-laguerre", p, (m, m2), lhs, rhs, *sums, tolerance)
 
 
-def verify_identity_3637(
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """The three-term two-sum evaluation (the degree-zero orthogonality)
-    checked against its closed-form product value, with the equivalent
-    basic-series form evaluated as a cross-check."""
-    return _alone(p, t, 0, tolerance, _verify_sears)
-
-
-def _verify_sears(store: _Store, tolerance: float):
-    """The big-laguerre (0, 0) record, read from the store's kept row sum,
-    with the cross-check; P_0 = 1 on every row, so the store's K changes no
+def _verify_sears(i: int, j: int, store: _Store, tolerance: float):
+    """The degree-zero orthogonality sum against its closed-form product,
+    with the equivalent basic-series form as a cross-check: the
+    big-laguerre (0, 0) record, read from the store's kept row sum.  Its
+    one cell is (0, 0); P_0 = 1 on every row, so the store's K changes no
     bit."""
+    if (i, j) != (0, 0):
+        raise DomainError("sears is the degree-zero sum: its one cell is (0, 0)")
     p, t = store.p, store.t
     q, a, b = p.q, p.a, p.b
     lhs, *sums = _big_laguerre_sum(0, 0, store)
@@ -327,7 +284,7 @@ def _verify_sears(store: _Store, tolerance: float):
     note = f"basic-series form agrees to {cross:.3e}"
     rep = _finalize("sears", p, (0, 0), lhs, rhs, *sums, tolerance, note)
     if cross > 1e-11 * float(1 + abs(lhs)) and rep.status == "pass":
-        rep = rep._replace(status="fail", passed=False, note=note + " (cross-check failed)")
+        rep = rep._replace(status="fail", note=note + " (cross-check failed)")
     return rep
 
 
@@ -478,27 +435,10 @@ def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
     return (n if which is not DualPair.GG else -n - 1), (n2 if which is DualPair.FF else -n2 - 1)
 
 
-def verify_dual_orthogonality(
-    which: DualPair,
-    n: int,
-    n2: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """Orthogonality of the dual functions under the weight
-    (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2).
-
-    That weight equals the squared eigencoefficient prefactor, so each
-    term w_m f f' is formed as the product of the two eigencoefficient
-    values in extended precision; the cross case (one function from each
-    branch) is an exact cancellation handled by the same extended-
-    precision coefficients."""
-    return _alone(p, t, 0, tolerance, _verify_dual, which, n, n2)
-
-
 def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
-    which = DualPair(which)
+    """The orthogonality of the dual functions f_n, g_n under the weight
+    (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2), the squared
+    prefactor, so each term is a product of two column entries."""
     i, j = _dual_labels(which, n, n2)
     lhs, *sums = store.label_sum(i, j)
     rhs = store.label_c(i) ** -2 if i == j else 0
@@ -506,6 +446,9 @@ def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: flo
 
 
 def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
+    """Row normalization of u_mn: sum_n u_in u_jn over both branches
+    against delta_ij, the polynomial orthogonality rescaled by
+    pref_i pref_j / Kc."""
     if i < 0 or j < 0:
         raise DomainError("row indices must be nonnegative")
     lhs, *sums = store.row_sum(i, j)
@@ -513,52 +456,16 @@ def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
     return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, *sums, tolerance)
 
 
-def verify_unitarity(
-    rowcol: RowCol,
-    i: int,
-    j: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """Row and column normalization of the connection matrix
-    u_{mn} = c_n a_m(lam_n), lam indexed over both branches.
-
-    Rows sum u_in u_jn over all eigenvalue labels (both branches);
-    columns sum over the basis index and are the dual sums with the
-    normalization constants attached.  Rows express the same identity as
-    the polynomial orthogonality, rescaled by pref_i pref_j / Kc."""
-    if RowCol(rowcol) is RowCol.ROWS:
-        return _alone(p, t, max(i, j, 0), tolerance, _verify_rows, i, j)
-    return _alone(p, t, max(i, j, 0), tolerance, _verify_columns, "unitarity-columns", i, j)
-
-
 def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
     """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
-    unitarity columns and for biorthogonality."""
+    unitarity columns and for biorthogonality, <Psi_i, Phi_j> = delta_ij:
+    psi_k(lam_i) phi_k(lam_j) = a_k(lam_i) a_k(lam_j) term for term
+    (psi = D a, phi = D^-1 a for a diagonal D)."""
     value, used, tail, total = store.label_sum(i, j)
     ci, cj = store.label_c(i), store.label_c(j)
     size = float(ci * cj)
     rhs = 1 if i == j else 0
     return _finalize(identity_id, store.p, (i, j), ci * cj * value, rhs, used, size * tail, size * total, tolerance)
-
-
-def verify_biorthogonality(
-    m: int,
-    n: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """Biorthogonality of the two non-self-adjoint eigenvector families:
-    <Psi_m, Phi_n> = delta_mn over integer labels covering both spectral
-    branches, computed as the coefficient inner product scaled by the
-    normalization constants.
-
-    The coefficients satisfy psi_k(lam_m) phi_k(lam_n) = a_k(lam_m)
-    a_k(lam_n) term for term (psi = D a, phi = D^-1 a for a diagonal D),
-    so the sum is the unitarity-columns sum in the psi/phi basis."""
-    return _alone(p, t, 0, tolerance, _verify_columns, "biortho", m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +503,8 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
 
 
 def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
+    """The orthogonality of M_n(q^-m; a, -b/a; q) (meixner) or of
+    M_n(q^-m; b, -a/b; q), b < 0 (meixner-negb)."""
     p = store.p
     which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
     lhs, *sums = store.label_sum(*_dual_labels(which, n, n2))
@@ -603,50 +512,10 @@ def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance:
     return _finalize(identity_id, p, (n, n2), lhs, rhs, *sums, tolerance)
 
 
-def verify_meixner_orthogonality(
-    n: int,
-    n2: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """The classical q-Meixner orthogonality, realized here by the
-    positive-parameter family M_n(q^-m; a, -b/a; q) under
-    `meixner_weight`: the dual-ff sum."""
-    return _alone(p, t, 0, tolerance, _verify_meixner, "meixner", n, n2)
-
-
-def verify_negative_b_meixner_orthogonality(
-    n: int,
-    n2: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """The same orthogonality shape for the negative-parameter family
-    M_n(q^-m; b, -a/b; q) with b < 0: the dual-gg sum."""
-    return _alone(p, t, 0, tolerance, _verify_meixner, "meixner-negb", n, n2)
-
-
-def verify_Eq_zero_identity(
-    n: int,
-    n2: int,
-    p: QParams,
-    t: Truncation = Truncation(),
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """The mixed-family cancellation
-
-        sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b) = 0.
-
-    Expanding the polynomials in powers of q^-m reduces every
-    contribution to the q-exponential E_q evaluated at one of its zeros
-    -q^-j, which is why the alternating sum cancels exactly.  The sum is
-    the dual-fg sum."""
-    return _alone(p, t, 0, tolerance, _verify_eq_zero, n, n2)
-
-
 def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
+    """The mixed cancellation
+    sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b) = 0:
+    every contribution reduces to E_q at one of its zeros -q^-j."""
     lhs, *sums = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
     note = "every term reduces to E_q at a zero -q^-j"
     return _finalize("eq-zero", store.p, (n, n2), lhs, 0, *sums, tolerance, note)
@@ -671,28 +540,62 @@ def _label_pairs(K: int) -> list:
 
 
 def _one_cell(K: int) -> list:
-    return [()]
+    return [(0, 0)]
 
 
-# each family's runs: an index grid of largest index K, and a record
-# function with its leading arguments, which takes the indices of one cell
-# of the grid, the store and the tolerance
-_FAMILIES = {
-    "big-laguerre": [(_upper_pairs, _verify_big_laguerre)],
-    "sears": [(_one_cell, _verify_sears)],
-    "unitarity": [(_upper_pairs, _verify_rows), (_label_pairs, _verify_columns, "unitarity-columns")],
-    "dual": [
-        (_upper_pairs, _verify_dual, DualPair.FF),
-        (_upper_pairs, _verify_dual, DualPair.GG),
-        (_full_grid, _verify_dual, DualPair.FG),
-    ],
-    "meixner": [(_upper_pairs, _verify_meixner, "meixner")],
-    "meixner-negb": [(_upper_pairs, _verify_meixner, "meixner-negb")],
-    "eq-zero": [(_full_grid, _verify_eq_zero)],
-    "biortho": [(_label_pairs, _verify_columns, "biortho")],
+# each record id's run: an index grid of largest index K, and a record
+# function with its leading arguments, which takes one cell (i, j) of the
+# grid, the store and the tolerance
+_RECORDS = {
+    "big-laguerre": (_upper_pairs, _verify_big_laguerre),
+    "sears": (_one_cell, _verify_sears),
+    "unitarity-rows": (_upper_pairs, _verify_rows),
+    "unitarity-columns": (_label_pairs, _verify_columns, "unitarity-columns"),
+    "dual-ff": (_upper_pairs, _verify_dual, DualPair.FF),
+    "dual-gg": (_upper_pairs, _verify_dual, DualPair.GG),
+    "dual-fg": (_full_grid, _verify_dual, DualPair.FG),
+    "meixner": (_upper_pairs, _verify_meixner, "meixner"),
+    "meixner-negb": (_upper_pairs, _verify_meixner, "meixner-negb"),
+    "eq-zero": (_full_grid, _verify_eq_zero),
+    "biortho": (_label_pairs, _verify_columns, "biortho"),
 }
 
+
+def _family(identity_id: str) -> str:
+    """unitarity-rows and unitarity-columns form the family "unitarity", the
+    three dual-* ids "dual"; every other id is a family of its own."""
+    head = identity_id.partition("-")[0]
+    return head if head in ("unitarity", "dual") else identity_id
+
+
+# each family's ids, in the table's order
+_FAMILIES = {fam: [rid for rid in _RECORDS if _family(rid) == fam] for fam in map(_family, _RECORDS)}
+
 IDENTITY_FAMILIES = tuple(_FAMILIES)
+
+
+def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -> VerificationReport:
+    _, record, *lead = _RECORDS[identity_id]
+    return record(*lead, i, j, store, tolerance)
+
+
+def verify_record(
+    identity_id: str,
+    i: int,
+    j: int,
+    p: QParams,
+    t: Truncation = Truncation(),
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> VerificationReport:
+    """The record of one identity id at the cell (i, j), on a store of its
+    own and in that store's decimal context, as a sweep runs it: every
+    record r of run_identity_checks(family, p, t, K, tolerance) equals
+    verify_record(r.identity_id, *r.indices, p, t, tolerance) bit for bit."""
+    if identity_id not in _RECORDS:
+        raise DomainError(f"unknown identity id: {identity_id!r}")
+    store = _Store(p, t, max(i, j, 0))
+    with decimal.localcontext(store.context):
+        return _record(identity_id, i, j, store, tolerance)
 
 
 def run_identity_checks(
@@ -720,9 +623,9 @@ def run_identity_checks(
         raise DomainError(f"unknown identity family: {identity!r}")
     with decimal.localcontext(store.context):
         reports = [
-            record(*lead, *cell, store, tolerance)
-            for grid, record, *lead in _FAMILIES[identity]
-            for cell in grid(index_max)
+            _record(identity_id, i, j, store, tolerance)
+            for identity_id in _FAMILIES[identity]
+            for i, j in _RECORDS[identity_id][0](index_max)
         ]
     reports.sort(key=lambda r: (r.identity_id, r.indices))
     return reports

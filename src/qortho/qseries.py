@@ -188,7 +188,7 @@ class _QParamsFields(NamedTuple):
 
 
 class QParams(_Validated, _QParamsFields):
-    """Parameter triple (q, a, b) with 0 < q < 1, 0 < a < 1/q, b < 0.
+    """Parameter triple (q, a, b) with 0 < q < 1, 0 < a < 1/q, b < 0 finite.
 
     The lowest weight l is derived from a = q^(2l-1).  The derived
     operator constants alpha, beta1, beta2 of the Jacobi-matrix
@@ -206,6 +206,8 @@ class QParams(_Validated, _QParamsFields):
             raise DomainError("a must be smaller than 1/q")
         if not (b < 0):
             raise DomainError("b must be negative")
+        if not (b > -math.inf):
+            raise DomainError("b must be finite")
         return super().__new__(cls, q, a, b)
 
     @classmethod

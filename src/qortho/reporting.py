@@ -103,11 +103,11 @@ REPORT_SCHEMA = {
 class VerificationReport(NamedTuple):
     """Structured record of one identity check.
 
-    For certified reports: passed <=> residual <= tolerance *
+    For certified reports: status "pass" <=> residual <= tolerance *
     max(|rhs|, M), with M the sum of the magnitudes of the terms of the
     sum that formed lhs, scaled as lhs is.  When the tail estimate exceeds
-    that bound the status is "inconclusive" and passed is forced False,
-    since the computed lhs itself is then unreliable.
+    that bound the status is "inconclusive", since the computed lhs itself
+    is then unreliable.
     """
 
     identity_id: str
@@ -118,10 +118,13 @@ class VerificationReport(NamedTuple):
     residual: float
     terms_used: int
     tail_estimate: float
-    passed: bool
     tolerance: float
     status: str
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def report_to_record(r: VerificationReport) -> dict:

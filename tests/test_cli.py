@@ -29,6 +29,22 @@ class TestExitCodes:
         assert res.returncode == 64
         assert "b must be negative" in res.stderr
 
+    def test_usage_error_infinite_b(self):
+        # -1e400 parses as -inf, which once passed the domain check and
+        # failed later as a product that did not converge (exit 70)
+        res = run_cli("verify", "--b=-1e400")
+        assert res.returncode == 64
+        assert res.stderr == "qortho: error: b must be finite\n"
+
+    @pytest.mark.parametrize(
+        "command, tol", [("verify", "inf"), ("spectrum", "inf"), ("limit", "inf"), ("verify", "0"), ("verify", "nan")]
+    )
+    def test_usage_error_tolerance(self, command, tol):
+        # an infinite tolerance passed every record whatever its residual
+        res = run_cli(command, "--tol", tol, "--index-max", "1")
+        assert res.returncode == 64
+        assert res.stderr == "qortho: error: tol must be positive and finite\n"
+
     def test_usage_error_bad_q(self):
         res = run_cli("verify", "--q", "1.5")
         assert res.returncode == 64
@@ -694,6 +710,16 @@ class TestStartup:
         section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
         missing = [name for name in qortho.__all__ if not re.search(f"`{re.escape(name)}[`(]", section)]
         assert not missing, missing
+        # and the converse: every name a bullet of the section opens with,
+        # before its colon, is public, so no removed name lingers there
+        bulleted = {
+            name
+            for line in section.splitlines()
+            if line.startswith("- ")
+            for name in re.findall(r"`([A-Za-z_]\w*)[`(]", line.split(":", 1)[0])
+        }
+        assert "verify_record" in bulleted and "QParams" in bulleted, sorted(bulleted)
+        assert bulleted <= set(qortho.__all__), sorted(bulleted - set(qortho.__all__))
 
 
 class TestCommands:

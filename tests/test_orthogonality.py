@@ -6,19 +6,7 @@ import pytest
 
 from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
 from qortho.operators import normalization_c, normalization_cprime
-from qortho.orthogonality import (
-    DualPair,
-    RowCol,
-    run_identity_checks,
-    verify_Eq_zero_identity,
-    verify_big_laguerre_orthogonality,
-    verify_biorthogonality,
-    verify_dual_orthogonality,
-    verify_identity_3637,
-    verify_meixner_orthogonality,
-    verify_negative_b_meixner_orthogonality,
-    verify_unitarity,
-)
+from qortho.orthogonality import run_identity_checks, verify_record
 
 T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
@@ -30,6 +18,11 @@ P_RETRY = QParams(q=0.3, a=3.2, b=-0.01)
 # the six families that read the store's label sums (unitarity's rows read
 # its rows over the spectral index)
 LABEL_FAMILIES = ("unitarity", "dual", "meixner", "meixner-negb", "eq-zero", "biortho")
+# the record ids of `verify`, one per identity the report checks
+RECORD_IDS = (
+    "big-laguerre", "sears", "unitarity-rows", "unitarity-columns", "dual-ff", "dual-gg", "dual-fg",
+    "meixner", "meixner-negb", "eq-zero", "biortho",
+)
 
 
 def extended_params(q, a, b):
@@ -140,19 +133,19 @@ class TestCertifiedSum:
 
 class TestBigLaguerreOrthogonality:
     def test_diagonal_m0_reduces_to_sears(self):
-        r00 = verify_big_laguerre_orthogonality(0, 0, P1, T)
-        sears = verify_identity_3637(P1, T)
+        r00 = verify_record("big-laguerre", 0, 0, P1, T)
+        sears = verify_record("sears", 0, 0, P1, T)
         assert r00.status == "pass"
         assert r00.lhs == pytest.approx(sears.lhs, rel=1e-14)
         assert r00.rhs == pytest.approx(sears.rhs, rel=1e-14)
 
     def test_off_diagonal(self):
-        r = verify_big_laguerre_orthogonality(0, 1, P1, T)
+        r = verify_record("big-laguerre", 0, 1, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
     def test_diagonal_m2(self):
-        r = verify_big_laguerre_orthogonality(2, 2, P1, T)
+        r = verify_record("big-laguerre", 2, 2, P1, T)
         assert r.status == "pass"
         assert r.residual <= 1e-9 * (1 + abs(r.rhs))
 
@@ -160,7 +153,7 @@ class TestBigLaguerreOrthogonality:
     def test_grid(self, p):
         for m in range(0, 9, 2):
             for m2 in range(m, 9, 3):
-                r = verify_big_laguerre_orthogonality(m, m2, p, T)
+                r = verify_record("big-laguerre", m, m2, p, T)
                 assert r.status == "pass", (m, m2)
 
     def test_no_false_fail_at_large_a_small_b(self):
@@ -188,15 +181,15 @@ class TestBigLaguerreOrthogonality:
     def test_rejects_negative_degrees(self):
         # a negative degree must not wrap to the last entry of a row
         with pytest.raises(DomainError):
-            verify_big_laguerre_orthogonality(-1, 0, P1, T)
+            verify_record("big-laguerre", -1, 0, P1, T)
         with pytest.raises(DomainError):
-            verify_big_laguerre_orthogonality(0, -2, P1, T)
+            verify_record("big-laguerre", 0, -2, P1, T)
 
 
 class TestSears:
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_identity(self, p):
-        r = verify_identity_3637(p, T)
+        r = verify_record("sears", 0, 0, p, T)
         assert r.status == "pass"
         assert r.residual <= 1e-10 * (1 + abs(r.rhs))
         assert "agrees" in r.note
@@ -222,7 +215,7 @@ class TestSears:
 
         store = _Store(p, T, 8)
         (sweep,) = run_identity_checks("sears", p, T, index_max=8, store=store)
-        assert sweep == verify_identity_3637(p, T)
+        assert sweep == verify_record("sears", 0, 0, p, T)
         r00 = run_identity_checks("big-laguerre", p, T, index_max=8, store=store)[0]
         assert r00.indices == (0, 0)
         assert (sweep.lhs, sweep.terms_used, sweep.tail_estimate) == (r00.lhs, r00.terms_used, r00.tail_estimate)
@@ -230,23 +223,23 @@ class TestSears:
 
 class TestUnitarity:
     def test_columns_diagonal(self):
-        r = verify_unitarity(RowCol.COLUMNS, 0, 0, P1, T)
+        r = verify_record("unitarity-columns", 0, 0, P1, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_columns_cross_branch(self):
-        r = verify_unitarity(RowCol.COLUMNS, 0, -1, P1, T)
+        r = verify_record("unitarity-columns", 0, -1, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     def test_rows_diagonal(self):
-        r = verify_unitarity(RowCol.ROWS, 0, 0, P1, T)
+        r = verify_record("unitarity-rows", 0, 0, P1, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_rows_rejects_negative_index(self):
         with pytest.raises(DomainError):
-            verify_unitarity(RowCol.ROWS, -1, 0, P1, T)
+            verify_record("unitarity-rows", -1, 0, P1, T)
 
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_equivalence_with_orthogonality(self, p):
@@ -260,8 +253,8 @@ class TestUnitarity:
 
         prefs = [float(pref) for pref in _prefactors(p, 3)]
         for i, j in [(0, 0), (1, 0), (2, 2), (3, 1)]:
-            rows = verify_unitarity(RowCol.ROWS, i, j, p, T)
-            orth = verify_big_laguerre_orthogonality(i, j, p, T)
+            rows = verify_record("unitarity-rows", i, j, p, T)
+            orth = verify_record("big-laguerre", i, j, p, T)
             assert rows.passed == orth.passed
             scale = prefs[i] * prefs[j] / _kc(p, T)
             assert abs(rows.residual / scale - orth.residual) <= 1e-10 * (
@@ -271,23 +264,23 @@ class TestUnitarity:
 
 class TestDualOrthogonality:
     def test_ff_diagonal_against_normalization(self):
-        r = verify_dual_orthogonality(DualPair.FF, 0, 0, P1, T)
+        r = verify_record("dual-ff", 0, 0, P1, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(normalization_c(0, P1, T) ** -2, rel=1e-8)
 
     def test_gg_diagonal_against_normalization(self):
-        r = verify_dual_orthogonality(DualPair.GG, 2, 2, P1, T)
+        r = verify_record("dual-gg", 2, 2, P1, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(normalization_cprime(2, P1, T) ** -2, rel=1e-8)
 
     def test_gg_off_diagonal(self):
-        r = verify_dual_orthogonality(DualPair.GG, 0, 1, P1, T)
+        r = verify_record("dual-gg", 0, 1, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     @pytest.mark.parametrize("n,n2", [(0, 0), (2, 1), (5, 5), (3, 0)])
     def test_fg_vanishes(self, n, n2):
-        r = verify_dual_orthogonality(DualPair.FG, n, n2, P1, T)
+        r = verify_record("dual-fg", n, n2, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
@@ -334,32 +327,32 @@ class TestMeixnerOrthogonality:
     def test_diagonal_n0(self):
         from qortho.qseries import q_pochhammer_inf
 
-        r = verify_meixner_orthogonality(0, 0, P1, T)
+        r = verify_record("meixner", 0, 0, P1, T)
         want = q_pochhammer_inf(P1.b / P1.a, P1.q, T) / q_pochhammer_inf(P1.b * P1.q, P1.q, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(want, rel=1e-9)
 
     def test_off_diagonal(self):
-        r = verify_meixner_orthogonality(0, 3, P1, T)
+        r = verify_record("meixner", 0, 3, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
     def test_rhs_positive_for_all_n(self):
         for n in range(9):
-            r = verify_meixner_orthogonality(n, n, P1, T)
+            r = verify_record("meixner", n, n, P1, T)
             assert r.rhs > 0
 
     def test_negb_diagonal_n0(self):
         from qortho.qseries import q_pochhammer_inf
 
-        r = verify_negative_b_meixner_orthogonality(0, 0, P1, T)
+        r = verify_record("meixner-negb", 0, 0, P1, T)
         want = q_pochhammer_inf(P1.a / P1.b, P1.q, T) / q_pochhammer_inf(P1.a * P1.q, P1.q, T)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(want, rel=1e-9)
         assert want > 0  # a/b < 0 makes every product factor exceed 1
 
     def test_negb_off_diagonal(self):
-        r = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
+        r = verify_record("meixner-negb", 1, 2, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
@@ -370,23 +363,23 @@ class TestMeixnerOrthogonality:
         from qortho.orthogonality import _Store
 
         store = _Store(P1, T, 0)
-        negb = verify_negative_b_meixner_orthogonality(1, 2, P1, T)
+        negb = verify_record("meixner-negb", 1, 2, P1, T)
         assert (negb.lhs, negb.terms_used, negb.tail_estimate) == store.label_sum(-2, -3)[:3]
-        meixner = verify_meixner_orthogonality(1, 2, P1, T)
+        meixner = verify_record("meixner", 1, 2, P1, T)
         assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == store.label_sum(1, 2)[:3]
 
 
 class TestEqZeroIdentity:
     def test_n0_is_eq_at_minus_one(self):
         # the (0,0) case is the q-exponential series at its first zero
-        r = verify_Eq_zero_identity(0, 0, P1, T)
+        r = verify_record("eq-zero", 0, 0, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
         assert "E_q" in r.note
 
     @pytest.mark.parametrize("n,n2", [(1, 0), (2, 3), (5, 5), (0, 4)])
     def test_vanishes(self, n, n2):
-        r = verify_Eq_zero_identity(n, n2, P1, T)
+        r = verify_record("eq-zero", n, n2, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
@@ -471,17 +464,17 @@ class TestMeixnerCrossRoute:
 class TestBiorthogonality:
     def test_diagonal(self):
         for label in [0, 2, -1]:
-            r = verify_biorthogonality(label, label, P1, T)
+            r = verify_record("biortho", label, label, P1, T)
             assert r.status == "pass"
             assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_cross_branch(self):
-        r = verify_biorthogonality(0, -1, P1, T)
+        r = verify_record("biortho", 0, -1, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     def test_same_branch_off_diagonal(self):
-        r = verify_biorthogonality(2, 1, P1, T)
+        r = verify_record("biortho", 2, 1, P1, T)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
@@ -512,7 +505,25 @@ class TestReports:
         sweep = [r for r in reports if r.identity_id == "unitarity-rows"]
         assert len(sweep) == 21
         for r in sweep:
-            assert r == verify_unitarity(RowCol.ROWS, *r.indices, P2, T), r.indices
+            assert r == verify_record("unitarity-rows", *r.indices, P2, T), r.indices
+
+    @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
+    def test_verify_record_reproduces_every_sweep_record(self, p):
+        # one record alone, on a store of K = max(i, j, 0), has the bits of
+        # the sweep's record, for every cell of all 11 ids
+        records = run_identity_checks("all", p, T, 3)
+        assert len(records) == 165
+        assert {r.identity_id for r in records} == set(RECORD_IDS)
+        for r in records:
+            assert verify_record(r.identity_id, *r.indices, p, T) == r, (r.identity_id, r.indices)
+
+    def test_verify_record_rejects_unknown_ids_and_cells(self):
+        # a family name is not a record id, and sears has the one cell (0, 0)
+        for identity_id in ("dual", "unitarity", "nope"):
+            with pytest.raises(DomainError, match="unknown identity id"):
+                verify_record(identity_id, 0, 0, P1, T)
+        with pytest.raises(DomainError, match="sears"):
+            verify_record("sears", 1, 0, P1, T)
 
     def test_unitarity_independent_of_history(self):
         # the basis-index families each build their own store, so a
@@ -556,28 +567,15 @@ class TestReports:
             assert [type(v) for v in values] == [kind] * 4, values
 
     def test_extended_standalone_records_match_sweep(self):
-        # every public verifier on Decimal parameters forms its closed forms
-        # and verdict in its store's decimal context, as the sweep does: run
-        # in a caller's context of 5 digits, each gives the sweep's record
+        # verify_record on Decimal parameters forms the closed forms and
+        # verdict in its store's decimal context, as the sweep does: run in a
+        # caller's context of 5 digits, it gives the sweep's record of every id
         p, t = extended_params(0.5, 0.5, -0.7), Truncation(rel_tol=1e-20)
-        standalone = {
-            "big-laguerre": lambda i, j: verify_big_laguerre_orthogonality(i, j, p, t),
-            "sears": lambda i, j: verify_identity_3637(p, t),
-            "unitarity-rows": lambda i, j: verify_unitarity(RowCol.ROWS, i, j, p, t),
-            "unitarity-columns": lambda i, j: verify_unitarity(RowCol.COLUMNS, i, j, p, t),
-            "dual-ff": lambda i, j: verify_dual_orthogonality(DualPair.FF, i, j, p, t),
-            "dual-gg": lambda i, j: verify_dual_orthogonality(DualPair.GG, i, j, p, t),
-            "dual-fg": lambda i, j: verify_dual_orthogonality(DualPair.FG, i, j, p, t),
-            "meixner": lambda i, j: verify_meixner_orthogonality(i, j, p, t),
-            "meixner-negb": lambda i, j: verify_negative_b_meixner_orthogonality(i, j, p, t),
-            "eq-zero": lambda i, j: verify_Eq_zero_identity(i, j, p, t),
-            "biortho": lambda i, j: verify_biorthogonality(i, j, p, t),
-        }
         records = run_identity_checks("all", p, t, index_max=2)
-        assert {r.identity_id for r in records} == set(standalone)
+        assert {r.identity_id for r in records} == set(RECORD_IDS)
         with decimal.localcontext(prec=5, rounding=decimal.ROUND_FLOOR):
             for r in records:
-                assert r == standalone[r.identity_id](*r.indices), (r.identity_id, r.indices)
+                assert r == verify_record(r.identity_id, *r.indices, p, t), (r.identity_id, r.indices)
 
     def test_extended_meixner_sums_keep_extended_accuracy(self):
         # at Decimal parameters the store's columns and rows form their
@@ -601,12 +599,7 @@ class TestReports:
     # coefficient rows a_0..a_K(lam_n) of each spectral branch; a
     # standalone call builds its own, so every record must match field for
     # field
-    MEIXNER_STANDALONE = {
-        "meixner": verify_meixner_orthogonality,
-        "meixner-negb": verify_negative_b_meixner_orthogonality,
-        "eq-zero": verify_Eq_zero_identity,
-    }
-    SWEEP_STANDALONE = {**MEIXNER_STANDALONE, "big-laguerre": verify_big_laguerre_orthogonality}
+    MEIXNER_FAMILIES = ("meixner", "meixner-negb", "eq-zero")
     MEIXNER_DUAL = {"meixner": "dual-ff", "meixner-negb": "dual-gg", "eq-zero": "dual-fg"}
 
     @pytest.mark.parametrize("family", ["meixner", "meixner-negb", "eq-zero", "big-laguerre"])
@@ -618,9 +611,8 @@ class TestReports:
     def test_meixner_sweep_matches_standalone(self, family, p):
         sweep = run_identity_checks(family, p, T, index_max=8)
         assert len(sweep) == (81 if family == "eq-zero" else 45)
-        standalone = self.SWEEP_STANDALONE[family]
         for r in sweep:
-            assert r == standalone(*r.indices, p, T), r.indices
+            assert r == verify_record(family, *r.indices, p, T), r.indices
         if family in self.MEIXNER_DUAL:
             # each view's sum is the matching dual sum, bit for bit
             dual = {r.indices: r for r in run_identity_checks("dual", p, T, index_max=8)
@@ -635,7 +627,7 @@ class TestReports:
         sweep = run_identity_checks("eq-zero", P1, T, index_max=8, tolerance=1e-15)
         assert len(sweep) == 81
         for r in sweep:
-            assert r == verify_Eq_zero_identity(*r.indices, P1, T, 1e-15), r.indices
+            assert r == verify_record("eq-zero", *r.indices, P1, T, 1e-15), r.indices
 
     @pytest.mark.parametrize("family", ["unitarity", "biortho"])
     def test_label_constant_sweep_matches_standalone(self, family):
@@ -644,9 +636,9 @@ class TestReports:
         assert len(sweep) == 36
         for r in sweep:
             if family == "biortho":
-                assert r == verify_biorthogonality(*r.indices, P2, T), r.indices
+                assert r == verify_record("biortho", *r.indices, P2, T), r.indices
             else:
-                assert r == verify_unitarity(RowCol.COLUMNS, *r.indices, P2, T), r.indices
+                assert r == verify_record("unitarity-columns", *r.indices, P2, T), r.indices
 
     def test_eq_zero_matches_literal_per_pair_sum(self):
         # at the point of the hardest cancellation every eq-zero record is
@@ -974,10 +966,10 @@ class TestReports:
         assert run_identity_checks("dual", P1, T, index_max=4, store=_Store(P1, T, 4))
 
     def test_meixner_families_independent_of_history(self):
-        cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_STANDALONE}
-        for fam in self.MEIXNER_STANDALONE:
+        cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_FAMILIES}
+        for fam in self.MEIXNER_FAMILIES:
             assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
-        for fam in reversed(list(self.MEIXNER_STANDALONE)):
+        for fam in reversed(list(self.MEIXNER_FAMILIES)):
             run_identity_checks("dual", P_RETRY, T, index_max=2)
             assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
 
@@ -1011,9 +1003,9 @@ class TestReports:
         # certification must still converge rather than go inconclusive
         p = QParams(q=0.9, a=0.8, b=-0.5)
         for r in [
-            verify_identity_3637(p, T),
-            verify_big_laguerre_orthogonality(1, 1, p, T),
-            verify_unitarity(RowCol.ROWS, 2, 2, p, T),
+            verify_record("sears", 0, 0, p, T),
+            verify_record("big-laguerre", 1, 1, p, T),
+            verify_record("unitarity-rows", 2, 2, p, T),
         ]:
             assert r.status == "pass", (r.identity_id, r.status, r.tail_estimate)
 
@@ -1096,7 +1088,7 @@ class TestLabelSumVerdicts:
         # coefficients leave an lhs far from 0; it is about 1e-20 of the
         # sum's M, a pass, where an absolute scale called it `fail`
         p = QParams(q=0.95, a=0.5, b=-0.01)
-        assert verify_negative_b_meixner_orthogonality(0, 1, p, T).status != "fail"
+        assert verify_record("meixner-negb", 0, 1, p, T).status != "fail"
 
     def test_tiny_q_dual_fg_cancellation(self):
         # dual-fg (1, 1) adds 14 terms up to 1e30 whose sum vanishes, and
@@ -1105,7 +1097,7 @@ class TestLabelSumVerdicts:
         # index-max 8 (dual-fg and eq-zero 64 each, dual-ff, dual-gg,
         # meixner and meixner-negb 28 each)
         p = QParams(q=1e-30, a=0.5, b=-0.7)
-        assert verify_dual_orthogonality(DualPair.FG, 1, 1, p, T).status == "pass"
+        assert verify_record("dual-fg", 1, 1, p, T).status == "pass"
 
 
 class TestVerdictScale:

@@ -238,6 +238,8 @@ class TestQParams:
             (0.5, 2.5, -0.7, "a"),
             (0.5, 0.5, 0.7, "b"),
             (0.5, 0.5, 0.0, "b"),
+            (0.5, 0.5, -math.inf, "b must be finite"),
+            (0.5, 0.5, decimal.Decimal("-Infinity"), "b must be finite"),
         ],
     )
     def test_domain_rejection(self, q, a, b, msg):

@@ -25,9 +25,9 @@ FIELDS = {
     GeneratorMatrices: dict(dim=2, raising=(1.0,), lowering=(1.5,), qj0_diag=(0.5, 0.25), j0_diag=(1.0, 2.0)),
     VerificationReport: dict(
         identity_id="sears", params=P, indices=(0, 0), lhs=1.0, rhs=1.0, residual=0.0, terms_used=10,
-        tail_estimate=1e-17, passed=True, tolerance=1e-8, status="pass", note="",
+        tail_estimate=1e-17, tolerance=1e-8, status="pass", note="",
     ),
-    LimitSweep: dict(alpha=1.0, beta=0.5, lam=0.25, x=0.2, q_sequence=(0.5, 0.75)),
+    LimitSweep: dict(alpha=1.0, beta=0.5, q_sequence=(0.5, 0.75)),
     RunConfig: dict(
         command="verify", q=0.5, a=0.5, b=-0.7, identity="all", index_max=8, dim=200, tolerance=1e-8,
         precision="double", output_format="json", output_path=None, no_timestamp=True,
@@ -81,10 +81,25 @@ def test_replace_validates_like_construction(obj, change, message):
 def test_limit_sweep_stores_a_tuple_and_checks_its_order():
     sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=[0.5, 0.75])
     assert sweep.q_sequence == (0.5, 0.75) and isinstance(sweep.q_sequence, tuple)
-    assert sweep == LimitSweep(1.0, 0.5, 0.25, 0.2, (0.5, 0.75))
+    assert sweep == LimitSweep(1.0, 0.5, (0.5, 0.75))
     assert len(LimitSweep(alpha=1.0, beta=0.5).q_sequence) == 9
     with pytest.raises(DomainError, match="strictly increasing"):
         LimitSweep(alpha=1.0, beta=0.5, q_sequence=[0.75, 0.5])
+
+
+def test_report_passed_is_read_from_status():
+    # passed is no field: a record cannot say "pass" and passed=False
+    fields = FIELDS[VerificationReport]
+    assert [VerificationReport(**{**fields, "status": s}).passed for s in ("pass", "fail", "inconclusive")] == [
+        True,
+        False,
+        False,
+    ]
+    assert VerificationReport(**fields)._replace(status="fail").passed is False
+    with pytest.raises(TypeError):
+        VerificationReport(**fields, passed=True)
+    with pytest.raises(AttributeError):
+        VerificationReport(**fields).passed = False
 
 
 def test_store_keeps_one_label_sum_per_unordered_pair():
