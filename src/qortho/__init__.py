@@ -1,121 +1,87 @@
 """Numerical library for big q-Laguerre and q-Meixner polynomials, the
 associated Jacobi-matrix representation operators, and verification of
 their orthogonality, duality, biorthogonality and classical-limit
-identities."""
+identities.
 
-from qortho.qseries import (
-    DenominatorZeroError,
-    DomainError,
-    NonConvergenceError,
-    QParams,
-    QSeriesError,
-    SeriesDivergenceError,
-    TailError,
-    Truncation,
-    jackson_Eq,
-    phi_2_1,
-    phi_3_2,
-    q_number,
-    q_pochhammer,
-    q_pochhammer_inf,
-)
-from qortho.polynomials import (
-    big_q_laguerre,
-    big_q_laguerre_generating,
-    big_q_laguerre_phi21,
-    big_q_laguerre_recurrence,
-    classical_laguerre,
-    dual_f,
-    dual_g,
-    generating_closed,
-    generating_series,
-    q_inverse_meixner_relation,
-    q_meixner,
-    spectral_sequence,
-)
-from qortho.operators import (
-    CoefficientVector,
-    SpectralPoints,
-    Tridiagonal,
-    XiBasis,
-    build_A,
-    build_A1_A2,
-    build_generator_matrices,
-    eig_tridiagonal,
-    eigen_coefficients,
-    normalization_c,
-    normalization_cprime,
-    psi_phi_coefficients,
-    qJ0_inverse_action,
-    spectrum_points,
-)
-from qortho.orthogonality import run_identity_checks, verify_record
-from qortho.climit import (
-    LimitSweep,
-    classical_eigenfunction,
-    classical_operator_check,
-    limit_operator_entries_check,
-    limit_polynomial_check,
-)
-from qortho.reporting import VerificationReport
+Each public name is imported from its module the first time it is read
+(PEP 562), so `import qortho` loads no submodule, and `python -m qortho`
+compiles only the modules its command line interface imports."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# the module of each public name, every name written once
+_MODULE_OF = {
     # parameters and policies
-    "QParams",
-    "Truncation",
+    "QParams": "qseries",
+    "Truncation": "qseries",
     # exceptions
-    "QSeriesError",
-    "DomainError",
-    "NonConvergenceError",
-    "SeriesDivergenceError",
-    "DenominatorZeroError",
-    "TailError",
+    "QSeriesError": "qseries",
+    "DomainError": "qseries",
+    "NonConvergenceError": "qseries",
+    "SeriesDivergenceError": "qseries",
+    "DenominatorZeroError": "qseries",
+    "TailError": "qseries",
     # q-series kernels
-    "q_pochhammer",
-    "q_pochhammer_inf",
-    "q_number",
-    "phi_2_1",
-    "phi_3_2",
-    "jackson_Eq",
+    "q_pochhammer": "qseries",
+    "q_pochhammer_inf": "qseries",
+    "q_number": "qseries",
+    "phi_2_1": "qseries",
+    "phi_3_2": "qseries",
+    "jackson_Eq": "qseries",
     # polynomial families
-    "big_q_laguerre",
-    "big_q_laguerre_phi21",
-    "big_q_laguerre_recurrence",
-    "big_q_laguerre_generating",
-    "spectral_sequence",
-    "q_meixner",
-    "dual_f",
-    "dual_g",
-    "generating_series",
-    "generating_closed",
-    "q_inverse_meixner_relation",
-    "classical_laguerre",
+    "big_q_laguerre": "polynomials",
+    "big_q_laguerre_recurrence": "polynomials",
+    "spectral_sequence": "polynomials",
+    "q_meixner": "polynomials",
+    "classical_laguerre": "polynomials",
+    "big_q_laguerre_phi21": "routes",
+    "big_q_laguerre_generating": "routes",
+    "dual_f": "routes",
+    "dual_g": "routes",
+    "generating_series": "routes",
+    "generating_closed": "routes",
+    "q_inverse_meixner_relation": "routes",
     # operators
-    "Tridiagonal",
-    "CoefficientVector",
-    "SpectralPoints",
-    "XiBasis",
-    "build_generator_matrices",
-    "build_A",
-    "build_A1_A2",
-    "eigen_coefficients",
-    "psi_phi_coefficients",
-    "normalization_c",
-    "normalization_cprime",
-    "spectrum_points",
-    "eig_tridiagonal",
-    "qJ0_inverse_action",
+    "Tridiagonal": "operators",
+    "SpectralPoints": "operators",
+    "build_A": "operators",
+    "spectrum_points": "operators",
+    "eig_tridiagonal": "operators",
+    "CoefficientVector": "representation",
+    "XiBasis": "representation",
+    "build_generator_matrices": "representation",
+    "build_A1_A2": "representation",
+    "eigen_coefficients": "representation",
+    "psi_phi_coefficients": "representation",
+    "normalization_c": "representation",
+    "normalization_cprime": "representation",
+    "qJ0_inverse_action": "representation",
     # verification
-    "VerificationReport",
-    "run_identity_checks",
-    "verify_record",
+    "run_identity_checks": "orthogonality",
+    "verify_record": "orthogonality",
+    "VerificationReport": "reporting",
     # classical limit
-    "LimitSweep",
-    "limit_polynomial_check",
-    "classical_eigenfunction",
-    "classical_operator_check",
-    "limit_operator_entries_check",
-]
+    "LimitSweep": "climit",
+    "limit_polynomial_check": "climit",
+    "classical_eigenfunction": "climit",
+    "classical_operator_check": "climit",
+    "limit_operator_entries_check": "climit",
+}
+
+__all__ = ["__version__"]
+__all__.extend(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -133,7 +133,14 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--index-max", type=int, default=8, dest="index_max")
     parser.add_argument("--dim", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance")
+    parser.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOLERANCE,
+        dest="tolerance",
+        help="verdict tolerance of the verify and spectrum records, also within report-all; "
+        "limit records carry the tolerance of their own fit, and table has no verdicts",
+    )
     parser.add_argument("--precision", choices=("double", "extended"), default="double")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
     parser.add_argument("--out", default=None, dest="output_path")

@@ -1,14 +1,19 @@
-"""Matrix realizations of the representation operators in the canonical
-orthonormal basis f_n, together with their eigencoefficient sequences,
-normalization constants and spectra.
+"""The self-adjoint representation operator in the canonical orthonormal
+basis f_n: its truncated matrix, its exact spectrum and eigensolver, and
+the Decimal running products that the verify engines and the CLI read
+(the eigencoefficient prefactors and the normalization constants c_n,
+c'_n).
 
-The self-adjoint operator acts tridiagonally with
+The operator acts tridiagonally with
 
     diag[n] = q^(n+1)(a+ab+b) - ab q^(2n+1)(1+q),
     off[n]  = sqrt(-ab) q^((n+2)/2) sqrt((1-q^(n+1))(1-aq^(n+1))(1-bq^(n+1))),
 
 its eigenvalues are the two geometric sequences a q^(n+1), b q^(n+1),
 and its eigenvector coefficients are weighted big q-Laguerre values.
+The generator constructions, the non-self-adjoint pair (A1, A2) and the
+coefficient vectors and normalization constants as floats, which no
+command reads, live in `qortho.representation`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import decimal
 import functools
 import itertools
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from qortho.qseries import (
@@ -32,7 +36,6 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _context_of,
-    _duality_entries,
     _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
@@ -41,25 +44,12 @@ from qortho.polynomials import (
 
 __all__ = [
     "Tridiagonal",
-    "CoefficientVector",
     "SpectralPoints",
-    "GeneratorMatrices",
-    "XiBasis",
-    "build_generator_matrices",
     "build_A",
-    "compose_A_from_generators",
-    "build_A1_A2",
-    "compose_A1_A2_from_generators",
-    "eigen_coefficients",
-    "recurrence_residuals",
-    "normalization_c",
-    "normalization_cprime",
     "spectrum_points",
     "eig_tridiagonal",
     "eig_tridiagonal_accuracy",
     "truncation_residuals",
-    "qJ0_inverse_action",
-    "psi_phi_coefficients",
 ]
 
 
@@ -102,7 +92,7 @@ class Tridiagonal(_Validated, _TridiagonalFields):
 
     def dense(self) -> list:
         """The dim x dim matrix as a list of rows."""
-        m = _zeros(self.dim)
+        m = [[0.0] * self.dim for _ in range(self.dim)]
         for i, d in enumerate(self.diag):
             m[i][i] = d
         for i, (lo, up) in enumerate(zip(self.lower, self.upper)):
@@ -124,15 +114,6 @@ class Tridiagonal(_Validated, _TridiagonalFields):
         return out
 
 
-class CoefficientVector(NamedTuple):
-    """Expansion coefficients of a representation-space element in the
-    orthonormal basis f_n; lam is the eigenvalue it represents."""
-
-    coeffs: tuple
-    lam: float
-    normalizable: bool = True
-
-
 class SpectralPoints(NamedTuple):
     """The two geometric eigenvalue branches a q^(n+1) and b q^(n+1)."""
 
@@ -144,76 +125,8 @@ class SpectralPoints(NamedTuple):
         return sorted(self.upper + self.lower, key=lambda x: -abs(x))
 
 
-class XiBasis(Enum):
-    XI_UPPER = "upper"  # eigenvectors at a q^(n+1)
-    XI_LOWER = "lower"  # eigenvectors at b q^(n+1)
-
-
 # ---------------------------------------------------------------------------
-# generator matrices and operator assembly
-
-
-class GeneratorMatrices(NamedTuple):
-    """Raising/lowering/diagonal generator data truncated to dim rows."""
-
-    dim: int
-    raising: tuple  # raising[n] = coefficient of f_{n+1} in J+ f_n
-    lowering: tuple  # lowering[n] = coefficient of f_n in J- f_{n+1}
-    qj0_diag: tuple  # q^(l+n)
-    j0_diag: tuple  # l + n
-
-    def jplus_dense(self) -> list:
-        m = _zeros(self.dim)
-        for i, x in enumerate(self.raising):
-            m[i + 1][i] = x
-        return m
-
-    def jminus_dense(self) -> list:
-        m = _zeros(self.dim)
-        for i, x in enumerate(self.lowering):
-            m[i][i + 1] = x
-        return m
-
-
-def _zeros(dim: int) -> list:
-    return [[0.0] * dim for _ in range(dim)]
-
-
-def _diag_scaled(left, m, right) -> list:
-    """diag(left) m diag(right), for m a list of rows."""
-    return [[li * x * rj for x, rj in zip(row, right)] for li, row in zip(left, m)]
-
-
-def _plus(m1, m2) -> list:
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
-
-
-def jminus_action_factor(n: int, p: QParams) -> float:
-    """Coefficient of f_{n-1} in J- f_n; zero at n = 0."""
-    q, a = p.q, p.a
-    if n == 0:
-        return 0.0
-    # q^(2l+n-1) = a q^n and q^(-(n+l-3/2)/2) = a^(-1/4) q^((1-n)/2)
-    return a ** -0.25 * q ** ((1 - n) / 2.0) / (1 - q) * math.sqrt((1 - q**n) * (1 - a * q**n))
-
-
-def jplus_action_factor(n: int, p: QParams) -> float:
-    """Coefficient of f_{n+1} in J+ f_n."""
-    q, a = p.q, p.a
-    return a ** -0.25 * q ** (-n / 2.0) / (1 - q) * math.sqrt((1 - q ** (n + 1)) * (1 - a * q ** (n + 1)))
-
-
-def build_generator_matrices(p: QParams, dim: int) -> GeneratorMatrices:
-    """Raising/lowering couplings and the q^(J0) diagonal, rows 0..dim-1."""
-    if dim < 2:
-        raise DomainError("dim must be at least 2")
-    ns = [float(k) for k in range(dim)]
-    q, a = p.q, p.a
-    raising = tuple(jplus_action_factor(k, p) for k in range(dim - 1))
-    lowering = tuple(jminus_action_factor(k + 1, p) for k in range(dim - 1))
-    qj0 = tuple(math.sqrt(a * q) * q**k for k in ns)  # q^l = sqrt(aq)
-    j0 = tuple(p.l + k for k in ns)
-    return GeneratorMatrices(dim=dim, raising=raising, lowering=lowering, qj0_diag=qj0, j0_diag=j0)
+# operator assembly
 
 
 def _a_diag(p: QParams, dim: int) -> tuple:
@@ -233,76 +146,8 @@ def build_A(p: QParams, dim: int) -> Tridiagonal:
     return Tridiagonal(dim=dim, diag=_a_diag(p, dim), lower=off, upper=off)
 
 
-def compose_A_from_generators(p: QParams, dim: int) -> list:
-    """Assemble the operator from generator matrices:
-
-        alpha q^(J0/4) (sqrt(1-b q^(J0-l)) J+ q^((J0-l)/2)
-                        + q^((J0-l)/2) J- sqrt(1-b q^(J0-l))) q^(J0/4)
-        - beta1 q^(2 J0) + beta2 q^(J0-l)
-
-    The last row/column of the truncation is corrupted by the missing
-    coupling to row dim, so comparisons must exclude them.  Returns a
-    list of rows.
-    """
-    g = build_generator_matrices(p, dim)
-    ns = [float(k) for k in range(dim)]
-    q2 = [p.q ** (k / 2) for k in ns]  # q^((J0-l)/2) diagonal
-    s = [math.sqrt(1 - p.b * p.q**k) for k in ns]  # sqrt(1 - b q^(J0-l)), positive since b < 0
-    jp, jm = g.jplus_dense(), g.jminus_dense()
-    return _composed(p, _plus(_diag_scaled(s, jp, q2), _diag_scaled(q2, jm, s)))
-
-
-def _composed(p: QParams, core: list) -> list:
-    """alpha q^(J0/4) core q^(J0/4) - beta1 q^(2J0) + beta2 q^(J0-l), with
-    q^(J0/4) = q^((l+n)/4) and q^(2J0) = a q^(2n+1)."""
-    q, a = p.q, p.a
-    q4 = [(a * q) ** 0.125 * q ** (k / 4) for k in map(float, range(len(core)))]
-    mat = [[p.alpha * x for x in row] for row in _diag_scaled(q4, core, q4)]
-    for k, row in enumerate(mat):
-        row[k] += -p.beta1 * a * q ** (2.0 * k + 1) + p.beta2 * q ** float(k)
-    return mat
-
-
-def build_A1_A2(p: QParams, dim: int) -> tuple:
-    """The non-self-adjoint pair (A1, A2) with A2 = A1^T exactly.
-
-    A1 is the composition alpha q^(J0/4)(J+ q^(J0-l) + J- (1-b q^(J0-l)))
-    q^(J0/4) - beta1 q^(2J0) + beta2 q^(J0-l), whose eigenvector
-    coefficients carry the weight (-ab)^(-k/2) q^(-k) ((aq;q)_k/(q;q)_k)^(1/2);
-    A2 is its transpose.  Shared entry arrays make the transpose relation
-    exact by construction; the compositions themselves are validated
-    against dense generator products in the tests.
-    """
-    if dim < 2:
-        raise DomainError("dim must be at least 2")
-    q, a, b = p.q, p.a, p.b
-    ks = [float(k) for k in range(dim - 1)]
-    w = [math.sqrt((1 - q ** (k + 1)) * (1 - a * q ** (k + 1))) for k in ks]
-    c = math.sqrt(-a * b)
-    diag = _a_diag(p, dim)
-    lower1 = tuple(c * q ** (k + 1) * wk for k, wk in zip(ks, w))  # A1[n+1, n]
-    upper1 = tuple(c * q * (1 - b * q ** (k + 1)) * wk for k, wk in zip(ks, w))  # A1[n, n+1]
-    a1 = Tridiagonal(dim=dim, diag=diag, lower=lower1, upper=upper1)
-    a2 = Tridiagonal(dim=dim, diag=diag, lower=upper1, upper=lower1)
-    return a1, a2
-
-
-def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
-    """Dense assembly of the (A1, A2) compositions from generator
-    matrices, each a list of rows."""
-    g = build_generator_matrices(p, dim)
-    dq = [p.q ** float(k) for k in range(dim)]  # q^(J0-l)
-    db = [1 - p.b * x for x in dq]  # 1 - b q^(J0-l)
-    ones = [1.0] * dim
-    jp, jm = g.jplus_dense(), g.jminus_dense()
-    # operator composition reads right to left: X Y = apply Y, then X
-    core1 = _plus(_diag_scaled(ones, jp, dq), _diag_scaled(ones, jm, db))
-    core2 = _plus(_diag_scaled(db, jp, ones), _diag_scaled(dq, jm, ones))
-    return _composed(p, core1), _composed(p, core2)
-
-
 # ---------------------------------------------------------------------------
-# eigencoefficients
+# eigencoefficient prefactors
 
 
 def _pref_a_ratio(qm, q, a, b):
@@ -311,18 +156,9 @@ def _pref_a_ratio(qm, q, a, b):
     return ((1 - a * qm) * (1 - b * qm) / (-a * b * q * qm * (1 - qm))).sqrt()
 
 
-def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
-    """pref_0..pref_m_max as the sequential product of consecutive ratios
-    pref_{m+1}/pref_m, so no factor over- or underflows, in Decimals in
-    `_context_of(p)`; n-independent, so one list serves every spectral
-    point of a parameter set, and its first m+1 entries equal
-    `_prefactors(p, m, ratio_fn)` bit for bit."""
-    return list(itertools.islice(_prefactor_entries(p, ratio_fn), m_max + 1))
-
-
 def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio, start=1, branch: str = "a"):
-    """start pref_0, start pref_1, ... of `_prefactors` without end, one
-    Decimal per next(), in `_context_of(p)`: the running product of
+    """start pref_0, start pref_1, ... without end, one Decimal per
+    next(), in `_context_of(p)`: the running product of
     ratio_fn(q^(m+1), q, first, second), with q^(m+1) carried from step
     to step and (first, second) = (a, b), or (b, a) for branch "b".
     start, an int, float or Decimal, enters exactly and is rounded to the
@@ -337,17 +173,6 @@ def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio, start=1, branch: str 
         with decimal.localcontext(context):
             pref *= ratio_fn(qm, q, first, second)
             qm *= q
-
-
-def _spectral_coeffs(p: QParams, branch: str, j: int, m_max: int, prefs: list) -> list:
-    """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
-    Decimals in `_context_of(p)`, from the duality closed form of
-    `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
-    M >= m_max, and its ratio_fn picks the family (the eigencoefficients
-    a_m, or psi_m or phi_m)."""
-    seq = _duality_entries(p, branch, j)
-    with decimal.localcontext(_context_of(p)):
-        return [pref * v for pref, v in zip(prefs[: m_max + 1], seq)]
 
 
 def _log10_prefactors(p: QParams, m_max: int) -> list:
@@ -365,19 +190,11 @@ def _log10_prefactors(p: QParams, m_max: int) -> list:
     return list(itertools.accumulate(steps, initial=0.0))
 
 
-def _to_floats(values, what: str) -> tuple:
-    out = tuple(map(float, values))
-    for i, f in enumerate(out):
-        if math.isinf(f):
-            raise OverflowError(f"{what} overflows float range at index {i}")
-    return out
-
-
 def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, recurrence) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
     j >= m_max, as Decimals, from the forward three-term recurrence in the
     decimal context of the recurrence table; prefs is pref_0..pref_m_max
-    of `_prefactors`, and recurrence the `_working_coefficients` table
+    of `_prefactor_entries`, and recurrence the `_working_coefficients` table
     whose parameters it reads.
 
     The polynomial sequence becomes the minimal solution of the
@@ -392,34 +209,6 @@ def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, recurrence) -> l
         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
         seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
         return [pref * v for pref, v in zip(prefs, seq)]
-
-
-def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
-    """Eigencoefficient sequence a_m(lam), m = 0..m_max, with a_0 = 1:
-
-        a_m = (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2) P_m(lam).
-
-    At spectral points the values are square-summable and computed from
-    the duality closed form of the polynomial sequence; any other lam is
-    allowed but flagged non-normalizable.  The coefficients are a tuple
-    of floats.
-    """
-    hit = match_spectral_point(lam, p)
-    if hit is not None:
-        vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
-        coeffs = _to_floats(vals, "eigencoefficients")
-        return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
-
-    # generic lam: polynomial route with the prefactor held in log space
-    pvals = big_q_laguerre_recurrence(m_max, lam, p)
-    coeffs = [0.0] * (m_max + 1)
-    for m, (v, logpref) in enumerate(zip(pvals, _log10_prefactors(p, m_max))):
-        if v != 0.0:
-            mag = logpref + math.log10(abs(v))
-            if mag > 300:
-                raise OverflowError(f"eigencoefficient overflow at m={m}")
-            coeffs[m] = math.copysign(10.0**mag, v)
-    return CoefficientVector(coeffs=tuple(coeffs), lam=lam, normalizable=False)
 
 
 def truncation_residuals(p: QParams, dim: int, points) -> list:
@@ -460,76 +249,8 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     return radii
 
 
-def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
-    """Row residuals |(A v)_m - lam v_m| / scale for interior rows
-    1..m_max-1, where scale is the largest term magnitude in the row."""
-    m_max = len(vec.coeffs) - 1
-    tri = build_A(p, m_max + 1)
-    v = vec.coeffs
-    out = []
-    for m in range(1, m_max):
-        terms = (
-            tri.offdiag[m] * v[m + 1],
-            tri.offdiag[m - 1] * v[m - 1],
-            tri.diag[m] * v[m],
-            -vec.lam * v[m],
-        )
-        scale = max(abs(x) for x in terms)
-        res = abs(math.fsum(terms))
-        out.append(res / scale if scale > 0 else res)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # normalization constants
-
-
-def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
-    """Normalization constant of the upper-branch eigenvectors.
-
-    Both printed forms are implemented; they agree to rounding and the
-    tests cross-check them.  The finite form is the running product of
-    `_normalization_entries`.
-    """
-    return _normalization(n, p, "a", t, form)
-
-
-def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
-    """Normalization constant of the lower-branch eigenvectors; the
-    prefactor -b/a is positive for b < 0.  The finite form is c_n with a
-    and b swapped."""
-    return _normalization(n, p, "b", t, form)
-
-
-def _normalization(n: int, p: QParams, branch: str, t: Truncation, form: str) -> float:
-    """c_n (branch "a") or c'_n (branch "b") in the printed form asked for.
-    With (first, second, factor) = (a, b, 1) for c_n and (b, a, -b/a) for
-    c'_n, the infinite form is
-
-        factor (q^(n+1), first q^(n+1)/second, aq, bq; q)_inf q^n
-            / (first q^(n+1), q, b/a, aq/b; q)_inf.
-    """
-    if form == "finite":
-        return _finite_normalization(n, p, branch, t)
-    if form != "infinite":
-        raise DomainError("form must be 'finite' or 'infinite'")
-    q, a, b = p.q, p.a, p.b
-    first, second, factor = (a, b, 1) if branch == "a" else (b, a, -b / a)
-    radicand = (
-        factor
-        * q_pochhammer_inf(q ** (n + 1), q, t)
-        * q_pochhammer_inf(first * q ** (n + 1) / second, q, t)
-        * q_pochhammer_inf(a * q, q, t)
-        * q_pochhammer_inf(b * q, q, t)
-        * q**n
-        / (
-            q_pochhammer_inf(first * q ** (n + 1), q, t)
-            * q_pochhammer_inf(q, q, t)
-            * q_pochhammer_inf(b / a, q, t)
-            * q_pochhammer_inf(a * q / b, q, t)
-        )
-    )
-    return _root(radicand)
 
 
 def _root(radicand):
@@ -565,14 +286,6 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation):
             raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
         c0 = _root(products[0] / products[1])
     yield from _prefactor_entries(p, _c_ratio, c0, branch)
-
-
-def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
-    """c_n or c'_n of `_normalization_entries`, in p's own scalars."""
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-    c = next(itertools.islice(_normalization_entries(p, branch, t), n, None))
-    return c if isinstance(p.q, decimal.Decimal) else float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -701,85 +414,3 @@ def eig_tridiagonal(tri: Tridiagonal, near=None) -> list:
         ks = range(count(t - reach), count(t + reach))
         nearest.append(min(map(bisect_index, ks), key=lambda v: abs(v - t)))
     return nearest
-
-
-# ---------------------------------------------------------------------------
-# action of q^(-J0) on the eigenvector bases
-
-
-def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = False) -> tuple:
-    """Tridiagonal coefficients (sub, diag, super) of q^(-J0) acting on
-    the eigenvector family of the chosen branch; `orthonormal` selects
-    the normalized-basis variant."""
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-    q, a, b = p.q, p.a, p.b
-    if basis is XiBasis.XI_UPPER:
-        lead = a**-1.5
-        diag = -lead * q ** (-2 * n - 1.5) * (b * (1 + q) - q ** (n + 1) * (a * b + a + b))
-        if orthonormal:
-            sup = lead * b * q ** (-2 * n - 2) * math.sqrt(
-                (1 - a * q ** (n + 1)) * (1 - q ** (n + 1)) * (1 - a * q ** (n + 1) / b)
-            )
-            sub = lead * b * q ** (-2.0 * n) * math.sqrt(
-                (1 - a * q**n) * (1 - q**n) * (1 - a * q**n / b)
-            )
-        else:
-            sup = lead * b * q ** (-2 * n - 1.5) * (1 - a * q ** (n + 1))
-            sub = lead * b * q ** (-2 * n - 0.5) * (1 - q**n) * (1 - a * q**n / b)
-        return sub, diag, sup
-    if basis is XiBasis.XI_LOWER:
-        lead = math.sqrt(a) / b
-        diag = -lead * q ** (-2 * n - 1.5) * (1 + q - q ** (n + 1) * (a * b + a + b) / a)
-        if orthonormal:
-            sup = lead * q ** (-2 * n - 2) * math.sqrt(
-                (1 - b * q ** (n + 1)) * (1 - q ** (n + 1)) * (1 - b * q ** (n + 1) / a)
-            )
-            sub = lead * q ** (-2.0 * n) * math.sqrt(
-                (1 - b * q**n) * (1 - q**n) * (1 - b * q**n / a)
-            )
-        else:
-            sup = lead * q ** (-2 * n - 1.5) * (1 - b * q ** (n + 1))
-            sub = lead * q ** (-2 * n - 0.5) * (1 - q**n) * (1 - b * q**n / a)
-        return sub, diag, sup
-    raise DomainError(f"unknown basis {basis}")
-
-
-# ---------------------------------------------------------------------------
-# eigenvectors of the non-self-adjoint pair
-
-
-def _pref_psi_ratio(qm, q, a, b):
-    """Ratio for (-ab)^(-m/2) q^(-m) ((aq;q)_m/(q;q)_m)^(1/2), with qm = q^(m+1);
-    Decimals, in the caller's working context."""
-    return ((1 - a * qm) / (-a * b * (1 - qm))).sqrt() / q
-
-
-def _pref_phi_ratio(qm, q, a, b):
-    """Ratio for (-ab)^(-m/2) q^(-m(m+1)/2) ((aq;q)_m/(q;q)_m)^(1/2) (bq;q)_m,
-    with qm = q^(m+1); Decimals, in the caller's working context."""
-    return ((1 - a * qm) / (-a * b * (1 - qm))).sqrt() * (1 - b * qm) / qm
-
-
-def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
-    """Coefficient vectors of the eigenvector families of A1 and A2:
-
-        psi_k = (-ab)^(-k/2) q^(-k)        ((aq;q)_k/(q;q)_k)^(1/2) P_k(lam)
-        phi_k = (-ab)^(-k/2) q^(-k(k+1)/2) ((aq;q)_k (bq;q)_k^2/(q;q)_k)^(1/2) P_k(lam)
-
-    phi_k grows with k at deep spectral points; exceeding float range
-    raises OverflowError.  psi_k(lam) phi_k(lam') = a_k(lam) a_k(lam')
-    term for term, so the biorthogonality engine sums products of the
-    eigencoefficients a_k formed in Decimals instead and has no such limit.
-    """
-    hit = match_spectral_point(lam, p)
-    if hit is None:
-        raise DomainError("psi/phi coefficients are defined at spectral points")
-    psi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
-    phi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
-    psi = _to_floats(psi_vals, "psi coefficients")
-    phi = _to_floats(phi_vals, "phi coefficients")
-    return (
-        CoefficientVector(coeffs=psi, lam=lam, normalizable=True),
-        CoefficientVector(coeffs=phi, lam=lam, normalizable=True),
-    )

@@ -9,8 +9,14 @@ insertion order.
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, NamedTuple
+
+try:
+    # the C function that json.encoder also picks, without importing the
+    # json package (its decoder, scanner and encoder)
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from qortho.qseries import QParams
 

@@ -10,26 +10,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from qortho.qseries import QParams, Truncation
-from qortho.polynomials import (
-    big_q_laguerre,
-    big_q_laguerre_generating,
-    big_q_laguerre_recurrence,
-    dual_f,
-    dual_g,
-    q_inverse_meixner_relation,
-    q_meixner,
-    q_pochhammer,
-    spectral_sequence,
-)
-from qortho.operators import (
-    build_A,
-    build_A1_A2,
-    compose_A_from_generators,
-    eig_tridiagonal,
-    psi_phi_coefficients,
-    spectrum_points,
-)
+from qortho.qseries import QParams, Truncation, q_pochhammer
+from qortho.polynomials import big_q_laguerre, big_q_laguerre_recurrence, q_meixner, spectral_sequence
+from qortho.routes import big_q_laguerre_generating, dual_f, dual_g, q_inverse_meixner_relation
+from qortho.operators import build_A, eig_tridiagonal, spectrum_points
+from qortho.representation import build_A1_A2, compose_A_from_generators, psi_phi_coefficients
 from qortho.orthogonality import run_identity_checks
 from qortho.climit import (
     LimitSweep,

@@ -82,6 +82,18 @@ class TestExitCodes:
         payload = json.loads(out.read_text())
         assert payload["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize("command", ["limit", "table"])
+    def test_tol_reaches_no_limit_or_table_record(self, command):
+        # limit records carry the tolerance of their own fit and table has
+        # no verdicts, so --tol changes nothing but the echoed tolerance
+        reports = {}
+        for tol in ("1e-30", "1e-8"):
+            res = run_cli(command, "--tol", tol, "--no-timestamp")
+            assert res.returncode == 0, res.stderr
+            reports[tol] = json.loads(res.stdout)
+        assert [doc["config"].pop("tolerance") for doc in reports.values()] == [1e-30, 1e-8]
+        assert reports["1e-30"] == reports["1e-8"]
+
     def test_failure_exit_one(self, tmp_path, monkeypatch):
         # a solve that misses every exact eigenvalue by 1e-6 contradicts
         # the residual bound, which at dim 60 is near double rounding
@@ -558,7 +570,8 @@ class TestStartup:
             sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
             import qortho.cli
             from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
-            from qortho.polynomials import big_q_laguerre_generating, generating_series, spectral_sequence
+            from qortho.polynomials import spectral_sequence
+            from qortho.routes import big_q_laguerre_generating, generating_series
 
             out, commands = sys.argv[1], json.loads(sys.argv[2])
             codes = [qortho.cli.main(argv + ["--out", out, "--no-timestamp"]) for argv in commands]
@@ -582,7 +595,8 @@ class TestStartup:
 
         from qortho import QParams
         from qortho.climit import LimitSweep, geometric_q_sequence, limit_polynomial_check
-        from qortho.polynomials import big_q_laguerre_generating, generating_series, spectral_sequence
+        from qortho.polynomials import spectral_sequence
+        from qortho.routes import big_q_laguerre_generating, generating_series
 
         p = QParams(q=0.5, a=0.5, b=-0.7)
         lam = p.a * p.q**2
@@ -594,6 +608,46 @@ class TestStartup:
             str(spectral_sequence(p, "a", 1, 5)[5]),
             *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
         ]
+
+    def test_import_qortho_loads_no_submodule(self):
+        # the package's names are read from their modules on first use
+        code = "import sys, qortho; print(sorted(name for name in sys.modules if name.startswith('qortho.')))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    @pytest.mark.parametrize("module", ["qortho.representation", "qortho.routes"])
+    def test_no_command_loads_the_library_only_modules(self, module, tmp_path):
+        # no command reads the generator constructions or the cross-check
+        # routes, so no process of the CLI compiles them
+        seen = self.loaded_after_each_command(module, tmp_path)
+        assert len(seen) == 8 and not any(seen.values()), seen
+
+    @pytest.mark.parametrize("step", ["getattr", "import *"])
+    def test_every_public_name_resolves(self, step):
+        # in a fresh process, so each name goes through the package's
+        # lazy lookup: getattr and dir see every name of __all__, and a
+        # star import binds them all to the same objects
+        code = textwrap.dedent(
+            """
+            import json, sys
+            import qortho
+            if sys.argv[1] == "getattr":
+                listed = set(dir(qortho))
+                values = {name: getattr(qortho, name) for name in qortho.__all__}
+                missing = sorted(name for name in qortho.__all__ if name not in listed)
+            else:
+                namespace = {}
+                exec("from qortho import *", namespace)
+                values = {name: namespace.get(name) for name in qortho.__all__}
+                missing = sorted(name for name in qortho.__all__ if name not in namespace)
+            same = all(value is getattr(qortho, name) for name, value in values.items())
+            print(json.dumps([len(qortho.__all__), missing, same, hasattr(qortho, "no_such_name")]))
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code, step], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [49, [], True, False]
 
     def test_import_does_not_load_process_pool(self, tmp_path):
         # every verify is one task in one process, so no command pays the
@@ -624,8 +678,8 @@ class TestStartup:
             import json, sys
             sys.modules["numpy"] = None  # any import of numpy raises ImportError
             import qortho
-            from qortho.operators import (
-                build_A,
+            from qortho.operators import build_A
+            from qortho.representation import (
                 build_A1_A2,
                 build_generator_matrices,
                 compose_A_from_generators,
@@ -634,7 +688,7 @@ class TestStartup:
                 psi_phi_coefficients,
                 recurrence_residuals,
             )
-            from qortho.polynomials import big_q_laguerre_generating
+            from qortho.routes import big_q_laguerre_generating
 
             p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
             lam = p.a * p.q
@@ -689,7 +743,8 @@ class TestStartup:
     def test_report_layers_do_not_import_the_verify_engine(self, module):
         # the record type lives beside its serializer, so neither the
         # serializer nor the classical-limit checks need the verify engine.
-        # Read statically: `import qortho` loads every layer anyway
+        # Read statically: other tests in this process may have loaded the
+        # engine already
         import ast
 
         source = (Path(__file__).parent.parent / "src" / "qortho" / f"{module}.py").read_text()
@@ -777,7 +832,7 @@ class TestCommands:
                 1.0, abs(methods["series"])
             )
         # the duality rows are the library's dual_f and dual_g, bit for bit
-        from qortho.polynomials import dual_f, dual_g
+        from qortho.routes import dual_f, dual_g
         from qortho.qseries import QParams
 
         p = QParams(q=0.5, a=0.5, b=-0.7)

@@ -10,14 +10,18 @@ import pytest
 from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
 from qortho.operators import (
     Tridiagonal,
-    XiBasis,
     build_A,
+    eig_tridiagonal,
+    eig_tridiagonal_accuracy,
+    spectrum_points,
+    truncation_residuals,
+)
+from qortho.representation import (
+    XiBasis,
     build_A1_A2,
     build_generator_matrices,
     compose_A_from_generators,
     compose_A1_A2_from_generators,
-    eig_tridiagonal,
-    eig_tridiagonal_accuracy,
     eigen_coefficients,
     jminus_action_factor,
     jplus_action_factor,
@@ -26,8 +30,6 @@ from qortho.operators import (
     psi_phi_coefficients,
     qJ0_inverse_action,
     recurrence_residuals,
-    spectrum_points,
-    truncation_residuals,
 )
 
 T = Truncation()
@@ -134,7 +136,8 @@ class TestEigenCoefficients:
     def test_decimal_parameters_agree_with_float(self, route, lam):
         # the routes that match lam to a spectral point run on QParams of
         # Decimals too, and agree with the same call on floats
-        from qortho.polynomials import generating_series, match_spectral_point
+        from qortho.polynomials import match_spectral_point
+        from qortho.routes import generating_series
 
         calls = {
             "eigen": lambda p: eigen_coefficients(lam, p, 12).coeffs,
@@ -152,7 +155,8 @@ class TestEigenCoefficients:
         # eigenvalues leave float range: a q^601 and b q^551 are spectral
         # points of the duality routes, and a q^521 one of the
         # generating-function extraction
-        from qortho.polynomials import big_q_laguerre_generating, spectral_sequence
+        from qortho.polynomials import spectral_sequence
+        from qortho.routes import big_q_laguerre_generating
 
         p = QParams(q=0.99, a=0.5, b=-0.7)
         assert eigen_coefficients(p.a * p.q**601, p, 4).normalizable
@@ -217,7 +221,8 @@ def _worst_error(got, want) -> float:
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
-        from qortho.operators import _a_coeff_logs, _prefactors, _spectral_coeffs
+        from qortho.operators import _a_coeff_logs
+        from qortho.representation import _prefactors, _spectral_coeffs
         from qortho.polynomials import _working_coefficients
 
         prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
@@ -231,7 +236,8 @@ class TestForwardCoefficientRoute:
         # bound and share no step with the recurrence or the duality
         import mpmath
 
-        from qortho.operators import _a_coeff_logs, _prefactors
+        from qortho.operators import _a_coeff_logs
+        from qortho.representation import _prefactors
         from qortho.polynomials import _working_coefficients
 
         prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
@@ -608,7 +614,7 @@ class TestEigTridiagonal:
         # is the whole duality sequence, summed with its Pochhammer symbols
         # carried from degree to degree
         from qortho import polynomials
-        from qortho.operators import _prefactors
+        from qortho.representation import _prefactors
 
         for p in (P1, P2, QParams(q=0.3, a=3.2, b=-0.01), QParams(q=0.8, a=0.6, b=-2.0)):
             prefs = _prefactors(p, 40)

@@ -5,7 +5,7 @@ import decimal
 import pytest
 
 from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
-from qortho.operators import normalization_c, normalization_cprime
+from qortho.representation import normalization_c, normalization_cprime
 from qortho.orthogonality import run_identity_checks, verify_record
 
 T = Truncation()
@@ -248,7 +248,7 @@ class TestUnitarity:
         # agree on pass/fail, and their residuals must coincide within
         # 1e-10 of the identity's natural scale once the rescaling is
         # removed.
-        from qortho.operators import _prefactors
+        from qortho.representation import _prefactors
         from qortho.orthogonality import _kc
 
         prefs = [float(pref) for pref in _prefactors(p, 3)]
@@ -305,7 +305,7 @@ class TestDualOrthogonality:
         # weight w_m = (aq,bq;q)_m/((q;q)_m(-abq^2)^m) q^(-m(m-1)/2) times
         # f_n(q^-m) f_n'(q^-m) computed independently at small m
         from qortho.orthogonality import _Store
-        from qortho.polynomials import dual_f
+        from qortho.routes import dual_f
 
         p, n, n2 = P1, 1, 2
         store = _Store(p, T, 0)
@@ -740,7 +740,8 @@ class TestReports:
 
         import mpmath
 
-        from qortho.operators import _pref_a_ratio, _pref_phi_ratio, _pref_psi_ratio, _prefactor_entries
+        from qortho.operators import _pref_a_ratio, _prefactor_entries
+        from qortho.representation import _pref_phi_ratio, _pref_psi_ratio
         from qortho.orthogonality import _M_CAP, DEFAULT_TOLERANCE, _bilinear_sum, _Store, _verify_columns
         from qortho.polynomials import _duality_entries
         from qortho.qseries import _working_context
@@ -929,7 +930,7 @@ class TestReports:
         # precision doubled until two runs agree to 40 digits
         import mpmath
 
-        from qortho.operators import _prefactors
+        from qortho.representation import _prefactors
         from qortho.orthogonality import _Store
 
         p = QParams(q=0.95, a=0.9, b=-3.0)

@@ -31,20 +31,22 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
-    _generating_closed_complex,
     big_q_laguerre,
-    big_q_laguerre_generating,
-    big_q_laguerre_phi21,
     big_q_laguerre_recurrence,
     classical_laguerre,
+    match_spectral_point,
+    q_meixner,
+    spectral_sequence,
+)
+from qortho.routes import (
+    _generating_closed_complex,
+    big_q_laguerre_generating,
+    big_q_laguerre_phi21,
     dual_f,
     dual_g,
     generating_closed,
     generating_series,
-    match_spectral_point,
     q_inverse_meixner_relation,
-    q_meixner,
-    spectral_sequence,
 )
 
 T = Truncation()

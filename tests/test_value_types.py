@@ -8,10 +8,11 @@ import pytest
 
 from qortho.cli import RunConfig
 from qortho.climit import LimitSweep
-from qortho.operators import CoefficientVector, GeneratorMatrices, SpectralPoints, Tridiagonal
+from qortho.operators import SpectralPoints, Tridiagonal
 from qortho.orthogonality import _Store
 from qortho.qseries import DomainError, QParams, Truncation
 from qortho.reporting import VerificationReport
+from qortho.representation import CoefficientVector, GeneratorMatrices
 
 P = QParams(q=0.5, a=0.5, b=-0.7)
 
