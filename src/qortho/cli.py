@@ -141,7 +141,13 @@ def build_parser() -> _Parser:
         help="verdict tolerance of the verify and spectrum records, also within report-all; "
         "limit records carry the tolerance of their own fit, and table has no verdicts",
     )
-    parser.add_argument("--precision", choices=("double", "extended"), default="double")
+    parser.add_argument(
+        "--precision",
+        choices=("double", "extended"),
+        default="double",
+        help="extended runs the verify records, also within report-all, on 50-digit Decimal parameters; "
+        "spectrum, table and limit compute in double at either precision",
+    )
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
     parser.add_argument("--out", default=None, dest="output_path")
     parser.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
@@ -152,9 +158,7 @@ def _config_from_args(args) -> RunConfig:
     fields = dict(vars(args))
     lowest = fields.pop("l")
     if lowest is not None:
-        if not lowest > 0:
-            raise DomainError("l must be positive")
-        fields["a"] = args.q ** (2 * lowest - 1)
+        fields["a"] = QParams.from_l(args.q, lowest, args.b).a
     cfg = RunConfig(**fields)
     cfg.params()  # validates the domain before any computation
     if cfg.index_max < 0:

@@ -23,6 +23,7 @@ import decimal
 import functools
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
 from qortho.qseries import (
@@ -98,9 +99,6 @@ class Tridiagonal(_Validated, _TridiagonalFields):
         for i, (lo, up) in enumerate(zip(self.lower, self.upper)):
             m[i + 1][i], m[i][i + 1] = lo, up
         return m
-
-    def transpose(self) -> "Tridiagonal":
-        return Tridiagonal(dim=self.dim, diag=self.diag, lower=self.upper, upper=self.lower)
 
     def apply(self, v) -> list:
         """The product with the vector v, as a list."""
@@ -224,7 +222,9 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
     sum of logs, and r underflows to 0 or overflows to inf.  M_n, which
     may cancel far below its terms, is the q-Meixner sum on the exact
-    Decimals of the parameters, in `_context_of(p)`."""
+    Decimals of the parameters, in `_context_of(p)`.  A point that is not
+    spectral raises DomainError, one that underflowed below the normal
+    floats and matches no index NonConvergenceError."""
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
     qi = [q ** float(i) for i in range(1, dim + 1)]
@@ -237,6 +237,9 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     for lam in points:
         hit = match_spectral_point(float(lam), p)
         if hit is None:
+            if abs(float(lam)) < sys.float_info.min:
+                # too few bits left to read its index back: no usage error
+                raise NonConvergenceError(f"eigenvalue {float(lam)!r} underflowed the float range")
             raise DomainError(f"{float(lam)!r} is not an eigenvalue a q^(n+1) or b q^(n+1)")
         branch, n = hit
         first, second = (a, b) if branch == "a" else (b, a)

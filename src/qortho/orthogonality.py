@@ -24,9 +24,11 @@ term for term).  The store keeps each row sum and each label sum by its
 unordered pair, so sears reads big-laguerre (0, 0) and big-laguerre reads
 unitarity-rows, each scaling the kept M with the value.
 
-One table, `_RECORDS`, gives each record id its record function and its
-index grid, and the families are its ids grouped; `run_identity_checks`
-runs a family's records in the store's decimal context, entered once per
+One table, `_RECORDS`, describes each record id as data: its index grid,
+the kept sum a cell reads (a row sum or a label sum), the scale of that
+sum and its closed-form side, and the families are its ids grouped.  One
+function, `_record`, runs every row; `run_identity_checks` runs a
+family's records in the store's decimal context, entered once per
 family, and `verify_record` runs one record the same way on a store of
 its own, with the same bits.
 
@@ -47,8 +49,7 @@ import decimal
 import functools
 import itertools
 import math
-from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from qortho.qseries import (
     DomainError,
@@ -83,12 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-8
-
-
-class DualPair(Enum):
-    FF = "ff"
-    GG = "gg"
-    FG = "fg"
 
 
 def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, tolerance, note="") -> VerificationReport:
@@ -222,70 +217,18 @@ def negative_b_meixner_weight(m: int, p: QParams) -> float:
     return _meixner_weight(p.b, p.a, m, p.q)
 
 
-# ---------------------------------------------------------------------------
-# the q-integral orthogonality of the polynomial family
-
-
-def _big_laguerre_sum(m: int, m2: int, store: _Store):
-    """sum_n w_n P_m P_m2 over the a-branch plus -b/a times that over the
-    b-branch: the unitarity-rows sum, whose terms are c_n^2 a_m a_m2 =
-    (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2),
-    scaled back with its tail and M."""
-    scale = store.value(decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2)))
-    value, used, tail, total = store.row_sum(m, m2)
-    return value * scale, used, abs(float(scale)) * tail, abs(float(scale)) * total
-
-
-def _verify_big_laguerre(m: int, m2: int, store: _Store, tolerance: float):
-    """The orthogonality of P_m and P_m2 over the two-branch discrete
-    measure, against the closed-form norm times a Kronecker delta."""
-    if m < 0 or m2 < 0:
-        raise DomainError("degrees must be nonnegative")
-    p = store.p
-    lhs, *sums = _big_laguerre_sum(m, m2, store)
-    rhs = 0
-    if m == m2:
-        rhs = (
-            store.kc
-            * q_pochhammer(p.q, p.q, m)
-            / (q_pochhammer(p.a * p.q, p.q, m) * q_pochhammer(p.b * p.q, p.q, m))
-            * (-p.a * p.b) ** m
-            * p.q ** (m * (m + 3) // 2)
-        )
-    return _finalize("big-laguerre", p, (m, m2), lhs, rhs, *sums, tolerance)
-
-
-def _verify_sears(i: int, j: int, store: _Store, tolerance: float):
-    """The degree-zero orthogonality sum against its closed-form product,
-    with the equivalent basic-series form as a cross-check: the
-    big-laguerre (0, 0) record, read from the store's kept row sum.  Its
-    one cell is (0, 0); P_0 = 1 on every row, so the store's K changes no
-    bit."""
-    if (i, j) != (0, 0):
-        raise DomainError("sears is the degree-zero sum: its one cell is (0, 0)")
-    p, t = store.p, store.t
-    q, a, b = p.q, p.a, p.b
-    lhs, *sums = _big_laguerre_sum(0, 0, store)
-    rhs = store.kc
-
-    # equivalent form: prefactored 2phi1 evaluations at argument q
-    lhs_phi = (
-        q_pochhammer_inf(a * q / b, q, t)
-        * q_pochhammer_inf(q, q, t)
-        / q_pochhammer_inf(a * q, q, t)
-        * phi_2_1(a * q, 0 * q, a * q / b, q, q, t)
-        - (b / a)
-        * q_pochhammer_inf(b * q / a, q, t)
-        * q_pochhammer_inf(q, q, t)
-        / q_pochhammer_inf(b * q, q, t)
-        * phi_2_1(b * q, 0 * q, b * q / a, q, q, t)
+def _meixner_weight(first, second, m: int, q) -> float:
+    """(first q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second q;q)_m (q;q)_m),
+    the weight of M_n(q^-m; first, -second/first; q)."""
+    w = (
+        q_pochhammer(first * q, q, m)
+        * (-second / first) ** m
+        * q ** (m * (m - 1) // 2)
+        / (q_pochhammer(second * q, q, m) * q_pochhammer(q, q, m))
     )
-    cross = float(abs(lhs - lhs_phi))
-    note = f"basic-series form agrees to {cross:.3e}"
-    rep = _finalize("sears", p, (0, 0), lhs, rhs, *sums, tolerance, note)
-    if cross > 1e-11 * float(1 + abs(lhs)) and rep.status == "pass":
-        rep = rep._replace(status="fail", note=note + " (cross-check failed)")
-    return rep
+    if not w > 0:
+        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -422,76 +365,85 @@ class _Store:
 
 
 # ---------------------------------------------------------------------------
-# bilinear sums over the basis index (dual orthogonality, unitarity columns,
-# biorthogonality)
+# the records: each cell's kept sum, scaled, against its closed form
+#
+# A cell reads the row sum of its degrees, or the label sum of f_n (label n)
+# or g_n (label -n-1); the scale and the side take the degrees or labels
+# the sum read.  Each q-Meixner term w_m M_n(q^-m) M_n2(q^-m) is a dual
+# term a_m(lam_i) a_m(lam_j), and each biortho term psi_k(lam_i)
+# phi_k(lam_j) a unitarity-columns one (psi = D a, phi = D^-1 a for a
+# diagonal D).
 
 
-def _dual_labels(which: DualPair, n: int, n2: int) -> tuple:
-    """The label pair (i, j) of the dual sum of f_n or g_n against f_n2
-    or g_n2: f_n is the eigencoefficient sequence of label n, g_n that of
-    label -n-1."""
-    if n < 0 or n2 < 0:
-        raise DomainError("dual indices must be nonnegative")
-    return (n if which is not DualPair.GG else -n - 1), (n2 if which is DualPair.FF else -n2 - 1)
+def _row_sum(i: int, j: int, store: _Store):
+    """The degrees (i, j) and their row sum (value, terms, tail, M)."""
+    return (i, j), store.row_sum(i, j)
 
 
-def _verify_dual(which: DualPair, n: int, n2: int, store: _Store, tolerance: float):
-    """The orthogonality of the dual functions f_n, g_n under the weight
-    (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2), the squared
-    prefactor, so each term is a product of two column entries."""
-    i, j = _dual_labels(which, n, n2)
-    lhs, *sums = store.label_sum(i, j)
-    rhs = store.label_c(i) ** -2 if i == j else 0
-    return _finalize(f"dual-{which.value}", store.p, (n, n2), lhs, rhs, *sums, tolerance)
+def _label_sum(i: int, j: int, store: _Store):
+    """The labels (i, j) and their label sum (value, terms, tail, M); for
+    i, j >= 0 the sum of f_i against f_j."""
+    return (i, j), store.label_sum(i, j)
 
 
-def _verify_rows(i: int, j: int, store: _Store, tolerance: float):
-    """Row normalization of u_mn: sum_n u_in u_jn over both branches
-    against delta_ij, the polynomial orthogonality rescaled by
-    pref_i pref_j / Kc."""
-    if i < 0 or j < 0:
-        raise DomainError("row indices must be nonnegative")
-    lhs, *sums = store.row_sum(i, j)
-    rhs = 1 if i == j else 0
-    return _finalize("unitarity-rows", store.p, (i, j), lhs, rhs, *sums, tolerance)
+def _gg_sum(n: int, n2: int, store: _Store):
+    """The label sum of g_n against g_n2."""
+    return _label_sum(-n - 1, -n2 - 1, store)
 
 
-def _verify_columns(identity_id: str, i: int, j: int, store: _Store, tolerance: float):
-    """c_i c_j sum_m a_m(lam_i) a_m(lam_j) against delta_ij, for the
-    unitarity columns and for biorthogonality, <Psi_i, Phi_j> = delta_ij:
-    psi_k(lam_i) phi_k(lam_j) = a_k(lam_i) a_k(lam_j) term for term
-    (psi = D a, phi = D^-1 a for a diagonal D)."""
-    value, used, tail, total = store.label_sum(i, j)
-    ci, cj = store.label_c(i), store.label_c(j)
-    size = float(ci * cj)
-    rhs = 1 if i == j else 0
-    return _finalize(identity_id, store.p, (i, j), ci * cj * value, rhs, used, size * tail, size * total, tolerance)
+def _fg_sum(n: int, n2: int, store: _Store):
+    """The label sum of f_n against g_n2."""
+    return _label_sum(n, -n2 - 1, store)
 
 
-# ---------------------------------------------------------------------------
-# q-Meixner orthogonality relations, read from the label sums: by the duality
-# P_m(first q^(n+1)) = M_n(q^-m; first, -second/first) / (q^-m/second; q)_m,
-# and pref_m^2 / ((q^-m/second; q)_m)^2 is the q-Meixner weight, so each
-# term w_m M_n(q^-m) M_n2(q^-m) is the dual term a_m(lam_i) a_m(lam_j):
-# meixner reads the dual-ff sum, meixner-negb dual-gg and eq-zero dual-fg
+def _kc_over_prefs(m: int, m2: int, store: _Store):
+    """Kc / (pref_m pref_m2): a row sum's terms c_n^2 a_m a_m2 are
+    (pref_m pref_m2 / Kc) w_n P_m P_m2 (the factor -b/a is in c'_n^2)."""
+    return store.value(decimal.Decimal(store.kc) / (store.prefs.at(m) * store.prefs.at(m2)))
 
 
-def _meixner_weight(first, second, m: int, q) -> float:
-    """(first q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second q;q)_m (q;q)_m),
-    the weight of M_n(q^-m; first, -second/first; q)."""
-    w = (
-        q_pochhammer(first * q, q, m)
-        * (-second / first) ** m
-        * q ** (m * (m - 1) // 2)
-        / (q_pochhammer(second * q, q, m) * q_pochhammer(q, q, m))
+def _c_product(i: int, j: int, store: _Store):
+    """c_i c_j of the labels i, j: the columns of u_mn from the label sums."""
+    return store.label_c(i) * store.label_c(j)
+
+
+def _big_laguerre_norm(m: int, m2: int, store: _Store):
+    """h_m delta_{m m2}, h_m = Kc (q;q)_m / ((aq, bq; q)_m) (-ab)^m q^(m(m+3)/2):
+    the orthogonality of P_m and P_m2 over the two-branch discrete measure."""
+    if m != m2:
+        return 0
+    p = store.p
+    return (
+        store.kc
+        * q_pochhammer(p.q, p.q, m)
+        / (q_pochhammer(p.a * p.q, p.q, m) * q_pochhammer(p.b * p.q, p.q, m))
+        * (-p.a * p.b) ** m
+        * p.q ** (m * (m + 3) // 2)
     )
-    if not w > 0:
-        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
-    return w
 
 
-def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
+def _sears_product(m: int, m2: int, store: _Store):
+    """Kc, the closed-form product of the degree-zero sum."""
+    return store.kc
+
+
+def _inverse_c_squared(i: int, j: int, store: _Store):
+    """delta_ij / c_i^2: the orthogonality of the dual functions under the
+    weight (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2), the squared
+    prefactor."""
+    return store.label_c(i) ** -2 if i == j else 0
+
+
+def _meixner_norm(i: int, j: int, store: _Store):
+    """delta_ij times the norm of M_n(q^-m; first, -second/first; q), with
+    (first, second, n) = (a, b, n) for the label n >= 0 and (b, a, n) for
+    -n-1: the orthogonality of meixner and of meixner-negb, b < 0."""
+    if i != j:
+        return 0
+    branch, n = _branch_of_label(i)
+    p, t = store.p, store.t
     q = p.q
+    first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
     return (
         q_pochhammer_inf(second / first, q, t)
         / q_pochhammer_inf(second * q, q, t)
@@ -502,62 +454,84 @@ def _meixner_rhs(first, second, n, p, t: Truncation) -> float:
     )
 
 
-def _verify_meixner(identity_id: str, n: int, n2: int, store: _Store, tolerance: float):
-    """The orthogonality of M_n(q^-m; a, -b/a; q) (meixner) or of
-    M_n(q^-m; b, -a/b; q), b < 0 (meixner-negb)."""
-    p = store.p
-    which, first, second = (DualPair.FF, p.a, p.b) if identity_id == "meixner" else (DualPair.GG, p.b, p.a)
-    lhs, *sums = store.label_sum(*_dual_labels(which, n, n2))
-    rhs = _meixner_rhs(first, second, n, p, store.t) if n == n2 else 0
-    return _finalize(identity_id, p, (n, n2), lhs, rhs, *sums, tolerance)
+def _delta(i: int, j: int, store: _Store):
+    """delta_ij: the unitarity of u_mn."""
+    return 1 if i == j else 0
 
 
-def _verify_eq_zero(n: int, n2: int, store: _Store, tolerance: float):
-    """The mixed cancellation
-    sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b) = 0:
-    every contribution reduces to E_q at one of its zeros -q^-j."""
-    lhs, *sums = store.label_sum(*_dual_labels(DualPair.FG, n, n2))
-    note = "every term reduces to E_q at a zero -q^-j"
-    return _finalize("eq-zero", store.p, (n, n2), lhs, 0, *sums, tolerance, note)
+def _vanishes(i: int, j: int, store: _Store):
+    """0: the mixed cancellation
+    sum_m (-1)^m q^(m(m-1)/2)/(q;q)_m M_n(q^-m; a,-b/a) M_n2(q^-m; b,-a/b)."""
+    return 0
+
+
+def _sears_cross_check(lhs, store: _Store):
+    """(note, holds): the degree-zero sum against its equivalent
+    basic-series form, prefactored 2phi1 evaluations at argument q."""
+    p, t = store.p, store.t
+    q, a, b = p.q, p.a, p.b
+    lhs_phi = (
+        q_pochhammer_inf(a * q / b, q, t)
+        * q_pochhammer_inf(q, q, t)
+        / q_pochhammer_inf(a * q, q, t)
+        * phi_2_1(a * q, 0 * q, a * q / b, q, q, t)
+        - (b / a)
+        * q_pochhammer_inf(b * q / a, q, t)
+        * q_pochhammer_inf(q, q, t)
+        / q_pochhammer_inf(b * q, q, t)
+        * phi_2_1(b * q, 0 * q, b * q / a, q, q, t)
+    )
+    cross = float(abs(lhs - lhs_phi))
+    return f"basic-series form agrees to {cross:.3e}", cross <= 1e-11 * float(1 + abs(lhs))
+
+
+def _e_q_zeros(lhs, store: _Store):
+    """(note, holds) of eq-zero, whose every term is E_q at a zero."""
+    return "every term reduces to E_q at a zero -q^-j", True
 
 
 # ---------------------------------------------------------------------------
 # sweep driver
 
 
-def _upper_pairs(K: int) -> list:
-    return [(i, j) for i in range(K + 1) for j in range(i, K + 1)]
+class _Grid(NamedTuple):
+    """The cells (i, j) of indices(K) x indices(K), those with i <= j
+    unless full, K the largest index of a sweep."""
+
+    indices: Callable[[int], range]
+    full: bool = False
+
+    def cells(self, K: int) -> list:
+        ix = self.indices(K)
+        return [(i, j) for i in ix for j in ix if self.full or i <= j]
+
+    def holds(self, i: int, j: int) -> bool:
+        """Whether (i, j), in either order, is a cell of the grid of some K."""
+        ix = self.indices(abs(i) + abs(j))
+        return i in ix and j in ix
 
 
-def _full_grid(K: int) -> list:
-    return [(i, j) for i in range(K + 1) for j in range(K + 1)]
+_DEGREE_PAIRS = _Grid(lambda K: range(K + 1))
+_DEGREE_GRID = _Grid(lambda K: range(K + 1), full=True)
+# K+1 labels of each branch
+_LABEL_PAIRS = _Grid(lambda K: range(-(K + 1), K + 1))
+_ZERO_CELL = _Grid(lambda K: range(1))
 
-
-def _label_pairs(K: int) -> list:
-    """The pairs i <= j of the labels -(K+1)..K, K+1 of each branch."""
-    labels = range(-(K + 1), K + 1)
-    return [(i, j) for i in labels for j in labels if i <= j]
-
-
-def _one_cell(K: int) -> list:
-    return [(0, 0)]
-
-
-# each record id's run: an index grid of largest index K, and a record
-# function with its leading arguments, which takes one cell (i, j) of the
-# grid, the store and the tolerance
+# each record id's row: its index grid, the kept sum a cell reads, the scale
+# of that sum (None: read as it is), its closed-form side and an optional
+# check (lhs, store) -> (note, holds): a record passes only if it holds
 _RECORDS = {
-    "big-laguerre": (_upper_pairs, _verify_big_laguerre),
-    "sears": (_one_cell, _verify_sears),
-    "unitarity-rows": (_upper_pairs, _verify_rows),
-    "unitarity-columns": (_label_pairs, _verify_columns, "unitarity-columns"),
-    "dual-ff": (_upper_pairs, _verify_dual, DualPair.FF),
-    "dual-gg": (_upper_pairs, _verify_dual, DualPair.GG),
-    "dual-fg": (_full_grid, _verify_dual, DualPair.FG),
-    "meixner": (_upper_pairs, _verify_meixner, "meixner"),
-    "meixner-negb": (_upper_pairs, _verify_meixner, "meixner-negb"),
-    "eq-zero": (_full_grid, _verify_eq_zero),
-    "biortho": (_label_pairs, _verify_columns, "biortho"),
+    "big-laguerre": (_DEGREE_PAIRS, _row_sum, _kc_over_prefs, _big_laguerre_norm),
+    "sears": (_ZERO_CELL, _row_sum, _kc_over_prefs, _sears_product, _sears_cross_check),
+    "unitarity-rows": (_DEGREE_PAIRS, _row_sum, None, _delta),
+    "unitarity-columns": (_LABEL_PAIRS, _label_sum, _c_product, _delta),
+    "dual-ff": (_DEGREE_PAIRS, _label_sum, None, _inverse_c_squared),
+    "dual-gg": (_DEGREE_PAIRS, _gg_sum, None, _inverse_c_squared),
+    "dual-fg": (_DEGREE_GRID, _fg_sum, None, _inverse_c_squared),
+    "meixner": (_DEGREE_PAIRS, _label_sum, None, _meixner_norm),
+    "meixner-negb": (_DEGREE_PAIRS, _gg_sum, None, _meixner_norm),
+    "eq-zero": (_DEGREE_GRID, _fg_sum, None, _vanishes, _e_q_zeros),
+    "biortho": (_LABEL_PAIRS, _label_sum, _c_product, _delta),
 }
 
 
@@ -575,8 +549,20 @@ IDENTITY_FAMILIES = tuple(_FAMILIES)
 
 
 def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -> VerificationReport:
-    _, record, *lead = _RECORDS[identity_id]
-    return record(*lead, i, j, store, tolerance)
+    """The record of the cell (i, j) of the grid of identity_id: its kept
+    sum, times the scale with the tail and M times its magnitude, against
+    its closed form."""
+    _, kept, scale, side, *check = _RECORDS[identity_id]
+    indices, (lhs, terms, tail, total) = kept(i, j, store)
+    if scale is not None:
+        s = scale(*indices, store)
+        size = abs(float(s))
+        lhs, tail, total = s * lhs, size * tail, size * total
+    note, holds = check[0](lhs, store) if check else ("", True)
+    rep = _finalize(identity_id, store.p, (i, j), lhs, side(*indices, store), terms, tail, total, tolerance, note)
+    if not holds and rep.status == "pass":
+        rep = rep._replace(status="fail", note=note + " (cross-check failed)")
+    return rep
 
 
 def verify_record(
@@ -593,6 +579,8 @@ def verify_record(
     verify_record(r.identity_id, *r.indices, p, t, tolerance) bit for bit."""
     if identity_id not in _RECORDS:
         raise DomainError(f"unknown identity id: {identity_id!r}")
+    if not _RECORDS[identity_id][0].holds(i, j):
+        raise DomainError(f"{identity_id} has no cell {(i, j)}")
     store = _Store(p, t, max(i, j, 0))
     with decimal.localcontext(store.context):
         return _record(identity_id, i, j, store, tolerance)
@@ -625,7 +613,7 @@ def run_identity_checks(
         reports = [
             _record(identity_id, i, j, store, tolerance)
             for identity_id in _FAMILIES[identity]
-            for i, j in _RECORDS[identity_id][0](index_max)
+            for i, j in _RECORDS[identity_id][0].cells(index_max)
         ]
     reports.sort(key=lambda r: (r.identity_id, r.indices))
     return reports

@@ -44,6 +44,9 @@ _FLOAT_MIN = sys.float_info.min
 # digits the Decimal kernels carry beyond the working precision: at 30 digits
 # their unit roundoff is 5e-32
 _GUARD_DIGITS = 2
+# working digits of the first Decimal pass of a float sum, and of the
+# Decimals that only steer a sum (its termination, its digits)
+_FIRST_DPS = 25
 
 
 class QSeriesError(Exception):
@@ -215,6 +218,8 @@ class QParams(_Validated, _QParamsFields):
         """Construct from the lowest weight l > 0 via a = q^(2l-1)."""
         if not (l > 0):
             raise DomainError("l must be positive")
+        if not (0 < q < 1):
+            raise DomainError("q must lie strictly in (0, 1)")
         return cls(q=q, a=q ** (2 * l - 1), b=b)
 
     @property
@@ -340,19 +345,25 @@ def _escalated(sum_fn, args, rel_tol):
     sum_fn returns (value, max_abs_term).  A call with a Decimal or complex
     argument is returned as computed: Decimal arguments already run at the
     caller's working precision, and complex sums are not guarded.  A float
-    pass escalates when it is not finite or when 8 eps max|term| exceeds
-    0.05 rel_tol |value|.  The needed precision depends on the (unknown)
-    true magnitude of the result, so each Decimal pass re-targets from the
-    latest value estimate and at least doubles the digits of the pass
-    before.  A pass of dps digits runs in
+    pass escalates when it is not finite or raises OverflowError, or when
+    8 eps max|term| exceeds 0.05 rel_tol |value|.  The needed precision
+    depends on the (unknown) true magnitude of the result, so each Decimal
+    pass re-targets from the latest value estimate and at least doubles
+    the digits of the pass before.  A pass of dps digits runs in
     `_working_context(dps)`, at _GUARD_DIGITS more, on the exact Decimals
     of the arguments, and has absolute error about
     10^(log10 max|term| - dps + 2); the loop stops once that is below
     rel_tol |value|, or below rel_tol times the smallest normal float,
     which a float result cannot resolve anyway (exact zeros).
     """
-    value, max_abs = sum_fn(*args)
-    if not all(isinstance(v, (float, int)) for v in args):
+    guarded = all(isinstance(v, (float, int)) for v in args)
+    try:
+        value, max_abs = sum_fn(*args)
+    except OverflowError:
+        if not guarded:
+            raise
+        value = max_abs = math.inf
+    if not guarded:
         return value
     finite = math.isfinite(value) and math.isfinite(max_abs)
     if finite and 8e-16 * max_abs <= 0.05 * rel_tol * max(abs(value), 1e-30):
@@ -362,10 +373,12 @@ def _escalated(sum_fn, args, rel_tol):
     rel_tol_d, float_min = decimal.Decimal(rel_tol), decimal.Decimal(_FLOAT_MIN)
     dps = 0
     while True:
-        dps = max(2 * dps, 25, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + 25))
+        dps = max(2 * dps, _FIRST_DPS, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + 25))
         with decimal.localcontext(_working_context(dps)):
             value_d, max_abs_d = sum_fn(*map(decimal.Decimal, args))
-            log10_max = float(max_abs_d.log10()) if max_abs_d > 0 else 0.0
+            # a float's worth of digits: log10 at the pass's own thousands
+            # of digits (q^-n terms at tiny q) costs seconds
+            log10_max = float(max_abs_d.log10(_working_context(_FIRST_DPS))) if max_abs_d > 0 else 0.0
             error = decimal.Decimal(10) ** decimal.Decimal(log10_max - dps + 2)
             if error <= rel_tol_d * max(abs(value_d), float_min):
                 return float(value_d)
@@ -384,9 +397,14 @@ def _phi_series(build, base, t: Truncation):
     require |z| < 1.  Callers pass the scalars they were given as base
     and form every derived parameter (q^-n, a q, ...) in build: a
     cancelling float sum is re-summed (`_escalated`) on build of the
-    exact Decimals of base, which never sees a float-rounded one.
+    exact Decimals of base, which never sees a float-rounded one.  A float
+    build that overflows (q^-n at tiny q) is read on those Decimals too.
     """
-    numerators, denominators, q, z = build(*base)
+    try:
+        numerators, denominators, q, z = build(*base)
+    except OverflowError:
+        with decimal.localcontext(_working_context(_FIRST_DPS)):
+            numerators, denominators, q, z = build(*map(decimal.Decimal, base))
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
 

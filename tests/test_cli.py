@@ -50,6 +50,21 @@ class TestExitCodes:
         assert res.returncode == 64
         assert "q must lie strictly in (0, 1)" in res.stderr
 
+    def test_usage_error_l_at_q_zero(self):
+        # q^(2l-1) at q = 0 and l < 1/2 once ended in a ZeroDivisionError
+        res = run_cli("verify", "--q", "0", "--l", "0.25")
+        assert res.returncode == 64
+        assert res.stderr == "qortho: error: q must lie strictly in (0, 1)\n"
+
+    def test_spectrum_tiny_q_exit_seventy(self):
+        # at q = 1e-70 the exact points a q^(n+1), n >= 4, underflow to 0.0
+        # and cannot be matched back to their index: a limit of the
+        # computation inside the domain, not a usage error
+        res = run_cli("spectrum", "--q", "1e-70", "--dim", "20")
+        assert res.returncode == 70, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
+
     def test_usage_error_bad_identity(self):
         res = run_cli("verify", "--identity", "nope")
         assert res.returncode == 64
@@ -93,6 +108,18 @@ class TestExitCodes:
             reports[tol] = json.loads(res.stdout)
         assert [doc["config"].pop("tolerance") for doc in reports.values()] == [1e-30, 1e-8]
         assert reports["1e-30"] == reports["1e-8"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "table", "limit"])
+    def test_precision_reaches_no_spectrum_table_or_limit_record(self, command):
+        # spectrum, table and limit compute in double at either precision,
+        # so --precision changes nothing but the echoed precision
+        reports = {}
+        for precision in ("extended", "double"):
+            res = run_cli(command, "--precision", precision, "--no-timestamp")
+            assert res.returncode == 0, res.stderr
+            reports[precision] = json.loads(res.stdout)
+        assert [doc["config"].pop("precision") for doc in reports.values()] == ["extended", "double"]
+        assert reports["extended"] == reports["double"]
 
     def test_failure_exit_one(self, tmp_path, monkeypatch):
         # a solve that misses every exact eigenvalue by 1e-6 contradicts
@@ -857,6 +884,25 @@ class TestCommands:
         for key, methods in by_key.items():
             rec = methods["recurrence"]
             assert abs(methods["series"] - rec) <= 1e-8 * (1 + abs(rec)), (key, methods)
+
+    @pytest.mark.parametrize("q", ["1e-39", "1e-300"])
+    def test_table_tiny_q(self, q):
+        # q^-8 overflows a float: the series rows are read on the exact
+        # Decimals, and a q-Meixner value past the float range prints as
+        # +-inf; every series row still agrees with its recurrence row
+        res = run_cli("table", "--q", q, "--no-timestamp")
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(res.stdout)["table"]
+        assert len(rows) == 369
+        assert {r["family"] for r in rows if isinstance(r["value"], str)} == {"q-meixner"}
+        assert {r["value"] for r in rows if isinstance(r["value"], str)} == {"inf", "-inf"}
+        by_key = {}
+        for r in rows:
+            if r["family"] == "big-q-laguerre":
+                by_key.setdefault((r["n"], r["m_or_x"]), {})[r["method"]] = r["value"]
+        for key, methods in by_key.items():
+            rec = methods["recurrence"]
+            assert abs(methods["series"] - rec) <= 1e-10 * (1 + abs(rec)), (key, methods)
 
     def test_limit_rate_records(self, tmp_path):
         out = tmp_path / "r.json"

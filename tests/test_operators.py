@@ -631,6 +631,16 @@ class TestEigTridiagonal:
         with pytest.raises(DomainError):
             truncation_residuals(P1, 10, [0.17])
 
+    def test_truncation_residuals_underflowed_point_is_no_domain_error(self):
+        # a q^5 at q = 1e-65 underflows to 0.0, and a q^(n+1) to a
+        # subnormal with too few bits to match: neither is a usage error
+        from qortho.qseries import NonConvergenceError
+
+        p = QParams(q=1e-65, a=0.5, b=-0.7)
+        for lam in (0.0, 5e-324):
+            with pytest.raises(NonConvergenceError):
+                truncation_residuals(p, 10, [lam])
+
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     def test_spectral_containment(self, p):
         for dim in [50, 120]:

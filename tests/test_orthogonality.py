@@ -742,7 +742,7 @@ class TestReports:
 
         from qortho.operators import _pref_a_ratio, _prefactor_entries
         from qortho.representation import _pref_phi_ratio, _pref_psi_ratio
-        from qortho.orthogonality import _M_CAP, DEFAULT_TOLERANCE, _bilinear_sum, _Store, _verify_columns
+        from qortho.orthogonality import _M_CAP, DEFAULT_TOLERANCE, _bilinear_sum, _record, _Store
         from qortho.polynomials import _duality_entries
         from qortho.qseries import _working_context
 
@@ -808,7 +808,7 @@ class TestReports:
             records = [r for fam in ("dual", "biortho") for r in run_identity_checks(fam, p, t, index_max=4, store=store)]
             with decimal.localcontext(store.context):
                 records += [
-                    _verify_columns("unitarity-columns", i, j, store, DEFAULT_TOLERANCE)
+                    _record("unitarity-columns", i, j, store, DEFAULT_TOLERANCE)
                     for i in labels
                     for j in labels
                     if i <= j
@@ -1156,3 +1156,64 @@ class TestVerdictScale:
         assert len(diagonals) == 9
         for r in diagonals:
             assert r.status == "pass" and r.residual <= 1e-12 * abs(r.rhs), (r.indices, r.residual / r.rhs)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the float copy of M underflows at q = 1e-100, so the verdict bound tol max(|rhs|, M) is 0 "
+        "and a Decimal residual below the float range fails",
+    )
+    def test_extended_big_laguerre_tiny_q_bound_underflow(self):
+        # the double run at the same point passes all six records; at 50
+        # digits (1, 2) and (2, 2) come out `fail` with lhs, rhs, residual
+        # and tail all 0.0 as floats
+        p = extended_params(1e-100, 0.5, -0.7)
+        assert all(r.passed for r in run_identity_checks("big-laguerre", QParams(1e-100, 0.5, -0.7), T, 2))
+        reports = run_identity_checks("big-laguerre", p, Truncation(rel_tol=1e-20), 2)
+        assert [(r.indices, r.status) for r in reports if r.status != "pass"] == []
+
+
+# each named side and scale of the record table, and the records that fail
+# when it alone is off by 1e-6 of itself; the side 0 of eq-zero (and of
+# dual-fg, whose labels never meet) has no relative perturbation, and an
+# additive one is `shift_rhs`'s
+MUTATION_ROWS = {
+    "_big_laguerre_norm": {"big-laguerre": 4},
+    "_kc_over_prefs": {"big-laguerre": 4, "sears": 1},
+    "_sears_product": {"sears": 1},
+    "_inverse_c_squared": {"dual-ff": 4, "dual-gg": 4},
+    "_meixner_norm": {"meixner": 4, "meixner-negb": 4},
+    "_c_product": {"unitarity-columns": 8, "biortho": 8},
+    "_delta": {"unitarity-rows": 4, "unitarity-columns": 8, "biortho": 8},
+}
+
+
+class TestMutationMatrix:
+    # the first rows of a mutation matrix: each closed form and scale that a
+    # record reads, scaled by 1 + 1e-6 in every row of `_RECORDS` that
+    # names it, must fail exactly the records pinned here, and nothing
+    # fails unmutated
+
+    @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
+    def test_unmutated_table_fails_nothing(self, p):
+        assert [(r.identity_id, r.indices) for r in run_identity_checks("all", p, T, 3) if r.status != "pass"] == []
+
+    @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
+    @pytest.mark.parametrize("target", MUTATION_ROWS)
+    def test_mutated_closed_form_fails_its_records(self, monkeypatch, p, target):
+        import collections
+
+        from qortho import orthogonality
+
+        original = getattr(orthogonality, target)
+
+        def mutated(*args):
+            return original(*args) * (1 + 1e-6)
+
+        rows = {identity_id: row for identity_id, row in orthogonality._RECORDS.items() if original in row}
+        assert rows, target
+        for identity_id, row in rows.items():
+            monkeypatch.setitem(orthogonality._RECORDS, identity_id, tuple(mutated if f is original else f for f in row))
+        reports = run_identity_checks("all", p, T, 3)
+        failed = collections.Counter(r.identity_id for r in reports if r.status == "fail")
+        assert failed == MUTATION_ROWS[target]
+        assert all(r.status == "pass" for r in reports if r.identity_id not in failed)

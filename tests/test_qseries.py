@@ -229,6 +229,13 @@ class TestQParams:
         assert p.a == pytest.approx(0.5, rel=1e-14)
         assert p.l == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("scalar", [float, decimal.Decimal], ids=["float", "decimal"])
+    def test_from_l_rejects_q_outside_the_domain(self, scalar):
+        # q^(2l-1) at q = 0 and l < 1/2 divides by zero: q is checked first
+        for q in ("0", "1", "1.5"):
+            with pytest.raises(DomainError, match=r"q must lie strictly in \(0, 1\)"):
+                QParams.from_l(scalar(q), scalar("0.25"), scalar("-0.7"))
+
     @pytest.mark.parametrize(
         "q,a,b,msg",
         [
