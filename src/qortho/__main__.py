@@ -1,6 +1,4 @@
-import sys
-
-from qortho.cli import main
+from qortho.cli import process_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import gc
 import itertools
 import math
 import re
@@ -372,5 +373,20 @@ def main(argv=None) -> int:
         return EXIT_SOFTWARE
 
 
+def process_main() -> None:
+    """The process entry of `python -m qortho` and of the `qortho` script:
+    main on the process's arguments, then exit with its code.
+
+    Whatever is alive once main returns dies with the process, so it is
+    frozen first and the interpreter's collections at exit pass it over;
+    main closes every file it opens, so no buffered write waits on them.
+    main itself, as tests and library callers run it, leaves the collector
+    alone."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

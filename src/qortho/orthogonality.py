@@ -300,11 +300,24 @@ class _Store:
         self._columns: dict = {}
         self._sums: dict = {}
         self._row_sums: dict = {}
+        self._meixner_quotients: dict = {}
 
     @functools.cached_property
     def kc(self):
         with decimal.localcontext(self.context):
             return _kc(self.p, self.t)
+
+    def meixner_quotient(self, branch: str):
+        """(second/first; q)_inf / (second q; q)_inf, with (first, second) =
+        (a, b) on branch "a" and (b, a) on "b": the part of the q-Meixner
+        norm that does not depend on the degree."""
+        if branch not in self._meixner_quotients:
+            p, t = self.p, self.t
+            first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
+            with decimal.localcontext(self.context):
+                quotient = q_pochhammer_inf(second / first, p.q, t) / q_pochhammer_inf(second * p.q, p.q, t)
+            self._meixner_quotients[branch] = quotient
+        return self._meixner_quotients[branch]
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
@@ -441,12 +454,11 @@ def _meixner_norm(i: int, j: int, store: _Store):
     if i != j:
         return 0
     branch, n = _branch_of_label(i)
-    p, t = store.p, store.t
+    p = store.p
     q = p.q
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
     return (
-        q_pochhammer_inf(second / first, q, t)
-        / q_pochhammer_inf(second * q, q, t)
+        store.meixner_quotient(branch)
         * q_pochhammer(first * q / second, q, n)
         * q_pochhammer(q, q, n)
         / q_pochhammer(first * q, q, n)

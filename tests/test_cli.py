@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, schema validity, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -310,15 +311,28 @@ class TestDeterminism:
 
     def test_render_json_literal(self):
         # every kind of value the canonical renderer writes, to the bytes
-        # `json.dumps` gives keys and strings; non-finite floats as strings
+        # `json.dumps` gives keys and strings; non-finite floats as strings.
+        # The renderer keeps the text of each float and key it has written:
+        # 0.0 and -0.0 are one dict key, a nan is equal to no float, and a
+        # subclass of float, int or str renders as its base type does
         from qortho.reporting import render_json
 
+        class Float(float):
+            pass
+
+        class Int(int):
+            pass
+
+        class Str(str):
+            pass
+
+        nan = float("nan")
         payload = {
             "schema_version": "1",
             "config": {"nested": {"inner": [1, 2.5, "x"]}, "empty_dict": {}, "empty_list": []},
             "records": [
                 {
-                    "lhs": float("nan"),
+                    "lhs": nan,
                     "rhs": float("inf"),
                     "residual": float("-inf"),
                     "passed": True,
@@ -327,9 +341,12 @@ class TestDeterminism:
                     "count": 3,
                     "value": 0.1,
                     "note": 'a "quoted" note: \u03bb \u2264 1',
-                }
+                },
+                {"lhs": nan, "rhs": float("nan"), "value": float("0.1"), 7: Float(0.1)},
             ],
             "pair": (1e-300, -0.0),
+            "zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+            "subclasses": [Float(2.5), Float(-0.0), Int(3), Str("x"), Float("inf")],
         }
         assert render_json(payload) == textwrap.dedent(
             """\
@@ -357,15 +374,53 @@ class TestDeterminism:
                   "count": 3,
                   "value": 0.10000000000000001,
                   "note": "a \\"quoted\\" note: \\u03bb \\u2264 1"
+                },
+                {
+                  "lhs": "nan",
+                  "rhs": "nan",
+                  "value": 0.10000000000000001,
+                  "7": 0.10000000000000001
                 }
               ],
               "pair": [
                 1e-300,
                 -0
+              ],
+              "zeros": [
+                0,
+                -0,
+                0,
+                -0,
+                -0,
+                0
+              ],
+              "subclasses": [
+                2.5,
+                -0,
+                3,
+                "x",
+                "inf"
               ]
             }
             """
         )
+
+    def test_process_entry_writes_what_main_writes(self, tmp_path):
+        # main run in process leaves the collector as it found it; the
+        # process entry freezes only once main has returned, so a report
+        # written to a file and one printed to stdout are the same bytes
+        from qortho.cli import main
+
+        argv = ["verify", "--index-max", "2", "--no-timestamp"]
+        state = gc.isenabled(), gc.get_freeze_count()
+        in_process = tmp_path / "in-process.json"
+        code = main(argv + ["--out", str(in_process)])
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+        out = tmp_path / "r.json"
+        to_file = subprocess.run(BASE + argv + ["--out", str(out)], capture_output=True)
+        to_stdout = subprocess.run(BASE + argv, capture_output=True)
+        assert to_stdout.stdout and out.read_bytes() == to_stdout.stdout == in_process.read_bytes()
+        assert to_file.returncode == to_stdout.returncode == code
 
     def test_float_17_digits(self, tmp_path):
         out = tmp_path / "r.json"
