@@ -300,24 +300,14 @@ class _Store:
         self._columns: dict = {}
         self._sums: dict = {}
         self._row_sums: dict = {}
-        self._meixner_quotients: dict = {}
+        # branch -> the degree-free part of the q-Meixner norm, which
+        # _meixner_norm fills on its first cell of the branch
+        self.meixner_quotients: dict = {}
 
     @functools.cached_property
     def kc(self):
         with decimal.localcontext(self.context):
             return _kc(self.p, self.t)
-
-    def meixner_quotient(self, branch: str):
-        """(second/first; q)_inf / (second q; q)_inf, with (first, second) =
-        (a, b) on branch "a" and (b, a) on "b": the part of the q-Meixner
-        norm that does not depend on the degree."""
-        if branch not in self._meixner_quotients:
-            p, t = self.p, self.t
-            first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
-            with decimal.localcontext(self.context):
-                quotient = q_pochhammer_inf(second / first, p.q, t) / q_pochhammer_inf(second * p.q, p.q, t)
-            self._meixner_quotients[branch] = quotient
-        return self._meixner_quotients[branch]
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
@@ -454,11 +444,14 @@ def _meixner_norm(i: int, j: int, store: _Store):
     if i != j:
         return 0
     branch, n = _branch_of_label(i)
-    p = store.p
+    p, t = store.p, store.t
     q = p.q
     first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
+    quotients = store.meixner_quotients
+    if branch not in quotients:
+        quotients[branch] = q_pochhammer_inf(second / first, q, t) / q_pochhammer_inf(second * q, q, t)
     return (
-        store.meixner_quotient(branch)
+        quotients[branch]
         * q_pochhammer(first * q / second, q, n)
         * q_pochhammer(q, q, n)
         / q_pochhammer(first * q, q, n)

@@ -172,43 +172,32 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _float_json(x: float) -> str:
-    """x as a JSON value: its 17 significant digits, or, since JSON has no
-    non-finite numbers, its name in quotes."""
-    text = _fmt_float(x)
-    return text if math.isfinite(x) else f'"{text}"'
-
-
 def _render_value(obj, parts: list, pad: str, floats: dict, keys: dict) -> None:
     """Append the pieces of obj's canonical JSON to parts; pad is the
     indentation of the line obj starts on.  floats and keys are the memos of
     one render_json call: the text of each nonzero float, and each str key
     quoted with its ": "."""
-    kind = type(obj)
-    if kind is float:
+    if isinstance(obj, float):
         text = floats.get(obj)
         if text is None:
-            text = _float_json(obj)
+            # JSON has no non-finite numbers: their names go in quotes
+            text = _fmt_float(obj)
+            if not math.isfinite(obj):
+                text = f'"{text}"'
             # 0.0 and -0.0 are one dict key
             if obj:
                 floats[obj] = text
         parts.append(text)
-    elif kind is str:
+    elif isinstance(obj, str):
         parts.append(_quote(obj))
-    elif kind is int:
-        parts.append(str(obj))
     elif obj is None:
         parts.append("null")
     elif obj is True:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(_quote(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_float_json(obj))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")

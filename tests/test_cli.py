@@ -421,6 +421,25 @@ class TestDeterminism:
         to_stdout = subprocess.run(BASE + argv, capture_output=True)
         assert to_stdout.stdout and out.read_bytes() == to_stdout.stdout == in_process.read_bytes()
         assert to_file.returncode == to_stdout.returncode == code
+        # the process entry itself, called as the console script calls it:
+        # it exits with main's code and leaves the collector frozen
+        entry = tmp_path / "entry.json"
+        script = textwrap.dedent(
+            f"""\
+            import gc, sys
+            from qortho.cli import process_main
+            sys.argv = ["qortho", *{argv + ["--out", str(entry)]!r}]
+            before = gc.get_freeze_count()
+            try:
+                process_main()
+            except SystemExit as exit:
+                print(exit.code, before, gc.get_freeze_count())
+            """
+        )
+        ran = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        exit_code, before, after = map(int, ran.stdout.split())
+        assert exit_code == code and before == 0 < after
+        assert entry.read_bytes() == in_process.read_bytes()
 
     def test_float_17_digits(self, tmp_path):
         out = tmp_path / "r.json"
