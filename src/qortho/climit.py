@@ -26,7 +26,6 @@ __all__ = [
     "geometric_q_sequence",
     "limit_polynomial_check",
     "classical_eigenfunction",
-    "classical_eigenfunction_series",
     "classical_operator_check",
     "classical_monomial_tridiagonal",
     "limit_operator_entries_check",
@@ -119,7 +118,8 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     ntail = min(5, len(gaps))
     floor = 1e-11 * (1.0 + abs(target))
     slope, _ = fit_rate(gaps[-ntail:], errs[-ntail:], floor=floor)
-    _, c_fit = fit_rate(gaps, errs, floor=0.0)
+    # the linear-rate constant of fit_rate over the whole sweep
+    c_fit = max((e / g for g, e in zip(gaps, errs) if e > 0.0), default=0.0)
     reports = []
     allowance_used = False
     for k, (q, gap, err, val) in enumerate(zip(sweep.q_sequence, gaps, errs, values)):
@@ -177,25 +177,6 @@ def classical_eigenfunction(lam: float, x: float, l: float) -> float:
     if not abs(x) < 1:
         raise DomainError("classical eigenfunction needs |x| < 1")
     return (1.0 - x) ** (-2.0 * l) * math.exp((lam - 1.0) * x / (1.0 - x))
-
-
-def classical_eigenfunction_series(lam: float, x: float, l: float, n_terms: int = 80) -> float:
-    """Partial sum of sum_n L_n^(2l-1)(1-lam) x^n (the generating-series
-    form of the classical eigenfunction)."""
-    alpha = 2.0 * l - 1.0
-    arg = 1.0 - lam
-    total = 0.0
-    prev = 0.0
-    cur = 1.0
-    xp = 1.0
-    for k in range(n_terms):
-        total += cur * xp
-        xp *= x
-        if k == 0:
-            prev, cur = cur, 1.0 + alpha - arg
-        else:
-            prev, cur = cur, ((2 * k + 1 + alpha - arg) * cur - (k + alpha) * prev) / (k + 1)
-    return total
 
 
 def _fourth_order_derivative(f, x: float, h: float) -> float:

@@ -37,6 +37,7 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _context_of,
+    _duality_entries,
     _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
@@ -171,6 +172,18 @@ def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio, start=1, branch: str 
         with decimal.localcontext(context):
             pref *= ratio_fn(qm, q, first, second)
             qm *= q
+
+
+def _coefficient_entries(p: QParams, branch: str, j: int, prefs):
+    """pref_0 P_0(lam), pref_1 P_1(lam), ... at lam = a q^(j+1) (branch
+    "a") or b q^(j+1) (branch "b"), one Decimal per next(): each product
+    of an entry of the iterable prefs and a duality entry of
+    `_duality_entries`, rounded once in `_context_of(p)`.  With the
+    prefactors of `_prefactor_entries` these are the eigencoefficients
+    a_m(lam); with its other ratio functions, psi_m(lam) or phi_m(lam)."""
+    multiply = _context_of(p).multiply
+    for pref, v in zip(prefs, _duality_entries(p, branch, j)):
+        yield multiply(pref, v)
 
 
 def _log10_prefactors(p: QParams, m_max: int) -> list:

@@ -62,12 +62,12 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     _context_of,
-    _duality_entries,
     _exact_dot,
     _working_coefficients,
 )
 from qortho.operators import (
     _a_coeff_logs,
+    _coefficient_entries,
     _normalization_entries,
     _prefactor_entries,
 )
@@ -75,9 +75,6 @@ from qortho.reporting import VerificationReport
 
 __all__ = [
     "VerificationReport",
-    "dual_weight",
-    "meixner_weight",
-    "negative_b_meixner_weight",
     "verify_record",
     "IDENTITY_FAMILIES",
     "run_identity_checks",
@@ -182,55 +179,6 @@ def _kc(p: QParams, t: Truncation) -> float:
     )
 
 
-def dual_weight(m: int, p: QParams) -> float:
-    """Scalar-product weight of the dual-function space:
-
-        (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2);
-
-    equals the squared eigencoefficient prefactor.  Strictly positive for
-    b < 0 but grows superexponentially, so the verifiers never evaluate
-    it in isolation at large m."""
-    q, a, b = p.q, p.a, p.b
-    w = (
-        q_pochhammer(a * q, q, m)
-        * q_pochhammer(b * q, q, m)
-        / (q_pochhammer(q, q, m) * (-a * b * q * q) ** m)
-        * q ** -(m * (m - 1) // 2)
-    )
-    if not w > 0:
-        raise DomainError("dual weight lost positivity; parameter domain violated")
-    return w
-
-
-def meixner_weight(m: int, p: QParams) -> float:
-    """Weight of the positive-parameter q-Meixner space (the dual weight
-    with the upper-branch rescaling folded in):
-
-        (aq;q)_m (-b/a)^m q^(m(m-1)/2) / ((bq;q)_m (q;q)_m)."""
-    return _meixner_weight(p.a, p.b, m, p.q)
-
-
-def negative_b_meixner_weight(m: int, p: QParams) -> float:
-    """Weight of the negative-parameter q-Meixner space:
-
-        (bq;q)_m (-a/b)^m q^(m(m-1)/2) / ((aq;q)_m (q;q)_m)."""
-    return _meixner_weight(p.b, p.a, m, p.q)
-
-
-def _meixner_weight(first, second, m: int, q) -> float:
-    """(first q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second q;q)_m (q;q)_m),
-    the weight of M_n(q^-m; first, -second/first; q)."""
-    w = (
-        q_pochhammer(first * q, q, m)
-        * (-second / first) ** m
-        * q ** (m * (m - 1) // 2)
-        / (q_pochhammer(second * q, q, m) * q_pochhammer(q, q, m))
-    )
-    if not w > 0:
-        raise DomainError("q-Meixner weight lost positivity; parameter domain violated")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # the connection matrix of one verify task
 
@@ -324,9 +272,8 @@ class _Store:
         return self._columns[label]
 
     def _column(self, label: int):
-        multiply = self.context.multiply
-        for k, v in enumerate(_duality_entries(self.p, *_branch_of_label(label))):
-            x = multiply(self.prefs.at(k), v)
+        prefs = map(self.prefs.at, itertools.count())
+        for x in _coefficient_entries(self.p, *_branch_of_label(label), prefs):
             yield x, float(x)
 
     def _rows(self, branch: str):

@@ -2,8 +2,8 @@
 basis f_n that no CLI command reads: the generator matrices and the
 operators composed from them, the non-self-adjoint pair (A1, A2), the
 eigencoefficient and psi/phi vectors as floats, the normalization
-constants c_n and c'_n in both printed forms, and the action of q^(-J0)
-on the eigenvector bases.
+constants c_n and c'_n as floats, and the action of q^(-J0) on the
+eigenvector bases.
 
 The commands read the self-adjoint matrix, its spectrum and the Decimal
 running products of `qortho.operators`; the functions here are library
@@ -19,16 +19,15 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, Truncation, q_pochhammer_inf
-from qortho.polynomials import _context_of, _duality_entries, big_q_laguerre_recurrence, match_spectral_point
+from qortho.qseries import DomainError, QParams, Truncation
+from qortho.polynomials import big_q_laguerre_recurrence, match_spectral_point
 from qortho.operators import (
     Tridiagonal,
     _a_diag,
+    _coefficient_entries,
     _log10_prefactors,
     _normalization_entries,
-    _pref_a_ratio,
     _prefactor_entries,
-    _root,
     build_A,
 )
 
@@ -202,29 +201,9 @@ def compose_A1_A2_from_generators(p: QParams, dim: int) -> tuple:
 # eigencoefficients
 
 
-def _prefactors(p: QParams, m_max: int, ratio_fn=_pref_a_ratio) -> list:
-    """pref_0..pref_m_max as the sequential product of consecutive ratios
-    pref_{m+1}/pref_m, so no factor over- or underflows, in Decimals in
-    `_context_of(p)`: the first m_max + 1 entries of
-    `operators._prefactor_entries`.  They do not depend on n, so one list
-    serves every spectral point of a parameter set, and its first m+1
-    entries equal `_prefactors(p, m, ratio_fn)` bit for bit."""
-    return list(itertools.islice(_prefactor_entries(p, ratio_fn), m_max + 1))
-
-
-def _spectral_coeffs(p: QParams, branch: str, j: int, m_max: int, prefs: list) -> list:
-    """Coefficients pref_m P_m(lam), m = 0..m_max, at a spectral point as
-    Decimals in `_context_of(p)`, from the duality closed form of
-    `spectral_sequence`; prefs is `_prefactors(p, M, ratio_fn)` for some
-    M >= m_max, and its ratio_fn picks the family (the eigencoefficients
-    a_m, or psi_m or phi_m)."""
-    seq = _duality_entries(p, branch, j)
-    with decimal.localcontext(_context_of(p)):
-        return [pref * v for pref, v in zip(prefs[: m_max + 1], seq)]
-
-
-def _to_floats(values, what: str) -> tuple:
-    out = tuple(map(float, values))
+def _to_floats(entries, m_max: int, what: str) -> tuple:
+    """The entries 0..m_max of an iterator, as floats that must not overflow."""
+    out = tuple(map(float, itertools.islice(entries, m_max + 1)))
     for i, f in enumerate(out):
         if math.isinf(f):
             raise OverflowError(f"{what} overflows float range at index {i}")
@@ -241,10 +220,11 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
     allowed but flagged non-normalizable.  The coefficients are a tuple
     of floats.
     """
+    if m_max < 0:
+        raise DomainError("cut-off degree must be nonnegative")
     hit = match_spectral_point(lam, p)
     if hit is not None:
-        vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max))
-        coeffs = _to_floats(vals, "eigencoefficients")
+        coeffs = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p)), m_max, "eigencoefficients")
         return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
 
     # generic lam: polynomial route with the prefactor held in log space
@@ -283,56 +263,21 @@ def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
 # normalization constants
 
 
-def normalization_c(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
-    """Normalization constant of the upper-branch eigenvectors.
-
-    Both printed forms are implemented; they agree to rounding and the
-    tests cross-check them.  The finite form is the running product of
-    `operators._normalization_entries`.
-    """
-    return _normalization(n, p, "a", t, form)
+def normalization_c(n: int, p: QParams, t: Truncation = Truncation()) -> float:
+    """Normalization constant c_n of the upper-branch eigenvectors: the
+    running product of `operators._normalization_entries`, in p's own
+    scalars."""
+    return _normalization(n, p, "a", t)
 
 
-def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation(), form: str = "finite") -> float:
-    """Normalization constant of the lower-branch eigenvectors; the
-    prefactor -b/a is positive for b < 0.  The finite form is c_n with a
-    and b swapped."""
-    return _normalization(n, p, "b", t, form)
+def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation()) -> float:
+    """Normalization constant c'_n of the lower-branch eigenvectors: the
+    running product of c_n with a and b swapped, in p's own scalars."""
+    return _normalization(n, p, "b", t)
 
 
-def _normalization(n: int, p: QParams, branch: str, t: Truncation, form: str) -> float:
-    """c_n (branch "a") or c'_n (branch "b") in the printed form asked for.
-    With (first, second, factor) = (a, b, 1) for c_n and (b, a, -b/a) for
-    c'_n, the infinite form is
-
-        factor (q^(n+1), first q^(n+1)/second, aq, bq; q)_inf q^n
-            / (first q^(n+1), q, b/a, aq/b; q)_inf.
-    """
-    if form == "finite":
-        return _finite_normalization(n, p, branch, t)
-    if form != "infinite":
-        raise DomainError("form must be 'finite' or 'infinite'")
-    q, a, b = p.q, p.a, p.b
-    first, second, factor = (a, b, 1) if branch == "a" else (b, a, -b / a)
-    radicand = (
-        factor
-        * q_pochhammer_inf(q ** (n + 1), q, t)
-        * q_pochhammer_inf(first * q ** (n + 1) / second, q, t)
-        * q_pochhammer_inf(a * q, q, t)
-        * q_pochhammer_inf(b * q, q, t)
-        * q**n
-        / (
-            q_pochhammer_inf(first * q ** (n + 1), q, t)
-            * q_pochhammer_inf(q, q, t)
-            * q_pochhammer_inf(b / a, q, t)
-            * q_pochhammer_inf(a * q / b, q, t)
-        )
-    )
-    return _root(radicand)
-
-
-def _finite_normalization(n: int, p: QParams, branch: str, t: Truncation):
-    """c_n or c'_n of `operators._normalization_entries`, in p's own scalars."""
+def _normalization(n: int, p: QParams, branch: str, t: Truncation):
+    """c_n (branch "a") or c'_n (branch "b") of `operators._normalization_entries`, in p's own scalars."""
     if n < 0:
         raise DomainError("index must be nonnegative")
     c = next(itertools.islice(_normalization_entries(p, branch, t), n, None))
@@ -408,13 +353,13 @@ def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
     term for term, so the biorthogonality engine sums products of the
     eigencoefficients a_k formed in Decimals instead and has no such limit.
     """
+    if m_max < 0:
+        raise DomainError("cut-off degree must be nonnegative")
     hit = match_spectral_point(lam, p)
     if hit is None:
         raise DomainError("psi/phi coefficients are defined at spectral points")
-    psi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_psi_ratio))
-    phi_vals = _spectral_coeffs(p, hit[0], hit[1], m_max, _prefactors(p, m_max, _pref_phi_ratio))
-    psi = _to_floats(psi_vals, "psi coefficients")
-    phi = _to_floats(phi_vals, "phi coefficients")
+    psi = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p, _pref_psi_ratio)), m_max, "psi coefficients")
+    phi = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p, _pref_phi_ratio)), m_max, "phi coefficients")
     return (
         CoefficientVector(coeffs=psi, lam=lam, normalizable=True),
         CoefficientVector(coeffs=phi, lam=lam, normalizable=True),

@@ -98,6 +98,13 @@ class GeneratingDiagnostics(NamedTuple):
     tail_estimate: float
 
 
+def _floats_only(route: str, *values) -> None:
+    """DomainError for a Decimal among the arguments of a route whose
+    arithmetic mixes them with float constants."""
+    if any(isinstance(v, decimal.Decimal) for v in values):
+        raise DomainError(f"{route} takes floats, not Decimals")
+
+
 def _generating_coefficient_ratio(n, a, b, q):
     """Ratio of consecutive series weights (aq,bq;q)_n q^(-n(n-1)/2)/(q;q)_n."""
     return (1 - a * q ** (n + 1)) * (1 - b * q ** (n + 1)) * q ** (-n) / (1 - q ** (n + 1))
@@ -119,7 +126,8 @@ def generating_series(
     uncertified tail raises :class:`TailError`.  The series converges only
     for |t| inside a radius that shrinks with the depth of the spectral
     argument; elsewhere the partial sums plateau and the tail estimate
-    reports that honestly.
+    reports that honestly.  Off the spectral points x, tvar and p are
+    floats; at a float spectral argument p and tvar may be Decimals.
     """
     a, b, q = p.a, p.b, p.q
     hit = match_spectral_point(x, p) if isinstance(x, float) else None
@@ -138,6 +146,7 @@ def generating_series(
                 coef *= _generating_coefficient_ratio(n, ad, bd, qd)
                 tpow *= td
     else:
+        _floats_only("generating_series off the spectral points", x, tvar, *p)
         pvals = big_q_laguerre_recurrence(n_max, x, p)
         terms = []
         coef = 1.0
@@ -189,8 +198,10 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
     The (a, b) roles in the formula are interchangeable (the series
     weights are symmetric); at a spectral argument the arrangement that
     makes the 2phi1 terminate is used, which is the one the term-by-term
-    resummation actually proves there.
+    resummation actually proves there.  Arguments and parameters are
+    floats.
     """
+    _floats_only("generating_closed", x, tvar, *p)
     a, b, q = p.a, p.b, p.q
     if tvar == 0:
         return 1.0
@@ -247,7 +258,8 @@ def big_q_laguerre_generating(n: int, x: float, p: QParams) -> float:
     function: a Cauchy sum over 256 points of a circle inside the first
     pole.  The route is independent of both the recurrence and the
     duality; x must be a spectral argument a q^(j+1) or b q^(j+1), where
-    the closed form terminates, and p must be floats."""
+    the closed form terminates, and x and p must be floats."""
+    _floats_only("big_q_laguerre_generating", x, *p)
     hit = match_spectral_point(x, p)
     if hit is None:
         raise DomainError(

@@ -1,6 +1,12 @@
-"""Static checks on the imports of the modules under src/qortho."""
+"""Static checks on the imports of the modules under src/qortho, and the
+functions of those modules that no CLI command reaches."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +51,153 @@ def test_series_summation_stays_in_qseries():
     # so the polynomial routes need neither the sum loop nor its guard
     tree = ast.parse((SRC / "polynomials.py").read_text())
     assert not {"_series_sum", "_escalated"} & set(_imported_names(tree))
+
+
+# the command lines of the reachability run, each with its exit code: every
+# subcommand, both precisions and both formats, the lowest weight --l, a
+# value outside the domain and a malformed option (usage errors), and a
+# point whose constants leave the float range (no verdict)
+REACH_COMMANDS = [
+    (["verify"], 0),
+    (["verify", "--precision", "extended", "--index-max", "2"], 0),
+    (["verify", "--format", "csv", "--index-max", "2"], 0),
+    (["spectrum", "--dim", "40"], 0),
+    (["table"], 0),
+    (["table", "--format", "csv"], 0),
+    (["limit"], 0),
+    (["report-all", "--index-max", "2", "--dim", "20"], 0),
+    (["verify", "--l", "1.0", "--index-max", "1"], 0),
+    (["verify", "--b", "0.7"], 64),
+    (["verify", "--index-max", "x"], 64),
+    (["verify", "--q", "0.99", "--a", "1.0", "--b", "-0.001"], 70),
+]
+
+# the functions that none of REACH_COMMANDS calls, by module and qualified
+# name: library API, each public one named in the README's library-use
+# section, and the private helpers only it calls
+UNREACHED = {
+    "__init__.__dir__",
+    "__init__.__getattr__",
+    "operators.Tridiagonal.apply",
+    "operators.Tridiagonal.dense",
+    "operators.Tridiagonal.symmetric",
+    "orthogonality._Grid.holds",
+    "orthogonality.verify_record",
+    "qseries.QParams.alpha",
+    "qseries.QParams.beta1",
+    "qseries.QParams.beta2",
+    "qseries._zero",
+    "qseries.jackson_Eq",
+    "qseries.jackson_Eq.<locals>._sum",
+    "qseries.jackson_Eq.<locals>._sum.<locals>.step",
+    "qseries.phi_3_2",
+    "qseries.q_number",
+    "representation.GeneratorMatrices.jminus_dense",
+    "representation.GeneratorMatrices.jplus_dense",
+    "representation._composed",
+    "representation._diag_scaled",
+    "representation._normalization",
+    "representation._plus",
+    "representation._pref_phi_ratio",
+    "representation._pref_psi_ratio",
+    "representation._to_floats",
+    "representation._zeros",
+    "representation.build_A1_A2",
+    "representation.build_generator_matrices",
+    "representation.compose_A1_A2_from_generators",
+    "representation.compose_A_from_generators",
+    "representation.eigen_coefficients",
+    "representation.jminus_action_factor",
+    "representation.jplus_action_factor",
+    "representation.normalization_c",
+    "representation.normalization_cprime",
+    "representation.psi_phi_coefficients",
+    "representation.qJ0_inverse_action",
+    "representation.recurrence_residuals",
+    "routes._dual_value",
+    "routes._floats_only",
+    "routes._generating_closed_complex",
+    "routes._generating_coefficient_ratio",
+    "routes._roots_of_unity",
+    "routes.big_q_laguerre_generating",
+    "routes.big_q_laguerre_phi21",
+    "routes.dual_f",
+    "routes.dual_g",
+    "routes.generating_closed",
+    "routes.generating_series",
+    "routes.q_inverse_meixner_relation",
+}
+
+# runs the command lines of argv[2] through the process entry, with the
+# profiler set before qortho is imported, and prints their exit codes and
+# the (file, first line) of each code object under argv[1] that ran
+_REACH_CHILD = """
+import contextlib, io, json, sys
+
+src, commands = sys.argv[1], json.loads(sys.argv[2])
+reached = set()
+
+
+def hook(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        reached.add((code.co_filename, code.co_firstlineno))
+
+
+sys.setprofile(hook)
+import qortho.cli
+
+codes = []
+for argv in commands:
+    sys.argv = ["qortho", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            qortho.cli.process_main()
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+print(json.dumps([codes, sorted(reached)]))
+"""
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(first line, qualified name) of each function defined under node,
+    the first line that of its first decorator, as its code object has it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield min([child.lineno] + [d.lineno for d in child.decorator_list]), prefix + child.name
+            yield from _functions(child, f"{prefix}{child.name}.<locals>.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _library_names() -> set:
+    """The names that the README's library-use section writes as code."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([A-Za-z_]\w*)[`(]", section))
+
+
+def test_functions_no_command_reaches():
+    # a function that no command calls is library API, which the README
+    # lists, or a helper of it; a formula that is neither belongs in the
+    # tests as a reference, not in the package
+    src = str(SRC) + os.sep
+    argv = [sys.executable, "-c", _REACH_CHILD, src, json.dumps([cmd for cmd, _ in REACH_COMMANDS])]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    res = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    codes, reached = json.loads(res.stdout)
+    assert codes == [code for _, code in REACH_COMMANDS]
+    reached = {(Path(path).stem, line) for path, line in reached}
+    unreached = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for line, name in _functions(ast.parse(path.read_text()))
+        if (path.stem, line) not in reached
+    }
+    assert unreached == UNREACHED
+    public = {top for top in (name.split(".")[1] for name in unreached) if not top.startswith("_")}
+    assert public <= _library_names(), public - _library_names()

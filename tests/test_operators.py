@@ -2,12 +2,13 @@
 constants, spectra and the Sturm-bisection eigensolver."""
 
 import decimal
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
+from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer, q_pochhammer_inf
 from qortho.operators import (
     Tridiagonal,
     build_A,
@@ -35,6 +36,13 @@ from qortho.representation import (
 T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
+
+
+def prefactors(p: QParams, m_max: int) -> list:
+    """pref_0..pref_m_max, the first entries of `_prefactor_entries`."""
+    from qortho.operators import _prefactor_entries
+
+    return list(itertools.islice(_prefactor_entries(p), m_max + 1))
 
 
 class TestGenerators:
@@ -131,6 +139,15 @@ class TestEigenCoefficients:
         vec = eigen_coefficients(0.17, P1, 10)
         assert not vec.normalizable
 
+    def test_negative_cut_off_rejected(self):
+        # a negative m_max is a usage error, as in spectral_sequence, not
+        # an empty vector marked normalizable
+        for call in (eigen_coefficients, psi_phi_coefficients):
+            with pytest.raises(DomainError):
+                call(P1.a * P1.q, P1, -1)
+        with pytest.raises(DomainError):
+            eigen_coefficients(0.17, P1, -1)
+
     @pytest.mark.parametrize("lam", [0.125, -0.175, 0.5 * 0.5**40], ids=["aq2", "bq", "aq40"])
     @pytest.mark.parametrize("route", ["eigen", "psi-phi", "generating"])
     def test_decimal_parameters_agree_with_float(self, route, lam):
@@ -221,14 +238,13 @@ def _worst_error(got, want) -> float:
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
-        from qortho.operators import _a_coeff_logs
-        from qortho.representation import _prefactors, _spectral_coeffs
+        from qortho.operators import _a_coeff_logs, _coefficient_entries
         from qortho.polynomials import _working_coefficients
 
-        prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
+        prefs, recurrence = prefactors(p, FWD_K), _working_coefficients(p)
         for n in range(FWD_K, FWD_K + 61, 4):
             fwd = _a_coeff_logs(branch, n, FWD_K, prefs, recurrence)
-            assert _worst_error(fwd, _spectral_coeffs(p, branch, n, FWD_K, prefs)) <= FWD_BOUND, n
+            assert _worst_error(fwd, list(_coefficient_entries(p, branch, n, prefs))) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_exact_series(self, p, branch):
@@ -237,10 +253,9 @@ class TestForwardCoefficientRoute:
         import mpmath
 
         from qortho.operators import _a_coeff_logs
-        from qortho.representation import _prefactors
         from qortho.polynomials import _working_coefficients
 
-        prefs, recurrence = _prefactors(p, FWD_K), _working_coefficients(p)
+        prefs, recurrence = prefactors(p, FWD_K), _working_coefficients(p)
         for n in range(FWD_K, FWD_K + 61, 6):
             with mpmath.workdps(120):
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
@@ -282,20 +297,36 @@ class TestForwardCoefficientRoute:
                     assert [x for x, _ in rows[n][n + 1 :]] == [c * x for x in duality]
 
 
+def infinite_form(n: int, p: QParams, branch: str) -> float:
+    """c_n (branch "a") or c'_n (branch "b") in the paper's infinite form:
+    with (first, second, factor) = (a, b, 1) for c_n and (b, a, -b/a) for
+    c'_n, the square root of
+
+        factor (q^(n+1), first q^(n+1)/second, aq, bq; q)_inf q^n
+            / (first q^(n+1), q, b/a, aq/b; q)_inf."""
+    q, a, b = p.q, p.a, p.b
+    first, second, factor = (a, b, 1) if branch == "a" else (b, a, -b / a)
+    num = [q ** (n + 1), first * q ** (n + 1) / second, a * q, b * q]
+    den = [first * q ** (n + 1), q, b / a, a * q / b]
+    return math.sqrt(
+        factor
+        * math.prod(q_pochhammer_inf(x, q, T) for x in num)
+        * q**n
+        / math.prod(q_pochhammer_inf(x, q, T) for x in den)
+    )
+
+
 class TestNormalization:
+    # the running products of the library against the infinite form
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_both_forms_agree_c(self, p, n):
-        fin = normalization_c(n, p, T, form="finite")
-        inf_ = normalization_c(n, p, T, form="infinite")
-        assert fin == pytest.approx(inf_, rel=1e-12)
+        assert normalization_c(n, p, T) == pytest.approx(infinite_form(n, p, "a"), rel=1e-12)
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_both_forms_agree_cprime(self, p, n):
-        fin = normalization_cprime(n, p, T, form="finite")
-        inf_ = normalization_cprime(n, p, T, form="infinite")
-        assert fin == pytest.approx(inf_, rel=1e-12)
+        assert normalization_cprime(n, p, T) == pytest.approx(infinite_form(n, p, "b"), rel=1e-12)
 
     @pytest.mark.parametrize("qab", [("0.9", "0.9", "-0.5"), ("0.3", "3.2", "-0.01")], ids=["q0.9", "retry"])
     def test_store_constants_match_closed_forms_at_40_digits(self, qab):
@@ -614,10 +645,9 @@ class TestEigTridiagonal:
         # is the whole duality sequence, summed with its Pochhammer symbols
         # carried from degree to degree
         from qortho import polynomials
-        from qortho.representation import _prefactors
 
         for p in (P1, P2, QParams(q=0.3, a=3.2, b=-0.01), QParams(q=0.8, a=0.6, b=-2.0)):
-            prefs = _prefactors(p, 40)
+            prefs = prefactors(p, 40)
             off = build_A(p, 41).offdiag
             for branch, j in [("a", 0), ("a", 3), ("a", 7), ("b", 0), ("b", 3), ("b", 7)]:
                 lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)

@@ -1,6 +1,7 @@
 """Tests for the identity-verification engines."""
 
 import decimal
+import itertools
 
 import pytest
 
@@ -248,10 +249,10 @@ class TestUnitarity:
         # agree on pass/fail, and their residuals must coincide within
         # 1e-10 of the identity's natural scale once the rescaling is
         # removed.
-        from qortho.representation import _prefactors
+        from qortho.operators import _prefactor_entries
         from qortho.orthogonality import _kc
 
-        prefs = [float(pref) for pref in _prefactors(p, 3)]
+        prefs = [float(pref) for pref in itertools.islice(_prefactor_entries(p), 4)]
         for i, j in [(0, 0), (1, 0), (2, 2), (3, 1)]:
             rows = verify_record("unitarity-rows", i, j, p, T)
             orth = verify_record("big-laguerre", i, j, p, T)
@@ -284,21 +285,23 @@ class TestDualOrthogonality:
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
-    def test_weight_evaluators_positive_and_consistent(self):
-        # the three scalar-product weights are positive term by term and
-        # the q-Meixner weights are the dual weight with the branch
-        # rescaling (q^-m/c;q)_m^-2 folded in
-        from qortho.orthogonality import dual_weight, meixner_weight, negative_b_meixner_weight
+    @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
+    def test_dual_weight_is_squared_prefactor(self, p):
+        # the dual weight (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2)
+        # is positive, and it is pref_m^2, the square of the prefactor that
+        # the store's columns carry, so the dual-* sums read it
+        from qortho.operators import _prefactor_entries
 
-        q, a, b = P1.q, P1.a, P1.b
-        for m in range(12):
-            assert dual_weight(m, P1) > 0
-            assert meixner_weight(m, P1) > 0
-            assert negative_b_meixner_weight(m, P1) > 0
-            resc_f = q_pochhammer(b * q, q, m) * (-b) ** -m * q ** (-m * (m + 1) / 2.0)
-            assert meixner_weight(m, P1) == pytest.approx(
-                dual_weight(m, P1) / resc_f**2, rel=1e-12
+        q, a, b = p.q, p.a, p.b
+        for m, pref in enumerate(itertools.islice(_prefactor_entries(p), 13)):
+            w = (
+                q_pochhammer(a * q, q, m)
+                * q_pochhammer(b * q, q, m)
+                / (q_pochhammer(q, q, m) * (-a * b * q * q) ** m)
+                * q ** (-m * (m - 1) / 2.0)
             )
+            assert w > 0
+            assert float(pref) ** 2 == pytest.approx(w, rel=1e-12), m
 
     def test_terms_match_literal_weighted_sum(self):
         # the products of the store's column entries must equal the literal
@@ -399,15 +402,24 @@ class TestMeixnerCrossRoute:
 
         import mpmath
 
-        from qortho.orthogonality import meixner_weight, negative_b_meixner_weight
         from qortho.polynomials import q_meixner
 
         q, a, b = (mpmath.mpf(x) for x in (p.q, p.a, p.b))
-        pm = QParams(q=q, a=a, b=b)
         t60 = Truncation(rel_tol=1e-50)
+
+        def meixner_weight(first, second):
+            # the weight of M_n(q^-m; first, -second/first; q), b < 0 included:
+            # (first q;q)_m (-second/first)^m q^(m(m-1)/2) / ((second q;q)_m (q;q)_m)
+            return functools.cache(
+                lambda m: mpmath.qp(first * q, q, m)
+                * (-second / first) ** m
+                * q ** (m * (m - 1) // 2)
+                / (mpmath.qp(second * q, q, m) * mpmath.qp(q, q, m))
+            )
+
         weights = {
-            "meixner": functools.cache(lambda m: meixner_weight(m, pm)),
-            "meixner-negb": functools.cache(lambda m: negative_b_meixner_weight(m, pm)),
+            "meixner": meixner_weight(a, b),
+            "meixner-negb": meixner_weight(b, a),
             "eq-zero": functools.cache(lambda m: (-1) ** m * q ** (m * (m - 1) / 2) / q_pochhammer(q, q, m)),
         }
         values = {
@@ -891,7 +903,7 @@ class TestReports:
         # of each label, where a cut-off doubled from 48 took 1602
         import collections
 
-        from qortho import orthogonality
+        from qortho import operators, orthogonality
         from qortho.orthogonality import _Store
 
         computed = collections.Counter()
@@ -906,9 +918,9 @@ class TestReports:
 
             return wrapped
 
-        entries = counting(orthogonality._duality_entries, lambda p, branch, j: (branch, j))
+        entries = counting(operators._duality_entries, lambda p, branch, j: (branch, j))
         prefs = counting(orthogonality._prefactor_entries, lambda p: "pref")
-        monkeypatch.setattr(orthogonality, "_duality_entries", entries)
+        monkeypatch.setattr(operators, "_duality_entries", entries)
         monkeypatch.setattr(orthogonality, "_prefactor_entries", prefs)
         p = QParams(q=0.9, a=0.9, b=-0.5)
         store = _Store(p, T, 8)
@@ -930,7 +942,7 @@ class TestReports:
         # precision doubled until two runs agree to 40 digits
         import mpmath
 
-        from qortho.representation import _prefactors
+        from qortho.operators import _prefactor_entries
         from qortho.orthogonality import _Store
 
         p = QParams(q=0.95, a=0.9, b=-3.0)
@@ -953,7 +965,7 @@ class TestReports:
                         break
                 prev = cur
             with mpmath.workdps(dps):
-                want = mpmath.mpf(str(_prefactors(p, 96)[96])) * cur
+                want = mpmath.mpf(str(next(itertools.islice(_prefactor_entries(p), 96, None)))) * cur
                 assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(10) ** -20 * abs(want), label
 
     def test_store_rejects_other_parameters(self):

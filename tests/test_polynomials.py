@@ -349,6 +349,22 @@ class TestGeneratingFunction:
         with pytest.raises(TailError):
             generating_series(0.1, -0.2, P1, 60, T, strict=True)
 
+    @pytest.mark.parametrize("where", ["params", "argument"])
+    @pytest.mark.parametrize("route", ["series", "closed", "extraction"])
+    def test_decimals_rejected(self, route, where):
+        # the float routes reject a Decimal with a usage error, not with
+        # the TypeError of float and Decimal arithmetic; generating_series
+        # does so off the spectral points, where it sums float recurrence values
+        dec = QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.7")))
+        p, scalar = (dec, float) if where == "params" else (P1, decimal.Decimal)
+        calls = {
+            "series": lambda: generating_series(scalar("0.1"), 0.2, p, 10),
+            "closed": lambda: generating_closed(scalar("0.1"), 0.2, p, T),
+            "extraction": lambda: big_q_laguerre_generating(2, scalar("0.25"), p),
+        }
+        with pytest.raises(DomainError):
+            calls[route]()
+
 
 class TestQInverseRelation:
     def test_degree_zero(self):
