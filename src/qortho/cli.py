@@ -46,7 +46,6 @@ from qortho.polynomials import (
 from qortho.orthogonality import (
     DEFAULT_TOLERANCE,
     IDENTITY_FAMILIES,
-    _Store,
     run_identity_checks,
 )
 from qortho.climit import (
@@ -181,8 +180,7 @@ def _record_order(rec: dict) -> tuple:
 
 
 def _run_verify(cfg: RunConfig) -> list:
-    """The records of cfg's families, run in order on one store."""
-    families = list(IDENTITY_FAMILIES) if cfg.identity == "all" else [cfg.identity]
+    """The records of cfg's identity family, or of every family on one store."""
     if cfg.precision == "extended":
         # the exact Decimals of the flag values, checked against the domain
         # in the context the store computes in, not in the caller's
@@ -191,14 +189,7 @@ def _run_verify(cfg: RunConfig) -> list:
         t = Truncation(rel_tol=1e-20)
     else:
         p, t = cfg.params(), Truncation()
-    store = _Store(p, t, cfg.index_max)
-    records = [
-        report_to_record(r)
-        for fam in families
-        for r in run_identity_checks(fam, p, t, cfg.index_max, cfg.tolerance, store=store)
-    ]
-    records.sort(key=_record_order)
-    return records
+    return [report_to_record(r) for r in run_identity_checks(cfg.identity, p, t, cfg.index_max, cfg.tolerance)]
 
 
 # ---------------------------------------------------------------------------

@@ -201,12 +201,12 @@ def _log10_prefactors(p: QParams, m_max: int) -> list:
     return list(itertools.accumulate(steps, initial=0.0))
 
 
-def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, recurrence) -> list:
+def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, p: QParams, coeffs) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
-    j >= m_max, as Decimals, from the forward three-term recurrence in the
-    decimal context of the recurrence table; prefs is pref_0..pref_m_max
-    of `_prefactor_entries`, and recurrence the `_working_coefficients` table
-    whose parameters it reads.
+    j >= m_max, as Decimals, from the forward three-term recurrence on the
+    Decimal parameters p, in the caller's decimal context; prefs is
+    pref_0..pref_m_max of `_prefactor_entries`, and coeffs the `_LazyList`
+    of `_recurrence_entries(p)` that the rows at p share.
 
     The polynomial sequence becomes the minimal solution of the
     recurrence (and decays like q^(m^2/2)) only past degree ~j, so up to
@@ -215,11 +215,9 @@ def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, recurrence) -> l
 
     The name dates from the rows of signed logs this function once
     returned; perfbench times the forward rows under it, so it stays."""
-    with decimal.localcontext(recurrence.context):
-        pw = recurrence.p
-        lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
-        seq = big_q_laguerre_recurrence(m_max, lam, pw, coeffs=recurrence)
-        return [pref * v for pref, v in zip(prefs, seq)]
+    lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
+    seq = big_q_laguerre_recurrence(m_max, lam, p, coeffs=coeffs)
+    return [pref * v for pref, v in zip(prefs, seq)]
 
 
 def truncation_residuals(p: QParams, dim: int, points) -> list:

@@ -63,7 +63,8 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _context_of,
     _exact_dot,
-    _working_coefficients,
+    _LazyList,
+    _recurrence_entries,
 )
 from qortho.operators import (
     _a_coeff_logs,
@@ -189,26 +190,6 @@ def _branch_of_label(label: int) -> tuple:
     return ("a", label) if label >= 0 else ("b", -label - 1)
 
 
-class _LazyList(list):
-    """The values of an endless iterator, in a list that grows as they are
-    first read, so each is computed once."""
-
-    def __init__(self, source):
-        super().__init__()
-        self._source = source
-
-    def upto(self, k: int) -> list:
-        """The list, with the values 0..k at least."""
-        while len(self) <= k:
-            self.append(next(self._source))
-        return self
-
-    def at(self, k: int):
-        """The value k; the hot path of every sum, which nearly always
-        reads a value already computed."""
-        return self[k] if k < len(self) else self.upto(k)[k]
-
-
 class _Store:
     """The connection matrix u_mn = c_n a_m(lam_n) of one verify task at
     one parameter set p, truncation t and largest index K, with the sums
@@ -223,16 +204,20 @@ class _Store:
     - `column(label)`, the eigencoefficients a_m(lam) of an integer label
       (n >= 0 for a q^(n+1), -n-1 for b q^(n+1)), each product
       pref_m P_m(lam) of the duality entries rounded once;
+    - `recurrence`, the recurrence coefficients (A_n, C_n, d_n) of
+      `_recurrence_entries` on `decimal_p`, the exact Decimals of p;
     - `rows[branch]`, the rows n = 0, 1, ... of u_mn, m = 0..K.  The
-      degrees m <= n come from a forward sweep on the store's recurrence
-      table, the degrees above from the column of lam_n's label, so no
-      entry depends on K.
+      degrees m <= n come from a forward sweep on `recurrence`, the
+      degrees above from the column of lam_n's label, so no entry
+      depends on K.
     Entries are (Decimal, float copy) pairs.  unitarity-rows, big-laguerre
     and sears read `row_sum`; unitarity-columns, dual, biortho and the
     three q-Meixner families read `label_sum`.
 
     Every entry, constant and sum is a Decimal of the one decimal context
-    `context`, `_context_of(p)`, set apart from the caller's.  Only
+    `context`, `_context_of(p)`, set apart from the caller's; a row is
+    formed in it whole, and `recurrence`, which has no context of its
+    own, is read only there.  Only
     c_0, c'_0 and Kc are in p's own scalars, formed in that context, and
     enter exactly.  `value` is the one way out: a sum of Decimal
     parameters leaves as it is, any other as its float."""
@@ -243,7 +228,9 @@ class _Store:
         self.context = _context_of(p)
         self.prefs = _LazyList(_prefactor_entries(p))
         self.c = {branch: _LazyList(_normalization_entries(p, branch, t)) for branch in "ab"}
-        self.recurrence = _working_coefficients(p)
+        with decimal.localcontext(self.context):
+            self.decimal_p = QParams(*map(decimal.Decimal, p))
+        self.recurrence = _LazyList(_recurrence_entries(self.decimal_p))
         self.rows = {branch: _LazyList(self._rows(branch)) for branch in "ab"}
         self._columns: dict = {}
         self._sums: dict = {}
@@ -279,13 +266,13 @@ class _Store:
     def _rows(self, branch: str):
         K, c = self.K, self.c[branch]
         for n in itertools.count():
-            top = min(n, K)
-            coeffs = _a_coeff_logs(branch, n, top, self.prefs.upto(top), self.recurrence)
-            if n < K:
-                column = self.column(n if branch == "a" else -n - 1)
-                coeffs += [column.at(m)[0] for m in range(n + 1, K + 1)]
-            c_n = c.at(n)
             with decimal.localcontext(self.context):
+                top = min(n, K)
+                coeffs = _a_coeff_logs(branch, n, top, self.prefs.upto(top), self.decimal_p, self.recurrence)
+                if n < K:
+                    column = self.column(n if branch == "a" else -n - 1)
+                    coeffs += [column.at(m)[0] for m in range(n + 1, K + 1)]
+                c_n = c.at(n)
                 row = [c_n * x for x in coeffs]
             yield [(y, float(y)) for y in row]
 
@@ -517,6 +504,12 @@ def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -
     return rep
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """DomainError unless the verdict tolerance lies in (0, inf)."""
+    if not 0 < tolerance < math.inf:
+        raise DomainError("tolerance must be positive and finite")
+
+
 def verify_record(
     identity_id: str,
     i: int,
@@ -531,6 +524,7 @@ def verify_record(
     verify_record(r.identity_id, *r.indices, p, t, tolerance) bit for bit."""
     if identity_id not in _RECORDS:
         raise DomainError(f"unknown identity id: {identity_id!r}")
+    _check_tolerance(tolerance)
     if not _RECORDS[identity_id][0].holds(i, j):
         raise DomainError(f"{identity_id} has no cell {(i, j)}")
     store = _Store(p, t, max(i, j, 0))
@@ -553,6 +547,9 @@ def run_identity_checks(
     belongs to; the families that read one store share its coefficients
     and sums.  A call without one builds its own, which "all" gives every
     family."""
+    if index_max < 0:
+        raise DomainError("index_max must be nonnegative")
+    _check_tolerance(tolerance)
     if store is None:
         store = _Store(p, t, index_max)
     elif (store.p, store.t, store.K) != (p, t, index_max):

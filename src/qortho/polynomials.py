@@ -21,9 +21,7 @@ live in `qortho.routes`.
 
 from __future__ import annotations
 
-import contextlib
 import decimal
-import functools
 import itertools
 import math
 import operator
@@ -105,67 +103,61 @@ def _recurrence_d(n, a, b, q):
     return -a * b * q ** (2 * n + 1) * (1 + q) + q ** (n + 1) * (a + a * b + b)
 
 
-class _RecurrenceTable:
-    """The coefficients of the three-term recurrence at one parameter set,
+class _LazyList(list):
+    """The values of an endless iterator, in a list that grows as they are
+    first read, so each is computed once: the one lazily extended table of
+    the package."""
+
+    def __init__(self, source):
+        super().__init__()
+        self._source = source
+
+    def upto(self, k: int) -> list:
+        """The list, with the values 0..k at least."""
+        while len(self) <= k:
+            self.append(next(self._source))
+        return self
+
+    def at(self, k: int):
+        """The value k; the hot path of every sum, which nearly always
+        reads a value already computed."""
+        return self[k] if k < len(self) else self.upto(k)[k]
+
+
+def _recurrence_entries(p: QParams):
+    """The coefficients (A_n, C_n, d_n), n = 0, 1, ... without end, of the
+    three-term recurrence at p,
 
         A_n P_{n+1} = (x - d_n) P_n + C_n P_{n-1},
         A_n = (1-aq^(n+1))(1-bq^(n+1)),  C_n = ab q^(n+1)(1-q^n),
 
-    in the scalars of p, extended on demand.  They do not depend on x, so
-    one table serves every forward sweep of the set.  Each entry is the
-    expression the sweeps formed inline, so reading it changes no bit.
-    Decimal entries are built in the decimal context given, or without
-    one in the thread's context of each extension."""
-
-    def __init__(self, p: QParams, context: Optional[decimal.Context] = None):
-        self.p = p
-        self.A: list = []
-        self.C: list = []
-        self.d: list = []
-        self.context = context
-        self._scope = functools.partial(decimal.localcontext, context) if context else contextlib.nullcontext
-
-    def upto(self, n: int) -> tuple:
-        """The lists (A, C, d), with entries 0..n at least."""
-        q, a, b = self.p.q, self.p.a, self.p.b
-        with self._scope():
-            for k in range(len(self.A), n + 1):
-                self.A.append((1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
-                self.C.append(a * b * q ** (k + 1) * (1 - q**k))
-                self.d.append(_recurrence_d(k, a, b, q))
-        return self.A, self.C, self.d
+    in the scalars of p, Decimal ones in their reader's decimal context.
+    They do not depend on x, so one `_LazyList` of them serves every
+    forward sweep at p."""
+    q, a, b = p.q, p.a, p.b
+    for k in itertools.count():
+        A = (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
+        yield A, a * b * q ** (k + 1) * (1 - q**k), _recurrence_d(k, a, b, q)
 
 
-def _working_coefficients(p: QParams) -> _RecurrenceTable:
-    """The recurrence table of p in Decimals in `_context_of(p)`, the
-    scalars of the forward coefficient rows; its parameters are p's,
-    exactly."""
-    context = _context_of(p)
-    with decimal.localcontext(context):
-        return _RecurrenceTable(QParams(*map(decimal.Decimal, p)), context)
-
-
-def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_RecurrenceTable] = None) -> list:
+def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_LazyList] = None) -> list:
     """P_0(x), ..., P_{n_max}(x) by upward three-term recurrence.
 
     (1-aq^(n+1))(1-bq^(n+1)) P_{n+1} = (x - d_n) P_n + ab q^(n+1)(1-q^n) P_{n-1},
     seeded with P_0 = 1 (the n = 0 relation has no P_{-1} term).  The
-    coefficients come from `coeffs`, a table of p shared with other
-    sweeps, or from a table built for this call.
+    coefficients come from `coeffs`, a `_LazyList` of
+    `_recurrence_entries(p)` shared with other sweeps at p, or from one
+    built for this call.
     """
+    if n_max < 0:
+        raise DomainError("degree must be nonnegative")
     if coeffs is None:
-        coeffs = _RecurrenceTable(p)
-    elif coeffs.p != p:
-        raise ValueError("recurrence table built for other parameters")
+        coeffs = _LazyList(_recurrence_entries(p))
     q = p.q
     out = [1 + q * 0]
-    if n_max == 0:
-        return out
-    A, C, d = coeffs.upto(n_max - 1)
-    prev = 0 * q
-    cur = out[0]
-    for n in range(n_max):
-        nxt = ((x - d[n]) * cur + C[n] * prev) / A[n]
+    prev, cur = 0 * q, out[0]
+    for A, C, d in coeffs.upto(n_max - 1)[:n_max]:
+        nxt = ((x - d) * cur + C * prev) / A
         out.append(nxt)
         prev, cur = cur, nxt
     return out
@@ -178,9 +170,12 @@ def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_Re
 def match_spectral_point(x, p: QParams) -> Optional[tuple]:
     """Identify x with a q^(j+1) or b q^(j+1) within relative tolerance.
 
-    Returns ("a", j) or ("b", j), or None when x is not a spectral point.
-    x and the tolerance are compared in the scalars of p, floats or Decimals.
+    Returns ("a", j) or ("b", j), or None when x is not a spectral point,
+    as an infinite or nan x never is.  x and the tolerance are compared in
+    the scalars of p, floats or Decimals.
     """
+    if not math.isfinite(x):
+        return None
     q = p.q
     scalar = type(q)
     x, rtol = scalar(x), scalar(SPECTRAL_MATCH_RTOL)

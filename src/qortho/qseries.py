@@ -14,6 +14,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import numbers
 import sys
 from typing import NamedTuple
 
@@ -113,7 +114,10 @@ def _working_context(dps: int) -> decimal.Context:
     rounded arithmetic at dps + _GUARD_DIGITS digits.  Every kernel runs
     its arithmetic in a `decimal.localcontext` of it, or through its
     methods, never in the thread's own context, and leaves that block
-    before each yield, since its generators resume from any caller."""
+    before each yield, since its generators resume from any caller.  The
+    one exception is `polynomials._recurrence_entries`, which forms p's
+    own scalars in its reader's context: the verify store reads it only
+    inside its own `context`."""
     return _context(dps + _GUARD_DIGITS)
 
 
@@ -175,11 +179,11 @@ class Truncation(_Validated, _TruncationFields):
     __slots__ = ()
 
     def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10000, small_run: int = 10):
-        if not rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-        if max_terms < 1:
+        if not 0 < rel_tol < math.inf:
+            raise DomainError("rel_tol must be positive and finite")
+        if not isinstance(max_terms, numbers.Integral) or max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
-        if small_run < 1:
+        if not isinstance(small_run, numbers.Integral) or small_run < 1:
             raise DomainError("small_run must be a positive integer")
         return super().__new__(cls, rel_tol, max_terms, small_run)
 

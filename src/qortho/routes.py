@@ -199,7 +199,8 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
     weights are symmetric); at a spectral argument the arrangement that
     makes the 2phi1 terminate is used, which is the one the term-by-term
     resummation actually proves there.  Arguments and parameters are
-    floats.
+    floats; t may be complex, as on the Cauchy circle of
+    `big_q_laguerre_generating`.
     """
     _floats_only("generating_closed", x, tvar, *p)
     a, b, q = p.a, p.b, p.q
@@ -212,17 +213,6 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
         a, b = b, a
     pref = q_pochhammer_inf(-a * b * q * q * tvar, q, t) / q_pochhammer_inf(-b * q * tvar, q, t)
     return pref * phi_2_1(a * q / x, 0.0, -1.0 / (b * tvar), q, x / b, t)
-
-
-def _generating_closed_complex(x: float, tc: complex, p: QParams, branch: str, j: int) -> complex:
-    """Closed generating function at complex t, in the form terminating at
-    the given spectral argument (parameter roles swapped on the b branch)."""
-    a, b, q = p.a, p.b, p.q
-    if branch == "b":
-        a, b = b, a
-    t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
-    pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
-    return pref * phi_2_1(q**-j, 0.0, -1 / (b * tc), q, x / b, t)
 
 
 # pi to 50 digits
@@ -273,9 +263,9 @@ def big_q_laguerre_generating(n: int, x: float, p: QParams) -> float:
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
     roots = _roots_of_unity(m_samples)
+    t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
     total = math.fsum(
-        (_generating_closed_complex(x, rho * w, p, branch, j) * roots[-n * k % m_samples]).real
-        for k, w in enumerate(roots)
+        (generating_closed(x, rho * w, p, t) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
     )
     gcoef = total / m_samples / rho**n
     weight = (

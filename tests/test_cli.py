@@ -449,22 +449,23 @@ class TestDeterminism:
 
 
 class TestVerifyTasks:
-    def test_run_identity_checks_called_once_per_family(self, tmp_path, monkeypatch):
-        # the benchmark's traced runs time each family by the first
-        # argument of cli.run_identity_checks, so the task that runs every
-        # family must still call it once for each, by name
+    @pytest.mark.parametrize("identity", ["all", "dual"])
+    def test_verify_is_one_library_call(self, tmp_path, monkeypatch, identity):
+        # a verify task runs as the library runs it: one call of
+        # run_identity_checks with the --identity flag, which gives "all"
+        # one store for every family
         from qortho import cli
-        from qortho.orthogonality import IDENTITY_FAMILIES
+        from qortho.qseries import QParams, Truncation
 
         calls = []
 
-        def fake(identity, *args, **kwargs):
-            calls.append(identity)
+        def fake(*args):
+            calls.append(args)
             return []
 
         monkeypatch.setattr(cli, "run_identity_checks", fake)
-        assert cli.main(["verify", "--identity", "all", "--out", str(tmp_path / "r.json")]) == 0
-        assert sorted(calls) == sorted(IDENTITY_FAMILIES)
+        assert cli.main(["verify", "--identity", identity, "--index-max", "3", "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [(identity, QParams(q=0.5, a=0.5, b=-0.7), Truncation(), 3, 1e-8)]
 
     @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
     def test_grouped_task_records_equal_single_family_runs(self, point):
@@ -482,10 +483,11 @@ class TestVerifyTasks:
         def records(identity):
             return _run_verify(RunConfig(command="verify", q=q, a=a, b=b, identity=identity))
 
-        grouped = render_csv(records("all"))
-        alone = render_csv(sorted(
-            (r for fam in IDENTITY_FAMILIES for r in records(fam)), key=lambda r: (r["identity_id"], r["i"], r["j"])
-        ))
+        def in_order(recs):
+            return render_csv(sorted(recs, key=lambda r: (r["identity_id"], r["i"], r["j"])))
+
+        grouped = in_order(records("all"))
+        alone = in_order(r for fam in IDENTITY_FAMILIES for r in records(fam))
         # the columns sums in three families, the rows, meixner, meixner-negb,
         # eq-zero, big-laguerre and sears
         assert len(grouped.splitlines()) == 1 + 3 * 171 + 45 + 45 + 45 + 81 + 45 + 1
@@ -1050,10 +1052,10 @@ def first_difference(got: bytes, want: bytes) -> str:
 class TestGoldenOutput:
     # reference outputs of these commands; an engine change that moves any
     # digit of any record shows up here (CHANGES.md says when a file may be
-    # regenerated).  Each file is the command's stdout, regenerated from the
-    # repository root by
+    # regenerated).  Each file is the command's stdout in the format of its
+    # suffix, regenerated from the repository root by
     #
-    #   PYTHONPATH=src python -m qortho ARGV --format csv --no-timestamp > tests/data/NAME
+    #   PYTHONPATH=src python -m qortho ARGV --format FORMAT --no-timestamp > tests/data/NAME
     #
     # with ARGV and NAME from its entry below, e.g.
     #
@@ -1067,6 +1069,8 @@ class TestGoldenOutput:
     #       --format csv --no-timestamp > tests/data/verify_all_index4_q0.9_a0.9_b-0.5.csv
     #   PYTHONPATH=src python -m qortho table --q 0.7 --a 0.9 --b -0.4 \
     #       --format csv --no-timestamp > tests/data/table_q0.7_a0.9_b-0.4.csv
+    #   PYTHONPATH=src python -m qortho report-all --index-max 1 --dim 20 \
+    #       --format json --no-timestamp > tests/data/report_all_index1_dim20.json
     GOLDEN = [
         (
             ["verify", "--identity", "all", "--index-max", "3", "--q", "0.5", "--a", "0.5", "--b", "-0.7"],
@@ -1097,6 +1101,13 @@ class TestGoldenOutput:
         (
             ["table", "--q", "0.7", "--a", "0.9", "--b", "-0.4"],
             "table_q0.7_a0.9_b-0.4.csv",
+            0,
+        ),
+        # the JSON report, which alone carries the config, the params and
+        # tolerance of each record, its note and the summary
+        (
+            ["report-all", "--index-max", "1", "--dim", "20"],
+            "report_all_index1_dim20.json",
             0,
         ),
     ]
@@ -1137,7 +1148,8 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("argv,name,returncode", GOLDEN, ids=[name for _, name, _ in GOLDEN])
     def test_csv_matches_golden_bytes(self, argv, name, returncode):
-        res = subprocess.run(BASE + argv + ["--format", "csv", "--no-timestamp"], capture_output=True)
+        output_format = Path(name).suffix[1:]
+        res = subprocess.run(BASE + argv + ["--format", output_format, "--no-timestamp"], capture_output=True)
         assert res.returncode == returncode, res.stderr
         want = (Path(__file__).parent / "data" / name).read_bytes()
         if res.stdout != want:

@@ -116,7 +116,6 @@ UNREACHED = {
     "representation.recurrence_residuals",
     "routes._dual_value",
     "routes._floats_only",
-    "routes._generating_closed_complex",
     "routes._generating_coefficient_ratio",
     "routes._roots_of_unity",
     "routes.big_q_laguerre_generating",

@@ -235,15 +235,31 @@ def _worst_error(got, want) -> float:
         return float(max(abs(x - y) for x, y in zip(got, want)) / scale)
 
 
+def _forward_rows(p: QParams, prefs: list):
+    """(branch, n) -> the forward eigencoefficients a_0..a_FWD_K at the
+    spectral point of index n, on the exact Decimals and the recurrence
+    coefficients of a verify store at p, in the store's decimal context."""
+    from qortho.operators import _a_coeff_logs
+    from qortho.orthogonality import _Store
+
+    store = _Store(p, Truncation(), FWD_K)
+
+    def forward(branch, n):
+        with decimal.localcontext(store.context):
+            return _a_coeff_logs(branch, n, FWD_K, prefs, store.decimal_p, store.recurrence)
+
+    return forward
+
+
 class TestForwardCoefficientRoute:
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
     def test_matches_duality_reference(self, p, branch):
-        from qortho.operators import _a_coeff_logs, _coefficient_entries
-        from qortho.polynomials import _working_coefficients
+        from qortho.operators import _coefficient_entries
 
-        prefs, recurrence = prefactors(p, FWD_K), _working_coefficients(p)
+        prefs = prefactors(p, FWD_K)
+        forward = _forward_rows(p, prefs)
         for n in range(FWD_K, FWD_K + 61, 4):
-            fwd = _a_coeff_logs(branch, n, FWD_K, prefs, recurrence)
+            fwd = forward(branch, n)
             assert _worst_error(fwd, list(_coefficient_entries(p, branch, n, prefs))) <= FWD_BOUND, n
 
     @pytest.mark.parametrize("p,branch", FORWARD_CASES)
@@ -252,17 +268,15 @@ class TestForwardCoefficientRoute:
         # bound and share no step with the recurrence or the duality
         import mpmath
 
-        from qortho.operators import _a_coeff_logs
-        from qortho.polynomials import _working_coefficients
-
-        prefs, recurrence = prefactors(p, FWD_K), _working_coefficients(p)
+        prefs = prefactors(p, FWD_K)
+        forward = _forward_rows(p, prefs)
         for n in range(FWD_K, FWD_K + 61, 6):
             with mpmath.workdps(120):
                 q, a, b = mpmath.mpf(p.q), mpmath.mpf(p.a), mpmath.mpf(p.b)
                 lam = (a if branch == "a" else b) * q ** (n + 1)
                 seq = [phi_3_2(q**-m, 0, lam, a * q, b * q, q, q) for m in range(FWD_K + 1)]
                 exact = [mpmath.mpf(str(pref)) * v for pref, v in zip(prefs, seq)]
-            assert _worst_error(_a_coeff_logs(branch, n, FWD_K, prefs, recurrence), exact) <= FWD_BOUND, n
+            assert _worst_error(forward(branch, n), exact) <= FWD_BOUND, n
 
     def test_logs_take_forward_route_from_index_k(self, monkeypatch):
         # the rows of a store of largest index K read the forward route for
@@ -274,9 +288,9 @@ class TestForwardCoefficientRoute:
 
         forward = []
 
-        def counted(branch, j, m_max, prefs, recurrence):
+        def counted(branch, j, m_max, prefs, p, coeffs):
             forward.append((branch, j, m_max))
-            return operators._a_coeff_logs(branch, j, m_max, prefs, recurrence)
+            return operators._a_coeff_logs(branch, j, m_max, prefs, p, coeffs)
 
         monkeypatch.setattr(orthogonality, "_a_coeff_logs", counted)
         store = orthogonality._Store(P1, Truncation(), FWD_K)
@@ -660,6 +674,19 @@ class TestEigTridiagonal:
     def test_truncation_residuals_reject_non_spectral_point(self):
         with pytest.raises(DomainError):
             truncation_residuals(P1, 10, [0.17])
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_point_is_no_spectral_point(self, lam):
+        # an infinite argument reached round() in match_spectral_point and
+        # raised OverflowError from every route that identifies a spectral point
+        from qortho.routes import big_q_laguerre_generating
+
+        with pytest.raises(DomainError):
+            truncation_residuals(P1, 10, [lam])
+        with pytest.raises(DomainError):
+            psi_phi_coefficients(lam, P1, 4)
+        with pytest.raises(DomainError):
+            big_q_laguerre_generating(2, lam, P1)
 
     def test_truncation_residuals_underflowed_point_is_no_domain_error(self):
         # a q^5 at q = 1e-65 underflows to 0.0, and a q^(n+1) to a

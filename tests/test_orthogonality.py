@@ -242,6 +242,26 @@ class TestUnitarity:
         with pytest.raises(DomainError):
             verify_record("unitarity-rows", -1, 0, P1, T)
 
+    @pytest.mark.parametrize(
+        "p, t", [(P1, T), (extended_params(*P2), Truncation(rel_tol=1e-20))], ids=["float", "decimal"]
+    )
+    def test_store_reads_recurrence_in_its_own_context(self, p, t):
+        # the recurrence coefficients have no decimal context of their own:
+        # after a sweep run from the thread's context, the store's entries
+        # are those formed on p's exact Decimals in the store's context.  At
+        # index-max 16 the entries of the decimal point need more than the
+        # 28 digits of the thread's default context
+        from qortho.orthogonality import _Store
+        from qortho.polynomials import _context_of, _recurrence_entries
+
+        store = _Store(p, t, 16)
+        run_identity_checks("unitarity", p, t, 16, store=store)
+        assert len(store.recurrence) == 16
+        with decimal.localcontext(_context_of(p)):
+            exact = QParams(*map(decimal.Decimal, p))
+            want = list(itertools.islice(_recurrence_entries(exact), 16))
+        assert store.recurrence == want
+
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_equivalence_with_orthogonality(self, p):
         # rows-unitarity and the q-integral orthogonality state the same
@@ -503,6 +523,22 @@ class TestReports:
             assert r.passed == (r.residual <= r.tolerance * scale)
             assert r.status == ("pass" if r.passed else "fail")
 
+    @pytest.mark.parametrize(
+        "index_max, tolerance",
+        [(-1, 1e-8), (2, float("inf")), (2, 0.0), (2, -1e-8), (2, float("nan"))],
+        ids=["negative-index-max", "inf-tol", "zero-tol", "negative-tol", "nan-tol"],
+    )
+    def test_library_entries_reject_what_the_cli_rejects(self, index_max, tolerance):
+        # a negative index-max gave no records (an IndexError for sears); an
+        # infinite tolerance passed every record unchecked, and a zero,
+        # negative or nan one made every record inconclusive
+        for fam in ("sears", "all"):
+            with pytest.raises(DomainError):
+                run_identity_checks(fam, P1, T, index_max, tolerance)
+        if index_max >= 0:
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                verify_record("sears", 0, 0, P1, T, tolerance)
+
     def test_determinism(self):
         a = run_identity_checks("dual", P1, T, index_max=3)
         b = run_identity_checks("dual", P1, T, index_max=3)
@@ -683,14 +719,16 @@ class TestReports:
 
         from qortho.operators import _a_coeff_logs, _normalization_entries, _prefactor_entries
         from qortho.orthogonality import _N_CAP, _bilinear_sum, _kc
-        from qortho.polynomials import _duality_entries, _working_coefficients
+        from qortho.polynomials import _duality_entries, _LazyList, _recurrence_entries
         from qortho.qseries import _working_context
 
         K = 8
         for p, t, dps in literal_reference_points(P2):
             context = _working_context(dps)
             prefs = list(itertools.islice(_prefactor_entries(p), K + 1))
-            recurrence = _working_coefficients(p)
+            with decimal.localcontext(context):
+                pw = QParams(*map(decimal.Decimal, p))
+            recurrence = _LazyList(_recurrence_entries(pw))
             norm = {branch: (_normalization_entries(p, branch, t), []) for branch in "ab"}
             with decimal.localcontext(context):
                 kc = _kc(p, t)
@@ -704,9 +742,9 @@ class TestReports:
             @functools.cache
             def row(branch, n):
                 top = min(n, K)
-                coeffs = _a_coeff_logs(branch, n, top, prefs[: top + 1], recurrence)
                 c_n = c(branch, n)
                 with decimal.localcontext(context):
+                    coeffs = _a_coeff_logs(branch, n, top, prefs[: top + 1], pw, recurrence)
                     duality = [pref * v for pref, v in zip(prefs, _duality_entries(p, branch, n))]
                     return [c_n * x for x in coeffs + duality[top + 1 :]]
 

@@ -39,7 +39,6 @@ from qortho.polynomials import (
     spectral_sequence,
 )
 from qortho.routes import (
-    _generating_closed_complex,
     big_q_laguerre_generating,
     big_q_laguerre_phi21,
     dual_f,
@@ -201,6 +200,9 @@ class TestSpectralSequence:
         assert match_spectral_point(P1.b * P1.q, P1) == ("b", 0)
         assert match_spectral_point(0.2, P1) is None
         assert match_spectral_point(0.0, P1) is None
+        for x in (math.inf, -math.inf, math.nan):
+            assert match_spectral_point(x, P1) is None
+            assert match_spectral_point(x, QParams(*map(decimal.Decimal, P1))) is None
 
 
 class TestQMeixner:
@@ -590,7 +592,12 @@ class TestTerminatingSumKernel:
                 assert abs(value - reference) <= self.REL * abs(reference), (args, value, reference)
 
     def test_complex_generating_sum_matches_loop(self):
+        # generating_closed at complex t inside the first pole, as the Cauchy
+        # sum of big_q_laguerre_generating reads it: the prefactor times the
+        # terminating 2phi1(aq/x, 0; -1/(bt); q, x/b), with a and b swapped
+        # on the b branch, whose aq/x is q^-j to within rounding
         rng = random.Random(9)
+        t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
         for _ in range(40):
             q = rng.uniform(0.3, 0.95)
             p = QParams(q=q, a=rng.uniform(0.05, 0.999 / q), b=-rng.uniform(0.01, 50.0))
@@ -599,11 +606,12 @@ class TestTerminatingSumKernel:
             radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
             tc = 0.75 * radius * cmath.exp(2j * cmath.pi * rng.random())
             a, b = (p.a, p.b) if branch == "a" else (p.b, p.a)
-            t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
             pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
-            # the closed form's terminating 2phi1(q^-j, 0; -1/(b t); q, x/b)
-            value, _ = _loop_phi(lambda: ((q**-j, 0.0), (-1 / (b * tc),), q, x / b), j)
-            assert _generating_closed_complex(x, tc, p, branch, j) == pref * value, (p, branch, j, tc)
+            value, _ = _loop_phi(lambda: ((a * q / x, 0.0), (-1 / (b * tc),), q, x / b), j)
+            got = generating_closed(x, tc, p, t)
+            assert got == pref * value, (p, branch, j, tc)
+            exact_power, _ = _loop_phi(lambda: ((q**-j, 0.0), (-1 / (b * tc),), q, x / b), j)
+            assert abs(got - pref * exact_power) <= 1e-13 * abs(pref * exact_power), (p, branch, j, tc)
 
     def test_cancelling_spectral_grid_matches_exact_sums(self):
         # big_q_laguerre at the spectral points a q^(j+1), b q^(j+1) and
@@ -679,13 +687,13 @@ class TestRecurrenceTable:
 
     @pytest.mark.parametrize("kind", SCALARS)
     def test_forward_matches_inline_loop(self, kind):
-        from qortho.polynomials import _RecurrenceTable
+        from qortho.polynomials import _LazyList, _recurrence_entries
 
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
                 p = self._convert(p0, dps)
-                shared = _RecurrenceTable(p)
+                shared = _LazyList(_recurrence_entries(p))
                 xs = [p.a * p.q, p.a * p.q**5, p.b * p.q**2, p.b * p.q**9, type(p.q)("0.3")]
                 for n_max in (7, 0, 25, 1, 60, 12):
                     for x in xs:
@@ -695,62 +703,63 @@ class TestRecurrenceTable:
 
     @pytest.mark.parametrize("kind", ["float", "decimal50"])
     def test_forward_on_working_table_matches_inline_loop(self, kind):
-        # the Decimal table of the forward coefficient rows, made from float
-        # parameters at 30 working digits and from Decimal ones at 50,
-        # serves sweeps on its scalars in its own decimal context
-        from qortho.polynomials import _working_coefficients
+        # the coefficients of a verify store's forward rows, on the exact
+        # Decimals of float parameters at 30 working digits and of Decimal
+        # ones at 50, serve sweeps on those scalars in the store's context
+        from qortho.orthogonality import _Store
 
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
-                shared = _working_coefficients(self._convert(p0, dps))
-                assert shared.context is _working_context(dps or 30)
-                pw = shared.p
+                store = _Store(self._convert(p0, dps), T, 0)
+                assert store.context is _working_context(dps or 30)
+                pw = store.decimal_p
                 for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
-                    with decimal.localcontext(shared.context):
+                    with decimal.localcontext(store.context):
                         lam = (pw.a if branch == "a" else pw.b) * pw.q ** (j + 1)
-                        got = big_q_laguerre_recurrence(j + 5, lam, pw, coeffs=shared)
+                        got = big_q_laguerre_recurrence(j + 5, lam, pw, coeffs=store.recurrence)
                         assert got == _loop_forward(j + 5, lam, pw), (kind, p0, branch, j)
 
     @pytest.mark.parametrize("kind", SCALARS)
     def test_extending_equals_one_build(self, kind):
-        from qortho.polynomials import _RecurrenceTable
+        # a list of the entries read in steps equals one read at once, and
+        # each entry is the expression the sweeps formed inline
+        from qortho.polynomials import _LazyList, _recurrence_entries
 
         dps = self.SCALARS[kind]
-        context = _working_context(dps) if dps else None
         for p0 in self.POINTS:
             p = self._convert(p0, dps)
-            long = _RecurrenceTable(p, context)
-            long.upto(60)
-            short = _RecurrenceTable(p, context)
-            short.upto(3)
-            short.upto(17)
-            # a table made with a decimal context extends in it, even when
-            # the extension runs under another one
-            with decimal.localcontext(prec=5):
-                short.upto(60)
-            assert (short.A, short.C, short.d) == (long.A, long.C, long.d), (kind, p0)
-            q, a, b = p.q, p.a, p.b
             with self._in(dps):
-                for k in range(61):
-                    assert long.A[k] == (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
-                    assert long.C[k] == a * b * q ** (k + 1) * (1 - q**k)
-                    assert long.d[k] == -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
+                long = _LazyList(_recurrence_entries(p)).upto(60)
+                short = _LazyList(_recurrence_entries(p))
+                for k in (3, 17, 60):
+                    short.upto(k)
+                assert short == long, (kind, p0)
+                q, a, b = p.q, p.a, p.b
+                for k, (A, C, d) in enumerate(long):
+                    assert A == (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1))
+                    assert C == a * b * q ** (k + 1) * (1 - q**k)
+                    assert d == -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
+
+    def test_negative_degree_is_rejected(self):
+        for n_max in (-1, -3):
+            with pytest.raises(DomainError, match="degree must be nonnegative"):
+                big_q_laguerre_recurrence(n_max, 0.3, P1)
 
 
 class TestDecimalBoundary:
     def test_values_enter_exactly(self):
-        # parameters cross into the Decimal tables with no rounding: floats
-        # and ints far from 1 in both directions read back at 400 digits as
-        # the values themselves, and Decimals with more digits than the
-        # working context keep every one
-        from qortho.polynomials import _working_coefficients
+        # parameters cross into a verify store's Decimal rows with no
+        # rounding: floats and ints far from 1 in both directions read back
+        # at 400 digits as the values themselves, and Decimals with more
+        # digits than the working context keep every one
+        from qortho.orthogonality import _Store
 
         D = decimal.Decimal
         decimals = QParams(q=D("0." + "7" * 60), a=D("9" * 45 + "E-400"), b=D("-" + "3" * 50 + "E+90"))
         for p in (QParams(q=0.7, a=2.0**-1074, b=-(2.0**1000)), QParams(q=2.0**-1074, a=1, b=-5.286509211094206), decimals):
-            got = _working_coefficients(p).p
+            got = _Store(p, T, 0).decimal_p
             assert all(isinstance(x, D) for x in got)
             with mpmath.workdps(400):
                 assert [mpmath.mpf(str(x)) for x in got] == [mpmath.mpf(str(D(x))) for x in p], p
-        assert _working_coefficients(decimals).p == decimals
+        assert _Store(decimals, T, 0).decimal_p == decimals

@@ -67,10 +67,14 @@ def test_repr_reads_as_before():
     [
         (QParams(q=0.5, a=0.5, b=-0.7), {"b": 0.7}, "b must be negative"),
         (Truncation(), {"max_terms": 0}, "max_terms must be a positive integer"),
+        (Truncation(), {"rel_tol": float("inf")}, "rel_tol must be positive and finite"),
+        (Truncation(), {"max_terms": 2.5}, "max_terms must be a positive integer"),
+        (Truncation(), {"small_run": 2.5}, "small_run must be a positive integer"),
         (Tridiagonal.symmetric([1.0, 2.0], [0.5]), {"diag": (1.0,)}, "inconsistent tridiagonal band lengths"),
         (LimitSweep(alpha=1.0, beta=0.5), {"q_sequence": (0.75, 0.5)}, "q_sequence must be strictly increasing"),
     ],
-    ids=["QParams", "Truncation", "Tridiagonal", "LimitSweep"],
+    ids=["QParams", "Truncation", "Truncation-inf-rel-tol", "Truncation-fractional-max-terms",
+         "Truncation-fractional-small-run", "Tridiagonal", "LimitSweep"],
 )
 def test_replace_validates_like_construction(obj, change, message):
     with pytest.raises(DomainError, match=message):
