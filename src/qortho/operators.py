@@ -33,6 +33,7 @@ from qortho.qseries import (
     Truncation,
     _sqrt,
     _Validated,
+    _floats_only,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -133,13 +134,15 @@ def _a_diag(p: QParams, dim: int) -> tuple:
 
 
 def build_A(p: QParams, dim: int) -> Tridiagonal:
-    """Symmetric tridiagonal matrix of the diagonalized operator."""
+    """Symmetric tridiagonal matrix of the diagonalized operator, of
+    float parameters."""
+    _floats_only("build_A", *p)
     if dim < 1:
         raise DomainError("dim must be a positive integer")
     q, a, b = p.q, p.a, p.b
     c = math.sqrt(-a * b)
     off = tuple(
-        c * q ** ((k + 2) / 2) * math.sqrt((1 - q ** (k + 1)) * (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)))
+        c * q ** ((k + 2) / 2) * math.sqrt((1 - (qk := q ** (k + 1))) * (1 - a * qk) * (1 - b * qk))
         for k in map(float, range(dim - 1))
     )
     return Tridiagonal(dim=dim, diag=_a_diag(p, dim), lower=off, upper=off)
@@ -186,18 +189,31 @@ def _coefficient_entries(p: QParams, branch: str, j: int, prefs):
         yield multiply(pref, v)
 
 
+def _unit_factors_from(s: float, q: float, n: int) -> int:
+    """An index k < n, or n, from which every 1 - t q^(i+1), i < n and
+    |t| <= |s|, rounds to 1.0, so that its log is an exact 0.0:
+    |s q^(k+1)| <= 2^-55, and pow is within an ulp, so no later power
+    exceeds q^(k+1) by 2^-51 relative.  The bisection finds such a k even
+    where rounding breaks the order of the powers."""
+    return bisect.bisect_left(range(n), True, key=lambda i: abs(s * q ** (i + 1.0)) <= 2.0**-55)
+
+
 def _log10_prefactors(p: QParams, m_max: int) -> list:
     """log10 pref_0..pref_m_max in floats: the running sum of the logs
-    of the ratios `_pref_a_ratio`."""
+    of the ratios `_pref_a_ratio`, whose factors are 1.0 from
+    `_unit_factors_from` on."""
     q, a, b = p.q, p.a, p.b
     log_ab, log_q = math.log10(-a * b), math.log10(q)
+    k = _unit_factors_from(max(a, -b, 1.0), q, m_max)
     steps = []
-    for m in map(float, range(m_max)):
+    for m in map(float, range(k)):
         qm = q ** (m + 1)
         steps.append(
             -0.5 * log_ab - (2 * m + 4) / 4.0 * log_q
             + 0.5 * (math.log10(1 - a * qm) + math.log10(1 - b * qm) - math.log10(1 - qm))
         )
+    # a step plus the exact 0.0 of its logs keeps its bits
+    steps += [-0.5 * log_ab - (2 * m + 4) / 4.0 * log_q for m in map(float, range(k, m_max))]
     return list(itertools.accumulate(steps, initial=0.0))
 
 
@@ -235,10 +251,14 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     may cancel far below its terms, is the q-Meixner sum on the exact
     Decimals of the parameters, in `_context_of(p)`.  A point that is not
     spectral raises DomainError, one that underflowed below the normal
-    floats and matches no index NonConvergenceError."""
+    floats and matches no index NonConvergenceError.  The parameters are
+    floats and dim a positive integer."""
+    _floats_only("truncation_residuals", *p)
+    if dim < 1:
+        raise DomainError("dim must be a positive integer")
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
-    qi = [q ** float(i) for i in range(1, dim + 1)]
+    qi = [q ** float(i) for i in range(1, _unit_factors_from(max(a, -b), q, dim) + 1)]
     log_sq = {s: math.fsum(math.log10(1 - s * x) for x in qi) for s in (a, b)}
     qd = q**dim
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
@@ -307,7 +327,8 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation):
 
 
 def spectrum_points(p: QParams, N: int) -> SpectralPoints:
-    """The first N exact eigenvalues on each branch."""
+    """The first N exact eigenvalues on each branch, of float parameters."""
+    _floats_only("spectrum_points", *p)
     if N < 1:
         raise DomainError("N must be a positive integer")
     return SpectralPoints(
@@ -322,6 +343,8 @@ _MAX_BISECTIONS = 120
 _BRACKET_WIDTH = 1e-14
 # Pivots smaller than this in magnitude are replaced by its negative.
 _PIVMIN = 1e-290
+# A Sturm count at a shift below this in magnitude walks every row.
+_CUT_FLOOR = 1e-280
 
 
 def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
@@ -334,19 +357,46 @@ def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
     return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
 
 
+def _sturm_rows(d, e) -> tuple:
+    """The rows that `_sturm_count` reads for the diagonal d and the
+    off-diagonal e: the pairs (d[i], e[i-1]^2), e[-1] = 0, and the minima
+    over k >= j of -2(|d[k]| + sqrt(d[k]^2 + 2e[k-1]^2)), ascending."""
+    e2 = [0.0, *(x * x for x in e)]
+    reach = [-2 * (abs(x) + math.sqrt(x * x + 2 * y)) for x, y in zip(d, e2)]
+    return list(zip(d, e2)), [*itertools.accumulate(reversed(reach), min)][::-1]
+
+
 def _sturm_count(rows, x: float) -> int:
     """Number of eigenvalues below x: the negative pivots of the LDL^T
-    factorization of T - x, where rows holds the pairs (d[i], e[i-1]^2)
-    with e[-1]^2 = 0 and the pivots are d[i] - x - e[i-1]^2 / pivot[i-1],
-    floored away from zero to -_PIVMIN."""
-    count, piv = 0, 1.0
-    for d, e2 in rows:
-        piv = d - x - e2 / piv
-        if piv < _PIVMIN:
-            count += 1
-            if piv > -_PIVMIN:
-                piv = -_PIVMIN
-    return count
+    factorization of T - x, for the rows (pairs, reach) of `_sturm_rows`,
+    with the pivots d[i] - x - e[i-1]^2 / pivot[i-1] floored away from
+    zero to -_PIVMIN.
+
+    |x| >= -reach[j] means |d[k]| + 2e[k-1]^2/|x| <= |x|/4 for each k >= j.
+    The loop stops at the first such row j where the pivot before it has
+    the sign of -x and |piv| >= |x|/2.  The proof that the count is the
+    full loop's:
+      then |e[k-1]^2/piv| <= 2e[k-1]^2/|x|, so pivot k has the sign of -x
+      and |piv| >= |x| - |d[k]| - 2e[k-1]^2/|x| >= 3|x|/4, at k = j and so
+      on for every later k: each counts (x > 0) or none does (x < 0).
+    Rounding, of reach and of the pivots, moves no pivot across the gap
+    from 3|x|/4 to |x|/2, and |x| >= _CUT_FLOOR keeps them above _PIVMIN."""
+    pairs, reach = rows
+    n, ax = len(pairs), abs(x)
+    cut = n if ax < _CUT_FLOOR else bisect.bisect_left(reach, -ax)
+    count, piv, start = 0, 1.0, 0
+    while True:
+        for d, e2 in pairs[start:cut]:
+            piv = d - x - e2 / piv
+            if piv < _PIVMIN:
+                count += 1
+                if piv > -_PIVMIN:
+                    piv = -_PIVMIN
+        if cut == n:
+            return count
+        if (piv < 0) == (x > 0) and abs(piv) >= ax / 2:
+            return count + n - cut if x > 0 else count
+        start, cut = cut, cut + 1
 
 
 def eig_tridiagonal(tri: Tridiagonal, near=None) -> list:
@@ -387,7 +437,7 @@ def eig_tridiagonal(tri: Tridiagonal, near=None) -> list:
     hi = max(x + r for x, r in zip(d, rad))
     norm = max(abs(lo), abs(hi), 1e-300)
     lo, hi, width = lo - 1e-12 * norm, hi + 1e-12 * norm, _BRACKET_WIDTH * norm
-    rows = list(zip(d, [0.0] + [x * x for x in e]))
+    rows = _sturm_rows(d, e)
     xs, counts = [lo, hi], [0, n]  # every point counted, ascending
 
     def count(x: float) -> int:

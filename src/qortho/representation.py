@@ -217,11 +217,13 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
 
     At spectral points the values are square-summable and computed from
     the duality closed form of the polynomial sequence; any other lam is
-    allowed but flagged non-normalizable.  The coefficients are a tuple
-    of floats.
+    allowed but flagged non-normalizable, and a non-finite one raises
+    DomainError.  The coefficients are a tuple of floats.
     """
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
+    if not abs(lam) < math.inf:
+        raise DomainError(f"eigencoefficients need a finite lam, not {lam!r}")
     hit = match_spectral_point(lam, p)
     if hit is not None:
         coeffs = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p)), m_max, "eigencoefficients")

@@ -23,6 +23,7 @@ from qortho.qseries import (
     TailError,
     Truncation,
     _as_negative_q_power,
+    _floats_only,
     _phi_series,
     _working_context,
     phi_2_1,
@@ -98,13 +99,6 @@ class GeneratingDiagnostics(NamedTuple):
     tail_estimate: float
 
 
-def _floats_only(route: str, *values) -> None:
-    """DomainError for a Decimal among the arguments of a route whose
-    arithmetic mixes them with float constants."""
-    if any(isinstance(v, decimal.Decimal) for v in values):
-        raise DomainError(f"{route} takes floats, not Decimals")
-
-
 def _generating_coefficient_ratio(n, a, b, q):
     """Ratio of consecutive series weights (aq,bq;q)_n q^(-n(n-1)/2)/(q;q)_n."""
     return (1 - a * q ** (n + 1)) * (1 - b * q ** (n + 1)) * q ** (-n) / (1 - q ** (n + 1))
@@ -127,8 +121,11 @@ def generating_series(
     for |t| inside a radius that shrinks with the depth of the spectral
     argument; elsewhere the partial sums plateau and the tail estimate
     reports that honestly.  Off the spectral points x, tvar and p are
-    floats; at a float spectral argument p and tvar may be Decimals.
+    floats; at a float spectral argument p and tvar may be Decimals.  A
+    non-finite x raises DomainError.
     """
+    if not abs(x) < math.inf:
+        raise DomainError(f"generating_series needs a finite x, not {x!r}")
     a, b, q = p.a, p.b, p.q
     hit = match_spectral_point(x, p) if isinstance(x, float) else None
     overflowed = False

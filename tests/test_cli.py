@@ -1071,6 +1071,8 @@ class TestGoldenOutput:
     #       --format csv --no-timestamp > tests/data/table_q0.7_a0.9_b-0.4.csv
     #   PYTHONPATH=src python -m qortho report-all --index-max 1 --dim 20 \
     #       --format json --no-timestamp > tests/data/report_all_index1_dim20.json
+    #   PYTHONPATH=src python -m qortho spectrum --dim 2000 --q 0.99 --a 0.5 --b -0.7 \
+    #       --format csv --no-timestamp > tests/data/spectrum_dim2000_q0.99_a0.5_b-0.7.csv
     GOLDEN = [
         (
             ["verify", "--identity", "all", "--index-max", "3", "--q", "0.5", "--a", "0.5", "--b", "-0.7"],
@@ -1108,6 +1110,14 @@ class TestGoldenOutput:
         (
             ["report-all", "--index-max", "1", "--dim", "20"],
             "report_all_index1_dim20.json",
+            0,
+        ),
+        # near q = 1 the operator's entries decay slowly: its Sturm counts
+        # walk hundreds of rows of the 2000- and 4000-row truncations before
+        # the tail can no longer flip a pivot
+        (
+            ["spectrum", "--dim", "2000", "--q", "0.99", "--a", "0.5", "--b", "-0.7"],
+            "spectrum_dim2000_q0.99_a0.5_b-0.7.csv",
             0,
         ),
     ]

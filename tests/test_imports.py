@@ -115,7 +115,6 @@ UNREACHED = {
     "representation.qJ0_inverse_action",
     "representation.recurrence_residuals",
     "routes._dual_value",
-    "routes._floats_only",
     "routes._generating_coefficient_ratio",
     "routes._roots_of_unity",
     "routes.big_q_laguerre_generating",

@@ -139,6 +139,13 @@ class TestEigenCoefficients:
         vec = eigen_coefficients(0.17, P1, 10)
         assert not vec.normalizable
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_lam_rejected(self, lam):
+        # inf overflowed the generic polynomial route, and nan gave
+        # (1.0, nan, ...) flagged non-normalizable
+        with pytest.raises(DomainError):
+            eigen_coefficients(lam, P1, 4)
+
     def test_negative_cut_off_rejected(self):
         # a negative m_max is a usage error, as in spectral_sequence, not
         # an empty vector marked normalizable
@@ -575,6 +582,59 @@ class TestEigTridiagonal:
         eig_tridiagonal(build_A(P2, 2000), near=exact)
         assert 0 < len(counted) <= 100
 
+    @pytest.mark.parametrize("case", ["operator", "random"])
+    def test_cut_count_equals_full_count(self, case):
+        # the count that stops where the tail can no longer flip a pivot
+        # against the loop over every row, at shifts from 1e-250 to 10 of
+        # either sign, below and at the floor under which no count is cut
+        from qortho.operators import _CUT_FLOOR, _sturm_count, _sturm_rows
+
+        def full_count(d, e, x):
+            count, piv = 0, 1.0
+            for i, di in enumerate(d):
+                piv = di - x - (e[i - 1] * e[i - 1] if i else 0.0) / piv
+                if piv < 1e-290:
+                    count += 1
+                    if piv > -1e-290:
+                        piv = -1e-290
+            return count
+
+        if case == "operator":
+            matrices = [
+                (tri.diag, tri.offdiag)
+                for q in (1e-30, 0.3, 0.7, 0.99, 0.995)
+                for dim in (1, 2, 50, 2000)
+                for tri in [build_A(QParams(q=q, a=0.5, b=-0.7), dim)]
+            ]
+        else:
+            # decaying like rate^k, of mixed signs, with rates from 1e-3 to
+            # 0.999 and tails that underflow to exact zeros
+            rng = np.random.default_rng(38)
+            matrices = []
+            for rate in map(float, 10.0 ** -rng.uniform(math.log10(1 / 0.999), 3, size=30)):
+                dim, scale = int(rng.integers(1, 600)), float(10.0 ** rng.uniform(-3, 3))
+                d = [scale * float(x) * rate**k for k, x in enumerate(rng.normal(size=dim))]
+                e = [scale * float(x) * rate ** (k + 0.5) for k, x in enumerate(rng.normal(size=dim - 1))]
+                matrices.append((d, e))
+            matrices.append(([1.0] + [0.0] * 99, [0.5] + [0.0] * 98))
+        shifts = [float(x) for x in np.logspace(-250, 1, 150)] + [_CUT_FLOOR, 1e-300]
+        points = [0.0] + shifts + [-x for x in shifts]
+        for d, e in matrices:
+            rows = _sturm_rows(d, e)
+            for x in points:
+                assert _sturm_count(rows, x) == full_count(d, e, x), (len(d), x)
+
+    def test_cut_count_reads_the_support(self):
+        # the rows a count walks before its tail test can pass depend on
+        # |x| and q, not on dim: at q = 0.5 and |x| = 1e-3, the first 21
+        import bisect
+
+        from qortho.operators import _sturm_rows
+
+        for dim in (100, 2000, 20000):
+            tri = build_A(P1, dim)
+            assert bisect.bisect_left(_sturm_rows(tri.diag, tri.offdiag)[1], -1e-3) == 21
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):
         tri = build_A(P1, 12)
@@ -687,6 +747,24 @@ class TestEigTridiagonal:
             psi_phi_coefficients(lam, P1, 4)
         with pytest.raises(DomainError):
             big_q_laguerre_generating(2, lam, P1)
+
+    def test_truncation_residuals_reject_dim_below_one(self):
+        # dim 0 reached log10(1 - q^0) and raised a bare math domain error
+        for dim in (0, -3):
+            with pytest.raises(DomainError):
+                truncation_residuals(P1, dim, [P1.a * P1.q])
+
+    @pytest.mark.parametrize("route", ["build_A", "spectrum_points", "truncation_residuals"])
+    def test_float_routes_reject_decimal_parameters(self, route):
+        # each mixes the parameters with float powers, where Decimal ** float
+        # raised TypeError
+        calls = {
+            "build_A": lambda p: build_A(p, 10),
+            "spectrum_points": lambda p: spectrum_points(p, 10),
+            "truncation_residuals": lambda p: truncation_residuals(p, 10, [0.25]),
+        }
+        with pytest.raises(DomainError):
+            calls[route](QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.7"))))
 
     def test_truncation_residuals_underflowed_point_is_no_domain_error(self):
         # a q^5 at q = 1e-65 underflows to 0.0, and a q^(n+1) to a

@@ -307,6 +307,13 @@ class TestGeneratingFunction:
     def test_nmax_zero(self):
         assert generating_series(0.1, -0.2, P1, 0, T) == 1.0
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_series_rejects_non_finite_x(self, x):
+        # the recurrence values overflow at once, and the partial sum 1.0
+        # came back as the value
+        with pytest.raises(DomainError):
+            generating_series(x, 0.1, P1, n_max=10)
+
     @pytest.mark.parametrize("j,tv", [(0, 0.3), (0, -0.3), (1, 0.25), (2, -0.15), (3, 0.05)])
     def test_series_equals_closed_on_upper_branch(self, j, tv):
         x = P1.a * P1.q ** (j + 1)

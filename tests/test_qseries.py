@@ -14,12 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qortho.qseries import (
+    TERMINATION_RTOL,
     DenominatorZeroError,
     DomainError,
     NonConvergenceError,
     QParams,
     SeriesDivergenceError,
     Truncation,
+    _as_negative_q_power,
+    _decimal_log_ratio,
     _working_context,
     jackson_Eq,
     phi_2_1,
@@ -283,6 +286,66 @@ class TestScalarTypes:
     def test_int_and_float_zeros_are_floats(self):
         assert [q_pochhammer_inf(4, 0.5, T), jackson_Eq(-2, 0.5, T)] == [0.0, 0.0]
         assert type(q_pochhammer_inf(4, 0.5, T)) is float and type(jackson_Eq(-2, 0.5, T)) is float
+
+
+def _ln_answer(u, q):
+    """The termination index of the Decimal u at the Decimal q as Decimal
+    ln gives it in the thread's context: j = round(-ln u / ln q) if
+    u q^j = 1 to within TERMINATION_RTOL."""
+    if u == 1:
+        return 0
+    if not u > 1:
+        return None
+    j = round(-u.ln() / q.ln())
+    return j if j >= 0 and abs(u * q**j - 1) <= TERMINATION_RTOL else None
+
+
+def _negative_power_cases():
+    """(q, u) in the thread's context: exact q-powers beyond the float
+    range, half-integer powers, q within 1e-12 of 1, and points 1e-9 off a
+    power."""
+    D = decimal.Decimal
+    cases = [(D(q), D(q) ** -j) for q, j in [(1e-30, 20), (0.5, 2000), (1e-300, 5), (0.9, 10**5), (0.5, 0), (0.3, 7)]]
+    for q in (D("0.5"), D("0.3"), D("0.97")):
+        cases += [(q, (q.ln() * -(j + D("0.5"))).exp()) for j in (0, 3, 40)]
+    for q in (1 - D("1e-12"), 1 - D("3e-13"), 1 - D("1e-15"), 1 - D(2.0**-52)):
+        cases += [(q, q**-j) for j in (1, 2, 1000, 10**6)]
+    cases += [(D("0.7"), D("0.7") ** -12 * (1 + D("1e-9"))), (D("0.7"), D("0.7") ** -12 * (1 - D("1e-9")))]
+    return cases
+
+
+class TestNegativeQPower:
+    # a Decimal u's termination index comes from its exponent, a float
+    # mantissa and the float log of q wherever a written bound proves the
+    # result equal to that of Decimal ln
+    @pytest.mark.parametrize("dps", [10, 30, 50])
+    def test_decimal_index_is_the_ln_index(self, dps):
+        # the cases carry 60 digits, more than some of these contexts hold
+        with decimal.localcontext(_working_context(60)):
+            cases = _negative_power_cases()
+        with decimal.localcontext(_working_context(dps)):
+            for q, u in cases:
+                if u > 1:
+                    assert _decimal_log_ratio(u, q) == round(-u.ln() / q.ln()), (q, u)
+                assert _as_negative_q_power(u, q) == _ln_answer(u, q), (q, u)
+
+    def test_floats_decide_away_from_half_integers(self, monkeypatch):
+        # exact powers in the float range take no Decimal ln; a ratio that
+        # is a half-integer does
+        from qortho import qseries
+
+        calls = []
+        ln = qseries._ln
+        monkeypatch.setattr(qseries, "_ln", lambda x: calls.append(x) or ln(x))
+        D = decimal.Decimal
+        with decimal.localcontext(_working_context(30)):
+            for q in (D("0.5"), D(0.3), D(0.97), D(1e-30)):
+                for j in (1, 5, 40, 300):
+                    assert _as_negative_q_power(q**-j, q) == j
+            assert calls == []
+            q = D("0.5")
+            assert _decimal_log_ratio((q.ln() * D("-3.5")).exp(), q) in (3, 4)
+            assert len(calls) == 2
 
 
 class TestTruncation:
