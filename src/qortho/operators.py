@@ -39,10 +39,10 @@ from qortho.qseries import (
 from qortho.polynomials import (
     _context_of,
     _duality_entries,
+    _duality_meixner,
     _recurrence_d,
     big_q_laguerre_recurrence,
     match_spectral_point,
-    q_meixner,
 )
 
 __all__ = [
@@ -248,11 +248,11 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     with (first, second) = (a, b) or (b, a) and the denominator equal to
     (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
     sum of logs, and r underflows to 0 or overflows to inf.  M_n, which
-    may cancel far below its terms, is the q-Meixner sum on the exact
-    Decimals of the parameters, in `_context_of(p)`.  A point that is not
-    spectral raises DomainError, one that underflowed below the normal
-    floats and matches no index NonConvergenceError.  The parameters are
-    floats and dim a positive integer."""
+    may cancel far below its terms, is `_duality_meixner`'s exact dot on
+    the exact Decimals of the parameters, in `_context_of(p)`.
+    A point that is not spectral raises DomainError, one that underflowed
+    below the normal floats and matches no index NonConvergenceError.
+    The parameters are floats and dim a positive integer."""
     _floats_only("truncation_residuals", *p)
     if dim < 1:
         raise DomainError("dim must be a positive integer")
@@ -263,7 +263,6 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     qd = q**dim
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
     log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
-    dq, da, db = map(decimal.Decimal, p)
     radii = []
     for lam in points:
         hit = match_spectral_point(float(lam), p)
@@ -273,11 +272,8 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
                 raise NonConvergenceError(f"eigenvalue {float(lam)!r} underflowed the float range")
             raise DomainError(f"{float(lam)!r} is not an eigenvalue a q^(n+1) or b q^(n+1)")
         branch, n = hit
-        first, second = (a, b) if branch == "a" else (b, a)
-        dfirst, dsecond = (da, db) if branch == "a" else (db, da)
-        with decimal.localcontext(_context_of(p)):
-            meixner = q_meixner(n, dim, dfirst, -dsecond / dfirst, dq)
-            log_meixner = float(abs(meixner).log10())
+        second = b if branch == "a" else a
+        log_meixner = float(_duality_meixner(p, branch, n, dim).copy_abs().log10(_context_of(p)))
         log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + log_meixner
         radii.append(math.inf if log_r > 300 else 10.0**log_r)
     return radii

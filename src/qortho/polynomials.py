@@ -46,7 +46,6 @@ __all__ = [
     "classical_laguerre",
 ]
 
-SPECTRAL_MATCH_RTOL = 1e-10
 # working precision of the duality sequences and coefficient tables of float parameters
 _WORKING_DPS = 30
 # working precision of Decimal parameters, those of `verify --precision extended`
@@ -66,7 +65,8 @@ def _context_of(p: QParams) -> decimal.Context:
 
 
 def _exact_dot(xs, ys) -> decimal.Decimal:
-    """sum_k xs[k] ys[k] of Decimals, every product and sum exact."""
+    """sum_k xs[k] ys[k] of Decimals, k over the shorter of the two, every
+    product and sum exact."""
     with decimal.localcontext(_EXACT):
         return sum(map(operator.mul, xs, ys))
 
@@ -171,23 +171,16 @@ def match_spectral_point(x, p: QParams) -> Optional[tuple]:
     """Identify x with a q^(j+1) or b q^(j+1) within relative tolerance.
 
     Returns ("a", j) or ("b", j), or None when x is not a spectral point,
-    as an infinite or nan x never is.  x and the tolerance are compared in
-    the scalars of p, floats or Decimals.
+    as zero, an infinite or a nan x never is: j + 1 is the power that
+    `qseries._as_negative_q_power` finds in a / x or b / x, in the scalars
+    of p, floats or Decimals.
     """
-    if not math.isfinite(x):
+    if not math.isfinite(x) or x == 0:
         return None
-    q = p.q
-    scalar = type(q)
-    x, rtol = scalar(x), scalar(SPECTRAL_MATCH_RTOL)
-    if x > 0:
-        j = round(math.log(x / p.a) / math.log(q)) - 1
-        if j >= 0 and abs(p.a * q ** (j + 1) - x) <= rtol * abs(x):
-            return ("a", j)
-    elif x < 0:
-        j = round(math.log(x / p.b) / math.log(q)) - 1
-        if j >= 0 and abs(p.b * q ** (j + 1) - x) <= rtol * abs(x):
-            return ("b", j)
-    return None
+    x = type(p.q)(x)
+    branch, first = ("a", p.a) if x > 0 else ("b", p.b)
+    power = _as_negative_q_power(first / x, p.q)  # j + 1; 0 at x = first
+    return (branch, power - 1) if power else None
 
 
 def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
@@ -216,27 +209,45 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     return list(itertools.islice(_duality_entries(p, branch, j), m_max + 1))
 
 
-def _duality_entries(p: QParams, branch: str, j: int):
-    """P_0(lam), P_1(lam), ... without end, by the method of
-    `spectral_sequence`, one Decimal per next() in `_context_of(p)`; the
-    c_k are built as the growing m first needs them, and each entry is the
-    exact sum of the products c_k (q^-m; q)_k, divided once.  A caller
-    that keeps the iterator extends its sequence from where it stopped."""
-    context = _context_of(p)
+def _duality_coefficients(p: QParams, branch: str, j: int) -> list:
+    """c_0, ..., c_j of the duality sum of `spectral_sequence` at lam =
+    first q^(j+1), as Decimals in `_context_of(p)`."""
     q, a, b = map(decimal.Decimal, p)
     first, second = (a, b) if branch == "a" else (b, a)
-    with decimal.localcontext(context):
+    with decimal.localcontext(_context_of(p)):
         z = q ** (j + 1) * first / second
+        c = [decimal.Decimal(1)]
+        for k in range(j):
+            c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
+    return c
+
+
+def _duality_meixner(p: QParams, branch: str, j: int, m: int) -> decimal.Decimal:
+    """M_j(q^-m; first, -second/first; q), the numerator of P_m(lam) in
+    `spectral_sequence`: the exact sum of the products c_k (q^-m; q)_k,
+    k <= min(j, m), the q-Pochhammer symbols formed in `_context_of(p)`."""
+    q = decimal.Decimal(p.q)
+    with decimal.localcontext(_context_of(p)):
+        factors = [1 - q ** (k - m) for k in range(min(j, m))]
+        poch = list(itertools.accumulate(factors, operator.mul, initial=decimal.Decimal(1)))
+    return _exact_dot(_duality_coefficients(p, branch, j), poch)
+
+
+def _duality_entries(p: QParams, branch: str, j: int):
+    """P_0(lam), P_1(lam), ... without end, by the method of
+    `spectral_sequence`, one Decimal per next() in `_context_of(p)`: each
+    entry is the exact sum of the products c_k (q^-m; q)_k, divided once.
+    A caller that keeps the iterator extends its sequence from where it
+    stopped."""
+    context = _context_of(p)
+    q, second = decimal.Decimal(p.q), decimal.Decimal(p.b if branch == "a" else p.a)
+    c = _duality_coefficients(p, branch, j)
     qm = decimal.Decimal(1)  # q^-m
-    c = [qm]
     poch = [qm]  # (q^-m; q)_k, k = 0..min(m, j)
     denom = qm  # (q^-m/second; q)_m
     yield qm
     for m in itertools.count(1):
         with decimal.localcontext(context):
-            if m <= j:
-                k = m - 1
-                c.append(c[k] * (1 - q ** (k - j)) * z / ((1 - first * q ** (k + 1)) * (1 - q ** (k + 1))))
             qm = qm / q
             shift = 1 - qm
             poch = [poch[0]] + [shift * v for v in poch[: min(j, m)]]

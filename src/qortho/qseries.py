@@ -11,6 +11,7 @@ is a pure function of its arguments.
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import functools
 import math
@@ -42,7 +43,6 @@ __all__ = [
 TERMINATION_RTOL = 1e-10
 # smallest normal float: a result below it has no relative accuracy to keep
 _FLOAT_MIN = sys.float_info.min
-_LN10 = math.log(10)
 # digits the Decimal kernels carry beyond the working precision: at 30 digits
 # their unit roundoff is 5e-32
 _GUARD_DIGITS = 2
@@ -85,6 +85,19 @@ def _sqrt(x):
     """Square root in x's scalar type: a Decimal's in the thread's decimal
     context, else x ** 0.5."""
     return x.sqrt() if isinstance(x, decimal.Decimal) else x**0.5
+
+
+def _finite(x) -> bool:
+    """Whether the scalar x is finite: a Decimal of any size, else a real
+    or complex number."""
+    return x.is_finite() if isinstance(x, decimal.Decimal) else cmath.isfinite(x)
+
+
+def _require_finite(*values) -> None:
+    """DomainError for an infinite or nan argument of a kernel, which no
+    product or series of it can take."""
+    if not all(map(_finite, values)):
+        raise DomainError(f"arguments must be finite, got {values}")
 
 
 def _floats_only(route: str, *values) -> None:
@@ -267,33 +280,12 @@ def q_pochhammer(a, q, n: int):
     return out
 
 
-def _decimal_log_ratio(u, q) -> int:
-    """round(-ln u / ln q) for Decimals u > 1 and 0 < q < 1: the integer
-    that Decimal ln gives in the thread's context, from floats where they
-    prove it.
-
-    With e = u.adjusted() and P the context's digits, ln u = ln(u 10^-e) +
-    e ln 10 comes out of floats within err_u = 1.01 10^(1-P) (the rounded
-    mantissa) + 2e-15 (1 + e), and ln q within err_q = 3e-16 (1 + |ln q|),
-    so the float ratio r is within (err_u + R err_q) / (|ln q| - err_q) +
-    1.2e-16 R of the exact one, R = |r| + 1; the Decimal ratio, three
-    operations each within 2 ulps, is within 7 10^(1-P) R of it.  Where r
-    lies farther than their sum from a half-integer, both round as r does;
-    elsewhere Decimal ln decides."""
-    eps, e, qf = 10.0 ** (1 - decimal.getcontext().prec), u.adjusted(), float(q)
-    if _FLOAT_MIN <= qf < 1:
-        lq = math.log(qf)
-        r = -(math.log(float(u.scaleb(-e))) + e * _LN10) / lq
-        R, err_q = abs(r) + 1, 3e-16 * (1 - lq)
-        if -lq > err_q:
-            bound = (1.01 * eps + 2e-15 * (1 + e) + R * err_q) / (-lq - err_q) + (1.2e-16 + 7 * eps) * R
-            if abs(r - round(r)) + bound < 0.5:
-                return round(r)
-    return round(-_ln(u) / _ln(q))
-
-
 def _as_negative_q_power(u, q):
-    """Return j if u == q^(-j) for an integer j >= 0 (within tolerance)."""
+    """Return j if u == q^(-j) for an integer j >= 0 (within tolerance),
+    j = round(-ln u / ln q) in u's scalar type; None for any other u, a
+    complex or non-finite one among them."""
+    if not _finite(u):
+        return None
     try:
         if u == 1:
             return 0
@@ -301,7 +293,7 @@ def _as_negative_q_power(u, q):
             return None
     except TypeError:
         return None  # complex parameters never terminate
-    j = _decimal_log_ratio(u, q) if isinstance(u, decimal.Decimal) else round(-_ln(u) / _ln(q))
+    j = round(-_ln(u) / _ln(q))
     if j >= 0 and abs(u * q**j - 1) <= TERMINATION_RTOL:
         return int(j)
     return None
@@ -313,6 +305,7 @@ def q_pochhammer_inf(a, q, t: Truncation = Truncation()):
     Returns exactly 0 when a = q^(-j) for some integer j >= 0, where the
     (j+1)-st factor vanishes.
     """
+    _require_finite(a, q)
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
     if _as_negative_q_power(a, q) is not None:
@@ -436,7 +429,9 @@ def _phi_series(build, base, t: Truncation):
     cancelling float sum is re-summed (`_escalated`) on build of the
     exact Decimals of base, which never sees a float-rounded one.  A float
     build that overflows (q^-n at tiny q) is read on those Decimals too.
+    A non-finite scalar in base raises DomainError.
     """
+    _require_finite(*base)
     try:
         numerators, denominators, q, z = build(*base)
     except OverflowError:
@@ -504,6 +499,7 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
     inputs are then re-summed automatically in Decimals at the precision
     the cancellation needs (`_escalated`).
     """
+    _require_finite(z, q)
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
     j = _as_negative_q_power(-z, q)

@@ -715,9 +715,9 @@ class TestEigTridiagonal:
                 err = np.abs(eig_tridiagonal(tri, near=exact) - exact)
                 bound = np.array(truncation_residuals(p, dim, exact)) + eig_tridiagonal_accuracy(tri)
                 assert np.all(err <= bound), (q, a, b, dim)
-        # r / |A[d-1, d]| is |a_d| from one q-Meixner sum; the reference
-        # is the whole duality sequence, summed with its Pochhammer symbols
-        # carried from degree to degree
+        # r / |A[d-1, d]| is |a_d| from one exact dot of the duality
+        # coefficients; the reference is the whole duality sequence, summed
+        # with its Pochhammer symbols carried from degree to degree
         from qortho import polynomials
 
         for p in (P1, P2, QParams(q=0.3, a=3.2, b=-0.01), QParams(q=0.8, a=0.6, b=-2.0)):
@@ -730,6 +730,35 @@ class TestEigTridiagonal:
                     want = abs(float(prefs[d]) * float(seq[d]))
                     got = truncation_residuals(p, d, [lam])[0] / abs(off[d - 1])
                     assert got == pytest.approx(want, rel=1e-11), (p, branch, j, d)
+
+    @pytest.mark.parametrize(
+        "params", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.99, 0.5, -0.7), (1e-30, 0.5, -0.7)], ids=str
+    )
+    def test_radius_meixner_is_the_2phi1(self, params):
+        # M_n(q^-d) of the radius, the exact dot of the 32-digit duality
+        # coefficients c_k with (q^-d; q)_k, against the independent 2phi1
+        # on the same exact Decimals at 60 digits: they differ by the
+        # rounding of c_k and (q^-d; q)_k, products of at most n factors,
+        # each within a few units of 5e-32 once the cancellation of
+        # 1 - q^i, at most 1/(1 - q), is undone, times the sum's condition
+        # sum |c_k (q^-d; q)_k| / |M|
+        from qortho.polynomials import _duality_coefficients, _duality_meixner, q_meixner
+        from qortho.qseries import _working_context
+
+        p = QParams(*params)
+        for branch in "ab":
+            for n in range(10):
+                c = _duality_coefficients(p, branch, n)
+                for d in (1, 2, 7, 250, 2000):
+                    got = _duality_meixner(p, branch, n, d)
+                    with decimal.localcontext(_working_context(60)):
+                        q, a, b = map(decimal.Decimal, p)
+                        first, second = (a, b) if branch == "a" else (b, a)
+                        want = q_meixner(n, d, first, -second / first, q)
+                        poch = [q_pochhammer(q**-d, q, k) for k in range(min(n, d) + 1)]
+                        mass = sum(abs(ck * pk) for ck, pk in zip(c, poch))
+                        rounding = 10 * (n + 1) * decimal.Decimal("5e-32") / (1 - q)
+                        assert abs(got - want) <= rounding * mass, (branch, n, d)
 
     def test_truncation_residuals_reject_non_spectral_point(self):
         with pytest.raises(DomainError):

@@ -474,10 +474,14 @@ class TestMeixnerCrossRoute:
                     assert err <= r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs))), (fam, r.indices, err)
                     assert r.status == "pass", (fam, r.indices)
 
-    def test_no_engine_calls_q_meixner(self, monkeypatch):
+    def test_no_engine_calls_q_meixner(self, monkeypatch, tmp_path):
         # the q-Meixner 2phi1 stays the independent reference: no verify
-        # engine evaluates it, in double or in extended precision
+        # engine evaluates it, in double or in extended precision, nor does
+        # spectrum's truncation radius; table's "series" rows, four at
+        # index-max 1, are the one command that does
         import sys
+
+        from qortho import cli
 
         calls = []
         for name, mod in list(sys.modules.items()):
@@ -491,6 +495,11 @@ class TestMeixnerCrossRoute:
             assert run_identity_checks("all", p, T)
             assert extended_reports(("all",), p.q, p.a, p.b, 3)
         assert calls == []
+        out = str(tmp_path / "out.json")
+        assert cli.main(["spectrum", "--dim", "250", "--out", out, "--no-timestamp"]) == 0
+        assert calls == []
+        assert cli.main(["table", "--index-max", "1", "--out", out, "--no-timestamp"]) == 0
+        assert len(calls) == 4
 
 
 class TestBiorthogonality:

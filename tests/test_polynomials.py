@@ -199,10 +199,12 @@ class TestSpectralSequence:
         assert match_spectral_point(P1.a * P1.q**3, P1) == ("a", 2)
         assert match_spectral_point(P1.b * P1.q, P1) == ("b", 0)
         assert match_spectral_point(0.2, P1) is None
-        assert match_spectral_point(0.0, P1) is None
-        for x in (math.inf, -math.inf, math.nan):
-            assert match_spectral_point(x, P1) is None
-            assert match_spectral_point(x, QParams(*map(decimal.Decimal, P1))) is None
+        for p in (P1, QParams(*map(decimal.Decimal, P1))):
+            for x in (0.0, math.inf, -math.inf, math.nan):
+                assert match_spectral_point(x, p) is None
+            # a q^800: a / x = 2^800 is still a float
+            assert match_spectral_point(0.5 * 0.5**800, p) == ("a", 799)
+            assert match_spectral_point(0.5 * 0.5**800 * (1 + 1e-8), p) is None
 
 
 class TestQMeixner:

@@ -22,7 +22,6 @@ from qortho.qseries import (
     SeriesDivergenceError,
     Truncation,
     _as_negative_q_power,
-    _decimal_log_ratio,
     _working_context,
     jackson_Eq,
     phi_2_1,
@@ -31,6 +30,7 @@ from qortho.qseries import (
     q_pochhammer,
     q_pochhammer_inf,
 )
+from qortho.polynomials import big_q_laguerre, q_meixner
 
 T = Truncation()
 
@@ -315,9 +315,8 @@ def _negative_power_cases():
 
 
 class TestNegativeQPower:
-    # a Decimal u's termination index comes from its exponent, a float
-    # mantissa and the float log of q wherever a written bound proves the
-    # result equal to that of Decimal ln
+    # the termination index is round(-ln u / ln q) in u's scalar type, kept
+    # where u q^j is 1 to within TERMINATION_RTOL
     @pytest.mark.parametrize("dps", [10, 30, 50])
     def test_decimal_index_is_the_ln_index(self, dps):
         # the cases carry 60 digits, more than some of these contexts hold
@@ -325,27 +324,47 @@ class TestNegativeQPower:
             cases = _negative_power_cases()
         with decimal.localcontext(_working_context(dps)):
             for q, u in cases:
-                if u > 1:
-                    assert _decimal_log_ratio(u, q) == round(-u.ln() / q.ln()), (q, u)
                 assert _as_negative_q_power(u, q) == _ln_answer(u, q), (q, u)
 
-    def test_floats_decide_away_from_half_integers(self, monkeypatch):
-        # exact powers in the float range take no Decimal ln; a ratio that
-        # is a half-integer does
-        from qortho import qseries
+    @pytest.mark.parametrize("u", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", [float, decimal.Decimal], ids=["float", "Decimal"])
+    def test_non_finite_is_no_power(self, kind, u):
+        # an infinite u reached round() and raised OverflowError, a Decimal
+        # nan InvalidOperation from the comparison with 1
+        with decimal.localcontext(_working_context(30)):
+            assert _as_negative_q_power(kind(u), kind("0.5")) is None
 
-        calls = []
-        ln = qseries._ln
-        monkeypatch.setattr(qseries, "_ln", lambda x: calls.append(x) or ln(x))
+
+_KERNELS = {
+    "big_q_laguerre": lambda u: big_q_laguerre(3, u, QParams(q=0.5, a=0.5, b=-0.7)),
+    "q_meixner-b": lambda u: q_meixner(2, 3, u, 0.4, 0.5),
+    "q_meixner-c": lambda u: q_meixner(2, 3, 0.5, u, 0.5),
+    "phi_2_1-a": lambda u: phi_2_1(u, 0.2, 0.3, 0.5, 0.5),
+    "phi_2_1-z": lambda u: phi_2_1(0.1, 0.2, 0.3, 0.5, u),
+    "q_pochhammer_inf": lambda u: q_pochhammer_inf(u, 0.5),
+    "jackson_Eq": lambda u: jackson_Eq(u, 0.5),
+}
+
+
+class TestNonFiniteArguments:
+    # an infinite or nan argument raised OverflowError from round(),
+    # InvalidOperation from a Decimal re-read, ran 10000 terms into
+    # NonConvergenceError, or gave a value (q_meixner at c = inf: 1.0)
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kernel", list(_KERNELS))
+    def test_rejected_on_entry(self, kernel, u):
+        with pytest.raises(DomainError):
+            _KERNELS[kernel](u)
+
+    def test_finite_complex_and_huge_decimal_accepted(self):
         D = decimal.Decimal
         with decimal.localcontext(_working_context(30)):
-            for q in (D("0.5"), D(0.3), D(0.97), D(1e-30)):
-                for j in (1, 5, 40, 300):
-                    assert _as_negative_q_power(q**-j, q) == j
-            assert calls == []
-            q = D("0.5")
-            assert _decimal_log_ratio((q.ln() * D("-3.5")).exp(), q) in (3, 4)
-            assert len(calls) == 2
+            assert q_pochhammer_inf(D("1e400"), D("0.5")).is_finite()
+            for u in ("Infinity", "-Infinity", "NaN"):
+                with pytest.raises(DomainError):
+                    q_pochhammer_inf(D(u), D("0.5"))
+        assert phi_2_1(0.1, 0.2, 0.3, 0.5, 0.5j) == pytest.approx(complex(mpmath.qhyper([0.1, 0.2], [0.3], 0.5, 0.5j)))
+        assert jackson_Eq(0.3 + 0.2j, 0.5) == pytest.approx(complex(mpmath.qp(-(0.3 + 0.2j), 0.5)))
 
 
 class TestTruncation:
