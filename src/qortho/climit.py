@@ -17,7 +17,7 @@ import decimal
 import math
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, _Validated, _working_context
+from qortho.qseries import DomainError, QParams, _require_index, _Validated, _working_context
 from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.reporting import VerificationReport
 
@@ -192,6 +192,8 @@ def classical_operator_check(
     """Checks A_cl xi = lam xi with the derivative taken by a 4th-order
     central stencil of step h; the tolerance budgets the O(h^4)
     truncation plus rounding amplified by 1/h."""
+    if not 0 < h < math.inf:
+        raise DomainError("stencil step h must be positive and finite")
     if not abs(x) < 1 - 2 * h:
         raise DomainError("stencil would leave |x| < 1")
 
@@ -254,6 +256,7 @@ def limit_operator_entries_check(
     """Entrywise convergence of the operator's monomial-basis rows
     0..n to the classical tridiagonal, with one fitted-rate report per
     row part (sub/diag/super)."""
+    _require_index("row index", n)
     l = (sweep.alpha + 1.0) / 2.0
     parts = ("sub", "diag", "super")
     reports = []

@@ -23,7 +23,6 @@ import decimal
 import functools
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
 from qortho.qseries import (
@@ -34,6 +33,7 @@ from qortho.qseries import (
     _sqrt,
     _Validated,
     _floats_only,
+    _require_index,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -42,7 +42,6 @@ from qortho.polynomials import (
     _duality_meixner,
     _recurrence_d,
     big_q_laguerre_recurrence,
-    match_spectral_point,
 )
 
 __all__ = [
@@ -120,9 +119,17 @@ class SpectralPoints(NamedTuple):
     upper: tuple
     lower: tuple
 
+    def ranked(self) -> list:
+        """The pairs (label, point) of both branches by decreasing magnitude
+        of the point, the upper point first on a tie; the label of
+        first q^(n+1) is (branch, n), branch "a" for upper and "b" for lower."""
+        labelled = [(("a", n), x) for n, x in enumerate(self.upper)]
+        labelled += [(("b", n), x) for n, x in enumerate(self.lower)]
+        return sorted(labelled, key=lambda pair: -abs(pair[1]))
+
     def merged_by_magnitude(self) -> list:
-        """Both branches by decreasing magnitude; the upper point first on a tie."""
-        return sorted(self.upper + self.lower, key=lambda x: -abs(x))
+        """The points of `ranked`, without their labels."""
+        return [x for _, x in self.ranked()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +243,33 @@ def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, p: QParams, coef
     return [pref * v for pref, v in zip(prefs, seq)]
 
 
-def truncation_residuals(p: QParams, dim: int, points) -> list:
-    """r = |A[dim-1, dim] a_dim(lam)| for each exact eigenvalue lam in
-    `points`.  The exact eigenvector cut to dim rows satisfies every row
-    of A_dim - lam but the last, and a_0 = 1 bounds its norm below, so
-    A_dim has an eigenvalue within r of lam (Parlett, The Symmetric
-    Eigenvalue Problem, 4.5).  By duality, at lam = first q^(n+1),
+def truncation_residuals(p: QParams, dim: int, labels) -> list:
+    """r = |A[dim-1, dim] a_dim(lam)| for the exact eigenvalue
+    lam = first q^(n+1) of each label (branch, n) in `labels`, with
+    (first, second) = (a, b) on branch "a" and (b, a) on branch "b".  The
+    exact eigenvector cut to dim rows satisfies every row of A_dim - lam
+    but the last, and a_0 = 1 bounds its norm below, so A_dim has an
+    eigenvalue within r of lam (Parlett, The Symmetric Eigenvalue
+    Problem, 4.5).  By duality,
 
         a_d = pref_d M_n(q^-d; first, -second/first; q) / (q^-d/second; q)_d,
 
-    with (first, second) = (a, b) or (b, a) and the denominator equal to
-    (-1/second)^d q^(-d(d+1)/2) (second q; q)_d; all but M_n is a float
-    sum of logs, and r underflows to 0 or overflows to inf.  M_n, which
-    may cancel far below its terms, is `_duality_meixner`'s exact dot on
-    the exact Decimals of the parameters, in `_context_of(p)`.
-    A point that is not spectral raises DomainError, one that underflowed
-    below the normal floats and matches no index NonConvergenceError.
-    The parameters are floats and dim a positive integer."""
+    the denominator equal to (-1/second)^d q^(-d(d+1)/2) (second q; q)_d;
+    all but M_n is a float sum of logs, and r underflows to 0 or
+    overflows to inf.  M_n, which may cancel far below its terms, is
+    `_duality_meixner`'s exact dot on the exact Decimals of the
+    parameters, in `_context_of(p)`.  The label, not the float lam,
+    names the point, so a point that underflowed has its radius too.
+    The parameters are floats, dim a positive integer, and a label other
+    than ("a" or "b", n), n a nonnegative integer, raises DomainError."""
     _floats_only("truncation_residuals", *p)
     if dim < 1:
         raise DomainError("dim must be a positive integer")
+    labels = list(labels)
+    for label in labels:
+        if not (isinstance(label, tuple) and len(label) == 2 and label[0] in ("a", "b")):
+            raise DomainError(f"a label is ('a' or 'b', n), not {label!r}")
+        _require_index("a label's index", label[1])
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
     qi = [q ** float(i) for i in range(1, _unit_factors_from(max(a, -b), q, dim) + 1)]
@@ -264,14 +278,7 @@ def truncation_residuals(p: QParams, dim: int, points) -> list:
     log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
     log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
     radii = []
-    for lam in points:
-        hit = match_spectral_point(float(lam), p)
-        if hit is None:
-            if abs(float(lam)) < sys.float_info.min:
-                # too few bits left to read its index back: no usage error
-                raise NonConvergenceError(f"eigenvalue {float(lam)!r} underflowed the float range")
-            raise DomainError(f"{float(lam)!r} is not an eigenvalue a q^(n+1) or b q^(n+1)")
-        branch, n = hit
+    for branch, n in labels:
         second = b if branch == "a" else a
         log_meixner = float(_duality_meixner(p, branch, n, dim).copy_abs().log10(_context_of(p)))
         log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + log_meixner
@@ -341,6 +348,8 @@ _BRACKET_WIDTH = 1e-14
 _PIVMIN = 1e-290
 # A Sturm count at a shift below this in magnitude walks every row.
 _CUT_FLOOR = 1e-280
+# The smallest positive normal float.
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
@@ -348,9 +357,18 @@ def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
     returns to one of the matrix that `tri` rounds: the bracket width
     plus 16 units of roundoff of ||T||, for the float Sturm count (exact
     for a matrix a few units from T entrywise: Demmel, Dhillon and Ren,
-    ETNA 3, 1995) and the rounded entries and targets."""
+    ETNA 3, 1995) and the rounded entries and targets.
+
+    Two more terms cover what the count does at tiny entries, each by
+    Weyl's inequality.  A pivot floored to -_PIVMIN counts a diagonal
+    entry moved by at most 2 _PIVMIN.  An off-diagonal e whose square
+    falls below the smallest normal float, rounded among the subnormals
+    or to 0, counts some e' with |e' - e| <= |e|, so 2 max|e| over those
+    bounds the norm of that change.  Neither term moves the bound where
+    ||T|| is above about 1e-259 and every e^2 is normal."""
     norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag), default=0.0)
-    return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
+    tiny = max((abs(x) for x in tri.offdiag if x * x < _SMALLEST_NORMAL), default=0.0)
+    return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm + 2 * _PIVMIN + 2 * tiny
 
 
 def _sturm_rows(d, e) -> tuple:

@@ -34,6 +34,7 @@ from qortho.qseries import (
     _as_negative_q_power,
     _context,
     _phi_series,
+    _require_index,
     _working_context,
 )
 
@@ -89,8 +90,7 @@ def _big_q_laguerre_params(n: int):
 
 def big_q_laguerre(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
     """P_n(x; a, b; q) via the terminating 3phi2 definition."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    _require_index("degree", n)
     return _phi_series(_big_q_laguerre_params(n), (x, p.a, p.b, p.q), _capped(t))
 
 
@@ -265,8 +265,8 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
 
     Terminating at min(n, m); bparam may be negative.
     """
-    if n < 0 or m < 0:
-        raise DomainError("q-Meixner indices must be nonnegative")
+    _require_index("q-Meixner degree n", n)
+    _require_index("q-Meixner index m", m)
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
     if c == 0:

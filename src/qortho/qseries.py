@@ -100,6 +100,13 @@ def _require_finite(*values) -> None:
         raise DomainError(f"arguments must be finite, got {values}")
 
 
+def _require_index(name: str, n) -> None:
+    """DomainError unless n, a degree or index, is a nonnegative
+    `numbers.Integral`: a float or Decimal of integral value is not."""
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise DomainError(f"{name} must be a nonnegative integer, not {n!r}")
+
+
 def _floats_only(route: str, *values) -> None:
     """DomainError for a Decimal among the arguments of a route whose
     arithmetic mixes them with float constants."""

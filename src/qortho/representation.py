@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, Truncation
+from qortho.qseries import DomainError, QParams, Truncation, _require_index
 from qortho.polynomials import big_q_laguerre_recurrence, match_spectral_point
 from qortho.operators import (
     Tridiagonal,
@@ -294,8 +294,7 @@ def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = F
     """Tridiagonal coefficients (sub, diag, super) of q^(-J0) acting on
     the eigenvector family of the chosen branch; `orthonormal` selects
     the normalized-basis variant."""
-    if n < 0:
-        raise DomainError("index must be nonnegative")
+    _require_index("index", n)
     q, a, b = p.q, p.a, p.b
     if basis is XiBasis.XI_UPPER:
         lead = a**-1.5

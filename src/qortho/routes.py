@@ -25,6 +25,7 @@ from qortho.qseries import (
     _as_negative_q_power,
     _floats_only,
     _phi_series,
+    _require_index,
     _working_context,
     phi_2_1,
     q_pochhammer,
@@ -122,8 +123,10 @@ def generating_series(
     argument; elsewhere the partial sums plateau and the tail estimate
     reports that honestly.  Off the spectral points x, tvar and p are
     floats; at a float spectral argument p and tvar may be Decimals.  A
-    non-finite x raises DomainError.
+    non-finite x, or an n_max that is no nonnegative integer, raises
+    DomainError.
     """
+    _require_index("n_max", n_max)
     if not abs(x) < math.inf:
         raise DomainError(f"generating_series needs a finite x, not {x!r}")
     a, b, q = p.a, p.b, p.q

@@ -57,14 +57,39 @@ class TestExitCodes:
         assert res.returncode == 64
         assert res.stderr == "qortho: error: q must lie strictly in (0, 1)\n"
 
-    def test_spectrum_tiny_q_exit_seventy(self):
-        # at q = 1e-70 the exact points a q^(n+1), n >= 4, underflow to 0.0
-        # and cannot be matched back to their index: a limit of the
-        # computation inside the domain, not a usage error
+    def test_spectrum_tiny_q_exit_zero(self):
+        # at q = 1e-70 the exact points a q^(n+1), n >= 4, underflow to 0.0;
+        # spectrum carries each point's label, so it needs no index read
+        # back from the float and certifies every record
         res = run_cli("spectrum", "--q", "1e-70", "--dim", "20")
-        assert res.returncode == 70, res.stderr
-        lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("q", ["5e-62", "1e-70", "1e-160", "1e-300"])
+    def test_spectrum_tiny_q_match_within_bound(self, q, tmp_path):
+        # below q = 1e-154 the squared off-diagonals underflow in the Sturm
+        # count, and near 1e-300 the pivot floor acts: the solve's accuracy
+        # bound must still cover each matching error
+        from qortho import cli
+
+        out = tmp_path / "r.json"
+        assert cli.main(["spectrum", "--q", q, "--out", str(out), "--no-timestamp"]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 30 and all(r["status"] == "pass" for r in records)
+        matches = [r for r in records if r["identity_id"] == "spectrum-match"]
+        assert len(matches) == 20
+        assert all(r["residual"] <= r["tail_estimate"] for r in matches), q
+
+    def test_spectrum_assembles_one_operator(self, monkeypatch, tmp_path):
+        # the dim cut is the leading block of the 2 dim operator, whose
+        # entries depend on the row index alone
+        from qortho import cli
+
+        calls = []
+        build = cli.build_A
+        monkeypatch.setattr(cli, "build_A", lambda p, dim: calls.append(dim) or build(p, dim))
+        assert cli.main(["spectrum", "--dim", "30", "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [60]
 
     def test_usage_error_bad_identity(self):
         res = run_cli("verify", "--identity", "nope")

@@ -78,11 +78,12 @@ REACH_COMMANDS = [
 UNREACHED = {
     "__init__.__dir__",
     "__init__.__getattr__",
+    "operators.SpectralPoints.merged_by_magnitude",
     "operators.Tridiagonal.apply",
     "operators.Tridiagonal.dense",
-    "operators.Tridiagonal.symmetric",
     "orthogonality._Grid.holds",
     "orthogonality.verify_record",
+    "polynomials.match_spectral_point",
     "qseries.QParams.alpha",
     "qseries.QParams.beta1",
     "qseries.QParams.beta2",

@@ -452,6 +452,18 @@ class TestSpectrum:
         assert np.all(np.diff(np.abs(sp.lower)) < 0)
         assert len(np.unique(np.concatenate([sp.upper, sp.lower]))) == 24
 
+    @pytest.mark.parametrize("q", [0.5, 0.99, 1e-30, 1e-70, 1e-300])
+    def test_ranked_labels_name_their_points(self, q):
+        # each label (branch, n) is the point first q^(n+1) it comes with;
+        # the order is merged_by_magnitude's, and each branch decreases in
+        # magnitude, so ten points per branch hold the ten largest of thirty
+        p = QParams(q=q, a=0.5, b=-0.7)
+        ranked = spectrum_points(p, 10).ranked()
+        for (branch, n), x in ranked:
+            assert x == (p.a if branch == "a" else p.b) * p.q ** (n + 1.0)
+        assert [x for _, x in ranked] == spectrum_points(p, 10).merged_by_magnitude()
+        assert ranked[:10] == spectrum_points(p, 30).ranked()[:10]
+
 
 def literal_bisection(d, e):
     """The eigensolver as one bisection step per Sturm count over all
@@ -709,11 +721,12 @@ class TestEigTridiagonal:
             (0.3, 3.2, -0.01), (0.55, 0.9, -0.7), (0.8, 0.6, -2.0),
         ]:
             p = QParams(q=q, a=a, b=b)
-            exact = np.asarray(spectrum_points(p, 30).merged_by_magnitude()[:10])
+            labels, exact = zip(*spectrum_points(p, 10).ranked()[:10])
+            exact = np.asarray(exact)
             for dim in (12, 20, 250):
                 tri = build_A(p, dim)
                 err = np.abs(eig_tridiagonal(tri, near=exact) - exact)
-                bound = np.array(truncation_residuals(p, dim, exact)) + eig_tridiagonal_accuracy(tri)
+                bound = np.array(truncation_residuals(p, dim, labels)) + eig_tridiagonal_accuracy(tri)
                 assert np.all(err <= bound), (q, a, b, dim)
         # r / |A[d-1, d]| is |a_d| from one exact dot of the duality
         # coefficients; the reference is the whole duality sequence, summed
@@ -724,11 +737,10 @@ class TestEigTridiagonal:
             prefs = prefactors(p, 40)
             off = build_A(p, 41).offdiag
             for branch, j in [("a", 0), ("a", 3), ("a", 7), ("b", 0), ("b", 3), ("b", 7)]:
-                lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
                 seq = polynomials.spectral_sequence(p, branch, j, 40)
                 for d in (1, 2, 5, 12, 20, 40):
                     want = abs(float(prefs[d]) * float(seq[d]))
-                    got = truncation_residuals(p, d, [lam])[0] / abs(off[d - 1])
+                    got = truncation_residuals(p, d, [(branch, j)])[0] / abs(off[d - 1])
                     assert got == pytest.approx(want, rel=1e-11), (p, branch, j, d)
 
     @pytest.mark.parametrize(
@@ -760,18 +772,37 @@ class TestEigTridiagonal:
                         rounding = 10 * (n + 1) * decimal.Decimal("5e-32") / (1 - q)
                         assert abs(got - want) <= rounding * mass, (branch, n, d)
 
-    def test_truncation_residuals_reject_non_spectral_point(self):
+    def test_truncation_residuals_reject_float_point(self):
+        # a point names no index: the label (branch, n) does, so neither a
+        # spectral float nor any other is read back to one
+        for point in (0.17, P1.a * P1.q):
+            with pytest.raises(DomainError):
+                truncation_residuals(P1, 10, [point])
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            ("c", 0), ("A", 1), ("a", -1), ("b", 2.0), ("a", 2.5), ("a", decimal.Decimal(2)),
+            ("a",), ("a", 1, 0), ["a", 1], "a1", None,
+        ],
+        ids=str,
+    )
+    def test_truncation_residuals_reject_bad_labels(self, label):
+        # a label is ("a" or "b", n), n a nonnegative integer; the bad one
+        # fails the call even after a good one
         with pytest.raises(DomainError):
-            truncation_residuals(P1, 10, [0.17])
+            truncation_residuals(P1, 10, [("a", 0), label])
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_point_is_no_spectral_point(self, lam):
         # an infinite argument reached round() in match_spectral_point and
-        # raised OverflowError from every route that identifies a spectral point
+        # raised OverflowError from every route that identifies a spectral
+        # point; truncation_residuals takes labels, and a non-finite index
+        # is none
         from qortho.routes import big_q_laguerre_generating
 
         with pytest.raises(DomainError):
-            truncation_residuals(P1, 10, [lam])
+            truncation_residuals(P1, 10, [("a", lam)])
         with pytest.raises(DomainError):
             psi_phi_coefficients(lam, P1, 4)
         with pytest.raises(DomainError):
@@ -781,7 +812,7 @@ class TestEigTridiagonal:
         # dim 0 reached log10(1 - q^0) and raised a bare math domain error
         for dim in (0, -3):
             with pytest.raises(DomainError):
-                truncation_residuals(P1, dim, [P1.a * P1.q])
+                truncation_residuals(P1, dim, [("a", 0)])
 
     @pytest.mark.parametrize("route", ["build_A", "spectrum_points", "truncation_residuals"])
     def test_float_routes_reject_decimal_parameters(self, route):
@@ -790,20 +821,49 @@ class TestEigTridiagonal:
         calls = {
             "build_A": lambda p: build_A(p, 10),
             "spectrum_points": lambda p: spectrum_points(p, 10),
-            "truncation_residuals": lambda p: truncation_residuals(p, 10, [0.25]),
+            "truncation_residuals": lambda p: truncation_residuals(p, 10, [("a", 0)]),
         }
         with pytest.raises(DomainError):
             calls[route](QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.7"))))
 
-    def test_truncation_residuals_underflowed_point_is_no_domain_error(self):
-        # a q^5 at q = 1e-65 underflows to 0.0, and a q^(n+1) to a
-        # subnormal with too few bits to match: neither is a usage error
-        from qortho.qseries import NonConvergenceError
+    def test_truncation_residuals_of_underflowed_points(self):
+        # a q^5 at q = 1e-65 underflows to 0.0, and b q^5 at q = 1e-62 to a
+        # subnormal with too few bits to read its index back; the label
+        # still names the point, and r / |A[d-1, d]| is |a_d| from the
+        # whole duality sequence of that label, as at normal points
+        from qortho import polynomials
 
-        p = QParams(q=1e-65, a=0.5, b=-0.7)
-        for lam in (0.0, 5e-324):
-            with pytest.raises(NonConvergenceError):
-                truncation_residuals(p, 10, [lam])
+        for q, (branch, j), dims in [
+            (1e-65, ("a", 4), (1, 2)), (1e-62, ("b", 4), (1, 2)), (1e-300, ("a", 9), (1,)),
+        ]:
+            p = QParams(q=q, a=0.5, b=-0.7)
+            assert abs((p.a if branch == "a" else p.b) * p.q ** (j + 1.0)) < 2.0**-1022
+            prefs, off = prefactors(p, 2), build_A(p, 3).offdiag
+            seq = polynomials.spectral_sequence(p, branch, j, 2)
+            for d in dims:
+                want = abs(float(prefs[d]) * float(seq[d]))
+                got = truncation_residuals(p, d, [(branch, j)])[0] / abs(off[d - 1])
+                assert want > 0 and got == pytest.approx(want, rel=1e-11), (q, branch, j, d)
+
+    def test_accuracy_bounds_the_solve_at_tiny_q(self):
+        # at q = 1e-200 every squared off-diagonal underflows, so the float
+        # Sturm count sees a diagonal matrix; the bound must still hold
+        # against the exact eigenvalues of the float matrix, here from
+        # mpmath at 60 digits
+        mp = pytest.importorskip("mpmath")
+
+        tri = build_A(QParams(q=1e-200, a=0.5, b=-0.7), 20)
+        assert all(x * x < 2.0**-1022 for x in tri.offdiag)
+        with mp.workdps(60):
+            exact = sorted(mp.eigsy(mp.matrix(tri.dense()), eigvals_only=True))
+            err = max(abs(mp.mpf(x) - y) for x, y in zip(eig_tridiagonal(tri), exact))
+        bound = eig_tridiagonal_accuracy(tri)
+        assert err <= bound
+        # the bracket width and rounding alone fall short by 13 orders
+        from qortho.operators import _BRACKET_WIDTH
+
+        norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag))
+        assert err > 1e10 * (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     def test_spectral_containment(self, p):

@@ -1276,3 +1276,86 @@ class TestMutationMatrix:
         failed = collections.Counter(r.identity_id for r in reports if r.status == "fail")
         assert failed == MUTATION_ROWS[target]
         assert all(r.status == "pass" for r in reports if r.identity_id not in failed)
+
+
+# the records at index-max 8 that lie farther from the 50-digit truth than
+# their tail_estimate plus the rounding of a double, per record id: the
+# 1e-11 error of the float products in c'_n and Kc is in no record's bound
+ORACLE_MISSES = {
+    (0.5, 0.5, -0.7): {"big-laguerre": 1, "unitarity-columns": 18, "unitarity-rows": 10, "biortho": 18},
+    (0.95, 0.5, -0.01): {
+        "big-laguerre": 45, "sears": 1, "unitarity-columns": 18, "unitarity-rows": 9, "biortho": 18,
+    },
+}
+
+
+def oracle_misses(p: QParams, index_max: int = 8):
+    """The Counter, by record id, of the records of `verify` at p that lie
+    farther from their true value than tail_estimate + 4e-16 max(|rhs|, 1),
+    each truth formed in mpmath at 50 digits from the exact binary values
+    of p: h_i delta_ij (big-laguerre), Kc (sears), delta_ij (unitarity,
+    biortho), delta_ij / c_i^2 (dual-ff, meixner), delta_ij / c'_i^2
+    (dual-gg, meixner-negb) and 0 (dual-fg, eq-zero)."""
+    import collections
+
+    mp = pytest.importorskip("mpmath")
+
+    with mp.workdps(50):
+        q, a, b = map(mp.mpf, p)
+        kc = mp.qp(q, q) * mp.qp(b / a, q) * mp.qp(a * q / b, q) / (mp.qp(a * q, q) * mp.qp(b * q, q))
+
+        def h(m):
+            weight = mp.qp(q, q, m) / (mp.qp(a * q, q, m) * mp.qp(b * q, q, m))
+            return kc * weight * (-a * b) ** m * q ** (m * (m + 3) // 2)
+
+        def inverse_c_squared(first, second, n):
+            # c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n)
+            c0_squared = mp.qp(second * q, q) / mp.qp(second / first, q)
+            return mp.qp(first * q / second, q, n) * mp.qp(q, q, n) / (c0_squared * mp.qp(first * q, q, n) * q**n)
+
+        truths = {
+            "big-laguerre": lambda i, j: h(i) if i == j else 0,
+            "sears": lambda i, j: kc,
+            "unitarity-rows": lambda i, j: int(i == j),
+            "unitarity-columns": lambda i, j: int(i == j),
+            "biortho": lambda i, j: int(i == j),
+            "dual-ff": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
+            "meixner": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
+            "dual-gg": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
+            "meixner-negb": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
+            "dual-fg": lambda i, j: 0,
+            "eq-zero": lambda i, j: 0,
+        }
+        reports = run_identity_checks("all", p, T, index_max)
+        assert len(reports) == 775 and {r.identity_id for r in reports} == set(truths)
+        return collections.Counter(
+            r.identity_id
+            for r in reports
+            if abs(mp.mpf(r.lhs) - truths[r.identity_id](*r.indices)) > r.tail_estimate + 4e-16 * max(abs(r.rhs), 1)
+        )
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(
+                params,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=f"{sum(misses.values())} of 775 records lie farther from the 50-digit truth than their "
+                    "tail_estimate: a record's bound counts the tail of its sum, not the rounding of its constants",
+                ),
+            )
+            for params, misses in ORACLE_MISSES.items()
+        ],
+        ids=str,
+    )
+    def test_every_record_within_its_bound(self, params):
+        assert oracle_misses(QParams(*params)) == {}
+
+    @pytest.mark.parametrize("params", list(ORACLE_MISSES), ids=str)
+    def test_no_more_misses_than_pinned(self, params):
+        misses = oracle_misses(QParams(*params))
+        pinned = ORACLE_MISSES[params]
+        assert all(count <= pinned.get(identity_id, 0) for identity_id, count in misses.items()), misses

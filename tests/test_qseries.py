@@ -367,6 +367,58 @@ class TestNonFiniteArguments:
         assert jackson_Eq(0.3 + 0.2j, 0.5) == pytest.approx(complex(mpmath.qp(-(0.3 + 0.2j), 0.5)))
 
 
+
+def _entry_calls() -> dict:
+    from qortho.climit import LimitSweep, classical_operator_check, limit_operator_entries_check
+    from qortho.representation import XiBasis, qJ0_inverse_action
+    from qortho.routes import generating_series
+
+    p = QParams(q=0.5, a=0.5, b=-0.7)
+    return {
+        # a step outside (0, inf): h = 0 divided by zero, h < 0 passed
+        "classical_operator_check-h=0": lambda: classical_operator_check(0.25, 0.2, 1.0, h=0),
+        "classical_operator_check-h=-0.1": lambda: classical_operator_check(0.25, 0.2, 1.0, h=-0.1),
+        "classical_operator_check-h=inf": lambda: classical_operator_check(0.25, 0.2, 1.0, h=math.inf),
+        "classical_operator_check-h=nan": lambda: classical_operator_check(0.25, 0.2, 1.0, h=math.nan),
+        # a negative cut-off or row index gave 0.0 and []
+        "generating_series-n_max=-1": lambda: generating_series(p.a * p.q, 0.1, p, -1),
+        "limit_operator_entries_check-n=-1": lambda: limit_operator_entries_check(-1, LimitSweep(1.0, 0.5)),
+        # a degree or index of integral or fractional float value gave the
+        # value of a non-terminating series, numbers, or a TypeError
+        "q_meixner-n=2.5": lambda: q_meixner(2.5, 3, 0.5, 0.4, 0.5),
+        "q_meixner-m=3.0": lambda: q_meixner(2, 3.0, 0.5, 0.4, 0.5),
+        "q_meixner-m=-1": lambda: q_meixner(2, -1, 0.5, 0.4, 0.5),
+        "qJ0_inverse_action-n=2.5": lambda: qJ0_inverse_action(XiBasis.XI_UPPER, 2.5, p),
+        "qJ0_inverse_action-n=-1": lambda: qJ0_inverse_action(XiBasis.XI_LOWER, -1, p),
+        "big_q_laguerre-n=2.0": lambda: big_q_laguerre(2.0, 0.3, p),
+        "big_q_laguerre-n=Decimal(2)": lambda: big_q_laguerre(decimal.Decimal(2), 0.3, p),
+        "big_q_laguerre-n=-1": lambda: big_q_laguerre(-1, 0.3, p),
+    }
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("call", list(_entry_calls()))
+    def test_rejected_on_entry(self, call):
+        with pytest.raises(DomainError):
+            _entry_calls()[call]()
+
+    def test_integer_degrees_accepted(self):
+        from qortho.representation import XiBasis, qJ0_inverse_action
+
+        def terminating(top, bottom, z, n):
+            # the basic series of base 0.5 whose first numerator is q^-n, summed to its last term
+            qp = mpmath.qp
+            return float(sum(
+                mpmath.fprod(qp(u, 0.5, k) for u in top) / mpmath.fprod(qp(v, 0.5, k) for v in (*bottom, 0.5)) * z**k
+                for k in range(n + 1)
+            ))
+
+        p = QParams(q=0.5, a=0.5, b=-0.7)
+        assert big_q_laguerre(2, 0.3, p) == pytest.approx(terminating([4, 0, 0.3], [0.25, -0.35], 0.5, 2), rel=1e-13)
+        assert q_meixner(2, 3, 0.5, 0.4, 0.5) == pytest.approx(terminating([4, 8], [0.25], -0.125 / 0.4, 2), rel=1e-13)
+        assert all(math.isfinite(x) for x in qJ0_inverse_action(XiBasis.XI_UPPER, 2, p))
+
+
 class TestTruncation:
     def test_defaults(self):
         t = Truncation()
