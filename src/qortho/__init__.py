@@ -50,7 +50,6 @@ _MODULE_OF = {
     "spectrum_points": "operators",
     "eig_tridiagonal": "operators",
     "CoefficientVector": "representation",
-    "XiBasis": "representation",
     "build_generator_matrices": "representation",
     "build_A1_A2": "representation",
     "eigen_coefficients": "representation",

@@ -33,7 +33,6 @@ from qortho.qseries import (
     _sqrt,
     _Validated,
     _floats_only,
-    _require_index,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -41,6 +40,7 @@ from qortho.polynomials import (
     _duality_entries,
     _duality_meixner,
     _recurrence_d,
+    _require_label,
     big_q_laguerre_recurrence,
 )
 
@@ -126,10 +126,6 @@ class SpectralPoints(NamedTuple):
         labelled = [(("a", n), x) for n, x in enumerate(self.upper)]
         labelled += [(("b", n), x) for n, x in enumerate(self.lower)]
         return sorted(labelled, key=lambda pair: -abs(pair[1]))
-
-    def merged_by_magnitude(self) -> list:
-        """The points of `ranked`, without their labels."""
-        return [x for _, x in self.ranked()]
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +261,7 @@ def truncation_residuals(p: QParams, dim: int, labels) -> list:
     _floats_only("truncation_residuals", *p)
     if dim < 1:
         raise DomainError("dim must be a positive integer")
-    labels = list(labels)
-    for label in labels:
-        if not (isinstance(label, tuple) and len(label) == 2 and label[0] in ("a", "b")):
-            raise DomainError(f"a label is ('a' or 'b', n), not {label!r}")
-        _require_index("a label's index", label[1])
+    labels = list(map(_require_label, labels))
     q, a, b = p.q, p.a, p.b
     log_q = math.log10(q)
     qi = [q ** float(i) for i in range(1, _unit_factors_from(max(a, -b), q, dim) + 1)]

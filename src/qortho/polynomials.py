@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
-import math
+import numbers
 import operator
 from typing import Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "big_q_laguerre",
     "big_q_laguerre_recurrence",
     "spectral_sequence",
-    "match_spectral_point",
     "q_meixner",
     "classical_laguerre",
 ]
@@ -164,23 +163,29 @@ def big_q_laguerre_recurrence(n_max: int, x, p: QParams, *, coeffs: Optional[_La
 
 
 # ---------------------------------------------------------------------------
-# spectral arguments: matching and the duality sequences
+# spectral points: their labels and the duality sequences
 
 
-def match_spectral_point(x, p: QParams) -> Optional[tuple]:
-    """Identify x with a q^(j+1) or b q^(j+1) within relative tolerance.
+def _require_label(label) -> tuple:
+    """label, when it is ("a", n) or ("b", n), n a nonnegative integer:
+    the name of the spectral point a q^(n+1) or b q^(n+1), exact where
+    the float of the point underflows; else DomainError."""
+    if not (isinstance(label, tuple) and len(label) == 2 and label[0] in ("a", "b")):
+        raise DomainError(f"a label is ('a' or 'b', n), not {label!r}")
+    _require_index("a label's index", label[1])
+    return label
 
-    Returns ("a", j) or ("b", j), or None when x is not a spectral point,
-    as zero, an infinite or a nan x never is: j + 1 is the power that
-    `qseries._as_negative_q_power` finds in a / x or b / x, in the scalars
-    of p, floats or Decimals.
-    """
-    if not math.isfinite(x) or x == 0:
-        return None
-    x = type(p.q)(x)
-    branch, first = ("a", p.a) if x > 0 else ("b", p.b)
-    power = _as_negative_q_power(first / x, p.q)  # j + 1; 0 at x = first
-    return (branch, power - 1) if power else None
+
+def _label_of(x) -> Optional[tuple]:
+    """None for a number x, which a two-path route takes on its generic
+    path whatever its value; else x, checked by `_require_label`."""
+    return None if isinstance(x, numbers.Number) else _require_label(x)
+
+
+def _label_point(p: QParams, label: tuple):
+    """The point a q^(n+1) or b q^(n+1) of the label (branch, n), in p's scalars."""
+    branch, n = label
+    return (p.a if branch == "a" else p.b) * p.q ** (n + 1)
 
 
 def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
@@ -200,10 +205,7 @@ def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
     (q^-(m+1)/second; q)_(m+1) = (1 - q^-(m+1)/second) (q^-m/second; q)_m.
     An entry does not depend on m_max.
     """
-    if branch not in ("a", "b"):
-        raise DomainError("branch must be 'a' or 'b'")
-    if j < 0:
-        raise DomainError("spectral index must be nonnegative")
+    _require_label((branch, j))
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
     return list(itertools.islice(_duality_entries(p, branch, j), m_max + 1))

@@ -16,11 +16,10 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from enum import Enum
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, Truncation, _require_index
-from qortho.polynomials import big_q_laguerre_recurrence, match_spectral_point
+from qortho.qseries import DomainError, QParams, Truncation
+from qortho.polynomials import _label_of, _label_point, _require_label, big_q_laguerre_recurrence
 from qortho.operators import (
     Tridiagonal,
     _a_diag,
@@ -34,7 +33,6 @@ from qortho.operators import (
 __all__ = [
     "CoefficientVector",
     "GeneratorMatrices",
-    "XiBasis",
     "build_generator_matrices",
     "compose_A_from_generators",
     "build_A1_A2",
@@ -55,11 +53,6 @@ class CoefficientVector(NamedTuple):
     coeffs: tuple
     lam: float
     normalizable: bool = True
-
-
-class XiBasis(Enum):
-    XI_UPPER = "upper"  # eigenvectors at a q^(n+1)
-    XI_LOWER = "lower"  # eigenvectors at b q^(n+1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +203,29 @@ def _to_floats(entries, m_max: int, what: str) -> tuple:
     return out
 
 
-def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
+def eigen_coefficients(x, p: QParams, m_max: int) -> CoefficientVector:
     """Eigencoefficient sequence a_m(lam), m = 0..m_max, with a_0 = 1:
 
         a_m = (-ab)^(-m/2) q^(-m(m+3)/4) ((aq,bq;q)_m/(q;q)_m)^(1/2) P_m(lam).
 
-    At spectral points the values are square-summable and computed from
-    the duality closed form of the polynomial sequence; any other lam is
-    allowed but flagged non-normalizable, and a non-finite one raises
-    DomainError.  The coefficients are a tuple of floats.
+    At a spectral point's label (branch, n) x, lam = a q^(n+1) or b q^(n+1),
+    the values are square-summable, from the duality closed form, also
+    where the float of lam underflows.  A number x is lam itself, whatever
+    its value: its values come from the recurrence, flagged
+    non-normalizable, and a non-finite one raises DomainError.  The
+    coefficients are a tuple of floats.
     """
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    if not abs(lam) < math.inf:
-        raise DomainError(f"eigencoefficients need a finite lam, not {lam!r}")
-    hit = match_spectral_point(lam, p)
-    if hit is not None:
-        coeffs = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p)), m_max, "eigencoefficients")
-        return CoefficientVector(coeffs=coeffs, lam=lam, normalizable=True)
+    label = _label_of(x)
+    if label is not None:
+        coeffs = _to_floats(_coefficient_entries(p, *label, _prefactor_entries(p)), m_max, "eigencoefficients")
+        return CoefficientVector(coeffs=coeffs, lam=float(_label_point(p, label)), normalizable=True)
+    if not abs(x) < math.inf:
+        raise DomainError(f"eigencoefficients need a finite lam, not {x!r}")
 
     # generic lam: polynomial route with the prefactor held in log space
-    pvals = big_q_laguerre_recurrence(m_max, lam, p)
+    pvals = big_q_laguerre_recurrence(m_max, x, p)
     coeffs = [0.0] * (m_max + 1)
     for m, (v, logpref) in enumerate(zip(pvals, _log10_prefactors(p, m_max))):
         if v != 0.0:
@@ -238,7 +233,7 @@ def eigen_coefficients(lam: float, p: QParams, m_max: int) -> CoefficientVector:
             if mag > 300:
                 raise OverflowError(f"eigencoefficient overflow at m={m}")
             coeffs[m] = math.copysign(10.0**mag, v)
-    return CoefficientVector(coeffs=tuple(coeffs), lam=lam, normalizable=False)
+    return CoefficientVector(coeffs=tuple(coeffs), lam=x, normalizable=False)
 
 
 def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
@@ -290,13 +285,14 @@ def _normalization(n: int, p: QParams, branch: str, t: Truncation):
 # action of q^(-J0) on the eigenvector bases
 
 
-def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = False) -> tuple:
+def qJ0_inverse_action(label, p: QParams, orthonormal: bool = False) -> tuple:
     """Tridiagonal coefficients (sub, diag, super) of q^(-J0) acting on
-    the eigenvector family of the chosen branch; `orthonormal` selects
-    the normalized-basis variant."""
-    _require_index("index", n)
+    the eigenvector of the spectral point of the label (branch, n), the
+    family of branch "a" (at a q^(n+1)) or "b" (at b q^(n+1));
+    `orthonormal` selects the normalized-basis variant."""
+    branch, n = _require_label(label)
     q, a, b = p.q, p.a, p.b
-    if basis is XiBasis.XI_UPPER:
+    if branch == "a":
         lead = a**-1.5
         diag = -lead * q ** (-2 * n - 1.5) * (b * (1 + q) - q ** (n + 1) * (a * b + a + b))
         if orthonormal:
@@ -310,21 +306,17 @@ def qJ0_inverse_action(basis: XiBasis, n: int, p: QParams, orthonormal: bool = F
             sup = lead * b * q ** (-2 * n - 1.5) * (1 - a * q ** (n + 1))
             sub = lead * b * q ** (-2 * n - 0.5) * (1 - q**n) * (1 - a * q**n / b)
         return sub, diag, sup
-    if basis is XiBasis.XI_LOWER:
-        lead = math.sqrt(a) / b
-        diag = -lead * q ** (-2 * n - 1.5) * (1 + q - q ** (n + 1) * (a * b + a + b) / a)
-        if orthonormal:
-            sup = lead * q ** (-2 * n - 2) * math.sqrt(
-                (1 - b * q ** (n + 1)) * (1 - q ** (n + 1)) * (1 - b * q ** (n + 1) / a)
-            )
-            sub = lead * q ** (-2.0 * n) * math.sqrt(
-                (1 - b * q**n) * (1 - q**n) * (1 - b * q**n / a)
-            )
-        else:
-            sup = lead * q ** (-2 * n - 1.5) * (1 - b * q ** (n + 1))
-            sub = lead * q ** (-2 * n - 0.5) * (1 - q**n) * (1 - b * q**n / a)
-        return sub, diag, sup
-    raise DomainError(f"unknown basis {basis}")
+    lead = math.sqrt(a) / b
+    diag = -lead * q ** (-2 * n - 1.5) * (1 + q - q ** (n + 1) * (a * b + a + b) / a)
+    if orthonormal:
+        sup = lead * q ** (-2 * n - 2) * math.sqrt(
+            (1 - b * q ** (n + 1)) * (1 - q ** (n + 1)) * (1 - b * q ** (n + 1) / a)
+        )
+        sub = lead * q ** (-2.0 * n) * math.sqrt((1 - b * q**n) * (1 - q**n) * (1 - b * q**n / a))
+    else:
+        sup = lead * q ** (-2 * n - 1.5) * (1 - b * q ** (n + 1))
+        sub = lead * q ** (-2 * n - 0.5) * (1 - q**n) * (1 - b * q**n / a)
+    return sub, diag, sup
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +335,9 @@ def _pref_phi_ratio(qm, q, a, b):
     return ((1 - a * qm) / (-a * b * (1 - qm))).sqrt() * (1 - b * qm) / qm
 
 
-def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
-    """Coefficient vectors of the eigenvector families of A1 and A2:
+def psi_phi_coefficients(label, p: QParams, m_max: int) -> tuple:
+    """Coefficient vectors of the eigenvectors of A1 and A2 at the
+    spectral point lam of the label (branch, n), a q^(n+1) or b q^(n+1):
 
         psi_k = (-ab)^(-k/2) q^(-k)        ((aq;q)_k/(q;q)_k)^(1/2) P_k(lam)
         phi_k = (-ab)^(-k/2) q^(-k(k+1)/2) ((aq;q)_k (bq;q)_k^2/(q;q)_k)^(1/2) P_k(lam)
@@ -356,11 +349,9 @@ def psi_phi_coefficients(lam: float, p: QParams, m_max: int) -> tuple:
     """
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
-    hit = match_spectral_point(lam, p)
-    if hit is None:
-        raise DomainError("psi/phi coefficients are defined at spectral points")
-    psi = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p, _pref_psi_ratio)), m_max, "psi coefficients")
-    phi = _to_floats(_coefficient_entries(p, *hit, _prefactor_entries(p, _pref_phi_ratio)), m_max, "phi coefficients")
+    lam = float(_label_point(p, _require_label(label)))
+    psi = _to_floats(_coefficient_entries(p, *label, _prefactor_entries(p, _pref_psi_ratio)), m_max, "psi coefficients")
+    phi = _to_floats(_coefficient_entries(p, *label, _prefactor_entries(p, _pref_phi_ratio)), m_max, "phi coefficients")
     return (
         CoefficientVector(coeffs=psi, lam=lam, normalizable=True),
         CoefficientVector(coeffs=phi, lam=lam, normalizable=True),

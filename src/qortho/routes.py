@@ -19,6 +19,7 @@ from typing import NamedTuple
 from qortho.qseries import (
     DomainError,
     NeumaierSum,
+    NonConvergenceError,
     QParams,
     TailError,
     Truncation,
@@ -36,8 +37,10 @@ from qortho.polynomials import (
     _capped,
     _context_of,
     _duality_entries,
+    _label_of,
+    _label_point,
+    _require_label,
     big_q_laguerre_recurrence,
-    match_spectral_point,
 )
 
 __all__ = [
@@ -121,22 +124,23 @@ def generating_series(
     uncertified tail raises :class:`TailError`.  The series converges only
     for |t| inside a radius that shrinks with the depth of the spectral
     argument; elsewhere the partial sums plateau and the tail estimate
-    reports that honestly.  Off the spectral points x, tvar and p are
-    floats; at a float spectral argument p and tvar may be Decimals.  A
-    non-finite x, or an n_max that is no nonnegative integer, raises
-    DomainError.
+    reports that honestly.  At a spectral point's label (branch, n) x the
+    terms come from the duality sequence, p and tvar floats or Decimals;
+    at a number x, whatever its value, from the float recurrence, all
+    floats.  A non-finite x, or an n_max that is no nonnegative integer,
+    raises DomainError.
     """
     _require_index("n_max", n_max)
-    if not abs(x) < math.inf:
+    label = _label_of(x)
+    if label is None and not abs(x) < math.inf:
         raise DomainError(f"generating_series needs a finite x, not {x!r}")
     a, b, q = p.a, p.b, p.q
-    hit = match_spectral_point(x, p) if isinstance(x, float) else None
     overflowed = False
-    if hit is not None:
+    if label is not None:
         # the weights grow like q^(-n(n-1)/2) while P_n shrinks faster;
         # form each term from the Decimal duality entries, in whose exponent
         # range neither factor over/underflows
-        seq = itertools.islice(_duality_entries(p, *hit), n_max + 1)
+        seq = itertools.islice(_duality_entries(p, *label), n_max + 1)
         terms = []
         with decimal.localcontext(_context_of(p)):
             qd, ad, bd, td = map(decimal.Decimal, (q, a, b, tvar))
@@ -146,7 +150,7 @@ def generating_series(
                 coef *= _generating_coefficient_ratio(n, ad, bd, qd)
                 tpow *= td
     else:
-        _floats_only("generating_series off the spectral points", x, tvar, *p)
+        _floats_only("generating_series at a number", x, tvar, *p)
         pvals = big_q_laguerre_recurrence(n_max, x, p)
         terms = []
         coef = 1.0
@@ -196,20 +200,23 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
     t = 0 or x = 0 are routed through the series form.
 
     The (a, b) roles in the formula are interchangeable (the series
-    weights are symmetric); at a spectral argument the arrangement that
-    makes the 2phi1 terminate is used, which is the one the term-by-term
-    resummation actually proves there.  Arguments and parameters are
-    floats; t may be complex, as on the Cauchy circle of
-    `big_q_laguerre_generating`.
+    weights are symmetric).  A number x takes the formula as written; a
+    spectral point's label (branch, n) x, its point a q^(n+1) or b q^(n+1)
+    by the arrangement that makes the 2phi1 terminate, a and b swapped on
+    branch "b", the one the term-by-term resummation proves there.  The
+    point and parameters are floats; t may be complex, as on the Cauchy
+    circle of `big_q_laguerre_generating`.
     """
+    label = _label_of(x)
+    if label is not None:
+        x = _label_point(p, label)
     _floats_only("generating_closed", x, tvar, *p)
     a, b, q = p.a, p.b, p.q
     if tvar == 0:
         return 1.0
     if x == 0:
         return generating_series(x, tvar, p, n_max=64, t=t, strict=True)
-    hit = match_spectral_point(x, p) if isinstance(x, float) else None
-    if hit is not None and hit[0] == "b":
+    if label is not None and label[0] == "b":
         a, b = b, a
     pref = q_pochhammer_inf(-a * b * q * q * tvar, q, t) / q_pochhammer_inf(-b * q * tvar, q, t)
     return pref * phi_2_1(a * q / x, 0.0, -1.0 / (b * tvar), q, x / b, t)
@@ -243,29 +250,29 @@ def _roots_of_unity(m: int) -> tuple:
     return tuple(roots)
 
 
-def big_q_laguerre_generating(n: int, x: float, p: QParams) -> float:
+def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
     """P_n(x) extracted as a Taylor coefficient of the closed generating
     function: a Cauchy sum over 256 points of a circle inside the first
     pole.  The route is independent of both the recurrence and the
-    duality; x must be a spectral argument a q^(j+1) or b q^(j+1), where
-    the closed form terminates, and x and p must be floats."""
-    _floats_only("big_q_laguerre_generating", x, *p)
-    hit = match_spectral_point(x, p)
-    if hit is None:
-        raise DomainError(
-            "generating-function extraction needs a spectral argument a q^(j+1) or b q^(j+1)"
-        )
-    branch, j = hit
+    duality; x is the spectral point of the label (branch, j), a q^(j+1)
+    on branch "a" and b q^(j+1) on branch "b", where the closed form
+    terminates, and p's parameters must be floats.  Where x, or the n-th
+    power of the circle's radius, leaves the float range, the sum cannot
+    be formed and NonConvergenceError is raised."""
+    _floats_only("big_q_laguerre_generating", *p)
+    branch, j = _require_label(label)
     q = p.q
     radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
     rho = 0.75 * radius
+    if _label_point(p, label) == 0 or not -307 < n * math.log10(rho) < 308:
+        raise NonConvergenceError(f"the Cauchy sum of P_{n} at {label} leaves the float range at {tuple(p)}")
     m_samples = 256
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
     roots = _roots_of_unity(m_samples)
     t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
     total = math.fsum(
-        (generating_closed(x, rho * w, p, t) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
+        (generating_closed(label, rho * w, p, t) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
     )
     gcoef = total / m_samples / rho**n
     weight = (

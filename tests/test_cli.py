@@ -80,6 +80,22 @@ class TestExitCodes:
         assert len(matches) == 20
         assert all(r["residual"] <= r["tail_estimate"] for r in matches), q
 
+    @pytest.mark.parametrize("q", ["1e-30", "1e-100"])
+    def test_spectrum_converge_judged_on_intervals(self, q, tmp_path):
+        # at dim 1 the matching errors of ranks 2-9 grow from 2.0e-31 at
+        # d = 1 to 5.0e-31 at d = 2 (q = 1e-30), yet each lies within its
+        # bound r + delta, 5.9e-31: growth that the two intervals do not
+        # prove is no failure, and the run exits 0 where it exited 1
+        from qortho import cli
+
+        out = tmp_path / "r.json"
+        argv = ["spectrum", "--q", q, "--a", "0.5", "--b", "-0.7", "--dim", "1", "--out", str(out), "--no-timestamp"]
+        assert cli.main(argv) == 0
+        converge = [r for r in json.loads(out.read_text())["records"] if r["identity_id"] == "spectrum-converge"]
+        assert len(converge) == 10 and all(r["status"] == "pass" for r in converge)
+        grown = [r for r in converge if r["rhs"] > r["lhs"]]
+        assert len(grown) == 8 and all(r["rhs"] <= r["tail_estimate"] for r in grown)
+
     def test_spectrum_assembles_one_operator(self, monkeypatch, tmp_path):
         # the dim cut is the leading block of the 2 dim operator, whose
         # entries depend on the row index alone
@@ -704,11 +720,10 @@ class TestStartup:
             out, commands = sys.argv[1], json.loads(sys.argv[2])
             codes = [qortho.cli.main(argv + ["--out", out, "--no-timestamp"]) for argv in commands]
             p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
-            lam = p.a * p.q**2
             sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
             values = [
-                big_q_laguerre_generating(3, lam, p),
-                generating_series(lam, 0.1, p, 20),
+                big_q_laguerre_generating(3, ("a", 1), p),
+                generating_series(("a", 1), 0.1, p, 20),
                 str(spectral_sequence(p, "a", 1, 5)[5]),
                 *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
             ]
@@ -727,12 +742,11 @@ class TestStartup:
         from qortho.routes import big_q_laguerre_generating, generating_series
 
         p = QParams(q=0.5, a=0.5, b=-0.7)
-        lam = p.a * p.q**2
         sweep = LimitSweep(alpha=1.0, beta=0.5, q_sequence=geometric_q_sequence(10, 12))
         assert len(values) == 3 + 4
         assert values == [
-            big_q_laguerre_generating(3, lam, p),
-            generating_series(lam, 0.1, p, 20),
+            big_q_laguerre_generating(3, ("a", 1), p),
+            generating_series(("a", 1), 0.1, p, 20),
             str(spectral_sequence(p, "a", 1, 5)[5]),
             *(r.lhs for r in limit_polynomial_check(2, 0.4, sweep)),
         ]
@@ -775,7 +789,7 @@ class TestStartup:
         )
         res = subprocess.run([sys.executable, "-c", code, step], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout) == [49, [], True, False]
+        assert json.loads(res.stdout) == [48, [], True, False]
 
     def test_import_does_not_load_process_pool(self, tmp_path):
         # every verify is one task in one process, so no command pays the
@@ -819,10 +833,9 @@ class TestStartup:
             from qortho.routes import big_q_laguerre_generating
 
             p = qortho.QParams(q=0.5, a=0.5, b=-0.7)
-            lam = p.a * p.q
             tri, (a1, _), g = build_A(p, 6), build_A1_A2(p, 6), build_generator_matrices(p, 6)
-            vec = eigen_coefficients(lam, p, 10)
-            psi, phi = psi_phi_coefficients(lam, p, 10)
+            vec = eigen_coefficients(("a", 0), p, 10)
+            psi, phi = psi_phi_coefficients(("a", 0), p, 10)
             c1, c2 = compose_A1_A2_from_generators(p, 6)
             got = {
                 "dense": tri.dense(),
@@ -843,7 +856,7 @@ class TestStartup:
                 "psi": psi.coeffs,
                 "phi": phi.coeffs,
                 "residuals": recurrence_residuals(vec, p),
-                "generating": [big_q_laguerre_generating(2, lam, p)],
+                "generating": [big_q_laguerre_generating(2, ("a", 0), p)],
             }
 
             def leaves(v):

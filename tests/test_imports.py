@@ -78,12 +78,12 @@ REACH_COMMANDS = [
 UNREACHED = {
     "__init__.__dir__",
     "__init__.__getattr__",
-    "operators.SpectralPoints.merged_by_magnitude",
     "operators.Tridiagonal.apply",
     "operators.Tridiagonal.dense",
     "orthogonality._Grid.holds",
     "orthogonality.verify_record",
-    "polynomials.match_spectral_point",
+    "polynomials._label_of",
+    "polynomials._label_point",
     "qseries.QParams.alpha",
     "qseries.QParams.beta1",
     "qseries.QParams.beta2",

@@ -18,7 +18,6 @@ from qortho.operators import (
     truncation_residuals,
 )
 from qortho.representation import (
-    XiBasis,
     build_A1_A2,
     build_generator_matrices,
     compose_A_from_generators,
@@ -107,30 +106,29 @@ class TestBuildA:
 
 class TestEigenCoefficients:
     def test_a0_is_one(self):
-        for lam in [P1.a * P1.q, P1.b * P1.q**2, 0.123]:
-            vec = eigen_coefficients(lam, P1, 20)
+        for x in [("a", 0), ("b", 1), 0.123]:
+            vec = eigen_coefficients(x, P1, 20)
             assert vec.coeffs[0] == 1.0
 
     def test_interior_row_residuals_at_spectral_point(self):
-        vec = eigen_coefficients(P1.a * P1.q, P1, 40)
+        vec = eigen_coefficients(("a", 0), P1, 40)
         res = recurrence_residuals(vec, P1)
         assert np.max(res) <= 1e-10
 
     def test_residuals_on_ten_extreme_points(self):
-        pts = spectrum_points(P1, 10).merged_by_magnitude()[:10]
-        for lam in pts:
-            vec = eigen_coefficients(float(lam), P1, 40)
+        for label, _ in spectrum_points(P1, 10).ranked()[:10]:
+            vec = eigen_coefficients(label, P1, 40)
             assert vec.normalizable
             assert np.max(recurrence_residuals(vec, P1)) <= 1e-10
 
     def test_norm_sum_equals_inverse_c0_squared(self):
-        vec = eigen_coefficients(P1.a * P1.q, P1, 80)
+        vec = eigen_coefficients(("a", 0), P1, 80)
         total = float(np.sum(np.asarray(vec.coeffs) ** 2))
         c0 = normalization_c(0, P1, T)
         assert total == pytest.approx(c0**-2, rel=1e-8)
 
     def test_square_summable_tail(self):
-        vec = eigen_coefficients(P1.a * P1.q, P1, 80)
+        vec = eigen_coefficients(("a", 0), P1, 80)
         total = float(np.sum(np.asarray(vec.coeffs) ** 2))
         tail = float(np.sum(np.asarray(vec.coeffs[40:]) ** 2))
         assert tail <= 1e-12 * total
@@ -138,6 +136,31 @@ class TestEigenCoefficients:
     def test_generic_lambda_flagged(self):
         vec = eigen_coefficients(0.17, P1, 10)
         assert not vec.normalizable
+
+    @pytest.mark.parametrize("lam", [P1.a * P1.q * (1 + 3e-11), P1.a * P1.q], ids=["aq(1+3e-11)", "aq"])
+    def test_number_near_or_at_a_point_is_generic(self, lam):
+        # a number takes the recurrence whatever its value: only a label
+        # names a spectral point, so a float 3e-11 off a q is not read as
+        # a q, and a q itself is a number too
+        vec = eigen_coefficients(lam, P1, 10)
+        assert not vec.normalizable and vec.lam == lam
+
+    @pytest.mark.parametrize("label", [("a", 10), ("b", 10)], ids=str)
+    def test_labels_whose_points_underflow(self, label):
+        # at q = 1e-30 the point first q^11 underflows to 0.0, where a float
+        # was once read as no spectral point: the label still names it, so
+        # the vector is the duality closed form, normalizable, and psi/phi
+        # have their values
+        from qortho.operators import _coefficient_entries, _prefactor_entries
+
+        p = QParams(q=1e-30, a=0.5, b=-0.7)
+        vec = eigen_coefficients(label, p, 6)
+        want = tuple(map(float, itertools.islice(_coefficient_entries(p, *label, _prefactor_entries(p)), 7)))
+        assert vec.normalizable and vec.lam == 0.0 and vec.coeffs == want
+        # psi_k phi_k = a_k a_k term for term; phi_3 leaves the float range
+        psi, phi = psi_phi_coefficients(label, p, 2)
+        products = [x * y for x, y in zip(psi.coeffs, phi.coeffs)]
+        assert products == pytest.approx([x * x for x in want[:3]], rel=1e-12)
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_lam_rejected(self, lam):
@@ -151,25 +174,23 @@ class TestEigenCoefficients:
         # an empty vector marked normalizable
         for call in (eigen_coefficients, psi_phi_coefficients):
             with pytest.raises(DomainError):
-                call(P1.a * P1.q, P1, -1)
+                call(("a", 0), P1, -1)
         with pytest.raises(DomainError):
             eigen_coefficients(0.17, P1, -1)
 
-    @pytest.mark.parametrize("lam", [0.125, -0.175, 0.5 * 0.5**40], ids=["aq2", "bq", "aq40"])
+    @pytest.mark.parametrize("label", [("a", 1), ("b", 0), ("a", 39)], ids=["aq2", "bq", "aq40"])
     @pytest.mark.parametrize("route", ["eigen", "psi-phi", "generating"])
-    def test_decimal_parameters_agree_with_float(self, route, lam):
-        # the routes that match lam to a spectral point run on QParams of
+    def test_decimal_parameters_agree_with_float(self, route, label):
+        # the routes that take a spectral point's label run on QParams of
         # Decimals too, and agree with the same call on floats
-        from qortho.polynomials import match_spectral_point
         from qortho.routes import generating_series
 
         calls = {
-            "eigen": lambda p: eigen_coefficients(lam, p, 12).coeffs,
-            "psi-phi": lambda p: [v for vec in psi_phi_coefficients(lam, p, 12) for v in vec.coeffs],
-            "generating": lambda p: [generating_series(lam, 0.01, p, 20)],
+            "eigen": lambda p: eigen_coefficients(label, p, 12).coeffs,
+            "psi-phi": lambda p: [v for vec in psi_phi_coefficients(label, p, 12) for v in vec.coeffs],
+            "generating": lambda p: [generating_series(label, 0.01, p, 20)],
         }
         dec = QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.7")))
-        assert match_spectral_point(lam, dec) == match_spectral_point(lam, P1) is not None
         got, want = calls[route](dec), calls[route](P1)
         assert all(type(v) is float for v in got)
         assert got == pytest.approx(want, rel=1e-14, abs=0)
@@ -183,14 +204,13 @@ class TestEigenCoefficients:
         from qortho.routes import big_q_laguerre_generating
 
         p = QParams(q=0.99, a=0.5, b=-0.7)
-        assert eigen_coefficients(p.a * p.q**601, p, 4).normalizable
-        lam = p.b * p.q**551
-        psi, phi = psi_phi_coefficients(lam, p, 4)
-        vec = eigen_coefficients(lam, p, 4)
+        assert eigen_coefficients(("a", 600), p, 4).normalizable
+        psi, phi = psi_phi_coefficients(("b", 550), p, 4)
+        vec = eigen_coefficients(("b", 550), p, 4)
         # psi_k phi_k = a_k a_k term for term
         products = [x * y for x, y in zip(psi.coeffs, phi.coeffs)]
         assert products == pytest.approx([x * x for x in vec.coeffs], rel=1e-12)
-        got = big_q_laguerre_generating(2, p.a * p.q**521, p)
+        got = big_q_laguerre_generating(2, ("a", 520), p)
         assert got == pytest.approx(float(spectral_sequence(p, "a", 520, 2)[2]), rel=1e-10)
 
     def test_monomial_basis_consistency(self):
@@ -199,7 +219,7 @@ class TestEigenCoefficients:
         from qortho.polynomials import big_q_laguerre
 
         lam = P1.a * P1.q
-        vec = eigen_coefficients(lam, P1, 12)
+        vec = eigen_coefficients(("a", 0), P1, 12)
         q, a, b = P1.q, P1.a, P1.b
         for m in [1, 4, 8, 12]:
             clm = a ** (-m / 4.0) * math.sqrt(
@@ -427,13 +447,13 @@ class TestNormalization:
     def test_row_norm_unitarity(self):
         # c_n^2 sum_m a_m(a q^(n+1))^2 = 1
         for n in [0, 2, 5]:
-            vec = eigen_coefficients(P1.a * P1.q ** (n + 1), P1, 90)
+            vec = eigen_coefficients(("a", n), P1, 90)
             cn = normalization_c(n, P1, T)
             assert cn**2 * float(np.sum(np.asarray(vec.coeffs) ** 2)) == pytest.approx(1.0, rel=1e-8)
 
     def test_row_norm_unitarity_lower_branch(self):
         for n in [0, 2, 5]:
-            vec = eigen_coefficients(P1.b * P1.q ** (n + 1), P1, 90)
+            vec = eigen_coefficients(("b", n), P1, 90)
             cpn = normalization_cprime(n, P1, T)
             assert cpn**2 * float(np.sum(np.asarray(vec.coeffs) ** 2)) == pytest.approx(1.0, rel=1e-8)
 
@@ -455,13 +475,14 @@ class TestSpectrum:
     @pytest.mark.parametrize("q", [0.5, 0.99, 1e-30, 1e-70, 1e-300])
     def test_ranked_labels_name_their_points(self, q):
         # each label (branch, n) is the point first q^(n+1) it comes with;
-        # the order is merged_by_magnitude's, and each branch decreases in
-        # magnitude, so ten points per branch hold the ten largest of thirty
+        # the points decrease in magnitude, and so does each branch, so ten
+        # points per branch hold the ten largest of thirty
         p = QParams(q=q, a=0.5, b=-0.7)
         ranked = spectrum_points(p, 10).ranked()
         for (branch, n), x in ranked:
             assert x == (p.a if branch == "a" else p.b) * p.q ** (n + 1.0)
-        assert [x for _, x in ranked] == spectrum_points(p, 10).merged_by_magnitude()
+        magnitudes = [abs(x) for _, x in ranked]
+        assert magnitudes == sorted(magnitudes, reverse=True)
         assert ranked[:10] == spectrum_points(p, 30).ranked()[:10]
 
 
@@ -550,7 +571,7 @@ class TestEigTridiagonal:
     @pytest.mark.parametrize("p,dim", NEAR_CASES)
     def test_near_is_full_solve_pick(self, p, dim):
         tri = build_A(p, dim)
-        exact = spectrum_points(p, 30).merged_by_magnitude()[:10]
+        exact = [x for _, x in spectrum_points(p, 30).ranked()[:10]]
         full = eig_tridiagonal(tri)
         assert np.array_equal(eig_tridiagonal(tri, near=exact), nearest_of(full, exact))
 
@@ -590,7 +611,7 @@ class TestEigTridiagonal:
         counted = []
         count = operators._sturm_count
         monkeypatch.setattr(operators, "_sturm_count", lambda rows, x: counted.append(x) or count(rows, x))
-        exact = spectrum_points(P2, 30).merged_by_magnitude()[:10]
+        exact = [x for _, x in spectrum_points(P2, 30).ranked()[:10]]
         eig_tridiagonal(build_A(P2, 2000), near=exact)
         assert 0 < len(counted) <= 100
 
@@ -697,13 +718,13 @@ class TestEigTridiagonal:
     def test_matches_exact_spectrum_dim200(self):
         tri = build_A(P1, 200)
         eig = eig_tridiagonal(tri)
-        exact = spectrum_points(P1, 30).merged_by_magnitude()[:10]
+        exact = [x for _, x in spectrum_points(P1, 30).ranked()[:10]]
         for lam in exact:
             err = np.min(np.abs(np.asarray(eig) - lam))
             assert err <= 1e-8
 
     def test_truncation_convergence_doubling(self):
-        exact = spectrum_points(P1, 30).merged_by_magnitude()[:10]
+        exact = [x for _, x in spectrum_points(P1, 30).ranked()[:10]]
         errs = []
         for dim in [50, 100, 200, 400]:
             eig = np.asarray(eig_tridiagonal(build_A(P1, dim)))
@@ -789,24 +810,36 @@ class TestEigTridiagonal:
     )
     def test_truncation_residuals_reject_bad_labels(self, label):
         # a label is ("a" or "b", n), n a nonnegative integer; the bad one
-        # fails the call even after a good one
-        with pytest.raises(DomainError):
-            truncation_residuals(P1, 10, [("a", 0), label])
+        # fails the call even after a good one, and fails every other route
+        # that takes a label, where a number is none
+        from qortho.routes import big_q_laguerre_generating, generating_closed, generating_series
+
+        calls = {
+            "truncation_residuals": lambda: truncation_residuals(P1, 10, [("a", 0), label]),
+            "eigen_coefficients": lambda: eigen_coefficients(label, P1, 4),
+            "psi_phi_coefficients": lambda: psi_phi_coefficients(label, P1, 4),
+            "qJ0_inverse_action": lambda: qJ0_inverse_action(label, P1),
+            "big_q_laguerre_generating": lambda: big_q_laguerre_generating(2, label, P1),
+            "generating_series": lambda: generating_series(label, 0.1, P1, 10),
+            "generating_closed": lambda: generating_closed(label, 0.1, P1, T),
+        }
+        for call in calls.values():
+            with pytest.raises(DomainError):
+                call()
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_point_is_no_spectral_point(self, lam):
-        # an infinite argument reached round() in match_spectral_point and
-        # raised OverflowError from every route that identifies a spectral
-        # point; truncation_residuals takes labels, and a non-finite index
-        # is none
+        # an infinite argument once raised OverflowError from every route
+        # that read a float back to a spectral point; these routes take
+        # labels, and a non-finite index is none
         from qortho.routes import big_q_laguerre_generating
 
         with pytest.raises(DomainError):
             truncation_residuals(P1, 10, [("a", lam)])
         with pytest.raises(DomainError):
-            psi_phi_coefficients(lam, P1, 4)
+            psi_phi_coefficients(("a", lam), P1, 4)
         with pytest.raises(DomainError):
-            big_q_laguerre_generating(2, lam, P1)
+            big_q_laguerre_generating(2, ("a", lam), P1)
 
     def test_truncation_residuals_reject_dim_below_one(self):
         # dim 0 reached log10(1 - q^0) and raised a bare math domain error
@@ -875,33 +908,27 @@ class TestEigTridiagonal:
 
 class TestQJ0InverseAction:
     def test_sub_vanishes_at_zero_upper(self):
-        sub, _, _ = qJ0_inverse_action(XiBasis.XI_UPPER, 0, P1)
+        sub, _, _ = qJ0_inverse_action(("a", 0), P1)
         assert sub == 0.0
 
     def test_sub_vanishes_at_zero_lower(self):
-        sub, _, _ = qJ0_inverse_action(XiBasis.XI_LOWER, 0, P1)
+        sub, _, _ = qJ0_inverse_action(("b", 0), P1)
         assert sub == 0.0
 
-    @pytest.mark.parametrize("basis", [XiBasis.XI_UPPER, XiBasis.XI_LOWER])
+    @pytest.mark.parametrize("branch", ["a", "b"])
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
-    def test_diagonal_action_oracle(self, basis, n):
+    def test_diagonal_action_oracle(self, branch, n):
         # applying the three-term coefficients to the eigenvector
         # expansions must reproduce the diagonal action q^(-l-m) on f_m
         p = P1
         m_max = 60
-        branch = "a" if basis is XiBasis.XI_UPPER else "b"
-        lam = (p.a if branch == "a" else p.b) * p.q ** (n + 1)
-        sub, diag, sup = qJ0_inverse_action(basis, n, p)
-        vec = np.asarray(eigen_coefficients(lam, p, m_max).coeffs)
-        vec_up = np.asarray(eigen_coefficients(
-            (p.a if branch == "a" else p.b) * p.q ** (n + 2), p, m_max
-        ).coeffs)
+        sub, diag, sup = qJ0_inverse_action((branch, n), p)
+        vec = np.asarray(eigen_coefficients((branch, n), p, m_max).coeffs)
+        vec_up = np.asarray(eigen_coefficients((branch, n + 1), p, m_max).coeffs)
         if n == 0:
             vec_dn = np.zeros(m_max + 1)
         else:
-            vec_dn = np.asarray(eigen_coefficients(
-                (p.a if branch == "a" else p.b) * p.q**n, p, m_max
-            ).coeffs)
+            vec_dn = np.asarray(eigen_coefficients((branch, n - 1), p, m_max).coeffs)
         qinvl = p.a**-0.5 * p.q**-0.5  # q^(-l)
         m = np.arange(m_max + 1, dtype=float)
         lhs = qinvl * p.q ** (-m) * vec
@@ -911,14 +938,14 @@ class TestQJ0InverseAction:
         scale = np.max(np.abs(lhs[keep]))
         assert np.max(np.abs(lhs[keep] - rhs[keep])) <= 1e-9 * scale
 
-    @pytest.mark.parametrize("basis", [XiBasis.XI_UPPER, XiBasis.XI_LOWER])
-    def test_orthonormal_variant_consistent_with_plain(self, basis):
+    @pytest.mark.parametrize("branch", ["a", "b"])
+    def test_orthonormal_variant_consistent_with_plain(self, branch):
         # normalized coefficients are the plain ones scaled by c-ratios
         p = P1
-        cfun = normalization_c if basis is XiBasis.XI_UPPER else normalization_cprime
+        cfun = normalization_c if branch == "a" else normalization_cprime
         for n in [1, 2, 4]:
-            sub, diag, sup = qJ0_inverse_action(basis, n, p)
-            subo, diago, supo = qJ0_inverse_action(basis, n, p, orthonormal=True)
+            sub, diag, sup = qJ0_inverse_action((branch, n), p)
+            subo, diago, supo = qJ0_inverse_action((branch, n), p, orthonormal=True)
             cn = cfun(n, p, T)
             assert diago == pytest.approx(diag, rel=1e-13)
             assert supo == pytest.approx(sup * cn / cfun(n + 1, p, T), rel=1e-11)
@@ -951,7 +978,7 @@ class TestA1A2:
         p = P1
         lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
         m_max = 35
-        psi, phi = psi_phi_coefficients(lam, p, m_max)
+        psi, phi = psi_phi_coefficients((branch, j), p, m_max)
         a1, a2 = build_A1_A2(p, m_max + 1)
         for tri, vec in [(a1, psi), (a2, phi)]:
             v = np.asarray(vec.coeffs)
@@ -967,20 +994,19 @@ class TestA1A2:
                     assert abs(resid[m]) <= 1e-9 * row_scale
 
     def test_psi_phi_zeroth_coefficients(self):
-        psi, phi = psi_phi_coefficients(P1.a * P1.q, P1, 10)
+        psi, phi = psi_phi_coefficients(("a", 0), P1, 10)
         assert psi.coeffs[0] == 1.0 and phi.coeffs[0] == 1.0
 
     def test_row0_residual_of_psi_under_A1(self):
         lam = P1.a * P1.q
-        psi, _ = psi_phi_coefficients(lam, P1, 10)
+        psi, _ = psi_phi_coefficients(("a", 0), P1, 10)
         a1, _ = build_A1_A2(P1, 11)
         r0 = a1.diag[0] * psi.coeffs[0] + a1.upper[0] * psi.coeffs[1] - lam * psi.coeffs[0]
         assert abs(r0) <= 1e-10
 
     def test_biorthogonal_inner_product(self):
         # <psi(aq), phi(aq)> c_0^2 = 1
-        lam = P1.a * P1.q
-        psi, phi = psi_phi_coefficients(lam, P1, 70)
+        psi, phi = psi_phi_coefficients(("a", 0), P1, 70)
         c0 = normalization_c(0, P1, T)
         ip = float(np.dot(psi.coeffs, phi.coeffs))
         assert ip * c0**2 == pytest.approx(1.0, rel=1e-8)

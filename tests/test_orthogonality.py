@@ -1,6 +1,7 @@
 """Tests for the identity-verification engines."""
 
 import decimal
+import functools
 import itertools
 
 import pytest
@@ -418,8 +419,6 @@ class TestMeixnerCrossRoute:
         """(record) -> (sum of its terms, sum of their magnitudes), with
         the weights and q-Meixner values kept across records; call inside
         workdps(REF_DPS)."""
-        import functools
-
         import mpmath
 
         from qortho.polynomials import q_meixner
@@ -721,7 +720,6 @@ class TestReports:
         # or scale fails here, while the sweep-vs-standalone test cannot
         # tell, since both sides share it.  c_n, c'_n and Kc are formed in
         # the table's decimal context, as the table forms them
-        import functools
         import itertools
 
         import mpmath
@@ -795,8 +793,6 @@ class TestReports:
         # coefficients read into mpfs.  A store that reads a wrong entry
         # fails here, while the sweep-vs-standalone test cannot tell, since
         # both sides share the store
-        import functools
-
         import mpmath
 
         from qortho.operators import _pref_a_ratio, _prefactor_entries
@@ -1286,9 +1282,19 @@ ORACLE_MISSES = {
     (0.95, 0.5, -0.01): {
         "big-laguerre": 45, "sears": 1, "unitarity-columns": 18, "unitarity-rows": 9, "biortho": 18,
     },
+    (0.7, 0.9, -0.4): {"big-laguerre": 6, "sears": 1, "unitarity-columns": 18, "unitarity-rows": 17, "biortho": 18},
+    (0.97, 0.9, -0.5): {
+        "big-laguerre": 31, "sears": 1, "unitarity-columns": 18, "unitarity-rows": 12, "biortho": 18,
+    },
+    (0.9, 0.5, -1e4): {
+        "big-laguerre": 45, "sears": 1, "unitarity-columns": 18, "unitarity-rows": 9, "biortho": 18,
+    },
 }
 
 
+# one sweep per point serves both tests of TestOracle: at (0.97, 0.9, -0.5)
+# a sweep and its 775 truths take about 4 s
+@functools.cache
 def oracle_misses(p: QParams, index_max: int = 8):
     """The Counter, by record id, of the records of `verify` at p that lie
     farther from their true value than tail_estimate + 4e-16 max(|rhs|, 1),

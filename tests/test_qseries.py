@@ -370,7 +370,7 @@ class TestNonFiniteArguments:
 
 def _entry_calls() -> dict:
     from qortho.climit import LimitSweep, classical_operator_check, limit_operator_entries_check
-    from qortho.representation import XiBasis, qJ0_inverse_action
+    from qortho.representation import qJ0_inverse_action
     from qortho.routes import generating_series
 
     p = QParams(q=0.5, a=0.5, b=-0.7)
@@ -381,15 +381,15 @@ def _entry_calls() -> dict:
         "classical_operator_check-h=inf": lambda: classical_operator_check(0.25, 0.2, 1.0, h=math.inf),
         "classical_operator_check-h=nan": lambda: classical_operator_check(0.25, 0.2, 1.0, h=math.nan),
         # a negative cut-off or row index gave 0.0 and []
-        "generating_series-n_max=-1": lambda: generating_series(p.a * p.q, 0.1, p, -1),
+        "generating_series-n_max=-1": lambda: generating_series(("a", 0), 0.1, p, -1),
         "limit_operator_entries_check-n=-1": lambda: limit_operator_entries_check(-1, LimitSweep(1.0, 0.5)),
         # a degree or index of integral or fractional float value gave the
         # value of a non-terminating series, numbers, or a TypeError
         "q_meixner-n=2.5": lambda: q_meixner(2.5, 3, 0.5, 0.4, 0.5),
         "q_meixner-m=3.0": lambda: q_meixner(2, 3.0, 0.5, 0.4, 0.5),
         "q_meixner-m=-1": lambda: q_meixner(2, -1, 0.5, 0.4, 0.5),
-        "qJ0_inverse_action-n=2.5": lambda: qJ0_inverse_action(XiBasis.XI_UPPER, 2.5, p),
-        "qJ0_inverse_action-n=-1": lambda: qJ0_inverse_action(XiBasis.XI_LOWER, -1, p),
+        "qJ0_inverse_action-n=2.5": lambda: qJ0_inverse_action(("a", 2.5), p),
+        "qJ0_inverse_action-n=-1": lambda: qJ0_inverse_action(("b", -1), p),
         "big_q_laguerre-n=2.0": lambda: big_q_laguerre(2.0, 0.3, p),
         "big_q_laguerre-n=Decimal(2)": lambda: big_q_laguerre(decimal.Decimal(2), 0.3, p),
         "big_q_laguerre-n=-1": lambda: big_q_laguerre(-1, 0.3, p),
@@ -403,7 +403,7 @@ class TestEntryChecks:
             _entry_calls()[call]()
 
     def test_integer_degrees_accepted(self):
-        from qortho.representation import XiBasis, qJ0_inverse_action
+        from qortho.representation import qJ0_inverse_action
 
         def terminating(top, bottom, z, n):
             # the basic series of base 0.5 whose first numerator is q^-n, summed to its last term
@@ -416,7 +416,7 @@ class TestEntryChecks:
         p = QParams(q=0.5, a=0.5, b=-0.7)
         assert big_q_laguerre(2, 0.3, p) == pytest.approx(terminating([4, 0, 0.3], [0.25, -0.35], 0.5, 2), rel=1e-13)
         assert q_meixner(2, 3, 0.5, 0.4, 0.5) == pytest.approx(terminating([4, 8], [0.25], -0.125 / 0.4, 2), rel=1e-13)
-        assert all(math.isfinite(x) for x in qJ0_inverse_action(XiBasis.XI_UPPER, 2, p))
+        assert all(math.isfinite(x) for x in qJ0_inverse_action(("a", 2), p))
 
 
 class TestTruncation:
