@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from qortho.qseries import DomainError, QParams, _require_index, _Validated, _working_context
-from qortho.polynomials import _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
+from qortho.polynomials import EXTENDED_DPS, _recurrence_d, big_q_laguerre_recurrence, classical_laguerre
 from qortho.reporting import VerificationReport
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "fit_rate",
 ]
 
-EXTENDED_PRECISION_GAP = 2.0**-10  # 1 - q below this routes through 40-digit Decimals
+EXTENDED_PRECISION_GAP = 2.0**-10  # 1 - q below this routes through Decimals of EXTENDED_DPS digits
 
 
 def geometric_q_sequence(k_min: int = 2, k_max: int = 10) -> tuple:
@@ -105,7 +105,7 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     for q in sweep.q_sequence:
         gap = 1.0 - q
         scalar = decimal.Decimal if gap < EXTENDED_PRECISION_GAP else float
-        with decimal.localcontext(_working_context(40)):
+        with decimal.localcontext(_working_context(EXTENDED_DPS)):
             qs = scalar(q)
             ps = QParams(q=qs, a=qs ** scalar(sweep.alpha), b=qs ** scalar(sweep.beta) / (qs - 1))
             val = float(big_q_laguerre_recurrence(n, scalar(x), ps)[n])
@@ -118,8 +118,8 @@ def limit_polynomial_check(n: int, x: float, sweep: LimitSweep) -> list:
     ntail = min(5, len(gaps))
     floor = 1e-11 * (1.0 + abs(target))
     slope, _ = fit_rate(gaps[-ntail:], errs[-ntail:], floor=floor)
-    # the linear-rate constant of fit_rate over the whole sweep
-    c_fit = max((e / g for g, e in zip(gaps, errs) if e > 0.0), default=0.0)
+    # the linear-rate constant over the whole sweep
+    _, c_fit = fit_rate(gaps, errs, floor=0.0)
     reports = []
     allowance_used = False
     for k, (q, gap, err, val) in enumerate(zip(sweep.q_sequence, gaps, errs, values)):

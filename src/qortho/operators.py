@@ -33,14 +33,17 @@ from qortho.qseries import (
     _sqrt,
     _Validated,
     _floats_only,
+    _log10,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
     _context_of,
     _duality_entries,
     _duality_meixner,
+    _label_point,
     _recurrence_d,
     _require_label,
+    _roles,
     big_q_laguerre_recurrence,
 )
 
@@ -171,7 +174,7 @@ def _prefactor_entries(p: QParams, ratio_fn=_pref_a_ratio, start=1, branch: str 
     extends its list from where it stopped."""
     context = _context_of(p)
     q, a, b = map(decimal.Decimal, p)
-    first, second = (a, b) if branch == "a" else (b, a)
+    first, second = _roles(branch, a, b)
     pref, qm = context.plus(decimal.Decimal(start)), q
     while True:
         yield pref
@@ -234,8 +237,7 @@ def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, p: QParams, coef
 
     The name dates from the rows of signed logs this function once
     returned; perfbench times the forward rows under it, so it stays."""
-    lam = (p.a if branch == "a" else p.b) * p.q ** (j + 1)
-    seq = big_q_laguerre_recurrence(m_max, lam, p, coeffs=coeffs)
+    seq = big_q_laguerre_recurrence(m_max, _label_point(p, (branch, j)), p, coeffs=coeffs)
     return [pref * v for pref, v in zip(prefs, seq)]
 
 
@@ -254,8 +256,21 @@ def truncation_residuals(p: QParams, dim: int, labels) -> list:
     all but M_n is a float sum of logs, and r underflows to 0 or
     overflows to inf.  M_n, which may cancel far below its terms, is
     `_duality_meixner`'s exact dot on the exact Decimals of the
-    parameters, in `_context_of(p)`.  The label, not the float lam,
-    names the point, so a point that underflowed has its radius too.
+    parameters, in `_context_of(p)`, read by its `_log10`.  The label, not
+    the float lam, names the point, so a point that underflowed has its
+    radius too.
+
+    Each radius also counts the rounding of its own float sum of logs,
+    each of whose roundings errs by at most 2^-53 of its result.  log10 r
+    has seven parts: the log of the off-diagonal's product, the two
+    q-power logs, the prefactor log, d log10 |second|, the log of
+    (second q; q)_d and that of M_n.  Each partial sum is at most S, the
+    sum of their magnitudes plus 1, and c = 8 counts the parts and
+    `_log10`'s one ulp; the prefactor log is itself a running sum, whose
+    partial sums are the list of `_log10_prefactors`.  So r is raised to
+    10^(log10 r + 2^-53 (c S + sum_m |log10 pref_m|)), at least
+    |log10 r| ln 10 c 2^-53 r above the r of the rounded sum.
+
     The parameters are floats, dim a positive integer, and a label other
     than ("a" or "b", n), n a nonnegative integer, raises DomainError."""
     _floats_only("truncation_residuals", *p)
@@ -267,14 +282,21 @@ def truncation_residuals(p: QParams, dim: int, labels) -> list:
     qi = [q ** float(i) for i in range(1, _unit_factors_from(max(a, -b), q, dim) + 1)]
     log_sq = {s: math.fsum(math.log10(1 - s * x) for x in qi) for s in (a, b)}
     qd = q**dim
-    log_off = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd)) + (dim + 1) / 2 * log_q
-    log_fixed = log_off + _log10_prefactors(p, dim)[dim] + dim * (dim + 1) / 2 * log_q
+    log_prod = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd))
+    log_prefs = _log10_prefactors(p, dim)
+    log_fixed = log_prod + (dim + 1) / 2 * log_q + log_prefs[dim] + dim * (dim + 1) / 2 * log_q
+    size_fixed = 1 + abs(log_prod) + (dim + 1) ** 2 / 2 * abs(log_q) + abs(log_prefs[dim])
+    size_prefs = math.fsum(map(abs, log_prefs))
     radii = []
     for branch, n in labels:
-        second = b if branch == "a" else a
-        log_meixner = float(_duality_meixner(p, branch, n, dim).copy_abs().log10(_context_of(p)))
-        log_r = log_fixed + dim * math.log10(abs(second)) - log_sq[second] + log_meixner
-        radii.append(math.inf if log_r > 300 else 10.0**log_r)
+        second = _roles(branch, a, b)[1]
+        log_second = dim * math.log10(abs(second))
+        log_meixner = _log10(_duality_meixner(p, branch, n, dim))
+        log_r = log_fixed + log_second - log_sq[second] + log_meixner
+        # a zero M_n is an exact r = 0, with no rounding to count
+        size = size_fixed + abs(log_second) + abs(log_sq[second]) + abs(log_meixner)
+        slack = 2.0**-53 * (8 * size + size_prefs) if log_r > -math.inf else 0.0
+        radii.append(math.inf if log_r > 300 else 10.0 ** (log_r + slack))
     return radii
 
 
@@ -307,7 +329,7 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation):
     the working context; a product there that is not finite is a limit of
     those scalars, not of the domain, and raises NonConvergenceError.  The
     ratios c_{n+1}/c_n multiply on in the working context."""
-    first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
+    first, second = _roles(branch, p.a, p.b)
     with decimal.localcontext(_context_of(p)):
         products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
         if not all(abs(x) < math.inf for x in products):
@@ -326,10 +348,8 @@ def spectrum_points(p: QParams, N: int) -> SpectralPoints:
     _floats_only("spectrum_points", *p)
     if N < 1:
         raise DomainError("N must be a positive integer")
-    return SpectralPoints(
-        upper=tuple(p.a * p.q ** (n + 1.0) for n in range(N)),
-        lower=tuple(p.b * p.q ** (n + 1.0) for n in range(N)),
-    )
+    upper, lower = (tuple(_label_point(p, (branch, n)) for n in range(N)) for branch in "ab")
+    return SpectralPoints(upper=upper, lower=lower)
 
 
 # Bisection steps allowed before the solve gives up.

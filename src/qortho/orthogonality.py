@@ -65,6 +65,7 @@ from qortho.polynomials import (
     _exact_dot,
     _LazyList,
     _recurrence_entries,
+    _roles,
 )
 from qortho.operators import (
     _a_coeff_logs,
@@ -380,7 +381,7 @@ def _meixner_norm(i: int, j: int, store: _Store):
     branch, n = _branch_of_label(i)
     p, t = store.p, store.t
     q = p.q
-    first, second = (p.a, p.b) if branch == "a" else (p.b, p.a)
+    first, second = _roles(branch, p.a, p.b)
     quotients = store.meixner_quotients
     if branch not in quotients:
         quotients[branch] = q_pochhammer_inf(second / first, q, t) / q_pochhammer_inf(second * q, q, t)

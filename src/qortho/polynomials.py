@@ -31,8 +31,8 @@ from qortho.qseries import (
     DomainError,
     QParams,
     Truncation,
+    _EXACT,
     _as_negative_q_power,
-    _context,
     _phi_series,
     _require_index,
     _working_context,
@@ -50,11 +50,6 @@ __all__ = [
 _WORKING_DPS = 30
 # working precision of Decimal parameters, those of `verify --precision extended`
 EXTENDED_DPS = 50
-
-
-# exact products and sums of Decimals: a result that would need rounding
-# raises Inexact.  Division never runs here, since a quotient is rarely exact
-_EXACT = _context(decimal.MAX_PREC, decimal.Inexact)
 
 
 def _context_of(p: QParams) -> decimal.Context:
@@ -182,10 +177,18 @@ def _label_of(x) -> Optional[tuple]:
     return None if isinstance(x, numbers.Number) else _require_label(x)
 
 
+def _roles(branch: str, a, b) -> tuple:
+    """(first, second) of the branch: (a, b) on branch "a", whose spectral
+    points are a q^(n+1), and (b, a) on branch "b", whose are b q^(n+1).
+    Every formula of a branch is written in first and second."""
+    return (a, b) if branch == "a" else (b, a)
+
+
 def _label_point(p: QParams, label: tuple):
-    """The point a q^(n+1) or b q^(n+1) of the label (branch, n), in p's scalars."""
+    """The point first q^(n+1) of the label (branch, n), a q^(n+1) or
+    b q^(n+1), in p's scalars."""
     branch, n = label
-    return (p.a if branch == "a" else p.b) * p.q ** (n + 1)
+    return _roles(branch, p.a, p.b)[0] * p.q ** (n + 1)
 
 
 def spectral_sequence(p: QParams, branch: str, j: int, m_max: int) -> list:
@@ -215,7 +218,7 @@ def _duality_coefficients(p: QParams, branch: str, j: int) -> list:
     """c_0, ..., c_j of the duality sum of `spectral_sequence` at lam =
     first q^(j+1), as Decimals in `_context_of(p)`."""
     q, a, b = map(decimal.Decimal, p)
-    first, second = (a, b) if branch == "a" else (b, a)
+    first, second = _roles(branch, a, b)
     with decimal.localcontext(_context_of(p)):
         z = q ** (j + 1) * first / second
         c = [decimal.Decimal(1)]
@@ -242,7 +245,7 @@ def _duality_entries(p: QParams, branch: str, j: int):
     A caller that keeps the iterator extends its sequence from where it
     stopped."""
     context = _context_of(p)
-    q, second = decimal.Decimal(p.q), decimal.Decimal(p.b if branch == "a" else p.a)
+    q, second = decimal.Decimal(p.q), decimal.Decimal(_roles(branch, p.a, p.b)[1])
     c = _duality_coefficients(p, branch, j)
     qm = decimal.Decimal(1)  # q^-m
     poch = [qm]  # (q^-m; q)_k, k = 0..min(m, j)

@@ -47,7 +47,9 @@ _FLOAT_MIN = sys.float_info.min
 # their unit roundoff is 5e-32
 _GUARD_DIGITS = 2
 # working digits of the first Decimal pass of a float sum, and of the
-# Decimals that only steer a sum (its termination, its digits)
+# Decimal build of a series whose float build overflowed, which only
+# steers the sum (its termination); the sizes of Decimals are read by
+# `_log10`, in no context
 _FIRST_DPS = 25
 
 
@@ -73,6 +75,19 @@ class DenominatorZeroError(QSeriesError, ZeroDivisionError):
 
 class TailError(QSeriesError, RuntimeError):
     """A truncated-series tail could not be certified below tolerance."""
+
+
+def _log10(x) -> float:
+    """log10 |x| as a float, in no decimal context: math.log10 of a float,
+    and of a Decimal its adjusted exponent plus the float log10 of its
+    mantissa, so a Decimal of any exponent has one; -inf at a zero
+    Decimal.  The steering of every Decimal's size reads it."""
+    if not isinstance(x, decimal.Decimal):
+        return math.log10(abs(x))
+    if not x:
+        return -math.inf
+    e = x.adjusted()
+    return e + math.log10(float(x.copy_abs().scaleb(-e, _EXACT)))
 
 
 def _ln(x):
@@ -134,6 +149,12 @@ def _context(prec: int, *traps) -> decimal.Context:
         flags=[],
         traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, *traps],
     )
+
+
+# exact products, sums and scalings of Decimals: a result that would need
+# rounding raises Inexact.  Division never runs here, since a quotient is
+# rarely exact
+_EXACT = _context(decimal.MAX_PREC, decimal.Inexact)
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,13 +406,16 @@ def _escalated(sum_fn, args, rel_tol):
     pass escalates when it is not finite or raises OverflowError, or when
     8 eps max|term| exceeds 0.05 rel_tol |value|.  The needed precision
     depends on the (unknown) true magnitude of the result, so each Decimal
-    pass re-targets from the latest value estimate and at least doubles
-    the digits of the pass before.  A pass of dps digits runs in
+    pass re-targets from the latest value estimate, _FIRST_DPS digits
+    above what it needs, and at least doubles the digits of the pass
+    before.  A pass of dps digits runs in
     `_working_context(dps)`, at _GUARD_DIGITS more, on the exact Decimals
     of the arguments, and has absolute error about
     10^(log10 max|term| - dps + 2); the loop stops once that is below
     rel_tol |value|, or below rel_tol times the smallest normal float,
-    which a float result cannot resolve anyway (exact zeros).
+    which a float result cannot resolve anyway (exact zeros).  The test
+    compares the float logs (`_log10`) of the two sides, so no Decimal
+    log or power runs at the pass's own digits.
     """
     guarded = all(isinstance(v, (float, int)) for v in args)
     try:
@@ -407,19 +431,16 @@ def _escalated(sum_fn, args, rel_tol):
         return value
     # an overflowed float pass tells nothing of the terms: start from scratch
     log10_max, est = (math.log10(max(max_abs, 1.0)), abs(value)) if finite else (0.0, 1.0)
-    rel_tol_d, float_min = decimal.Decimal(rel_tol), decimal.Decimal(_FLOAT_MIN)
+    log10_tol, log10_floor = math.log10(rel_tol), math.log10(_FLOAT_MIN)
     dps = 0
     while True:
-        dps = max(2 * dps, _FIRST_DPS, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + 25))
+        dps = max(2 * dps, _FIRST_DPS, int(log10_max - math.log10(rel_tol * max(est, _FLOAT_MIN)) + _FIRST_DPS))
         with decimal.localcontext(_working_context(dps)):
             value_d, max_abs_d = sum_fn(*map(decimal.Decimal, args))
-            # a float's worth of digits: log10 at the pass's own thousands
-            # of digits (q^-n terms at tiny q) costs seconds
-            log10_max = float(max_abs_d.log10(_working_context(_FIRST_DPS))) if max_abs_d > 0 else 0.0
-            error = decimal.Decimal(10) ** decimal.Decimal(log10_max - dps + 2)
-            if error <= rel_tol_d * max(abs(value_d), float_min):
-                return float(value_d)
-            est = min(float(abs(value_d)), sys.float_info.max)
+        log10_max = _log10(max_abs_d) if max_abs_d else 0.0
+        if log10_max - dps + 2 <= log10_tol + max(_log10(value_d), log10_floor):
+            return float(value_d)
+        est = min(float(abs(value_d)), sys.float_info.max)
 
 
 def _phi_series(build, base, t: Truncation):

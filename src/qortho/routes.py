@@ -24,6 +24,7 @@ from qortho.qseries import (
     TailError,
     Truncation,
     _as_negative_q_power,
+    _finite,
     _floats_only,
     _phi_series,
     _require_index,
@@ -33,6 +34,7 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
+    EXTENDED_DPS,
     _big_q_laguerre_params,
     _capped,
     _context_of,
@@ -40,6 +42,7 @@ from qortho.polynomials import (
     _label_of,
     _label_point,
     _require_label,
+    _roles,
     big_q_laguerre_recurrence,
 )
 
@@ -157,7 +160,7 @@ def generating_series(
         tpow = 1.0
         for n in range(n_max + 1):
             term = coef * pvals[n] * tpow
-            if not math.isfinite(term) or abs(term) > 1e280:
+            if not _finite(term) or abs(term) > 1e280:
                 overflowed = True  # manifestly divergent partial sums
                 break
             terms.append(term)
@@ -216,8 +219,8 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
         return 1.0
     if x == 0:
         return generating_series(x, tvar, p, n_max=64, t=t, strict=True)
-    if label is not None and label[0] == "b":
-        a, b = b, a
+    if label is not None:
+        a, b = _roles(label[0], a, b)
     pref = q_pochhammer_inf(-a * b * q * q * tvar, q, t) / q_pochhammer_inf(-b * q * tvar, q, t)
     return pref * phi_2_1(a * q / x, 0.0, -1.0 / (b * tvar), q, x / b, t)
 
@@ -231,9 +234,9 @@ def _roots_of_unity(m: int) -> tuple:
     """e^(2 pi i k / m), k = 0..m-1, each part the float nearest its exact
     value: i^s (cos x + i sin x) for s, r = divmod(4k, m) and x = pi r / (2m)
     in the first quadrant, with the Taylor sums of cos x and sin x in
-    40-digit Decimals, so the multiples of pi/2 stay exact."""
+    Decimals of EXTENDED_DPS digits, so the multiples of pi/2 stay exact."""
     roots = []
-    with decimal.localcontext(_working_context(40)):
+    with decimal.localcontext(_working_context(EXTENDED_DPS)):
         for k in range(m):
             s, r = divmod(4 * k, m)
             x = _PI * r / (2 * m)
@@ -262,7 +265,7 @@ def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
     _floats_only("big_q_laguerre_generating", *p)
     branch, j = _require_label(label)
     q = p.q
-    radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
+    radius = q ** (j - 1) / abs(_roles(branch, p.a, p.b)[1])
     rho = 0.75 * radius
     if _label_point(p, label) == 0 or not -307 < n * math.log10(rho) < 308:
         raise NonConvergenceError(f"the Cauchy sum of P_{n} at {label} leaves the float range at {tuple(p)}")

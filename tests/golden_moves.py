@@ -13,8 +13,10 @@ against the records it has, and the worst move
 golden files use.  A verdict reads max(|rhs|, M) instead, whose M, the
 sum of the magnitudes of a sum's terms, the files do not carry, so the
 worst move is a guide to a record's bound, not the bound itself.  Below
-that it lists every record whose `status` or `terms_used` changed, and
-every record only one file has.  The exit status is 0.
+that it lists every record whose `status` or `terms_used` changed, then, where any
+did, every record whose `tail_estimate` changed (a bound can move while
+the value stays), and every record only one file has.  The exit status
+is 0.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ TOL = 1e-8
 VALUE_COLUMNS = ("lhs", "rhs", "residual", "terms_used", "tail_estimate", "status", "value")
 # columns whose change is listed record by record
 WATCHED = ("status", "terms_used")
+# a column whose change is listed record by record where there is one
+BOUND = "tail_estimate"
 
 
 def read_records(path: str) -> dict:
@@ -65,6 +69,7 @@ def compare(old_path: str, new_path: str) -> list:
     total: Counter = Counter()
     worst: dict = {}
     changes = []
+    bound_changes = []
     for key, before in old.items():
         after = new.get(key)
         if after is None:
@@ -78,12 +83,17 @@ def compare(old_path: str, new_path: str) -> list:
         for column in WATCHED:
             if before.get(column) != after.get(column):
                 changes.append(f"{','.join(key[:-1])}: {column} {before.get(column)} -> {after.get(column)}")
+        if before.get(BOUND) != after.get(BOUND):
+            bound_changes.append(f"{','.join(key[:-1])}: {before.get(BOUND)} -> {after.get(BOUND)}")
     lines = [f"{'family':<28} {'moved':>9} {'worst':>10}"]
     for family in total:
         share = f"{moved[family]}/{total[family]}"
         lines.append(f"{family:<28} {share:>9} {worst.get(family, 0.0):>10.2g}")
     lines.append(f"status or terms_used changes: {len(changes)}")
     lines.extend("  " + line for line in changes)
+    if bound_changes:
+        lines.append(f"{BOUND} changes: {len(bound_changes)}")
+        lines.extend("  " + line for line in bound_changes)
     for label, keys in (("only in OLD", old.keys() - new.keys()), ("only in NEW", new.keys() - old.keys())):
         if keys:
             lines.append(f"{label}: {len(keys)}")

@@ -96,6 +96,37 @@ class TestExitCodes:
         grown = [r for r in converge if r["rhs"] > r["lhs"]]
         assert len(grown) == 8 and all(r["rhs"] <= r["tail_estimate"] for r in grown)
 
+    @pytest.mark.parametrize("q", ["0.5", "1e-30", "1e-100", "1e-200", "1e-300"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_spectrum_match_within_its_tail(self, dim, q, monkeypatch, tmp_path):
+        # at dim 1 the radius r is the matching error itself, and its float
+        # sum of logs once came out 1.3e-14 below it (rank 1, q = 1e-100):
+        # each tail counts the rounding of its own r.  At q = 0.5 so small a
+        # truncation certifies nothing (2); where the bounds are tight, a
+        # solve that misses an exact point by 1e-6 still fails (1)
+        from qortho import cli
+
+        out = tmp_path / "r.json"
+        argv = ["spectrum", "--q", q, "--a", "0.5", "--b", "-0.7", "--dim", str(dim), "--out", str(out), "--no-timestamp"]
+        assert cli.main(argv) == (2 if q == "0.5" else 0)
+        records = json.loads(out.read_text())["records"]
+        matches = [r for r in records if r["identity_id"] == "spectrum-match"]
+        assert len(matches) == 20 and not any(r["status"] == "fail" for r in records)
+        assert all(r["residual"] <= r["tail_estimate"] for r in matches)
+        if q == "0.5":
+            return
+        exact = cli.spectrum_points
+
+        def missed(p, n):
+            points = exact(p, n)
+            return points._replace(upper=(points.upper[0] + 1e-6, *points.upper[1:]))
+
+        monkeypatch.setattr(cli, "spectrum_points", missed)
+        assert cli.main(argv) == 1
+        records = json.loads(out.read_text())["records"]
+        moved = [r for r in records if r["identity_id"] == "spectrum-match" and r["lhs"] > 1e-7]
+        assert len(moved) == 2 and all(r["status"] == "fail" for r in moved)
+
     def test_spectrum_assembles_one_operator(self, monkeypatch, tmp_path):
         # the dim cut is the leading block of the 2 dim operator, whose
         # entries depend on the row index alone

@@ -98,11 +98,11 @@ class TestLimitPolynomial:
         qcol = [r.params.q for r in reps if r.identity_id == "climit-poly"]
         assert all(b > a for a, b in zip(qcol, qcol[1:]))
 
-    def test_points_near_one_take_the_40_digit_route(self):
-        # below 1 - q = 2^-10 the sweep runs its recurrence at 40 digits;
-        # the float recurrence there is 1.8e-12 off at 1 - 2^-11 and up to
-        # 1.1e-9 off nearer to 1 (degrees 0..8), so each value must match a
-        # 60-digit recurrence to 1e-13
+    def test_points_near_one_take_the_extended_route(self):
+        # below 1 - q = 2^-10 the sweep runs its recurrence at the 50
+        # digits of EXTENDED_DPS; the float recurrence there is 1.8e-12 off
+        # at 1 - 2^-11 and up to 1.1e-9 off nearer to 1 (degrees 0..8), so
+        # each value must match a 60-digit recurrence to 1e-13
         import mpmath
 
         from qortho.climit import EXTENDED_PRECISION_GAP

@@ -53,6 +53,74 @@ def test_series_summation_stays_in_qseries():
     assert not {"_series_sum", "_escalated"} & set(_imported_names(tree))
 
 
+def _nodes_with_function(node: ast.AST, function: str = ""):
+    """(node, name of the innermost function around it) for every node
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        yield child, function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _nodes_with_function(child, inner)
+
+
+def _names_a_or_b(node: ast.AST) -> bool:
+    """Whether node reads a parameter a or b: a name a or b, or p.a, p.b."""
+    return any(
+        isinstance(n, ast.Name) and n.id in ("a", "b") or isinstance(n, ast.Attribute) and n.attr in ("a", "b")
+        for n in ast.walk(node)
+    )
+
+
+def _tests_branch(node: ast.AST) -> bool:
+    """Whether node compares something with the branch name "a" or "b"."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(c, ast.Constant) and c.value in ("a", "b") for c in (node.left, *node.comparators)
+    )
+
+
+def _is_role_rule(node: ast.AST) -> bool:
+    """A conditional that picks a or b by the branch name: an expression
+    `... if branch == "a" else ...` over a and b, or an if statement on
+    the branch that assigns to a and b."""
+    if isinstance(node, ast.IfExp):
+        return _tests_branch(node.test) and _names_a_or_b(node.body) and _names_a_or_b(node.orelse)
+    return (
+        isinstance(node, ast.If)
+        and _tests_branch(node.test)
+        and any(isinstance(s, ast.Assign) and any(map(_names_a_or_b, s.targets)) for s in node.body)
+    )
+
+
+def _is_decimal_call(node: ast.AST) -> bool:
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Name) and func.id == "Decimal" or isinstance(func, ast.Attribute) and func.attr == "Decimal"
+    )
+
+
+def test_precision_model_written_once():
+    # every magnitude decision reads a float log (qseries._log10), never a
+    # Decimal log10 or a power of 10 in Decimals; every working context is
+    # sized by a named digit constant; and the rule that names the two
+    # spectral branches, (first, second) = (a, b) or (b, a), is the one
+    # function polynomials._roles
+    found = {"log10": [], "power": [], "digits": [], "roles": []}
+    for path in MODULES:
+        for node, function in _nodes_with_function(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "log10" and getattr(func.value, "id", None) != "math":
+                found["log10"].append(where)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_decimal_call(node.right):
+                found["power"].append(where)
+            if getattr(func, "id", None) == "_working_context" and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, int) for arg in node.args for n in ast.walk(arg)
+            ):
+                found["digits"].append(where)
+            if _is_role_rule(node):
+                found["roles"].append(f"{path.name}:{function}")
+    assert found == {"log10": [], "power": [], "digits": [], "roles": ["polynomials.py:_roles"]}
+
+
 # the command lines of the reachability run, each with its exit code: every
 # subcommand, both precisions and both formats, the lowest weight --l, a
 # value outside the domain and a malformed option (usage errors), and a
@@ -83,7 +151,6 @@ UNREACHED = {
     "orthogonality._Grid.holds",
     "orthogonality.verify_record",
     "polynomials._label_of",
-    "polynomials._label_point",
     "qseries.QParams.alpha",
     "qseries.QParams.beta1",
     "qseries.QParams.beta2",

@@ -348,6 +348,15 @@ class TestGeneratingFunction:
         with pytest.raises(TailError):
             generating_series(0.1, -0.2, P1, 60, T, strict=True)
 
+    @pytest.mark.parametrize("tv", [0.1, 0.1j], ids=["real", "complex"])
+    def test_closed_at_x_zero_raises_tail_error(self, tv):
+        # x = 0 takes the series at a number, whose divergent terms a
+        # complex t once met with math.isfinite's TypeError
+        from qortho.qseries import TailError
+
+        with pytest.raises(TailError):
+            generating_closed(0.0, tv, QParams(0.5, 0.5, -0.7))
+
     @pytest.mark.parametrize("where", ["params", "argument"])
     @pytest.mark.parametrize("route", ["series", "closed", "extraction"])
     def test_decimals_rejected(self, route, where):

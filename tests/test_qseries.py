@@ -22,6 +22,7 @@ from qortho.qseries import (
     SeriesDivergenceError,
     Truncation,
     _as_negative_q_power,
+    _log10,
     _working_context,
     jackson_Eq,
     phi_2_1,
@@ -333,6 +334,44 @@ class TestNegativeQPower:
         # nan InvalidOperation from the comparison with 1
         with decimal.localcontext(_working_context(30)):
             assert _as_negative_q_power(kind(u), kind("0.5")) is None
+
+
+# mantissas across [1, 10), to 32 digits, and exponents from -10^6 to 10^6
+_LOG10_MANTISSAS = [
+    "1", "1.0000000000000000000000000000001", "2", "3.1622776601683793319988935444327",
+    "5.5", "7.0710678118654752440084436210485", "9.9999999999999999999999999999999",
+]
+_LOG10_EXPONENTS = [-10**6, -123457, -400, -308, -1, 0, 1, 308, 400, 99999, 10**6]
+
+
+class TestLog10:
+    # the float log10 that steers every Decimal's size, in no decimal context
+    @pytest.mark.parametrize("exponent", _LOG10_EXPONENTS)
+    @pytest.mark.parametrize("mantissa", _LOG10_MANTISSAS)
+    def test_decimal_matches_mpmath(self, mantissa, exponent):
+        # the float log of the mantissa errs by an ulp of 1 or so, and the
+        # sum with the exponent rounds once
+        for sign in ("", "-"):
+            x = decimal.Decimal(f"{sign}{mantissa}E{exponent}")
+            with mpmath.workdps(50):
+                want = float(mpmath.log10(abs(mpmath.mpf(str(x)))))
+            assert abs(_log10(x) - want) <= math.ulp(want) + 2 * 2.0**-52, x
+
+    def test_zero_is_minus_infinity(self):
+        for zero in ("0", "-0", "0E+400", "-0E-400"):
+            assert _log10(decimal.Decimal(zero)) == -math.inf
+
+    @pytest.mark.parametrize("x", [0.3, -2.5, 1e-300, 5e-324, 1e308, 7.0])
+    def test_float_is_math_log10(self, x):
+        assert _log10(x) == math.log10(abs(x))
+
+    def test_thread_context_ignored(self):
+        # a coarse, floored thread context reaches neither the scaling of
+        # the mantissa nor anything else
+        xs = [decimal.Decimal(f"{m}E{e}") for m in _LOG10_MANTISSAS for e in _LOG10_EXPONENTS]
+        want = list(map(_log10, xs))
+        with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)):
+            assert list(map(_log10, xs)) == want
 
 
 _KERNELS = {
