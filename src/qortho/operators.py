@@ -325,17 +325,17 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation):
         c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n),
         c_0^2 = (second q; q)_inf / (second/first; q)_inf.
 
-    c_0, common to the branch, is formed in p's own scalars, Decimals in
-    the working context; a product there that is not finite is a limit of
-    those scalars, not of the domain, and raises NonConvergenceError.  The
-    ratios c_{n+1}/c_n multiply on in the working context."""
-    first, second = _roles(branch, p.a, p.b)
+    c_0, common to the branch, is formed on the exact Decimals of p in the
+    working context, as the ratios c_{n+1}/c_n multiply on.  For float p,
+    whose records read floats, a c_0 whose float is 0 or not finite raises
+    NonConvergenceError: a limit of the floats, not of the domain."""
     with decimal.localcontext(_context_of(p)):
-        products = q_pochhammer_inf(second * p.q, p.q, t), q_pochhammer_inf(second / first, p.q, t)
-        if not all(abs(x) < math.inf for x in products):
-            name = "c_0" if branch == "a" else "c'_0"
-            raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
-        c0 = _root(products[0] / products[1])
+        q, a, b = map(decimal.Decimal, p)
+        first, second = _roles(branch, a, b)
+        c0 = _root(q_pochhammer_inf(second * q, q, t) / q_pochhammer_inf(second / first, q, t))
+    if not (isinstance(p.q, decimal.Decimal) or 0 < float(c0) < math.inf):
+        name = "c_0" if branch == "a" else "c'_0"
+        raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
     yield from _prefactor_entries(p, _c_ratio, c0, branch)
 
 

@@ -32,14 +32,14 @@ family's records in the store's decimal context, entered once per
 family, and `verify_record` runs one record the same way on a store of
 its own, with the same bits.
 
-Entries, and the normalization constants c_n they carry, are Decimals,
-correctly rounded in the store's decimal context, `_context_of(p)` (32
-digits for float parameters, 52 for Decimal ones); their float copies
+Entries, the constants c_n they carry and Kc are Decimals of the exact
+Decimals of p, correctly rounded in the store's context, `_context_of(p)`
+(32 digits for float parameters, 52 for Decimal ones); their float copies
 drive the stopping rule, and the products used are added exactly and
-rounded once.  Float parameters cross into Decimal exactly and each sum
-leaves once, as its float; Decimal parameters' sums stay Decimals.  The
-closed-form sides and the verdict are written once for both scalar
-types, and run in the store's decimal context.
+rounded once.  Each sum, and Kc, leaves once, as its float for float p.
+The closed-form sides and the verdict are written once for both scalar
+types, in the store's context; the q-Meixner norms and the sears
+cross-check, independent halves, form their own products in p's scalars.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     Truncation,
+    _SMALL_RUN,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
@@ -121,7 +122,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
     in order of k up to k = hard_cap.  The products of the float copies
     drive only the stopping rule, M and the tail bound; a product that
     overflows is formed from the Decimal entries.  The sum stops once
-    small_run consecutive terms are each at most rel_tol M AND the recent
+    _SMALL_RUN consecutive terms are each at most rel_tol M AND the recent
     term ratios certify a geometric tail below the same target; the tail
     estimate is inf when they never do within the cap.  The value is the
     sum of the products used, every product and the sum exact, rounded
@@ -129,7 +130,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
     size 1e9 leaves no float noise."""
     xs, ys = [], []
     total = 0.0
-    recent = collections.deque(maxlen=max(t.small_run, 4))
+    recent = collections.deque(maxlen=_SMALL_RUN)
     run = 0
     tail = math.inf
     for k in range(hard_cap + 1):
@@ -146,7 +147,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
         recent.append(term)
         if term <= t.rel_tol * total:
             run += 1
-            if run >= t.small_run:
+            if run >= _SMALL_RUN:
                 nz = [f for f in recent if f > 0.0]
                 if len(nz) < 2:
                     tail = 0.0
@@ -170,8 +171,8 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
 # constants shared by the closed-form sides
 
 
-def _kc(p: QParams, t: Truncation) -> float:
-    """(q, b/a, aq/b; q)_inf / ((aq, bq; q)_inf)."""
+def _kc(p: QParams, t: Truncation):
+    """(q, b/a, aq/b; q)_inf / ((aq, bq; q)_inf), in p's scalar type."""
     q, a, b = p.q, p.a, p.b
     return (
         q_pochhammer_inf(q, q, t)
@@ -218,9 +219,8 @@ class _Store:
     Every entry, constant and sum is a Decimal of the one decimal context
     `context`, `_context_of(p)`, set apart from the caller's; a row is
     formed in it whole, and `recurrence`, which has no context of its
-    own, is read only there.  Only
-    c_0, c'_0 and Kc are in p's own scalars, formed in that context, and
-    enter exactly.  `value` is the one way out: a sum of Decimal
+    own, is read only there.  c_0, c'_0 and Kc are formed there too, on
+    `decimal_p`.  `value` is the one way out: a sum, or Kc, of Decimal
     parameters leaves as it is, any other as its float."""
 
     def __init__(self, p: QParams, t: Truncation, K: int):
@@ -243,7 +243,7 @@ class _Store:
     @functools.cached_property
     def kc(self):
         with decimal.localcontext(self.context):
-            return _kc(self.p, self.t)
+            return self.value(_kc(self.decimal_p, self.t))
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""

@@ -51,6 +51,8 @@ _GUARD_DIGITS = 2
 # steers the sum (its termination); the sizes of Decimals are read by
 # `_log10`, in no context
 _FIRST_DPS = 25
+# consecutive terms below rel_tol that end a nonterminating series sum
+_SMALL_RUN = 10
 
 
 class QSeriesError(Exception):
@@ -100,6 +102,17 @@ def _sqrt(x):
     """Square root in x's scalar type: a Decimal's in the thread's decimal
     context, else x ** 0.5."""
     return x.sqrt() if isinstance(x, decimal.Decimal) else x**0.5
+
+
+def _exp(x):
+    """Exponential in x's scalar type: a Decimal's in the thread's decimal
+    context, cmath.exp of a complex, else math.exp; inf where it overflows."""
+    if isinstance(x, decimal.Decimal):
+        return x.exp()
+    try:
+        return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _finite(x) -> bool:
@@ -214,27 +227,24 @@ class _Validated:
 class _TruncationFields(NamedTuple):
     rel_tol: float
     max_terms: int
-    small_run: int
 
 
 class Truncation(_Validated, _TruncationFields):
-    """Series/product truncation policy.
+    """Series truncation policy.
 
-    Stopping requires ``small_run`` consecutive negligible terms; running
-    out of ``max_terms`` raises :class:`NonConvergenceError` rather than
-    silently truncating.
+    A series stops after `_SMALL_RUN` consecutive terms below ``rel_tol``
+    of its running sum; running out of ``max_terms`` terms or factors
+    raises :class:`NonConvergenceError` rather than silently truncating.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10000, small_run: int = 10):
+    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10000):
         if not 0 < rel_tol < math.inf:
             raise DomainError("rel_tol must be positive and finite")
         if not isinstance(max_terms, numbers.Integral) or max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
-        if not isinstance(small_run, numbers.Integral) or small_run < 1:
-            raise DomainError("small_run must be a positive integer")
-        return super().__new__(cls, rel_tol, max_terms, small_run)
+        return super().__new__(cls, rel_tol, max_terms)
 
 
 class _QParamsFields(NamedTuple):
@@ -328,31 +338,34 @@ def _as_negative_q_power(u, q):
 
 
 def q_pochhammer_inf(a, q, t: Truncation = Truncation()):
-    """Infinite product (a;q)_inf = prod_{k>=0} (1 - a q^k) for 0 < q < 1.
-
-    Returns exactly 0 when a = q^(-j) for some integer j >= 0, where the
-    (j+1)-st factor vanishes.
+    """Infinite product (a;q)_inf = prod_{k>=0} (1 - a q^k), 0 < q < 1, exact
+    to the rounding of a's scalar type: the factors with |a q^k| >= 1/2, at
+    most t.max_terms of them, times exp(-sum_{j>=1} x^j / (j (1 - q^j))) for
+    the rest, from x = a q^k on (each log(1 - x q^i) expanded, its geometric
+    series in i summed; 1 - q^j is q (1 - q^(j-1)) + (1 - q), which does not
+    cancel).  The sum stops at its first term at most the unit roundoff
+    (2^-53, or 5 10^-prec in the thread's context for a Decimal), which
+    bounds the rest as |x| < 1/2.  Exactly 0 at a = q^(-j), j >= 0 an integer.
     """
     _require_finite(a, q)
     if not (0 < q < 1):
         raise DomainError("q must lie strictly in (0, 1)")
     if _as_negative_q_power(a, q) is not None:
         return _zero(a)
-    out = 1 - a
-    aqk = a * q
-    run = 0
-    for _ in range(t.max_terms):
-        if abs(aqk) < t.rel_tol:
-            run += 1
-            if run >= t.small_run:
-                return out
-        else:
-            run = 0
-        out = out * (1 - aqk)
-        aqk = aqk * q
-    raise NonConvergenceError(
-        f"(a;q)_inf did not converge within {t.max_terms} factors (a={a}, q={q})"
-    )
+    roundoff = decimal.Decimal(5).scaleb(-decimal.getcontext().prec) if isinstance(a, decimal.Decimal) else 2.0**-53
+    out, x, k = 1, a, 0
+    while not abs(x) < 0.5:
+        if k == t.max_terms:
+            raise NonConvergenceError(f"(a;q)_inf did not converge within {k} factors (a={a}, q={q})")
+        out, x, k = out * (1 - x), x * q, k + 1
+    d = step = 1 - q
+    power, j, total = x, 1, 0
+    while True:
+        term = power / (j * d)
+        total += term
+        if not abs(term) > roundoff:
+            return out * _exp(-total) if _finite(out) else out
+        power, j, d = power * x, j + 1, q * d + step
 
 
 def q_number(a, q):
@@ -370,7 +383,7 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
     returns (value, max_abs_term).
 
     A terminating sum (n given) ends with term_n.  Otherwise the sum ends
-    once t.small_run consecutive terms are below t.rel_tol of the running
+    once _SMALL_RUN consecutive terms are below t.rel_tol of the running
     sum, the last of them included; Decimal terms are compared with the
     Decimals of the same floats.  Past t.max_terms terms it raises
     :class:`NonConvergenceError`.  Its callers are `_phi_series`, whose
@@ -386,7 +399,7 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
     k = 0
     while True:
         acc.add(term)
-        if k == n or run >= t.small_run:
+        if k == n or run >= _SMALL_RUN:
             return acc.value, acc.max_abs_term
         if k >= t.max_terms:
             raise NonConvergenceError(f"basic series did not converge within {t.max_terms} terms")

@@ -262,19 +262,19 @@ def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
 
 def normalization_c(n: int, p: QParams, t: Truncation = Truncation()) -> float:
     """Normalization constant c_n of the upper-branch eigenvectors: the
-    running product of `operators._normalization_entries`, in p's own
-    scalars."""
+    running product of `operators._normalization_entries`, formed on the
+    exact Decimals of p and returned in p's scalar type."""
     return _normalization(n, p, "a", t)
 
 
 def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation()) -> float:
     """Normalization constant c'_n of the lower-branch eigenvectors: the
-    running product of c_n with a and b swapped, in p's own scalars."""
+    running product of c_n with a and b swapped, in p's scalar type."""
     return _normalization(n, p, "b", t)
 
 
 def _normalization(n: int, p: QParams, branch: str, t: Truncation):
-    """c_n (branch "a") or c'_n (branch "b") of `operators._normalization_entries`, in p's own scalars."""
+    """c_n (branch "a") or c'_n (branch "b") of `operators._normalization_entries`, in p's scalar type."""
     if n < 0:
         raise DomainError("index must be nonnegative")
     c = next(itertools.islice(_normalization_entries(p, branch, t), n, None))

@@ -273,7 +273,7 @@ def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
     roots = _roots_of_unity(m_samples)
-    t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
+    t = Truncation(rel_tol=1e-16, max_terms=4000)
     total = math.fsum(
         (generating_closed(label, rho * w, p, t) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
     )

@@ -632,7 +632,7 @@ class TestTerminatingSumKernel:
         # terminating 2phi1(aq/x, 0; -1/(bt); q, x/b), with a and b swapped
         # on the b branch, whose aq/x is q^-j to within rounding
         rng = random.Random(9)
-        t = Truncation(rel_tol=1e-16, max_terms=4000, small_run=6)
+        t = Truncation(rel_tol=1e-16, max_terms=4000)
         for _ in range(40):
             q = rng.uniform(0.3, 0.95)
             p = QParams(q=q, a=rng.uniform(0.05, 0.999 / q), b=-rng.uniform(0.01, 50.0))

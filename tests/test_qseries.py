@@ -6,7 +6,9 @@ the code under test.
 """
 
 import decimal
+import itertools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -34,6 +36,7 @@ from qortho.qseries import (
 from qortho.polynomials import big_q_laguerre, q_meixner
 
 T = Truncation()
+D = decimal.Decimal
 
 # independent oracle values (Decimal arithmetic, 40 digits)
 QPOCH_INF_HALF = 0.2887880950866024214041415939615686896867
@@ -87,8 +90,45 @@ class TestQPochhammerInf:
         assert got == pytest.approx(QPOCH_INF_HALF, rel=1e-12)
 
     def test_max_terms_error(self):
+        # factors are multiplied in only while |a q^k| >= 1/2: a = 0.5 takes
+        # one, and a = -1e6 at q = 0.999999 about 1.4e7, past the cap
+        with decimal.localcontext(_working_context(30)):
+            assert q_pochhammer_inf(D("0.5"), D("0.999999"), Truncation(max_terms=1)) > 0
         with pytest.raises(NonConvergenceError):
-            q_pochhammer_inf(0.5, 0.999999, Truncation(max_terms=50))
+            q_pochhammer_inf(-1e6, 0.999999, T)
+
+    def test_overflow_is_infinite(self):
+        # the factors above 1/2 overflow a float, and exp of the rest
+        # underflows to 0.0: the product is past the float range, not nan
+        assert math.isinf(q_pochhammer_inf(100.0, 0.9994, T))
+        assert q_pochhammer_inf(-100.0, 0.9994, T) == math.inf
+
+    @pytest.mark.parametrize("a", [0.5, -1000.0, 0.999, -1.4, 0.3 + 0.2j], ids=str)
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99, 0.999], ids=str)
+    def test_against_60_digit_reference(self, q, a):
+        # floats to 1e-12 where the value is a normal float, Decimals at 30
+        # digits to 1e-26.  mpmath's qp stops converging from q = 0.99, so
+        # the reference there multiplies in the factors down to |a q^k| <
+        # 0.1 and sums the log series of the rest, to 1e-62
+        with mpmath.workdps(60):
+            mq, x = mpmath.mpf(q), mpmath.mpmathify(a)
+            if q < 0.99:
+                want = mpmath.qp(x, mq)
+            else:
+                want = 1
+                while abs(x) >= 0.1:
+                    want, x = want * (1 - x), x * mq
+                terms = itertools.takewhile(
+                    lambda term: abs(term) > 1e-62, (x**j / (j * (1 - mq**j)) for j in itertools.count(1))
+                )
+                want *= mpmath.exp(-mpmath.fsum(terms))
+            got = q_pochhammer_inf(a, q, T)
+            if sys.float_info.min <= abs(want) <= sys.float_info.max:
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+            if not isinstance(a, complex):
+                with decimal.localcontext(_working_context(30)):
+                    got = q_pochhammer_inf(D(a), D(q), T)
+                assert abs(mpmath.mpf(str(got)) - want) <= 1e-26 * abs(want), (got, want)
 
     def test_rejects_bad_q(self):
         with pytest.raises(DomainError):
@@ -463,7 +503,7 @@ class TestTruncation:
         t = Truncation()
         assert t.rel_tol == 1e-12
         assert t.max_terms == 10000
-        assert t.small_run == 10
+        assert t._fields == ("rel_tol", "max_terms")
 
     def test_rejects_bad_fields(self):
         with pytest.raises(DomainError):

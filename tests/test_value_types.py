@@ -19,7 +19,7 @@ P = QParams(q=0.5, a=0.5, b=-0.7)
 # every field of each type, in declaration order
 FIELDS = {
     QParams: dict(q=0.5, a=0.5, b=-0.7),
-    Truncation: dict(rel_tol=1e-10, max_terms=500, small_run=5),
+    Truncation: dict(rel_tol=1e-10, max_terms=500),
     Tridiagonal: dict(dim=2, diag=(1.0, 2.0), lower=(0.5,), upper=(0.5,)),
     CoefficientVector: dict(coeffs=(1.0, 0.5), lam=0.25, normalizable=True),
     SpectralPoints: dict(upper=(0.25, 0.125), lower=(-0.35, -0.175)),
@@ -59,7 +59,7 @@ def test_value_type_contract(cls):
 
 def test_repr_reads_as_before():
     assert repr(QParams(q=0.5, a=0.5, b=-0.7)) == "QParams(q=0.5, a=0.5, b=-0.7)"
-    assert repr(Truncation()) == "Truncation(rel_tol=1e-12, max_terms=10000, small_run=10)"
+    assert repr(Truncation()) == "Truncation(rel_tol=1e-12, max_terms=10000)"
 
 
 @pytest.mark.parametrize(
@@ -69,12 +69,11 @@ def test_repr_reads_as_before():
         (Truncation(), {"max_terms": 0}, "max_terms must be a positive integer"),
         (Truncation(), {"rel_tol": float("inf")}, "rel_tol must be positive and finite"),
         (Truncation(), {"max_terms": 2.5}, "max_terms must be a positive integer"),
-        (Truncation(), {"small_run": 2.5}, "small_run must be a positive integer"),
         (Tridiagonal.symmetric([1.0, 2.0], [0.5]), {"diag": (1.0,)}, "inconsistent tridiagonal band lengths"),
         (LimitSweep(alpha=1.0, beta=0.5), {"q_sequence": (0.75, 0.5)}, "q_sequence must be strictly increasing"),
     ],
-    ids=["QParams", "Truncation", "Truncation-inf-rel-tol", "Truncation-fractional-max-terms",
-         "Truncation-fractional-small-run", "Tridiagonal", "LimitSweep"],
+    ids=["QParams", "Truncation", "Truncation-inf-rel-tol", "Truncation-fractional-max-terms", "Tridiagonal",
+         "LimitSweep"],
 )
 def test_replace_validates_like_construction(obj, change, message):
     with pytest.raises(DomainError, match=message):
