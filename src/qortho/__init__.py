@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 
 # the module of each public name, every name written once
 _MODULE_OF = {
-    # parameters and policies
+    # parameters
     "QParams": "qseries",
-    "Truncation": "qseries",
     # exceptions
     "QSeriesError": "qseries",
     "DomainError": "qseries",

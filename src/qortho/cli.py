@@ -27,7 +27,7 @@ import re
 import sys
 from typing import NamedTuple, Optional
 
-from qortho.qseries import DomainError, QParams, QSeriesError, Truncation, _working_context
+from qortho.qseries import DomainError, QParams, QSeriesError, _working_context
 from qortho.operators import (
     Tridiagonal,
     _normalization_entries,
@@ -187,10 +187,9 @@ def _run_verify(cfg: RunConfig) -> list:
         # in the context the store computes in, not in the caller's
         with decimal.localcontext(_working_context(EXTENDED_DPS)):
             p = QParams(*(decimal.Decimal(repr(x)) for x in (cfg.q, cfg.a, cfg.b)))
-        t = Truncation(rel_tol=1e-20)
     else:
-        p, t = cfg.params(), Truncation()
-    return [report_to_record(r) for r in run_identity_checks(cfg.identity, p, t, cfg.index_max, cfg.tolerance)]
+        p = cfg.params()
+    return [report_to_record(r) for r in run_identity_checks(cfg.identity, p, cfg.index_max, cfg.tolerance)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,7 @@ def _spectrum_reports(cfg: RunConfig) -> list:
 
 
 def _table_rows(cfg: RunConfig) -> list:
-    p, t, K = cfg.params(), Truncation(), cfg.index_max
+    p, K = cfg.params(), cfg.index_max
     rows = []
 
     def row(family, n, m_or_x, value, method):
@@ -274,19 +273,19 @@ def _table_rows(cfg: RunConfig) -> list:
     for x in (p.a * p.q, p.a * p.q**2, p.a * p.q**3, p.b * p.q, p.b * p.q**2, p.b * p.q**3):
         seqs = big_q_laguerre_recurrence(K, x, p)
         for n in range(K + 1):
-            row("big-q-laguerre", n, float(x), big_q_laguerre(n, x, p, t), "series")
+            row("big-q-laguerre", n, float(x), big_q_laguerre(n, x, p), "series")
             row("big-q-laguerre", n, float(x), seqs[n], "recurrence")
     for n in range(K + 1):
         # dual_f(n, m) and dual_g(n, m) are entry m of the duality
         # sequences, whose entries do not depend on the cut-off
         f_seq, g_seq = (spectral_sequence(p, branch, n, K) for branch in "ab")
         for m in range(K + 1):
-            row("q-meixner", n, m, q_meixner(n, m, p.a, -p.b / p.a, p.q, t), "series")
+            row("q-meixner", n, m, q_meixner(n, m, p.a, -p.b / p.a, p.q), "series")
             row("dual-f", n, m, f_seq[m], "spectral")
             row("dual-g", n, m, g_seq[m], "spectral")
     # c_n and c'_n, n <= K: the running products that a verify store's `c`
     # lists wrap, so they equal the constants the sums read
-    c_seqs = (itertools.islice(_normalization_entries(p, branch, t), K + 1) for branch in "ab")
+    c_seqs = (itertools.islice(_normalization_entries(p, branch), K + 1) for branch in "ab")
     for n, (c, c_prime) in enumerate(zip(*c_seqs)):
         row("c", n, n, c, "closed-form")
         row("c-prime", n, n, c_prime, "closed-form")

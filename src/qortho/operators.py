@@ -29,7 +29,6 @@ from qortho.qseries import (
     DomainError,
     NonConvergenceError,
     QParams,
-    Truncation,
     _sqrt,
     _Validated,
     _floats_only,
@@ -315,7 +314,7 @@ def _c_ratio(qm, q, first, second):
     return (q * (1 - first * qm) / ((1 - first * qm / second) * (1 - qm))).sqrt()
 
 
-def _normalization_entries(p: QParams, branch: str, t: Truncation):
+def _normalization_entries(p: QParams, branch: str):
     """c_0, c_1, ... (branch "a") or c'_0, c'_1, ... (branch "b") without
     end, one Decimal per next(), in `_context_of(p)`.
     With (first, second) = (a, b), or (b, a) for c'_n, the big q-Laguerre
@@ -332,7 +331,7 @@ def _normalization_entries(p: QParams, branch: str, t: Truncation):
     with decimal.localcontext(_context_of(p)):
         q, a, b = map(decimal.Decimal, p)
         first, second = _roles(branch, a, b)
-        c0 = _root(q_pochhammer_inf(second * q, q, t) / q_pochhammer_inf(second / first, q, t))
+        c0 = _root(q_pochhammer_inf(second * q, q) / q_pochhammer_inf(second / first, q))
     if not (isinstance(p.q, decimal.Decimal) or 0 < float(c0) < math.inf):
         name = "c_0" if branch == "a" else "c'_0"
         raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")

@@ -35,7 +35,8 @@ its own, with the same bits.
 Entries, the constants c_n they carry and Kc are Decimals of the exact
 Decimals of p, correctly rounded in the store's context, `_context_of(p)`
 (32 digits for float parameters, 52 for Decimal ones); their float copies
-drive the stopping rule, and the products used are added exactly and
+drive the stopping rule, whose target follows p's scalars in the same way
+(`qseries._stop_target`), and the products used are added exactly and
 rounded once.  Each sum, and Kc, leaves once, as its float for float p.
 The closed-form sides and the verdict are written once for both scalar
 types, in the store's context; the q-Meixner norms and the sears
@@ -55,8 +56,8 @@ from qortho.qseries import (
     DomainError,
     NonConvergenceError,
     QParams,
-    Truncation,
     _SMALL_RUN,
+    _stop_target,
     phi_2_1,
     q_pochhammer,
     q_pochhammer_inf,
@@ -112,7 +113,7 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, to
 _N_CAP, _M_CAP = 2000, 320
 
 
-def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Truncation, hard_cap: int, context):
+def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], rel_tol: float, hard_cap: int, context):
     """Certified sum over k of u_k v_k, the value of every identity sum:
     (Decimal value, terms used, tail estimate, M), with M the sum of the
     magnitudes of the terms used, the sum's condition scale (Higham,
@@ -145,7 +146,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
                 raise NonConvergenceError("bilinear term overflow")
         total += term
         recent.append(term)
-        if term <= t.rel_tol * total:
+        if term <= rel_tol * total:
             run += 1
             if run >= _SMALL_RUN:
                 nz = [f for f in recent if f > 0.0]
@@ -158,7 +159,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
                 # the relative target, not merely the last term
                 if r < 0.995:
                     est = nz[-1] * r / (1.0 - r)
-                    if est <= t.rel_tol * total:
+                    if est <= rel_tol * total:
                         tail = est
                         break
                 run = 0
@@ -171,14 +172,14 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], t: Trunc
 # constants shared by the closed-form sides
 
 
-def _kc(p: QParams, t: Truncation):
+def _kc(p: QParams):
     """(q, b/a, aq/b; q)_inf / ((aq, bq; q)_inf), in p's scalar type."""
     q, a, b = p.q, p.a, p.b
     return (
-        q_pochhammer_inf(q, q, t)
-        * q_pochhammer_inf(b / a, q, t)
-        * q_pochhammer_inf(a * q / b, q, t)
-        / (q_pochhammer_inf(a * q, q, t) * q_pochhammer_inf(b * q, q, t))
+        q_pochhammer_inf(q, q)
+        * q_pochhammer_inf(b / a, q)
+        * q_pochhammer_inf(a * q / b, q)
+        / (q_pochhammer_inf(a * q, q) * q_pochhammer_inf(b * q, q))
     )
 
 
@@ -194,8 +195,9 @@ def _branch_of_label(label: int) -> tuple:
 
 class _Store:
     """The connection matrix u_mn = c_n a_m(lam_n) of one verify task at
-    one parameter set p, truncation t and largest index K, with the sums
-    that the identity families read from it.  Each task builds its own.
+    one parameter set p and largest index K, with the sums that the
+    identity families read from it.  Each task builds its own; every sum
+    stops at `_stop_target` of p's scalars, `rel_tol`.
 
     Every sequence is computed one value at a time, as a sum first reads
     it, and kept; no value depends on how far a sum reads, so each is
@@ -223,12 +225,13 @@ class _Store:
     `decimal_p`.  `value` is the one way out: a sum, or Kc, of Decimal
     parameters leaves as it is, any other as its float."""
 
-    def __init__(self, p: QParams, t: Truncation, K: int):
-        self.p, self.t, self.K = p, t, K
+    def __init__(self, p: QParams, K: int):
+        self.p, self.K = p, K
+        self.rel_tol = _stop_target(p.q)
         self.exact = isinstance(p.q, decimal.Decimal)
         self.context = _context_of(p)
         self.prefs = _LazyList(_prefactor_entries(p))
-        self.c = {branch: _LazyList(_normalization_entries(p, branch, t)) for branch in "ab"}
+        self.c = {branch: _LazyList(_normalization_entries(p, branch)) for branch in "ab"}
         with decimal.localcontext(self.context):
             self.decimal_p = QParams(*map(decimal.Decimal, p))
         self.recurrence = _LazyList(_recurrence_entries(self.decimal_p))
@@ -243,7 +246,7 @@ class _Store:
     @functools.cached_property
     def kc(self):
         with decimal.localcontext(self.context):
-            return self.value(_kc(self.decimal_p, self.t))
+            return self.value(_kc(self.decimal_p))
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
@@ -284,7 +287,7 @@ class _Store:
         value is a float for float parameters and a Decimal for Decimal ones."""
         key = (min(i, j), max(i, j))
         if key not in self._sums:
-            value, *rest = _bilinear_sum(self.column(i).at, self.column(j).at, self.t, _M_CAP, self.context)
+            value, *rest = _bilinear_sum(self.column(i).at, self.column(j).at, self.rel_tol, _M_CAP, self.context)
             self._sums[key] = self.value(value), *rest
         return self._sums[key]
 
@@ -295,7 +298,7 @@ class _Store:
         key = (min(i, j), max(i, j))
         if key not in self._row_sums:
             a, b = (
-                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.t, _N_CAP, self.context)
+                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.rel_tol, _N_CAP, self.context)
                 for rows in self.rows.values()
             )
             self._row_sums[key] = self.value(self.context.add(a[0], b[0])), a[1] + b[1], a[2] + b[2], a[3] + b[3]
@@ -379,12 +382,12 @@ def _meixner_norm(i: int, j: int, store: _Store):
     if i != j:
         return 0
     branch, n = _branch_of_label(i)
-    p, t = store.p, store.t
+    p = store.p
     q = p.q
     first, second = _roles(branch, p.a, p.b)
     quotients = store.meixner_quotients
     if branch not in quotients:
-        quotients[branch] = q_pochhammer_inf(second / first, q, t) / q_pochhammer_inf(second * q, q, t)
+        quotients[branch] = q_pochhammer_inf(second / first, q) / q_pochhammer_inf(second * q, q)
     return (
         quotients[branch]
         * q_pochhammer(first * q / second, q, n)
@@ -408,18 +411,18 @@ def _vanishes(i: int, j: int, store: _Store):
 def _sears_cross_check(lhs, store: _Store):
     """(note, holds): the degree-zero sum against its equivalent
     basic-series form, prefactored 2phi1 evaluations at argument q."""
-    p, t = store.p, store.t
+    p = store.p
     q, a, b = p.q, p.a, p.b
     lhs_phi = (
-        q_pochhammer_inf(a * q / b, q, t)
-        * q_pochhammer_inf(q, q, t)
-        / q_pochhammer_inf(a * q, q, t)
-        * phi_2_1(a * q, 0 * q, a * q / b, q, q, t)
+        q_pochhammer_inf(a * q / b, q)
+        * q_pochhammer_inf(q, q)
+        / q_pochhammer_inf(a * q, q)
+        * phi_2_1(a * q, 0 * q, a * q / b, q, q)
         - (b / a)
-        * q_pochhammer_inf(b * q / a, q, t)
-        * q_pochhammer_inf(q, q, t)
-        / q_pochhammer_inf(b * q, q, t)
-        * phi_2_1(b * q, 0 * q, b * q / a, q, q, t)
+        * q_pochhammer_inf(b * q / a, q)
+        * q_pochhammer_inf(q, q)
+        / q_pochhammer_inf(b * q, q)
+        * phi_2_1(b * q, 0 * q, b * q / a, q, q)
     )
     cross = float(abs(lhs - lhs_phi))
     return f"basic-series form agrees to {cross:.3e}", cross <= 1e-11 * float(1 + abs(lhs))
@@ -516,19 +519,18 @@ def verify_record(
     i: int,
     j: int,
     p: QParams,
-    t: Truncation = Truncation(),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """The record of one identity id at the cell (i, j), on a store of its
     own and in that store's decimal context, as a sweep runs it: every
-    record r of run_identity_checks(family, p, t, K, tolerance) equals
-    verify_record(r.identity_id, *r.indices, p, t, tolerance) bit for bit."""
+    record r of run_identity_checks(family, p, K, tolerance) equals
+    verify_record(r.identity_id, *r.indices, p, tolerance) bit for bit."""
     if identity_id not in _RECORDS:
         raise DomainError(f"unknown identity id: {identity_id!r}")
     _check_tolerance(tolerance)
     if not _RECORDS[identity_id][0].holds(i, j):
         raise DomainError(f"{identity_id} has no cell {(i, j)}")
-    store = _Store(p, t, max(i, j, 0))
+    store = _Store(p, max(i, j, 0))
     with decimal.localcontext(store.context):
         return _record(identity_id, i, j, store, tolerance)
 
@@ -536,7 +538,6 @@ def verify_record(
 def run_identity_checks(
     identity: str,
     p: QParams,
-    t: Truncation = Truncation(),
     index_max: int = 8,
     tolerance: float = DEFAULT_TOLERANCE,
     store: _Store | None = None,
@@ -544,7 +545,7 @@ def run_identity_checks(
     """All checks of one identity family over its index grids, sorted by
     (identity_id, indices), run in the store's decimal context.
 
-    store is the `_Store(p, t, index_max)` of the verify task the sweep
+    store is the `_Store(p, index_max)` of the verify task the sweep
     belongs to; the families that read one store share its coefficients
     and sums.  A call without one builds its own, which "all" gives every
     family."""
@@ -552,11 +553,11 @@ def run_identity_checks(
         raise DomainError("index_max must be nonnegative")
     _check_tolerance(tolerance)
     if store is None:
-        store = _Store(p, t, index_max)
-    elif (store.p, store.t, store.K) != (p, t, index_max):
+        store = _Store(p, index_max)
+    elif (store.p, store.K) != (p, index_max):
         raise ValueError("store built for another verify task")
     if identity == "all":
-        return [r for fam in IDENTITY_FAMILIES for r in run_identity_checks(fam, p, t, index_max, tolerance, store)]
+        return [r for fam in IDENTITY_FAMILIES for r in run_identity_checks(fam, p, index_max, tolerance, store)]
     if identity not in _FAMILIES:
         raise DomainError(f"unknown identity family: {identity!r}")
     with decimal.localcontext(store.context):

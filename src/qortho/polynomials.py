@@ -30,7 +30,6 @@ from typing import Optional
 from qortho.qseries import (
     DomainError,
     QParams,
-    Truncation,
     _EXACT,
     _as_negative_q_power,
     _phi_series,
@@ -46,6 +45,9 @@ __all__ = [
     "classical_laguerre",
 ]
 
+# rel_tol of the polynomial series routes, all terminating: the relative
+# float rounding a sum may keep before `_escalated` re-sums it in Decimals
+_SERIES_REL_TOL = 1e-13
 # working precision of the duality sequences and coefficient tables of float parameters
 _WORKING_DPS = 30
 # working precision of Decimal parameters, those of `verify --precision extended`
@@ -70,22 +72,16 @@ def _exact_dot(xs, ys) -> decimal.Decimal:
 # big q-Laguerre: series definitions
 
 
-def _capped(t: Truncation) -> Truncation:
-    """t with rel_tol at most 1e-13: the accuracy every polynomial series
-    route keeps, whatever the caller's truncation asks."""
-    return t._replace(rel_tol=min(t.rel_tol, 1e-13))
-
-
 def _big_q_laguerre_params(n: int):
     """The `_phi_series` builder of P_n(x; a, b; q) on (x, a, b, q):
     3phi2(q^-n, 0, x; aq, bq; q, q)."""
     return lambda x, a, b, q: ((q**-n, 0 * q, x), (a * q, b * q), q, q)
 
 
-def big_q_laguerre(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
+def big_q_laguerre(n: int, x, p: QParams) -> float:
     """P_n(x; a, b; q) via the terminating 3phi2 definition."""
     _require_index("degree", n)
-    return _phi_series(_big_q_laguerre_params(n), (x, p.a, p.b, p.q), _capped(t))
+    return _phi_series(_big_q_laguerre_params(n), (x, p.a, p.b, p.q), _SERIES_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def _duality_entries(p: QParams, branch: str, j: int):
 # q-Meixner family
 
 
-def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> float:
+def q_meixner(n: int, m: int, bparam, c, q) -> float:
     """M_n(q^-m; bparam, c; q) = 2phi1(q^-n, q^-m; bparam q; q, -q^(n+1)/c).
 
     Terminating at min(n, m); bparam may be negative.
@@ -283,7 +279,7 @@ def q_meixner(n: int, m: int, bparam, c, q, t: Truncation = Truncation()) -> flo
         )
 
     return _phi_series(
-        lambda b, c, q: ((q**-n, q**-m), (b * q,), q, -(q ** (n + 1)) / c), (bparam, c, q), _capped(t)
+        lambda b, c, q: ((q**-n, q**-m), (b * q,), q, -(q ** (n + 1)) / c), (bparam, c, q), _SERIES_REL_TOL
     )
 
 

@@ -5,8 +5,10 @@ All kernels are written against a generic real scalar: they work with
 Python floats by default, and with ``decimal.Decimal`` values, in the
 thread's decimal context, when higher precision is required.  A float
 sum that cancels past double precision is re-summed in Decimals, in a
-decimal context of its own.  No function keeps state; everything here
-is a pure function of its arguments.
+decimal context of its own.  A nonterminating sum stops by one rule of
+its scalar type, `_stop_target`, and every series or product raises
+NonConvergenceError past `_MAX_TERMS` terms or factors.  No function
+keeps state; everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "SeriesDivergenceError",
     "DenominatorZeroError",
     "TailError",
-    "Truncation",
     "QParams",
     "NeumaierSum",
     "q_pochhammer",
@@ -53,6 +54,9 @@ _GUARD_DIGITS = 2
 _FIRST_DPS = 25
 # consecutive terms below rel_tol that end a nonterminating series sum
 _SMALL_RUN = 10
+# terms of any series, and factors of any product, past which it raises
+# NonConvergenceError rather than silently truncating
+_MAX_TERMS = 10000
 
 
 class QSeriesError(Exception):
@@ -64,7 +68,7 @@ class DomainError(QSeriesError, ValueError):
 
 
 class NonConvergenceError(QSeriesError, RuntimeError):
-    """A series or product failed to converge within max_terms."""
+    """A series or product failed to converge within _MAX_TERMS."""
 
 
 class SeriesDivergenceError(QSeriesError, ValueError):
@@ -183,6 +187,14 @@ def _working_context(dps: int) -> decimal.Context:
     return _context(dps + _GUARD_DIGITS)
 
 
+def _stop_target(x) -> float:
+    """The rel_tol of a nonterminating sum in x's scalar type, the one
+    stop rule: 1e-20 for a Decimal, whose kernels carry at least 30
+    digits, else 1e-12.  The public kernels read it from their q, the
+    verify store from its p's."""
+    return 1e-20 if isinstance(x, decimal.Decimal) else 1e-12
+
+
 class NeumaierSum:
     """Compensated (Neumaier) accumulator.
 
@@ -222,29 +234,6 @@ class _Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-class _TruncationFields(NamedTuple):
-    rel_tol: float
-    max_terms: int
-
-
-class Truncation(_Validated, _TruncationFields):
-    """Series truncation policy.
-
-    A series stops after `_SMALL_RUN` consecutive terms below ``rel_tol``
-    of its running sum; running out of ``max_terms`` terms or factors
-    raises :class:`NonConvergenceError` rather than silently truncating.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rel_tol: float = 1e-12, max_terms: int = 10000):
-        if not 0 < rel_tol < math.inf:
-            raise DomainError("rel_tol must be positive and finite")
-        if not isinstance(max_terms, numbers.Integral) or max_terms < 1:
-            raise DomainError("max_terms must be a positive integer")
-        return super().__new__(cls, rel_tol, max_terms)
 
 
 class _QParamsFields(NamedTuple):
@@ -337,10 +326,10 @@ def _as_negative_q_power(u, q):
     return None
 
 
-def q_pochhammer_inf(a, q, t: Truncation = Truncation()):
+def q_pochhammer_inf(a, q):
     """Infinite product (a;q)_inf = prod_{k>=0} (1 - a q^k), 0 < q < 1, exact
     to the rounding of a's scalar type: the factors with |a q^k| >= 1/2, at
-    most t.max_terms of them, times exp(-sum_{j>=1} x^j / (j (1 - q^j))) for
+    most _MAX_TERMS of them, times exp(-sum_{j>=1} x^j / (j (1 - q^j))) for
     the rest, from x = a q^k on (each log(1 - x q^i) expanded, its geometric
     series in i summed; 1 - q^j is q (1 - q^(j-1)) + (1 - q), which does not
     cancel).  The sum stops at its first term at most the unit roundoff
@@ -355,7 +344,7 @@ def q_pochhammer_inf(a, q, t: Truncation = Truncation()):
     roundoff = decimal.Decimal(5).scaleb(-decimal.getcontext().prec) if isinstance(a, decimal.Decimal) else 2.0**-53
     out, x, k = 1, a, 0
     while not abs(x) < 0.5:
-        if k == t.max_terms:
+        if k == _MAX_TERMS:
             raise NonConvergenceError(f"(a;q)_inf did not converge within {k} factors (a={a}, q={q})")
         out, x, k = out * (1 - x), x * q, k + 1
     d = step = 1 - q
@@ -378,20 +367,20 @@ def q_number(a, q):
     return (q ** (a / 2) - q ** (-a / 2)) / (half - 1 / half)
 
 
-def _series_sum(step, one, n=None, t: Truncation = Truncation()):
+def _series_sum(step, one, n, rel_tol: float):
     """Compensated sum of term_0 = one and term_(k+1) = step(k, term_k);
     returns (value, max_abs_term).
 
     A terminating sum (n given) ends with term_n.  Otherwise the sum ends
-    once _SMALL_RUN consecutive terms are below t.rel_tol of the running
+    once _SMALL_RUN consecutive terms are below rel_tol of the running
     sum, the last of them included; Decimal terms are compared with the
-    Decimals of the same floats.  Past t.max_terms terms it raises
+    Decimals of the same floats.  Past _MAX_TERMS terms it raises
     :class:`NonConvergenceError`.  Its callers are `_phi_series`, whose
     step is the one term ratio of every basic hypergeometric series, and
     `jackson_Eq`.
     """
     acc = NeumaierSum(0 * one)
-    rel_tol, floor = t.rel_tol, t.rel_tol * 1e-300
+    floor = rel_tol * 1e-300
     if isinstance(one, decimal.Decimal):
         rel_tol, floor = decimal.Decimal(rel_tol), decimal.Decimal(floor)
     term = one
@@ -401,8 +390,8 @@ def _series_sum(step, one, n=None, t: Truncation = Truncation()):
         acc.add(term)
         if k == n or run >= _SMALL_RUN:
             return acc.value, acc.max_abs_term
-        if k >= t.max_terms:
-            raise NonConvergenceError(f"basic series did not converge within {t.max_terms} terms")
+        if k >= _MAX_TERMS:
+            raise NonConvergenceError(f"basic series did not converge within {_MAX_TERMS} terms")
         term = step(k, term)
         k += 1
         if n is None:
@@ -456,7 +445,7 @@ def _escalated(sum_fn, args, rel_tol):
         est = min(float(abs(value_d)), sys.float_info.max)
 
 
-def _phi_series(build, base, t: Truncation):
+def _phi_series(build, base, rel_tol: float):
     """Sum the basic hypergeometric series with r = s+1 normalization
 
         sum_k (n_1,...,n_r; q)_k / ((d_1,...,d_s; q)_k (q;q)_k) z^k
@@ -465,11 +454,13 @@ def _phi_series(build, base, t: Truncation):
     Every term is the one before times
     z prod (1 - n_i q^k) / prod (1 - d_j q^k) / (1 - q^(k+1)).  A
     numerator q^(-n) ends the sum at term n; nonterminating series
-    require |z| < 1.  Callers pass the scalars they were given as base
-    and form every derived parameter (q^-n, a q, ...) in build: a
-    cancelling float sum is re-summed (`_escalated`) on build of the
-    exact Decimals of base, which never sees a float-rounded one.  A float
-    build that overflows (q^-n at tiny q) is read on those Decimals too.
+    require |z| < 1 and stop at rel_tol (`_series_sum`), which also bounds
+    the rounding of a float sum (`_escalated`).  Callers pass the scalars
+    they were given as base and form every derived parameter (q^-n, a q,
+    ...) in build: a cancelling float sum is re-summed (`_escalated`) on
+    build of the exact Decimals of base, which never sees a float-rounded
+    one.  A float build that overflows (q^-n at tiny q) is read on those
+    Decimals too.
     A non-finite scalar in base raises DomainError.
     """
     _require_finite(*base)
@@ -515,30 +506,31 @@ def _phi_series(build, base, t: Truncation):
             qk = qk1
             return term * ratio / (1 - qk1)
 
-        return _series_sum(step, 1 + zz * 0, terminate_at, t)
+        return _series_sum(step, 1 + zz * 0, terminate_at, rel_tol)
 
-    return _escalated(_sum, base, t.rel_tol)
-
-
-def phi_2_1(a, b, c, q, z, t: Truncation = Truncation()):
-    """2phi1(a, b; c; q, z)."""
-    return _phi_series(lambda a, b, c, q, z: ((a, b), (c,), q, z), (a, b, c, q, z), t)
+    return _escalated(_sum, base, rel_tol)
 
 
-def phi_3_2(a1, a2, a3, b1, b2, q, z, t: Truncation = Truncation()):
-    """3phi2(a1, a2, a3; b1, b2; q, z)."""
+def phi_2_1(a, b, c, q, z):
+    """2phi1(a, b; c; q, z), to `_stop_target(q)`."""
+    return _phi_series(lambda a, b, c, q, z: ((a, b), (c,), q, z), (a, b, c, q, z), _stop_target(q))
+
+
+def phi_3_2(a1, a2, a3, b1, b2, q, z):
+    """3phi2(a1, a2, a3; b1, b2; q, z), to `_stop_target(q)`."""
     return _phi_series(
-        lambda a1, a2, a3, b1, b2, q, z: ((a1, a2, a3), (b1, b2), q, z), (a1, a2, a3, b1, b2, q, z), t
+        lambda a1, a2, a3, b1, b2, q, z: ((a1, a2, a3), (b1, b2), q, z), (a1, a2, a3, b1, b2, q, z), _stop_target(q)
     )
 
 
-def jackson_Eq(z, q, t: Truncation = Truncation()):
+def jackson_Eq(z, q):
     """Jackson's q-exponential E_q(z) = sum_n q^(n(n-1)/2) z^n / (q;q)_n.
 
     Equals the product (-z;q)_inf, hence vanishes at z = -q^(-j).  Near
     those zeros the alternating sum cancels almost completely; float
     inputs are then re-summed automatically in Decimals at the precision
-    the cancellation needs (`_escalated`).
+    the cancellation needs (`_escalated`).  The sum stops at
+    `_stop_target(q)`.
     """
     _require_finite(z, q)
     if not (0 < q < 1):
@@ -546,6 +538,7 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
     j = _as_negative_q_power(-z, q)
     if j is not None:
         return _zero(z)
+    rel_tol = _stop_target(q)
 
     def _sum(zz, qq):
         qn = 1 + zz * 0  # q^n
@@ -556,6 +549,6 @@ def jackson_Eq(z, q, t: Truncation = Truncation()):
             qn = qn * qq
             return term
 
-        return _series_sum(step, 1 + zz * 0, None, t)
+        return _series_sum(step, 1 + zz * 0, None, rel_tol)
 
-    return _escalated(_sum, (z, q), t.rel_tol)
+    return _escalated(_sum, (z, q), rel_tol)

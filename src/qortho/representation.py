@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from qortho.qseries import DomainError, QParams, Truncation
+from qortho.qseries import DomainError, QParams
 from qortho.polynomials import _label_of, _label_point, _require_label, big_q_laguerre_recurrence
 from qortho.operators import (
     Tridiagonal,
@@ -260,24 +260,24 @@ def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:
 # normalization constants
 
 
-def normalization_c(n: int, p: QParams, t: Truncation = Truncation()) -> float:
+def normalization_c(n: int, p: QParams) -> float:
     """Normalization constant c_n of the upper-branch eigenvectors: the
     running product of `operators._normalization_entries`, formed on the
     exact Decimals of p and returned in p's scalar type."""
-    return _normalization(n, p, "a", t)
+    return _normalization(n, p, "a")
 
 
-def normalization_cprime(n: int, p: QParams, t: Truncation = Truncation()) -> float:
+def normalization_cprime(n: int, p: QParams) -> float:
     """Normalization constant c'_n of the lower-branch eigenvectors: the
     running product of c_n with a and b swapped, in p's scalar type."""
-    return _normalization(n, p, "b", t)
+    return _normalization(n, p, "b")
 
 
-def _normalization(n: int, p: QParams, branch: str, t: Truncation):
+def _normalization(n: int, p: QParams, branch: str):
     """c_n (branch "a") or c'_n (branch "b") of `operators._normalization_entries`, in p's scalar type."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    c = next(itertools.islice(_normalization_entries(p, branch, t), n, None))
+    c = next(itertools.islice(_normalization_entries(p, branch), n, None))
     return c if isinstance(p.q, decimal.Decimal) else float(c)
 
 

@@ -22,12 +22,12 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     TailError,
-    Truncation,
     _as_negative_q_power,
     _finite,
     _floats_only,
     _phi_series,
     _require_index,
+    _stop_target,
     _working_context,
     phi_2_1,
     q_pochhammer,
@@ -35,8 +35,8 @@ from qortho.qseries import (
 )
 from qortho.polynomials import (
     EXTENDED_DPS,
+    _SERIES_REL_TOL,
     _big_q_laguerre_params,
-    _capped,
     _context_of,
     _duality_entries,
     _label_of,
@@ -62,7 +62,7 @@ __all__ = [
 # big q-Laguerre: the 2phi1 form
 
 
-def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) -> float:
+def big_q_laguerre_phi21(n: int, x, p: QParams) -> float:
     """P_n via its 2phi1 form, (q^-n/b; q)_n^-1 2phi1(q^-n, aq/x; aq; q, x/b).
 
     Cross-check companion to :func:`big_q_laguerre`; requires x != 0.
@@ -70,7 +70,7 @@ def big_q_laguerre_phi21(n: int, x, p: QParams, t: Truncation = Truncation()) ->
     if x == 0:
         raise DomainError("the 2phi1 form needs x != 0")
     value = _phi_series(
-        lambda x, a, b, q: ((q**-n, a * q / x), (a * q,), q, x / b), (x, p.a, p.b, p.q), _capped(t)
+        lambda x, a, b, q: ((q**-n, a * q / x), (a * q,), q, x / b), (x, p.a, p.b, p.q), _SERIES_REL_TOL
     )
     return value / q_pochhammer(p.q**-n / p.b, p.q, n)
 
@@ -116,18 +116,18 @@ def generating_series(
     tvar,
     p: QParams,
     n_max: int,
-    t: Truncation = Truncation(),
     *,
     strict: bool = False,
     diagnostics: bool = False,
 ):
     """Partial sum of sum_n (aq,bq;q)_n q^(-n(n-1)/2)/(q;q)_n P_n(x) t^n.
 
-    The tail is monitored through the last terms; in strict mode an
-    uncertified tail raises :class:`TailError`.  The series converges only
-    for |t| inside a radius that shrinks with the depth of the spectral
-    argument; elsewhere the partial sums plateau and the tail estimate
-    reports that honestly.  At a spectral point's label (branch, n) x the
+    The tail is monitored through the last terms; in strict mode a tail
+    above `_stop_target(q)` times 1 + |value| raises :class:`TailError`.
+    The series converges only for |t| inside a radius that shrinks with
+    the depth of the spectral argument; elsewhere the partial sums plateau
+    and the tail estimate reports that honestly.  At a spectral point's
+    label (branch, n) x the
     terms come from the duality sequence, p and tvar floats or Decimals;
     at a number x, whatever its value, from the float recurrence, all
     floats.  A non-finite x, or an n_max that is no nonnegative integer,
@@ -184,7 +184,7 @@ def generating_series(
             tail = t2 * r / (1 - r)
         else:
             tail = t2  # not decaying; tail cannot be certified
-    if strict and not (tail <= t.rel_tol * (1 + abs(value))):
+    if strict and not (tail <= _stop_target(q) * (1 + abs(value))):
         raise TailError(
             f"generating-series tail {float(tail):.3e} not negligible at n_max={n_max}"
         )
@@ -193,7 +193,7 @@ def generating_series(
     return value
 
 
-def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> float:
+def generating_closed(x, tvar, p: QParams) -> float:
     """Closed form of the generating function:
 
         (-abq^2 t;q)_inf / (-bqt;q)_inf * 2phi1(aq/x, 0; -1/(bt); q, x/b).
@@ -218,11 +218,11 @@ def generating_closed(x, tvar, p: QParams, t: Truncation = Truncation()) -> floa
     if tvar == 0:
         return 1.0
     if x == 0:
-        return generating_series(x, tvar, p, n_max=64, t=t, strict=True)
+        return generating_series(x, tvar, p, n_max=64, strict=True)
     if label is not None:
         a, b = _roles(label[0], a, b)
-    pref = q_pochhammer_inf(-a * b * q * q * tvar, q, t) / q_pochhammer_inf(-b * q * tvar, q, t)
-    return pref * phi_2_1(a * q / x, 0.0, -1.0 / (b * tvar), q, x / b, t)
+    pref = q_pochhammer_inf(-a * b * q * q * tvar, q) / q_pochhammer_inf(-b * q * tvar, q)
+    return pref * phi_2_1(a * q / x, 0.0, -1.0 / (b * tvar), q, x / b)
 
 
 # pi to 50 digits
@@ -273,9 +273,10 @@ def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
     # c_n rho^n = (1/M) sum_k G(rho w_k) w_k^(-n), a real number, with
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
     roots = _roots_of_unity(m_samples)
-    t = Truncation(rel_tol=1e-16, max_terms=4000)
+    # at a label the 2phi1 terminates, and on the circle its arguments are
+    # complex, which `_escalated` never re-sums: no stop target reaches it
     total = math.fsum(
-        (generating_closed(label, rho * w, p, t) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
+        (generating_closed(label, rho * w, p) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
     )
     gcoef = total / m_samples / rho**n
     weight = (
@@ -291,7 +292,7 @@ def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
 # base inversion q -> 1/q
 
 
-def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncation()):
+def q_inverse_meixner_relation(n: int, x, bparam, c, q):
     """Both sides of M_n(x; b, c; 1/q) = (-q^-n/c; q)_n P_n(qx/b; 1/b, -c; q).
 
     The left side is the terminating sum rewritten factor-by-factor into
@@ -314,8 +315,8 @@ def q_inverse_meixner_relation(n: int, x, bparam, c, q, t: Truncation = Truncati
     if jz is not None and jz < n:
         raise DomainError("denominator parameter q/b vanishes before termination")
 
-    t, base = _capped(t), (x, bparam, c, q)
-    lhs = _phi_series(lambda x, b, c, q: ((q**-n, 1 / x), (q / b,), q, -q * x / (b * c)), base, t)
+    base = (x, bparam, c, q)
+    lhs = _phi_series(lambda x, b, c, q: ((q**-n, 1 / x), (q / b,), q, -q * x / (b * c)), base, _SERIES_REL_TOL)
     p_n = _big_q_laguerre_params(n)
-    rhs = _phi_series(lambda x, b, c, q: p_n(q * x / b, 1 / b, -c, q), base, t)
+    rhs = _phi_series(lambda x, b, c, q: p_n(q * x / b, 1 / b, -c, q), base, _SERIES_REL_TOL)
     return lhs, q_pochhammer(-(q**-n) / c, q, n) * rhs

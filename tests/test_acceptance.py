@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from qortho.qseries import QParams, Truncation, q_pochhammer
+from qortho.qseries import QParams, q_pochhammer
 from qortho.polynomials import (
     big_q_laguerre,
     big_q_laguerre_recurrence,
@@ -29,7 +29,6 @@ from qortho.climit import (
     limit_polynomial_check,
 )
 
-T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 
@@ -48,7 +47,7 @@ def test_criterion_1_orthogonality_suite():
     with criterion(1, "orthogonality suite"):
         t0 = time.monotonic()
         for p in (P1, P2):
-            reports = run_identity_checks("all", p, T, index_max=8, tolerance=1e-8)
+            reports = run_identity_checks("all", p, index_max=8, tolerance=1e-8)
             statuses = {r.status for r in reports}
             assert "inconclusive" not in statuses, "inconclusive checks present"
             assert statuses == {"pass"}, {
@@ -85,7 +84,7 @@ def test_criterion_3_cross_definition_consistency():
                 seq = spectral_sequence(p, branch, k, 20)
                 for n in range(21):
                     ser = float(seq[n])  # duality spectral value
-                    direct = big_q_laguerre(n, x, p, T)  # terminating-series definition
+                    direct = big_q_laguerre(n, x, p)  # terminating-series definition
                     assert abs(direct - ser) <= 1e-10 * max(1.0, abs(ser))
                     assert abs(rec[n] - ser) <= 1e-10 * max(1.0, abs(ser))
         # generating-function coefficient extraction, pairwise vs series
@@ -93,7 +92,7 @@ def test_criterion_3_cross_definition_consistency():
             x = (p.a if branch == "a" else p.b) * p.q ** (k + 1)
             for n in range(21):
                 gen = big_q_laguerre_generating(n, (branch, k), p)
-                ser = big_q_laguerre(n, x, p, T)
+                ser = big_q_laguerre(n, x, p)
                 rec = big_q_laguerre_recurrence(n, x, p)[-1]
                 scale = max(1.0, abs(ser))
                 assert abs(gen - ser) <= 1e-10 * scale, (branch, k, n)
@@ -111,8 +110,8 @@ def test_criterion_4_duality():
                     with mpmath.workdps(40):
                         pref_f = q_pochhammer(mpmath.mpf(q) ** (-m) / b, mpmath.mpf(q), m)
                         pref_g = q_pochhammer(mpmath.mpf(q) ** (-m) / a, mpmath.mpf(q), m)
-                        want_f = float(q_meixner(n, m, a, -b / a, q, T) / pref_f)
-                        want_g = float(q_meixner(n, m, b, -a / b, q, T) / pref_g)
+                        want_f = float(q_meixner(n, m, a, -b / a, q) / pref_f)
+                        want_g = float(q_meixner(n, m, b, -a / b, q) / pref_g)
                     got_f = dual_f(n, m, p)
                     got_g = dual_g(n, m, p)
                     assert abs(got_f - want_f) <= 1e-11 * max(abs(want_f), 1e-280), (n, m)
@@ -120,7 +119,7 @@ def test_criterion_4_duality():
         # base-inversion interrelation
         for n in range(11):
             for x, bb, c in [(2.0, 2.0, 0.3), (0.7, -1.5, 0.9), (1.3, 3.0, 1.1)]:
-                lhs, rhs = q_inverse_meixner_relation(n, x, bb, c, 0.5, T)
+                lhs, rhs = q_inverse_meixner_relation(n, x, bb, c, 0.5)
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs)), (n, x, bb, c)
 
 

@@ -121,6 +121,53 @@ def test_precision_model_written_once():
     assert found == {"log10": [], "power": [], "digits": [], "roles": ["polynomials.py:_roles"]}
 
 
+# the functions that take a sum's stop target as an argument
+_TARGET_TAKERS = {"_phi_series", "_series_sum", "_escalated", "_bilinear_sum"}
+
+
+def _statement_name(stmt: ast.stmt) -> str:
+    """The name a module-level statement binds: a function's or class's,
+    or an assignment's first target; else its line."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+        return stmt.targets[0].id
+    return str(stmt.lineno)
+
+
+def test_stop_rule_written_once():
+    # a sum's stop target follows its scalars, as its digits do: no
+    # function takes a truncation policy, a parameter t or one annotated
+    # Truncation; the targets 1e-12 and 1e-20 are written only in
+    # qseries._stop_target and the term cap only in qseries._MAX_TERMS, and
+    # no call passes a target or a cap as a literal
+    found = {"policy": [], "target": [], "cap": [], "literal": []}
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            where = f"{path.name}:{_statement_name(stmt)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.arg) and (
+                    node.arg == "t" or node.annotation is not None and "Truncation" in ast.unparse(node.annotation)
+                ):
+                    found["policy"].append(where)
+                if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                    if node.value == 10000:
+                        found["cap"].append(where)
+                    elif node.value == 1e-20 or node.value == 1e-12 and path.name == "qseries.py":
+                        found["target"].append(where)
+                func = getattr(node, "func", None)
+                if getattr(func, "id", None) in _TARGET_TAKERS and any(
+                    isinstance(arg, ast.Constant) and type(arg.value) in (int, float) for arg in node.args
+                ):
+                    found["literal"].append(where)
+    assert found == {
+        "policy": [],
+        "target": ["qseries.py:_stop_target"] * 2,
+        "cap": ["qseries.py:_MAX_TERMS"],
+        "literal": [],
+    }
+
+
 # the command lines of the reachability run, each with its exit code: every
 # subcommand, both precisions and both formats, the lowest weight --l, a
 # value outside the domain and a malformed option (usage errors), and a
@@ -154,6 +201,7 @@ UNREACHED = {
     "qseries.QParams.alpha",
     "qseries.QParams.beta1",
     "qseries.QParams.beta2",
+    "qseries._Validated._make",
     "qseries._zero",
     "qseries.jackson_Eq",
     "qseries.jackson_Eq.<locals>._sum",

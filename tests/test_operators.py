@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer, q_pochhammer_inf
+from qortho.qseries import DomainError, QParams, phi_3_2, q_pochhammer, q_pochhammer_inf
 from qortho.operators import (
     Tridiagonal,
     build_A,
@@ -32,7 +32,6 @@ from qortho.representation import (
     recurrence_residuals,
 )
 
-T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 
@@ -124,7 +123,7 @@ class TestEigenCoefficients:
     def test_norm_sum_equals_inverse_c0_squared(self):
         vec = eigen_coefficients(("a", 0), P1, 80)
         total = float(np.sum(np.asarray(vec.coeffs) ** 2))
-        c0 = normalization_c(0, P1, T)
+        c0 = normalization_c(0, P1)
         assert total == pytest.approx(c0**-2, rel=1e-8)
 
     def test_square_summable_tail(self):
@@ -233,7 +232,7 @@ class TestEigenCoefficients:
                 * q_pochhammer(a * q, q, m)
                 / q_pochhammer(q, q, m)
                 * math.sqrt(q_pochhammer(b * q, q, m))
-                * big_q_laguerre(m, lam, P1, T)
+                * big_q_laguerre(m, lam, P1)
             )
             assert got == pytest.approx(want, rel=1e-11)
 
@@ -269,7 +268,7 @@ def _forward_rows(p: QParams, prefs: list):
     from qortho.operators import _a_coeff_logs
     from qortho.orthogonality import _Store
 
-    store = _Store(p, Truncation(), FWD_K)
+    store = _Store(p, FWD_K)
 
     def forward(branch, n):
         with decimal.localcontext(store.context):
@@ -320,7 +319,7 @@ class TestForwardCoefficientRoute:
             return operators._a_coeff_logs(branch, j, m_max, prefs, p, coeffs)
 
         monkeypatch.setattr(orthogonality, "_a_coeff_logs", counted)
-        store = orthogonality._Store(P1, Truncation(), FWD_K)
+        store = orthogonality._Store(P1, FWD_K)
         n_max = FWD_K + 3
         for branch, rows in store.rows.items():
             rows.upto(n_max)
@@ -351,9 +350,9 @@ def infinite_form(n: int, p: QParams, branch: str) -> float:
     den = [first * q ** (n + 1), q, b / a, a * q / b]
     return math.sqrt(
         factor
-        * math.prod(q_pochhammer_inf(x, q, T) for x in num)
+        * math.prod(q_pochhammer_inf(x, q) for x in num)
         * q**n
-        / math.prod(q_pochhammer_inf(x, q, T) for x in den)
+        / math.prod(q_pochhammer_inf(x, q) for x in den)
     )
 
 
@@ -362,12 +361,12 @@ class TestNormalization:
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_both_forms_agree_c(self, p, n):
-        assert normalization_c(n, p, T) == pytest.approx(infinite_form(n, p, "a"), rel=1e-12)
+        assert normalization_c(n, p) == pytest.approx(infinite_form(n, p, "a"), rel=1e-12)
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_both_forms_agree_cprime(self, p, n):
-        assert normalization_cprime(n, p, T) == pytest.approx(infinite_form(n, p, "b"), rel=1e-12)
+        assert normalization_cprime(n, p) == pytest.approx(infinite_form(n, p, "b"), rel=1e-12)
 
     @pytest.mark.parametrize("qab", [("0.9", "0.9", "-0.5"), ("0.3", "3.2", "-0.01")], ids=["q0.9", "retry"])
     def test_store_constants_match_closed_forms_at_40_digits(self, qab):
@@ -384,7 +383,7 @@ class TestNormalization:
         from qortho.orthogonality import _Store
 
         p = QParams(*map(decimal.Decimal, qab))
-        store = _Store(p, Truncation(rel_tol=1e-40), 0)
+        store = _Store(p, 0)
         values = {branch: list(map(store.value, store.c[branch].upto(200)[:201])) for branch in "ab"}
         assert all(isinstance(x, decimal.Decimal) for x in values["a"] + values["b"])
         with mpmath.workdps(60):
@@ -434,27 +433,27 @@ class TestNormalization:
         counts = []
         for n_rows in (10, 80):
             calls.clear()
-            store = orthogonality._Store(QParams(q=0.9, a=0.9, b=-0.5), T, 8)
+            store = orthogonality._Store(QParams(q=0.9, a=0.9, b=-0.5), 8)
             for rows in store.rows.values():
                 rows.upto(n_rows)
             counts.append(dict(calls))
         assert counts[0] == counts[1] == {"q_pochhammer_inf": 4}
 
     def test_c0_finite_positive(self):
-        c0 = normalization_c(0, P1, T)
+        c0 = normalization_c(0, P1)
         assert c0 > 0 and math.isfinite(c0)
 
     def test_row_norm_unitarity(self):
         # c_n^2 sum_m a_m(a q^(n+1))^2 = 1
         for n in [0, 2, 5]:
             vec = eigen_coefficients(("a", n), P1, 90)
-            cn = normalization_c(n, P1, T)
+            cn = normalization_c(n, P1)
             assert cn**2 * float(np.sum(np.asarray(vec.coeffs) ** 2)) == pytest.approx(1.0, rel=1e-8)
 
     def test_row_norm_unitarity_lower_branch(self):
         for n in [0, 2, 5]:
             vec = eigen_coefficients(("b", n), P1, 90)
-            cpn = normalization_cprime(n, P1, T)
+            cpn = normalization_cprime(n, P1)
             assert cpn**2 * float(np.sum(np.asarray(vec.coeffs) ** 2)) == pytest.approx(1.0, rel=1e-8)
 
 
@@ -821,7 +820,7 @@ class TestEigTridiagonal:
             "qJ0_inverse_action": lambda: qJ0_inverse_action(label, P1),
             "big_q_laguerre_generating": lambda: big_q_laguerre_generating(2, label, P1),
             "generating_series": lambda: generating_series(label, 0.1, P1, 10),
-            "generating_closed": lambda: generating_closed(label, 0.1, P1, T),
+            "generating_closed": lambda: generating_closed(label, 0.1, P1),
         }
         for call in calls.values():
             with pytest.raises(DomainError):
@@ -946,10 +945,10 @@ class TestQJ0InverseAction:
         for n in [1, 2, 4]:
             sub, diag, sup = qJ0_inverse_action((branch, n), p)
             subo, diago, supo = qJ0_inverse_action((branch, n), p, orthonormal=True)
-            cn = cfun(n, p, T)
+            cn = cfun(n, p)
             assert diago == pytest.approx(diag, rel=1e-13)
-            assert supo == pytest.approx(sup * cn / cfun(n + 1, p, T), rel=1e-11)
-            assert subo == pytest.approx(sub * cn / cfun(n - 1, p, T), rel=1e-11)
+            assert supo == pytest.approx(sup * cn / cfun(n + 1, p), rel=1e-11)
+            assert subo == pytest.approx(sub * cn / cfun(n - 1, p), rel=1e-11)
 
 
 class TestA1A2:
@@ -1007,7 +1006,7 @@ class TestA1A2:
     def test_biorthogonal_inner_product(self):
         # <psi(aq), phi(aq)> c_0^2 = 1
         psi, phi = psi_phi_coefficients(("a", 0), P1, 70)
-        c0 = normalization_c(0, P1, T)
+        c0 = normalization_c(0, P1)
         ip = float(np.dot(psi.coeffs, phi.coeffs))
         assert ip * c0**2 == pytest.approx(1.0, rel=1e-8)
 
@@ -1038,7 +1037,7 @@ class TestA1A2:
                 )
                 total += term
             arg = a**-0.75 * (-b) ** -0.5 * q**-1 * xval * lam
-            want = q_pochhammer_inf((a / b**2) ** 0.25 * xval, q, T) * phi_2_1(
-                b * q / lam, 0.0, b * q, q, arg, T
+            want = q_pochhammer_inf((a / b**2) ** 0.25 * xval, q) * phi_2_1(
+                b * q / lam, 0.0, b * q, q, arg
             )
             assert total == pytest.approx(want, rel=1e-10)

@@ -6,11 +6,10 @@ import itertools
 
 import pytest
 
-from qortho.qseries import DomainError, QParams, Truncation, phi_3_2, q_pochhammer
+from qortho.qseries import DomainError, QParams, _stop_target, phi_3_2, q_pochhammer
 from qortho.representation import normalization_c, normalization_cprime
 from qortho.orthogonality import run_identity_checks, verify_record
 
-T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 PARAMS = [P1, P2]
@@ -39,19 +38,18 @@ def extended_reports(families, q, a, b, index_max):
     from qortho.orthogonality import _Store
 
     p = extended_params(q, a, b)
-    t = Truncation(rel_tol=1e-20)
-    store = _Store(p, t, index_max)
-    return [r for fam in families for r in run_identity_checks(fam, p, t, index_max, store=store)]
+    store = _Store(p, index_max)
+    return [r for fam in families for r in run_identity_checks(fam, p, index_max, store=store)]
 
 
 def literal_reference_points(p):
-    """(p, t, dps) of the literal-reference tests: p in floats at the
+    """(p, dps) of the literal-reference tests: p in floats at the
     working precision, and p in Decimals at 50 digits, as `verify
     --precision extended` runs it."""
     from qortho.polynomials import _WORKING_DPS, EXTENDED_DPS
 
-    yield p, T, _WORKING_DPS
-    yield extended_params(*p), Truncation(rel_tol=1e-20), EXTENDED_DPS
+    yield p, _WORKING_DPS
+    yield extended_params(*p), EXTENDED_DPS
 
 
 def to_mpf(x):
@@ -103,7 +101,7 @@ class TestCertifiedSum:
             return x, float(x)
 
         one = decimal.Decimal(1), 1.0
-        return _bilinear_sum(lambda k: one, v, T, hard_cap, _working_context(30))
+        return _bilinear_sum(lambda k: one, v, _stop_target(1.0), hard_cap, _working_context(30))
 
     def test_terms_used_counts_the_terms_summed_at_the_cap(self):
         summed = []
@@ -130,24 +128,24 @@ class TestCertifiedSum:
         # of their M, 2 - 2^-m
         assert used == len(summed) == 49
         assert total == pytest.approx(2.0, rel=1e-13) and float(value) == pytest.approx(total, rel=1e-15)
-        assert tail <= T.rel_tol * total
+        assert tail <= _stop_target(1.0) * total
 
 
 class TestBigLaguerreOrthogonality:
     def test_diagonal_m0_reduces_to_sears(self):
-        r00 = verify_record("big-laguerre", 0, 0, P1, T)
-        sears = verify_record("sears", 0, 0, P1, T)
+        r00 = verify_record("big-laguerre", 0, 0, P1)
+        sears = verify_record("sears", 0, 0, P1)
         assert r00.status == "pass"
         assert r00.lhs == pytest.approx(sears.lhs, rel=1e-14)
         assert r00.rhs == pytest.approx(sears.rhs, rel=1e-14)
 
     def test_off_diagonal(self):
-        r = verify_record("big-laguerre", 0, 1, P1, T)
+        r = verify_record("big-laguerre", 0, 1, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
     def test_diagonal_m2(self):
-        r = verify_record("big-laguerre", 2, 2, P1, T)
+        r = verify_record("big-laguerre", 2, 2, P1)
         assert r.status == "pass"
         assert r.residual <= 1e-9 * (1 + abs(r.rhs))
 
@@ -155,13 +153,13 @@ class TestBigLaguerreOrthogonality:
     def test_grid(self, p):
         for m in range(0, 9, 2):
             for m2 in range(m, 9, 3):
-                r = verify_record("big-laguerre", m, m2, p, T)
+                r = verify_record("big-laguerre", m, m2, p)
                 assert r.status == "pass", (m, m2)
 
     def test_no_false_fail_at_large_a_small_b(self):
         # a float forward recurrence over the spectral points gave 8 false
         # `fail`s here; the 30-digit coefficient rows give none
-        reports = run_identity_checks("big-laguerre", P_RETRY, T, index_max=8)
+        reports = run_identity_checks("big-laguerre", P_RETRY, index_max=8)
         assert len(reports) == 45
         assert [r.indices for r in reports if r.status != "pass"] == []
 
@@ -177,21 +175,21 @@ class TestBigLaguerreOrthogonality:
         # the first point (Kc = 5.5e21), 49 over the 36 random points; c_n
         # from one running product give none
         for q, a, b in points:
-            reports = run_identity_checks("big-laguerre", QParams(q=q, a=a, b=b), T, index_max=8)
+            reports = run_identity_checks("big-laguerre", QParams(q=q, a=a, b=b), index_max=8)
             assert [r.indices for r in reports if r.status == "fail"] == [], (q, a, b)
 
     def test_rejects_negative_degrees(self):
         # a negative degree must not wrap to the last entry of a row
         with pytest.raises(DomainError):
-            verify_record("big-laguerre", -1, 0, P1, T)
+            verify_record("big-laguerre", -1, 0, P1)
         with pytest.raises(DomainError):
-            verify_record("big-laguerre", 0, -2, P1, T)
+            verify_record("big-laguerre", 0, -2, P1)
 
 
 class TestSears:
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_identity(self, p):
-        r = verify_record("sears", 0, 0, p, T)
+        r = verify_record("sears", 0, 0, p)
         assert r.status == "pass"
         assert r.residual <= 1e-10 * (1 + abs(r.rhs))
         assert "agrees" in r.note
@@ -201,10 +199,10 @@ class TestSears:
         # its M is its value
         from qortho.orthogonality import _N_CAP, _bilinear_sum, _Store
 
-        store = _Store(P1, T, 0)
+        store = _Store(P1, 0)
         for rows in store.rows.values():
             entry = lambda n: rows.at(n)[0]  # noqa: E731
-            val, _, _, total = _bilinear_sum(entry, entry, T, _N_CAP, store.context)
+            val, _, _, total = _bilinear_sum(entry, entry, store.rel_tol, _N_CAP, store.context)
             assert val > 0
             assert total == pytest.approx(float(val), rel=1e-14)
 
@@ -215,38 +213,36 @@ class TestSears:
         # rows of degree 0 only, has the same bits
         from qortho.orthogonality import _Store
 
-        store = _Store(p, T, 8)
-        (sweep,) = run_identity_checks("sears", p, T, index_max=8, store=store)
-        assert sweep == verify_record("sears", 0, 0, p, T)
-        r00 = run_identity_checks("big-laguerre", p, T, index_max=8, store=store)[0]
+        store = _Store(p, 8)
+        (sweep,) = run_identity_checks("sears", p, index_max=8, store=store)
+        assert sweep == verify_record("sears", 0, 0, p)
+        r00 = run_identity_checks("big-laguerre", p, index_max=8, store=store)[0]
         assert r00.indices == (0, 0)
         assert (sweep.lhs, sweep.terms_used, sweep.tail_estimate) == (r00.lhs, r00.terms_used, r00.tail_estimate)
 
 
 class TestUnitarity:
     def test_columns_diagonal(self):
-        r = verify_record("unitarity-columns", 0, 0, P1, T)
+        r = verify_record("unitarity-columns", 0, 0, P1)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_columns_cross_branch(self):
-        r = verify_record("unitarity-columns", 0, -1, P1, T)
+        r = verify_record("unitarity-columns", 0, -1, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     def test_rows_diagonal(self):
-        r = verify_record("unitarity-rows", 0, 0, P1, T)
+        r = verify_record("unitarity-rows", 0, 0, P1)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_rows_rejects_negative_index(self):
         with pytest.raises(DomainError):
-            verify_record("unitarity-rows", -1, 0, P1, T)
+            verify_record("unitarity-rows", -1, 0, P1)
 
-    @pytest.mark.parametrize(
-        "p, t", [(P1, T), (extended_params(*P2), Truncation(rel_tol=1e-20))], ids=["float", "decimal"]
-    )
-    def test_store_reads_recurrence_in_its_own_context(self, p, t):
+    @pytest.mark.parametrize("p", [P1, extended_params(*P2)], ids=["float", "decimal"])
+    def test_store_reads_recurrence_in_its_own_context(self, p):
         # the recurrence coefficients have no decimal context of their own:
         # after a sweep run from the thread's context, the store's entries
         # are those formed on p's exact Decimals in the store's context.  At
@@ -255,8 +251,8 @@ class TestUnitarity:
         from qortho.orthogonality import _Store
         from qortho.polynomials import _context_of, _recurrence_entries
 
-        store = _Store(p, t, 16)
-        run_identity_checks("unitarity", p, t, 16, store=store)
+        store = _Store(p, 16)
+        run_identity_checks("unitarity", p, 16, store=store)
         assert len(store.recurrence) == 16
         with decimal.localcontext(_context_of(p)):
             exact = QParams(*map(decimal.Decimal, p))
@@ -275,10 +271,10 @@ class TestUnitarity:
 
         prefs = [float(pref) for pref in itertools.islice(_prefactor_entries(p), 4)]
         for i, j in [(0, 0), (1, 0), (2, 2), (3, 1)]:
-            rows = verify_record("unitarity-rows", i, j, p, T)
-            orth = verify_record("big-laguerre", i, j, p, T)
+            rows = verify_record("unitarity-rows", i, j, p)
+            orth = verify_record("big-laguerre", i, j, p)
             assert rows.passed == orth.passed
-            scale = prefs[i] * prefs[j] / _kc(p, T)
+            scale = prefs[i] * prefs[j] / _kc(p)
             assert abs(rows.residual / scale - orth.residual) <= 1e-10 * (
                 1 + abs(orth.lhs) + abs(orth.rhs)
             )
@@ -286,23 +282,23 @@ class TestUnitarity:
 
 class TestDualOrthogonality:
     def test_ff_diagonal_against_normalization(self):
-        r = verify_record("dual-ff", 0, 0, P1, T)
+        r = verify_record("dual-ff", 0, 0, P1)
         assert r.status == "pass"
-        assert r.lhs == pytest.approx(normalization_c(0, P1, T) ** -2, rel=1e-8)
+        assert r.lhs == pytest.approx(normalization_c(0, P1) ** -2, rel=1e-8)
 
     def test_gg_diagonal_against_normalization(self):
-        r = verify_record("dual-gg", 2, 2, P1, T)
+        r = verify_record("dual-gg", 2, 2, P1)
         assert r.status == "pass"
-        assert r.lhs == pytest.approx(normalization_cprime(2, P1, T) ** -2, rel=1e-8)
+        assert r.lhs == pytest.approx(normalization_cprime(2, P1) ** -2, rel=1e-8)
 
     def test_gg_off_diagonal(self):
-        r = verify_record("dual-gg", 0, 1, P1, T)
+        r = verify_record("dual-gg", 0, 1, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     @pytest.mark.parametrize("n,n2", [(0, 0), (2, 1), (5, 5), (3, 0)])
     def test_fg_vanishes(self, n, n2):
-        r = verify_record("dual-fg", n, n2, P1, T)
+        r = verify_record("dual-fg", n, n2, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
@@ -332,7 +328,7 @@ class TestDualOrthogonality:
         from qortho.routes import dual_f
 
         p, n, n2 = P1, 1, 2
-        store = _Store(p, T, 0)
+        store = _Store(p, 0)
         q, a, b = p.q, p.a, p.b
         for m in range(10):
             w = (
@@ -351,32 +347,32 @@ class TestMeixnerOrthogonality:
     def test_diagonal_n0(self):
         from qortho.qseries import q_pochhammer_inf
 
-        r = verify_record("meixner", 0, 0, P1, T)
-        want = q_pochhammer_inf(P1.b / P1.a, P1.q, T) / q_pochhammer_inf(P1.b * P1.q, P1.q, T)
+        r = verify_record("meixner", 0, 0, P1)
+        want = q_pochhammer_inf(P1.b / P1.a, P1.q) / q_pochhammer_inf(P1.b * P1.q, P1.q)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(want, rel=1e-9)
 
     def test_off_diagonal(self):
-        r = verify_record("meixner", 0, 3, P1, T)
+        r = verify_record("meixner", 0, 3, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
     def test_rhs_positive_for_all_n(self):
         for n in range(9):
-            r = verify_record("meixner", n, n, P1, T)
+            r = verify_record("meixner", n, n, P1)
             assert r.rhs > 0
 
     def test_negb_diagonal_n0(self):
         from qortho.qseries import q_pochhammer_inf
 
-        r = verify_record("meixner-negb", 0, 0, P1, T)
-        want = q_pochhammer_inf(P1.a / P1.b, P1.q, T) / q_pochhammer_inf(P1.a * P1.q, P1.q, T)
+        r = verify_record("meixner-negb", 0, 0, P1)
+        want = q_pochhammer_inf(P1.a / P1.b, P1.q) / q_pochhammer_inf(P1.a * P1.q, P1.q)
         assert r.status == "pass"
         assert r.lhs == pytest.approx(want, rel=1e-9)
         assert want > 0  # a/b < 0 makes every product factor exceed 1
 
     def test_negb_off_diagonal(self):
-        r = verify_record("meixner-negb", 1, 2, P1, T)
+        r = verify_record("meixner-negb", 1, 2, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
@@ -386,24 +382,24 @@ class TestMeixnerOrthogonality:
         # where meixner reads the a-branch labels n, n2
         from qortho.orthogonality import _Store
 
-        store = _Store(P1, T, 0)
-        negb = verify_record("meixner-negb", 1, 2, P1, T)
+        store = _Store(P1, 0)
+        negb = verify_record("meixner-negb", 1, 2, P1)
         assert (negb.lhs, negb.terms_used, negb.tail_estimate) == store.label_sum(-2, -3)[:3]
-        meixner = verify_record("meixner", 1, 2, P1, T)
+        meixner = verify_record("meixner", 1, 2, P1)
         assert (meixner.lhs, meixner.terms_used, meixner.tail_estimate) == store.label_sum(1, 2)[:3]
 
 
 class TestEqZeroIdentity:
     def test_n0_is_eq_at_minus_one(self):
         # the (0,0) case is the q-exponential series at its first zero
-        r = verify_record("eq-zero", 0, 0, P1, T)
+        r = verify_record("eq-zero", 0, 0, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
         assert "E_q" in r.note
 
     @pytest.mark.parametrize("n,n2", [(1, 0), (2, 3), (5, 5), (0, 4)])
     def test_vanishes(self, n, n2):
-        r = verify_record("eq-zero", n, n2, P1, T)
+        r = verify_record("eq-zero", n, n2, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-9
 
@@ -424,7 +420,6 @@ class TestMeixnerCrossRoute:
         from qortho.polynomials import q_meixner
 
         q, a, b = (mpmath.mpf(x) for x in (p.q, p.a, p.b))
-        t60 = Truncation(rel_tol=1e-50)
 
         def meixner_weight(first, second):
             # the weight of M_n(q^-m; first, -second/first; q), b < 0 included:
@@ -442,8 +437,8 @@ class TestMeixnerCrossRoute:
             "eq-zero": functools.cache(lambda m: (-1) ** m * q ** (m * (m - 1) / 2) / q_pochhammer(q, q, m)),
         }
         values = {
-            "a": functools.cache(lambda n, m: q_meixner(n, m, a, -b / a, q, t60)),
-            "b": functools.cache(lambda n, m: q_meixner(n, m, b, -a / b, q, t60)),
+            "a": functools.cache(lambda n, m: q_meixner(n, m, a, -b / a, q)),
+            "b": functools.cache(lambda n, m: q_meixner(n, m, b, -a / b, q)),
         }
         sides = {"meixner": ("a", "a"), "meixner-negb": ("b", "b"), "eq-zero": ("a", "b")}
 
@@ -467,7 +462,7 @@ class TestMeixnerCrossRoute:
         with mpmath.workdps(self.REF_DPS):
             reference = self.reference(p)
             for fam in ("meixner", "meixner-negb", "eq-zero"):
-                for r in run_identity_checks(fam, p, T):
+                for r in run_identity_checks(fam, p):
                     want, _ = reference(r)
                     err = abs(r.lhs - want)
                     assert err <= r.tolerance * (1 + max(abs(r.lhs), abs(r.rhs))), (fam, r.indices, err)
@@ -491,7 +486,7 @@ class TestMeixnerCrossRoute:
 
                 monkeypatch.setattr(mod, "q_meixner", counted)
         for p in (P1, P_RETRY):
-            assert run_identity_checks("all", p, T)
+            assert run_identity_checks("all", p)
             assert extended_reports(("all",), p.q, p.a, p.b, 3)
         assert calls == []
         out = str(tmp_path / "out.json")
@@ -504,17 +499,17 @@ class TestMeixnerCrossRoute:
 class TestBiorthogonality:
     def test_diagonal(self):
         for label in [0, 2, -1]:
-            r = verify_record("biortho", label, label, P1, T)
+            r = verify_record("biortho", label, label, P1)
             assert r.status == "pass"
             assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
     def test_cross_branch(self):
-        r = verify_record("biortho", 0, -1, P1, T)
+        r = verify_record("biortho", 0, -1, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
     def test_same_branch_off_diagonal(self):
-        r = verify_record("biortho", 2, 1, P1, T)
+        r = verify_record("biortho", 2, 1, P1)
         assert r.status == "pass"
         assert abs(r.lhs) <= 1e-8
 
@@ -524,8 +519,8 @@ class TestReports:
         # the bound is tolerance max(|rhs|, M), M that of the record's sum
         from qortho.orthogonality import _Store
 
-        store = _Store(P1, T, 3)
-        for r in run_identity_checks("meixner", P1, T, index_max=3, store=store):
+        store = _Store(P1, 3)
+        for r in run_identity_checks("meixner", P1, index_max=3, store=store):
             scale = max(abs(r.rhs), store.label_sum(*r.indices)[3])
             assert r.tail_estimate <= r.tolerance * scale  # certified
             assert r.passed == (r.residual <= r.tolerance * scale)
@@ -542,14 +537,14 @@ class TestReports:
         # negative or nan one made every record inconclusive
         for fam in ("sears", "all"):
             with pytest.raises(DomainError):
-                run_identity_checks(fam, P1, T, index_max, tolerance)
+                run_identity_checks(fam, P1, index_max, tolerance)
         if index_max >= 0:
             with pytest.raises(DomainError, match="tolerance must be positive and finite"):
-                verify_record("sears", 0, 0, P1, T, tolerance)
+                verify_record("sears", 0, 0, P1, tolerance)
 
     def test_determinism(self):
-        a = run_identity_checks("dual", P1, T, index_max=3)
-        b = run_identity_checks("dual", P1, T, index_max=3)
+        a = run_identity_checks("dual", P1, index_max=3)
+        b = run_identity_checks("dual", P1, index_max=3)
         assert a == b
 
     def test_rows_sweep_matches_standalone(self):
@@ -557,42 +552,42 @@ class TestReports:
         # call builds its own, with K = max(i, j), and since row n reads
         # the forward route up to degree n and the duality closed form
         # above, no entry depends on K
-        reports = run_identity_checks("unitarity", P2, T, index_max=5)
+        reports = run_identity_checks("unitarity", P2, index_max=5)
         sweep = [r for r in reports if r.identity_id == "unitarity-rows"]
         assert len(sweep) == 21
         for r in sweep:
-            assert r == verify_record("unitarity-rows", *r.indices, P2, T), r.indices
+            assert r == verify_record("unitarity-rows", *r.indices, P2), r.indices
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
     def test_verify_record_reproduces_every_sweep_record(self, p):
         # one record alone, on a store of K = max(i, j, 0), has the bits of
         # the sweep's record, for every cell of all 11 ids
-        records = run_identity_checks("all", p, T, 3)
+        records = run_identity_checks("all", p, 3)
         assert len(records) == 165
         assert {r.identity_id for r in records} == set(RECORD_IDS)
         for r in records:
-            assert verify_record(r.identity_id, *r.indices, p, T) == r, (r.identity_id, r.indices)
+            assert verify_record(r.identity_id, *r.indices, p) == r, (r.identity_id, r.indices)
 
     def test_verify_record_rejects_unknown_ids_and_cells(self):
         # a family name is not a record id, and sears has the one cell (0, 0)
         for identity_id in ("dual", "unitarity", "nope"):
             with pytest.raises(DomainError, match="unknown identity id"):
-                verify_record(identity_id, 0, 0, P1, T)
+                verify_record(identity_id, 0, 0, P1)
         with pytest.raises(DomainError, match="sears"):
-            verify_record("sears", 1, 0, P1, T)
+            verify_record("sears", 1, 0, P1)
 
     def test_unitarity_independent_of_history(self):
         # the basis-index families each build their own store, so a
         # record must not depend on which of them ran before in the process
         families = ("unitarity", "dual", "biortho")
-        cold = {fam: run_identity_checks(fam, P2, T, index_max=3) for fam in families}
+        cold = {fam: run_identity_checks(fam, P2, index_max=3) for fam in families}
         for fam in families:
-            assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
+            assert run_identity_checks(fam, P2, index_max=3) == cold[fam]
         for fam in reversed(families):
             for other in families:
                 if other != fam:
-                    run_identity_checks(other, P2, T, index_max=3)
-            assert run_identity_checks(fam, P2, T, index_max=3) == cold[fam]
+                    run_identity_checks(other, P2, index_max=3)
+            assert run_identity_checks(fam, P2, index_max=3) == cold[fam]
 
     def test_extended_records_independent_of_a_double_run(self):
         # a double-precision run of the same point leaves nothing that an
@@ -600,7 +595,7 @@ class TestReports:
         for families in (("dual",), ("unitarity",), ("biortho",), ("eq-zero",), LABEL_FAMILIES):
             cold = extended_reports(families, 0.5, 0.5, -0.7, 3)
             for fam in families:
-                run_identity_checks(fam, P1, T, index_max=3)
+                run_identity_checks(fam, P1, index_max=3)
             assert extended_reports(families, 0.5, 0.5, -0.7, 3) == cold, families
 
     def test_sums_leave_in_the_parameters_scalars(self):
@@ -610,15 +605,15 @@ class TestReports:
         from qortho.orthogonality import _Store
         from qortho.qseries import _working_context
 
-        for p, t, dps in literal_reference_points(P1):
+        for p, dps in literal_reference_points(P1):
             kind = decimal.Decimal if dps > 30 else float
-            store = _Store(p, t, 1)
+            store = _Store(p, 1)
             assert store.context is _working_context(dps)
             values = [
                 store.label_sum(0, -2)[0],
                 store.row_sum(0, 1)[0],
                 store.label_c(-2),
-                normalization_c(3, p, t),
+                normalization_c(3, p),
             ]
             assert [type(v) for v in values] == [kind] * 4, values
 
@@ -626,12 +621,12 @@ class TestReports:
         # verify_record on Decimal parameters forms the closed forms and
         # verdict in its store's decimal context, as the sweep does: run in a
         # caller's context of 5 digits, it gives the sweep's record of every id
-        p, t = extended_params(0.5, 0.5, -0.7), Truncation(rel_tol=1e-20)
-        records = run_identity_checks("all", p, t, index_max=2)
+        p = extended_params(0.5, 0.5, -0.7)
+        records = run_identity_checks("all", p, index_max=2)
         assert {r.identity_id for r in records} == set(RECORD_IDS)
         with decimal.localcontext(prec=5, rounding=decimal.ROUND_FLOOR):
             for r in records:
-                assert r == verify_record(r.identity_id, *r.indices, p, t), (r.identity_id, r.indices)
+                assert r == verify_record(r.identity_id, *r.indices, p), (r.identity_id, r.indices)
 
     def test_extended_meixner_sums_keep_extended_accuracy(self):
         # at Decimal parameters the store's columns and rows form their
@@ -639,7 +634,7 @@ class TestReports:
         # the six label-sum families that vanishes exactly comes out at
         # the 50-digit rounding level.  The rows' terms decay only
         # geometrically, so their vanishing sums come out at the level of
-        # the truncation's rel_tol of 1e-20, which bounds their tails and
+        # the stop target of 1e-20, which bounds their tails and
         # the products in c_n: 7e-23, where float terms left 6e-17
         reports = extended_reports(LABEL_FAMILIES + ("big-laguerre",), 0.5, 0.5, -0.7, 3)
         zeros = [r for r in reports if r.identity_id not in ("unitarity-rows", "big-laguerre") and r.rhs == 0]
@@ -665,13 +660,13 @@ class TestReports:
         ids=["p1", "p2", "retry", "q0.95"],
     )
     def test_meixner_sweep_matches_standalone(self, family, p):
-        sweep = run_identity_checks(family, p, T, index_max=8)
+        sweep = run_identity_checks(family, p, index_max=8)
         assert len(sweep) == (81 if family == "eq-zero" else 45)
         for r in sweep:
-            assert r == verify_record(family, *r.indices, p, T), r.indices
+            assert r == verify_record(family, *r.indices, p), r.indices
         if family in self.MEIXNER_DUAL:
             # each view's sum is the matching dual sum, bit for bit
-            dual = {r.indices: r for r in run_identity_checks("dual", p, T, index_max=8)
+            dual = {r.indices: r for r in run_identity_checks("dual", p, index_max=8)
                     if r.identity_id == self.MEIXNER_DUAL[family]}
             for r in sweep:
                 d = dual[r.indices]
@@ -680,31 +675,31 @@ class TestReports:
     def test_eq_zero_retry_sweep_matches_standalone(self):
         # a tolerance below double-precision rounding changes nothing but
         # the verdicts: sweep and standalone records still agree
-        sweep = run_identity_checks("eq-zero", P1, T, index_max=8, tolerance=1e-15)
+        sweep = run_identity_checks("eq-zero", P1, index_max=8, tolerance=1e-15)
         assert len(sweep) == 81
         for r in sweep:
-            assert r == verify_record("eq-zero", *r.indices, P1, T, 1e-15), r.indices
+            assert r == verify_record("eq-zero", *r.indices, P1, 1e-15), r.indices
 
     @pytest.mark.parametrize("family", ["unitarity", "biortho"])
     def test_label_constant_sweep_matches_standalone(self, family):
         # the sweep computes each label's normalization constant once
-        sweep = [r for r in run_identity_checks(family, P2, T, index_max=3) if r.identity_id != "unitarity-rows"]
+        sweep = [r for r in run_identity_checks(family, P2, index_max=3) if r.identity_id != "unitarity-rows"]
         assert len(sweep) == 36
         for r in sweep:
             if family == "biortho":
-                assert r == verify_record("biortho", *r.indices, P2, T), r.indices
+                assert r == verify_record("biortho", *r.indices, P2), r.indices
             else:
-                assert r == verify_record("unitarity-columns", *r.indices, P2, T), r.indices
+                assert r == verify_record("unitarity-columns", *r.indices, P2), r.indices
 
     def test_eq_zero_matches_literal_per_pair_sum(self):
         # at the point of the hardest cancellation every eq-zero record is
         # the dual-fg record of the same pair, bit for bit, verdict included:
         # no pair takes another route
         dual = {
-            r.indices: r for r in run_identity_checks("dual", P_RETRY, T, index_max=8) if r.identity_id == "dual-fg"
+            r.indices: r for r in run_identity_checks("dual", P_RETRY, index_max=8) if r.identity_id == "dual-fg"
         }
         fields = ("lhs", "rhs", "residual", "terms_used", "tail_estimate", "status")
-        records = run_identity_checks("eq-zero", P_RETRY, T, index_max=8)
+        records = run_identity_checks("eq-zero", P_RETRY, index_max=8)
         assert len(records) == 81
         for r in records:
             d = dual[r.indices]
@@ -731,15 +726,15 @@ class TestReports:
         from qortho.qseries import _working_context
 
         K = 8
-        for p, t, dps in literal_reference_points(P2):
+        for p, dps in literal_reference_points(P2):
             context = _working_context(dps)
             prefs = list(itertools.islice(_prefactor_entries(p), K + 1))
             with decimal.localcontext(context):
                 pw = QParams(*map(decimal.Decimal, p))
             recurrence = _LazyList(_recurrence_entries(pw))
-            norm = {branch: (_normalization_entries(p, branch, t), []) for branch in "ab"}
+            norm = {branch: (_normalization_entries(p, branch), []) for branch in "ab"}
             with decimal.localcontext(context):
-                kc = _kc(pw, t)
+                kc = _kc(pw)
             kc = kc if isinstance(p.q, decimal.Decimal) else float(kc)
 
             def c(branch, n):
@@ -771,7 +766,7 @@ class TestReports:
                 xs, ys, used, tail = [], [], 0, 0.0
                 for branch in "ab":
                     readers = reader(branch, m, xs), reader(branch, m2, ys)
-                    _, used_b, tail_b, _ = _bilinear_sum(*readers, t, _N_CAP, context)
+                    _, used_b, tail_b, _ = _bilinear_sum(*readers, _stop_target(p.q), _N_CAP, context)
                     used, tail = used + used_b, tail + tail_b
                 tail *= size
                 with mpmath.workdps(2 * dps):
@@ -780,7 +775,7 @@ class TestReports:
                     terms = [scale * x * y for x, y in zip(xs, ys)]
                     return scale * mpmath.fdot(xs, ys), used, tail, mpmath.fsum(terms, absolute=True)
 
-            reports = run_identity_checks("big-laguerre", p, t, index_max=K)
+            reports = run_identity_checks("big-laguerre", p, index_max=K)
             assert len(reports) == 45
             for r in reports:
                 value, used, tail, total_abs = literal(*r.indices)
@@ -803,7 +798,7 @@ class TestReports:
         from qortho.polynomials import _duality_entries
         from qortho.qseries import _working_context
 
-        for p, t, dps in literal_reference_points(QParams(q=0.9, a=0.9, b=-0.5)):
+        for p, dps in literal_reference_points(QParams(q=0.9, a=0.9, b=-0.5)):
 
             @functools.cache
             def source(label, ratio):
@@ -833,7 +828,7 @@ class TestReports:
                 # returned with the sum of their magnitudes
                 xs, ys = [], []
                 readers = reader(i, ratio_i, xs), reader(j, ratio_j, ys)
-                _, used, tail, _ = _bilinear_sum(*readers, t, _M_CAP, _working_context(dps))
+                _, used, tail, _ = _bilinear_sum(*readers, _stop_target(p.q), _M_CAP, _working_context(dps))
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
                     total_abs = mpmath.fsum([x * y for x, y in zip(xs, ys)], absolute=True)
@@ -841,7 +836,7 @@ class TestReports:
 
             @functools.cache
             def c(label):
-                return normalization_c(label, p, t) if label >= 0 else normalization_cprime(-label - 1, p, t)
+                return normalization_c(label, p) if label >= 0 else normalization_cprime(-label - 1, p)
 
             def scaled(i, j, value, used, tail, total_abs):
                 # the tail as the record forms it, the rest at twice the digits
@@ -860,9 +855,9 @@ class TestReports:
             }
             # the unitarity-columns records without the sweep's rows, whose
             # normalization constants dominate the time at 50 digits
-            store = _Store(p, t, 4)
+            store = _Store(p, 4)
             labels = range(-5, 5)
-            records = [r for fam in ("dual", "biortho") for r in run_identity_checks(fam, p, t, index_max=4, store=store)]
+            records = [r for fam in ("dual", "biortho") for r in run_identity_checks(fam, p, index_max=4, store=store)]
             with decimal.localcontext(store.context):
                 records += [
                     _record("unitarity-columns", i, j, store, DEFAULT_TOLERANCE)
@@ -887,10 +882,10 @@ class TestReports:
         # sound only because the sum does not depend on the order
         from qortho.orthogonality import _M_CAP, _bilinear_sum, _Store
 
-        store = _Store(p, T, 8)
+        store = _Store(p, 8)
 
         def label_sum(i, j):
-            return _bilinear_sum(store.column(i).at, store.column(j).at, T, _M_CAP, store.context)
+            return _bilinear_sum(store.column(i).at, store.column(j).at, store.rel_tol, _M_CAP, store.context)
 
         labels = range(-9, 9)
         for i in labels:
@@ -908,13 +903,13 @@ class TestReports:
         pairs = []
         bilinear_sum = orthogonality._bilinear_sum
 
-        def counted(u, v, t, hard_cap, *args):
+        def counted(u, v, rel_tol, hard_cap, *args):
             if hard_cap == orthogonality._M_CAP:
                 pairs.append(frozenset((id(u.__self__), id(v.__self__))))
-            return bilinear_sum(u, v, t, hard_cap, *args)
+            return bilinear_sum(u, v, rel_tol, hard_cap, *args)
 
         monkeypatch.setattr(orthogonality, "_bilinear_sum", counted)
-        reports = run_identity_checks("all", P1, T)
+        reports = run_identity_checks("all", P1)
         shared = [r for r in reports if r.identity_id not in ("big-laguerre", "sears", "unitarity-rows")]
         assert len(shared) == 684
         assert len(pairs) == len(set(pairs)) == 171
@@ -930,13 +925,13 @@ class TestReports:
         calls = []
         bilinear_sum = orthogonality._bilinear_sum
 
-        def counted(u, v, t, hard_cap, *args):
+        def counted(u, v, rel_tol, hard_cap, *args):
             if hard_cap == orthogonality._N_CAP:
                 calls.append(hard_cap)
-            return bilinear_sum(u, v, t, hard_cap, *args)
+            return bilinear_sum(u, v, rel_tol, hard_cap, *args)
 
         monkeypatch.setattr(orthogonality, "_bilinear_sum", counted)
-        reports = run_identity_checks("all", P1, T)
+        reports = run_identity_checks("all", P1)
         rows = [r for r in reports if r.identity_id in ("big-laguerre", "sears", "unitarity-rows")]
         assert len(rows) == 91
         assert len(calls) == 90
@@ -968,8 +963,8 @@ class TestReports:
         monkeypatch.setattr(operators, "_duality_entries", entries)
         monkeypatch.setattr(orthogonality, "_prefactor_entries", prefs)
         p = QParams(q=0.9, a=0.9, b=-0.5)
-        store = _Store(p, T, 8)
-        run_identity_checks("all", p, T, store=store)
+        store = _Store(p, 8)
+        run_identity_checks("all", p, store=store)
         pref = "pref"
         assert started[pref] == 1 and computed[pref] == len(store.prefs)
         assert len(store._columns) == 18
@@ -991,8 +986,8 @@ class TestReports:
         from qortho.orthogonality import _Store
 
         p = QParams(q=0.95, a=0.9, b=-3.0)
-        store = _Store(p, T, 8)
-        run_identity_checks("unitarity", p, T, store=store)
+        store = _Store(p, 8)
+        run_identity_checks("unitarity", p, store=store)
 
         def exact(first, dps):
             with mpmath.workdps(dps):
@@ -1014,35 +1009,35 @@ class TestReports:
                 assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(10) ** -20 * abs(want), label
 
     def test_store_rejects_other_parameters(self):
-        # a store holds the rows of one largest index K, one truncation and
-        # one parameter set: a sweep that differs in any of them builds its own
+        # a store holds the rows of one largest index K and one parameter
+        # set: a sweep that differs in either builds its own
         from qortho.orthogonality import _Store
 
-        for store in (_Store(P1, T, 3), _Store(P2, T, 4), _Store(P1, Truncation(rel_tol=1e-13), 4)):
+        for store in (_Store(P1, 3), _Store(P2, 4)):
             with pytest.raises(ValueError):
-                run_identity_checks("dual", P1, T, index_max=4, store=store)
-        assert run_identity_checks("dual", P1, T, index_max=4, store=_Store(P1, T, 4))
+                run_identity_checks("dual", P1, index_max=4, store=store)
+        assert run_identity_checks("dual", P1, index_max=4, store=_Store(P1, 4))
 
     def test_meixner_families_independent_of_history(self):
-        cold = {fam: run_identity_checks(fam, P_RETRY, T, index_max=4) for fam in self.MEIXNER_FAMILIES}
+        cold = {fam: run_identity_checks(fam, P_RETRY, index_max=4) for fam in self.MEIXNER_FAMILIES}
         for fam in self.MEIXNER_FAMILIES:
-            assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
+            assert run_identity_checks(fam, P_RETRY, index_max=4) == cold[fam]
         for fam in reversed(list(self.MEIXNER_FAMILIES)):
-            run_identity_checks("dual", P_RETRY, T, index_max=2)
-            assert run_identity_checks(fam, P_RETRY, T, index_max=4) == cold[fam]
+            run_identity_checks("dual", P_RETRY, index_max=2)
+            assert run_identity_checks(fam, P_RETRY, index_max=4) == cold[fam]
 
     def test_sorted_by_identity_and_indices(self):
-        reports = run_identity_checks("dual", P1, T, index_max=2)
+        reports = run_identity_checks("dual", P1, index_max=2)
         keys = [(r.identity_id, r.indices) for r in reports]
         assert keys == sorted(keys)
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(DomainError):
-            run_identity_checks("nope", P1, T)
+            run_identity_checks("nope", P1)
 
     @pytest.mark.parametrize("p", PARAMS, ids=["p1", "p2"])
     def test_full_sweep_small_grid_all_pass(self, p):
-        reports = run_identity_checks("all", p, T, index_max=3)
+        reports = run_identity_checks("all", p, index_max=3)
         assert reports, "sweep produced no reports"
         assert all(r.status == "pass" for r in reports)
 
@@ -1051,7 +1046,7 @@ class TestReports:
         # terms must keep full relative accuracy for the off-diagonal
         # cancellations to reach 1e-8 of their sums' M
         p = QParams(q=0.5, a=0.5, b=-0.01)
-        reports = run_identity_checks("all", p, T, index_max=4)
+        reports = run_identity_checks("all", p, index_max=4)
         assert all(r.status == "pass" for r in reports), [
             (r.identity_id, r.indices) for r in reports if r.status != "pass"
         ]
@@ -1061,9 +1056,9 @@ class TestReports:
         # certification must still converge rather than go inconclusive
         p = QParams(q=0.9, a=0.8, b=-0.5)
         for r in [
-            verify_record("sears", 0, 0, p, T),
-            verify_record("big-laguerre", 1, 1, p, T),
-            verify_record("unitarity-rows", 2, 2, p, T),
+            verify_record("sears", 0, 0, p),
+            verify_record("big-laguerre", 1, 1, p),
+            verify_record("unitarity-rows", 2, 2, p),
         ]:
             assert r.status == "pass", (r.identity_id, r.status, r.tail_estimate)
 
@@ -1096,11 +1091,11 @@ class TestLabelSumVerdicts:
         from qortho.orthogonality import _Store
 
         shift_rhs(monkeypatch, ("dual-ff", "dual-gg", "dual-fg", "meixner-negb"))
-        store = _Store(p, T, 8)
-        broken = [r for fam in ("dual", "meixner-negb") for r in run_identity_checks(fam, p, T, store=store)]
+        store = _Store(p, 8)
+        broken = [r for fam in ("dual", "meixner-negb") for r in run_identity_checks(fam, p, store=store)]
         assert len(broken) == 45 + 45 + 81 + 45
         assert [r for r in broken if r.status != "fail"] == []
-        assert all(r.status == "pass" for r in run_identity_checks("meixner", p, T, store=store))
+        assert all(r.status == "pass" for r in run_identity_checks("meixner", p, store=store))
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.9, a=0.9, b=-0.5), P_RETRY], ids=["p1", "q0.9", "retry"])
     def test_broken_row_identity_fails(self, monkeypatch, p):
@@ -1111,12 +1106,12 @@ class TestLabelSumVerdicts:
         from qortho.orthogonality import _Store
 
         shift_rhs(monkeypatch, ("unitarity-rows", "big-laguerre"))
-        store = _Store(p, T, 8)
-        broken = [r for fam in ("unitarity", "big-laguerre") for r in run_identity_checks(fam, p, T, store=store)]
+        store = _Store(p, 8)
+        broken = [r for fam in ("unitarity", "big-laguerre") for r in run_identity_checks(fam, p, store=store)]
         broken = [r for r in broken if r.identity_id in ("unitarity-rows", "big-laguerre")]
         assert len(broken) == 45 + 45
         assert [r for r in broken if r.status != "fail"] == []
-        assert [r.status for r in run_identity_checks("sears", p, T, store=store)] == ["pass"]
+        assert [r.status for r in run_identity_checks("sears", p, store=store)] == ["pass"]
 
     @pytest.mark.parametrize(
         "p",
@@ -1135,9 +1130,9 @@ class TestLabelSumVerdicts:
         truncation error of the float kernels."""
         from qortho.orthogonality import _Store
 
-        store = _Store(p, T, 8)
+        store = _Store(p, 8)
         families = ("big-laguerre",) + LABEL_FAMILIES
-        reports = [r for fam in families for r in run_identity_checks(fam, p, T, store=store)]
+        reports = [r for fam in families for r in run_identity_checks(fam, p, store=store)]
         assert len(reports) == 45 + 45 + 171 + 171 + 45 + 45 + 81 + 171
         assert [(r.identity_id, r.indices) for r in reports if r.status == "fail"] == []
 
@@ -1146,7 +1141,7 @@ class TestLabelSumVerdicts:
         # coefficients leave an lhs far from 0; it is about 1e-20 of the
         # sum's M, a pass, where an absolute scale called it `fail`
         p = QParams(q=0.95, a=0.5, b=-0.01)
-        assert verify_record("meixner-negb", 0, 1, p, T).status != "fail"
+        assert verify_record("meixner-negb", 0, 1, p).status != "fail"
 
     def test_tiny_q_dual_fg_cancellation(self):
         # dual-fg (1, 1) adds 14 terms up to 1e30 whose sum vanishes, and
@@ -1155,7 +1150,7 @@ class TestLabelSumVerdicts:
         # index-max 8 (dual-fg and eq-zero 64 each, dual-ff, dual-gg,
         # meixner and meixner-negb 28 each)
         p = QParams(q=1e-30, a=0.5, b=-0.7)
-        assert verify_record("dual-fg", 1, 1, p, T).status == "pass"
+        assert verify_record("dual-fg", 1, 1, p).status == "pass"
 
 
 class TestVerdictScale:
@@ -1175,14 +1170,14 @@ class TestVerdictScale:
             q = rng.uniform(0.01, 0.97)
             aq = 10 ** rng.uniform(-4, math.log10(0.99999))
             b = -(10 ** rng.uniform(-4, 4))
-            reports = run_identity_checks("all", QParams(q=q, a=aq / q, b=b), Truncation(), 8)
+            reports = run_identity_checks("all", QParams(q=q, a=aq / q, b=b), 8)
             assert len(reports) == 775
             assert [(r.identity_id, r.indices, r.status) for r in reports if r.status != "pass"] == [], (q, aq / q, b)
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
     def test_shifted_rhs_fails_every_record(self, monkeypatch, p):
-        shift_rhs(monkeypatch, set(r.identity_id for r in run_identity_checks("all", p, T)))
-        reports = run_identity_checks("all", p, T)
+        shift_rhs(monkeypatch, set(r.identity_id for r in run_identity_checks("all", p)))
+        reports = run_identity_checks("all", p)
         assert len(reports) == 775
         assert [(r.identity_id, r.indices) for r in reports if r.status != "fail"] == []
 
@@ -1195,12 +1190,12 @@ class TestVerdictScale:
 
         entries = orthogonality._normalization_entries
 
-        def mutated(p, branch, t):
-            for n, c in enumerate(entries(p, branch, t)):
+        def mutated(p, branch):
+            for n, c in enumerate(entries(p, branch)):
                 yield c * decimal.Decimal("1.000001") if (branch, n) == ("a", 3) else c
 
         monkeypatch.setattr(orthogonality, "_normalization_entries", mutated)
-        reports = run_identity_checks("all", P1, T)
+        reports = run_identity_checks("all", P1)
         for identity_id in ("unitarity-rows", "big-laguerre"):
             failed = [r for r in reports if r.identity_id == identity_id and r.status == "fail"]
             assert len(failed) >= 43, identity_id
@@ -1208,7 +1203,7 @@ class TestVerdictScale:
     def test_big_laguerre_diagonals_match_closed_form(self):
         # every diagonal is within 1e-12 of its closed-form norm h_m, where
         # the absolute scale passed lhs 7.1e-5 off h_6 and 6.8e-6 off h_8
-        reports = run_identity_checks("big-laguerre", P1, T)
+        reports = run_identity_checks("big-laguerre", P1)
         diagonals = [r for r in reports if r.indices[0] == r.indices[1]]
         assert len(diagonals) == 9
         for r in diagonals:
@@ -1224,8 +1219,8 @@ class TestVerdictScale:
         # digits (1, 2) and (2, 2) come out `fail` with lhs, rhs, residual
         # and tail all 0.0 as floats
         p = extended_params(1e-100, 0.5, -0.7)
-        assert all(r.passed for r in run_identity_checks("big-laguerre", QParams(1e-100, 0.5, -0.7), T, 2))
-        reports = run_identity_checks("big-laguerre", p, Truncation(rel_tol=1e-20), 2)
+        assert all(r.passed for r in run_identity_checks("big-laguerre", QParams(1e-100, 0.5, -0.7), 2))
+        reports = run_identity_checks("big-laguerre", p, 2)
         assert [(r.indices, r.status) for r in reports if r.status != "pass"] == []
 
 
@@ -1252,7 +1247,7 @@ class TestMutationMatrix:
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
     def test_unmutated_table_fails_nothing(self, p):
-        assert [(r.identity_id, r.indices) for r in run_identity_checks("all", p, T, 3) if r.status != "pass"] == []
+        assert [(r.identity_id, r.indices) for r in run_identity_checks("all", p, 3) if r.status != "pass"] == []
 
     @pytest.mark.parametrize("p", [P1, QParams(q=0.95, a=0.5, b=-0.01)], ids=["p1", "q0.95-small-b"])
     @pytest.mark.parametrize("target", MUTATION_ROWS)
@@ -1270,7 +1265,7 @@ class TestMutationMatrix:
         assert rows, target
         for identity_id, row in rows.items():
             monkeypatch.setitem(orthogonality._RECORDS, identity_id, tuple(mutated if f is original else f for f in row))
-        reports = run_identity_checks("all", p, T, 3)
+        reports = run_identity_checks("all", p, 3)
         failed = collections.Counter(r.identity_id for r in reports if r.status == "fail")
         assert failed == MUTATION_ROWS[target]
         assert all(r.status == "pass" for r in reports if r.identity_id not in failed)
@@ -1327,7 +1322,7 @@ def oracle_ratios(p: QParams, index_max: int = 8):
             "dual-fg": lambda i, j: 0,
             "eq-zero": lambda i, j: 0,
         }
-        reports = run_identity_checks("all", p, T, index_max)
+        reports = run_identity_checks("all", p, index_max)
         assert len(reports) == 775 and {r.identity_id for r in reports} == set(truths)
         return [
             (
@@ -1404,7 +1399,7 @@ class TestConstantsAtStorePrecision:
     def test_tight_tolerance_fails_nothing_but_sears(self, params, tolerance, failing):
         import collections
 
-        reports = run_identity_checks("all", QParams(*params), T, 8, tolerance)
+        reports = run_identity_checks("all", QParams(*params), 8, tolerance)
         assert collections.Counter(r.identity_id for r in reports if r.status == "fail") == failing
 
     @pytest.mark.parametrize("branch", "ab")
@@ -1415,7 +1410,7 @@ class TestConstantsAtStorePrecision:
         from qortho.operators import _normalization_entries
 
         p = extended_params(*params)
-        c0 = next(_normalization_entries(p, branch, Truncation(rel_tol=1e-20)))
+        c0 = next(_normalization_entries(p, branch))
         with mpmath.workdps(60):
             q, a, b = map(to_mpf, p)
             first, second = (a, b) if branch == "a" else (b, a)
@@ -1427,6 +1422,6 @@ class TestConstantsAtStorePrecision:
         # cancel to their rounding: c_0 and c'_0 carry no float error of
         # the near-1 factor 1 - a q
         p = QParams(0.3, 0.999 / 0.3, -0.01)
-        reports = run_identity_checks("unitarity", p, T, 8)
+        reports = run_identity_checks("unitarity", p, 8)
         off = [r for r in reports if r.identity_id == "unitarity-rows" and r.indices[0] != r.indices[1]]
         assert len(off) == 36 and max(abs(r.lhs) for r in off) <= 1e-17

@@ -24,7 +24,6 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     QSeriesError,
-    Truncation,
     _as_negative_q_power,
     _escalated,
     _working_context,
@@ -33,6 +32,7 @@ from qortho.qseries import (
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
+    _SERIES_REL_TOL,
     big_q_laguerre,
     big_q_laguerre_recurrence,
     classical_laguerre,
@@ -49,7 +49,6 @@ from qortho.routes import (
     q_inverse_meixner_relation,
 )
 
-T = Truncation()
 P1 = QParams(q=0.5, a=0.5, b=-0.7)
 P2 = QParams(q=0.7, a=0.9, b=-0.4)
 
@@ -67,22 +66,22 @@ def forced_value_at_aq(n, p):
 class TestBigQLaguerreSeries:
     def test_degree_zero(self):
         for x in [-0.35, 0.0, 0.2, 0.25]:
-            assert big_q_laguerre(0, x, P1, T) == 1.0
+            assert big_q_laguerre(0, x, P1) == 1.0
 
     def test_frozen_rational_oracle(self):
-        assert big_q_laguerre(3, 0.2, P1, T) == pytest.approx(P3_AT_02, rel=1e-13)
+        assert big_q_laguerre(3, 0.2, P1) == pytest.approx(P3_AT_02, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 14, 20])
     def test_forced_value_at_aq(self, n):
-        got = big_q_laguerre(n, P1.a * P1.q, P1, T)
+        got = big_q_laguerre(n, P1.a * P1.q, P1)
         want = forced_value_at_aq(n, P1)
         assert got == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 12])
     def test_phi21_form_agrees(self, n):
         for x in [P1.a * P1.q, P1.b * P1.q, P1.a * P1.q**4, 0.2]:
-            s = big_q_laguerre(n, x, P1, T)
-            f = big_q_laguerre_phi21(n, x, P1, T)
+            s = big_q_laguerre(n, x, P1)
+            f = big_q_laguerre_phi21(n, x, P1)
             assert abs(s - f) <= 1e-12 * max(1.0, abs(s))
 
     def test_ab_symmetry(self):
@@ -100,7 +99,7 @@ class TestBigQLaguerreSeries:
         D = decimal.Decimal
         with decimal.localcontext(_working_context(40)):
             p = QParams(q=D("0.5"), a=D("0.5"), b=D("-0.7"))
-            got = big_q_laguerre(3, D("0.2"), p, T)
+            got = big_q_laguerre(3, D("0.2"), p)
             assert isinstance(got, D)
             assert abs(got - D(-4573) / 1288035) <= D("1e-38") * abs(got)
 
@@ -119,7 +118,7 @@ class TestBigQLaguerreSeries:
                     term /= (1 - a * q ** (k + 1)) * (1 - b * q ** (k + 1)) * (1 - q ** (k + 1))
                     total += term
             want = float(total)
-            got = big_q_laguerre(n, x, p, T)
+            got = big_q_laguerre(n, x, p)
             assert abs(got - want) <= 1e-12 * abs(want), (n, x, got, want)
 
     @pytest.mark.xfail(
@@ -132,7 +131,7 @@ class TestBigQLaguerreSeries:
         # digits on the same floats; the float sum misses it by 1.44e-11
         p = QParams(q=0.7, a=0.99999 / 0.7, b=-50.0)
         x = p.a * p.q
-        got = big_q_laguerre(9, x, p, T)
+        got = big_q_laguerre(9, x, p)
         with mpmath.workdps(200):
             want, _ = _loop_phi(_bigql_params(9), 9, *map(mpmath.mpf, (x, p.a, p.b, p.q)))
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -149,7 +148,7 @@ class TestBigQLaguerreRecurrence:
         for x in xs:
             seq = big_q_laguerre_recurrence(20, x, p)
             for n in [0, 1, 2, 5, 10, 15, 20]:
-                want = big_q_laguerre(n, x, p, T)
+                want = big_q_laguerre(n, x, p)
                 assert abs(seq[n] - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_forced_value_row(self):
@@ -164,7 +163,7 @@ class TestSpectralSequence:
         lam = (P1.a if branch == "a" else P1.b) * P1.q ** (j + 1)
         seq = spectral_sequence(P1, branch, j, 10)
         for m in [0, 1, 4, 8, 10]:
-            want = big_q_laguerre(m, lam, P1, T)
+            want = big_q_laguerre(m, lam, P1)
             assert abs(float(seq[m]) - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_duality_oracle_large_m(self):
@@ -199,23 +198,23 @@ class TestSpectralSequence:
 
 class TestQMeixner:
     def test_degree_zero(self):
-        assert q_meixner(0, 5, 0.5, 0.4, 0.5, T) == 1.0
+        assert q_meixner(0, 5, 0.5, 0.4, 0.5) == 1.0
 
     def test_unit_argument(self):
         # q^{-x} at x = 0 gives numerator parameter 1
-        assert q_meixner(3, 0, 0.5, 0.4, 0.5, T) == 1.0
+        assert q_meixner(3, 0, 0.5, 0.4, 0.5) == 1.0
 
     def test_frozen_rational_oracle(self):
-        assert q_meixner(2, 3, 0.5, 0.4, 0.5, T) == pytest.approx(M2_AT_3, rel=1e-13)
+        assert q_meixner(2, 3, 0.5, 0.4, 0.5) == pytest.approx(M2_AT_3, rel=1e-13)
 
     def test_negative_first_parameter_allowed(self):
-        val = q_meixner(2, 3, -0.7, 1.4, 0.5, T)
+        val = q_meixner(2, 3, -0.7, 1.4, 0.5)
         assert math.isfinite(val)
 
     def test_denominator_zero(self):
         # bparam*q = q^{-1} vanishes at k = 1 before termination at 3
         with pytest.raises(DomainError):
-            q_meixner(3, 3, 0.5**-2, 0.4, 0.5, T)
+            q_meixner(3, 3, 0.5**-2, 0.4, 0.5)
 
     def test_decimal_denominator_zero_without_mpmath(self):
         # Decimal scalars take the Decimal log in the termination test, so
@@ -267,7 +266,7 @@ class TestDuality:
                 lhs = dual_f(n, m, p)
                 with mpmath.workdps(35):
                     pref = q_pochhammer(mpmath.mpf(q) ** (-m) / b, mpmath.mpf(q), m)
-                    rhs = float(q_meixner(n, m, a, -b / a, q, T) / pref)
+                    rhs = float(q_meixner(n, m, a, -b / a, q) / pref)
                 assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1e-300)
 
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
@@ -278,7 +277,7 @@ class TestDuality:
                 lhs = dual_g(n, m, p)
                 with mpmath.workdps(35):
                     pref = q_pochhammer(mpmath.mpf(q) ** (-m) / a, mpmath.mpf(q), m)
-                    rhs = float(q_meixner(n, m, b, -a / b, q, T) / pref)
+                    rhs = float(q_meixner(n, m, b, -a / b, q) / pref)
                 assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1e-300)
 
     def test_dual_g_is_dual_f_with_swapped_parameters(self):
@@ -293,11 +292,11 @@ class TestDuality:
 
 class TestGeneratingFunction:
     def test_t_zero(self):
-        assert generating_series(0.1, 0.0, P1, 10, T) == 1.0
-        assert generating_closed(0.2, 0.0, P1, T) == 1.0
+        assert generating_series(0.1, 0.0, P1, 10) == 1.0
+        assert generating_closed(0.2, 0.0, P1) == 1.0
 
     def test_nmax_zero(self):
-        assert generating_series(0.1, -0.2, P1, 0, T) == 1.0
+        assert generating_series(0.1, -0.2, P1, 0) == 1.0
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_series_rejects_non_finite_x(self, x):
@@ -308,16 +307,16 @@ class TestGeneratingFunction:
 
     @pytest.mark.parametrize("j,tv", [(0, 0.3), (0, -0.3), (1, 0.25), (2, -0.15), (3, 0.05)])
     def test_series_equals_closed_on_upper_branch(self, j, tv):
-        d = generating_series(("a", j), tv, P1, 60, T, diagnostics=True)
+        d = generating_series(("a", j), tv, P1, 60, diagnostics=True)
         assert d.tail_estimate <= 1e-12 * (1 + abs(d.value))
-        want = generating_closed(("a", j), tv, P1, T)
+        want = generating_closed(("a", j), tv, P1)
         assert d.value == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("j,tv", [(0, 0.3), (1, -0.2), (2, 0.1)])
     def test_series_equals_closed_on_lower_branch(self, j, tv):
-        d = generating_series(("b", j), tv, P1, 60, T, diagnostics=True)
+        d = generating_series(("b", j), tv, P1, 60, diagnostics=True)
         assert d.tail_estimate <= 1e-12 * (1 + abs(d.value))
-        want = generating_closed(("b", j), tv, P1, T)
+        want = generating_closed(("b", j), tv, P1)
         assert d.value == pytest.approx(want, rel=1e-10)
 
     def test_forced_form_at_aq(self):
@@ -325,28 +324,28 @@ class TestGeneratingFunction:
         from qortho.qseries import q_pochhammer_inf
 
         tv = 0.3
-        got = generating_closed(("a", 0), tv, P1, T)
-        want = q_pochhammer_inf(-P1.a * P1.b * P1.q**2 * tv, P1.q, T) / q_pochhammer_inf(
-            -P1.b * P1.q * tv, P1.q, T
+        got = generating_closed(("a", 0), tv, P1)
+        want = q_pochhammer_inf(-P1.a * P1.b * P1.q**2 * tv, P1.q) / q_pochhammer_inf(
+            -P1.b * P1.q * tv, P1.q
         )
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_t_to_zero_limit_is_one(self):
         # prefactor and series both tend to 1 as t -> 0
         for tv in [1e-4, 1e-6]:
-            got = generating_closed(("a", 1), tv, P1, T)
+            got = generating_closed(("a", 1), tv, P1)
             assert got == pytest.approx(1.0, abs=5 * tv)
 
     def test_tail_not_certified_off_spectrum(self):
         # the series only plateaus at ~1e-5 accuracy at generic arguments
-        d = generating_series(0.1, -0.2, P1, 60, T, diagnostics=True)
+        d = generating_series(0.1, -0.2, P1, 60, diagnostics=True)
         assert not (d.tail_estimate <= 1e-12 * (1 + abs(d.value)))
 
     def test_strict_mode_raises_off_spectrum(self):
         from qortho.qseries import TailError
 
         with pytest.raises(TailError):
-            generating_series(0.1, -0.2, P1, 60, T, strict=True)
+            generating_series(0.1, -0.2, P1, 60, strict=True)
 
     @pytest.mark.parametrize("tv", [0.1, 0.1j], ids=["real", "complex"])
     def test_closed_at_x_zero_raises_tail_error(self, tv):
@@ -369,7 +368,7 @@ class TestGeneratingFunction:
         p, scalar = (dec, float) if where == "params" else (P1, decimal.Decimal)
         calls = {
             "series": lambda: generating_series(scalar("0.1"), 0.2, p, 10),
-            "closed": lambda: generating_closed(scalar("0.1"), 0.2, p, T),
+            "closed": lambda: generating_closed(scalar("0.1"), 0.2, p),
             "extraction": lambda: big_q_laguerre_generating(2, ("a", 1 if where == "params" else scalar(1)), p),
         }
         with pytest.raises(DomainError):
@@ -378,23 +377,23 @@ class TestGeneratingFunction:
 
 class TestQInverseRelation:
     def test_degree_zero(self):
-        lhs, rhs = q_inverse_meixner_relation(0, 1.7, 2.0, 0.3, 0.5, T)
+        lhs, rhs = q_inverse_meixner_relation(0, 1.7, 2.0, 0.3, 0.5)
         assert lhs == 1.0 and rhs == 1.0
 
     def test_unit_argument(self):
-        lhs, rhs = q_inverse_meixner_relation(3, 1.0, 2.0, 0.3, 0.5, T)
+        lhs, rhs = q_inverse_meixner_relation(3, 1.0, 2.0, 0.3, 0.5)
         assert lhs == 1.0
         assert rhs == pytest.approx(1.0, rel=1e-12)
 
     def test_frozen_rational_oracle(self):
-        lhs, rhs = q_inverse_meixner_relation(2, 2.0, 2.0, 0.3, 0.5, T)
+        lhs, rhs = q_inverse_meixner_relation(2, 2.0, 2.0, 0.3, 0.5)
         assert lhs == pytest.approx(QINV_BOTH_SIDES, rel=1e-13)
         assert rhs == pytest.approx(QINV_BOTH_SIDES, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_relation_holds(self, n):
         for x, b, c in [(2.0, 2.0, 0.3), (0.7, -1.5, 0.9), (4.0, 3.0, 1.2)]:
-            lhs, rhs = q_inverse_meixner_relation(n, x, b, c, 0.5, T)
+            lhs, rhs = q_inverse_meixner_relation(n, x, b, c, 0.5)
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
@@ -427,7 +426,7 @@ class TestPolyEvalDispatch:
 
     # each route of P_n(x) at the spectral point x of the label j
     ROUTES = {
-        "series": lambda n, j, p: big_q_laguerre(n, p.a * p.q ** (j + 1), p, T),
+        "series": lambda n, j, p: big_q_laguerre(n, p.a * p.q ** (j + 1), p),
         "recurrence": lambda n, j, p: big_q_laguerre_recurrence(n, p.a * p.q ** (j + 1), p)[-1],
         "generating": lambda n, j, p: big_q_laguerre_generating(n, ("a", j), p),
     }
@@ -435,14 +434,14 @@ class TestPolyEvalDispatch:
     def test_methods_agree_on_spectral_grid(self):
         for j in [0, 1, 2]:
             for n in [0, 2, 5]:
-                ref = big_q_laguerre(n, P1.a * P1.q ** (j + 1), P1, T)
+                ref = big_q_laguerre(n, P1.a * P1.q ** (j + 1), P1)
                 for route, f in self.ROUTES.items():
                     assert abs(f(n, j, P1) - ref) <= 1e-10 * max(1.0, abs(ref)), route
 
     def test_degree_zero_is_one_under_all_methods(self):
         for f in self.ROUTES.values():
             assert f(0, 0, P1) == pytest.approx(1.0, rel=1e-12)
-        assert q_meixner(0, 3, 0.5, 0.4, 0.5, T) == 1.0
+        assert q_meixner(0, 3, 0.5, 0.4, 0.5) == 1.0
 
     def test_classical_series_vs_recurrence(self):
         def monomial_sum(n, alpha, x):
@@ -552,7 +551,7 @@ def _qinv_rhs_params(n):
 
 
 class TestTerminatingSumKernel:
-    REL = min(T.rel_tol, 1e-13)
+    REL = _SERIES_REL_TOL
 
     @staticmethod
     def _grid(seed, size):
@@ -593,12 +592,12 @@ class TestTerminatingSumKernel:
             n, m = point[:2]
             x, a, b, q, xi, bi, ci = map(convert, point[2:])
             p = QParams(q=q, a=a, b=b)
-            assert big_q_laguerre(n, x, p, T) == ref(_bigql_params(n), (x, a, b, q)), point
+            assert big_q_laguerre(n, x, p) == ref(_bigql_params(n), (x, a, b, q)), point
             phi21 = ref(_phi21_params(n), (x, a, b, q)) / q_pochhammer(q**-n / b, q, n)
-            assert big_q_laguerre_phi21(n, x, p, T) == phi21, point
+            assert big_q_laguerre_phi21(n, x, p) == phi21, point
             for bparam, c in ((a, -b / a), (b, -a / b)):
-                assert q_meixner(n, m, bparam, c, q, T) == ref(_meixner_params(n, m), (bparam, c, q)), point
-            lhs, rhs = q_inverse_meixner_relation(n, xi, bi, ci, q, T)
+                assert q_meixner(n, m, bparam, c, q) == ref(_meixner_params(n, m), (bparam, c, q)), point
+            lhs, rhs = q_inverse_meixner_relation(n, xi, bi, ci, q)
             assert lhs == ref(_qinv_lhs_params(n), (xi, bi, ci, q)), point
             pref = q_pochhammer(-(q**-n) / ci, q, n)
             assert rhs == pref * ref(_qinv_rhs_params(n), (xi, bi, ci, q)), point
@@ -632,7 +631,6 @@ class TestTerminatingSumKernel:
         # terminating 2phi1(aq/x, 0; -1/(bt); q, x/b), with a and b swapped
         # on the b branch, whose aq/x is q^-j to within rounding
         rng = random.Random(9)
-        t = Truncation(rel_tol=1e-16, max_terms=4000)
         for _ in range(40):
             q = rng.uniform(0.3, 0.95)
             p = QParams(q=q, a=rng.uniform(0.05, 0.999 / q), b=-rng.uniform(0.01, 50.0))
@@ -641,9 +639,9 @@ class TestTerminatingSumKernel:
             radius = q ** (j - 1) / (abs(p.b) if branch == "a" else p.a)
             tc = 0.75 * radius * cmath.exp(2j * cmath.pi * rng.random())
             a, b = (p.a, p.b) if branch == "a" else (p.b, p.a)
-            pref = q_pochhammer_inf(-a * b * q * q * tc, q, t) / q_pochhammer_inf(-b * q * tc, q, t)
+            pref = q_pochhammer_inf(-a * b * q * q * tc, q) / q_pochhammer_inf(-b * q * tc, q)
             value, _ = _loop_phi(lambda: ((a * q / x, 0.0), (-1 / (b * tc),), q, x / b), j)
-            got = generating_closed((branch, j), tc, p, t)
+            got = generating_closed((branch, j), tc, p)
             assert got == pref * value, (p, branch, j, tc)
             exact_power, _ = _loop_phi(lambda: ((q**-j, 0.0), (-1 / (b * tc),), q, x / b), j)
             assert abs(got - pref * exact_power) <= 1e-13 * abs(pref * exact_power), (p, branch, j, tc)
@@ -674,7 +672,7 @@ class TestTerminatingSumKernel:
             if 8e-16 * max_abs <= 0.05 * self.REL * abs(value):
                 continue
             cancelling += 1
-            got = route(*args, T)
+            got = route(*args)
             with mpmath.workdps(40 + int(math.log10(max_abs / abs(got)))):
                 want, _ = _loop_phi(build, n, *map(mpmath.mpf, base))
                 assert abs(got - want) <= self.REL * abs(want), (route, args, got, want)
@@ -746,7 +744,7 @@ class TestRecurrenceTable:
         dps = self.SCALARS[kind]
         with self._in(dps):
             for p0 in self.POINTS:
-                store = _Store(self._convert(p0, dps), T, 0)
+                store = _Store(self._convert(p0, dps), 0)
                 assert store.context is _working_context(dps or 30)
                 pw = store.decimal_p
                 for branch, j in (("a", 0), ("b", 3), ("a", 9), ("b", 0), ("a", 2)):
@@ -793,8 +791,8 @@ class TestDecimalBoundary:
         D = decimal.Decimal
         decimals = QParams(q=D("0." + "7" * 60), a=D("9" * 45 + "E-400"), b=D("-" + "3" * 50 + "E+90"))
         for p in (QParams(q=0.7, a=2.0**-1074, b=-(2.0**1000)), QParams(q=2.0**-1074, a=1, b=-5.286509211094206), decimals):
-            got = _Store(p, T, 0).decimal_p
+            got = _Store(p, 0).decimal_p
             assert all(isinstance(x, D) for x in got)
             with mpmath.workdps(400):
                 assert [mpmath.mpf(str(x)) for x in got] == [mpmath.mpf(str(D(x))) for x in p], p
-        assert _Store(decimals, T, 0).decimal_p == decimals
+        assert _Store(decimals, 0).decimal_p == decimals

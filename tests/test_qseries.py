@@ -22,7 +22,6 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     SeriesDivergenceError,
-    Truncation,
     _as_negative_q_power,
     _log10,
     _working_context,
@@ -35,7 +34,6 @@ from qortho.qseries import (
 )
 from qortho.polynomials import big_q_laguerre, q_meixner
 
-T = Truncation()
 D = decimal.Decimal
 
 # independent oracle values (Decimal arithmetic, 40 digits)
@@ -76,32 +74,35 @@ class TestQPochhammer:
 
 class TestQPochhammerInf:
     def test_zero_argument(self):
-        assert q_pochhammer_inf(0.0, 0.5, T) == 1.0
+        assert q_pochhammer_inf(0.0, 0.5) == 1.0
 
     def test_unit_argument(self):
-        assert q_pochhammer_inf(1.0, 0.5, T) == 0.0
+        assert q_pochhammer_inf(1.0, 0.5) == 0.0
 
     def test_inverse_power_detection(self):
         # a = q^{-3} kills the k=3 factor
-        assert q_pochhammer_inf(8.0, 0.5, T) == 0.0
+        assert q_pochhammer_inf(8.0, 0.5) == 0.0
 
     def test_against_direct_product(self):
-        got = q_pochhammer_inf(0.5, 0.5, T)
+        got = q_pochhammer_inf(0.5, 0.5)
         assert got == pytest.approx(QPOCH_INF_HALF, rel=1e-12)
 
     def test_max_terms_error(self):
         # factors are multiplied in only while |a q^k| >= 1/2: a = 0.5 takes
-        # one, and a = -1e6 at q = 0.999999 about 1.4e7, past the cap
+        # one, even at q = 0.999999, and a = -1e6 there about 1.4e7, past
+        # the cap of 10 000, in either scalar type
         with decimal.localcontext(_working_context(30)):
-            assert q_pochhammer_inf(D("0.5"), D("0.999999"), Truncation(max_terms=1)) > 0
-        with pytest.raises(NonConvergenceError):
-            q_pochhammer_inf(-1e6, 0.999999, T)
+            assert q_pochhammer_inf(D("0.5"), D("0.999999")) > 0
+            with pytest.raises(NonConvergenceError, match="within 10000 factors"):
+                q_pochhammer_inf(D(-10**6), D("0.999999"))
+        with pytest.raises(NonConvergenceError, match="within 10000 factors"):
+            q_pochhammer_inf(-1e6, 0.999999)
 
     def test_overflow_is_infinite(self):
         # the factors above 1/2 overflow a float, and exp of the rest
         # underflows to 0.0: the product is past the float range, not nan
-        assert math.isinf(q_pochhammer_inf(100.0, 0.9994, T))
-        assert q_pochhammer_inf(-100.0, 0.9994, T) == math.inf
+        assert math.isinf(q_pochhammer_inf(100.0, 0.9994))
+        assert q_pochhammer_inf(-100.0, 0.9994) == math.inf
 
     @pytest.mark.parametrize("a", [0.5, -1000.0, 0.999, -1.4, 0.3 + 0.2j], ids=str)
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99, 0.999], ids=str)
@@ -122,17 +123,17 @@ class TestQPochhammerInf:
                     lambda term: abs(term) > 1e-62, (x**j / (j * (1 - mq**j)) for j in itertools.count(1))
                 )
                 want *= mpmath.exp(-mpmath.fsum(terms))
-            got = q_pochhammer_inf(a, q, T)
+            got = q_pochhammer_inf(a, q)
             if sys.float_info.min <= abs(want) <= sys.float_info.max:
                 assert abs(got - want) <= 1e-12 * abs(want), (got, want)
             if not isinstance(a, complex):
                 with decimal.localcontext(_working_context(30)):
-                    got = q_pochhammer_inf(D(a), D(q), T)
+                    got = q_pochhammer_inf(D(a), D(q))
                 assert abs(mpmath.mpf(str(got)) - want) <= 1e-26 * abs(want), (got, want)
 
     def test_rejects_bad_q(self):
         with pytest.raises(DomainError):
-            q_pochhammer_inf(0.5, 1.5, T)
+            q_pochhammer_inf(0.5, 1.5)
 
 
 class TestQNumber:
@@ -154,33 +155,45 @@ class TestPhi21:
     def test_unit_numerator_terminates_to_one(self):
         q = 0.5
         for n in range(1, 6):
-            assert phi_2_1(q**-n, 1.0, 0.3, q, 0.7, T) == 1.0
+            assert phi_2_1(q**-n, 1.0, 0.3, q, 0.7) == 1.0
 
     def test_zero_argument(self):
-        assert phi_2_1(0.4, 0.0, 0.25, 0.5, 0.0, T) == 1.0
+        assert phi_2_1(0.4, 0.0, 0.25, 0.5, 0.0) == 1.0
 
     def test_against_brute_force(self):
-        got = phi_2_1(0.5, 0.0, 0.25, 0.5, 0.3, T)
+        got = phi_2_1(0.5, 0.0, 0.25, 0.5, 0.3)
         assert got == pytest.approx(PHI21_ORACLE, rel=1e-12)
 
     def test_divergence_error(self):
         with pytest.raises(SeriesDivergenceError):
-            phi_2_1(0.5, 0.3, 0.25, 0.5, 1.0, T)
+            phi_2_1(0.5, 0.3, 0.25, 0.5, 1.0)
 
     def test_denominator_zero_error(self):
         # c = q^{-2} vanishes at k = 3 before the nonterminating series stops
         with pytest.raises(DenominatorZeroError):
-            phi_2_1(0.5, 0.3, 4.0, 0.5, 0.5, T)
+            phi_2_1(0.5, 0.3, 4.0, 0.5, 0.5)
 
     def test_terminating_beats_denominator_zero(self):
         # numerator terminates at k=1 before c = q^{-2} bites
         q = 0.5
-        val = phi_2_1(q**-1, 0.3, q**-2, q, 0.5, T)
+        val = phi_2_1(q**-1, 0.3, q**-2, q, 0.5)
         assert math.isfinite(val)
 
     def test_max_terms_error(self):
-        with pytest.raises(NonConvergenceError):
-            phi_2_1(0.5, 0.3, 0.25, 0.999, 0.9, Truncation(max_terms=50))
+        # the terms tend to a constant times z^k, and 0.99999^10000 is 0.9
+        with pytest.raises(NonConvergenceError, match="within 10000 terms"):
+            phi_2_1(0.5, 0.3, 0.25, 0.5, 0.99999)
+
+    def test_stop_target_follows_the_scalars(self):
+        # the q-binomial theorem 2phi1(a, 0; 0; q, z) = (az; q)_inf / (z; q)_inf:
+        # floats stop at 1e-12, and Decimals at 1e-20, within their rounding
+        a, q, z = 0.3, 0.9, 0.5
+        with decimal.localcontext(_working_context(30)):
+            ad, qd, zd = map(D, (a, q, z))
+            want = q_pochhammer_inf(ad * zd, qd) / q_pochhammer_inf(zd, qd)
+            got = phi_2_1(ad, qd * 0, qd * 0, qd, zd)
+        assert abs(got - want) <= D("1e-19") * want
+        assert abs(phi_2_1(a, 0.0, 0.0, q, z) - float(want)) <= 1e-11 * float(want)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(-2, 2), q=st.floats(0.1, 0.9), z=st.floats(-0.8, 0.8))
@@ -189,22 +202,22 @@ class TestPhi21:
     @example(a=-2.0, q=0.9, z=-0.8)
     def test_q_binomial_theorem(self, a, q, z):
         # sum_k (a;q)_k / (q;q)_k z^k = (az;q)_inf / (z;q)_inf for |z| < 1
-        lhs = phi_2_1(a, 0.0, 0.0, q, z, T)
-        rhs = q_pochhammer_inf(a * z, q, T) / q_pochhammer_inf(z, q, T)
+        lhs = phi_2_1(a, 0.0, 0.0, q, z)
+        rhs = q_pochhammer_inf(a * z, q) / q_pochhammer_inf(z, q)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
 class TestPhi32:
     def test_n0_terminating(self):
         q = 0.5
-        assert phi_3_2(1.0, 0.0, 0.3, 0.25, -0.35, q, q, T) == 1.0
+        assert phi_3_2(1.0, 0.0, 0.3, 0.25, -0.35, q, q) == 1.0
 
     def test_zero_argument(self):
-        assert phi_3_2(0.5, 0.0, 0.0, 0.25, -0.35, 0.5, 0.0, T) == 1.0
+        assert phi_3_2(0.5, 0.0, 0.0, 0.25, -0.35, 0.5, 0.0) == 1.0
 
     def test_terminating_n2_against_hand_expansion(self):
         q = 0.5
-        got = phi_3_2(q**-2, 0.0, 0.3, 0.25, -0.35, q, q, T)
+        got = phi_3_2(q**-2, 0.0, 0.3, 0.25, -0.35, q, q)
         assert got == pytest.approx(PHI32_N2_ORACLE, rel=1e-14)
 
     def test_decimal_scalars_pass_through(self):
@@ -213,33 +226,33 @@ class TestPhi32:
         D = decimal.Decimal
         with decimal.localcontext(_working_context(40)):
             q = D("0.5")
-            got = phi_3_2(q**-2, q * 0, D("0.3"), D("0.25"), D("-0.35"), q, q, T)
+            got = phi_3_2(q**-2, q * 0, D("0.3"), D("0.25"), D("-0.35"), q, q)
             assert isinstance(got, D)
             assert abs(got - D("0.069083267664827948515891778303125820856")) <= D("1e-38")
 
 
 class TestJacksonEq:
     def test_zero(self):
-        assert jackson_Eq(0.0, 0.5, T) == 1.0
+        assert jackson_Eq(0.0, 0.5) == 1.0
 
     def test_zero_at_minus_one(self):
-        assert jackson_Eq(-1.0, 0.5, T) == 0.0
+        assert jackson_Eq(-1.0, 0.5) == 0.0
 
     def test_zero_at_minus_inverse_powers(self):
         q = 0.5
         for j in range(1, 5):
-            assert jackson_Eq(-(q**-j), q, T) == 0.0
+            assert jackson_Eq(-(q**-j), q) == 0.0
 
     def test_series_equals_product(self):
-        got = jackson_Eq(0.3, 0.5, T)
-        want = q_pochhammer_inf(-0.3, 0.5, T)
+        got = jackson_Eq(0.3, 0.5)
+        want = q_pochhammer_inf(-0.3, 0.5)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_series_product_agreement_grid(self, q):
         for z in [-2.0, -1.3, -0.6, -0.1, 0.0, 0.4, 1.1, 2.0]:
-            e = jackson_Eq(z, q, T)
-            p = q_pochhammer_inf(-z, q, T)
+            e = jackson_Eq(z, q)
+            p = q_pochhammer_inf(-z, q)
             assert abs(e - p) <= 1e-11 * (1 + abs(e))
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -251,12 +264,14 @@ class TestJacksonEq:
                 z = -(q**-j) * (1 + eps)
                 with mpmath.workdps(60):
                     want = mpmath.qp(-mpmath.mpf(z), mpmath.mpf(q))
-                got = jackson_Eq(z, q, T)
+                got = jackson_Eq(z, q)
                 assert abs(got - want) <= 1e-12 * abs(want), (j, eps)
 
     def test_max_terms_error(self):
-        with pytest.raises(NonConvergenceError):
-            jackson_Eq(0.5, 0.999, Truncation(max_terms=50))
+        # E_q(z) ~ exp(z / (1 - q)): its terms peak near n = 2e4, past the cap
+        with decimal.localcontext(_working_context(30)):
+            with pytest.raises(NonConvergenceError, match="within 10000 terms"):
+                jackson_Eq(D("0.02"), D("0.999999"))
 
 
 class TestQParams:
@@ -315,7 +330,7 @@ class TestScalarTypes:
     def test_zeros_and_square_roots_keep_the_scalar_type(self, kind, tol):
         with decimal.localcontext(_working_context(30)):
             q = kind("0.5")
-            zeros = [q_pochhammer_inf(q**-2, q, T), jackson_Eq(-(q**-1), q, T)]
+            zeros = [q_pochhammer_inf(q**-2, q), jackson_Eq(-(q**-1), q)]
             assert zeros == [0, 0] and all(type(x) is kind for x in zeros), zeros
             p = QParams(q=q, a=kind("0.5"), b=kind("-0.7"))
             # alpha = sqrt(-b) q^l (1-q) with l = 1, and [3]_q = 1/q + 1 + q
@@ -325,8 +340,8 @@ class TestScalarTypes:
                 assert type(got) is kind and abs(got - want) <= tol, (got, want)
 
     def test_int_and_float_zeros_are_floats(self):
-        assert [q_pochhammer_inf(4, 0.5, T), jackson_Eq(-2, 0.5, T)] == [0.0, 0.0]
-        assert type(q_pochhammer_inf(4, 0.5, T)) is float and type(jackson_Eq(-2, 0.5, T)) is float
+        assert [q_pochhammer_inf(4, 0.5), jackson_Eq(-2, 0.5)] == [0.0, 0.0]
+        assert type(q_pochhammer_inf(4, 0.5)) is float and type(jackson_Eq(-2, 0.5)) is float
 
 
 def _ln_answer(u, q):
@@ -497,16 +512,3 @@ class TestEntryChecks:
         assert q_meixner(2, 3, 0.5, 0.4, 0.5) == pytest.approx(terminating([4, 8], [0.25], -0.125 / 0.4, 2), rel=1e-13)
         assert all(math.isfinite(x) for x in qJ0_inverse_action(("a", 2), p))
 
-
-class TestTruncation:
-    def test_defaults(self):
-        t = Truncation()
-        assert t.rel_tol == 1e-12
-        assert t.max_terms == 10000
-        assert t._fields == ("rel_tol", "max_terms")
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(DomainError):
-            Truncation(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            Truncation(max_terms=0)

@@ -10,7 +10,7 @@ from qortho.cli import RunConfig
 from qortho.climit import LimitSweep
 from qortho.operators import SpectralPoints, Tridiagonal
 from qortho.orthogonality import _Store
-from qortho.qseries import DomainError, QParams, Truncation
+from qortho.qseries import DomainError, QParams
 from qortho.reporting import VerificationReport
 from qortho.representation import CoefficientVector, GeneratorMatrices
 
@@ -19,7 +19,6 @@ P = QParams(q=0.5, a=0.5, b=-0.7)
 # every field of each type, in declaration order
 FIELDS = {
     QParams: dict(q=0.5, a=0.5, b=-0.7),
-    Truncation: dict(rel_tol=1e-10, max_terms=500),
     Tridiagonal: dict(dim=2, diag=(1.0, 2.0), lower=(0.5,), upper=(0.5,)),
     CoefficientVector: dict(coeffs=(1.0, 0.5), lam=0.25, normalizable=True),
     SpectralPoints: dict(upper=(0.25, 0.125), lower=(-0.35, -0.175)),
@@ -59,21 +58,16 @@ def test_value_type_contract(cls):
 
 def test_repr_reads_as_before():
     assert repr(QParams(q=0.5, a=0.5, b=-0.7)) == "QParams(q=0.5, a=0.5, b=-0.7)"
-    assert repr(Truncation()) == "Truncation(rel_tol=1e-12, max_terms=10000)"
 
 
 @pytest.mark.parametrize(
     "obj, change, message",
     [
         (QParams(q=0.5, a=0.5, b=-0.7), {"b": 0.7}, "b must be negative"),
-        (Truncation(), {"max_terms": 0}, "max_terms must be a positive integer"),
-        (Truncation(), {"rel_tol": float("inf")}, "rel_tol must be positive and finite"),
-        (Truncation(), {"max_terms": 2.5}, "max_terms must be a positive integer"),
         (Tridiagonal.symmetric([1.0, 2.0], [0.5]), {"diag": (1.0,)}, "inconsistent tridiagonal band lengths"),
         (LimitSweep(alpha=1.0, beta=0.5), {"q_sequence": (0.75, 0.5)}, "q_sequence must be strictly increasing"),
     ],
-    ids=["QParams", "Truncation", "Truncation-inf-rel-tol", "Truncation-fractional-max-terms", "Tridiagonal",
-         "LimitSweep"],
+    ids=["QParams", "Tridiagonal", "LimitSweep"],
 )
 def test_replace_validates_like_construction(obj, change, message):
     with pytest.raises(DomainError, match=message):
@@ -109,7 +103,7 @@ def test_report_passed_is_read_from_status():
 def test_store_keeps_one_label_sum_per_unordered_pair():
     # the store keys its label sums by the unordered pair {i, j}: (1, 0)
     # must find the sum that (0, 1) stored
-    store = _Store(P, Truncation(), 1)
+    store = _Store(P, 1)
     first = store.label_sum(0, 1)
     assert store.label_sum(1, 0) is first
     assert len(store._sums) == 1
