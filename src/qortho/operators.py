@@ -32,7 +32,7 @@ from qortho.qseries import (
     _sqrt,
     _Validated,
     _floats_only,
-    _log10,
+    q_pochhammer,
     q_pochhammer_inf,
 )
 from qortho.polynomials import (
@@ -194,34 +194,6 @@ def _coefficient_entries(p: QParams, branch: str, j: int, prefs):
         yield multiply(pref, v)
 
 
-def _unit_factors_from(s: float, q: float, n: int) -> int:
-    """An index k < n, or n, from which every 1 - t q^(i+1), i < n and
-    |t| <= |s|, rounds to 1.0, so that its log is an exact 0.0:
-    |s q^(k+1)| <= 2^-55, and pow is within an ulp, so no later power
-    exceeds q^(k+1) by 2^-51 relative.  The bisection finds such a k even
-    where rounding breaks the order of the powers."""
-    return bisect.bisect_left(range(n), True, key=lambda i: abs(s * q ** (i + 1.0)) <= 2.0**-55)
-
-
-def _log10_prefactors(p: QParams, m_max: int) -> list:
-    """log10 pref_0..pref_m_max in floats: the running sum of the logs
-    of the ratios `_pref_a_ratio`, whose factors are 1.0 from
-    `_unit_factors_from` on."""
-    q, a, b = p.q, p.a, p.b
-    log_ab, log_q = math.log10(-a * b), math.log10(q)
-    k = _unit_factors_from(max(a, -b, 1.0), q, m_max)
-    steps = []
-    for m in map(float, range(k)):
-        qm = q ** (m + 1)
-        steps.append(
-            -0.5 * log_ab - (2 * m + 4) / 4.0 * log_q
-            + 0.5 * (math.log10(1 - a * qm) + math.log10(1 - b * qm) - math.log10(1 - qm))
-        )
-    # a step plus the exact 0.0 of its logs keeps its bits
-    steps += [-0.5 * log_ab - (2 * m + 4) / 4.0 * log_q for m in map(float, range(k, m_max))]
-    return list(itertools.accumulate(steps, initial=0.0))
-
-
 def _a_coeff_logs(branch: str, j: int, m_max: int, prefs: list, p: QParams, coeffs) -> list:
     """Eigencoefficients a_0..a_{m_max} at the spectral point of index
     j >= m_max, as Decimals, from the forward three-term recurrence on the
@@ -247,28 +219,26 @@ def truncation_residuals(p: QParams, dim: int, labels) -> list:
     exact eigenvector cut to dim rows satisfies every row of A_dim - lam
     but the last, and a_0 = 1 bounds its norm below, so A_dim has an
     eigenvalue within r of lam (Parlett, The Symmetric Eigenvalue
-    Problem, 4.5).  By duality,
+    Problem, 4.5).  By duality, a_d = pref_d M_n(q^-d; first,
+    -second/first; q) / (q^-d/second; q)_d, so at d = dim
 
-        a_d = pref_d M_n(q^-d; first, -second/first; q) / (q^-d/second; q)_d,
+        r = sqrt(-ab q^(d+1) (1 - q^d)(1 - a q^d)(1 - b q^d))
+            (|second|/|first|)^(d/2) q^(d(d-1)/4)
+            sqrt((first q; q)_d / ((q; q)_d (second q; q)_d)) |M_n(q^-d)|,
 
-    the denominator equal to (-1/second)^d q^(-d(d+1)/2) (second q; q)_d;
-    all but M_n is a float sum of logs, and r underflows to 0 or
-    overflows to inf.  M_n, which may cancel far below its terms, is
-    `_duality_meixner`'s exact dot on the exact Decimals of the
-    parameters, in `_context_of(p)`, read by its `_log10`.  The label, not
-    the float lam, names the point, so a point that underflowed has its
-    radius too.
+    formed in `_context_of(p)`, of prec digits, on the exact Decimals of
+    the parameters; M_n, which may cancel far below its terms, is
+    `_duality_meixner`'s exact dot.  The label, not the float lam, names
+    the point, so a point that underflowed has its radius too.
 
-    Each radius also counts the rounding of its own float sum of logs,
-    each of whose roundings errs by at most 2^-53 of its result.  log10 r
-    has seven parts: the log of the off-diagonal's product, the two
-    q-power logs, the prefactor log, d log10 |second|, the log of
-    (second q; q)_d and that of M_n.  Each partial sum is at most S, the
-    sum of their magnitudes plus 1, and c = 8 counts the parts and
-    `_log10`'s one ulp; the prefactor log is itself a running sum, whose
-    partial sums are the list of `_log10_prefactors`.  So r is raised to
-    10^(log10 r + 2^-53 (c S + sum_m |log10 pref_m|)), at least
-    |log10 r| ln 10 c 2^-53 r above the r of the rounded sum.
+    r is rounded up.  Each rounding, a power's too, errs by at most
+    u = 10^(1-prec) relative, and 1 - x magnifies the error of x at most
+    kappa = 1/(1 - max(q, aq)) times.  So the factor before |M_n| is
+    within (d + 4)^2 kappa u of its value, and each term c_k (q^-d; q)_k
+    of M_n within 17 n kappa u.  r is raised to that factor times
+    (1 + 2 (d + 4)^2 kappa u) (|M_n| + 34 n kappa u sum_k |c_k (q^-d; q)_k|),
+    and its float to the next float up; an r above the float range is inf,
+    and one below it 0.0.
 
     The parameters are floats, dim a positive integer, and a label other
     than ("a" or "b", n), n a nonnegative integer, raises DomainError."""
@@ -276,27 +246,22 @@ def truncation_residuals(p: QParams, dim: int, labels) -> list:
     if dim < 1:
         raise DomainError("dim must be a positive integer")
     labels = list(map(_require_label, labels))
-    q, a, b = p.q, p.a, p.b
-    log_q = math.log10(q)
-    qi = [q ** float(i) for i in range(1, _unit_factors_from(max(a, -b), q, dim) + 1)]
-    log_sq = {s: math.fsum(math.log10(1 - s * x) for x in qi) for s in (a, b)}
-    qd = q**dim
-    log_prod = 0.5 * math.log10(-a * b * (1 - qd) * (1 - a * qd) * (1 - b * qd))
-    log_prefs = _log10_prefactors(p, dim)
-    log_fixed = log_prod + (dim + 1) / 2 * log_q + log_prefs[dim] + dim * (dim + 1) / 2 * log_q
-    size_fixed = 1 + abs(log_prod) + (dim + 1) ** 2 / 2 * abs(log_q) + abs(log_prefs[dim])
-    size_prefs = math.fsum(map(abs, log_prefs))
+    context, d = _context_of(p), dim
     radii = []
-    for branch, n in labels:
-        second = _roles(branch, a, b)[1]
-        log_second = dim * math.log10(abs(second))
-        log_meixner = _log10(_duality_meixner(p, branch, n, dim))
-        log_r = log_fixed + log_second - log_sq[second] + log_meixner
-        # a zero M_n is an exact r = 0, with no rounding to count
-        size = size_fixed + abs(log_second) + abs(log_sq[second]) + abs(log_meixner)
-        slack = 2.0**-53 * (8 * size + size_prefs) if log_r > -math.inf else 0.0
-        radii.append(math.inf if log_r > 300 else 10.0 ** (log_r + slack))
-    return radii
+    with decimal.localcontext(context):
+        q, a, b = map(decimal.Decimal, p)
+        qd = q**d
+        fixed = -a * b * q * qd * (1 - qd) * (1 - a * qd) * (1 - b * qd) * q ** (d * (d - 1) // 2)
+        fixed /= q_pochhammer(q, q, d)
+        poch_a, poch_b = q_pochhammer(a * q, q, d), q_pochhammer(b * q, q, d)
+        unit = decimal.Decimal(1).scaleb(1 - context.prec) / (1 - max(q, a * q))
+        grow = 1 + 2 * (d + 4) ** 2 * unit
+        for branch, n in labels:
+            (first, second), (poch_first, poch_second) = _roles(branch, a, b), _roles(branch, poch_a, poch_b)
+            meixner, mass = _duality_meixner(p, branch, n, d)
+            scale = (fixed * abs(second / first) ** d * poch_first / poch_second).sqrt() * grow
+            radii.append(scale * (abs(meixner) + 34 * n * unit * mass))
+    return [math.nextafter(x, math.inf) if 0 < x < math.inf else x for x in map(float, radii)]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +341,11 @@ def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
     falls below the smallest normal float, rounded among the subnormals
     or to 0, counts some e' with |e' - e| <= |e|, so 2 max|e| over those
     bounds the norm of that change.  Neither term moves the bound where
-    ||T|| is above about 1e-259 and every e^2 is normal."""
+    ||T|| is above about 1e-259 and every e^2 is normal.  Where some e^2
+    overflows, the count is not that of a nearby matrix, and the bound is
+    inf."""
+    if any(math.isinf(x * x) for x in tri.offdiag):
+        return math.inf
     norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag), default=0.0)
     tiny = max((abs(x) for x in tri.offdiag if x * x < _SMALLEST_NORMAL), default=0.0)
     return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm + 2 * _PIVMIN + 2 * tiny

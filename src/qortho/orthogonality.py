@@ -245,8 +245,15 @@ class _Store:
 
     @functools.cached_property
     def kc(self):
+        """Kc on `decimal_p`, read as a sum is; for float p, a float 0 or
+        not finite raises NonConvergenceError, as c_0 does."""
         with decimal.localcontext(self.context):
-            return self.value(_kc(self.decimal_p))
+            kc = self.value(_kc(self.decimal_p))
+        if not (self.exact or 0 < kc < math.inf):
+            raise NonConvergenceError(
+                f"the infinite products of Kc leave the parameters' number range at {tuple(self.p)}"
+            )
+        return kc
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
@@ -497,12 +504,18 @@ def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -
     its closed form."""
     _, kept, scale, side, *check = _RECORDS[identity_id]
     indices, (lhs, terms, tail, total) = kept(i, j, store)
-    if scale is not None:
-        s = scale(*indices, store)
-        size = abs(float(s))
-        lhs, tail, total = s * lhs, size * tail, size * total
+    try:
+        if scale is not None:
+            s = scale(*indices, store)
+            size = abs(float(s))
+            lhs, tail, total = s * lhs, size * tail, size * total
+        rhs = side(*indices, store)
+    except OverflowError as exc:
+        raise NonConvergenceError(
+            f"the closed form of {identity_id} {(i, j)} leaves the float range at {tuple(store.p)}"
+        ) from exc
     note, holds = check[0](lhs, store) if check else ("", True)
-    rep = _finalize(identity_id, store.p, (i, j), lhs, side(*indices, store), terms, tail, total, tolerance, note)
+    rep = _finalize(identity_id, store.p, (i, j), lhs, rhs, terms, tail, total, tolerance, note)
     if not holds and rep.status == "pass":
         rep = rep._replace(status="fail", note=note + " (cross-check failed)")
     return rep
@@ -546,15 +559,15 @@ def run_identity_checks(
     (identity_id, indices), run in the store's decimal context.
 
     store is the `_Store(p, index_max)` of the verify task the sweep
-    belongs to; the families that read one store share its coefficients
-    and sums.  A call without one builds its own, which "all" gives every
-    family."""
+    belongs to, on p's scalar type; the families that read one store share
+    its coefficients and sums.  A call without one builds its own, which
+    "all" gives every family."""
     if index_max < 0:
         raise DomainError("index_max must be nonnegative")
     _check_tolerance(tolerance)
     if store is None:
         store = _Store(p, index_max)
-    elif (store.p, store.K) != (p, index_max):
+    elif (store.p, store.K, store.exact) != (p, index_max, isinstance(p.q, decimal.Decimal)):
         raise ValueError("store built for another verify task")
     if identity == "all":
         return [r for fam in IDENTITY_FAMILIES for r in run_identity_checks(fam, p, index_max, tolerance, store)]

@@ -223,15 +223,18 @@ def _duality_coefficients(p: QParams, branch: str, j: int) -> list:
     return c
 
 
-def _duality_meixner(p: QParams, branch: str, j: int, m: int) -> decimal.Decimal:
-    """M_j(q^-m; first, -second/first; q), the numerator of P_m(lam) in
-    `spectral_sequence`: the exact sum of the products c_k (q^-m; q)_k,
-    k <= min(j, m), the q-Pochhammer symbols formed in `_context_of(p)`."""
+def _duality_meixner(p: QParams, branch: str, j: int, m: int) -> tuple:
+    """(M, mass): M = M_j(q^-m; first, -second/first; q), the numerator of
+    P_m(lam) in `spectral_sequence`, the exact sum of the products
+    c_k (q^-m; q)_k, k <= min(j, m), the q-Pochhammer symbols formed in
+    `_context_of(p)`; and the exact sum of their magnitudes, which scales
+    the rounding of M."""
     q = decimal.Decimal(p.q)
     with decimal.localcontext(_context_of(p)):
         factors = [1 - q ** (k - m) for k in range(min(j, m))]
         poch = list(itertools.accumulate(factors, operator.mul, initial=decimal.Decimal(1)))
-    return _exact_dot(_duality_coefficients(p, branch, j), poch)
+    c = _duality_coefficients(p, branch, j)
+    return _exact_dot(c, poch), _exact_dot(map(abs, c), map(abs, poch))
 
 
 def _duality_entries(p: QParams, branch: str, j: int):

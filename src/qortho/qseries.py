@@ -296,13 +296,23 @@ class QParams(_Validated, _QParamsFields):
 
 
 def q_pochhammer(a, q, n: int):
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k)."""
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k).  At a
+    real 0 <= q <= 1 it stops at its first factor that rounds to exactly 1
+    (|a q^k| below half the spacing of the scalars below 1, 2^-54 for
+    floats and 5 10^-(prec+1) for Decimals rounded to nearest at prec
+    digits): |a q^k| never grows and rounding is monotone, so every later
+    factor is 1 too, and the result has the bits of the full product.
+    1 - z keeps the imaginary part of a complex z, so that factor is not 1."""
     if n < 0:
         raise DomainError("q_pochhammer order must be nonnegative")
     out = 1.0 if isinstance(a, float) and isinstance(q, float) else a * 0 + 1
+    stops = not isinstance(q, complex) and 0 <= q <= 1
     aqk = a
     for _ in range(n):
-        out = out * (1 - aqk)
+        factor = 1 - aqk
+        if stops and factor == 1:
+            break
+        out = out * factor
         aqk = aqk * q
     return out
 

@@ -19,12 +19,11 @@ import math
 from typing import NamedTuple
 
 from qortho.qseries import DomainError, QParams
-from qortho.polynomials import _label_of, _label_point, _require_label, big_q_laguerre_recurrence
+from qortho.polynomials import _context_of, _label_of, _label_point, _require_label, big_q_laguerre_recurrence
 from qortho.operators import (
     Tridiagonal,
     _a_diag,
     _coefficient_entries,
-    _log10_prefactors,
     _normalization_entries,
     _prefactor_entries,
     build_A,
@@ -211,9 +210,11 @@ def eigen_coefficients(x, p: QParams, m_max: int) -> CoefficientVector:
     At a spectral point's label (branch, n) x, lam = a q^(n+1) or b q^(n+1),
     the values are square-summable, from the duality closed form, also
     where the float of lam underflows.  A number x is lam itself, whatever
-    its value: its values come from the recurrence, flagged
-    non-normalizable, and a non-finite one raises DomainError.  The
-    coefficients are a tuple of floats.
+    its value: its values come from the recurrence, each times the Decimal
+    prefactor of `_prefactor_entries`, rounded once in `_context_of(p)`,
+    flagged non-normalizable; a non-finite one raises DomainError.  The
+    coefficients are a tuple of floats; one that overflows the float range
+    raises OverflowError.
     """
     if m_max < 0:
         raise DomainError("cut-off degree must be nonnegative")
@@ -224,16 +225,11 @@ def eigen_coefficients(x, p: QParams, m_max: int) -> CoefficientVector:
     if not abs(x) < math.inf:
         raise DomainError(f"eigencoefficients need a finite lam, not {x!r}")
 
-    # generic lam: polynomial route with the prefactor held in log space
-    pvals = big_q_laguerre_recurrence(m_max, x, p)
-    coeffs = [0.0] * (m_max + 1)
-    for m, (v, logpref) in enumerate(zip(pvals, _log10_prefactors(p, m_max))):
-        if v != 0.0:
-            mag = logpref + math.log10(abs(v))
-            if mag > 300:
-                raise OverflowError(f"eigencoefficient overflow at m={m}")
-            coeffs[m] = math.copysign(10.0**mag, v)
-    return CoefficientVector(coeffs=tuple(coeffs), lam=x, normalizable=False)
+    # generic lam: the recurrence's values, each times its prefactor
+    multiply = _context_of(p).multiply
+    values = big_q_laguerre_recurrence(m_max, x, p)
+    products = (multiply(decimal.Decimal(v), pref) for v, pref in zip(values, _prefactor_entries(p)))
+    return CoefficientVector(coeffs=_to_floats(products, m_max, "eigencoefficients"), lam=x, normalizable=False)
 
 
 def recurrence_residuals(vec: CoefficientVector, p: QParams) -> list:

@@ -225,6 +225,31 @@ class TestExitCodes:
             lines = res.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
 
+    def test_closed_forms_past_the_float_range_exit_seventy(self, capsys):
+        # at b = -1e300 the float closed forms (-ab)^m of big-laguerre and
+        # c_i^-2 of dual raised a bare OverflowError, and Kc's float is inf,
+        # where sears failed on lhs = rhs = inf: no verdict, so exit 70
+        res = run_cli("verify", "--b", "-1e300", "--index-max", "1")
+        assert res.returncode == 70, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr == (
+            "qortho: error: the infinite products of Kc leave the parameters' number range at (0.5, 0.5, -1e+300)\n"
+        )
+        from qortho import cli
+
+        # (q, aq) of the sweep points where verify --index-max 2 crashed
+        points = [(1e-30, 1e-30), (0.01, 0.001), (0.01, 0.5), (0.01, 0.999999)]
+        for q, aq in [*points, (0.5, 0.5), (0.5, 0.999999), (0.9, 0.999999)]:
+            argv = ["verify", "--q", repr(q), "--a", repr(aq / q), "--b", "-1e300", "--index-max", "2"]
+            assert cli.main([*argv, "--out", "/dev/null"]) == 70, argv
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("qortho: error: "), lines
+        argv = ["verify", "--identity", "dual", "--b", "-1e300", "--index-max", "1"]
+        assert cli.main([*argv, "--out", "/dev/null"]) == 70
+        assert capsys.readouterr().err == (
+            "qortho: error: the closed form of dual-ff (0, 0) leaves the float range at (0.5, 0.5, -1e+300)\n"
+        )
+
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_unwritable_report_exit_seventy_four(self, tmp_path, output_format):
         # a report that cannot be written is no verdict: exit 1 means a

@@ -121,6 +121,17 @@ def test_precision_model_written_once():
     assert found == {"log10": [], "power": [], "digits": [], "roles": ["polynomials.py:_roles"]}
 
 
+def test_no_float_log_in_the_operator_modules():
+    # the truncation radius is a Decimal closed form, and the generic
+    # eigencoefficients multiply the Decimal prefactors of
+    # operators._pref_a_ratio: neither module takes a float log10
+    for name in ("operators.py", "representation.py"):
+        tree = ast.parse((SRC / name).read_text())
+        logs = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("log10", "_log10")]
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert logs == [] and not defined & {"_log10_prefactors", "_unit_factors_from"}, (name, logs)
+
+
 # the functions that take a sum's stop target as an argument
 _TARGET_TAKERS = {"_phi_series", "_series_sum", "_escalated", "_bilinear_sum"}
 

@@ -3,6 +3,7 @@ constants, spectra and the Sturm-bisection eigensolver."""
 
 import decimal
 import itertools
+import json
 import math
 
 import numpy as np
@@ -782,7 +783,7 @@ class TestEigTridiagonal:
             for n in range(10):
                 c = _duality_coefficients(p, branch, n)
                 for d in (1, 2, 7, 250, 2000):
-                    got = _duality_meixner(p, branch, n, d)
+                    got, _ = _duality_meixner(p, branch, n, d)
                     with decimal.localcontext(_working_context(60)):
                         q, a, b = map(decimal.Decimal, p)
                         first, second = (a, b) if branch == "a" else (b, a)
@@ -903,6 +904,107 @@ class TestEigTridiagonal:
             eig = np.asarray(eig_tridiagonal(build_A(p, dim)))
             assert np.all(eig >= p.b * p.q - 1e-8)
             assert np.all(eig <= p.a * p.q + 1e-8)
+
+
+class TestTruncationRadius:
+    """The radius r of `truncation_residuals`, formed in Decimals and
+    rounded up to a float."""
+
+    @staticmethod
+    def reference(p, d, label):
+        """r at 120 digits from the closed form, on the exact values of p."""
+        mp = pytest.importorskip("mpmath")
+        branch, n = label
+        with mp.workdps(120):
+            q, a, b = map(mp.mpf, p)
+            first, second = (a, b) if branch == "a" else (b, a)
+
+            def poch(x, k):
+                return mp.fprod(1 - x * q**i for i in range(k))
+
+            z = q ** (n + 1) * first / second
+            meixner = mp.fsum(
+                poch(q**-n, k) * poch(q**-d, k) * z**k / (poch(first * q, k) * poch(q, k))
+                for k in range(min(n, d) + 1)
+            )
+            return (
+                mp.sqrt(-a * b * q ** (d + 1) * (1 - q**d) * (1 - a * q**d) * (1 - b * q**d))
+                * (abs(second) / abs(first)) ** (mp.mpf(d) / 2)
+                * q ** (mp.mpf(d * (d - 1)) / 4)
+                * mp.sqrt(poch(first * q, d) / (poch(q, d) * poch(second * q, d)))
+                * abs(meixner)
+            )
+
+    def test_radius_bounds_the_reference_tightly(self):
+        # r is never below the 120-digit truth, and at most 2^-50 above it
+        # where the truth is a normal float; below that the float grid is
+        # coarser, and an r below it is 0.0
+        normal = 0
+        for q in (0.3, 0.5, 0.95, 0.998, 1e-30):
+            for a, b in ((0.5, -0.7), (0.9, -0.4), (0.5, -1e4), (0.5, -0.01), (1.9, -3.0)):
+                if not a * q < 1:
+                    continue
+                p = QParams(q=q, a=a, b=b)
+                labels = [label for label, _ in spectrum_points(p, 10).ranked()[:10]]
+                for d in (1, 2, 3, 7, 20, 60):
+                    for label, r in zip(labels, truncation_residuals(p, d, labels)):
+                        truth = self.reference(p, d, label)
+                        case = (q, a, b, d, label, r)
+                        if truth >= 2.0**-1022:
+                            normal += 1
+                            assert truth <= r <= truth * (1 + 2.0**-50), case
+                        elif r == 0.0:
+                            assert truth < 2.0**-1074, case
+                        else:
+                            assert truth <= r <= truth + 2.0**-1073, case
+        assert normal > 1000
+
+    @staticmethod
+    def full_product(a, q, n):
+        """(a; q)_n with every factor multiplied in."""
+        out, aqk = (1.0 if isinstance(a, float) and isinstance(q, float) else a * 0 + 1), a
+        for _ in range(n):
+            out, aqk = out * (1 - aqk), aqk * q
+        return out
+
+    def test_q_pochhammer_early_stop_keeps_the_bits(self):
+        # the product stops where each factor rounds to exactly 1: floats of
+        # both signs, and Decimals at 32 and 52 digits, keep the bits
+        cases = list(
+            itertools.product((0.5, -0.7, 3.2, -1e4, 1e-20, -1e300), (0.5, 0.9, 0.998, 1e-30), (0, 1, 7, 60, 2000))
+        )
+        for a, q, n in cases:
+            got, want = q_pochhammer(a, q, n), self.full_product(a, q, n)
+            assert got.hex() == want.hex(), (a, q, n)
+        for prec in (32, 52):
+            with decimal.localcontext(decimal.Context(prec=prec)):
+                for a, q, n in cases:
+                    a, q = decimal.Decimal(a), decimal.Decimal(q)
+                    assert q_pochhammer(a, q, n) == self.full_product(a, q, n), (prec, a, q, n)
+        # 1 - z keeps the imaginary part of z, however small: no early stop
+        got = q_pochhammer(1e-20j, 0.5, 60)
+        assert got == self.full_product(1e-20j, 0.5, 60) and got.imag == pytest.approx(-2e-20, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "q,aq,b",
+        [
+            (q, aq, b)
+            for q in (1e-30, 0.01, 0.5, 0.9, 0.99)
+            for aq, b in ((1e-300, -1e-100), (1e-300, -1e-300), (1e-30, -1e-300))
+            if aq < q
+        ],
+        ids=str,
+    )
+    def test_spectrum_where_ab_underflows(self, tmp_path, q, aq, b):
+        # a |b| underflows to 0.0 in floats, where the float log of the
+        # radius once raised a math domain error; each record passes
+        from qortho import cli
+
+        out = tmp_path / "r.json"
+        argv = ["spectrum", "--q", repr(q), "--a", repr(aq / q), "--b", repr(b), "--dim", "20", "--out", str(out)]
+        assert cli.main(argv) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 30 and all(r["status"] == "pass" for r in records)
 
 
 class TestQJ0InverseAction:

@@ -1010,13 +1010,22 @@ class TestReports:
 
     def test_store_rejects_other_parameters(self):
         # a store holds the rows of one largest index K and one parameter
-        # set: a sweep that differs in either builds its own
+        # set of one scalar type: a sweep that differs in any builds its own
         from qortho.orthogonality import _Store
 
         for store in (_Store(P1, 3), _Store(P2, 4)):
             with pytest.raises(ValueError):
                 run_identity_checks("dual", P1, index_max=4, store=store)
         assert run_identity_checks("dual", P1, index_max=4, store=_Store(P1, 4))
+        # QParams of Decimals equal those of the same floats, yet a float
+        # store gives float records at a float stop target
+        float_p = QParams(0.5, 0.5, -0.5)
+        decimal_p = QParams(*map(decimal.Decimal, ("0.5", "0.5", "-0.5")))
+        assert decimal_p == float_p
+        with pytest.raises(ValueError):
+            run_identity_checks("dual", decimal_p, index_max=1, store=_Store(float_p, 1))
+        with pytest.raises(ValueError):
+            run_identity_checks("dual", float_p, index_max=1, store=_Store(decimal_p, 1))
 
     def test_meixner_families_independent_of_history(self):
         cold = {fam: run_identity_checks(fam, P_RETRY, index_max=4) for fam in self.MEIXNER_FAMILIES}
