@@ -342,13 +342,27 @@ def eig_tridiagonal_accuracy(tri: Tridiagonal) -> float:
     or to 0, counts some e' with |e' - e| <= |e|, so 2 max|e| over those
     bounds the norm of that change.  Neither term moves the bound where
     ||T|| is above about 1e-259 and every e^2 is normal.  Where some e^2
-    overflows, the count is not that of a nearby matrix, and the bound is
-    inf."""
-    if any(math.isinf(x * x) for x in tri.offdiag):
-        return math.inf
+    overflows, the solve is that of T 2^-k (`_overflow_scaled`), so the
+    bound is that of T 2^-k times 2^k, plus 3 units of the subnormals for
+    the entries the scaling rounds among them, by Weyl's inequality."""
+    k, scaled = _overflow_scaled(tri)
+    if k:
+        return math.ldexp(eig_tridiagonal_accuracy(scaled) + 3 * 2.0**-1074, k)
     norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag), default=0.0)
     tiny = max((abs(x) for x in tri.offdiag if x * x < _SMALLEST_NORMAL), default=0.0)
     return (_BRACKET_WIDTH + 16 * 2.0**-53) * norm + 2 * _PIVMIN + 2 * tiny
+
+
+def _overflow_scaled(tri: Tridiagonal) -> tuple:
+    """(k, T 2^-k), the matrix that `eig_tridiagonal` solves for T: (0, T)
+    where every e^2 is finite, else k the binary exponent of T's largest
+    entry, which brings every entry below 1 in magnitude.  A power of two
+    scales exactly in binary, except for entries it moves among the
+    subnormals."""
+    if all(math.isfinite(x * x) for x in tri.offdiag):
+        return 0, tri
+    k = math.frexp(max(map(abs, (*tri.diag, *tri.offdiag))))[1]
+    return k, Tridiagonal.symmetric(*([math.ldexp(x, -k) for x in band] for band in (tri.diag, tri.offdiag)))
 
 
 def _sturm_rows(d, e) -> tuple:
@@ -415,14 +429,23 @@ def eig_tridiagonal(tri: Tridiagonal, near=None) -> list:
     t +- 2(rho + w) spares rho for the rounding of its ends, and only the
     indices counted in it are bisected.  Each result is bit for bit the
     pick from the full solve.
+
+    Where some off-diagonal e^2 overflows, the Sturm count would not be
+    that of a nearby matrix: the solve is then that of T 2^-k
+    (`_overflow_scaled`), on targets times 2^-k, and its results times
+    2^k.
     """
     if not tri.is_symmetric:
         raise DomainError("eig_tridiagonal requires a symmetric matrix")
-    d, e = tri.diag, tri.offdiag
-    n = len(d)
     targets = None if near is None else [float(t) for t in near]
     if targets is not None and not all(map(math.isfinite, targets)):
         raise DomainError("eig_tridiagonal targets must be finite")
+    k, scaled = _overflow_scaled(tri)
+    if k:
+        scaled_near = None if targets is None else [math.ldexp(t, -k) for t in targets]
+        return [math.ldexp(x, k) for x in eig_tridiagonal(scaled, scaled_near)]
+    d, e = tri.diag, tri.offdiag
+    n = len(d)
     if n == 1:
         return list(d) if targets is None else [d[0]] * len(targets)
     abs_e = [0.0, *map(abs, e), 0.0]

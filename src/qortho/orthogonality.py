@@ -501,7 +501,8 @@ IDENTITY_FAMILIES = tuple(_FAMILIES)
 def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -> VerificationReport:
     """The record of the cell (i, j) of the grid of identity_id: its kept
     sum, times the scale with the tail and M times its magnitude, against
-    its closed form."""
+    its closed form.  A check that raises NonConvergenceError leaves its
+    record `inconclusive`, with tail inf and the cause in its note."""
     _, kept, scale, side, *check = _RECORDS[identity_id]
     indices, (lhs, terms, tail, total) = kept(i, j, store)
     try:
@@ -514,7 +515,10 @@ def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -
         raise NonConvergenceError(
             f"the closed form of {identity_id} {(i, j)} leaves the float range at {tuple(store.p)}"
         ) from exc
-    note, holds = check[0](lhs, store) if check else ("", True)
+    try:
+        note, holds = check[0](lhs, store) if check else ("", True)
+    except NonConvergenceError as exc:
+        note, holds, tail = f"cross-check not formed: {exc}", True, math.inf
     rep = _finalize(identity_id, store.p, (i, j), lhs, rhs, terms, tail, total, tolerance, note)
     if not holds and rep.status == "pass":
         rep = rep._replace(status="fail", note=note + " (cross-check failed)")

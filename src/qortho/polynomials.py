@@ -3,9 +3,9 @@
 Evaluation routes:
 
 * terminating basic-hypergeometric series (the defining sums), summed
-  by the series kernel of `qortho.qseries`, with automatic precision
-  escalation when the alternating sum cancels past what 64-bit floats
-  can resolve;
+  by the series kernel of `qortho.qseries` on the exact Decimals of
+  float arguments, at the digits the alternating sum's cancellation
+  needs;
 * upward three-term recurrence, absolutely stable on the arguments the
   identities use;
 * the duality with the q-Meixner polynomials for whole sequences at
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 # rel_tol of the polynomial series routes, all terminating: the relative
-# float rounding a sum may keep before `_escalated` re-sums it in Decimals
+# rounding error `_escalated` leaves in a sum of float arguments
 _SERIES_REL_TOL = 1e-13
 # working precision of the duality sequences and coefficient tables of float parameters
 _WORKING_DPS = 30

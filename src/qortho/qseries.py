@@ -3,9 +3,9 @@ hypergeometric series and Jackson's q-exponential.
 
 All kernels are written against a generic real scalar: they work with
 Python floats by default, and with ``decimal.Decimal`` values, in the
-thread's decimal context, when higher precision is required.  A float
-sum that cancels past double precision is re-summed in Decimals, in a
-decimal context of its own.  A nonterminating sum stops by one rule of
+thread's decimal context, when higher precision is required.  A series
+on real floats is summed on their exact Decimals, in a decimal context
+of its own (`_escalated`).  A nonterminating sum stops by one rule of
 its scalar type, `_stop_target`, and every series or product raises
 NonConvergenceError past `_MAX_TERMS` terms or factors.  No function
 keeps state; everything here is a pure function of its arguments.
@@ -47,10 +47,10 @@ _FLOAT_MIN = sys.float_info.min
 # digits the Decimal kernels carry beyond the working precision: at 30 digits
 # their unit roundoff is 5e-32
 _GUARD_DIGITS = 2
-# working digits of the first Decimal pass of a float sum, and of the
-# Decimal build of a series whose float build overflowed, which only
-# steers the sum (its termination); the sizes of Decimals are read by
-# `_log10`, in no context
+# digits a Decimal pass of a real float sum carries beyond what its
+# estimate needs, and the working digits of the Decimal build of a series
+# whose float build overflowed, which only steers the sum (its
+# termination); the sizes of Decimals are read by `_log10`, in no context
 _FIRST_DPS = 25
 # consecutive terms below rel_tol that end a nonterminating series sum
 _SMALL_RUN = 10
@@ -409,40 +409,29 @@ def _series_sum(step, one, n, rel_tol: float):
 
 
 def _escalated(sum_fn, args, rel_tol):
-    """sum_fn(*args)'s value, re-run in Decimals when float rounding is
-    above rel_tol relative accuracy.
+    """sum_fn(*args)'s value, summed in Decimals when every argument is a
+    real float (or int).
 
     sum_fn returns (value, max_abs_term).  A call with a Decimal or complex
     argument is returned as computed: Decimal arguments already run at the
-    caller's working precision, and complex sums are not guarded.  A float
-    pass escalates when it is not finite or raises OverflowError, or when
-    8 eps max|term| exceeds 0.05 rel_tol |value|.  The needed precision
-    depends on the (unknown) true magnitude of the result, so each Decimal
-    pass re-targets from the latest value estimate, _FIRST_DPS digits
-    above what it needs, and at least doubles the digits of the pass
-    before.  A pass of dps digits runs in
-    `_working_context(dps)`, at _GUARD_DIGITS more, on the exact Decimals
-    of the arguments, and has absolute error about
+    caller's working precision, and complex sums are not guarded.  A real
+    call never sums in floats: each pass runs on the exact Decimals of the
+    arguments, so no float rounding of a term or factor reaches the
+    result.  A pass of dps digits runs in `_working_context(dps)`, at
+    _GUARD_DIGITS more, and has absolute error about
     10^(log10 max|term| - dps + 2); the loop stops once that is below
     rel_tol |value|, or below rel_tol times the smallest normal float,
-    which a float result cannot resolve anyway (exact zeros).  The test
-    compares the float logs (`_log10`) of the two sides, so no Decimal
-    log or power runs at the pass's own digits.
+    which a float result cannot resolve anyway (exact zeros).  The needed
+    precision depends on the (unknown) true magnitude of the result, so
+    each pass re-targets from the latest value estimate and max|term|,
+    _FIRST_DPS digits above what it needs, and at least doubles the digits
+    of the pass before.  The test compares the float logs (`_log10`) of
+    the two sides, so no Decimal log or power runs at the pass's own
+    digits.
     """
-    guarded = all(isinstance(v, (float, int)) for v in args)
-    try:
-        value, max_abs = sum_fn(*args)
-    except OverflowError:
-        if not guarded:
-            raise
-        value = max_abs = math.inf
-    if not guarded:
-        return value
-    finite = math.isfinite(value) and math.isfinite(max_abs)
-    if finite and 8e-16 * max_abs <= 0.05 * rel_tol * max(abs(value), 1e-30):
-        return value
-    # an overflowed float pass tells nothing of the terms: start from scratch
-    log10_max, est = (math.log10(max(max_abs, 1.0)), abs(value)) if finite else (0.0, 1.0)
+    if not all(isinstance(v, (float, int)) for v in args):
+        return sum_fn(*args)[0]
+    log10_max, est = 0.0, 1.0
     log10_tol, log10_floor = math.log10(rel_tol), math.log10(_FLOAT_MIN)
     dps = 0
     while True:
@@ -465,12 +454,12 @@ def _phi_series(build, base, rel_tol: float):
     z prod (1 - n_i q^k) / prod (1 - d_j q^k) / (1 - q^(k+1)).  A
     numerator q^(-n) ends the sum at term n; nonterminating series
     require |z| < 1 and stop at rel_tol (`_series_sum`), which also bounds
-    the rounding of a float sum (`_escalated`).  Callers pass the scalars
-    they were given as base and form every derived parameter (q^-n, a q,
-    ...) in build: a cancelling float sum is re-summed (`_escalated`) on
-    build of the exact Decimals of base, which never sees a float-rounded
-    one.  A float build that overflows (q^-n at tiny q) is read on those
-    Decimals too.
+    the rounding of a real float sum (`_escalated`).  Callers pass the
+    scalars they were given as base and form every derived parameter
+    (q^-n, a q, ...) in build: a real float sum runs on build of the exact
+    Decimals of base, which never sees a float-rounded one.  The float
+    build only decides termination and divergence; one that overflows
+    (q^-n at tiny q) is read on those Decimals too.
     A non-finite scalar in base raises DomainError.
     """
     _require_finite(*base)
@@ -537,10 +526,9 @@ def jackson_Eq(z, q):
     """Jackson's q-exponential E_q(z) = sum_n q^(n(n-1)/2) z^n / (q;q)_n.
 
     Equals the product (-z;q)_inf, hence vanishes at z = -q^(-j).  Near
-    those zeros the alternating sum cancels almost completely; float
-    inputs are then re-summed automatically in Decimals at the precision
-    the cancellation needs (`_escalated`).  The sum stops at
-    `_stop_target(q)`.
+    those zeros the alternating sum cancels almost completely; real float
+    inputs are summed in Decimals at the precision the cancellation needs
+    (`_escalated`).  The sum stops at `_stop_target(q)`.
     """
     _require_finite(z, q)
     if not (0 < q < 1):

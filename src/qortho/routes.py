@@ -274,7 +274,7 @@ def big_q_laguerre_generating(n: int, label, p: QParams) -> float:
     # w_k = e^(2 pi i k / M) and w_k^(-n) = w_(-nk mod M)
     roots = _roots_of_unity(m_samples)
     # at a label the 2phi1 terminates, and on the circle its arguments are
-    # complex, which `_escalated` never re-sums: no stop target reaches it
+    # complex, which `_escalated` sums in floats: no stop target reaches it
     total = math.fsum(
         (generating_closed(label, rho * w, p) * roots[-n * k % m_samples]).real for k, w in enumerate(roots)
     )

@@ -287,14 +287,7 @@ class TestKnownComputationErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(
-                ["verify", "--q", "0.998", "--a", "0.5", "--b", "-0.7"],
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the sears cross-check's float 2phi1(aq, 0; aq/b; q, q) runs past 10000 terms",
-                ),
-                id="verify-q0.998",
-            ),
+            pytest.param(["verify", "--q", "0.998", "--a", "0.5", "--b", "-0.7"], id="verify-q0.998"),
             pytest.param(
                 ["verify", "--q", "1e-30", "--a", "0.5", "--b", "-0.7", "--index-max", "11"],
                 marks=pytest.mark.xfail(
@@ -1252,8 +1245,8 @@ class TestGoldenOutput:
             "verify_all_index4_q0.9_a0.9_b-0.5.csv",
             0,
         ),
-        # the CLI path through the terminating-series kernel: 68 of its 135
-        # float sums cancel past double precision and rerun in Decimals
+        # the CLI path through the terminating-series kernel, whose 135
+        # sums run on the exact Decimals of their float arguments
         (
             ["table", "--q", "0.7", "--a", "0.9", "--b", "-0.4"],
             "table_q0.7_a0.9_b-0.4.csv",

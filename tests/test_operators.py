@@ -898,6 +898,41 @@ class TestEigTridiagonal:
         norm = max(map(abs, tri.diag)) + 2 * max(map(abs, tri.offdiag))
         assert err > 1e10 * (_BRACKET_WIDTH + 16 * 2.0**-53) * norm
 
+    def test_overflowing_squares_solve_the_binary_scaled_matrix(self):
+        # at b = -1e300 the squared off-diagonals overflow, which the Sturm
+        # count reads: the solve of T is that of T 2^-k times 2^k, bit for
+        # bit, with targets too, and the bound holds against the exact
+        # eigenvalues of the float matrix, here from mpmath at 60 digits
+        mp = pytest.importorskip("mpmath")
+
+        p = QParams(q=0.5, a=1.0, b=-1e300)
+        tri = build_A(p, 20)
+        assert any(math.isinf(x * x) for x in tri.offdiag)
+        k = math.frexp(max(map(abs, (*tri.diag, *tri.offdiag))))[1]
+        scaled = Tridiagonal.symmetric(*([math.ldexp(x, -k) for x in band] for band in (tri.diag, tri.offdiag)))
+        got = eig_tridiagonal(tri)
+        assert got == [math.ldexp(x, k) for x in eig_tridiagonal(scaled)]
+        exact = [x for _, x in spectrum_points(p, 10).ranked()[:10]]
+        near = eig_tridiagonal(scaled, near=[math.ldexp(t, -k) for t in exact])
+        assert eig_tridiagonal(tri, near=exact) == [math.ldexp(x, k) for x in near]
+        bound = eig_tridiagonal_accuracy(tri)
+        assert bound == math.ldexp(eig_tridiagonal_accuracy(scaled) + 3 * 2.0**-1074, k)
+        with mp.workdps(60):
+            want = sorted(mp.eigsy(mp.matrix(tri.dense()), eigvals_only=True))
+            assert max(abs(mp.mpf(x) - y) for x, y in zip(got, want)) <= bound
+
+    def test_spectrum_past_the_float_squares_is_certified(self, tmp_path):
+        # an unscaled count put 6.8e297 where b q^2 = -2.5e299 lies, and its
+        # bound was inf: every match carries a finite bound that holds
+        from qortho import cli
+
+        out = tmp_path / "r.json"
+        assert cli.main(["spectrum", "--q", "0.5", "--a", "1.0", "--b", "-1e300", "--dim", "20", "--out", str(out)]) == 0
+        matches = [r for r in json.loads(out.read_text())["records"] if r["identity_id"] == "spectrum-match"]
+        assert len(matches) == 20
+        for r in matches:
+            assert math.isfinite(r["tail_estimate"]) and r["residual"] <= r["tail_estimate"], r
+
     @pytest.mark.parametrize("p", [P1, P2], ids=["p1", "p2"])
     def test_spectral_containment(self, p):
         for dim in [50, 120]:

@@ -3,6 +3,7 @@
 import decimal
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -193,6 +194,15 @@ class TestSears:
         assert r.status == "pass"
         assert r.residual <= 1e-10 * (1 + abs(r.rhs))
         assert "agrees" in r.note
+
+    def test_cross_check_that_cannot_be_formed_costs_its_record(self):
+        # at q = 0.998 the cross-check's 2phi1 runs past 10000 terms: the
+        # record is inconclusive, with an infinite tail and the cause in its
+        # note, and its sum and closed form are those it reads
+        r = verify_record("sears", 0, 0, QParams(q=0.998, a=0.5, b=-0.7))
+        assert (r.status, r.tail_estimate) == ("inconclusive", math.inf)
+        assert r.note == "cross-check not formed: basic series did not converge within 10000 terms"
+        assert math.isfinite(r.lhs) and math.isfinite(r.rhs) and r.terms_used > 0
 
     def test_both_partial_sums_positive(self):
         # each branch sum is positive (weights and squares positive), so

@@ -18,6 +18,7 @@ import textwrap
 import mpmath
 import pytest
 
+from qortho import qseries
 from qortho.qseries import (
     DomainError,
     NeumaierSum,
@@ -27,6 +28,7 @@ from qortho.qseries import (
     _as_negative_q_power,
     _escalated,
     _working_context,
+    phi_2_1,
     phi_3_2,
     q_pochhammer,
     q_pochhammer_inf,
@@ -121,20 +123,23 @@ class TestBigQLaguerreSeries:
             got = big_q_laguerre(n, x, p)
             assert abs(got - want) <= 1e-12 * abs(want), (n, x, got, want)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="_escalated watches term cancellation only: the float factor 1 - aq at aq = 0.99999 "
-        "carries a relative error of about 1e-11 into the terms, which do not cancel",
-    )
     def test_factor_cancellation_near_aq_one(self):
         # the 1e-13 the series routes promise, against the same 3phi2 at 200
-        # digits on the same floats; the float sum misses it by 1.44e-11
-        p = QParams(q=0.7, a=0.99999 / 0.7, b=-50.0)
-        x = p.a * p.q
-        got = big_q_laguerre(9, x, p)
-        with mpmath.workdps(200):
-            want, _ = _loop_phi(_bigql_params(9), 9, *map(mpmath.mpf, (x, p.a, p.b, p.q)))
-        assert abs(got - want) <= 1e-13 * abs(want)
+        # digits on the same floats, at aq = 0.99999: a float sum carries
+        # the relative error of about 1e-11 of the float factor 1 - aq into
+        # terms that do not cancel, and missed 157 of these 576 values
+        misses = []
+        for q in (0.3, 0.7, 0.9, 0.97):
+            for b in (-0.01, -0.7, -50.0):
+                p = QParams(q=q, a=0.99999 / q, b=b)
+                for x in (p.a * q, p.a * q**3, b * q, b * q**3):
+                    for n in range(1, 13):
+                        got = big_q_laguerre(n, x, p)
+                        with mpmath.workdps(200):
+                            want, _ = _loop_phi(_bigql_params(n), n, *map(mpmath.mpf, (x, p.a, p.b, p.q)))
+                            if not abs(got - want) <= 1e-13 * abs(want):
+                                misses.append((p, n, x, got))
+        assert not misses
 
 
 class TestBigQLaguerreRecurrence:
@@ -206,6 +211,15 @@ class TestQMeixner:
 
     def test_frozen_rational_oracle(self):
         assert q_meixner(2, 3, 0.5, 0.4, 0.5) == pytest.approx(M2_AT_3, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-200, 1e-100, 1e-30, 1e-3, 0.5])
+    def test_tiny_q_argument(self, q):
+        # M_1(q^-1; b, c; q) = 1 - (1 - q) / (c (1 - bq)); below q = 1e-154
+        # the float z = -q^2/c underflows to 0.0, and a float sum gave 1.0
+        D = decimal.Decimal
+        with decimal.localcontext(_working_context(50)):
+            want = 1 - (1 - D(q)) / (D(1.4) * (1 - D(0.5) * D(q)))
+            assert abs(D(q_meixner(1, 1, 0.5, 1.4, q)) - want) <= D(2.3e-16) * want
 
     def test_negative_first_parameter_allowed(self):
         val = q_meixner(2, 3, -0.7, 1.4, 0.5)
@@ -572,8 +586,8 @@ class TestTerminatingSumKernel:
     def _check_grid(self, grid, convert):
         """Compare every series route with the loop on its builder through
         _escalated, the shared route rule; returns (loop, args, value,
-        escalated) for every sum, escalated telling whether it was
-        re-summed."""
+        escalated) for every sum, escalated telling whether it took more
+        than one pass."""
         sums = []
 
         def ref(build, args):
@@ -605,8 +619,8 @@ class TestTerminatingSumKernel:
 
     def test_float_routes_match_loops(self):
         escalated = [flag for *_, flag in self._check_grid(self._grid(7, 40), float)]
-        # both routes are exercised: sums that stay in floats and sums that
-        # cancel past double precision and rerun in Decimals
+        # both cases are exercised: sums that end after one Decimal pass and
+        # sums that cancel past its digits and rerun at more
         assert any(escalated) and not all(escalated)
 
     def test_decimal_routes_match_loops(self):
@@ -616,12 +630,12 @@ class TestTerminatingSumKernel:
         assert escalated and not any(escalated)
 
     def test_escalated_sums_match_80_digit_loops(self):
-        # every Decimal re-sum is within rel_tol of the same loop run on the
-        # same float base arguments at 80 digits
-        escalated = [s for s in self._check_grid(self._grid(7, 40), float) if s[3]]
-        assert escalated
+        # every sum of float arguments, of one pass or more, is within
+        # rel_tol of the same loop run on the same float base arguments at
+        # 80 digits
+        sums = self._check_grid(self._grid(7, 40), float)
         with mpmath.workdps(80):
-            for loop, args, value, _ in escalated:
+            for loop, args, value, _ in sums:
                 reference, _ = loop(*map(mpmath.mpf, args))
                 assert abs(value - reference) <= self.REL * abs(reference), (args, value, reference)
 
@@ -648,12 +662,11 @@ class TestTerminatingSumKernel:
 
     def test_cancelling_spectral_grid_matches_exact_sums(self):
         # big_q_laguerre at the spectral points a q^(j+1), b q^(j+1) and
-        # q_meixner at q^-m, n <= 20, wherever the float sum cancels past
-        # double precision and reruns in Decimals: each value is within
-        # rel_tol of the same series on the same float base arguments, at
-        # 40 digits more than the sum cancels.  A re-sum from the
-        # float-rounded derived parameters (q^-n, aq, ...) would be exact
-        # for another sum
+        # q_meixner at q^-m, n <= 20, wherever a float sum would cancel past
+        # double precision: each value is within rel_tol of the same series
+        # on the same float base arguments, at 40 digits more than the sum
+        # cancels.  A sum on the float-rounded derived parameters (q^-n,
+        # aq, ...) would be exact for another sum
         sums = []
         for q in (0.3, 0.5, 0.7, 0.9):
             for a, b in ((0.5, -0.7), (0.2, -30.0)):
@@ -677,6 +690,29 @@ class TestTerminatingSumKernel:
                 want, _ = _loop_phi(build, n, *map(mpmath.mpf, base))
                 assert abs(got - want) <= self.REL * abs(want), (route, args, got, want)
         assert cancelling == 1507
+
+    def test_real_floats_reach_the_sum_only_as_decimals(self, monkeypatch):
+        # every sum_fn call of a real float series gets Decimal scalars
+        # only, and a complex one sums its own complex and float scalars
+        calls = []
+        escalated = qseries._escalated
+
+        def spy(sum_fn, args, rel_tol):
+            def wrapped(*scalars):
+                calls.append({type(x) for x in scalars})
+                return sum_fn(*scalars)
+
+            return escalated(wrapped, args, rel_tol)
+
+        monkeypatch.setattr(qseries, "_escalated", spy)
+        big_q_laguerre(5, P1.a * P1.q, P1)
+        q_meixner(3, 4, 0.5, 1.4, 0.5)
+        phi_2_1(0.3, 0.2, 0.4, 0.5, 0.6)
+        qseries.jackson_Eq(-1.5, 0.5)
+        assert len(calls) >= 4 and all(types == {decimal.Decimal} for types in calls), calls
+        calls.clear()
+        phi_2_1(0.3, 0.2, 0.4, 0.5, 0.3 + 0.2j)
+        assert calls == [{float, complex}]
 
 
 # ---------------------------------------------------------------------------
