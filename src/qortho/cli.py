@@ -10,8 +10,8 @@ report-all  verify-all + spectrum + limit in one report
 
 Every option applies to every command and may come before or after it.
 Exit codes: 0 all checks passed, 1 any failure, 2 inconclusive results
-only, 64 usage error, 70 a sum that could not be computed (no verdict),
-74 the report could not be written.  Identical configurations produce
+only, 64 usage error, 70 a failure outside any record (no verdict), 74
+the report could not be written.  Identical configurations produce
 byte-identical output; the timestamp header is suppressed with
 --no-timestamp.
 """
@@ -364,7 +364,8 @@ def main(argv=None) -> int:
         print(f"qortho: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QSeriesError as exc:
-        # a sum that could not be computed is no verdict on the identity
+        # a failure outside any record (a record's own costs that record
+        # alone): no verdict on the identity
         print(f"qortho: error: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
 

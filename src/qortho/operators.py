@@ -29,6 +29,7 @@ from qortho.qseries import (
     DomainError,
     NonConvergenceError,
     QParams,
+    _float_held,
     _sqrt,
     _Validated,
     _floats_only,
@@ -140,7 +141,8 @@ def _a_diag(p: QParams, dim: int) -> tuple:
 
 def build_A(p: QParams, dim: int) -> Tridiagonal:
     """Symmetric tridiagonal matrix of the diagonalized operator, of
-    float parameters."""
+    float parameters; an entry that no float holds raises
+    NonConvergenceError (`_float_held`)."""
     _floats_only("build_A", *p)
     if dim < 1:
         raise DomainError("dim must be a positive integer")
@@ -150,7 +152,13 @@ def build_A(p: QParams, dim: int) -> Tridiagonal:
         c * q ** ((k + 2) / 2) * math.sqrt((1 - (qk := q ** (k + 1))) * (1 - a * qk) * (1 - b * qk))
         for k in map(float, range(dim - 1))
     )
-    return Tridiagonal(dim=dim, diag=_a_diag(p, dim), lower=off, upper=off)
+    diag = _a_diag(p, dim)
+    # inside the domain an entry can still leave the float range, as
+    # sqrt(-ab) does at a near 1/q = 1e30 and b = -1e300: the first entry
+    # that is not finite raises
+    for x in itertools.filterfalse(math.isfinite, itertools.chain(diag, off)):
+        _float_held(x, "an entry of build_A", p)
+    return Tridiagonal(dim=dim, diag=diag, lower=off, upper=off)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +299,13 @@ def _normalization_entries(p: QParams, branch: str):
 
     c_0, common to the branch, is formed on the exact Decimals of p in the
     working context, as the ratios c_{n+1}/c_n multiply on.  For float p,
-    whose records read floats, a c_0 whose float is 0 or not finite raises
-    NonConvergenceError: a limit of the floats, not of the domain."""
+    whose records read floats, its float must hold it (`_float_held`)."""
     with decimal.localcontext(_context_of(p)):
         q, a, b = map(decimal.Decimal, p)
         first, second = _roles(branch, a, b)
         c0 = _root(q_pochhammer_inf(second * q, q) / q_pochhammer_inf(second / first, q))
-    if not (isinstance(p.q, decimal.Decimal) or 0 < float(c0) < math.inf):
-        name = "c_0" if branch == "a" else "c'_0"
-        raise NonConvergenceError(f"the infinite products of {name} leave the parameters' number range at {tuple(p)}")
+    if not isinstance(p.q, decimal.Decimal):
+        _float_held(c0, "c_0" if branch == "a" else "c'_0", p)
     yield from _prefactor_entries(p, _c_ratio, c0, branch)
 
 

@@ -37,7 +37,9 @@ Decimals of p, correctly rounded in the store's context, `_context_of(p)`
 (32 digits for float parameters, 52 for Decimal ones); their float copies
 drive the stopping rule, whose target follows p's scalars in the same way
 (`qseries._stop_target`), and the products used are added exactly and
-rounded once.  Each sum, and Kc, leaves once, as its float for float p.
+rounded once.  Each sum, and Kc, leaves once, as its float for float p;
+a number whose float cannot hold it (`qseries._float_held`) costs the
+record that reads it, which `_record` leaves `inconclusive`.
 The closed-form sides and the verdict are written once for both scalar
 types, in the store's context; the q-Meixner norms and the sears
 cross-check, independent halves, form their own products in p's scalars.
@@ -57,6 +59,8 @@ from qortho.qseries import (
     NonConvergenceError,
     QParams,
     _SMALL_RUN,
+    _float_held,
+    _power,
     _stop_target,
     phi_2_1,
     q_pochhammer,
@@ -113,7 +117,9 @@ def _finalize(identity_id, p, indices, lhs, rhs, terms_used, tail, magnitude, to
 _N_CAP, _M_CAP = 2000, 320
 
 
-def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], rel_tol: float, hard_cap: int, context):
+def _bilinear_sum(
+    u: Callable[[int], tuple], v: Callable[[int], tuple], rel_tol: float, hard_cap: int, context, quantity: str, point
+):
     """Certified sum over k of u_k v_k, the value of every identity sum:
     (Decimal value, terms used, tail estimate, M), with M the sum of the
     magnitudes of the terms used, the sum's condition scale (Higham,
@@ -122,7 +128,9 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], rel_tol:
     u(k) and v(k) are the k-th entries as (Decimal, float copy) pairs, read
     in order of k up to k = hard_cap.  The products of the float copies
     drive only the stopping rule, M and the tail bound; a product that
-    overflows is formed from the Decimal entries.  The sum stops once
+    overflows is formed from the Decimal entries, and a term whose float
+    cannot hold it raises NonConvergenceError (`_float_held`), naming
+    quantity and the point.  The sum stops once
     _SMALL_RUN consecutive terms are each at most rel_tol M AND the recent
     term ratios certify a geometric tail below the same target; the tail
     estimate is inf when they never do within the cap.  The value is the
@@ -141,9 +149,7 @@ def _bilinear_sum(u: Callable[[int], tuple], v: Callable[[int], tuple], rel_tol:
         ys.append(y)
         term = abs(fx * fy)
         if not math.isfinite(term):
-            term = abs(float(context.multiply(x, y)))
-            if math.isinf(term):
-                raise NonConvergenceError("bilinear term overflow")
+            term = abs(_float_held(context.multiply(x, y), quantity, point))
         total += term
         recent.append(term)
         if term <= rel_tol * total:
@@ -222,8 +228,9 @@ class _Store:
     `context`, `_context_of(p)`, set apart from the caller's; a row is
     formed in it whole, and `recurrence`, which has no context of its
     own, is read only there.  c_0, c'_0 and Kc are formed there too, on
-    `decimal_p`.  `value` is the one way out: a sum, or Kc, of Decimal
-    parameters leaves as it is, any other as its float."""
+    `decimal_p`.  `value` and `held` are the ways out: a sum, or Kc, of
+    Decimal parameters leaves as it is, any other as its float, which
+    `held` requires to hold it."""
 
     def __init__(self, p: QParams, K: int):
         self.p, self.K = p, K
@@ -245,19 +252,18 @@ class _Store:
 
     @functools.cached_property
     def kc(self):
-        """Kc on `decimal_p`, read as a sum is; for float p, a float 0 or
-        not finite raises NonConvergenceError, as c_0 does."""
+        """Kc on `decimal_p`, read as a sum is, and held as c_0 is."""
         with decimal.localcontext(self.context):
-            kc = self.value(_kc(self.decimal_p))
-        if not (self.exact or 0 < kc < math.inf):
-            raise NonConvergenceError(
-                f"the infinite products of Kc leave the parameters' number range at {tuple(self.p)}"
-            )
-        return kc
+            return self.held(_kc(self.decimal_p), "Kc")
 
     def value(self, x: decimal.Decimal):
         """A sum as the verifiers read it: x itself for Decimal parameters, its float for float ones."""
         return x if self.exact else float(x)
+
+    def held(self, x, quantity: str):
+        """x as the verifiers read it: itself for Decimal parameters, and
+        for float ones its float, which must hold it (`_float_held`)."""
+        return x if self.exact else _float_held(x, quantity, self.p)
 
     def label_c(self, label: int):
         """c_n of the label n >= 0 or c'_n of -n-1, read as a sum is."""
@@ -294,7 +300,8 @@ class _Store:
         value is a float for float parameters and a Decimal for Decimal ones."""
         key = (min(i, j), max(i, j))
         if key not in self._sums:
-            value, *rest = _bilinear_sum(self.column(i).at, self.column(j).at, self.rel_tol, _M_CAP, self.context)
+            args = self.rel_tol, _M_CAP, self.context, f"a term of the label sum {key}", self.p
+            value, *rest = _bilinear_sum(self.column(i).at, self.column(j).at, *args)
             self._sums[key] = self.value(value), *rest
         return self._sums[key]
 
@@ -304,9 +311,9 @@ class _Store:
         {i, j} as the label sums are.  Each branch stops at its own terms."""
         key = (min(i, j), max(i, j))
         if key not in self._row_sums:
+            args = self.rel_tol, _N_CAP, self.context, f"a term of the row sum {key}", self.p
             a, b = (
-                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], self.rel_tol, _N_CAP, self.context)
-                for rows in self.rows.values()
+                _bilinear_sum(lambda n: rows.at(n)[i], lambda n: rows.at(n)[j], *args) for rows in self.rows.values()
             )
             self._row_sums[key] = self.value(self.context.add(a[0], b[0])), a[1] + b[1], a[2] + b[2], a[3] + b[3]
         return self._row_sums[key]
@@ -365,7 +372,7 @@ def _big_laguerre_norm(m: int, m2: int, store: _Store):
         store.kc
         * q_pochhammer(p.q, p.q, m)
         / (q_pochhammer(p.a * p.q, p.q, m) * q_pochhammer(p.b * p.q, p.q, m))
-        * (-p.a * p.b) ** m
+        * _power(-p.a * p.b, m)
         * p.q ** (m * (m + 3) // 2)
     )
 
@@ -379,7 +386,7 @@ def _inverse_c_squared(i: int, j: int, store: _Store):
     """delta_ij / c_i^2: the orthogonality of the dual functions under the
     weight (aq,bq;q)_m / ((q;q)_m (-abq^2)^m) q^(-m(m-1)/2), the squared
     prefactor."""
-    return store.label_c(i) ** -2 if i == j else 0
+    return _power(store.label_c(i), -2) if i == j else 0
 
 
 def _meixner_norm(i: int, j: int, store: _Store):
@@ -400,7 +407,7 @@ def _meixner_norm(i: int, j: int, store: _Store):
         * q_pochhammer(first * q / second, q, n)
         * q_pochhammer(q, q, n)
         / q_pochhammer(first * q, q, n)
-        * q**-n
+        * _power(q, -n)
     )
 
 
@@ -417,10 +424,11 @@ def _vanishes(i: int, j: int, store: _Store):
 
 def _sears_cross_check(lhs, store: _Store):
     """(note, holds): the degree-zero sum against its equivalent
-    basic-series form, prefactored 2phi1 evaluations at argument q."""
+    basic-series form, prefactored 2phi1 evaluations at argument q, held
+    as a closed form is."""
     p = store.p
     q, a, b = p.q, p.a, p.b
-    lhs_phi = (
+    lhs_phi = store.held(
         q_pochhammer_inf(a * q / b, q)
         * q_pochhammer_inf(q, q)
         / q_pochhammer_inf(a * q, q)
@@ -429,7 +437,8 @@ def _sears_cross_check(lhs, store: _Store):
         * q_pochhammer_inf(b * q / a, q)
         * q_pochhammer_inf(q, q)
         / q_pochhammer_inf(b * q, q)
-        * phi_2_1(b * q, 0 * q, b * q / a, q, q)
+        * phi_2_1(b * q, 0 * q, b * q / a, q, q),
+        "the basic-series form of sears",
     )
     cross = float(abs(lhs - lhs_phi))
     return f"basic-series form agrees to {cross:.3e}", cross <= 1e-11 * float(1 + abs(lhs))
@@ -501,24 +510,28 @@ IDENTITY_FAMILIES = tuple(_FAMILIES)
 def _record(identity_id: str, i: int, j: int, store: _Store, tolerance: float) -> VerificationReport:
     """The record of the cell (i, j) of the grid of identity_id: its kept
     sum, times the scale with the tail and M times its magnitude, against
-    its closed form.  A check that raises NonConvergenceError leaves its
-    record `inconclusive`, with tail inf and the cause in its note."""
+    its closed form, and its check.
+
+    A NonConvergenceError raised while the record is formed (a sum, a
+    constant, the scale or the closed form whose float cannot hold it, a
+    series or product that does not converge, the check) costs that record
+    alone: it is `inconclusive`, with tail inf and the cause in its note,
+    and each side not formed reads nan."""
     _, kept, scale, side, *check = _RECORDS[identity_id]
-    indices, (lhs, terms, tail, total) = kept(i, j, store)
+    lhs = rhs = math.nan
+    terms, total, note, holds, stage = 0, 0.0, "", True, ""
     try:
+        indices, (value, terms, tail, total) = kept(i, j, store)
         if scale is not None:
-            s = scale(*indices, store)
+            s = store.held(scale(*indices, store), "the scale")
             size = abs(float(s))
-            lhs, tail, total = s * lhs, size * tail, size * total
-        rhs = side(*indices, store)
-    except OverflowError as exc:
-        raise NonConvergenceError(
-            f"the closed form of {identity_id} {(i, j)} leaves the float range at {tuple(store.p)}"
-        ) from exc
-    try:
-        note, holds = check[0](lhs, store) if check else ("", True)
+            value, tail, total = s * value, size * tail, size * total
+        rhs = store.held(side(*indices, store), "the closed form")
+        lhs, stage = value, "cross-check not formed: "
+        if check:
+            note, holds = check[0](lhs, store)
     except NonConvergenceError as exc:
-        note, holds, tail = f"cross-check not formed: {exc}", True, math.inf
+        note, tail = f"{stage}{exc}", math.inf
     rep = _finalize(identity_id, store.p, (i, j), lhs, rhs, terms, tail, total, tolerance, note)
     if not holds and rep.status == "pass":
         rep = rep._replace(status="fail", note=note + " (cross-check failed)")

@@ -96,16 +96,24 @@ def _recurrence_d(n, a, b, q):
 class _LazyList(list):
     """The values of an endless iterator, in a list that grows as they are
     first read, so each is computed once: the one lazily extended table of
-    the package."""
+    the package.  A source that raises is done, so its error is kept and
+    raised again by every later read past the values it gave."""
 
     def __init__(self, source):
         super().__init__()
         self._source = source
+        self._failure = None
 
     def upto(self, k: int) -> list:
         """The list, with the values 0..k at least."""
         while len(self) <= k:
-            self.append(next(self._source))
+            if self._failure is not None:
+                raise self._failure
+            try:
+                self.append(next(self._source))
+            except Exception as exc:
+                self._failure = exc
+                raise
         return self
 
     def at(self, k: int):

@@ -96,6 +96,28 @@ def _log10(x) -> float:
     return e + math.log10(float(x.copy_abs().scaleb(-e, _EXACT)))
 
 
+def _float_held(x, quantity: str, point) -> float:
+    """The float of the number x, where a float holds it: finite, and
+    nonzero unless x is 0.  Otherwise NonConvergenceError naming the
+    quantity and the point (q, a, b): a limit of the floats, not of the
+    domain, so what reads the quantity cannot be formed.  The one
+    float-range rule of the verify store, its sums and records, and the
+    operator's matrix."""
+    f = float(x)
+    if math.isfinite(f) and (f or not x):
+        return f
+    raise NonConvergenceError(f"{quantity} leaves the float range at {tuple(point)}")
+
+
+def _power(x, n: int):
+    """x ** n in x's scalar type; for a float, the inf of its sign where
+    it overflows, which Python raises as OverflowError."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) ** abs(n)
+
+
 def _ln(x):
     """Natural log in x's scalar type: a Decimal's in the thread's decimal
     context, else math.log."""

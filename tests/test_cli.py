@@ -210,45 +210,82 @@ class TestExitCodes:
         assert len(fails) == 20
         assert all(r["identity_id"] == "spectrum-match" and r["tail_estimate"] < 1e-13 for r in fails)
 
-    def test_computation_error_exit_seventy(self):
-        # inside the domain, yet a bilinear term (big-laguerre) or the float
-        # product (a/b; q)_inf = (-1000; 0.99)_inf of c'_0 (unitarity)
-        # overflows: a sum that could not be computed is no verdict, so it
-        # must not exit 1 ("a check failed") with a traceback, nor 64 (a
-        # usage error: "parameter domain violated")
-        for identity in ("big-laguerre", "unitarity"):
-            res = run_cli(
-                "verify", "--identity", identity, "--q", "0.99", "--a", "1.0", "--b", "-0.001", "--index-max", "0"
-            )
-            assert res.returncode == 70, (identity, res.stderr)
-            assert "Traceback" not in res.stderr
-            lines = res.stderr.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("qortho: error: "), res.stderr
+    def test_unformed_constant_costs_its_records(self, tmp_path):
+        # inside the domain, yet the float product (a/b; q)_inf =
+        # (-1000; 0.99)_inf of c'_0 leaves the float range: each record
+        # that reads c'_0 has no verdict, so it is `inconclusive` with the
+        # cause in its note, and every other record prints, exit 2, not 70
+        # ("no verdict at all") or 64 (a usage error)
+        import jsonschema
 
-    def test_closed_forms_past_the_float_range_exit_seventy(self, capsys):
-        # at b = -1e300 the float closed forms (-ab)^m of big-laguerre and
-        # c_i^-2 of dual raised a bare OverflowError, and Kc's float is inf,
-        # where sears failed on lhs = rhs = inf: no verdict, so exit 70
-        res = run_cli("verify", "--b", "-1e300", "--index-max", "1")
-        assert res.returncode == 70, res.stderr
-        assert "Traceback" not in res.stderr
-        assert res.stderr == (
-            "qortho: error: the infinite products of Kc leave the parameters' number range at (0.5, 0.5, -1e+300)\n"
-        )
+        from qortho.reporting import REPORT_SCHEMA
+
+        cause = "c'_0 leaves the float range at (0.99, 1.0, -0.001)"
+        # the family, its cells at --index-max 0, and the cells that read c'_0
+        cases = [
+            ("big-laguerre", 1, {("big-laguerre", 0, 0)}),
+            ("unitarity", 4, {("unitarity-rows", 0, 0), ("unitarity-columns", -1, 0)}),
+        ]
+        for identity, cells, unformed in cases:
+            out = tmp_path / f"{identity}.json"
+            argv = ["--identity", identity, "--q", "0.99", "--a", "1.0", "--b", "-0.001", "--index-max", "0"]
+            res = run_cli("verify", *argv, "--out", str(out))
+            assert (res.returncode, res.stderr) == (2, ""), identity
+            payload = json.loads(out.read_text())
+            jsonschema.validate(payload, REPORT_SCHEMA)
+            records = payload["records"]
+            assert len(records) == cells
+            assert {(r["identity_id"], r["i"], r["j"]) for r in records if r.get("note") == cause} == unformed
+            assert all(r["status"] != "fail" for r in records)
+            for r in records:
+                if "leaves the float range" in r.get("note", ""):
+                    assert (r["status"], r["tail_estimate"]) == ("inconclusive", "inf"), r
+
+    def test_closed_forms_past_the_float_range_cost_their_records(self, capsys):
+        # at b = -1e300 Kc's float is inf, and the float closed forms
+        # (-ab)^m of big-laguerre and c_i^-2 of dual and the sears
+        # cross-check's products overflow: each record that reads one is
+        # `inconclusive` with the cause in its note, no record fails, and
+        # every cell of the grid prints, exit 2
         from qortho import cli
 
+        def records(*argv, code=2):
+            assert cli.main(["verify", *argv, "--no-timestamp"]) == code, argv
+            out, err = capsys.readouterr()
+            assert err == "", argv
+            return {(r["identity_id"], r["i"], r["j"]): r for r in json.loads(out)["records"]}
+
+        at = records("--b", "-1e300", "--index-max", "1")
+        assert at.keys() == records("--index-max", "1", code=0).keys()
+        kc = "Kc leaves the float range at (0.5, 0.5, -1e+300)"
+        assert {key for key, r in at.items() if r.get("note") == kc} == {
+            ("big-laguerre", 0, 0), ("big-laguerre", 0, 1), ("big-laguerre", 1, 1), ("sears", 0, 0)
+        }
+        assert at[("dual-ff", 0, 0)]["note"] == "the closed form leaves the float range at (0.5, 0.5, -1e+300)"
+        for r in at.values():
+            assert r["status"] != "fail"
+            if "leaves the float range" in r.get("note", ""):
+                assert (r["status"], r["tail_estimate"]) == ("inconclusive", "inf"), r
         # (q, aq) of the sweep points where verify --index-max 2 crashed
         points = [(1e-30, 1e-30), (0.01, 0.001), (0.01, 0.5), (0.01, 0.999999)]
+        full = records("--index-max", "2", code=0).keys()
         for q, aq in [*points, (0.5, 0.5), (0.5, 0.999999), (0.9, 0.999999)]:
-            argv = ["verify", "--q", repr(q), "--a", repr(aq / q), "--b", "-1e300", "--index-max", "2"]
-            assert cli.main([*argv, "--out", "/dev/null"]) == 70, argv
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("qortho: error: "), lines
-        argv = ["verify", "--identity", "dual", "--b", "-1e300", "--index-max", "1"]
-        assert cli.main([*argv, "--out", "/dev/null"]) == 70
-        assert capsys.readouterr().err == (
-            "qortho: error: the closed form of dual-ff (0, 0) leaves the float range at (0.5, 0.5, -1e+300)\n"
-        )
+            at = records("--q", repr(q), "--a", repr(aq / q), "--b", "-1e300", "--index-max", "2")
+            assert at.keys() == full, (q, aq)
+            assert all(r["status"] != "fail" for r in at.values()), (q, aq)
+
+    def test_build_a_past_the_float_range_exit_seventy(self):
+        # in the domain, with a q = 1e-3, 0.5 and 0.999999 at q = 1e-30 and
+        # b = -1e300, sqrt(-ab) overflows in build_A's entries: a failure
+        # outside any record, so exit 70 in one stderr line, not the usage
+        # error 64 of a parameter outside the domain
+        for aq in (1e-3, 0.5, 0.999999):
+            res = run_cli("spectrum", "--q", "1e-30", "--a", repr(aq / 1e-30), "--b", "-1e300", "--dim", "20")
+            assert res.returncode == 70, (aq, res.stderr)
+            assert "Traceback" not in res.stderr
+            lines = res.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("qortho: error: an entry of build_A "), res.stderr
+            assert res.stdout == ""
 
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_unwritable_report_exit_seventy_four(self, tmp_path, output_format):
@@ -281,8 +318,9 @@ def _row_keys(payload: dict, key: str) -> list:
 
 
 class TestKnownComputationErrors:
-    """In-domain points where a command exits 70 and prints nothing: each
-    should give its full grid of records or rows with exit 0 or 2."""
+    """In-domain points where a command once exited 70 and printed nothing,
+    or still does: each should give its full grid of records or rows with
+    exit 0 or 2."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -290,11 +328,12 @@ class TestKnownComputationErrors:
             pytest.param(["verify", "--q", "0.998", "--a", "0.5", "--b", "-0.7"], id="verify-q0.998"),
             pytest.param(
                 ["verify", "--q", "1e-30", "--a", "0.5", "--b", "-0.7", "--index-max", "11"],
-                marks=pytest.mark.xfail(
-                    strict=True, reason="q^-11 = 1e330 leaves the float range: bilinear term overflow"
-                ),
                 id="verify-q1e-30-index11",
             ),
+            pytest.param(["verify", "--q", "0.999", "--a", "0.5", "--b", "-0.7"], id="verify-q0.999"),
+            pytest.param(["verify", "--q", "0.99", "--a", "1.0", "--b", "-0.001"], id="verify-q0.99-b-0.001"),
+            pytest.param(["verify", "--q", "0.9", "--a", "0.5", "--b", "-1e-6"], id="verify-q0.9-b-1e-6"),
+            pytest.param(["verify", "--q", "0.5", "--a", "0.5", "--b", "-1e300"], id="verify-b-1e300"),
             pytest.param(
                 ["table", "--q", "0.99", "--a", "1.0", "--b", "-0.001"],
                 marks=pytest.mark.xfail(strict=True, reason="c'_0 leaves the float range"),
@@ -311,8 +350,10 @@ class TestKnownComputationErrors:
         out = tmp_path / "r.json"
         res = run_cli(*argv, "--out", str(out))
         assert res.returncode in (0, 2), res.stderr
+        payload = json.loads(out.read_text())
         key = "records" if argv[0] == "verify" else "table"
-        assert _row_keys(json.loads(out.read_text()), key) == _row_keys(json.loads(reference.read_text()), key)
+        assert _row_keys(payload, key) == _row_keys(json.loads(reference.read_text()), key)
+        assert payload.get("summary", {}).get("failed", 0) == 0
 
 
 COMMANDS = ["verify", "spectrum", "table", "limit", "report-all"]
@@ -606,13 +647,18 @@ class TestVerifyTasks:
         assert cli.main(["verify", "--identity", identity, "--index-max", "3", "--out", str(tmp_path / "r.json")]) == 0
         assert calls == [(identity, QParams(q=0.5, a=0.5, b=-0.7), 3, 1e-8)]
 
-    @pytest.mark.parametrize("point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0)], ids=str)
+    @pytest.mark.parametrize(
+        "point", [(0.5, 0.5, -0.7), (0.7, 0.9, -0.4), (0.95, 0.9, -3.0), (0.99, 1.0, -0.001), (0.5, 0.5, -1e300)], ids=str
+    )
     def test_grouped_task_records_equal_single_family_runs(self, point):
         # `verify --identity all` runs the eight families as one task on one
         # store, and each reads the rows and sums of whichever family asked
         # first; every record must equal that of a cold run of its family
         # alone.  At (0.95, 0.9, -3.0) the task serves label requests at
-        # cut-offs 48 and 96 after unitarity-rows asked for cut-off 8
+        # cut-offs 48 and 96 after unitarity-rows asked for cut-off 8; at
+        # (0.99, 1.0, -0.001) and b = -1e300, where c'_0 or Kc leaves the
+        # float range, a later family reads a row, sum or constant that an
+        # earlier one failed to form, and gets the same cause
         from qortho.cli import RunConfig, _run_verify
         from qortho.orthogonality import IDENTITY_FAMILIES
         from qortho.reporting import render_csv

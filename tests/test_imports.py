@@ -182,7 +182,8 @@ def test_stop_rule_written_once():
 # the command lines of the reachability run, each with its exit code: every
 # subcommand, both precisions and both formats, the lowest weight --l, a
 # value outside the domain and a malformed option (usage errors), and a
-# point whose constants leave the float range (no verdict)
+# point where c'_0 leaves the float range: it costs verify the records that
+# read it, and table, whose rows are no records, its run (no verdict)
 REACH_COMMANDS = [
     (["verify"], 0),
     (["verify", "--precision", "extended", "--index-max", "2"], 0),
@@ -195,7 +196,8 @@ REACH_COMMANDS = [
     (["verify", "--l", "1.0", "--index-max", "1"], 0),
     (["verify", "--b", "0.7"], 64),
     (["verify", "--index-max", "x"], 64),
-    (["verify", "--q", "0.99", "--a", "1.0", "--b", "-0.001"], 70),
+    (["verify", "--q", "0.99", "--a", "1.0", "--b", "-0.001"], 2),
+    (["table", "--q", "0.99", "--a", "1.0", "--b", "-0.001"], 70),
 ]
 
 # the functions that none of REACH_COMMANDS calls, by module and qualified

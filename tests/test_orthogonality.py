@@ -102,7 +102,7 @@ class TestCertifiedSum:
             return x, float(x)
 
         one = decimal.Decimal(1), 1.0
-        return _bilinear_sum(lambda k: one, v, _stop_target(1.0), hard_cap, _working_context(30))
+        return _bilinear_sum(lambda k: one, v, _stop_target(1.0), hard_cap, _working_context(30), "a term", ())
 
     def test_terms_used_counts_the_terms_summed_at_the_cap(self):
         summed = []
@@ -212,7 +212,7 @@ class TestSears:
         store = _Store(P1, 0)
         for rows in store.rows.values():
             entry = lambda n: rows.at(n)[0]  # noqa: E731
-            val, _, _, total = _bilinear_sum(entry, entry, store.rel_tol, _N_CAP, store.context)
+            val, _, _, total = _bilinear_sum(entry, entry, store.rel_tol, _N_CAP, store.context, "a term", store.p)
             assert val > 0
             assert total == pytest.approx(float(val), rel=1e-14)
 
@@ -776,7 +776,7 @@ class TestReports:
                 xs, ys, used, tail = [], [], 0, 0.0
                 for branch in "ab":
                     readers = reader(branch, m, xs), reader(branch, m2, ys)
-                    _, used_b, tail_b, _ = _bilinear_sum(*readers, _stop_target(p.q), _N_CAP, context)
+                    _, used_b, tail_b, _ = _bilinear_sum(*readers, _stop_target(p.q), _N_CAP, context, "a term", p)
                     used, tail = used + used_b, tail + tail_b
                 tail *= size
                 with mpmath.workdps(2 * dps):
@@ -838,7 +838,7 @@ class TestReports:
                 # returned with the sum of their magnitudes
                 xs, ys = [], []
                 readers = reader(i, ratio_i, xs), reader(j, ratio_j, ys)
-                _, used, tail, _ = _bilinear_sum(*readers, _stop_target(p.q), _M_CAP, _working_context(dps))
+                _, used, tail, _ = _bilinear_sum(*readers, _stop_target(p.q), _M_CAP, _working_context(dps), "a term", p)
                 with mpmath.workdps(2 * dps):
                     xs, ys = ([mpmath.mpf(str(v)) for v in values] for values in (xs, ys))
                     total_abs = mpmath.fsum([x * y for x, y in zip(xs, ys)], absolute=True)
@@ -895,7 +895,7 @@ class TestReports:
         store = _Store(p, 8)
 
         def label_sum(i, j):
-            return _bilinear_sum(store.column(i).at, store.column(j).at, store.rel_tol, _M_CAP, store.context)
+            return _bilinear_sum(store.column(i).at, store.column(j).at, store.rel_tol, _M_CAP, store.context, "a term", p)
 
         labels = range(-9, 9)
         for i in labels:
@@ -1303,46 +1303,65 @@ ORACLE_MISSES = {
 }
 
 
+def oracle_truths(p: QParams) -> dict:
+    """Record id -> the true value of its cell (i, j), formed in mpmath
+    from the exact binary values of p and read in a context of 50 digits:
+    h_i delta_ij (big-laguerre), Kc (sears), delta_ij (unitarity, biortho),
+    delta_ij / c_i^2 (dual-ff, meixner), delta_ij / c'_i^2 (dual-gg,
+    meixner-negb) and 0 (dual-fg, eq-zero).  Each infinite product is
+    formed on its first read, to as many factors as it needs."""
+    mp = pytest.importorskip("mpmath")
+    q, a, b = map(mp.mpf, p)
+
+    def qp(x, n=None):
+        # mpmath stops an infinite product at 50 factors per bit of
+        # precision, short of the 12 600 that q = 0.99 needs at 50 digits
+        return mp.qp(x, q, n, maxterms=10**6)
+
+    @functools.cache
+    def kc():
+        return qp(q) * qp(b / a) * qp(a * q / b) / (qp(a * q) * qp(b * q))
+
+    def h(m):
+        weight = qp(q, m) / (qp(a * q, m) * qp(b * q, m))
+        return kc() * weight * (-a * b) ** m * q ** (m * (m + 3) // 2)
+
+    @functools.cache
+    def c0_squared(first, second):
+        return qp(second * q) / qp(second / first)
+
+    def inverse_c_squared(first, second, n):
+        # c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n)
+        return qp(first * q / second, n) * qp(q, n) / (c0_squared(first, second) * qp(first * q, n) * q**n)
+
+    return {
+        "big-laguerre": lambda i, j: h(i) if i == j else 0,
+        "sears": lambda i, j: kc(),
+        "unitarity-rows": lambda i, j: int(i == j),
+        "unitarity-columns": lambda i, j: int(i == j),
+        "biortho": lambda i, j: int(i == j),
+        "dual-ff": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
+        "meixner": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
+        "dual-gg": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
+        "meixner-negb": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
+        "dual-fg": lambda i, j: 0,
+        "eq-zero": lambda i, j: 0,
+    }
+
+
 # one sweep per point serves every test of TestOracle: at (0.97, 0.9, -0.5)
 # a sweep and its 775 truths take about 4 s
 @functools.cache
 def oracle_ratios(p: QParams, index_max: int = 8):
     """(record id, indices, ratio) of each record of `verify` at p: its
-    distance from its true value over its allowance tail_estimate +
-    4e-16 max(|rhs|, 1), each truth formed in mpmath at 50 digits from the
-    exact binary values of p: h_i delta_ij (big-laguerre), Kc (sears),
-    delta_ij (unitarity, biortho), delta_ij / c_i^2 (dual-ff, meixner),
-    delta_ij / c'_i^2 (dual-gg, meixner-negb) and 0 (dual-fg, eq-zero)."""
+    distance from its true value (`oracle_truths`) over its allowance
+    tail_estimate + 4e-16 max(|rhs|, 1)."""
     mp = pytest.importorskip("mpmath")
 
+    truths = oracle_truths(p)
+    reports = run_identity_checks("all", p, index_max)
+    assert len(reports) == 775 and {r.identity_id for r in reports} == set(truths)
     with mp.workdps(50):
-        q, a, b = map(mp.mpf, p)
-        kc = mp.qp(q, q) * mp.qp(b / a, q) * mp.qp(a * q / b, q) / (mp.qp(a * q, q) * mp.qp(b * q, q))
-
-        def h(m):
-            weight = mp.qp(q, q, m) / (mp.qp(a * q, q, m) * mp.qp(b * q, q, m))
-            return kc * weight * (-a * b) ** m * q ** (m * (m + 3) // 2)
-
-        def inverse_c_squared(first, second, n):
-            # c_n^2 = c_0^2 (first q; q)_n q^n / ((first q/second; q)_n (q; q)_n)
-            c0_squared = mp.qp(second * q, q) / mp.qp(second / first, q)
-            return mp.qp(first * q / second, q, n) * mp.qp(q, q, n) / (c0_squared * mp.qp(first * q, q, n) * q**n)
-
-        truths = {
-            "big-laguerre": lambda i, j: h(i) if i == j else 0,
-            "sears": lambda i, j: kc,
-            "unitarity-rows": lambda i, j: int(i == j),
-            "unitarity-columns": lambda i, j: int(i == j),
-            "biortho": lambda i, j: int(i == j),
-            "dual-ff": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
-            "meixner": lambda i, j: inverse_c_squared(a, b, i) if i == j else 0,
-            "dual-gg": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
-            "meixner-negb": lambda i, j: inverse_c_squared(b, a, i) if i == j else 0,
-            "dual-fg": lambda i, j: 0,
-            "eq-zero": lambda i, j: 0,
-        }
-        reports = run_identity_checks("all", p, index_max)
-        assert len(reports) == 775 and {r.identity_id for r in reports} == set(truths)
         return [
             (
                 r.identity_id,
@@ -1360,6 +1379,19 @@ def oracle_misses(p: QParams):
     import collections
 
     return collections.Counter(identity_id for identity_id, _, ratio in oracle_ratios(p) if ratio > 1)
+
+
+# the in-domain points where verify once exited 70 with no record, each
+# with its --index-max: a term of a sum past the float range at q = 0.999
+# and at q = 1e-30 with --index-max 11, c'_0 at (0.99, 1.0, -0.001), and Kc
+# at (0.9, 0.5, -1e-6) and b = -1e300
+FLOAT_RANGE_POINTS = [
+    ((0.999, 0.5, -0.7), 8),
+    ((0.99, 1.0, -0.001), 8),
+    ((0.9, 0.5, -1e-6), 8),
+    ((0.5, 0.5, -1e300), 8),
+    ((1e-30, 0.5, -0.7), 11),
+]
 
 
 class TestOracle:
@@ -1394,6 +1426,36 @@ class TestOracle:
         # is the undershoot of a tail estimate, not the error of a constant
         worst = max(oracle_ratios(QParams(*params)), key=lambda record: record[2])
         assert worst[2] <= 1.5, worst
+
+    @pytest.mark.parametrize("params, index_max", FLOAT_RANGE_POINTS, ids=str)
+    def test_every_pass_beside_the_float_range_within_its_bound(self, monkeypatch, params, index_max):
+        # at each point some sum, constant or closed form leaves the float
+        # range and costs the records that read it; every record that
+        # still passes must lie within its verdict bound tol max(|rhs|, M)
+        # of its 50-digit truth, as a float holds it: at q = 1e-30 the norm
+        # h_4 = 3.6e-422 of big-laguerre (4, 4) reads 0.0, as do its sides
+        import mpmath
+
+        from qortho import orthogonality
+
+        bounds = {}
+        finalize = orthogonality._finalize
+
+        def kept_bound(identity_id, p, indices, lhs, rhs, terms, tail, magnitude, tolerance, note=""):
+            bounds[identity_id, indices] = tolerance * max(float(abs(rhs)), magnitude)
+            return finalize(identity_id, p, indices, lhs, rhs, terms, tail, magnitude, tolerance, note)
+
+        monkeypatch.setattr(orthogonality, "_finalize", kept_bound)
+        p = QParams(*params)
+        truths = oracle_truths(p)
+        reports = run_identity_checks("all", p, index_max)
+        assert len(reports) == len(bounds) == {8: 775, 11: 1357}[index_max]
+        assert all(r.status != "fail" for r in reports)
+        with mpmath.workdps(50):
+            for r in reports:
+                if r.passed:
+                    miss = abs(mpmath.mpf(r.lhs) - float(truths[r.identity_id](*r.indices)))
+                    assert miss <= bounds[r.identity_id, r.indices], r
 
 
 class TestConstantsAtStorePrecision:

@@ -810,6 +810,25 @@ class TestRecurrenceTable:
                     assert C == a * b * q ** (k + 1) * (1 - q**k)
                     assert d == -a * b * q ** (2 * k + 1) * (1 + q) + q ** (k + 1) * (a + a * b + b)
 
+    def test_source_failure_is_raised_by_every_later_read(self):
+        # a source that raised is done: a second read past its values must
+        # raise the same error, not the StopIteration of a spent generator
+        from qortho.polynomials import _LazyList
+
+        def source():
+            yield from (10, 11)
+            raise NonConvergenceError("c'_0 leaves the float range")
+
+        values = _LazyList(source())
+        with pytest.raises(NonConvergenceError) as first:
+            values.at(3)
+        for read in (values.at, values.upto):
+            for k in (2, 7):
+                with pytest.raises(NonConvergenceError) as later:
+                    read(k)
+                assert later.value is first.value
+        assert values == [10, 11] and values.at(1) == 11
+
     def test_negative_degree_is_rejected(self):
         for n_max in (-1, -3):
             with pytest.raises(DomainError, match="degree must be nonnegative"):
